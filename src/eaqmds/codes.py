@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cosets import DefiningSet
+from .exceptions import VerificationError
 from .gf import FieldTower, Poly
 
 
@@ -82,7 +83,7 @@ def generator_polynomial(z: DefiningSet, tower: FieldTower) -> Poly:
     """The monic generator: product of (x - root^j) over all j in Z, taken
     coset by coset so every factor's coefficients land in F_{q^2}.
 
-    The result has degree |Z| and divides x^n - 1 exactly (asserted).
+    The result has degree |Z| and divides x^n - 1 exactly (both checked).
     """
     ctx = z.ctx
     if tower.n != ctx.n or tower.q != ctx.q:
@@ -90,7 +91,11 @@ def generator_polynomial(z: DefiningSet, tower: FieldTower) -> Poly:
     g = Poly.one(tower.fq2)
     for rep in z.coset_reps():
         g = g * tower.minimal_polynomial(rep)
-    assert g.degree == len(z) and g.is_monic()
+    if g.degree != len(z) or not g.is_monic():
+        raise VerificationError(
+            f"generator polynomial has degree {g.degree} and leading coefficient "
+            f"{g.coeffs[-1] if g.coeffs else 0}: expected monic of degree |Z| = {len(z)}"
+        )
     if not z.is_empty():
         Poly.x_pow_n_minus_1(tower.fq2, ctx.n).exact_div(g)
     return g

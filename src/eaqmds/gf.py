@@ -10,8 +10,14 @@ element index.
 Elements are canonical integer indices: the element with coefficient
 vector (c_0, ..., c_{d-1}) over F_p has index sum(c_i * p**i).  For
 p = 2 the index is the usual bitmask of the coefficient polynomial.
-Field orders up to 2**63 are supported; small fields additionally get
-flat lookup tables so that dense linear algebra stays fast.
+Field orders up to 2**63 are supported.  Fields of order at most
+_ACCEL_CAP additionally get exp/log tables of a fixed generator g, so a
+product is one addition of logarithms; in odd characteristic they also get
+a Zech table zech[k] = log(1 + g^k), so a sum is one lookup as well:
+g^a + g^b = g^(a + zech[b - a]) and -g^a = g^(a + (order-1)/2).  These
+tables take O(order) memory, O(q^2) for the code alphabet F_{q^2}.  Larger
+fields (the quartic F_{q^4}) use digit-wise addition and negation and
+schoolbook multiplication, with no tables.
 
 Field objects are immutable after construction (lookup tables are
 idempotent lazy caches); all operations are pure functions.
@@ -26,10 +32,8 @@ from typing import Iterable
 
 from .exceptions import VerificationError
 
-# exp/log tables are built only for orders up to this bound
+# exp/log (and, for odd p, Zech) tables are built only for orders up to this bound
 _ACCEL_CAP = 4096
-# flat addition tables (odd characteristic only) up to this order
-_ADD_TABLE_CAP = 2500
 # hard bound on p**degree
 _MAX_ORDER = 1 << 63
 
@@ -251,8 +255,9 @@ class Field:
             self._reduction = self._reduction_rows()
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._addtab: list[int] | None = None
-        self._negtab: list[int] | None = None
+        self._zech: list[int] | None = None
+        # log[0] and every log-domain value from here up stand for zero
+        self.log_zero = 5 * (self.order - 1)
         self._generator: int | None = None
         self._group_factors: dict[int, int] | None = None
         self._power_maps: dict[int, list[int]] = {}
@@ -276,26 +281,36 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        tab = self._addtab
-        if tab is not None:
-            return tab[a * self.order + b]
-        p = self.p
-        da, db = self.decode(a), self.decode(b)
-        return self.encode((x + y) % p for x, y in zip(da, db))
+        zech = self._zech
+        if zech is None:
+            p = self.p
+            return self.encode((x + y) % p for x, y in zip(self.decode(a), self.decode(b)))
+        if not a:
+            return b
+        log = self._log
+        la = log[a]
+        s = la + zech[log[b] - la]
+        return self._exp[s] if s < self.log_zero else 0
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
+        if self.p == 2 or not a:
             return a
-        tab = self._negtab
-        if tab is None:
-            tab = [self.encode((-d) % self.p for d in self.decode(i)) for i in range(self.order)]
-            self._negtab = tab
-        return tab[a]
+        if self._zech is not None:
+            return self._exp[self._log[a] + (self.order - 1) // 2]
+        p = self.p
+        return self.encode((-d) % p for d in self.decode(a))
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        zech = self._zech
+        if zech is None or not b:
+            return self.add(a, self.neg(b))
+        log = self._log
+        n1 = self.order - 1
+        lb = log[b] + n1 // 2  # log of -b
+        s = lb + zech[log[a] - lb]
+        return self._exp[s - n1] if s < self.log_zero else 0
 
     def mul(self, a: int, b: int) -> int:
         if self._exp is not None:
@@ -344,7 +359,10 @@ class Field:
                 for j, bj in enumerate(db):
                     prod[i + j] += ai * bj
         red = self._reduction
-        assert red is not None
+        if red is None:
+            raise VerificationError(
+                f"{self!r} has no reduction rows for its modulus {self.modulus}"
+            )
         for k in range(2 * d - 2, d - 1, -1):
             c = prod[k] % p
             if c:
@@ -373,14 +391,19 @@ class Field:
     # -- lookup-table acceleration -------------------------------------------
 
     def exp_log_tables(self) -> tuple[list[int] | None, list[int] | None]:
-        """Build (lazily) and return exp/log tables; (None, None) if too big."""
+        """Build (lazily) and return exp/log tables; (None, None) if too big.
+
+        exp has length 2*(order-1) so that exp[log[a] + log[b]] needs no
+        reduction, and log[0] = log_zero.  For odd p this also builds the
+        Zech table (see zech_tables).
+        """
         if self.order > _ACCEL_CAP:
             return None, None
         if self._exp is None:
             g = self.generator()
             n1 = self.order - 1
             exp = [1] * (2 * n1)
-            log = [0] * self.order
+            log = [self.log_zero] * self.order
             v = 1
             for i in range(n1):
                 exp[i] = v
@@ -388,25 +411,30 @@ class Field:
                 v = self._mul_raw2(v, g) if self.p == 2 else self._mul_raw(v, g)
             for i in range(n1, 2 * n1):
                 exp[i] = exp[i - n1]
+            if self.p != 2:
+                # 1 + g^k adds one to the constant digit of g^k's index
+                p = self.p
+                z = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp[:n1]]
+                self._zech = z * 3 + [0] * (4 * n1) + z * 2
             self._exp, self._log = exp, log
         return self._exp, self._log
 
-    def add_table(self) -> list[int] | None:
-        """Flat addition table for odd p (None for p=2: addition is xor)."""
-        if self.p == 2 or self.order > _ADD_TABLE_CAP:
+    def zech_tables(self) -> tuple[list[int], list[int], list[int]] | None:
+        """(exp, log, zech) for an odd-p field with tables, else None.
+
+        With n1 = order-1, zech has length 9*n1: zech[k] = log(1 + g^k) at
+        every k = -2*n1 .. 3*n1-1 (through negative indexing), or log_zero
+        where 1 + g^k = 0; zech[k] = 0 for k in 3*n1 .. 7*n1-1.  So for a
+        nonzero log lp in [0, 2*n1) and an accumulator acc that is either a
+        log below 3*n1 or a zero in [log_zero, log_zero + 2*n1), the log of
+        their sum is lp + zech[acc - lp], again of one of those two kinds:
+        the log-domain kernels in oracle never reduce mod n1 or test the
+        accumulator for zero.
+        """
+        self.exp_log_tables()
+        if self._zech is None:
             return None
-        if self._addtab is None:
-            o, p = self.order, self.p
-            dec = [self.decode(i) for i in range(o)]
-            tab = [0] * (o * o)
-            for a in range(o):
-                da = dec[a]
-                row = a * o
-                for b in range(o):
-                    db = dec[b]
-                    tab[row + b] = self.encode((x + y) % p for x, y in zip(da, db))
-            self._addtab = tab
-        return self._addtab
+        return self._exp, self._log, self._zech
 
     def power_map(self, e: int) -> list[int]:
         """Table of a -> a^e for every element (cached per exponent)."""
@@ -711,6 +739,8 @@ class FieldTower:
             raise ValueError(f"n={n} does not divide q^4-1 for q={q}")
         self.unity_root = find_element_of_order(self.fq4, n)
         self._root_pows: list[int] | None = None
+        # the code alphabet's tables serve every generator-polynomial division
+        self.fq2.exp_log_tables()
         self._setup_embedding()
         self._minpoly_cache: dict[int, Poly] = {}
 
@@ -845,7 +875,11 @@ class FieldTower:
                     f"q^2 power map (orbit of {i})"
                 )
         small = Poly(self.fq2, (self.project(c) for c in big.coeffs))
-        assert small.degree == len(orbit) and small.is_monic()
+        if small.degree != len(orbit) or not small.is_monic():
+            raise VerificationError(
+                f"minimal polynomial of the orbit of {i} has coefficients {small.coeffs}: "
+                f"expected monic of degree {len(orbit)}"
+            )
         self._minpoly_cache[i] = small
         return small
 

@@ -11,6 +11,7 @@ so that it shares no machinery with the set-algebra route it checks.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import isqrt
 
@@ -33,8 +34,14 @@ class MatrixGF:
     def __post_init__(self) -> None:
         if self.data:
             width = len(self.data[0])
-            assert all(len(r) == width for r in self.data)
-            assert all(0 <= v < self.field.order for r in self.data for v in r)
+            for i, r in enumerate(self.data):
+                if len(r) != width:
+                    raise VerificationError(f"row {i} has {len(r)} entries, row 0 has {width}")
+                for v in r:
+                    if not 0 <= v < self.field.order:
+                        raise VerificationError(
+                            f"entry {v} in row {i} is not an element of {self.field!r}"
+                        )
 
     @property
     def rows(self) -> int:
@@ -54,26 +61,19 @@ class MatrixGF:
         return all(v == 0 for r in self.data for v in r)
 
 
+# The odd-p kernels below work on logarithms (see Field.zech_tables):
+# log[0] and anything from log_zero up mean zero, and for a nonzero log lp
+# below 2*(order-1) the sum of an accumulator acc and g^lp has log
+# lp + zech[acc - lp].
+
+
 def _ops(field: Field):
-    """(mul, add, sub) closures, table-backed when the field is small."""
+    """(mul, add, sub): exp/log lookups and xor for p = 2, else the field's
+    own methods (Zech logarithms for small odd-p fields)."""
     exp, log = field.exp_log_tables()
-    if exp is not None:
-        if field.p == 2:
-            return (
-                lambda a, b: exp[log[a] + log[b]] if a and b else 0,
-                lambda a, b: a ^ b,
-                lambda a, b: a ^ b,
-            )
-        addtab = field.add_table()
-        if addtab is not None:
-            o = field.order
-            neg = [field.neg(i) for i in range(o)]
-            return (
-                lambda a, b: exp[log[a] + log[b]] if a and b else 0,
-                lambda a, b: addtab[a * o + b],
-                lambda a, b: addtab[a * o + neg[b]],
-            )
-    return field.mul, field.add, field.sub
+    if exp is None or field.p != 2:
+        return field.mul, field.add, field.sub
+    return (lambda a, b: exp[log[a] + log[b]] if a and b else 0), operator.xor, operator.xor
 
 
 def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
@@ -84,8 +84,24 @@ def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     f = a.field
     bt = list(zip(*b.data))
     exp, log = f.exp_log_tables()
+    tables = f.zech_tables()
     out = []
-    if exp is not None and f.p == 2:
+    if tables is not None:
+        zech = tables[2]
+        zero, n1 = f.log_zero, f.order - 1
+        lcols = [[log[v] for v in col] for col in bt]
+        for row in a.data:
+            lrow = [(j, log[x]) for j, x in enumerate(row) if x]
+            orow = []
+            for lcol in lcols:
+                acc = zero
+                for j, lx in lrow:
+                    lp = lx + lcol[j]
+                    if lp < zero:
+                        acc = lp + zech[acc - lp]
+                orow.append(exp[acc - n1] if acc < zero else 0)
+            out.append(tuple(orow))
+    elif exp is not None and f.p == 2:
         for row in a.data:
             orow = []
             for col in bt:
@@ -93,18 +109,6 @@ def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
                 for x, y in zip(row, col):
                     if x and y:
                         acc ^= exp[log[x] + log[y]]
-                orow.append(acc)
-            out.append(tuple(orow))
-    elif exp is not None and f.add_table() is not None:
-        addtab = f.add_table()
-        o = f.order
-        for row in a.data:
-            orow = []
-            for col in bt:
-                acc = 0
-                for x, y in zip(row, col):
-                    if x and y:
-                        acc = addtab[acc * o + exp[log[x] + log[y]]]
                 orow.append(acc)
             out.append(tuple(orow))
     else:
@@ -133,9 +137,38 @@ def conjugate_transpose(m: MatrixGF, q: int) -> MatrixGF:
 def rank(m: MatrixGF) -> int:
     """Exact rank by Gaussian elimination, first-nonzero pivot rule."""
     f = m.field
+    nrows, ncols = m.rows, m.cols
+    tables = f.zech_tables()
+    if tables is not None:
+        _exp, log, zech = tables
+        zero, n1 = f.log_zero, f.order - 1
+        half = n1 // 2
+        rows = [[log[v] for v in r] for r in m.data]
+        r = 0
+        for c in range(ncols):
+            piv = next((i for i in range(r, nrows) if rows[i][c] < zero), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            rowr = rows[r]
+            lpiv = rowr[c]
+            # row_i -= (row_i[c] / pivot) * row_r, column c left out: it becomes 0.
+            # Earlier updates leave logs up to 3*n1; reduced, lf + v stays below 2*n1.
+            nz = [(j, v % n1) for j, v in enumerate(rowr[c + 1 :], c + 1) if v < zero]
+            for i in range(r + 1, nrows):
+                rowi = rows[i]
+                lf = rowi[c]
+                if lf < zero:
+                    lf = (lf - lpiv + half) % n1
+                    for j, v in nz:
+                        lp = lf + v
+                        rowi[j] = lp + zech[rowi[j] - lp]
+            r += 1
+            if r == nrows:
+                break
+        return r
     mul, _add, sub = _ops(f)
     rows = [list(r) for r in m.data]
-    nrows, ncols = m.rows, m.cols
     r = 0
     for c in range(ncols):
         piv = next((i for i in range(r, nrows) if rows[i][c]), None)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from eaqmds.exceptions import VerificationError
 from eaqmds.gf import (
+    Field,
     Poly,
     PrimePower,
     build_field,
@@ -105,7 +106,34 @@ def test_element_wrappers():
     assert a.coeffs == (3, 1)
 
 
-@pytest.mark.parametrize("p,deg", [(2, 10), (23, 2), (3, 6)])
+def _digitwise_add(f, a, b):
+    return f.encode((x + y) % f.p for x, y in zip(f.decode(a), f.decode(b)))
+
+
+def _digitwise_neg(f, a):
+    return f.encode((-x) % f.p for x in f.decode(a))
+
+
+def _addition_mismatches(f, pairs):
+    """(op, a, b) for every pair where add, sub or neg disagrees with the
+    coefficient-by-coefficient definition over F_p."""
+    bad = []
+    for a, b in pairs:
+        if f.add(a, b) != _digitwise_add(f, a, b):
+            bad.append(("add", a, b))
+        if f.sub(a, b) != _digitwise_add(f, a, _digitwise_neg(f, b)):
+            bad.append(("sub", a, b))
+        if f.neg(a) != _digitwise_neg(f, a):
+            bad.append(("neg", a, b))
+    return bad
+
+
+def _random_pairs(f, count, seed):
+    rng = random.Random(seed)
+    return [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p,deg", [(2, 10), (23, 2), (3, 6), (43, 2)])
 def test_lookup_tables_agree_with_raw_arithmetic(p, deg):
     # the dense linear algebra runs on these tables; they must reproduce
     # the table-free arithmetic exactly
@@ -113,16 +141,48 @@ def test_lookup_tables_agree_with_raw_arithmetic(p, deg):
     raw_mul = f._mul_raw2 if p == 2 else f._mul_raw
     exp, log = f.exp_log_tables()
     assert exp is not None
-    addtab = f.add_table()
+    assert (f.zech_tables() is None) == (p == 2)
     rng = random.Random(p * deg)
     for _ in range(300):
         a, b = rng.randrange(f.order), rng.randrange(f.order)
         assert f.mul(a, b) == raw_mul(a, b)
-        if addtab is not None:
-            da, db = f.decode(a), f.decode(b)
-            assert addtab[a * f.order + b] == f.encode((x + y) % p for x, y in zip(da, db))
     powq = f.power_map(3)
     assert all(powq[a] == f.mul(a, f.mul(a, a)) for a in range(0, f.order, 7))
+    assert _addition_mismatches(f, _random_pairs(f, 2000, p * deg)) == []
+
+
+@pytest.mark.parametrize("p,deg", [(7, 2), (3, 4)])
+def test_zech_addition_on_all_pairs(p, deg):
+    f = build_field(p, deg)
+    assert f.zech_tables() is not None
+    pairs = [(a, b) for a in range(f.order) for b in range(f.order)]
+    assert _addition_mismatches(f, pairs) == []
+
+
+def test_quartic_negation_is_table_free():
+    f = build_field(23, 4)
+    assert f.zech_tables() is None
+    rng = random.Random(234)
+    for _ in range(200):
+        a = rng.randrange(f.order)
+        assert f.neg(a) == _digitwise_neg(f, a)
+        assert f.add(a, f.neg(a)) == 0
+    # no lookup table of any kind was built for this field
+    assert not [k for k, v in vars(f).items() if isinstance(v, list) and len(v) >= f.order]
+
+
+def test_zech_check_detects_an_entry_off_by_one():
+    # a private copy of F_49, so the cached field stays intact
+    good = build_field(7, 2)
+    f = Field(7, 2, good.modulus)
+    _exp, log, zech = f.zech_tables()
+    pairs = [(a, b) for a in range(f.order) for b in range(f.order)]
+    assert _addition_mismatches(f, pairs) == []
+    zech[5] += 1
+    bad = _addition_mismatches(f, pairs)
+    assert any(op == "add" for op, _a, _b in bad)
+    # add(a, b) reads zech[log b - log a]: only those pairs may be hit
+    assert all(log[b] - log[a] == 5 for op, a, b in bad if op == "add")
 
 
 # -- conjugation ---------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from eaqmds.cosets import DefiningSet, all_cosets
 from eaqmds.eaqecc import ebits
 from eaqmds.families import verify_family_code
-from eaqmds.gf import field_tower
+from eaqmds.gf import build_field, field_tower
 from eaqmds.oracle import (
     BUDGET_EXCEEDED,
     MatrixGF,
@@ -182,3 +182,87 @@ def _dot(f, row, vec):
         if x and y:
             acc = f.add(acc, f.mul(x, y))
     return acc
+
+
+# -- kernels against a reference built on the raw field arithmetic -------------
+
+
+class RawArithmetic:
+    """Digit-wise addition and schoolbook multiplication: no lookup tables."""
+
+    def __init__(self, f):
+        self.f = f
+        self.mul = f._mul_raw2 if f.p == 2 else f._mul_raw
+
+    def add(self, a, b):
+        f = self.f
+        return f.encode((x + y) % f.p for x, y in zip(f.decode(a), f.decode(b)))
+
+    def neg(self, a):
+        f = self.f
+        return f.encode((-x) % f.p for x in f.decode(a))
+
+    def inv(self, a):
+        result, base, e = 1, a, self.f.order - 2
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return result
+
+    def matmul(self, a, b):
+        out = []
+        for row in a:
+            orow = []
+            for col in zip(*b):
+                acc = 0
+                for x, y in zip(row, col):
+                    acc = self.add(acc, self.mul(x, y))
+                orow.append(acc)
+            out.append(tuple(orow))
+        return tuple(out)
+
+    def rank(self, m):
+        rows = [list(r) for r in m]
+        r = 0
+        for c in range(len(rows[0]) if rows else 0):
+            piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            for i in range(r + 1, len(rows)):
+                fac = self.neg(self.mul(rows[i][c], self.inv(rows[r][c])))
+                rows[i] = [self.add(x, self.mul(fac, y)) for x, y in zip(rows[i], rows[r])]
+            r += 1
+        return r
+
+
+def _random_matrix(f, rng, rows, cols):
+    zeros = rng.choice((0.0, 0.3, 0.7))
+    return tuple(
+        tuple(0 if rng.random() < zeros else rng.randrange(1, f.order) for _ in range(cols))
+        for _ in range(rows)
+    )
+
+
+@pytest.mark.parametrize("p,deg", [(23, 2), (3, 6), (2, 10)])
+def test_kernels_match_raw_arithmetic(p, deg):
+    f = build_field(p, deg)
+    raw = RawArithmetic(f)
+    rng = random.Random(1000 * p + deg)
+    for _ in range(40):
+        rows, inner, cols = rng.randrange(1, 13), rng.randrange(1, 9), rng.randrange(1, 13)
+        a = _random_matrix(f, rng, rows, inner)
+        b = _random_matrix(f, rng, inner, cols)
+        ab = matmul(MatrixGF(f, a), MatrixGF(f, b))
+        assert ab.data == raw.matmul(a, b)
+        # the product has rank at most inner: rank-deficient cases included
+        for m in (a, b, ab.data, ((0,) * cols,) * rows):
+            want = raw.rank(m)
+            assert rank(MatrixGF(f, m)) == want, m
+            ns = nullspace(MatrixGF(f, m))
+            assert ns.rows == len(m[0]) - want
+            if ns.rows:
+                assert not any(any(r) for r in raw.matmul(m, tuple(zip(*ns.data))))
+                assert raw.rank(ns.data) == ns.rows

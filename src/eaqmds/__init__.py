@@ -20,7 +20,6 @@ from .cosets import (
     coset,
     coset_product_identity,
     coset_product_identity_inverse,
-    neg_q_map,
 )
 from .eaqecc import (
     EAQMDS,

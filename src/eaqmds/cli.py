@@ -24,7 +24,7 @@ from .cosets import (
     identity_windows,
     inverse_identity_windows,
 )
-from .eaqecc import ebits
+from .eaqecc import eaqmds_status, ebits
 from .exceptions import VerificationError
 from .gf import field_tower
 
@@ -143,7 +143,10 @@ def cmd_cosets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_record(q: int, m: int, allow_degenerate: bool, run_oracle: bool) -> CodeRecord:
+def _verify_code(
+    q: int, m: int, allow_degenerate: bool, run_oracle: bool
+) -> tuple[families.FamilyCode, bool]:
+    """The verified code, and whether the matrix oracle confirmed its ebits."""
     spec = families.classify(q)
     if spec is None:
         raise ValueError(families.explain_rejection(q))
@@ -159,15 +162,7 @@ def _build_record(q: int, m: int, allow_degenerate: bool, run_oracle: bool) -> C
                 f"at q={q}, m={m}"
             )
         checked = True
-    return CodeRecord.from_family_code(fc, rank_oracle_checked=checked)
-
-
-def _record_status(rec: CodeRecord) -> str:
-    if rec.singleton_equality and rec.distance_precondition_ok:
-        return "eaqmds"
-    if rec.singleton_equality:
-        return "equality-without-precondition"
-    return "not-eaqmds"
+    return fc, checked
 
 
 def cmd_code(args: argparse.Namespace) -> int:
@@ -176,12 +171,13 @@ def cmd_code(args: argparse.Namespace) -> int:
             f"the matrix oracle is capped at q <= {ORACLE_Q_CAP} by default; "
             f"pass --allow-large-oracle to run q={args.q}"
         )
-    rec = _build_record(args.q, args.m, args.allow_degenerate, args.oracle)
+    fc, checked = _verify_code(args.q, args.m, args.allow_degenerate, args.oracle)
+    rec = CodeRecord.from_family_code(fc, rank_oracle_checked=checked)
     if args.format == "json":
         print(json.dumps(rec.to_dict(), indent=2))
     else:
         _print_record_text(rec)
-        print(f"eaqmds_status={_record_status(rec)}")
+        print(f"eaqmds_status={eaqmds_status(fc.verified)}")
     return 0
 
 
@@ -273,9 +269,7 @@ def _verify_lemma(q_max: int) -> str:
                     )
                 identities += 1
         for m in range(2, spec.m_max + 1):
-            free = families.free_window_set(spec, m)
-            if not free.isdisjoint(free.neg_q()):
-                raise VerificationError(f"free windows meet -q image at q={q}, m={m}")
+            families.check_window_lemmas(spec, m, families.family_defining_set(spec, m))
             windows += 1
     return f"{len(sizes)} field sizes, {identities} identity checks, {windows} window sets"
 
@@ -309,13 +303,12 @@ def _random_closed_sets(ctx: CycContext, count: int, seed: int) -> list[Defining
 
 
 def _verify_rank_oracle(q_max: int, allow_large: bool) -> str:
-    family_qs = [q for q in (23, 27, 32) if q <= q_max]
-    if allow_large:
-        family_qs = [s.q.q for s in _family_sizes_up_to(q_max)]
+    specs = _family_sizes_up_to(q_max)
+    if not allow_large:
+        specs = [s for s in specs if s.q.q in (23, 27, 32)]
     checked = 0
-    for q in family_qs:
-        spec = families.classify(q)
-        assert spec is not None
+    for spec in specs:
+        q = spec.q.q
         tower = field_tower(q, spec.n)
         for m in range(2, spec.m_max + 1):
             fc = families.verify_family_code(spec, m)

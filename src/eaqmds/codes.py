@@ -35,25 +35,17 @@ def longest_circular_run(members, n: int) -> int:
     """Length of the longest run of consecutive residues mod n in a set.
 
     Works on any residue collection (no closure needed); a full circle
-    counts as n.
+    counts as n.  The members mark a bytearray indicator; its runs of
+    ones are the pieces between zero bytes, and a run that wraps around
+    is the first piece plus the last.
     """
-    ms = sorted(set(x % n for x in members))
-    k = len(ms)
-    if k == 0:
-        return 0
-    if k == n:
+    marks = bytearray(n)
+    for x in members:
+        marks[x % n] = 1
+    runs = marks.split(b"\0")
+    if len(runs) == 1:
         return n
-    best = cur = 1
-    prev = ms[0]
-    for x in ms[1:] + [m + n for m in ms]:
-        if x == prev + 1:
-            cur += 1
-            if cur > best:
-                best = cur
-        else:
-            cur = 1
-        prev = x
-    return min(best, n)
+    return max(max(map(len, runs)), len(runs[0]) + len(runs[-1]))
 
 
 def bch_bound(z: DefiningSet) -> int:
@@ -63,7 +55,7 @@ def bch_bound(z: DefiningSet) -> int:
     at least d.  Empty Z gives 1 (the whole space); full Z gives n+1 (the
     zero code) by convention.
     """
-    return longest_circular_run(z.members, z.ctx.n) + 1
+    return longest_circular_run(z.residues, z.ctx.n) + 1
 
 
 def mds_certificate(z: DefiningSet) -> ClassicalParams:

@@ -7,6 +7,13 @@ orbit is the pair {i, n-i} (a singleton for i = 0 and, when n is even,
 for i = n/2).  Structural assertions specific to that situation are only
 made when the context actually has it.
 
+Closure is checked once, by the public constructor DefiningSet(ctx,
+members).  The set algebra, the -q map and from_cosets build closed sets
+by construction, skip that check, and each works on the whole set at once
+(frozenset operations, or one comprehension over all members) instead of
+building cosets one by one.  A set sorts its members only when they are
+asked for.
+
 All values are immutable and all operations are pure functions.
 """
 
@@ -97,46 +104,80 @@ def all_cosets(ctx: CycContext) -> list[CycCoset]:
 
 
 class DefiningSet:
-    """A union of whole cosets: a subset of Z_n closed under *q^2 mod n."""
+    """A union of whole cosets: a subset of Z_n closed under *q^2 mod n.
 
-    __slots__ = ("ctx", "members", "_set")
+    ``DefiningSet(ctx, members)`` is the one constructor that takes
+    arbitrary residues, and it checks closure.  Every other way of making
+    a set (``empty``, ``full``, ``from_cosets`` and the set algebra below)
+    builds a closed set by construction and skips the check.
+
+    ``residues`` is the set as a frozenset; ``members`` is the same set as
+    an ascending tuple.
+    """
+
+    __slots__ = ("ctx", "residues", "_members")
 
     def __init__(self, ctx: CycContext, members: Iterable[int]):
-        mset = frozenset(int(m) % ctx.n for m in members)
-        mult = ctx.multiplier
-        n = ctx.n
-        for m in mset:
-            if m * mult % n not in mset:
-                raise ValueError(
-                    f"set is not closed under multiplication by q^2: "
-                    f"{m} in, {m * mult % n} out"
-                )
+        n, mult = ctx.n, ctx.multiplier
+        mset = frozenset(int(m) % n for m in members)
+        if not {m * mult % n for m in mset} <= mset:
+            m = min(x for x in mset if x * mult % n not in mset)
+            raise ValueError(
+                f"set is not closed under multiplication by q^2: "
+                f"{m} in, {m * mult % n} out"
+            )
         self.ctx = ctx
-        self.members = tuple(sorted(mset))
-        self._set = mset
+        self.residues = mset
+        self._members: tuple[int, ...] | None = None
+
+    @classmethod
+    def _closed(cls, ctx: CycContext, residues: frozenset[int]) -> "DefiningSet":
+        """Wrap residues already known to be reduced mod n and closed."""
+        z = object.__new__(cls)
+        z.ctx = ctx
+        z.residues = residues
+        z._members = None
+        return z
 
     @classmethod
     def empty(cls, ctx: CycContext) -> "DefiningSet":
-        return cls(ctx, ())
+        return cls._closed(ctx, frozenset())
 
     @classmethod
     def from_cosets(cls, ctx: CycContext, reps: Iterable[int]) -> "DefiningSet":
-        members: set[int] = set()
-        for r in reps:
-            members.update(coset(ctx, r).elements)
-        return cls(ctx, members)
+        """The union of the cosets of ``reps`` (any integers).
+
+        Closes the whole set under *q^2 at once, mapping the newest
+        elements each round until none is new: two rounds when every coset
+        is {i, n-i}, one per orbit element on a general modulus.  No coset
+        is built one by one.
+        """
+        n, mult = ctx.n, ctx.multiplier
+        closed = {r % n for r in reps}
+        new = closed
+        while new:
+            new = {x * mult % n for x in new} - closed
+            closed |= new
+        return cls._closed(ctx, frozenset(closed))
 
     @classmethod
     def full(cls, ctx: CycContext) -> "DefiningSet":
-        return cls(ctx, range(ctx.n))
+        return cls._closed(ctx, frozenset(range(ctx.n)))
 
     # -- basic protocol ------------------------------------------------------
 
+    @property
+    def members(self) -> tuple[int, ...]:
+        """The residues in ascending order (sorted on first use, then cached)."""
+        if self._members is None:
+            self._members = tuple(sorted(self.residues))
+        return self._members
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.residues)
 
     def __contains__(self, x: int) -> bool:
-        return x % self.ctx.n in self._set
+        return x % self.ctx.n in self.residues
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
@@ -145,35 +186,36 @@ class DefiningSet:
         return (
             isinstance(other, DefiningSet)
             and self.ctx == other.ctx
-            and self.members == other.members
+            and self.residues == other.residues
         )
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self.members))
+        return hash((self.ctx, self.residues))
 
     def __repr__(self) -> str:
         return f"DefiningSet(n={self.ctx.n}, q={self.ctx.q}, size={len(self)})"
 
     def is_empty(self) -> bool:
-        return not self.members
+        return not self.residues
 
     def _check(self, other: "DefiningSet") -> None:
         if self.ctx != other.ctx:
             raise ValueError("defining sets live in different contexts")
 
-    # -- set algebra (closure is preserved by all of these) --------------------
+    # -- set algebra: unions, intersections and differences of closed sets,
+    # and the complement of one, are closed again, so none is re-checked ----
 
     def union(self, other: "DefiningSet") -> "DefiningSet":
         self._check(other)
-        return DefiningSet(self.ctx, self._set | other._set)
+        return DefiningSet._closed(self.ctx, self.residues | other.residues)
 
     def intersect(self, other: "DefiningSet") -> "DefiningSet":
         self._check(other)
-        return DefiningSet(self.ctx, self._set & other._set)
+        return DefiningSet._closed(self.ctx, self.residues & other.residues)
 
     def difference(self, other: "DefiningSet") -> "DefiningSet":
         self._check(other)
-        return DefiningSet(self.ctx, self._set - other._set)
+        return DefiningSet._closed(self.ctx, self.residues - other.residues)
 
     __or__ = union
     __and__ = intersect
@@ -181,19 +223,21 @@ class DefiningSet:
 
     def isdisjoint(self, other: "DefiningSet") -> bool:
         self._check(other)
-        return self._set.isdisjoint(other._set)
+        return self.residues.isdisjoint(other.residues)
 
     def complement(self) -> "DefiningSet":
-        return DefiningSet(self.ctx, set(range(self.ctx.n)) - self._set)
+        return DefiningSet._closed(self.ctx, frozenset(range(self.ctx.n)) - self.residues)
 
     def neg_q(self) -> "DefiningSet":
         """The image {(n - q*x) mod n}; again coset-closed, same size.
 
-        On coset-closed sets this map is an involution: applying it twice
+        Closed because -q commutes with *q^2, so it is not re-checked.  On
+        coset-closed sets this map is an involution: applying it twice
         multiplies by q^2, which fixes every coset.
         """
-        n, q = self.ctx.n, self.ctx.q
-        return DefiningSet(self.ctx, ((-q * x) % n for x in self.members))
+        n = self.ctx.n
+        c = -self.ctx.q % n
+        return DefiningSet._closed(self.ctx, frozenset(c * x % n for x in self.residues))
 
     def coset_reps(self) -> tuple[int, ...]:
         """Ascending representatives of the distinct cosets this set unites."""
@@ -205,11 +249,6 @@ class DefiningSet:
                 seen.update(c.elements)
                 reps.append(c.rep)
         return tuple(reps)
-
-
-def neg_q_map(s: DefiningSet) -> DefiningSet:
-    """Free-function spelling of DefiningSet.neg_q()."""
-    return s.neg_q()
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .codes import bch_bound, dimension
 from .cosets import DefiningSet
+from .exceptions import VerificationError
 
 EAQMDS = "eaqmds"
 EQUALITY_WITHOUT_PRECONDITION = "equality-without-precondition"
@@ -31,15 +32,24 @@ class Decomposition:
 
 
 def decompose(z: DefiningSet) -> Decomposition:
-    """Split Z; every structural invariant is asserted on every call."""
+    """Split Z; every structural invariant is checked on every call.
+
+    The set algebra trusts closure, so these checks are what catches a
+    wrong -q map or a set that is not what it claims to be.
+    """
     overlap = z.intersect(z.neg_q())
     free = z.difference(overlap)
-    assert free.union(overlap) == z
-    assert free.isdisjoint(overlap)
+    if free.union(overlap) != z or not free.isdisjoint(overlap):
+        raise VerificationError(
+            f"free part ({len(free)}) and overlap ({len(overlap)}) do not "
+            f"partition {z!r}"
+        )
     # applying -q twice multiplies by q^2, which fixes coset-closed sets,
     # so the overlap is -q-invariant and the free part avoids its image
-    assert overlap.neg_q() == overlap
-    assert free.isdisjoint(free.neg_q())
+    if overlap.neg_q() != overlap:
+        raise VerificationError(f"overlap Z & -qZ of {z!r} is not -q-invariant")
+    if not free.isdisjoint(free.neg_q()):
+        raise VerificationError(f"free part of {z!r} meets its own -q image")
     return Decomposition(whole=z, free_part=free, entangled_part=overlap)
 
 
@@ -71,11 +81,16 @@ class EaqeccParams:
         return f"[[{self.n},{self.k},{self.d};{self.c}]]{tail}"
 
 
-def eaqecc_params(z: DefiningSet, in_theorem_range: bool = False) -> EaqeccParams:
-    """Entanglement-assisted parameters derived from a defining set."""
+def eaqecc_params(
+    z: DefiningSet | Decomposition, in_theorem_range: bool = False
+) -> EaqeccParams:
+    """Entanglement-assisted parameters derived from a defining set, or
+    from its decomposition when the caller already has one."""
+    dec = z if isinstance(z, Decomposition) else decompose(z)
+    z = dec.whole
     n = z.ctx.n
     k_classical = dimension(z)
-    c = ebits(z)
+    c = len(dec.entangled_part)
     d = bch_bound(z)
     k = 2 * k_classical - n + c
     if k < 0:
@@ -84,10 +99,13 @@ def eaqecc_params(z: DefiningSet, in_theorem_range: bool = False) -> EaqeccParam
         )
     equality = n + c - k == 2 * (d - 1)
     precondition = 2 * d <= n + 2
-    if precondition:
-        # n + c - k equals 2|Z| here while d - 1 is at most |Z|, so the
-        # bound can never be violated; tripwire for internal bugs only
-        assert n + c - k >= 2 * (d - 1)
+    # with the precondition, n + c - k equals 2|Z| while d - 1 is at most
+    # |Z|, so the bound can never be violated; tripwire for internal bugs
+    if precondition and n + c - k < 2 * (d - 1):
+        raise VerificationError(
+            f"Singleton bound violated: n + c - k = {n + c - k} < 2(d-1) = {2 * (d - 1)} "
+            f"for [[{n},{k},{d};{c}]]"
+        )
     return EaqeccParams(
         n=n,
         k=k,

@@ -25,6 +25,7 @@ from .eaqecc import ebits
 from .exceptions import VerificationError
 from .families import (
     PRINTED_EXAMPLE_DIMENSIONS,
+    FamilySpec,
     classify,
     family_defining_set,
     family_grid,
@@ -49,10 +50,17 @@ class ErrataEntry:
     data: dict
 
 
+def _spec(q: int) -> FamilySpec:
+    """The family of a published example's field size."""
+    spec = classify(q)
+    if spec is None:
+        raise VerificationError(f"published example q={q} is in no family")
+    return spec
+
+
 def _corrected_dimensions(q: int) -> list[dict]:
     """Recompute every printed code for one field size, both routes."""
-    spec = classify(q)
-    assert spec is not None
+    spec = _spec(q)
     out = []
     printed_ms = sorted(m for (qq, m) in PRINTED_EXAMPLE_DIMENSIONS if qq == q)
     for m in printed_ms:
@@ -85,8 +93,7 @@ def _corrected_dimensions(q: int) -> list[dict]:
 
 
 def _entry_e1() -> ErrataEntry:
-    spec = classify(23)
-    assert spec is not None
+    spec = _spec(23)
     z = family_defining_set(spec, 2)
     k_classical = dimension(z)
     c = ebits(z)
@@ -117,8 +124,7 @@ def _entry_e1() -> ErrataEntry:
 
 
 def _entry_e2() -> ErrataEntry:
-    spec = classify(23)
-    assert spec is not None
+    spec = _spec(23)
     q, n, m = 23, spec.n, 2
     stated = n - 4 * (m - 1) * (5 * m - q - 5) - 1
     corrected = n - 4 * (m - 1) * (q - 5 * (m - 1)) - 1
@@ -178,7 +184,7 @@ def _entry_e7(q_max: int) -> ErrataEntry:
     hits = []
     for spec, m in family_grid(q_max):
         n, q = spec.n, spec.q.q
-        d = 2 * (m - 1) * q + 2
+        d = bch_bound(family_defining_set(spec, m))
         if 2 * d > n + 2:
             hits.append({"q": q, "m": m, "n": n, "d": d, "threshold_2d_le": n + 2})
     hits.sort(key=lambda h: (h["q"], h["m"]))
@@ -203,7 +209,9 @@ def errata_report(q_max: int = 200) -> tuple[ErrataEntry, ...]:
     for entry_id, q in zip(("E3", "E4", "E5", "E6"), _EXAMPLE_QS):
         entries.append(_example_entry(entry_id, q))
     entries.append(_entry_e7(q_max))
-    assert tuple(e.entry_id for e in entries) == ENTRY_IDS
+    ids = tuple(e.entry_id for e in entries)
+    if ids != ENTRY_IDS:
+        raise VerificationError(f"errata entries {ids} are not {ENTRY_IDS}")
     return tuple(entries)
 
 

@@ -27,12 +27,13 @@ quantity from first principles and raises on any mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .codes import bch_bound, dimension, longest_circular_run
+from .codes import dimension
 from .cosets import CycContext, DefiningSet
 from .eaqecc import Decomposition, EaqeccParams, decompose, eaqecc_params
 from .exceptions import VerificationError
-from .gf import PrimePower, factorize
+from .gf import PrimePower
 
 FAMILY_IDS = ("q10k3", "q10k7", "e1mod4", "e3mod4")
 
@@ -70,27 +71,21 @@ class FamilySpec:
     m_max: int
 
     def __post_init__(self) -> None:
-        assert self.family_id in FAMILY_IDS
-        assert (self.q.q**2 + 1) % 5 == 0 and self.n == (self.q.q**2 + 1) // 5
+        if self.family_id not in FAMILY_IDS:
+            raise ValueError(f"unknown family {self.family_id!r}; expected one of {FAMILY_IDS}")
+        q = self.q.q
+        if (q * q + 1) % 5 != 0 or self.n != (q * q + 1) // 5:
+            raise ValueError(f"n={self.n} is not (q^2+1)/5 for q={q}")
 
     def context(self) -> CycContext:
         return CycContext.for_family(self.q.q)
 
 
-def _try_prime_power(q: int) -> PrimePower | None:
-    if q < 2:
-        return None
-    factors = factorize(q)
-    if len(factors) != 1:
-        return None
-    ((p, e),) = factors.items()
-    return PrimePower(p, e, q)
-
-
 def classify(q: int) -> FamilySpec | None:
     """The unique family containing q, or None (see explain_rejection)."""
-    pp = _try_prime_power(q)
-    if pp is None:
+    try:
+        pp = PrimePower.from_int(q)
+    except ValueError:
         return None
     n5 = q * q + 1
     if n5 % 5 != 0:
@@ -113,7 +108,9 @@ def explain_rejection(q: int) -> str:
     """Human-readable reason why classify(q) returned None."""
     if classify(q) is not None:
         return f"q={q} is classifiable"
-    if _try_prime_power(q) is None:
+    try:
+        PrimePower.from_int(q)
+    except ValueError:
         return f"q={q} is not a prime power"
     if (q * q + 1) % 5 != 0:
         return f"(q^2+1) not divisible by 5 for q={q} (need q = +-2 mod 5)"
@@ -129,7 +126,8 @@ def _anchors(spec: FamilySpec) -> tuple[int, int, int, int, int]:
         nums = (q + 2, q - 3, 2 * q + 4, 2 * q - 1, 3 * q + 1)
     else:
         nums = (q + 3, q - 2, 2 * q + 1, 2 * q - 4, 3 * q + 4)
-    assert all(v % 5 == 0 for v in nums)
+    if any(v % 5 for v in nums):
+        raise VerificationError(f"window anchors {nums} at q={q} are not all divisible by 5")
     return tuple(v // 5 for v in nums)  # type: ignore[return-value]
 
 
@@ -146,40 +144,69 @@ def family_defining_set(spec: FamilySpec, m: int) -> DefiningSet:
     _check_m(spec, m, allow_degenerate=True)
     ctx = spec.context()
     z = DefiningSet.from_cosets(ctx, range((m - 1) * spec.q.q + 1))
-    assert len(z) == 2 * (m - 1) * spec.q.q + 1
+    if len(z) != 2 * (m - 1) * spec.q.q + 1:
+        raise VerificationError(
+            f"C_0..C_{(m - 1) * spec.q.q} has {len(z)} elements, "
+            f"not 2(m-1)q+1 = {2 * (m - 1) * spec.q.q + 1}, at q={spec.q.q}, m={m}"
+        )
     return z
+
+
+def _window_union(
+    spec: FamilySpec,
+    m: int,
+    forward: tuple[tuple[int, int], ...],
+    backward: tuple[tuple[int, int], ...],
+) -> DefiningSet:
+    """The cosets C_{s*q+i} for i in a forward window [lo, hi], s < m-1,
+    and C_{t*q-j} for j in a backward window [lo, hi], 1 <= t < m."""
+    q = spec.q.q
+    runs = [range(s * q + lo, s * q + hi + 1) for s in range(m - 1) for lo, hi in forward]
+    runs += [range(t * q - hi, t * q - lo + 1) for t in range(1, m) for lo, hi in backward]
+    return DefiningSet.from_cosets(spec.context(), chain.from_iterable(runs))
 
 
 def free_window_set(spec: FamilySpec, m: int) -> DefiningSet:
     """The five-window union disjoint from its own -q image."""
     _check_m(spec, m)
-    q = spec.q.q
     a, b, c, d, e = _anchors(spec)
-    reps = []
-    for s in range(m - 1):
-        for lo, hi in ((m, a - m), (b + m, c - m), (d + m, e - m)):
-            reps.extend(s * q + i for i in range(lo, hi + 1))
-    for t in range(1, m):
-        for lo, hi in ((b + m, c - m), (m - 1, a - m)):
-            reps.extend(t * q - j for j in range(lo, hi + 1))
-    return DefiningSet.from_cosets(spec.context(), reps)
+    return _window_union(
+        spec,
+        m,
+        ((m, a - m), (b + m, c - m), (d + m, e - m)),
+        ((b + m, c - m), (m - 1, a - m)),
+    )
 
 
 def entangled_window_set(spec: FamilySpec, m: int) -> DefiningSet:
     """The complementary six-window union, invariant under the -q map."""
     _check_m(spec, m)
-    q = spec.q.q
     a, b, c, d, e = _anchors(spec)
     gap2 = (a - m + 1, b + m - 1)
     gap3 = (c - m + 1, d + m - 1)
-    reps = []
-    for s in range(m - 1):
-        for lo, hi in ((0, m - 1), gap2, gap3):
-            reps.extend(s * q + i for i in range(lo, hi + 1))
-    for t in range(1, m):
-        for lo, hi in ((0, m - 2), gap2, gap3):
-            reps.extend(t * q - j for j in range(lo, hi + 1))
-    return DefiningSet.from_cosets(spec.context(), reps)
+    return _window_union(spec, m, ((0, m - 1), gap2, gap3), ((0, m - 2), gap2, gap3))
+
+
+def check_window_lemmas(spec: FamilySpec, m: int, z: DefiningSet) -> DefiningSet:
+    """Check the window lemmas at one (q, m) and return the entangled windows.
+
+    The free windows avoid their own -q image, the entangled windows are
+    -q-invariant, and the two partition the block z = C_0 .. C_{(m-1)q}
+    disjointly.  Any failure raises VerificationError.
+    """
+    q = spec.q.q
+    free = free_window_set(spec, m)
+    ent = entangled_window_set(spec, m)
+    if not free.isdisjoint(free.neg_q()):
+        raise VerificationError(f"free windows meet their -q image at q={q}, m={m}")
+    if free.union(ent) != z or not free.isdisjoint(ent):
+        raise VerificationError(
+            f"windows ({len(free)} free, {len(ent)} entangled) do not partition "
+            f"the {len(z)}-element block at q={q}, m={m}"
+        )
+    if ent.neg_q() != ent:
+        raise VerificationError(f"entangled windows not -q-invariant at q={q}, m={m}")
+    return ent
 
 
 def predicted_code(spec: FamilySpec, m: int) -> EaqeccParams:
@@ -227,24 +254,23 @@ def verify_family_code(spec: FamilySpec, m: int, allow_degenerate: bool = False)
     q, n = spec.q.q, spec.n
     z = family_defining_set(spec, m)
     dec = decompose(z)
-    verified = eaqecc_params(z, in_theorem_range=(2 <= m <= spec.m_max))
+    verified = eaqecc_params(dec, in_theorem_range=(2 <= m <= spec.m_max))
     flags: list[str] = []
 
-    if longest_circular_run(z.members, n) != len(z):
+    run = verified.d - 1  # the designed distance is one more than the longest run
+    if run != len(z):
         raise VerificationError(
-            f"defining set for q={q}, m={m} is not one circular run"
+            f"defining set for q={q}, m={m} is not one circular run: "
+            f"longest run {run}, |Z| = {len(z)}"
         )
-    assert bch_bound(z) == n - dimension(z) + 1  # classical MDS
+    if verified.d != n - dimension(z) + 1:
+        raise VerificationError(
+            f"classical code is not MDS at q={q}, m={m}: designed distance "
+            f"{verified.d}, n - k + 1 = {n - dimension(z) + 1}"
+        )
 
     if m >= 2:
-        free = free_window_set(spec, m)
-        ent = entangled_window_set(spec, m)
-        if not free.isdisjoint(free.neg_q()):
-            raise VerificationError(f"free windows meet their -q image at q={q}, m={m}")
-        if free.union(ent) != z or not free.isdisjoint(ent):
-            raise VerificationError(f"windows do not partition the set at q={q}, m={m}")
-        if ent.neg_q() != ent:
-            raise VerificationError(f"entangled windows not -q-invariant at q={q}, m={m}")
+        ent = check_window_lemmas(spec, m, z)
         if ent != dec.entangled_part:
             raise VerificationError(
                 f"entangled windows differ from computed overlap at q={q}, m={m}"

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from eaqmds import oracle
+from eaqmds import codes, families, oracle
 from eaqmds.cli import CSV_HEADER, CodeRecord, main
+from eaqmds.cosets import DefiningSet
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -255,12 +256,36 @@ def test_checks_survive_python_O():
 MATRIX_ROUTE_SMOKE = ("code --q 23 --m 2 --oracle", "verify --level rank-oracle --qmax 7")
 
 
+def _assert_matches_golden(proc, invocation):
+    golden = json.loads((REPO / "perfbench" / "golden.json").read_text())[invocation]
+    assert proc.returncode == golden["exit"], proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == golden["sha256"]
+
+
 @pytest.mark.parametrize("invocation", MATRIX_ROUTE_SMOKE)
 def test_matrix_route_stdout_matches_golden(invocation):
-    golden = json.loads((REPO / "perfbench" / "golden.json").read_text())[invocation]
-    proc = _run_module("-m", "eaqmds", *invocation.split())
-    assert proc.returncode == golden["exit"]
-    assert hashlib.sha256(proc.stdout).hexdigest() == golden["sha256"]
+    _assert_matches_golden(_run_module("-m", "eaqmds", *invocation.split()), invocation)
+
+
+def test_set_route_survives_python_O():
+    # decompose's invariants and the family checks raise, they do not assert
+    invocation = "verify --level theorem --qmax 60"
+    _assert_matches_golden(_run_module("-O", "-m", "eaqmds", *invocation.split()), invocation)
+
+
+# sha256 of `errata --qmax 200` stdout, recorded while E7 still took d from
+# the closed form 2(m-1)q+2; deriving d from the defining set changes no byte
+ERRATA_SHA256 = {
+    "text": "fa0e9a545d556373fff48bd8a5ce7f7361bf28e98e149e73772f05bf4375105a",
+    "json": "2a42797bf463bfdae409956f7292990534323a5a49877b9ae35410d65f0af28b",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(ERRATA_SHA256))
+def test_errata_stdout_is_pinned(capsys, fmt):
+    rc, out, _ = run_cli(capsys, "errata", "--qmax", "200", "--format", fmt)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ERRATA_SHA256[fmt]
 
 
 @pytest.mark.parametrize("invocation", MATRIX_ROUTE_SMOKE)
@@ -270,3 +295,57 @@ def test_rank_oracle_off_by_one_is_caught(capsys, monkeypatch, invocation):
     rc, _out, err = run_cli(capsys, *invocation.split())
     assert rc == 1
     assert "rank(HH^dagger)" in err
+
+
+# -- fault injection on the set route ------------------------------------------
+
+
+def _assert_counterexample(capsys, *argv):
+    rc, _out, err = run_cli(capsys, *argv)
+    assert rc == 1, err
+    assert "counterexample: " in err
+
+
+@pytest.mark.parametrize("index", range(5))
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("level", ["theorem", "lemma"])
+def test_window_anchor_off_by_one_is_caught(capsys, monkeypatch, index, delta, level):
+    honest = families._anchors
+
+    def shifted(spec):
+        anchors = list(honest(spec))
+        anchors[index] += delta
+        return tuple(anchors)
+
+    monkeypatch.setattr(families, "_anchors", shifted)
+    _assert_counterexample(capsys, "verify", "--level", level, "--qmax", "60")
+
+
+# wrong maps in place of x -> -q*x; the result is closed again by from_cosets,
+# so only the checks on the decomposition and on the cosets can see the fault
+# (the map x -> q*x is no fault here: it equals -q on every coset {i, n-i})
+WRONG_NEG_Q = {
+    "plus-one": lambda x, n, q: (-q * x + 1) % n,
+    "times-minus-q-minus-one": lambda x, n, q: -(q + 1) * x % n,
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(WRONG_NEG_Q))
+@pytest.mark.parametrize("level", ["theorem", "coset"])
+def test_wrong_neg_q_map_is_caught(capsys, monkeypatch, wrong, level):
+    image = WRONG_NEG_Q[wrong]
+
+    def neg_q(self):
+        n, q = self.ctx.n, self.ctx.q
+        return DefiningSet.from_cosets(self.ctx, (image(x, n, q) for x in self))
+
+    monkeypatch.setattr(DefiningSet, "neg_q", neg_q)
+    _assert_counterexample(capsys, "verify", "--level", level, "--qmax", "60")
+
+
+def test_longest_run_off_by_one_is_caught(capsys, monkeypatch):
+    honest = codes.longest_circular_run
+    monkeypatch.setattr(codes, "longest_circular_run", lambda members, n: honest(members, n) + 1)
+    rc, _out, err = run_cli(capsys, "code", "--q", "23", "--m", "2")
+    assert rc == 1
+    assert err.startswith("invariant violation: ")

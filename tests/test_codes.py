@@ -48,6 +48,38 @@ def test_run_length_invariant_under_shift_and_negation(members, shift):
     assert longest_circular_run({(-x) % n for x in members}, n) == base
 
 
+def naive_longest_run(members, n):
+    residues = {x % n for x in members}
+    best = 0
+    for start in residues:
+        length = 0
+        while length < n and (start + length) % n in residues:
+            length += 1
+        best = max(best, length)
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_longest_run_matches_naive_loop(data):
+    n = data.draw(st.integers(1, 60))
+    members = data.draw(st.lists(st.integers(-3 * n, 3 * n), max_size=2 * n))
+    assert longest_circular_run(members, n) == naive_longest_run(members, n)
+
+
+def test_longest_run_edge_cases():
+    for n in range(1, 61):
+        assert longest_circular_run([], n) == 0
+        assert longest_circular_run(range(n), n) == n
+        assert longest_circular_run(range(-n, 2 * n), n) == n  # repeated residues
+        for k in range(n + 1):
+            # an arc of length k across 0 wraps around for 2 <= k < n
+            arc = [n - k // 2 + j for j in range(k)]
+            assert longest_circular_run(arc, n) == k == naive_longest_run(arc, n)
+        if n >= 2:
+            assert longest_circular_run(range(1, n), n) == n - 1
+
+
 def test_mds_certificates(ctx23, spec23, spec43):
     p = mds_certificate(family_defining_set(spec23, 2))
     assert (p.n, p.k, p.d_bch, p.is_mds) == (106, 59, 48, True)

@@ -12,7 +12,6 @@ from eaqmds.cosets import (
     identity_window_contains,
     identity_windows,
     inverse_identity_windows,
-    neg_q_map,
 )
 
 
@@ -56,7 +55,7 @@ def test_every_coset_is_a_conjugate_pair(ctx23, ctx32):
 
 
 def test_neg_q_map_examples(ctx23):
-    assert neg_q_map(DefiningSet.from_cosets(ctx23, [0])).members == (0,)
+    assert DefiningSet.from_cosets(ctx23, [0]).neg_q().members == (0,)
     # -23*2 = 60, -23*104 = 46 (mod 106)
     assert DefiningSet.from_cosets(ctx23, [2]).neg_q().members == (46, 60)
 
@@ -88,6 +87,67 @@ def test_set_algebra_preserves_closure(data):
     assert a.difference(a).is_empty()
     for combined in (a.union(b), a.intersect(b), a.difference(b)):
         DefiningSet(ctx, combined.members)  # would raise if closure broke
+
+
+# the family contexts at q = 7, 23, 32 (every coset {i, n-i}) and one general
+# modulus with longer orbits: 4 has order 5 mod 31
+KERNEL_CONTEXTS = {
+    "q7": CycContext.for_family(7),
+    "q23": CycContext.for_family(23),
+    "q32": CycContext.for_family(32),
+    "n31-q2": CycContext(31, 2),
+}
+
+
+def naive_union_of_cosets(ctx, reps):
+    out = set()
+    for r in reps:
+        out.update(coset(ctx, r).elements)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CONTEXTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_set_kernels_match_naive_reference(name, data):
+    ctx = KERNEL_CONTEXTS[name]
+    n, q = ctx.n, ctx.q
+    reps = st.lists(st.integers(-2 * n, 2 * n), max_size=n)
+    reps_a, reps_b = data.draw(reps), data.draw(reps)
+    a, b = DefiningSet.from_cosets(ctx, reps_a), DefiningSet.from_cosets(ctx, reps_b)
+    ra, rb = naive_union_of_cosets(ctx, reps_a), naive_union_of_cosets(ctx, reps_b)
+    everything = set(range(n))
+    cases = (
+        (a, ra),
+        (a.union(b), ra | rb),
+        (a.intersect(b), ra & rb),
+        (a.difference(b), ra - rb),
+        (a.complement(), everything - ra),
+        (a.neg_q(), {(-q * x) % n for x in ra}),
+        (DefiningSet.empty(ctx), set()),
+        (DefiningSet.full(ctx), everything),
+    )
+    for got, want in cases:
+        assert got.members == tuple(sorted(want))
+        assert len(got) == len(want)
+        assert DefiningSet(ctx, got.members) == got  # the checked constructor agrees
+
+
+@pytest.mark.parametrize("name", ["q7", "q23", "q32"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_plus_q_equals_minus_q_on_family_contexts(name, data):
+    # q*{i, n-i} = {qi, -qi} = -q*{i, n-i}: on a family context no check
+    # can tell the two maps apart
+    ctx = KERNEL_CONTEXTS[name]
+    z = data.draw(coset_closed_sets(ctx))
+    assert z.neg_q().residues == {ctx.q * x % ctx.n for x in z}
+
+
+def test_plus_q_differs_from_minus_q_on_longer_orbits():
+    ctx = KERNEL_CONTEXTS["n31-q2"]
+    z = DefiningSet.from_cosets(ctx, [3])  # {3, 12, 17, 24, 6}
+    assert z.neg_q().residues != {ctx.q * x % ctx.n for x in z}
 
 
 def test_set_algebra_examples(ctx7, ctx23):

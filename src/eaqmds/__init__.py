@@ -29,7 +29,6 @@ from .eaqecc import (
     EaqeccParams,
     decompose,
     eaqecc_params,
-    eaqmds_check,
     eaqmds_status,
     ebits,
 )
@@ -49,12 +48,10 @@ from .families import (
 )
 from .gf import (
     Field,
-    FieldElement,
     FieldTower,
     Poly,
     PrimePower,
     build_field,
-    conjugate,
     field_tower,
     find_element_of_order,
     is_prime,

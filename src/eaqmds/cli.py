@@ -31,6 +31,10 @@ from .gf import field_tower
 # above this the matrix oracle gets slow; larger q must be asked for explicitly
 ORACLE_Q_CAP = 32
 
+# largest modulus n a command may work over: cosets, sweeps and codes take
+# O(n) memory, and --q/--qmax are held to it through n = (q^2+1)/5
+MAX_MODULUS = 200_000
+
 _RANDOM_SEED = 20250808
 _RANDOM_SETS_PER_Q = 50
 
@@ -122,11 +126,24 @@ def _print_record_text(rec: CodeRecord) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _check_budget(flag: str, value: int, n: int | None = None) -> None:
+    """Reject, before any work, an input whose modulus n (by default the
+    family length (q^2+1)/5 of q = value) exceeds MAX_MODULUS."""
+    n = (value * value + 1) // 5 if n is None else n
+    if n > MAX_MODULUS:
+        raise ValueError(
+            f"{flag} {value} is out of budget: it needs modulus n = {n}, "
+            f"above the limit {MAX_MODULUS}"
+        )
+
+
 def cmd_cosets(args: argparse.Namespace) -> int:
     q = args.q
     if args.n is not None:
+        _check_budget("--n", args.n, args.n)
         ctx = CycContext(args.n, q)
     else:
+        _check_budget("--q", q)
         ctx = CycContext.for_family(q)
     cs = all_cosets(ctx)
     if args.format == "json":
@@ -166,6 +183,7 @@ def _verify_code(
 
 
 def cmd_code(args: argparse.Namespace) -> int:
+    _check_budget("--q", args.q)
     if args.oracle and args.q > ORACLE_Q_CAP and not args.allow_large_oracle:
         raise ValueError(
             f"the matrix oracle is capped at q <= {ORACLE_Q_CAP} by default; "
@@ -182,6 +200,7 @@ def cmd_code(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    _check_budget("--qmax", args.qmax)
     codes = families.enumerate_family(args.family, args.qmax)
     records = [CodeRecord.from_family_code(fc) for fc in codes]
     if args.format == "json":
@@ -202,6 +221,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_errata(args: argparse.Namespace) -> int:
+    _check_budget("--qmax", args.qmax)
     entries = errata_mod.errata_report(args.qmax)
     if args.format == "json":
         print(json.dumps(errata_mod.render_json(entries), indent=2))
@@ -213,15 +233,8 @@ def cmd_errata(args: argparse.Namespace) -> int:
 # -- verify suites -----------------------------------------------------------
 
 
-def _family_sizes_up_to(q_max: int) -> list[families.FamilySpec]:
-    out = []
-    for fid in families.FAMILY_IDS:
-        out.extend(families.iter_family_sizes(fid, q_max))
-    return sorted(out, key=lambda s: s.q.q)
-
-
 def _verify_coset(q_max: int) -> str:
-    sizes = _family_sizes_up_to(q_max)
+    sizes = families.iter_family_sizes(q_max)
     checked = 0
     for spec in sizes:
         ctx = spec.context()
@@ -238,10 +251,11 @@ def _verify_coset(q_max: int) -> str:
                 raise VerificationError(
                     f"coset of {c.rep} at q={spec.q.q} is not {{i, n-i}}"
                 )
-            img = DefiningSet(ctx, c.elements).neg_q()
-            if len(img) != len(c.elements):
+            z = DefiningSet(ctx, c.elements)
+            img = z.neg_q()
+            if len(img) != len(z):
                 raise VerificationError(f"-q map not injective at q={spec.q.q}")
-            if img.neg_q() != DefiningSet(ctx, c.elements):
+            if img.neg_q() != z:
                 raise VerificationError(f"-q map not an involution at q={spec.q.q}")
         if total != ctx.n or len(seen) != ctx.n:
             raise VerificationError(f"cosets do not partition Z_{ctx.n} at q={spec.q.q}")
@@ -250,7 +264,7 @@ def _verify_coset(q_max: int) -> str:
 
 
 def _verify_lemma(q_max: int) -> str:
-    sizes = _family_sizes_up_to(q_max)
+    sizes = families.iter_family_sizes(q_max)
     identities = 0
     windows = 0
     for spec in sizes:
@@ -303,7 +317,7 @@ def _random_closed_sets(ctx: CycContext, count: int, seed: int) -> list[Defining
 
 
 def _verify_rank_oracle(q_max: int, allow_large: bool) -> str:
-    specs = _family_sizes_up_to(q_max)
+    specs = families.iter_family_sizes(q_max)
     if not allow_large:
         specs = [s for s in specs if s.q.q in (23, 27, 32)]
     checked = 0
@@ -346,14 +360,16 @@ _VERIFY_LEVELS = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    qmax = args.qmax
+    if args.level == "rank-oracle" and not args.allow_large_oracle:
+        qmax = min(qmax, ORACLE_Q_CAP)
+    _check_budget("--qmax", qmax)
     try:
         if args.level == "rank-oracle":
-            qmax = args.qmax if args.allow_large_oracle else min(args.qmax, ORACLE_Q_CAP)
             summary = _verify_rank_oracle(qmax, args.allow_large_oracle)
-            print(f"verify level=rank-oracle qmax={qmax}: PASS ({summary})")
         else:
-            summary = _VERIFY_LEVELS[args.level](args.qmax)
-            print(f"verify level={args.level} qmax={args.qmax}: PASS ({summary})")
+            summary = _VERIFY_LEVELS[args.level](qmax)
+        print(f"verify level={args.level} qmax={qmax}: PASS ({summary})")
     except VerificationError as exc:
         print(f"verify level={args.level}: FAIL", file=sys.stderr)
         print(f"counterexample: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Cyclotomic cosets modulo n under multiplication by q^2, and the set
 algebra of coset-closed subsets, including the -q map.
 
-The engine accepts any modulus n coprime to q.  The lengths this project
+The engine accepts any modulus n coprime to q.  The lengths this package
 is really about, n = (q^2+1)/5, satisfy q^2 = -1 (mod n); then every
 orbit is the pair {i, n-i} (a singleton for i = 0 and, when n is even,
 for i = n/2).  Structural assertions specific to that situation are only
@@ -71,10 +71,6 @@ class CycCoset:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def neg_q_image(self) -> set[int]:
-        n, q = self.ctx.n, self.ctx.q
-        return {(-q * x) % n for x in self.elements}
 
 
 def coset(ctx: CycContext, i: int) -> CycCoset:
@@ -256,18 +252,21 @@ class DefiningSet:
 # ---------------------------------------------------------------------------
 
 
+def _neg_q_maps_coset(ctx: CycContext, src: int, dst: int) -> bool:
+    """Whether -q * C_src == C_dst as sets; maps by c = -q mod n, as neg_q does."""
+    n = ctx.n
+    c = -ctx.q % n
+    return {c * x % n for x in coset(ctx, src).elements} == set(coset(ctx, dst).elements)
+
+
 def coset_product_identity(ctx: CycContext, s: int, i: int) -> bool:
     """Check -q * C_{s*q+i} == C_{(i*q-s) mod n} as a set identity."""
-    lhs = coset(ctx, (s * ctx.q + i) % ctx.n).neg_q_image()
-    rhs = set(coset(ctx, (i * ctx.q - s) % ctx.n).elements)
-    return lhs == rhs
+    return _neg_q_maps_coset(ctx, s * ctx.q + i, i * ctx.q - s)
 
 
 def coset_product_identity_inverse(ctx: CycContext, t: int, j: int) -> bool:
     """Check -q * C_{t*q-j} == C_{(j*q+t) mod n} as a set identity."""
-    lhs = coset(ctx, (t * ctx.q - j) % ctx.n).neg_q_image()
-    rhs = set(coset(ctx, (j * ctx.q + t) % ctx.n).elements)
-    return lhs == rhs
+    return _neg_q_maps_coset(ctx, t * ctx.q - j, j * ctx.q + t)
 
 
 def _ranges(*bounds: tuple[int, int]) -> Iterator[int]:
@@ -304,17 +303,6 @@ def identity_windows(q: int) -> Iterator[tuple[int, int]]:
                 yield s, i
     else:
         raise ValueError(f"q={q} is not congruent to 2, 3, 7 or 8 mod 10")
-
-
-def identity_window_contains(q: int, s: int, i: int) -> bool:
-    """Whether (s, i) lies inside the stated windows of the reflection
-    identity.  The identity can still be checked outside them; a True
-    result from the check there is an observation, not a covered claim.
-    """
-    try:
-        return any((s, i) == pair for pair in identity_windows(q))
-    except ValueError:
-        return False
 
 
 def inverse_identity_windows(q: int, with_offset: bool) -> Iterator[tuple[int, int]]:

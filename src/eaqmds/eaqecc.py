@@ -99,11 +99,13 @@ def eaqecc_params(
         )
     equality = n + c - k == 2 * (d - 1)
     precondition = 2 * d <= n + 2
-    # with the precondition, n + c - k equals 2|Z| while d - 1 is at most
-    # |Z|, so the bound can never be violated; tripwire for internal bugs
+    # with the precondition, n + c - k equals 2|Z| while d - 1, the longest
+    # run of Z, is at most |Z|, so the bound can never be violated; tripwire
+    # for internal bugs, naming the run that broke it
     if precondition and n + c - k < 2 * (d - 1):
         raise VerificationError(
-            f"Singleton bound violated: n + c - k = {n + c - k} < 2(d-1) = {2 * (d - 1)} "
+            f"longest run {d - 1} of the defining set exceeds |Z| = {len(z)}: "
+            f"Singleton bound violated, n + c - k = {n + c - k} < 2(d-1) = {2 * (d - 1)} "
             f"for [[{n},{k},{d};{c}]]"
         )
     return EaqeccParams(
@@ -129,8 +131,3 @@ def eaqmds_status(params: EaqeccParams) -> str:
     if params.singleton_equality:
         return EQUALITY_WITHOUT_PRECONDITION
     return NOT_EAQMDS
-
-
-def eaqmds_check(params: EaqeccParams) -> bool:
-    """True iff both the Singleton equality and its distance precondition hold."""
-    return eaqmds_status(params) == EAQMDS

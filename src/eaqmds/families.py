@@ -309,33 +309,26 @@ def verify_family_code(spec: FamilySpec, m: int, allow_degenerate: bool = False)
     )
 
 
-def iter_family_sizes(family_id: str, q_max: int) -> list[FamilySpec]:
-    """All specs of one family with q <= q_max, ascending."""
-    if family_id not in FAMILY_IDS:
+def iter_family_sizes(q_max: int, family_id: str | None = None) -> list[FamilySpec]:
+    """All specs with q <= q_max, ascending, in one pass over q: of one
+    family, or of all four when family_id is None."""
+    if family_id is not None and family_id not in FAMILY_IDS:
         raise ValueError(f"unknown family {family_id!r}; expected one of {FAMILY_IDS}")
-    out = []
-    for q in range(2, q_max + 1):
-        spec = classify(q)
-        if spec is not None and spec.family_id == family_id:
-            out.append(spec)
-    return out
+    specs = (classify(q) for q in range(2, q_max + 1))
+    return [s for s in specs if s is not None and family_id in (None, s.family_id)]
 
 
 def enumerate_family(family_id: str, q_max: int) -> list[FamilyCode]:
     """Every verified (q, m) grid point of one family with q <= q_max,
     ordered by q ascending then m ascending."""
-    out = []
-    for spec in iter_family_sizes(family_id, q_max):
-        for m in range(2, spec.m_max + 1):
-            out.append(verify_family_code(spec, m))
-    return out
+    return [
+        verify_family_code(spec, m)
+        for spec in iter_family_sizes(q_max, family_id)
+        for m in range(2, spec.m_max + 1)
+    ]
 
 
 def family_grid(q_max: int) -> list[tuple[FamilySpec, int]]:
-    """All (spec, m) points across the four families with q <= q_max."""
-    out = []
-    for family_id in FAMILY_IDS:
-        for spec in iter_family_sizes(family_id, q_max):
-            for m in range(2, spec.m_max + 1):
-                out.append((spec, m))
-    return out
+    """All (spec, m) points across the four families with q <= q_max,
+    ordered by q ascending then m ascending."""
+    return [(spec, m) for spec in iter_family_sizes(q_max) for m in range(2, spec.m_max + 1)]

@@ -16,8 +16,13 @@ product is one addition of logarithms; in odd characteristic they also get
 a Zech table zech[k] = log(1 + g^k), so a sum is one lookup as well:
 g^a + g^b = g^(a + zech[b - a]) and -g^a = g^(a + (order-1)/2).  These
 tables take O(order) memory, O(q^2) for the code alphabet F_{q^2}.  Larger
-fields (the quartic F_{q^4}) use digit-wise addition and negation and
-schoolbook multiplication, with no tables.
+fields use digit-wise addition and negation and schoolbook multiplication,
+with no tables.
+
+The quartic field F_{q^4} is not built over F_p but as F_{q^2}[y] /
+(y^2 - y - b) (QuadraticExtension): a0 + a1*y has index a0 + a1*q^2, so
+F_{q^2} is literally the indices below q^2, no element is ever converted
+between the two fields, and each F_{q^4} operation is a few F_{q^2} ones.
 
 Field objects are immutable after construction (lookup tables are
 idempotent lazy caches); all operations are pure functions.
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
+from .cosets import CycContext, coset
 from .exceptions import VerificationError
 
 # exp/log (and, for odd p, Zech) tables are built only for orders up to this bound
@@ -123,99 +129,49 @@ class PrimePower:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over F_p with plain int coefficients; used only for
-# modulus selection and irreducibility testing
+# modulus selection: Rabin's irreducibility test on Polys over F_p
 # ---------------------------------------------------------------------------
 
 
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
+def _gcd(a: "Poly", b: "Poly") -> "Poly":
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
     return a
 
 
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
-    a = _ptrim(a[:])
-    f = _ptrim(f[:])
-    dF = len(f) - 1
-    inv_lead = pow(f[-1], -1, p)
-    while len(a) - 1 >= dF and a:
-        c = a[-1] * inv_lead % p
-        shift = len(a) - 1 - dF
-        for i, fi in enumerate(f):
-            a[shift + i] = (a[shift + i] - c * fi) % p
-        _ptrim(a)
-    return a
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _ptrim(a[:]), _ptrim(b[:])
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [x * inv % p for x in a]
-    return a
-
-
-def _ppowmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod(base, f, p)
+def _powmod(base: "Poly", e: int, mod: "Poly") -> "Poly":
+    result = Poly.one(base.field)
     while e:
         if e & 1:
-            result = _pmod(_pmul(result, base, p), f, p)
-        base = _pmod(_pmul(base, base, p), f, p)
+            result = (result * base).divmod(mod)[1]
+        base = (base * base).divmod(mod)[1]
         e >>= 1
     return result
 
 
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Irreducibility of a monic f over F_p via x^(p^k) Frobenius powers."""
-    d = len(f) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    x = [0, 1]
-    frob = {}
-    u = x
-    for k in range(1, d + 1):
-        u = _ppowmod(u, p, f, p)
-        frob[k] = u
-    if frob[d] != _pmod(x, f, p):
-        return False
-    for r in factorize(d):
-        g = _pgcd([(a - b) % p for a, b in _zip_pad(frob[d // r], x)], f, p)
-        if len(g) != 1:
-            return False
-    return True
-
-
-def _zip_pad(a: list[int], b: list[int]) -> Iterable[tuple[int, int]]:
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+def _is_irreducible(f: "Poly") -> bool:
+    """Rabin's test for a monic f of degree d >= 2 over a prime field:
+    x^(p^d) = x mod f, and gcd(f, x^(p^(d/r)) - x) = 1 for each prime r | d."""
+    d = f.degree
+    x = Poly(f.field, (0, 1))
+    frob = [x]  # frob[k] = x^(p^k) mod f
+    for _ in range(d):
+        frob.append(_powmod(frob[-1], f.field.p, f))
+    return frob[d] == x and all(
+        _gcd(f, frob[d // r] - x).degree == 0 for r in factorize(d)
+    )
 
 
 def _smallest_irreducible(p: int, degree: int) -> tuple[int, ...]:
     """The monic irreducible of given degree with the smallest tail encoding."""
     if degree == 1:
         return (0, 1)
+    fp = build_field(p, 1)
+    fp.exp_log_tables()  # Poly arithmetic over F_p by table lookups
     for t in range(p**degree):
-        tail = _digits(t, p, degree)
-        f = list(tail) + [1]
-        if _is_irreducible(f, p):
-            return tuple(f)
+        f = Poly(fp, _digits(t, p, degree) + (1,))
+        if _is_irreducible(f):
+            return f.coeffs
     raise AssertionError(f"no irreducible of degree {degree} over F_{p}")
 
 
@@ -240,19 +196,14 @@ class Field:
     ``is``.
     """
 
+    # generator() scans element indices from here up
+    _first_generator_candidate = 1
+
     def __init__(self, p: int, degree: int, modulus: tuple[int, ...]):
         self.p = p
         self.degree = degree
         self.modulus = modulus
         self.order = p**degree
-        if self.p == 2:
-            self._modmask = sum(c << i for i, c in enumerate(modulus))
-            self._topbit = 1 << degree
-            self._reduction: list[tuple[int, ...]] | None = None
-        else:
-            self._modmask = 0
-            self._topbit = 0
-            self._reduction = self._reduction_rows()
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._zech: list[int] | None = None
@@ -261,6 +212,9 @@ class Field:
         self._generator: int | None = None
         self._group_factors: dict[int, int] | None = None
         self._power_maps: dict[int, list[int]] = {}
+        # schoolbook-product data from an F_p modulus, built on first use
+        self._modmask: int | None = None
+        self._reduction: list[tuple[int, ...]] | None = None
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, degree={self.degree})"
@@ -322,7 +276,9 @@ class Field:
         return self._mul_raw(a, b)
 
     def _mul_raw2(self, a: int, b: int) -> int:
-        mod, top = self._modmask, self._topbit
+        mod, top = self._modmask, 1 << self.degree
+        if mod is None:
+            mod = self._modmask = sum(c << i for i, c in enumerate(self.modulus))
         r = 0
         while b:
             if b & 1:
@@ -360,9 +316,7 @@ class Field:
                     prod[i + j] += ai * bj
         red = self._reduction
         if red is None:
-            raise VerificationError(
-                f"{self!r} has no reduction rows for its modulus {self.modulus}"
-            )
+            red = self._reduction = self._reduction_rows()
         for k in range(2 * d - 2, d - 1, -1):
             c = prod[k] % p
             if c:
@@ -408,7 +362,7 @@ class Field:
             for i in range(n1):
                 exp[i] = v
                 log[v] = i
-                v = self._mul_raw2(v, g) if self.p == 2 else self._mul_raw(v, g)
+                v = self.mul(v, g)  # no tables yet: raw multiplication
             for i in range(n1, 2 * n1):
                 exp[i] = exp[i - n1]
             if self.p != 2:
@@ -464,28 +418,13 @@ class Field:
         """Smallest element index generating the multiplicative group."""
         if self._generator is None:
             n1 = self.order - 1
-            for idx in range(1, self.order):
+            for idx in range(self._first_generator_candidate, self.order):
                 if self.multiplicative_order(idx) == n1:
                     self._generator = idx
                     break
             else:  # pragma: no cover - every finite field has a generator
                 raise AssertionError("no generator found")
         return self._generator
-
-    # -- element factory -------------------------------------------------------
-
-    def element(self, idx: int) -> "FieldElement":
-        if not 0 <= idx < self.order:
-            raise ValueError(f"index {idx} out of range for {self!r}")
-        return FieldElement(self, idx)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -500,57 +439,54 @@ def build_field(p: int, degree: int) -> Field:
     return Field(p, degree, _smallest_irreducible(p, degree))
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a Field, wrapping its canonical integer index."""
+class QuadraticExtension(Field):
+    """F_{Q^2} = F_Q[y] / (y^2 - y - b) over a base field F_Q.
 
-    field: Field
-    index: int
+    a0 + a1*y has index a0 + a1*Q, so the base field is literally the
+    indices below Q and its arithmetic (tables included) serves the
+    extension's.  The index is also the base-p digit vector over F_p, so
+    decode and encode keep their meaning.  b is the smallest base element
+    outside {x^2 - x}: then y^2 - y - b has no root, hence is irreducible,
+    for every p.  modulus holds its coefficients over the base field.
+    """
 
-    def _check(self, other: "FieldElement") -> None:
-        if self.field is not other.field:
-            raise ValueError("elements belong to different fields")
+    def __init__(self, base: Field):
+        image = {base.sub(base.mul(x, x), x) for x in range(base.order)}
+        self.b = next(v for v in range(base.order) if v not in image)
+        super().__init__(base.p, 2 * base.degree, (base.neg(self.b), base.neg(1), 1))
+        self.base = base
+        # the base field holds no generator of the whole group
+        self._first_generator_candidate = base.order
 
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.decode(self.index)
+    def __repr__(self) -> str:
+        return f"QuadraticExtension({self.base!r}, b={self.b})"
 
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.index, other.index))
+    def _halves(self, op, a: int, b: int) -> int:
+        # op on the constant halves and on the y halves, separately
+        big = self.base.order
+        return op(a % big, b % big) + op(a // big, b // big) * big
 
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.index, other.index))
+    def add(self, a: int, b: int) -> int:
+        return a ^ b if self.p == 2 else self._halves(self.base.add, a, b)
 
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.index, other.index))
+    def sub(self, a: int, b: int) -> int:
+        return a ^ b if self.p == 2 else self._halves(self.base.sub, a, b)
 
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg(self.index))
+    def neg(self, a: int) -> int:
+        return self.sub(0, a)
 
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow(self.index, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.index))
-
-    def __bool__(self) -> bool:
-        return self.index != 0
-
-    def multiplicative_order(self) -> int:
-        return self.field.multiplicative_order(self.index)
-
-
-def conjugate(a: FieldElement, q: int) -> FieldElement:
-    """The conjugate a^q of an element of the field of order q^2."""
-    if a.field.order != q * q:
-        raise ValueError(f"field order {a.field.order} is not {q}^2")
-    return a**q
+    def mul(self, a: int, b: int) -> int:
+        # (a0 + a1 y)(b0 + b1 y) with y^2 = y + b, Karatsuba style:
+        # a0 b0 + b a1 b1 + ((a0 + a1)(b0 + b1) - a0 b0) y
+        f, big = self.base, self.base.order
+        a0, a1 = a % big, a // big
+        b0, b1 = b % big, b // big
+        t0, t2 = f.mul(a0, b0), f.mul(a1, b1)
+        hi = f.sub(f.mul(f.add(a0, a1), f.add(b0, b1)), t0)
+        return f.add(t0, f.mul(self.b, t2)) + hi * big
 
 
-def find_element_of_order(field: Field, n: int) -> FieldElement:
+def find_element_of_order(field: Field, n: int) -> int:
     """A multiplicative element of exact order n (n must divide order-1).
 
     Deterministic: always g^((order-1)/n) for the smallest generator g.
@@ -565,7 +501,7 @@ def find_element_of_order(field: Field, n: int) -> FieldElement:
     for r in factorize(n):
         if field.pow(lam, n // r) == 1:
             raise VerificationError(f"candidate has order dividing {n // r}, not {n}")
-    return FieldElement(field, lam)
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +529,6 @@ class Poly:
     @classmethod
     def one(cls, field: Field) -> "Poly":
         return cls(field, (1,))
-
-    @classmethod
-    def x(cls, field: Field) -> "Poly":
-        return cls(field, (0, 1))
 
     @classmethod
     def x_pow_n_minus_1(cls, field: Field, n: int) -> "Poly":
@@ -721,166 +653,62 @@ class Poly:
 class FieldTower:
     """The ambient fields for length-n cyclic codes over F_{q^2}.
 
-    Bundles the quadratic extension (code alphabet), the quartic extension
-    (splitting field containing the n-th roots of unity, built directly as
-    degree 4e over F_p), a fixed primitive n-th root of unity, and the
-    conversion maps between the quadratic field and its isomorphic copy
-    inside the quartic field (the subfield fixed by the q^2 power map).
+    Bundles the quadratic extension F_{q^2} of F_p (the code alphabet),
+    its own quadratic extension F_{q^4} (the splitting field containing
+    the n-th roots of unity, in which F_{q^2} is the indices below q^2),
+    and a fixed primitive n-th root of unity.
     """
 
     def __init__(self, q: int, n: int):
         self.q_power = PrimePower.from_int(q)
         self.q = q
         self.n = n
-        p, e = self.q_power.p, self.q_power.e
-        self.fq2 = build_field(p, 2 * e)
-        self.fq4 = build_field(p, 4 * e)
         if (q**4 - 1) % n != 0:
             raise ValueError(f"n={n} does not divide q^4-1 for q={q}")
-        self.unity_root = find_element_of_order(self.fq4, n)
-        self._root_pows: list[int] | None = None
-        # the code alphabet's tables serve every generator-polynomial division
+        self.fq2 = build_field(self.q_power.p, 2 * self.q_power.e)
+        # the code alphabet's tables serve every generator-polynomial
+        # division and every product in the quartic field
         self.fq2.exp_log_tables()
-        self._setup_embedding()
+        self.fq4 = QuadraticExtension(self.fq2)
+        self.unity_root = find_element_of_order(self.fq4, n)
+        self._context = CycContext(n, q)
+        self._root_pows: list[int] | None = None
         self._minpoly_cache: dict[int, Poly] = {}
-
-    # -- powers of the primitive n-th root ------------------------------------
 
     def root_power(self, z: int) -> int:
         """Index (in the quartic field) of the n-th root of unity to power z."""
         if self._root_pows is None:
             pows = [1] * self.n
-            lam = self.unity_root.index
             f = self.fq4
             for i in range(1, self.n):
-                pows[i] = f.mul(pows[i - 1], lam)
+                pows[i] = f.mul(pows[i - 1], self.unity_root)
             self._root_pows = pows
         return self._root_pows[z % self.n]
 
-    # -- subfield embedding ----------------------------------------------------
-
-    def _setup_embedding(self) -> None:
-        f2, f4 = self.fq2, self.fq4
-        sub_order = f2.order
-        # a root of the quadratic field's modulus inside the quartic field;
-        # all such roots lie in the subfield fixed by the q^2 power map
-        mu = f4.pow(f4.generator(), (f4.order - 1) // (sub_order - 1))
-        beta = None
-        cand = 1
-        for _ in range(sub_order - 1):
-            acc = 0
-            for c in reversed(f2.modulus):
-                acc = f4.add(f4.mul(acc, cand), c)
-            if acc == 0:
-                beta = cand
-                break
-            cand = f4.mul(cand, mu)
-        if beta is None:  # pragma: no cover - the modulus always splits there
-            raise VerificationError("no root of the subfield modulus found")
-        self._beta_pows = [f4.pow(beta, i) for i in range(f2.degree)]
-        self._solve = self._solve_prep()
-
-    def _solve_prep(self):
-        # column j of B = F_p coefficient vector of beta^j; precompute a
-        # row-reduced transform so project() is a matrix-vector product
-        p = self.q_power.p
-        nrows, ncols = self.fq4.degree, self.fq2.degree
-        cols = [self.fq4.decode(bp) for bp in self._beta_pows]
-        aug = [
-            [cols[c][r] for c in range(ncols)] + [1 if i == r else 0 for i in range(nrows)]
-            for r in range(nrows)
-        ]
-        pivots: list[tuple[int, int]] = []
-        rank = 0
-        for c in range(ncols):
-            piv = next((i for i in range(rank, nrows) if aug[i][c] % p), None)
-            if piv is None:
-                continue
-            aug[rank], aug[piv] = aug[piv], aug[rank]
-            inv = pow(aug[rank][c], -1, p)
-            aug[rank] = [v * inv % p for v in aug[rank]]
-            for i in range(nrows):
-                if i != rank and aug[i][c] % p:
-                    faci = aug[i][c]
-                    aug[i] = [(v - faci * w) % p for v, w in zip(aug[i], aug[rank])]
-            pivots.append((rank, c))
-            rank += 1
-        if rank != ncols:  # pragma: no cover
-            raise VerificationError("subfield basis is rank-deficient")
-        transform = [aug[r][ncols:] for r, _ in pivots]
-        b_cols = cols
-
-        def solve(target: tuple[int, ...]) -> tuple[int, ...] | None:
-            sol = [sum(t * v for t, v in zip(row, target)) % p for row in transform]
-            # consistency: B @ sol must reproduce the target exactly
-            for r in range(nrows):
-                acc = sum(b_cols[c][r] * sol[c] for c in range(ncols)) % p
-                if acc != target[r] % p:
-                    return None
-            return tuple(sol)
-
-        return solve
-
-    def embed(self, idx2: int) -> int:
-        """Image in the quartic field of a quadratic-field element."""
-        f4 = self.fq4
-        p = self.q_power.p
-        acc = 0
-        for c, bp in zip(self.fq2.decode(idx2), self._beta_pows):
-            if c:
-                # scalar multiple by c in F_p, digit-wise
-                term = f4.encode((c * d) % p for d in f4.decode(bp))
-                acc = f4.add(acc, term)
-        return acc
-
-    def project(self, idx4: int) -> int:
-        """Preimage in the quadratic field; raises if not in the subfield."""
-        sol = self._solve(self.fq4.decode(idx4))
-        if sol is None:
-            raise VerificationError(
-                f"element {idx4} of the quartic field is not in the quadratic subfield"
-            )
-        return self.fq2.encode(sol)
-
-    def in_subfield(self, idx4: int) -> bool:
-        return self.fq4.pow(idx4, self.fq2.order) == idx4
-
-    # -- minimal polynomials -----------------------------------------------------
-
-    def coset_exponents(self, i: int) -> tuple[int, ...]:
-        """Orbit of an exponent under multiplication by q^2 modulo n."""
-        mult = self.q * self.q % self.n
-        orbit = []
-        cur = i % self.n
-        while cur not in orbit:
-            orbit.append(cur)
-            cur = cur * mult % self.n
-        return tuple(sorted(orbit))
-
     def minimal_polynomial(self, i: int) -> Poly:
         """Minimal polynomial over F_{q^2} of the i-th power of the root of
-        unity: the monic product of (x - root^j) over the orbit of i, with
-        every coefficient verified to land in the quadratic subfield."""
-        i = min(self.coset_exponents(i))
-        cached = self._minpoly_cache.get(i)
+        unity: the monic product of (x - root^j) over the coset of i, with
+        every coefficient verified to be fixed by the q^2 power map and to
+        be an index below q^2, that is, an element of F_{q^2} as it stands."""
+        orbit = coset(self._context, i)
+        cached = self._minpoly_cache.get(orbit.rep)
         if cached is not None:
             return cached
-        orbit = self.coset_exponents(i)
-        big = Poly.from_roots(self.fq4, (self.root_power(j) for j in orbit))
-        q2 = self.q * self.q
+        big = Poly.from_roots(self.fq4, (self.root_power(j) for j in orbit.elements))
+        q2 = self.fq2.order
         for c in big.coeffs:
-            if self.fq4.pow(c, q2) != c:
+            if self.fq4.pow(c, q2) != c or c >= q2:
                 raise VerificationError(
-                    f"coefficient {c} of the orbit product is not fixed by the "
-                    f"q^2 power map (orbit of {i})"
+                    f"coefficient {c} of the orbit product of {orbit.rep} is not in "
+                    f"F_(q^2): its q^2 power is {self.fq4.pow(c, q2)}, q^2 = {q2}"
                 )
-        small = Poly(self.fq2, (self.project(c) for c in big.coeffs))
+        small = Poly(self.fq2, big.coeffs)
         if small.degree != len(orbit) or not small.is_monic():
             raise VerificationError(
-                f"minimal polynomial of the orbit of {i} has coefficients {small.coeffs}: "
-                f"expected monic of degree {len(orbit)}"
+                f"minimal polynomial of the orbit of {orbit.rep} has coefficients "
+                f"{small.coeffs}: expected monic of degree {len(orbit)}"
             )
-        self._minpoly_cache[i] = small
+        self._minpoly_cache[orbit.rep] = small
         return small
 
 

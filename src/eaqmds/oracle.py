@@ -18,15 +18,15 @@ from math import isqrt
 from .codes import check_polynomial, generator_polynomial
 from .cosets import DefiningSet
 from .exceptions import VerificationError
-from .gf import Field, FieldElement, FieldTower
+from .gf import Field, FieldTower
 
 BUDGET_EXCEEDED = "budget-exceeded"
 
 
 @dataclass(frozen=True)
 class MatrixGF:
-    """Dense matrix over one Field; entries stored as canonical element
-    indices (row-major tuples) for speed, with FieldElement accessors."""
+    """Dense matrix over one Field; entries are canonical element indices
+    in row-major tuples."""
 
     field: Field
     data: tuple[tuple[int, ...], ...]
@@ -50,9 +50,6 @@ class MatrixGF:
     @property
     def cols(self) -> int:
         return len(self.data[0]) if self.data else 0
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.field, self.data[i][j])
 
     def transpose(self) -> "MatrixGF":
         return MatrixGF(self.field, tuple(zip(*self.data)))
@@ -313,14 +310,14 @@ def rank_hh_dagger(h: MatrixGF) -> int:
 
 def rowspace_defining_set(m: MatrixGF, tower: FieldTower) -> set[int]:
     """Exponents z with row(root^z) = 0 for every row: the defining set of
-    the cyclic code spanned by the rows (rows read as polynomials)."""
+    the cyclic code spanned by the rows (rows read as polynomials; their
+    F_{q^2} entries are F_{q^4} elements as they stand)."""
     f4 = tower.fq4
     out = set()
-    embedded = [[tower.embed(v) for v in row] for row in m.data]
     for z in range(tower.n):
         x = tower.root_power(z)
         ok = True
-        for row in embedded:
+        for row in m.data:
             acc = 0
             for c in reversed(row):
                 acc = f4.add(f4.mul(acc, x), c)

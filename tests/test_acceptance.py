@@ -120,9 +120,7 @@ def test_criterion_2_theorem_reproduction_at_scale():
 
 def test_criterion_3_lemma_suite():
     with criterion(3, "window lemmas and coset identity, all q <= 200"):
-        sizes = []
-        for fid in ("q10k3", "q10k7", "e1mod4", "e3mod4"):
-            sizes.extend(iter_family_sizes(fid, 200))
+        sizes = iter_family_sizes(200)
         identities = windows = 0
         for spec in sizes:
             ctx = spec.context()

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from eaqmds import codes, families, oracle
+from eaqmds import cli, codes, families, oracle
 from eaqmds.cli import CSV_HEADER, CodeRecord, main
 from eaqmds.cosets import DefiningSet
 
@@ -349,3 +349,44 @@ def test_longest_run_off_by_one_is_caught(capsys, monkeypatch):
     rc, _out, err = run_cli(capsys, "code", "--q", "23", "--m", "2")
     assert rc == 1
     assert err.startswith("invariant violation: ")
+    # the message names the faulty quantity, not only its consequence
+    assert "longest run 48" in err and "|Z| = 47" in err
+
+
+# -- input guards: rejected before any allocation --------------------------------
+
+HUGE = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cosets", "--q", "1000000007"),
+        ("cosets", "--q", "7", "--n", HUGE),
+        ("code", "--q", "1000000007", "--m", "2"),
+        ("enumerate", "--family", "q10k3", "--qmax", HUGE),
+        ("errata", "--qmax", HUGE),
+        ("verify", "--level", "coset", "--qmax", HUGE),
+        ("verify", "--level", "theorem", "--qmax", "1001"),
+        ("verify", "--level", "rank-oracle", "--qmax", HUGE, "--allow-large-oracle"),
+    ],
+)
+def test_out_of_budget_inputs_exit_2(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "out of budget" in err
+    assert "Traceback" not in err
+
+
+def test_budget_boundary_and_oracle_cap(capsys, monkeypatch):
+    # n = (q^2+1)/5 is 200000 at q = 1000, the limit itself; the checks alone
+    # are under test, so nothing of that size is built
+    cli._check_budget("--qmax", 1000)
+    with pytest.raises(ValueError, match="out of budget"):
+        cli._check_budget("--qmax", 1001)
+    # without --allow-large-oracle, rank-oracle caps qmax before the budget check
+    monkeypatch.setattr(cli, "_verify_rank_oracle", lambda qmax, allow_large: "stub")
+    rc, out, _ = run_cli(capsys, "verify", "--level", "rank-oracle", "--qmax", HUGE)
+    assert rc == 0
+    assert out == "verify level=rank-oracle qmax=32: PASS (stub)\n"

@@ -9,7 +9,6 @@ from eaqmds.cosets import (
     coset,
     coset_product_identity,
     coset_product_identity_inverse,
-    identity_window_contains,
     identity_windows,
     inverse_identity_windows,
 )
@@ -212,6 +211,3 @@ def test_identity_window_membership_q23():
     assert (0, 2) in wins and (1, 3) in wins and (2, 6) in wins
     assert (0, 7) not in wins  # in the gap between the stated ranges
     assert (2, 10) not in wins  # the last s value only allows the low range
-    assert identity_window_contains(23, 0, 2)
-    assert not identity_window_contains(23, 0, 7)  # checkable, but untested range
-    assert not identity_window_contains(24, 0, 1)  # not a family shape at all

@@ -10,7 +10,6 @@ from eaqmds.eaqecc import (
     NOT_EAQMDS,
     decompose,
     eaqecc_params,
-    eaqmds_check,
     eaqmds_status,
     ebits,
 )
@@ -81,13 +80,12 @@ def test_eaqecc_params_corrects_printed_q37_example():
 
 def test_eaqmds_statuses(spec23, spec43, ctx23):
     good = eaqecc_params(family_defining_set(spec23, 2))
-    assert eaqmds_status(good) == EAQMDS and eaqmds_check(good)
+    assert eaqmds_status(good) == EAQMDS
 
     beyond = eaqecc_params(family_defining_set(spec43, 4))
     assert (beyond.n, beyond.k, beyond.d, beyond.c) == (370, 33, 260, 181)
     assert beyond.singleton_equality and not beyond.distance_precondition_ok
     assert eaqmds_status(beyond) == EQUALITY_WITHOUT_PRECONDITION
-    assert not eaqmds_check(beyond)
 
     # a lone pair coset gives strict inequality: n + c - k = 4 > 2 = 2(d-1)
     strict = eaqecc_params(DefiningSet.from_cosets(ctx23, [2]))
@@ -99,4 +97,4 @@ def test_single_coset_c0_gives_trivial_eaqmds(ctx7, ctx23):
     for ctx in (ctx7, ctx23):
         p = eaqecc_params(DefiningSet.from_cosets(ctx, [0]))
         assert (p.n, p.k, p.d, p.c) == (ctx.n, ctx.n - 1, 2, 1)
-        assert eaqmds_check(p)
+        assert eaqmds_status(p) == EAQMDS

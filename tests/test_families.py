@@ -3,6 +3,7 @@ import pytest
 from eaqmds.cosets import DefiningSet
 from eaqmds.eaqecc import ebits
 from eaqmds.families import (
+    FAMILY_IDS,
     classify,
     entangled_window_set,
     enumerate_family,
@@ -10,6 +11,7 @@ from eaqmds.families import (
     family_defining_set,
     family_grid,
     free_window_set,
+    iter_family_sizes,
     predicted_code,
     verify_family_code,
 )
@@ -173,6 +175,17 @@ def test_enumerate_family_grids():
     assert [(fc.spec.q.q, fc.m) for fc in e3] == [(128, m) for m in range(2, 13)]
     with pytest.raises(ValueError):
         enumerate_family("nope", 100)
+
+
+def test_iter_family_sizes_is_one_ascending_pass():
+    every = iter_family_sizes(200)
+    qs = [spec.q.q for spec in every]
+    assert qs == sorted(qs) and len(set(qs)) == len(qs)
+    for fid in FAMILY_IDS:
+        assert iter_family_sizes(200, fid) == [s for s in every if s.family_id == fid]
+    assert {s.family_id for s in every} == set(FAMILY_IDS)
+    with pytest.raises(ValueError):
+        iter_family_sizes(100, "nope")
 
 
 def test_family_grid_covers_all_families():

@@ -4,18 +4,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eaqmds import gf
+from eaqmds.cosets import CycContext, CycCoset, coset
 from eaqmds.exceptions import VerificationError
 from eaqmds.gf import (
     Field,
+    FieldTower,
     Poly,
     PrimePower,
     build_field,
-    conjugate,
     factorize,
     field_tower,
     find_element_of_order,
     is_prime,
 )
+from eaqmds.oracle import MatrixGF, conjugate_transpose
 
 
 # -- independent oracle: exhaustive irreducibility scan for quadratics --------
@@ -44,6 +47,26 @@ def test_f49_modulus_is_x2_plus_1():
 def test_prime_field_modulus_is_x():
     assert build_field(2, 1).modulus == (0, 1)
     assert build_field(7, 1).modulus == (0, 1)
+
+
+# moduli recorded while the search still ran on plain coefficient lists
+PINNED_MODULI = {
+    (7, 2): (1, 0, 1),
+    (23, 2): (1, 0, 1),
+    (43, 2): (1, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (2, 14): (1, 0, 0, 0, 0, 1) + (0,) * 8 + (1,),
+    (23, 4): (2, 1, 0, 0, 1),
+    (43, 4): (3, 1, 0, 0, 1),
+    (2, 20): (1, 0, 0, 1) + (0,) * 16 + (1,),
+    (3, 12): (2, 0, 1) + (0,) * 9 + (1,),
+}
+
+
+@pytest.mark.parametrize("p,deg", sorted(PINNED_MODULI))
+def test_build_field_moduli_are_pinned(p, deg):
+    assert build_field(p, deg).modulus == PINNED_MODULI[p, deg]
 
 
 def test_build_field_rejects_bad_input():
@@ -93,17 +116,17 @@ def test_zero_inverse_and_mixed_fields_raise():
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
     with pytest.raises(ValueError):
-        f.one + g.one  # noqa: B018 - the addition itself raises
+        Poly.one(f) + Poly.one(g)  # noqa: B018 - the addition itself raises
 
 
-def test_element_wrappers():
+def test_index_arithmetic_on_f49():
     f = build_field(7, 2)
-    a = f.element(10)
-    assert (a * a.inverse()).index == 1
-    assert (a - a).index == 0
-    assert (-a + a).index == 0
-    assert (a**49).index == a.index
-    assert a.coeffs == (3, 1)
+    a = 10
+    assert f.mul(a, f.inv(a)) == 1
+    assert f.sub(a, a) == 0
+    assert f.add(f.neg(a), a) == 0
+    assert f.pow(a, 49) == a
+    assert f.decode(a) == (3, 1)
 
 
 def _digitwise_add(f, a, b):
@@ -185,29 +208,30 @@ def test_zech_check_detects_an_entry_off_by_one():
     assert all(log[b] - log[a] == 5 for op, a, b in bad if op == "add")
 
 
-# -- conjugation ---------------------------------------------------------------
+# -- conjugation a -> a^q on the field of order q^2 ------------------------------
 
 
 def test_conjugate_fixes_prime_subfield_and_involutes():
     f = build_field(7, 2)
-    assert conjugate(f.zero, 7).index == 0
-    assert conjugate(f.one, 7).index == 1
+    conj = f.power_map(7)
+    assert conj[0] == 0
+    assert conj[1] == 1
     rng = random.Random(7)
     for _ in range(50):
-        a = f.element(rng.randrange(f.order))
-        assert conjugate(conjugate(a, 7), 7) == a
+        a = rng.randrange(f.order)
+        assert conj[conj[a]] == a
 
 
 def test_conjugate_of_norm_one_element_is_inverse():
     # an element of order q+1 satisfies a^(q+1) = 1, so a^q = a^(-1)
     f = build_field(7, 2)
     a = find_element_of_order(f, 8)
-    assert conjugate(a, 7) == a.inverse()
+    assert f.pow(a, 7) == f.inv(a)
 
 
 def test_conjugate_requires_square_order_field():
     with pytest.raises(ValueError):
-        conjugate(build_field(7, 1).one, 7)
+        conjugate_transpose(MatrixGF(build_field(7, 1), ((1,),)), 7)
 
 
 # -- elements of prescribed order ------------------------------------------------
@@ -215,23 +239,23 @@ def test_conjugate_requires_square_order_field():
 
 def test_order_one_element_is_identity():
     f = build_field(7, 2)
-    assert find_element_of_order(f, 1).index == 1
+    assert find_element_of_order(f, 1) == 1
 
 
 def test_primitive_tenth_root_in_f7_quartic():
-    f = build_field(7, 4)
-    lam = find_element_of_order(f, 10)
-    assert (lam**10).index == 1
-    assert (lam**5).index != 1
-    assert (lam**2).index != 1
+    for f in (build_field(7, 4), field_tower(7, 10).fq4):
+        lam = find_element_of_order(f, 10)
+        assert f.pow(lam, 10) == 1
+        assert f.pow(lam, 5) != 1
+        assert f.pow(lam, 2) != 1
 
 
 def test_primitive_106th_root_in_f23_quartic():
-    f = build_field(23, 4)
-    lam = find_element_of_order(f, 106)
-    assert (lam**106).index == 1
-    for r in (2, 53):
-        assert (lam ** (106 // r)).index != 1
+    for f in (build_field(23, 4), field_tower(23, 106).fq4):
+        lam = find_element_of_order(f, 106)
+        assert f.pow(lam, 106) == 1
+        for r in (2, 53):
+            assert f.pow(lam, 106 // r) != 1
 
 
 def test_order_must_divide_group_order():
@@ -258,32 +282,71 @@ def test_minimal_polynomial_divides_xn_minus_1(tower7):
 
 def test_minimal_polynomial_degree_is_orbit_size(tower23):
     for i in (0, 1, 2, 53):
-        assert tower23.minimal_polynomial(i).degree == len(tower23.coset_exponents(i))
+        assert tower23.minimal_polynomial(i).degree == len(coset(CycContext(106, 23), i))
 
 
-# -- the subfield embedding ---------------------------------------------------------
+# non-orbit root sets in place of the coset of 1 = {1, 9} at q = 7, n = 10
+NON_ORBITS = {"half-orbit": (1,), "wrong-partner": (1, 2), "wrong-orbit": (1, 3)}
+
+
+@pytest.mark.parametrize("roots", sorted(NON_ORBITS))
+@pytest.mark.parametrize("blind_power_check", [False, True])
+def test_minimal_polynomial_rejects_a_non_orbit_root_set(monkeypatch, roots, blind_power_check):
+    # an uncached tower, so nothing built from the injected orbit outlives the test
+    tower = FieldTower(7, 10)
+    elements = NON_ORBITS[roots]
+    monkeypatch.setattr(gf, "coset", lambda ctx, i: CycCoset(ctx, elements[0], elements))
+    if blind_power_check:
+        # the q^2-power test passes everything: the index bound alone must catch it
+        monkeypatch.setattr(tower.fq4, "pow", lambda a, e: a)
+    with pytest.raises(VerificationError, match="not in F_"):
+        tower.minimal_polynomial(1)
+
+
+# -- F_{q^2} inside F_{q^4} = F_{q^2}[y] / (y^2 - y - b) ----------------------------
 
 
 @pytest.mark.parametrize("q", [7, 23, 27, 32])
 def test_embedding_is_a_field_homomorphism(q):
-    n = (q * q + 1) // 5
-    tw = field_tower(q, n)
+    # F_{q^2} sits in F_{q^4} as the indices below q^2, so the embedding is
+    # the identity on indices: the quartic field must reproduce F_{q^2}'s
+    # sums, differences, negatives and products there, and fix them under
+    # the q^2 power map
+    tw = field_tower(q, (q * q + 1) // 5)
     f2, f4 = tw.fq2, tw.fq4
     rng = random.Random(q)
-    for _ in range(40):
+    for _ in range(200):
         a, b = rng.randrange(f2.order), rng.randrange(f2.order)
-        ea, eb = tw.embed(a), tw.embed(b)
-        assert tw.embed(f2.add(a, b)) == f4.add(ea, eb)
-        assert tw.embed(f2.mul(a, b)) == f4.mul(ea, eb)
-        assert tw.project(ea) == a
-        assert tw.in_subfield(ea)
+        assert f4.add(a, b) == f2.add(a, b)
+        assert f4.sub(a, b) == f2.sub(a, b)
+        assert f4.neg(a) == f2.neg(a)
+        assert f4.mul(a, b) == f2.mul(a, b)
+        assert f4.pow(a, f2.order) == a
 
 
-def test_project_rejects_elements_outside_subfield(tower7):
-    lam = tower7.unity_root.index  # order 10 does not divide 48
-    assert not tower7.in_subfield(lam)
-    with pytest.raises(VerificationError):
-        tower7.project(lam)
+@pytest.mark.parametrize("q", [7, 23, 27, 32])
+def test_quartic_field_is_a_field(q):
+    tw = field_tower(q, (q * q + 1) // 5)
+    f2, f4 = tw.fq2, tw.fq4
+    assert f4.order == q**4 and f4.p == f2.p
+    # y^2 - y - b has no root in F_{q^2}, so it is irreducible there
+    assert all(f2.sub(f2.sub(f2.mul(x, x), x), f4.b) for x in range(f2.order))
+    g = f4.generator()
+    assert g >= f2.order and f4.multiplicative_order(g) == f4.order - 1
+    rng = random.Random(q + 1)
+    for _ in range(200):
+        a, b, c = (rng.randrange(f4.order) for _ in range(3))
+        assert f4.mul(f4.mul(a, b), c) == f4.mul(a, f4.mul(b, c))
+        assert f4.mul(a, f4.add(b, c)) == f4.add(f4.mul(a, b), f4.mul(a, c))
+        assert f4.add(a, f4.neg(a)) == 0
+        if a:
+            assert f4.mul(a, f4.inv(a)) == 1
+
+
+def test_unity_root_lies_outside_subfield(tower7):
+    lam = tower7.unity_root  # order 10 does not divide 48
+    assert lam >= tower7.fq2.order
+    assert tower7.fq4.pow(lam, 49) != lam
 
 
 def test_tower_requires_n_dividing_q4_minus_1():

@@ -75,7 +75,8 @@ def generator_polynomial(z: DefiningSet, tower: FieldTower) -> Poly:
     """The monic generator: product of (x - root^j) over all j in Z, taken
     coset by coset so every factor's coefficients land in F_{q^2}.
 
-    The result has degree |Z| and divides x^n - 1 exactly (both checked).
+    The result has degree |Z| (checked); check_polynomial divides it out
+    of x^n - 1, which checks that it is a divisor.
     """
     ctx = z.ctx
     if tower.n != ctx.n or tower.q != ctx.q:
@@ -88,12 +89,13 @@ def generator_polynomial(z: DefiningSet, tower: FieldTower) -> Poly:
             f"generator polynomial has degree {g.degree} and leading coefficient "
             f"{g.coeffs[-1] if g.coeffs else 0}: expected monic of degree |Z| = {len(z)}"
         )
-    if not z.is_empty():
-        Poly.x_pow_n_minus_1(tower.fq2, ctx.n).exact_div(g)
     return g
 
 
-def check_polynomial(z: DefiningSet, tower: FieldTower) -> Poly:
-    """(x^n - 1) / generator: the generator of the complementary-coset code."""
-    g = generator_polynomial(z, tower)
+def check_polynomial(z: DefiningSet, tower: FieldTower, g: Poly | None = None) -> Poly:
+    """(x^n - 1) / g, the generator of the complementary-coset code, for
+    the generator polynomial g of Z (built here unless given).  The
+    division must be exact (checked)."""
+    if g is None:
+        g = generator_polynomial(z, tower)
     return Poly.x_pow_n_minus_1(tower.fq2, z.ctx.n).exact_div(g)

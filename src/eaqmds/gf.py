@@ -382,8 +382,8 @@ class Field:
         nonzero log lp in [0, 2*n1) and an accumulator acc that is either a
         log below 3*n1 or a zero in [log_zero, log_zero + 2*n1), the log of
         their sum is lp + zech[acc - lp], again of one of those two kinds:
-        the log-domain kernels in oracle never reduce mod n1 or test the
-        accumulator for zero.
+        the log-domain elimination in oracle.rank never reduces mod n1 or
+        tests an updated entry for zero.
         """
         self.exp_log_tables()
         if self._zech is None:

@@ -3,8 +3,9 @@ over F_{q^2}: generator and parity-check matrices of the cyclic code,
 the exact rank of H * H^dagger (which must equal the ebit count computed
 from the defining-set overlap), and exhaustive distance checks for toys.
 
-Everything here is deliberately pedestrian - dense matrices, plain
-Gaussian elimination with exact field inverses, first-nonzero pivots -
+Everything here is deliberately pedestrian - dense matrices, integer
+dot products on packed F_p digits for products, plain Gaussian
+elimination with exact field inverses and first-nonzero pivots for ranks -
 so that it shares no machinery with the set-algebra route it checks.
 """
 
@@ -12,13 +13,14 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
 from math import isqrt
 
 from .codes import check_polynomial, generator_polynomial
 from .cosets import DefiningSet
 from .exceptions import VerificationError
-from .gf import Field, FieldTower
+from .gf import Field, FieldTower, Poly
 
 BUDGET_EXCEEDED = "budget-exceeded"
 
@@ -34,14 +36,15 @@ class MatrixGF:
     def __post_init__(self) -> None:
         if self.data:
             width = len(self.data[0])
+            order = self.field.order
             for i, r in enumerate(self.data):
                 if len(r) != width:
                     raise VerificationError(f"row {i} has {len(r)} entries, row 0 has {width}")
-                for v in r:
-                    if not 0 <= v < self.field.order:
-                        raise VerificationError(
-                            f"entry {v} in row {i} is not an element of {self.field!r}"
-                        )
+                if r and not (0 <= min(r) and max(r) < order):
+                    v = next(v for v in r if not 0 <= v < order)
+                    raise VerificationError(
+                        f"entry {v} in row {i} is not an element of {self.field!r}"
+                    )
 
     @property
     def rows(self) -> int:
@@ -58,12 +61,6 @@ class MatrixGF:
         return all(v == 0 for r in self.data for v in r)
 
 
-# The odd-p kernels below work on logarithms (see Field.zech_tables):
-# log[0] and anything from log_zero up mean zero, and for a nonzero log lp
-# below 2*(order-1) the sum of an accumulator acc and g^lp has log
-# lp + zech[acc - lp].
-
-
 def _ops(field: Field):
     """(mul, add, sub): exp/log lookups and xor for p = 2, else the field's
     own methods (Zech logarithms for small odd-p fields)."""
@@ -73,52 +70,85 @@ def _ops(field: Field):
     return (lambda a, b: exp[log[a] + log[b]] if a and b else 0), operator.xor, operator.xor
 
 
+# matmul packs F_p digit vectors into integers, one slot of _slot_width bits
+# per digit (Kronecker substitution), so that a big-integer product adds up
+# the digit convolutions of many field products at once.  On a little-endian
+# host a slot as wide as a machine word unpacks through a memoryview cast.
+_WORD_CODES = (
+    {memoryview(bytes(8)).cast(c).itemsize * 8: c for c in "HIQ"}
+    if sys.byteorder == "little"
+    else {}
+)
+
+
+def _slot_width(inner: int, d: int, p: int) -> int:
+    """Bits per slot for a product with the given inner dimension over
+    F_{p^d}: a slot sums at most inner * d products of two digits below p,
+    so it holds every sum once 2^width > inner * d * (p-1)^2.  Rounded up
+    to 16, 32 or 64 bits where one of them is wide enough."""
+    bits = (inner * d * (p - 1) ** 2).bit_length()
+    return next((w for w in (16, 32, 64) if bits <= w), bits)
+
+
+def _pack(parts, stride: int) -> int:
+    """sum(part_i << (i * stride)) for parts below 2^stride: joined as
+    bytes when the stride is a whole number of bytes, else shifted in."""
+    if stride % 8:
+        return sum(x << (stride * i) for i, x in enumerate(parts) if x)
+    size = stride // 8
+    return int.from_bytes(b"".join([x.to_bytes(size, "little") for x in parts]), "little")
+
+
+def _unpack(packed: int, count: int, width: int):
+    """The count slots of width bits that make up packed, lowest first."""
+    code = _WORD_CODES.get(width)
+    if code is None:
+        mask = (1 << width) - 1
+        return [(packed >> (width * i)) & mask for i in range(count)]
+    return memoryview(packed.to_bytes(count * width // 8, "little")).cast(code)
+
+
 def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
+    """A * B over a field F_p[x]/(f) built by build_field.
+
+    An element with digits c_k packs as sum c_k * 2^(k*width); row j of B
+    packs as one integer B_j with the digits of entry c from slot
+    c*(2d-1) on.  Row i of the product is then S_i = sum_j pack(a_ij) * B_j,
+    one big-integer multiply-add per nonzero a_ij, and slot c*(2d-1) + k of
+    S_i holds coefficient k of sum_j a_ij(x) * b_jc(x), exactly, as no slot
+    sum reaches 2^width.  Each entry reduces its 2d-1 slots mod p into the
+    index u of a polynomial of degree below 2d-1, that is
+    (u mod p^d) + x^d * (u div p^d); the field's own mul gives each high
+    part that occurs times x^d once per call.
+    """
     if a.field is not b.field:
         raise ValueError("matrices over different fields")
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     f = a.field
-    bt = list(zip(*b.data))
-    exp, log = f.exp_log_tables()
-    tables = f.zech_tables()
+    p, d, order = f.p, f.degree, f.order
+    if len(f.modulus) != d + 1:
+        raise ValueError(f"{f!r} is not F_p[x]/(f): matmul needs a modulus over F_p")
+    span = 2 * d - 1  # slots per entry: the digits of a product of degree 2d-2
+    width = _slot_width(a.cols, d, p)
+    packed = {v: _pack(f.decode(v), width) for v in set().union(*a.data, *b.data)}
+    packed_rows = [_pack([packed[v] for v in row], span * width) for row in b.data]
+    xd = f.encode(-c for c in f.modulus[:d])  # x^d mod f
+    high: dict[int, int] = {}  # h -> h * x^d mod f, for each h that occurs
+    add = f.add
     out = []
-    if tables is not None:
-        zech = tables[2]
-        zero, n1 = f.log_zero, f.order - 1
-        lcols = [[log[v] for v in col] for col in bt]
-        for row in a.data:
-            lrow = [(j, log[x]) for j, x in enumerate(row) if x]
-            orow = []
-            for lcol in lcols:
-                acc = zero
-                for j, lx in lrow:
-                    lp = lx + lcol[j]
-                    if lp < zero:
-                        acc = lp + zech[acc - lp]
-                orow.append(exp[acc - n1] if acc < zero else 0)
-            out.append(tuple(orow))
-    elif exp is not None and f.p == 2:
-        for row in a.data:
-            orow = []
-            for col in bt:
-                acc = 0
-                for x, y in zip(row, col):
-                    if x and y:
-                        acc ^= exp[log[x] + log[y]]
-                orow.append(acc)
-            out.append(tuple(orow))
-    else:
-        mul, add = f.mul, f.add
-        for row in a.data:
-            orow = []
-            for col in bt:
-                acc = 0
-                for x, y in zip(row, col):
-                    if x and y:
-                        acc = add(acc, mul(x, y))
-                orow.append(acc)
-            out.append(tuple(orow))
+    for row in a.data:
+        acc = 0
+        for v, bj in zip(row, packed_rows):
+            if v:
+                acc += packed[v] * bj
+        r = [s % p for s in _unpack(acc, b.cols * span, width)]
+        u = r[span - 1 :: span]
+        for k in range(span - 2, -1, -1):
+            u = [x * p + y for x, y in zip(u, r[k::span])]
+        for h in {x // order for x in u}.difference(high):
+            high[h] = f.mul(h, xd)
+        out.append(tuple([add(x % order, high[x // order]) for x in u]))
     return MatrixGF(f, tuple(out))
 
 
@@ -137,6 +167,10 @@ def rank(m: MatrixGF) -> int:
     nrows, ncols = m.rows, m.cols
     tables = f.zech_tables()
     if tables is not None:
+        # Odd p works on logarithms (see Field.zech_tables): log[0] and
+        # anything from log_zero up mean zero, and for a nonzero log lp below
+        # 2*(order-1) the sum of an accumulator acc and g^lp has log
+        # lp + zech[acc - lp].
         _exp, log, zech = tables
         zero, n1 = f.log_zero, f.order - 1
         half = n1 // 2
@@ -230,13 +264,17 @@ def nullspace(m: MatrixGF) -> MatrixGF:
 # ---------------------------------------------------------------------------
 
 
-def build_generator_matrix(z: DefiningSet, tower: FieldTower) -> MatrixGF:
+def build_generator_matrix(z: DefiningSet, tower: FieldTower, g: Poly | None = None) -> MatrixGF:
     """k x n matrix whose rows are the cyclic shifts of the generator
-    polynomial's coefficients; rank k by construction."""
+    polynomial's coefficients; rank k by construction.  g is the generator
+    polynomial of Z; unless given, it is built here and checked to divide
+    x^n - 1."""
     n = z.ctx.n
     if len(z) >= n:
         raise ValueError("defining set covers everything; the code is {0}")
-    g = generator_polynomial(z, tower)
+    if g is None:
+        g = generator_polynomial(z, tower)
+        check_polynomial(z, tower, g)
     gc = g.coeffs
     k = n - len(z)
     rows = tuple(
@@ -245,13 +283,14 @@ def build_generator_matrix(z: DefiningSet, tower: FieldTower) -> MatrixGF:
     return MatrixGF(tower.fq2, rows)
 
 
-def euclidean_parity_check(z: DefiningSet, tower: FieldTower) -> MatrixGF:
+def euclidean_parity_check(z: DefiningSet, tower: FieldTower, g: Poly | None = None) -> MatrixGF:
     """(n-k) x n parity check of the plain (Euclidean) dual: shifts of the
-    reversed check polynomial (x^n - 1)/g."""
+    reversed check polynomial (x^n - 1)/g, for the generator polynomial g
+    of Z (built here unless given)."""
     n = z.ctx.n
     if z.is_empty():
         raise ValueError("empty defining set: the code is all of F^n, dual is 0")
-    h = check_polynomial(z, tower)
+    h = check_polynomial(z, tower, g)
     hc = tuple(reversed(h.coeffs))
     rows = tuple(
         (0,) * i + hc + (0,) * (n - len(hc) - i) for i in range(n - len(h.coeffs) + 1)
@@ -259,14 +298,14 @@ def euclidean_parity_check(z: DefiningSet, tower: FieldTower) -> MatrixGF:
     return MatrixGF(tower.fq2, rows)
 
 
-def build_parity_check_matrix(z: DefiningSet, tower: FieldTower) -> MatrixGF:
+def build_parity_check_matrix(z: DefiningSet, tower: FieldTower, g: Poly | None = None) -> MatrixGF:
     """(n-k) x n matrix whose rows are a basis of the Hermitian dual:
     the Euclidean parity check conjugated entry-wise by the q-th power.
 
     Row r then satisfies sum_j r_j^q * g_j = 0 against every generator row
-    g, i.e. G * H^dagger = 0.
+    g, i.e. G * H^dagger = 0.  g is passed on to euclidean_parity_check.
     """
-    he = euclidean_parity_check(z, tower)
+    he = euclidean_parity_check(z, tower, g)
     powq = tower.fq2.power_map(tower.q)
     return MatrixGF(tower.fq2, tuple(tuple(powq[v] for v in row) for row in he.data))
 
@@ -275,9 +314,13 @@ def code_matrices(
     z: DefiningSet, tower: FieldTower, verify: bool = True
 ) -> tuple[MatrixGF, MatrixGF]:
     """(G, H) with H the Hermitian-dual basis; verify=True additionally
-    asserts G H^dagger = 0, Hermitian row orthogonality and full ranks."""
-    g = build_generator_matrix(z, tower)
-    h = build_parity_check_matrix(z, tower)
+    asserts G H^dagger = 0, Hermitian row orthogonality and full ranks.
+
+    The generator polynomial is built once, and x^n - 1 is divided by it
+    once, for H; that exact division checks that it divides x^n - 1."""
+    gpoly = generator_polynomial(z, tower)
+    g = build_generator_matrix(z, tower, gpoly)
+    h = build_parity_check_matrix(z, tower, gpoly)
     if verify:
         n = z.ctx.n
         if not matmul(g, conjugate_transpose(h, tower.q)).is_zero():

@@ -253,7 +253,11 @@ def test_checks_survive_python_O():
 
 # the matrix-route smoke invocations of the benchmark, with the exit code and
 # stdout sha256 recorded in perfbench/golden.json
-MATRIX_ROUTE_SMOKE = ("code --q 23 --m 2 --oracle", "verify --level rank-oracle --qmax 7")
+MATRIX_ROUTE_SMOKE = (
+    "code --q 23 --m 2 --oracle",
+    "verify --level rank-oracle --qmax 7",
+    "code --q 43 --m 3 --oracle --allow-large-oracle",
+)
 
 
 def _assert_matches_golden(proc, invocation):

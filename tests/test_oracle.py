@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from eaqmds import oracle
 from eaqmds.cosets import DefiningSet, all_cosets
 from eaqmds.eaqecc import ebits
 from eaqmds.families import verify_family_code
@@ -246,7 +247,9 @@ def _random_matrix(f, rng, rows, cols):
     )
 
 
-@pytest.mark.parametrize("p,deg", [(23, 2), (3, 6), (2, 10)])
+# (43, 2) is the field of `code --q 43`, (3, 8) has no lookup tables, and the
+# slots of (2^61 - 1, 1) are wider than 64 bits
+@pytest.mark.parametrize("p,deg", [(23, 2), (3, 6), (2, 10), (43, 2), (3, 8), (2**61 - 1, 1)])
 def test_kernels_match_raw_arithmetic(p, deg):
     f = build_field(p, deg)
     raw = RawArithmetic(f)
@@ -266,3 +269,32 @@ def test_kernels_match_raw_arithmetic(p, deg):
             if ns.rows:
                 assert not any(any(r) for r in raw.matmul(m, tuple(zip(*ns.data))))
                 assert raw.rank(ns.data) == ns.rows
+
+
+# slot widths of 16, 32 and 64 bits (machine words) and of 128 (shifts)
+@pytest.mark.parametrize(
+    "p,deg,width", [(43, 2, 16), (2039, 1, 32), (2**31 - 1, 1, 64), (2**61 - 1, 1, 128)]
+)
+def test_matmul_slot_sums_reach_the_width_bound(monkeypatch, p, deg, width):
+    # every digit p - 1 and the longest inner dimension the width allows: the
+    # middle slot of each entry sums inner * deg * (p-1)^2 >= 2^(width-1)
+    f = build_field(p, deg)
+    inner = (2**width - 1) // (deg * (p - 1) ** 2)
+    assert inner * deg * (p - 1) ** 2 >= 2 ** (width - 1)
+    assert oracle._slot_width(inner, deg, p) == width
+    a = ((f.order - 1,) * inner,) * 2
+    b = ((f.order - 1,) * 3,) * inner
+    want = RawArithmetic(f).matmul(a, b)
+    assert matmul(MatrixGF(f, a), MatrixGF(f, b)).data == want
+    honest = oracle._slot_width
+    monkeypatch.setattr(oracle, "_slot_width", lambda *args: honest(*args) - 1)
+    assert matmul(MatrixGF(f, a), MatrixGF(f, b)).data != want
+
+
+def test_matmul_rejects_the_quartic_field(tower7):
+    # F_{q^4} is a quadratic extension of F_{q^2}: its digits over F_p do not
+    # multiply as polynomials modulo one F_p polynomial
+    f = tower7.fq4
+    m = MatrixGF(f, ((1, f.order - 1),))
+    with pytest.raises(ValueError, match="modulus over F_p"):
+        matmul(m, m.transpose())

@@ -1,5 +1,7 @@
 """Command-line surface: enumerate the families, verify claims at
 selectable depth, emit machine-readable tables, print the errata audit.
+It only parses, guards inputs and prints: the checks and the verify
+suites live in families (set route) and oracle (matrix route).
 
 Output is deterministic: identical invocations produce byte-identical
 output (no timestamps).  Data goes to stdout, diagnostics to stderr.
@@ -11,20 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from . import errata as errata_mod
 from . import families, oracle
-from .cosets import (
-    CycContext,
-    DefiningSet,
-    all_cosets,
-    coset_product_identity,
-    coset_product_identity_inverse,
-    identity_windows,
-    inverse_identity_windows,
-)
-from .eaqecc import eaqmds_status, ebits
+from .cosets import CycContext, all_cosets
+from .eaqecc import eaqmds_status
 from .exceptions import VerificationError
 from .gf import field_tower
 
@@ -34,9 +28,6 @@ ORACLE_Q_CAP = 32
 # largest modulus n a command may work over: cosets, sweeps and codes take
 # O(n) memory, and --q/--qmax are held to it through n = (q^2+1)/5
 MAX_MODULUS = 200_000
-
-_RANDOM_SEED = 20250808
-_RANDOM_SETS_PER_Q = 50
 
 
 @dataclass(frozen=True)
@@ -78,47 +69,26 @@ class CodeRecord:
             errata_flags=fc.errata_flags,
         )
 
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if f.name == "errata_flags" else v
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CodeRecord":
-        d = dict(d)
-        d["errata_flags"] = tuple(d["errata_flags"])
-        return cls(**d)
-
-    def csv_row(self) -> str:
-        vals = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool):
-                vals.append("true" if v else "false")
-            elif f.name == "errata_flags":
-                vals.append("|".join(v))
-            else:
-                vals.append(str(v))
-        return ",".join(vals)
+    def cells(self) -> list[str]:
+        """The field values as CSV and text print them: booleans in lower
+        case, the errata flags joined by |."""
+        return [
+            "|".join(v) if isinstance(v, tuple) else str(v).lower() if isinstance(v, bool)
+            else str(v)
+            for v in asdict(self).values()
+        ]
 
 
 CSV_HEADER = ",".join(f.name for f in fields(CodeRecord))
 
 
 def _print_record_text(rec: CodeRecord) -> None:
+    # the fields in record order: nine numbers, three flags, the errata flags
+    pairs = [f"{k}={v}" for k, v in zip(CSV_HEADER.split(","), rec.cells())]
     print(f"[[{rec.n},{rec.k},{rec.d};{rec.c}]]_{rec.q}")
-    print(
-        f"family_id={rec.family_id} q={rec.q} p={rec.p} e={rec.e} "
-        f"n={rec.n} m={rec.m} k={rec.k} d={rec.d} c={rec.c}"
-    )
-    print(
-        f"singleton_equality={str(rec.singleton_equality).lower()} "
-        f"distance_precondition_ok={str(rec.distance_precondition_ok).lower()} "
-        f"rank_oracle_checked={str(rec.rank_oracle_checked).lower()}"
-    )
-    print(f"errata_flags={'|'.join(rec.errata_flags)}")
+    print(" ".join(pairs[:9]))
+    print(" ".join(pairs[9:12]))
+    print(pairs[12])
 
 
 # ---------------------------------------------------------------------------
@@ -160,28 +130,6 @@ def cmd_cosets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_code(
-    q: int, m: int, allow_degenerate: bool, run_oracle: bool
-) -> tuple[families.FamilyCode, bool]:
-    """The verified code, and whether the matrix oracle confirmed its ebits."""
-    spec = families.classify(q)
-    if spec is None:
-        raise ValueError(families.explain_rejection(q))
-    fc = families.verify_family_code(spec, m, allow_degenerate=allow_degenerate)
-    checked = False
-    if run_oracle:
-        tower = field_tower(q, spec.n)
-        _g, h = oracle.code_matrices(fc.defining_set, tower)
-        got = oracle.rank_hh_dagger(h)
-        if got != fc.verified.c:
-            raise VerificationError(
-                f"rank(HH^dagger) = {got} but the set overlap has size {fc.verified.c} "
-                f"at q={q}, m={m}"
-            )
-        checked = True
-    return fc, checked
-
-
 def cmd_code(args: argparse.Namespace) -> int:
     _check_budget("--q", args.q)
     if args.oracle and args.q > ORACLE_Q_CAP and not args.allow_large_oracle:
@@ -189,10 +137,13 @@ def cmd_code(args: argparse.Namespace) -> int:
             f"the matrix oracle is capped at q <= {ORACLE_Q_CAP} by default; "
             f"pass --allow-large-oracle to run q={args.q}"
         )
-    fc, checked = _verify_code(args.q, args.m, args.allow_degenerate, args.oracle)
-    rec = CodeRecord.from_family_code(fc, rank_oracle_checked=checked)
+    spec = families.classify(args.q)
+    fc = families.verify_family_code(spec, args.m, allow_degenerate=args.allow_degenerate)
+    if args.oracle:
+        oracle.confirm_ebits(fc, field_tower(args.q, spec.n))
+    rec = CodeRecord.from_family_code(fc, rank_oracle_checked=args.oracle)
     if args.format == "json":
-        print(json.dumps(rec.to_dict(), indent=2))
+        print(json.dumps(asdict(rec), indent=2))
     else:
         _print_record_text(rec)
         print(f"eaqmds_status={eaqmds_status(fc.verified)}")
@@ -204,14 +155,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     codes = families.enumerate_family(args.family, args.qmax)
     records = [CodeRecord.from_family_code(fc) for fc in codes]
     if args.format == "json":
-        print(json.dumps([r.to_dict() for r in records], indent=2))
+        print(json.dumps([asdict(r) for r in records], indent=2))
     elif args.format == "csv":
         print(CSV_HEADER)
         for r in records:
-            print(r.csv_row())
+            print(",".join(r.cells()))
     else:
         header = CSV_HEADER.split(",")
-        rows = [r.csv_row().split(",") for r in records]
+        rows = [r.cells() for r in records]
         widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
                   for i, h in enumerate(header)]
         print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
@@ -230,145 +181,21 @@ def cmd_errata(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- verify suites -----------------------------------------------------------
-
-
-def _verify_coset(q_max: int) -> str:
-    sizes = families.iter_family_sizes(q_max)
-    checked = 0
-    for spec in sizes:
-        ctx = spec.context()
-        cs = all_cosets(ctx)
-        total = sum(len(c) for c in cs)
-        seen = set()
-        for c in cs:
-            for x in c.elements:
-                if x in seen:
-                    raise VerificationError(f"cosets overlap at q={spec.q.q}: {x}")
-                seen.add(x)
-            expected = {c.rep, (ctx.n - c.rep) % ctx.n}
-            if set(c.elements) != expected:
-                raise VerificationError(
-                    f"coset of {c.rep} at q={spec.q.q} is not {{i, n-i}}"
-                )
-            z = DefiningSet(ctx, c.elements)
-            img = z.neg_q()
-            if len(img) != len(z):
-                raise VerificationError(f"-q map not injective at q={spec.q.q}")
-            if img.neg_q() != z:
-                raise VerificationError(f"-q map not an involution at q={spec.q.q}")
-        if total != ctx.n or len(seen) != ctx.n:
-            raise VerificationError(f"cosets do not partition Z_{ctx.n} at q={spec.q.q}")
-        checked += len(cs)
-    return f"{len(sizes)} field sizes, {checked} cosets"
-
-
-def _verify_lemma(q_max: int) -> str:
-    sizes = families.iter_family_sizes(q_max)
-    identities = 0
-    windows = 0
-    for spec in sizes:
-        ctx = spec.context()
-        q = spec.q.q
-        for s, i in identity_windows(q):
-            if not coset_product_identity(ctx, s, i):
-                raise VerificationError(f"reflection identity fails at q={q}, s={s}, i={i}")
-            identities += 1
-        for with_offset in (False, True):
-            for t, j in inverse_identity_windows(q, with_offset):
-                if not coset_product_identity_inverse(ctx, t, j):
-                    raise VerificationError(
-                        f"inverse identity fails at q={q}, t={t}, j={j} "
-                        f"(offset={with_offset})"
-                    )
-                identities += 1
-        for m in range(2, spec.m_max + 1):
-            families.check_window_lemmas(spec, m, families.family_defining_set(spec, m))
-            windows += 1
-    return f"{len(sizes)} field sizes, {identities} identity checks, {windows} window sets"
-
-
-def _verify_theorem(q_max: int) -> str:
-    points = 0
-    for spec, m in families.family_grid(q_max):
-        fc = families.verify_family_code(spec, m)
-        c = fc.verified.c
-        if c != 20 * (m - 1) ** 2 + 1:
-            raise VerificationError(
-                f"ebit count {c} != 20(m-1)^2+1 at q={spec.q.q}, m={m}"
-            )
-        points += 1
-    return f"{points} (q, m) points"
-
-
-def _random_closed_sets(ctx: CycContext, count: int, seed: int) -> list[DefiningSet]:
-    import random
-
-    rng = random.Random(seed)
-    reps = [c.rep for c in all_cosets(ctx)]
-    out = []
-    while len(out) < count:
-        chosen = [r for r in reps if rng.random() < 0.5]
-        z = DefiningSet.from_cosets(ctx, chosen)
-        if z.is_empty() or len(z) >= ctx.n:
-            continue
-        out.append(z)
-    return out
-
-
-def _verify_rank_oracle(q_max: int, allow_large: bool) -> str:
-    specs = families.iter_family_sizes(q_max)
-    if not allow_large:
-        specs = [s for s in specs if s.q.q in (23, 27, 32)]
-    checked = 0
-    for spec in specs:
-        q = spec.q.q
-        tower = field_tower(q, spec.n)
-        for m in range(2, spec.m_max + 1):
-            fc = families.verify_family_code(spec, m)
-            _g, h = oracle.code_matrices(fc.defining_set, tower)
-            got = oracle.rank_hh_dagger(h)
-            if got != fc.verified.c:
-                raise VerificationError(
-                    f"rank(HH^dagger) = {got} != overlap size {fc.verified.c} "
-                    f"at q={q}, m={m}"
-                )
-            checked += 1
-    for q in (7, 23):
-        if q > q_max:
-            continue
-        ctx = CycContext.for_family(q)
-        tower = field_tower(q, ctx.n)
-        for z in _random_closed_sets(ctx, _RANDOM_SETS_PER_Q, _RANDOM_SEED + q):
-            h = oracle.build_parity_check_matrix(z, tower)
-            got = oracle.rank_hh_dagger(h)
-            want = ebits(z)
-            if got != want:
-                raise VerificationError(
-                    f"rank(HH^dagger) = {got} != overlap size {want} for a random "
-                    f"set of size {len(z)} at q={q}"
-                )
-            checked += 1
-    return f"{checked} codes"
-
-
-_VERIFY_LEVELS = {
-    "coset": _verify_coset,
-    "lemma": _verify_lemma,
-    "theorem": _verify_theorem,
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     qmax = args.qmax
     if args.level == "rank-oracle" and not args.allow_large_oracle:
         qmax = min(qmax, ORACLE_Q_CAP)
     _check_budget("--qmax", qmax)
+    # looked up per call, so a suite replaced on its module is the one run
+    suite = {
+        "coset": families.verify_cosets,
+        "lemma": families.verify_lemmas,
+        "theorem": families.verify_theorem,
+        "rank-oracle": oracle.verify_rank_oracle,
+    }[args.level]
     try:
-        if args.level == "rank-oracle":
-            summary = _verify_rank_oracle(qmax, args.allow_large_oracle)
-        else:
-            summary = _VERIFY_LEVELS[args.level](qmax)
+        counts = suite(qmax)
+        summary = ", ".join(f"{v} {k}" for k, v in counts.items())
         print(f"verify level={args.level} qmax={qmax}: PASS ({summary})")
     except VerificationError as exc:
         print(f"verify level={args.level}: FAIL", file=sys.stderr)

@@ -1,29 +1,11 @@
 """Classical cyclic-code semantics of a defining set: dimension, designed
-distance, MDS certification, Hermitian dual containment, and the generator
-polynomial over F_{q^2}."""
+distance, and the generator polynomial over F_{q^2}."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .cosets import DefiningSet
 from .exceptions import VerificationError
 from .gf import FieldTower, Poly
-
-
-@dataclass(frozen=True)
-class ClassicalParams:
-    """[n, k, d] data for the cyclic code with a given defining set.
-
-    d_bch is the designed-distance lower bound from the longest run of
-    consecutive defining-set elements; is_mds means that bound already
-    meets the Singleton bound, so it is the exact minimum distance.
-    """
-
-    n: int
-    k: int
-    d_bch: int
-    is_mds: bool
 
 
 def dimension(z: DefiningSet) -> int:
@@ -56,19 +38,6 @@ def bch_bound(z: DefiningSet) -> int:
     zero code) by convention.
     """
     return longest_circular_run(z.residues, z.ctx.n) + 1
-
-
-def mds_certificate(z: DefiningSet) -> ClassicalParams:
-    """Parameters with an exact-distance certificate when BCH meets Singleton."""
-    n = z.ctx.n
-    k = dimension(z)
-    d = bch_bound(z)
-    return ClassicalParams(n=n, k=k, d_bch=d, is_mds=(d == n - k + 1))
-
-
-def hermitian_dual_containing(z: DefiningSet) -> bool:
-    """True iff the code contains its Hermitian dual: Z and -qZ are disjoint."""
-    return z.isdisjoint(z.neg_q())
 
 
 def generator_polynomial(z: DefiningSet, tower: FieldTower) -> Poly:

@@ -48,11 +48,6 @@ class CycContext:
         """True when q^2 = -1 (mod n); forces every coset to be {i, n-i}."""
         return self.multiplier == (self.n - 1) % self.n
 
-    @property
-    def is_split_fifth_length(self) -> bool:
-        """True when n is exactly (q^2+1)/5."""
-        return 5 * self.n == self.q * self.q + 1
-
     @classmethod
     def for_family(cls, q: int) -> "CycContext":
         """The context with n = (q^2+1)/5; q^2+1 must be divisible by 5."""
@@ -212,10 +207,6 @@ class DefiningSet:
     def difference(self, other: "DefiningSet") -> "DefiningSet":
         self._check(other)
         return DefiningSet._closed(self.ctx, self.residues - other.residues)
-
-    __or__ = union
-    __and__ = intersect
-    __sub__ = difference
 
     def isdisjoint(self, other: "DefiningSet") -> bool:
         self._check(other)

@@ -74,16 +74,12 @@ class EaqeccParams:
     c: int
     singleton_equality: bool
     distance_precondition_ok: bool
-    in_theorem_range: bool = False
 
-    def as_bracket(self, q: int | None = None) -> str:
-        tail = f"_{q}" if q is not None else ""
-        return f"[[{self.n},{self.k},{self.d};{self.c}]]{tail}"
+    def as_bracket(self) -> str:
+        return f"[[{self.n},{self.k},{self.d};{self.c}]]"
 
 
-def eaqecc_params(
-    z: DefiningSet | Decomposition, in_theorem_range: bool = False
-) -> EaqeccParams:
+def eaqecc_params(z: DefiningSet | Decomposition) -> EaqeccParams:
     """Entanglement-assisted parameters derived from a defining set, or
     from its decomposition when the caller already has one."""
     dec = z if isinstance(z, Decomposition) else decompose(z)
@@ -115,7 +111,6 @@ def eaqecc_params(
         c=c,
         singleton_equality=equality,
         distance_precondition_ok=precondition,
-        in_theorem_range=in_theorem_range,
     )
 
 

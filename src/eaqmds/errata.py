@@ -52,10 +52,10 @@ class ErrataEntry:
 
 def _spec(q: int) -> FamilySpec:
     """The family of a published example's field size."""
-    spec = classify(q)
-    if spec is None:
-        raise VerificationError(f"published example q={q} is in no family")
-    return spec
+    try:
+        return classify(q)
+    except ValueError as exc:
+        raise VerificationError(f"published example q={q} is in no family: {exc}") from None
 
 
 def _corrected_dimensions(q: int) -> list[dict]:
@@ -188,10 +188,10 @@ def _entry_e7(q_max: int) -> ErrataEntry:
         if 2 * d > n + 2:
             hits.append({"q": q, "m": m, "n": n, "d": d, "threshold_2d_le": n + 2})
     hits.sort(key=lambda h: (h["q"], h["m"]))
+    # (n+2)/2 printed from integers: one decimal place, .0 or .5
     lines = tuple(
-        "q={q} m={m}: d={d} exceeds (n+2)/2 = {half}".format(
-            q=h["q"], m=h["m"], d=h["d"], half=(h["n"] + 2) / 2
-        )
+        f"q={h['q']} m={h['m']}: d={h['d']} exceeds (n+2)/2 = "
+        f"{h['threshold_2d_le'] // 2}.{5 * (h['threshold_2d_le'] % 2)}"
         for h in hits
     )
     return ErrataEntry(

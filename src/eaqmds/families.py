@@ -21,7 +21,9 @@ shapes (q = 3, 8 mod 10 versus q = 7, 2 mod 10) round those cut points
 differently so that all anchors are integers.
 
 verify_family_code() never trusts the closed forms: it rebuilds every
-quantity from first principles and raises on any mismatch.
+quantity from first principles and raises on any mismatch.  The suites
+verify_cosets, verify_lemmas and verify_theorem sweep the set route over
+q <= q_max; this module never imports oracle, the matrix route.
 """
 
 from __future__ import annotations
@@ -30,7 +32,15 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .codes import dimension
-from .cosets import CycContext, DefiningSet
+from .cosets import (
+    CycContext,
+    DefiningSet,
+    all_cosets,
+    coset_product_identity,
+    coset_product_identity_inverse,
+    identity_windows,
+    inverse_identity_windows,
+)
 from .eaqecc import Decomposition, EaqeccParams, decompose, eaqecc_params
 from .exceptions import VerificationError
 from .gf import PrimePower
@@ -81,42 +91,27 @@ class FamilySpec:
         return CycContext.for_family(self.q.q)
 
 
-def classify(q: int) -> FamilySpec | None:
-    """The unique family containing q, or None (see explain_rejection)."""
+def classify(q: int) -> FamilySpec:
+    """The unique family containing q; ValueError naming why there is none."""
     try:
         pp = PrimePower.from_int(q)
     except ValueError:
-        return None
+        raise ValueError(f"q={q} is not a prime power") from None
     n5 = q * q + 1
     if n5 % 5 != 0:
-        return None
+        raise ValueError(f"(q^2+1) not divisible by 5 for q={q} (need q = +-2 mod 5)")
     n = n5 // 5
     if pp.p == 2:
         if pp.e > 1 and pp.e % 4 == 1:
             return FamilySpec("e1mod4", pp, n, (q - 2) // 10)
         if pp.e % 4 == 3:
             return FamilySpec("e3mod4", pp, n, (q - 8) // 10)
-        return None
+        raise ValueError(f"q={q} = 2^e needs an odd exponent e (e=1 mod 4 requires e>1)")
     if q % 10 == 3 and q >= 23:
         return FamilySpec("q10k3", pp, n, (q - 3) // 10)
     if q % 10 == 7 and q >= 27:
         return FamilySpec("q10k7", pp, n, (q - 7) // 10)
-    return None
-
-
-def explain_rejection(q: int) -> str:
-    """Human-readable reason why classify(q) returned None."""
-    if classify(q) is not None:
-        return f"q={q} is classifiable"
-    try:
-        PrimePower.from_int(q)
-    except ValueError:
-        return f"q={q} is not a prime power"
-    if (q * q + 1) % 5 != 0:
-        return f"(q^2+1) not divisible by 5 for q={q} (need q = +-2 mod 5)"
-    if q % 2 == 0:
-        return f"q={q} = 2^e needs an odd exponent e (e=1 mod 4 requires e>1)"
-    return f"q={q} is below the family minimum (23 for q=3 mod 10, 27 for q=7 mod 10)"
+    raise ValueError(f"q={q} is below the family minimum (23 for q=3 mod 10, 27 for q=7 mod 10)")
 
 
 def _anchors(spec: FamilySpec) -> tuple[int, int, int, int, int]:
@@ -134,9 +129,9 @@ def _anchors(spec: FamilySpec) -> tuple[int, int, int, int, int]:
 def _check_m(spec: FamilySpec, m: int, allow_degenerate: bool = False) -> None:
     lo = 1 if allow_degenerate else 2
     if not lo <= m <= spec.m_max:
-        raise ValueError(
-            f"m={m} out of range for q={spec.q.q}; valid m: 2..{spec.m_max}"
-        )
+        q = spec.q.q
+        valid = f"valid m: 2..{spec.m_max}" if spec.m_max >= 2 else f"q={q} has no valid m"
+        raise ValueError(f"m={m} out of range for q={q}; {valid}")
 
 
 def family_defining_set(spec: FamilySpec, m: int) -> DefiningSet:
@@ -223,7 +218,6 @@ def predicted_code(spec: FamilySpec, m: int) -> EaqeccParams:
         c=c,
         singleton_equality=(n + c - k == 2 * (d - 1)),
         distance_precondition_ok=(2 * d <= n + 2),
-        in_theorem_range=(2 <= m <= spec.m_max),
     )
 
 
@@ -254,7 +248,7 @@ def verify_family_code(spec: FamilySpec, m: int, allow_degenerate: bool = False)
     q, n = spec.q.q, spec.n
     z = family_defining_set(spec, m)
     dec = decompose(z)
-    verified = eaqecc_params(dec, in_theorem_range=(2 <= m <= spec.m_max))
+    verified = eaqecc_params(dec)
     flags: list[str] = []
 
     run = verified.d - 1  # the designed distance is one more than the longest run
@@ -314,8 +308,15 @@ def iter_family_sizes(q_max: int, family_id: str | None = None) -> list[FamilySp
     family, or of all four when family_id is None."""
     if family_id is not None and family_id not in FAMILY_IDS:
         raise ValueError(f"unknown family {family_id!r}; expected one of {FAMILY_IDS}")
-    specs = (classify(q) for q in range(2, q_max + 1))
-    return [s for s in specs if s is not None and family_id in (None, s.family_id)]
+    specs = []
+    for q in range(2, q_max + 1):
+        try:
+            spec = classify(q)
+        except ValueError:
+            continue
+        if family_id in (None, spec.family_id):
+            specs.append(spec)
+    return specs
 
 
 def enumerate_family(family_id: str, q_max: int) -> list[FamilyCode]:
@@ -332,3 +333,77 @@ def family_grid(q_max: int) -> list[tuple[FamilySpec, int]]:
     """All (spec, m) points across the four families with q <= q_max,
     ordered by q ascending then m ascending."""
     return [(spec, m) for spec in iter_family_sizes(q_max) for m in range(2, spec.m_max + 1)]
+
+
+# -- verification suites: each returns its named counts, in print order -----
+
+
+def verify_cosets(q_max: int) -> dict[str, int]:
+    """Every family modulus with q <= q_max: the cosets are the pairs
+    {i, n-i} and partition Z_n, and -q is an injective involution on them."""
+    sizes = iter_family_sizes(q_max)
+    checked = 0
+    for spec in sizes:
+        ctx = spec.context()
+        cs = all_cosets(ctx)
+        seen = set()
+        for c in cs:
+            for x in c.elements:
+                if x in seen:
+                    raise VerificationError(f"cosets overlap at q={spec.q.q}: {x}")
+                seen.add(x)
+            if set(c.elements) != {c.rep, (ctx.n - c.rep) % ctx.n}:
+                raise VerificationError(
+                    f"coset of {c.rep} at q={spec.q.q} is not {{i, n-i}}"
+                )
+            z = DefiningSet(ctx, c.elements)
+            img = z.neg_q()
+            if len(img) != len(z):
+                raise VerificationError(f"-q map not injective at q={spec.q.q}")
+            if img.neg_q() != z:
+                raise VerificationError(f"-q map not an involution at q={spec.q.q}")
+        if len(seen) != ctx.n:
+            raise VerificationError(f"cosets do not partition Z_{ctx.n} at q={spec.q.q}")
+        checked += len(cs)
+    return {"field sizes": len(sizes), "cosets": checked}
+
+
+def verify_lemmas(q_max: int) -> dict[str, int]:
+    """The reflection identities over their windows, and the window lemmas
+    at every (q, m) with q <= q_max."""
+    sizes = iter_family_sizes(q_max)
+    identities = 0
+    windows = 0
+    for spec in sizes:
+        ctx = spec.context()
+        q = spec.q.q
+        for s, i in identity_windows(q):
+            if not coset_product_identity(ctx, s, i):
+                raise VerificationError(f"reflection identity fails at q={q}, s={s}, i={i}")
+            identities += 1
+        for with_offset in (False, True):
+            for t, j in inverse_identity_windows(q, with_offset):
+                if not coset_product_identity_inverse(ctx, t, j):
+                    raise VerificationError(
+                        f"inverse identity fails at q={q}, t={t}, j={j} "
+                        f"(offset={with_offset})"
+                    )
+                identities += 1
+        for m in range(2, spec.m_max + 1):
+            check_window_lemmas(spec, m, family_defining_set(spec, m))
+            windows += 1
+    return {"field sizes": len(sizes), "identity checks": identities, "window sets": windows}
+
+
+def verify_theorem(q_max: int) -> dict[str, int]:
+    """verify_family_code at every (q, m) with q <= q_max, and the ebit
+    count 20(m-1)^2+1."""
+    points = 0
+    for spec, m in family_grid(q_max):
+        c = verify_family_code(spec, m).verified.c
+        if c != 20 * (m - 1) ** 2 + 1:
+            raise VerificationError(
+                f"ebit count {c} != 20(m-1)^2+1 at q={spec.q.q}, m={m}"
+            )
+        points += 1
+    return {"(q, m) points": points}

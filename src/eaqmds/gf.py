@@ -109,10 +109,6 @@ class PrimePower:
             raise ValueError(f"{self.q} != {self.p}^{self.e}")
 
     @classmethod
-    def of(cls, p: int, e: int) -> "PrimePower":
-        return cls(p, e, p**e)
-
-    @classmethod
     def from_int(cls, q: int) -> "PrimePower":
         """Factor q; raise ValueError if it is not a prime power."""
         if q < 2:
@@ -122,10 +118,6 @@ class PrimePower:
             raise ValueError(f"{q} is not a prime power (factors: {sorted(factors)})")
         ((p, e),) = factors.items()
         return cls(p, e, q)
-
-    @property
-    def is_even(self) -> bool:
-        return self.p == 2
 
 
 # ---------------------------------------------------------------------------
@@ -636,13 +628,6 @@ class Poly:
         if not rem.is_zero():
             raise VerificationError(f"expected exact division, remainder {rem.coeffs}")
         return quo
-
-    def __call__(self, x_index: int) -> int:
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x_index), c)
-        return acc
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,25 @@ Everything here is deliberately pedestrian - dense matrices, integer
 dot products on packed F_p digits for products, plain Gaussian
 elimination with exact field inverses and first-nonzero pivots for ranks -
 so that it shares no machinery with the set-algebra route it checks.
+The rank-oracle suite (verify_rank_oracle) compares the two routes on
+every family code and on random coset-closed sets.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import random
 import sys
 from dataclasses import dataclass
 from math import isqrt
 
 from .codes import check_polynomial, generator_polynomial
-from .cosets import DefiningSet
+from .cosets import CycContext, DefiningSet, all_cosets
+from .eaqecc import ebits
 from .exceptions import VerificationError
-from .gf import Field, FieldTower, Poly
+from .families import FamilyCode, iter_family_sizes, verify_family_code
+from .gf import Field, FieldTower, Poly, field_tower
 
 BUDGET_EXCEEDED = "budget-exceeded"
 
@@ -310,23 +315,19 @@ def build_parity_check_matrix(z: DefiningSet, tower: FieldTower, g: Poly | None 
     return MatrixGF(tower.fq2, tuple(tuple(powq[v] for v in row) for row in he.data))
 
 
-def code_matrices(
-    z: DefiningSet, tower: FieldTower, verify: bool = True
-) -> tuple[MatrixGF, MatrixGF]:
-    """(G, H) with H the Hermitian-dual basis; verify=True additionally
-    asserts G H^dagger = 0, Hermitian row orthogonality and full ranks.
+def code_matrices(z: DefiningSet, tower: FieldTower) -> tuple[MatrixGF, MatrixGF]:
+    """(G, H) with H the Hermitian-dual basis, checked: G H^dagger = 0 and
+    the ranks of G and H are full and add up to n.
 
     The generator polynomial is built once, and x^n - 1 is divided by it
     once, for H; that exact division checks that it divides x^n - 1."""
     gpoly = generator_polynomial(z, tower)
     g = build_generator_matrix(z, tower, gpoly)
     h = build_parity_check_matrix(z, tower, gpoly)
-    if verify:
-        n = z.ctx.n
-        if not matmul(g, conjugate_transpose(h, tower.q)).is_zero():
-            raise VerificationError("G * H^dagger != 0")
-        if rank(g) != g.rows or rank(h) != h.rows or g.rows + h.rows != n:
-            raise VerificationError("generator/parity-check ranks are not complementary")
+    if not matmul(g, conjugate_transpose(h, tower.q)).is_zero():
+        raise VerificationError("G * H^dagger != 0")
+    if rank(g) != g.rows or rank(h) != h.rows or g.rows + h.rows != z.ctx.n:
+        raise VerificationError("generator/parity-check ranks are not complementary")
     return g, h
 
 
@@ -351,6 +352,23 @@ def rank_hh_dagger(h: MatrixGF) -> int:
     return rank(matmul(h, conjugate_transpose(h, q)))
 
 
+def check_ebits(h: MatrixGF, c: int, where: str) -> None:
+    """rank(HH^dagger) must equal c, the ebit count of the set route;
+    where names the code in the counterexample."""
+    got = rank_hh_dagger(h)
+    if got != c:
+        raise VerificationError(
+            f"rank(HH^dagger) = {got} but the set overlap has size {c} {where}"
+        )
+
+
+def confirm_ebits(fc: FamilyCode, tower: FieldTower) -> None:
+    """Build the checked G and H of a verified family code over its tower
+    and compare rank(HH^dagger) with the code's ebit count."""
+    _g, h = code_matrices(fc.defining_set, tower)
+    check_ebits(h, fc.verified.c, f"at q={fc.spec.q.q}, m={fc.m}")
+
+
 def rowspace_defining_set(m: MatrixGF, tower: FieldTower) -> set[int]:
     """Exponents z with row(root^z) = 0 for every row: the defining set of
     the cyclic code spanned by the rows (rows read as polynomials; their
@@ -370,6 +388,50 @@ def rowspace_defining_set(m: MatrixGF, tower: FieldTower) -> set[int]:
         if ok:
             out.add(z)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the rank-oracle suite
+# ---------------------------------------------------------------------------
+
+_RANDOM_SEED = 20250808
+_RANDOM_SETS_PER_Q = 50
+
+
+def _random_closed_sets(ctx: CycContext, count: int, seed: int) -> list[DefiningSet]:
+    """count coset-closed sets, neither empty nor full, each coset drawn
+    with probability 1/2."""
+    rng = random.Random(seed)
+    reps = [c.rep for c in all_cosets(ctx)]
+    out = []
+    while len(out) < count:
+        z = DefiningSet.from_cosets(ctx, [r for r in reps if rng.random() < 0.5])
+        if not z.is_empty() and len(z) < ctx.n:
+            out.append(z)
+    return out
+
+
+def verify_rank_oracle(q_max: int) -> dict[str, int]:
+    """rank(HH^dagger) against the set-route ebit count: every family code
+    with q <= q_max, then random coset-closed sets at q = 7 and 23."""
+    checked = 0
+    for spec in iter_family_sizes(q_max):
+        if spec.m_max < 2:
+            continue
+        tower = field_tower(spec.q.q, spec.n)
+        for m in range(2, spec.m_max + 1):
+            confirm_ebits(verify_family_code(spec, m), tower)
+            checked += 1
+    for q in (7, 23):
+        if q > q_max:
+            continue
+        ctx = CycContext.for_family(q)
+        tower = field_tower(q, ctx.n)
+        for z in _random_closed_sets(ctx, _RANDOM_SETS_PER_Q, _RANDOM_SEED + q):
+            h = build_parity_check_matrix(z, tower)
+            check_ebits(h, ebits(z), f"for a random set of size {len(z)} at q={q}")
+            checked += 1
+    return {"codes": checked}
 
 
 # ---------------------------------------------------------------------------

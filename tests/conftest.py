@@ -1,6 +1,7 @@
 import pytest
 
-from eaqmds import CycContext, classify
+from eaqmds.cosets import CycContext
+from eaqmds.families import classify
 from eaqmds.gf import field_tower
 
 

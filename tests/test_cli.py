@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from eaqmds import cli, codes, families, oracle
-from eaqmds.cli import CSV_HEADER, CodeRecord, main
+from eaqmds.cli import CSV_HEADER, main
 from eaqmds.cosets import DefiningSet
 
 REPO = Path(__file__).resolve().parents[1]
@@ -78,6 +79,9 @@ def test_code_out_of_range(capsys):
     rc, _, err = run_cli(capsys, "code", "--q", "23", "--m", "3")
     assert rc == 2
     assert "valid m: 2..2" in err
+    rc, _, err = run_cli(capsys, "code", "--q", "8", "--m", "2")
+    assert rc == 2
+    assert "q=8 has no valid m" in err
 
 
 def test_code_unclassifiable(capsys):
@@ -100,13 +104,31 @@ def test_code_oracle_cap(capsys):
     assert "--allow-large-oracle" in err
 
 
+def _text_record(out):
+    """The key=value pairs of a text-format code record, as strings."""
+    return dict(pair.split("=", 1) for line in out.splitlines()[1:] for pair in line.split())
+
+
+def _as_text(value):
+    """A JSON record value as the text and CSV formats print it."""
+    if isinstance(value, list):
+        return "|".join(value)
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
 def test_code_json_record_roundtrip(capsys):
     rc, out, _ = run_cli(capsys, "code", "--q", "43", "--m", "4", "--format", "json")
     assert rc == 0
-    rec = CodeRecord.from_dict(json.loads(out))
-    assert (rec.n, rec.k, rec.d, rec.c) == (370, 33, 260, 181)
-    assert rec.errata_flags == ("distance-precondition-violated",)
-    assert json.loads(out) == rec.to_dict()
+    rec = json.loads(out)
+    assert (rec["n"], rec["k"], rec["d"], rec["c"]) == (370, 33, 260, 181)
+    assert rec["errata_flags"] == ["distance-precondition-violated"]
+    # the JSON record holds every field, in order, with the values the text format prints
+    assert list(rec) == CSV_HEADER.split(",")
+    rc, out_text, _ = run_cli(capsys, "code", "--q", "43", "--m", "4")
+    assert rc == 0
+    text = _text_record(out_text)
+    assert text.pop("eaqmds_status") == "equality-without-precondition"
+    assert text == {k: _as_text(v) for k, v in rec.items()}
 
 
 # -- enumerate -------------------------------------------------------------------
@@ -147,12 +169,13 @@ def test_enumerate_json_matches_csv(capsys):
         capsys, "enumerate", "--family", "e1mod4", "--qmax", "32", "--format", "json"
     )
     assert rc == 0
-    records = [CodeRecord.from_dict(d) for d in json.loads(out_json)]
-    assert [(r.q, r.m, r.k) for r in records] == [(32, 2, 96), (32, 3, 28)]
+    records = json.loads(out_json)
+    assert [(r["q"], r["m"], r["k"]) for r in records] == [(32, 2, 96), (32, 3, 28)]
     rc, out_csv, _ = run_cli(
         capsys, "enumerate", "--family", "e1mod4", "--qmax", "32", "--format", "csv"
     )
-    assert out_csv.splitlines()[1:] == [r.csv_row() for r in records]
+    rows = list(csv.DictReader(out_csv.splitlines()))
+    assert rows == [{k: _as_text(v) for k, v in r.items()} for r in records]
 
 
 def test_enumerate_table_format(capsys):
@@ -292,6 +315,31 @@ def test_errata_stdout_is_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == ERRATA_SHA256[fmt]
 
 
+# sha256 of the code-record outputs, recorded while CodeRecord still had its
+# own to_dict/from_dict and field-by-field text and CSV printers
+RECORD_SHA256 = {
+    "enumerate --family q10k3 --qmax 200 --format json":
+        "1f2fdae78d7baff56d39382373d84c2a5324a1120346f44f262dc0266c070cfb",
+    "enumerate --family q10k3 --qmax 200 --format csv":
+        "40de10cc19fdf5604ba61be288fce147d296d8d9c450964d7f3d629ba7457e41",
+    "enumerate --family q10k3 --qmax 200 --format table":
+        "293d8258bb532c0a974303fc0549fde61a06d8fd689995f65f13caca4c49610d",
+    "enumerate --family e3mod4 --qmax 128 --format csv":
+        "498458220d1f2048e56f45680cbbf364c613ff0ab1e02db73b2f3d699ee5f160",
+    "code --q 43 --m 4 --format text":
+        "440e7050c896a20be5798cd878ce7a1a2994c5ecf528eb8ec21ef5623da229e9",
+    "code --q 43 --m 4 --format json":
+        "176f2d1c4347aea55be6302090c539488d7ba1d1975df649f252da0e1047ee6e",
+}
+
+
+@pytest.mark.parametrize("invocation", sorted(RECORD_SHA256))
+def test_record_stdout_is_pinned(capsys, invocation):
+    rc, out, _ = run_cli(capsys, *invocation.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RECORD_SHA256[invocation]
+
+
 @pytest.mark.parametrize("invocation", MATRIX_ROUTE_SMOKE)
 def test_rank_oracle_off_by_one_is_caught(capsys, monkeypatch, invocation):
     honest = oracle.rank_hh_dagger
@@ -390,7 +438,11 @@ def test_budget_boundary_and_oracle_cap(capsys, monkeypatch):
     with pytest.raises(ValueError, match="out of budget"):
         cli._check_budget("--qmax", 1001)
     # without --allow-large-oracle, rank-oracle caps qmax before the budget check
-    monkeypatch.setattr(cli, "_verify_rank_oracle", lambda qmax, allow_large: "stub")
+    seen = []
+    monkeypatch.setattr(
+        oracle, "verify_rank_oracle", lambda qmax: seen.append(qmax) or {"codes": 7}
+    )
     rc, out, _ = run_cli(capsys, "verify", "--level", "rank-oracle", "--qmax", HUGE)
     assert rc == 0
-    assert out == "verify level=rank-oracle qmax=32: PASS (stub)\n"
+    assert seen == [32]
+    assert out == "verify level=rank-oracle qmax=32: PASS (7 codes)\n"

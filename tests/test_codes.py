@@ -6,9 +6,7 @@ from eaqmds.codes import (
     check_polynomial,
     dimension,
     generator_polynomial,
-    hermitian_dual_containing,
     longest_circular_run,
-    mds_certificate,
 )
 from eaqmds.cosets import CycContext, DefiningSet
 from eaqmds.families import family_defining_set, free_window_set
@@ -80,21 +78,30 @@ def test_longest_run_edge_cases():
             assert longest_circular_run(range(1, n), n) == n - 1
 
 
+def _mds_certificate(z):
+    """(n, k, designed distance, whether it meets Singleton: d = n - k + 1)."""
+    n, k, d = z.ctx.n, dimension(z), bch_bound(z)
+    return n, k, d, d == n - k + 1
+
+
+def _hermitian_dual_containing(z):
+    """The code contains its Hermitian dual iff Z and -qZ are disjoint."""
+    return z.isdisjoint(z.neg_q())
+
+
 def test_mds_certificates(ctx23, spec23, spec43):
-    p = mds_certificate(family_defining_set(spec23, 2))
-    assert (p.n, p.k, p.d_bch, p.is_mds) == (106, 59, 48, True)
-    p = mds_certificate(family_defining_set(spec43, 3))
-    assert (p.n, p.k, p.d_bch, p.is_mds) == (370, 197, 174, True)
-    p = mds_certificate(DefiningSet.from_cosets(ctx23, [0, 2]))
-    assert not p.is_mds and p.d_bch == 2
+    assert _mds_certificate(family_defining_set(spec23, 2)) == (106, 59, 48, True)
+    assert _mds_certificate(family_defining_set(spec43, 3)) == (370, 197, 174, True)
+    _n, _k, d, is_mds = _mds_certificate(DefiningSet.from_cosets(ctx23, [0, 2]))
+    assert not is_mds and d == 2
 
 
 def test_hermitian_dual_containing(ctx23, spec23):
-    assert hermitian_dual_containing(DefiningSet.empty(ctx23))
+    assert _hermitian_dual_containing(DefiningSet.empty(ctx23))
     # the five-window free set really avoids its -q image
-    assert hermitian_dual_containing(free_window_set(spec23, 2))
+    assert _hermitian_dual_containing(free_window_set(spec23, 2))
     # the full family block does not (its overlap is the 21 ebits)
-    assert not hermitian_dual_containing(family_defining_set(spec23, 2))
+    assert not _hermitian_dual_containing(family_defining_set(spec23, 2))
 
 
 def test_generator_polynomial_of_c0_is_x_minus_1(tower7, ctx7):
@@ -136,4 +143,4 @@ def test_dual_containment_matches_zero_ebits(ctx7):
 
     for reps in ([], [1], [1, 2], [0, 1]):
         z = DefiningSet.from_cosets(ctx7, reps)
-        assert hermitian_dual_containing(z) == (ebits(z) == 0)
+        assert _hermitian_dual_containing(z) == (ebits(z) == 0)

@@ -1,0 +1,40 @@
+"""Static checks over the package source, read as syntax trees."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "eaqmds"
+
+# the set route and the errata audit must stay independent of the matrix
+# route in oracle, which is what checks them
+SET_ROUTE = ("cosets", "codes", "eaqecc", "families", "errata")
+
+
+def _imported_modules(tree):
+    """The last dotted name of every module a tree imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                out.add(node.module.split(".")[-1])
+            else:  # from . import x
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_source_hygiene():
+    # an assert vanishes under python -O, so no check may be one; a true
+    # division makes a float in a package whose arithmetic is exact
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assert):
+                bad.append(f"{path.name}:{node.lineno}: assert")
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                bad.append(f"{path.name}:{node.lineno}: true division")
+        if path.stem in SET_ROUTE and "oracle" in _imported_modules(tree):
+            bad.append(f"{path.name}: imports oracle")
+    assert bad == []

@@ -3,12 +3,15 @@ over F_{q^2}: generator and parity-check matrices of the cyclic code,
 the exact rank of H * H^dagger (which must equal the ebit count computed
 from the defining-set overlap), and exhaustive distance checks for toys.
 
-Everything here is deliberately pedestrian - dense matrices, integer
-dot products on packed F_p digits for products, plain Gaussian
-elimination with exact field inverses and first-nonzero pivots for ranks -
-so that it shares no machinery with the set-algebra route it checks.
-The rank-oracle suite (verify_rank_oracle) compares the two routes on
-every family code and on random coset-closed sets.
+Everything here is deliberately pedestrian - explicit matrices, plain
+Gaussian elimination with exact field inverses and first-nonzero pivots
+for ranks - so that it shares no machinery with the set-algebra route it
+checks.  G and H hold shifts of one vector each, so G * H^dagger and
+H * H^dagger are Toeplitz: dagger_product checks that shift structure
+and takes each product from one packed-integer convolution of the two
+vectors.  The dense packed matmul is kept only as their reference.  The
+rank-oracle suite (verify_rank_oracle) compares the two routes on every
+family code and on random coset-closed sets.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import random
 import sys
 from dataclasses import dataclass
 from math import isqrt
+from typing import Sequence
 
 from .codes import check_polynomial, generator_polynomial
 from .cosets import CycContext, DefiningSet, all_cosets
@@ -63,7 +67,7 @@ class MatrixGF:
         return MatrixGF(self.field, tuple(zip(*self.data)))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for r in self.data for v in r)
+        return not any(map(any, self.data))
 
 
 def _ops(field: Field):
@@ -75,10 +79,11 @@ def _ops(field: Field):
     return (lambda a, b: exp[log[a] + log[b]] if a and b else 0), operator.xor, operator.xor
 
 
-# matmul packs F_p digit vectors into integers, one slot of _slot_width bits
-# per digit (Kronecker substitution), so that a big-integer product adds up
-# the digit convolutions of many field products at once.  On a little-endian
-# host a slot as wide as a machine word unpacks through a memoryview cast.
+# matmul and convolve pack F_p digit vectors into integers, one slot of
+# _slot_width bits per digit (Kronecker substitution), so that a big-integer
+# product adds up the digit convolutions of many field products at once.  On
+# a little-endian host a slot as wide as a machine word unpacks through a
+# memoryview cast.
 _WORD_CODES = (
     {memoryview(bytes(8)).cast(c).itemsize * 8: c for c in "HIQ"}
     if sys.byteorder == "little"
@@ -113,48 +118,122 @@ def _unpack(packed: int, count: int, width: int):
     return memoryview(packed.to_bytes(count * width // 8, "little")).cast(code)
 
 
-def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
-    """A * B over a field F_p[x]/(f) built by build_field.
+def _check_packable(f: Field) -> None:
+    """The packed kernels need a field F_p[x]/(f) built by build_field: the
+    digits of a QuadraticExtension do not multiply as polynomials modulo
+    one F_p polynomial."""
+    if len(f.modulus) != f.degree + 1:
+        raise ValueError(f"{f!r} is not F_p[x]/(f): the packed kernels need a modulus over F_p")
 
-    An element with digits c_k packs as sum c_k * 2^(k*width); row j of B
-    packs as one integer B_j with the digits of entry c from slot
-    c*(2d-1) on.  Row i of the product is then S_i = sum_j pack(a_ij) * B_j,
-    one big-integer multiply-add per nonzero a_ij, and slot c*(2d-1) + k of
-    S_i holds coefficient k of sum_j a_ij(x) * b_jc(x), exactly, as no slot
-    sum reaches 2^width.  Each entry reduces its 2d-1 slots mod p into the
-    index u of a polynomial of degree below 2d-1, that is
+
+def _unpack_elements(f: Field, packed: int, count: int, width: int) -> list[int]:
+    """The count elements held by packed, 2d-1 slots of width bits each,
+    lowest first, where the slots of an entry hold the digits of a
+    polynomial of degree below 2d-1 over the integers.  Each entry reduces
+    its slots mod p into the index u of that polynomial over F_p, that is
     (u mod p^d) + x^d * (u div p^d); the field's own mul gives each high
-    part that occurs times x^d once per call.
+    part that occurs times x^d once."""
+    p, d, order = f.p, f.degree, f.order
+    span = 2 * d - 1
+    r = [s % p for s in _unpack(packed, count * span, width)]
+    u = r[span - 1 :: span]
+    for k in range(span - 2, -1, -1):
+        u = [x * p + y for x, y in zip(u, r[k::span])]
+    xd = f.encode(-c for c in f.modulus[:d])  # x^d mod f
+    high = {h: f.mul(h, xd) for h in {x // order for x in u}}
+    add = f.add
+    return [add(x % order, high[x // order]) for x in u]
+
+
+def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
+    """A * B over a field F_p[x]/(f) built by build_field: the dense
+    reference for the shift-structured products of dagger_product.
+
+    Row j of B packs as one integer B_j with the digits of entry c from
+    slot c*(2d-1) on.  Row i of the product is then S_i = sum_j
+    pack(a_ij) * B_j, one big-integer multiply-add per nonzero a_ij, and
+    slot c*(2d-1) + k of S_i holds coefficient k of
+    sum_j a_ij(x) * b_jc(x), exactly, as no slot sum reaches 2^width.
     """
     if a.field is not b.field:
         raise ValueError("matrices over different fields")
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     f = a.field
-    p, d, order = f.p, f.degree, f.order
-    if len(f.modulus) != d + 1:
-        raise ValueError(f"{f!r} is not F_p[x]/(f): matmul needs a modulus over F_p")
-    span = 2 * d - 1  # slots per entry: the digits of a product of degree 2d-2
-    width = _slot_width(a.cols, d, p)
+    _check_packable(f)
+    width = _slot_width(a.cols, f.degree, f.p)
     packed = {v: _pack(f.decode(v), width) for v in set().union(*a.data, *b.data)}
-    packed_rows = [_pack([packed[v] for v in row], span * width) for row in b.data]
-    xd = f.encode(-c for c in f.modulus[:d])  # x^d mod f
-    high: dict[int, int] = {}  # h -> h * x^d mod f, for each h that occurs
-    add = f.add
+    stride = (2 * f.degree - 1) * width
+    packed_rows = [_pack([packed[v] for v in row], stride) for row in b.data]
     out = []
     for row in a.data:
         acc = 0
         for v, bj in zip(row, packed_rows):
             if v:
                 acc += packed[v] * bj
-        r = [s % p for s in _unpack(acc, b.cols * span, width)]
-        u = r[span - 1 :: span]
-        for k in range(span - 2, -1, -1):
-            u = [x * p + y for x, y in zip(u, r[k::span])]
-        for h in {x // order for x in u}.difference(high):
-            high[h] = f.mul(h, xd)
-        out.append(tuple([add(x % order, high[x // order]) for x in u]))
+        out.append(tuple(_unpack_elements(f, acc, b.cols, width)))
     return MatrixGF(f, tuple(out))
+
+
+def convolve(field: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """c_e = sum_s a_s * b_(e-s) over a field F_p[x]/(f): the coefficients
+    of the product of the polynomials with coefficients a and b.
+
+    Both vectors pack as in matmul, element s from slot s*(2d-1) on, so
+    one big-integer product holds every c_e, and the slot width covers
+    sums of min(len a, len b) products.
+    """
+    _check_packable(field)
+    if not (a and b):
+        return []
+    width = _slot_width(min(len(a), len(b)), field.degree, field.p)
+    packed = {v: _pack(field.decode(v), width) for v in set(a).union(b)}
+    stride = (2 * field.degree - 1) * width
+    prod = _pack([packed[v] for v in a], stride) * _pack([packed[v] for v in b], stride)
+    return _unpack_elements(field, prod, len(a) + len(b) - 1, width)
+
+
+def _shift_vector(m: MatrixGF, name: str) -> tuple[int, ...]:
+    """Row 0 of m without its trailing zeros, checked to be every row i
+    when shifted right by i (with zeros around it)."""
+    v = m.data[0]
+    k = len(v)
+    while k and not v[k - 1]:
+        k -= 1
+    v = v[:k]
+    for i, row in enumerate(m.data):
+        if row[i : i + k] != v or any(row[:i]) or any(row[i + k :]):
+            raise VerificationError(f"{name} row {i} is not row 0 shifted right by {i}")
+    return v
+
+
+def dagger_product(a: MatrixGF, b: MatrixGF, names: tuple[str, str] = ("A", "B")) -> MatrixGF:
+    """A * B^dagger over the field of order q^2, for shift matrices A and B.
+
+    Row i of A must be a vector u (row 0 without its trailing zeros)
+    shifted right by i, and row j of B a vector w shifted right by j; the
+    first row that is not raises a VerificationError that names it, and
+    its matrix by names.  Entry (i, j) is then sum_s u_s * w_(s+i-j)^q,
+    the Toeplitz entry c[len(w) - 1 - i + j] of c = convolve(u, reversed
+    w^q), and 0 where that index falls outside c.
+    """
+    f = a.field
+    if b.field is not f:
+        raise ValueError("matrices over different fields")
+    if a.cols != b.cols:
+        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times ({b.rows}x{b.cols})^dagger")
+    q = isqrt(f.order)
+    if q * q != f.order:
+        raise ValueError(f"field order {f.order} is not a square")
+    u = _shift_vector(a, names[0])
+    powq = f.power_map(q)
+    w = [powq[v] for v in reversed(_shift_vector(b, names[1]))]
+    c = convolve(f, u, w)
+    # c padded with zeros, so that row i of the product is one slice of it
+    lead = max(0, a.rows - len(w))
+    padded = [0] * lead + c + [0] * max(0, len(w) - 1 + b.rows - len(c))
+    first = lead + len(w) - 1  # entry (0, 0)
+    return MatrixGF(f, tuple(tuple(padded[first - i : first - i + b.rows]) for i in range(a.rows)))
 
 
 def conjugate_transpose(m: MatrixGF, q: int) -> MatrixGF:
@@ -316,15 +395,16 @@ def build_parity_check_matrix(z: DefiningSet, tower: FieldTower, g: Poly | None 
 
 
 def code_matrices(z: DefiningSet, tower: FieldTower) -> tuple[MatrixGF, MatrixGF]:
-    """(G, H) with H the Hermitian-dual basis, checked: G H^dagger = 0 and
-    the ranks of G and H are full and add up to n.
+    """(G, H) with H the Hermitian-dual basis, checked: G and H are shift
+    matrices, every entry of G H^dagger is 0 and the ranks of G and H are
+    full and add up to n.
 
     The generator polynomial is built once, and x^n - 1 is divided by it
     once, for H; that exact division checks that it divides x^n - 1."""
     gpoly = generator_polynomial(z, tower)
     g = build_generator_matrix(z, tower, gpoly)
     h = build_parity_check_matrix(z, tower, gpoly)
-    if not matmul(g, conjugate_transpose(h, tower.q)).is_zero():
+    if not dagger_product(g, h, ("G", "H")).is_zero():
         raise VerificationError("G * H^dagger != 0")
     if rank(g) != g.rows or rank(h) != h.rows or g.rows + h.rows != z.ctx.n:
         raise VerificationError("generator/parity-check ranks are not complementary")
@@ -344,12 +424,10 @@ def rank_hh_dagger(h: MatrixGF) -> int:
     """Exact rank of H * H^dagger over the field of order q^2.
 
     This is the matrix route to the ebit count; it must equal the size of
-    the defining-set overlap computed by the set-algebra route.
+    the defining-set overlap computed by the set-algebra route.  H must be
+    a shift matrix (see dagger_product).
     """
-    q = isqrt(h.field.order)
-    if q * q != h.field.order:
-        raise ValueError(f"field order {h.field.order} is not a square")
-    return rank(matmul(h, conjugate_transpose(h, q)))
+    return rank(dagger_product(h, h, ("H", "H")))
 
 
 def check_ebits(h: MatrixGF, c: int, where: str) -> None:

@@ -349,6 +349,30 @@ def test_rank_oracle_off_by_one_is_caught(capsys, monkeypatch, invocation):
     assert "rank(HH^dagger)" in err
 
 
+# a correlation coefficient off by one: in every structured product, the
+# first G * H^dagger check fails; in H * H^dagger alone (u and w of one
+# length, which G * H^dagger never has here), the rank comparison does
+@pytest.mark.parametrize(
+    "invocation", ["code --q 23 --m 2 --oracle", "verify --level rank-oracle --qmax 23"]
+)
+@pytest.mark.parametrize(
+    "products,check", [("all", "G * H^dagger != 0"), ("square", "rank(HH^dagger) = ")]
+)
+def test_correlation_off_by_one_is_caught(capsys, monkeypatch, invocation, products, check):
+    honest = oracle.convolve
+
+    def bumped(field, a, b):
+        c = honest(field, a, b)
+        if products == "all" or len(a) == len(b):
+            c[len(c) // 2] = field.add(c[len(c) // 2], 1)
+        return c
+
+    monkeypatch.setattr(oracle, "convolve", bumped)
+    rc, _out, err = run_cli(capsys, *invocation.split())
+    assert rc == 1
+    assert check in err
+
+
 # -- fault injection on the set route ------------------------------------------
 
 

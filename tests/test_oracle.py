@@ -1,9 +1,12 @@
 import random
+from collections import Counter
+from math import isqrt
 
 import pytest
 
 from eaqmds import oracle
 from eaqmds.cosets import DefiningSet, all_cosets
+from eaqmds.exceptions import VerificationError
 from eaqmds.eaqecc import ebits
 from eaqmds.families import verify_family_code
 from eaqmds.gf import build_field, field_tower
@@ -16,6 +19,8 @@ from eaqmds.oracle import (
     build_parity_check_matrix,
     code_matrices,
     conjugate_transpose,
+    convolve,
+    dagger_product,
     euclidean_parity_check,
     exhaustive_min_distance,
     hermitian_orthogonal,
@@ -204,13 +209,23 @@ class RawArithmetic:
         return f.encode((-x) % f.p for x in f.decode(a))
 
     def inv(self, a):
-        result, base, e = 1, a, self.f.order - 2
+        return self.pow(a, self.f.order - 2)
+
+    def pow(self, a, e):
+        result, base = 1, a
         while e:
             if e & 1:
                 result = self.mul(result, base)
             base = self.mul(base, base)
             e >>= 1
         return result
+
+    def convolve(self, a, b):
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for s, x in enumerate(a):
+            for t, y in enumerate(b):
+                out[s + t] = self.add(out[s + t], self.mul(x, y))
+        return out
 
     def matmul(self, a, b):
         out = []
@@ -298,3 +313,131 @@ def test_matmul_rejects_the_quartic_field(tower7):
     m = MatrixGF(f, ((1, f.order - 1),))
     with pytest.raises(ValueError, match="modulus over F_p"):
         matmul(m, m.transpose())
+
+
+def test_convolve_rejects_the_quartic_field(tower7):
+    f = tower7.fq4
+    with pytest.raises(ValueError, match="modulus over F_p"):
+        convolve(f, [1, f.order - 1], [f.order - 1])
+
+
+# -- shift-structured products -------------------------------------------------
+
+
+def _shift_matrix(f, vec, rows, cols):
+    """rows shifts of vec, each one place further right, in cols columns."""
+    return MatrixGF(f, tuple((0,) * i + vec + (0,) * (cols - len(vec) - i) for i in range(rows)))
+
+
+def _raw_dagger(raw, a, b, q):
+    return raw.matmul(a, tuple(zip(*((raw.pow(v, q) for v in row) for row in b))))
+
+
+# F_{2^10} and F_{3^6} are the alphabets of q = 32 and q = 27; the slots of
+# (2^61 - 1, 1) are wider than 64 bits, and its order is no square
+@pytest.mark.parametrize("p,deg", [(23, 2), (2, 10), (3, 6), (2**61 - 1, 1)])
+def test_convolve_matches_raw_arithmetic(p, deg):
+    f = build_field(p, deg)
+    raw = RawArithmetic(f)
+    rng = random.Random(1000 * p + deg)
+    for _ in range(30):
+        a = _random_matrix(f, rng, 1, rng.randrange(0, 12))[0]
+        b = _random_matrix(f, rng, 1, rng.randrange(0, 12))[0]
+        assert convolve(f, a, b) == raw.convolve(a, b)
+
+
+@pytest.mark.parametrize("p,deg", [(23, 2), (2, 10), (3, 6)])
+def test_dagger_product_matches_raw_arithmetic(p, deg):
+    f = build_field(p, deg)
+    q = isqrt(f.order)
+    raw = RawArithmetic(f)
+    rng = random.Random(1000 * p + deg)
+
+    def nonzero():
+        return rng.randrange(1, f.order)
+
+    for cols, (ka, ra), (kb, rb) in [
+        (8, (2, 7), (2, 3)),  # lags outside c: more rows of A than len(w) + 1
+        (8, (3, 2), (2, 7)),  # and more rows of B than len(u) + 1
+        (9, (4, 1), (3, 1)),  # 1-row matrices
+        (9, (4, 1), (3, 7)),
+        (10, (4, 7), (6, 5)),  # the last shift of each ends at column n - 1
+        (6, (6, 1), (1, 6)),
+    ]:
+        # nonzero last entries: the vectors have no trailing zeros to strip
+        u = _random_matrix(f, rng, 1, ka - 1)[0] + (nonzero(),)
+        w = _random_matrix(f, rng, 1, kb - 1)[0] + (nonzero(),)
+        a, b = _shift_matrix(f, u, ra, cols), _shift_matrix(f, w, rb, cols)
+        got = dagger_product(a, b)
+        assert (got.rows, got.cols) == (ra, rb)
+        assert got.data == _raw_dagger(raw, a.data, b.data, q)
+
+
+# slot widths of 16, 32 and 64 bits (machine words) and of 128 (shifts)
+@pytest.mark.parametrize(
+    "p,deg,width", [(43, 2, 16), (2039, 1, 32), (2**31 - 1, 1, 64), (2**61 - 1, 1, 128)]
+)
+def test_convolve_slot_sums_reach_the_width_bound(monkeypatch, p, deg, width):
+    # every digit p - 1 and the longest vectors the width allows: the middle
+    # slot of the middle coefficient sums inner * deg * (p-1)^2 >= 2^(width-1)
+    f = build_field(p, deg)
+    inner = (2**width - 1) // (deg * (p - 1) ** 2)
+    assert inner * deg * (p - 1) ** 2 >= 2 ** (width - 1)
+    assert oracle._slot_width(inner, deg, p) == width
+    a = (f.order - 1,) * inner
+    # c_e is the square of the top element times the number of overlapping
+    # terms, min(e + 1, 2 * inner - 1 - e): an integer multiple, digit by digit
+    square = RawArithmetic(f).mul(f.order - 1, f.order - 1)
+    want = [
+        f.encode(min(e + 1, 2 * inner - 1 - e) * c % p for c in f.decode(square))
+        for e in range(2 * inner - 1)
+    ]
+    assert convolve(f, a, a) == want
+    honest = oracle._slot_width
+    monkeypatch.setattr(oracle, "_slot_width", lambda *args: honest(*args) - 1)
+    assert convolve(f, a, a) != want
+
+
+def test_structured_products_match_dense_matmul(monkeypatch):
+    # every product of the rank-oracle suite at q <= 32: G * H^dagger of the
+    # family codes, H * H^dagger of those and of the random sets at q = 7, 23
+    honest = oracle.dagger_product
+    seen = Counter()
+
+    def checked(a, b, names=("A", "B")):
+        got = honest(a, b, names)
+        assert got == matmul(a, conjugate_transpose(b, isqrt(a.field.order))), names
+        seen[names] += 1
+        return got
+
+    monkeypatch.setattr(oracle, "dagger_product", checked)
+    assert oracle.verify_rank_oracle(32) == {"codes": 104}
+    assert seen == {("G", "H"): 4, ("H", "H"): 104}
+
+
+@pytest.mark.parametrize(
+    "name,builder", [("G", "build_generator_matrix"), ("H", "build_parity_check_matrix")]
+)
+@pytest.mark.parametrize("where", ["support", "zeros"])
+@pytest.mark.parametrize("last", [False, True])
+def test_broken_shift_structure_is_caught(monkeypatch, ctx7, tower7, name, builder, where, last):
+    # one entry of row 1 or of the last row changed, in the shifted vector or
+    # in the zeros left of it: the structured product must name that row
+    honest = getattr(oracle, builder)
+    broken_rows = []
+
+    def broken(*args):
+        m = honest(*args)
+        i = m.rows - 1 if last else 1
+        j = i if where == "support" else i - 1
+        rows = [list(r) for r in m.data]
+        rows[i][j] = (rows[i][j] + 1) % m.field.order
+        broken_rows.append(i)
+        return MatrixGF(m.field, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(oracle, builder, broken)
+    z = DefiningSet.from_cosets(ctx7, [0, 1])
+    with pytest.raises(VerificationError) as exc:
+        code_matrices(z, tower7)
+    (i,) = broken_rows
+    assert str(exc.value) == f"{name} row {i} is not row 0 shifted right by {i}"

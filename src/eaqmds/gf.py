@@ -17,7 +17,8 @@ a Zech table zech[k] = log(1 + g^k), so a sum is one lookup as well:
 g^a + g^b = g^(a + zech[b - a]) and -g^a = g^(a + (order-1)/2).  These
 tables take O(order) memory, O(q^2) for the code alphabet F_{q^2}.  Larger
 fields use digit-wise addition and negation and schoolbook multiplication,
-with no tables.
+with no tables.  The packed matrix kernels of oracle (rank included) work
+on digits and need none of these tables.
 
 The quartic field F_{q^4} is not built over F_p but as F_{q^2}[y] /
 (y^2 - y - b) (QuadraticExtension): a0 + a1*y has index a0 + a1*q^2, so
@@ -31,6 +32,8 @@ idempotent lazy caches); all operations are pure functions.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
@@ -188,13 +191,13 @@ class Field:
     ``is``.
     """
 
-    # generator() scans element indices from here up
-    _first_generator_candidate = 1
-
     def __init__(self, p: int, degree: int, modulus: tuple[int, ...]):
         self.p = p
         self.degree = degree
         self.modulus = modulus
+        # generator() scans element indices from here up: below p lies F_p,
+        # whose orders divide p - 1
+        self._first_generator_candidate = p if degree > 1 else 1
         self.order = p**degree
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
@@ -320,6 +323,8 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
+        if self._exp is not None:
+            return self._exp[self.order - 1 - self._log[a]]
         return self.pow(a, self.order - 2)
 
     def pow(self, a: int, e: int) -> int:
@@ -340,47 +345,42 @@ class Field:
         """Build (lazily) and return exp/log tables; (None, None) if too big.
 
         exp has length 2*(order-1) so that exp[log[a] + log[b]] needs no
-        reduction, and log[0] = log_zero.  For odd p this also builds the
-        Zech table (see zech_tables).
+        reduction, and log[0] = log_zero.  Multiplication by the generator
+        g is F_p-linear: for odd p each power of g takes d dot products of
+        digit vectors.  For odd p this also builds the Zech table of add and sub:
+        with n1 = order-1, zech[k] = log(1 + g^k) for k = -2*n1 .. 3*n1-1
+        (through negative indexing), or log_zero where 1 + g^k = 0, and 0
+        for k = 3*n1 .. 7*n1-1, where the log difference against
+        log[0] = log_zero of a zero operand falls.
         """
         if self.order > _ACCEL_CAP:
             return None, None
         if self._exp is None:
             g = self.generator()
-            n1 = self.order - 1
-            exp = [1] * (2 * n1)
+            p, d, n1 = self.p, self.degree, self.order - 1
+            # no tables yet: mul is the raw product
+            if p == 2:
+                # shift-and-xor, F_2-linear already
+                exp = list(itertools.accumulate([g] * (n1 - 1), self.mul, initial=1))
+            else:
+                # digit j of v * g is sum_k v_k * (digit j of x^k * g) mod p
+                rows = list(zip(*(self.decode(self.mul(p**k, g)) for k in range(d))))
+                place = [p**k for k in range(d)]
+                exp = []
+                digits = self.decode(1)
+                for _ in range(n1):
+                    exp.append(sum(map(operator.mul, digits, place)))
+                    digits = [sum(map(operator.mul, row, digits)) % p for row in rows]
             log = [self.log_zero] * self.order
-            v = 1
-            for i in range(n1):
-                exp[i] = v
+            for i, v in enumerate(exp):
                 log[v] = i
-                v = self.mul(v, g)  # no tables yet: raw multiplication
-            for i in range(n1, 2 * n1):
-                exp[i] = exp[i - n1]
-            if self.p != 2:
+            exp += exp
+            if p != 2:
                 # 1 + g^k adds one to the constant digit of g^k's index
-                p = self.p
                 z = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp[:n1]]
                 self._zech = z * 3 + [0] * (4 * n1) + z * 2
             self._exp, self._log = exp, log
         return self._exp, self._log
-
-    def zech_tables(self) -> tuple[list[int], list[int], list[int]] | None:
-        """(exp, log, zech) for an odd-p field with tables, else None.
-
-        With n1 = order-1, zech has length 9*n1: zech[k] = log(1 + g^k) at
-        every k = -2*n1 .. 3*n1-1 (through negative indexing), or log_zero
-        where 1 + g^k = 0; zech[k] = 0 for k in 3*n1 .. 7*n1-1.  So for a
-        nonzero log lp in [0, 2*n1) and an accumulator acc that is either a
-        log below 3*n1 or a zero in [log_zero, log_zero + 2*n1), the log of
-        their sum is lp + zech[acc - lp], again of one of those two kinds:
-        the log-domain elimination in oracle.rank never reduces mod n1 or
-        tests an updated entry for zero.
-        """
-        self.exp_log_tables()
-        if self._zech is None:
-            return None
-        return self._exp, self._log, self._zech
 
     def power_map(self, e: int) -> list[int]:
         """Table of a -> a^e for every element (cached per exponent)."""

@@ -3,13 +3,14 @@ over F_{q^2}: generator and parity-check matrices of the cyclic code,
 the exact rank of H * H^dagger (which must equal the ebit count computed
 from the defining-set overlap), and exhaustive distance checks for toys.
 
-Everything here is deliberately pedestrian - explicit matrices, plain
-Gaussian elimination with exact field inverses and first-nonzero pivots
-for ranks - so that it shares no machinery with the set-algebra route it
-checks.  G and H hold shifts of one vector each, so G * H^dagger and
-H * H^dagger are Toeplitz: dagger_product checks that shift structure
-and takes each product from one packed-integer convolution of the two
-vectors.  The dense packed matmul is kept only as their reference.  The
+Everything here is explicit linear algebra, so that it shares no
+machinery with the set-algebra route it checks.  matmul, convolve and
+rank pack F_p digits into big integers (Kronecker substitution), so that
+one big-integer operation adds up many field products, and reduce mod p
+and the modulus only where a value is read.  G and H hold shifts of one
+vector each, so G * H^dagger and H * H^dagger are Toeplitz:
+dagger_product checks that shift structure and takes each product from
+one convolution, with the dense matmul kept only as its reference.  The
 rank-oracle suite (verify_rank_oracle) compares the two routes on every
 family code and on random coset-closed sets.
 """
@@ -126,23 +127,50 @@ def _check_packable(f: Field) -> None:
         raise ValueError(f"{f!r} is not F_p[x]/(f): the packed kernels need a modulus over F_p")
 
 
-def _unpack_elements(f: Field, packed: int, count: int, width: int) -> list[int]:
-    """The count elements held by packed, 2d-1 slots of width bits each,
-    lowest first, where the slots of an entry hold the digits of a
-    polynomial of degree below 2d-1 over the integers.  Each entry reduces
-    its slots mod p into the index u of that polynomial over F_p, that is
-    (u mod p^d) + x^d * (u div p^d); the field's own mul gives each high
-    part that occurs times x^d once."""
+class _Packer(dict):
+    """element -> its F_p digits packed one to a slot of width bits, built
+    on first use; vector packs elements 2d-1 slots apart, the first lowest."""
+
+    def __init__(self, f: Field, width: int):
+        super().__init__()
+        self.f, self.width, self.stride = f, width, (2 * f.degree - 1) * width
+        self._bytes: dict[int, bytes] = {}
+
+    def __missing__(self, v: int) -> int:
+        self[v] = _pack(self.f.decode(v), self.width)
+        return self[v]
+
+    def vector(self, elements: Sequence[int]) -> int:
+        if self.stride % 8:
+            return _pack([self[v] for v in elements], self.stride)
+        for v in set(elements).difference(self._bytes):
+            self._bytes[v] = self[v].to_bytes(self.stride // 8, "little")
+        return int.from_bytes(b"".join(map(self._bytes.__getitem__, elements)), "little")
+
+
+def _slot_reducer(f: Field, width: int):
+    """reduce(packed, count): the count elements held by packed, 2d-1
+    slots of width bits each, lowest first, where the slots of an entry
+    hold the digits of a polynomial of degree below 2d-1 over the integers.
+    Each entry reduces its slots mod p into the index u of that polynomial
+    over F_p, that is (u mod p^d) + x^d * (u div p^d); the field's own mul
+    gives each high part that occurs times x^d once per reducer."""
     p, d, order = f.p, f.degree, f.order
     span = 2 * d - 1
-    r = [s % p for s in _unpack(packed, count * span, width)]
-    u = r[span - 1 :: span]
-    for k in range(span - 2, -1, -1):
-        u = [x * p + y for x, y in zip(u, r[k::span])]
     xd = f.encode(-c for c in f.modulus[:d])  # x^d mod f
-    high = {h: f.mul(h, xd) for h in {x // order for x in u}}
+    high = {0: 0}
     add = f.add
-    return [add(x % order, high[x // order]) for x in u]
+
+    def reduce(packed: int, count: int) -> list[int]:
+        r = _unpack(packed, count * span, width)
+        u = [x % p for x in r[span - 1 :: span]]
+        for k in range(span - 2, -1, -1):
+            u = [x * p + y % p for x, y in zip(u, r[k::span])]
+        for h in {x // order for x in u}.difference(high):
+            high[h] = f.mul(h, xd)
+        return [x if x < order else add(x % order, high[x // order]) for x in u]
+
+    return reduce
 
 
 def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
@@ -162,16 +190,16 @@ def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     f = a.field
     _check_packable(f)
     width = _slot_width(a.cols, f.degree, f.p)
-    packed = {v: _pack(f.decode(v), width) for v in set().union(*a.data, *b.data)}
-    stride = (2 * f.degree - 1) * width
-    packed_rows = [_pack([packed[v] for v in row], stride) for row in b.data]
+    packed = _Packer(f, width)
+    reduce = _slot_reducer(f, width)
+    packed_rows = [packed.vector(row) for row in b.data]
     out = []
     for row in a.data:
         acc = 0
         for v, bj in zip(row, packed_rows):
             if v:
                 acc += packed[v] * bj
-        out.append(tuple(_unpack_elements(f, acc, b.cols, width)))
+        out.append(tuple(reduce(acc, b.cols)))
     return MatrixGF(f, tuple(out))
 
 
@@ -187,10 +215,9 @@ def convolve(field: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not (a and b):
         return []
     width = _slot_width(min(len(a), len(b)), field.degree, field.p)
-    packed = {v: _pack(field.decode(v), width) for v in set(a).union(b)}
-    stride = (2 * field.degree - 1) * width
-    prod = _pack([packed[v] for v in a], stride) * _pack([packed[v] for v in b], stride)
-    return _unpack_elements(field, prod, len(a) + len(b) - 1, width)
+    packed = _Packer(field, width)
+    prod = packed.vector(a) * packed.vector(b)
+    return _slot_reducer(field, width)(prod, len(a) + len(b) - 1)
 
 
 def _shift_vector(m: MatrixGF, name: str) -> tuple[int, ...]:
@@ -245,67 +272,57 @@ def conjugate_transpose(m: MatrixGF, q: int) -> MatrixGF:
     return MatrixGF(f, tuple(tuple(powq[v] for v in col) for col in zip(*m.data)))
 
 
+def _multipliers(f: Field, values: Sequence[int], pivot: int) -> list[int]:
+    """-a / pivot for each a in values: the factors that clear those
+    entries of a column against its pivot."""
+    scale = f.neg(f.inv(pivot))
+    return [f.mul(a, scale) for a in values]
+
+
 def rank(m: MatrixGF) -> int:
-    """Exact rank by Gaussian elimination, first-nonzero pivot rule."""
+    """Exact rank over a field F_p[x]/(f) built by build_field, by
+    Gaussian elimination on rows packed as in matmul, column 0 highest.
+
+    An eliminated column is cleared from every row, so the entry of the
+    next column is the row shifted right.  Clearing an entry a against the
+    pivot row adds pack(-a / pivot) * (pivot row): one big-integer
+    multiply-add with no reduction, as a slot sums a digit below p and
+    fewer than nrows updates of at most d*(p-1)^2.  An entry is reduced
+    when its column is reached, a pivot row once if it was ever updated;
+    a row never updated holds its digits.  The rank does not depend on
+    which nonzero entry of a column is the pivot.
+    """
     f = m.field
-    nrows, ncols = m.rows, m.cols
-    tables = f.zech_tables()
-    if tables is not None:
-        # Odd p works on logarithms (see Field.zech_tables): log[0] and
-        # anything from log_zero up mean zero, and for a nonzero log lp below
-        # 2*(order-1) the sum of an accumulator acc and g^lp has log
-        # lp + zech[acc - lp].
-        _exp, log, zech = tables
-        zero, n1 = f.log_zero, f.order - 1
-        half = n1 // 2
-        rows = [[log[v] for v in r] for r in m.data]
-        r = 0
-        for c in range(ncols):
-            piv = next((i for i in range(r, nrows) if rows[i][c] < zero), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            rowr = rows[r]
-            lpiv = rowr[c]
-            # row_i -= (row_i[c] / pivot) * row_r, column c left out: it becomes 0.
-            # Earlier updates leave logs up to 3*n1; reduced, lf + v stays below 2*n1.
-            nz = [(j, v % n1) for j, v in enumerate(rowr[c + 1 :], c + 1) if v < zero]
-            for i in range(r + 1, nrows):
-                rowi = rows[i]
-                lf = rowi[c]
-                if lf < zero:
-                    lf = (lf - lpiv + half) % n1
-                    for j, v in nz:
-                        lp = lf + v
-                        rowi[j] = lp + zech[rowi[j] - lp]
-            r += 1
-            if r == nrows:
-                break
-        return r
-    mul, _add, sub = _ops(f)
-    rows = [list(r) for r in m.data]
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
+    _check_packable(f)
+    width = _slot_width(m.rows, f.degree, f.p)
+    packed = _Packer(f, width)
+    stride = packed.stride
+    reduce = _slot_reducer(f, width)
+    rows = [packed.vector(row[::-1]) for row in m.data]
+    active = list(range(m.rows))  # rows not yet taken as pivots, in order
+    updated = set()
+    shift = m.cols * stride
+    while active and shift:
+        shift -= stride
+        hits = [(i, top) for i in active if (top := rows[i] >> shift)]
+        values = reduce(_pack([top for _i, top in hits], stride), len(hits))
+        mask = (1 << shift) - 1
+        for i, _top in hits:
+            rows[i] &= mask
+        k = next((k for k, v in enumerate(values) if v), None)
+        if k is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = f.inv(rows[r][c])
-        rowr = rows[r]
-        if inv != 1:
-            rowr[c:] = [mul(inv, v) if v else 0 for v in rowr[c:]]
-        for i in range(r + 1, nrows):
-            fac = rows[i][c]
-            if fac:
-                rowi = rows[i]
-                for j in range(c, ncols):
-                    v = rowr[j]
-                    if v:
-                        rowi[j] = sub(rowi[j], mul(fac, v))
-        r += 1
-        if r == nrows:
-            break
-    return r
+        piv = hits[k][0]
+        prow = rows[piv]
+        if piv in updated:
+            prow = packed.vector(reduce(prow, shift // stride))
+        active.remove(piv)
+        if len(hits) > k + 1:
+            for (i, _top), mult in zip(hits[k + 1 :], _multipliers(f, values[k + 1 :], values[k])):
+                if mult:
+                    rows[i] += packed[mult] * prow
+                    updated.add(i)
+    return m.rows - len(active)
 
 
 def nullspace(m: MatrixGF) -> MatrixGF:
@@ -348,6 +365,11 @@ def nullspace(m: MatrixGF) -> MatrixGF:
 # ---------------------------------------------------------------------------
 
 
+def _shifts(field: Field, vec: tuple[int, ...], count: int, n: int) -> MatrixGF:
+    """count x n matrix whose row i is vec shifted right by i."""
+    return MatrixGF(field, tuple((0,) * i + vec + (0,) * (n - len(vec) - i) for i in range(count)))
+
+
 def build_generator_matrix(z: DefiningSet, tower: FieldTower, g: Poly | None = None) -> MatrixGF:
     """k x n matrix whose rows are the cyclic shifts of the generator
     polynomial's coefficients; rank k by construction.  g is the generator
@@ -359,39 +381,24 @@ def build_generator_matrix(z: DefiningSet, tower: FieldTower, g: Poly | None = N
     if g is None:
         g = generator_polynomial(z, tower)
         check_polynomial(z, tower, g)
-    gc = g.coeffs
-    k = n - len(z)
-    rows = tuple(
-        (0,) * i + gc + (0,) * (n - len(gc) - i) for i in range(k)
-    )
-    return MatrixGF(tower.fq2, rows)
-
-
-def euclidean_parity_check(z: DefiningSet, tower: FieldTower, g: Poly | None = None) -> MatrixGF:
-    """(n-k) x n parity check of the plain (Euclidean) dual: shifts of the
-    reversed check polynomial (x^n - 1)/g, for the generator polynomial g
-    of Z (built here unless given)."""
-    n = z.ctx.n
-    if z.is_empty():
-        raise ValueError("empty defining set: the code is all of F^n, dual is 0")
-    h = check_polynomial(z, tower, g)
-    hc = tuple(reversed(h.coeffs))
-    rows = tuple(
-        (0,) * i + hc + (0,) * (n - len(hc) - i) for i in range(n - len(h.coeffs) + 1)
-    )
-    return MatrixGF(tower.fq2, rows)
+    return _shifts(tower.fq2, g.coeffs, n - len(z), n)
 
 
 def build_parity_check_matrix(z: DefiningSet, tower: FieldTower, g: Poly | None = None) -> MatrixGF:
-    """(n-k) x n matrix whose rows are a basis of the Hermitian dual:
-    the Euclidean parity check conjugated entry-wise by the q-th power.
+    """(n-k) x n matrix whose rows are a basis of the Hermitian dual: the
+    shifts of the reversed check polynomial (x^n - 1)/g (a parity check of
+    the Euclidean dual), conjugated by the q-th power, for the generator
+    polynomial g of Z (built here unless given).
 
     Row r then satisfies sum_j r_j^q * g_j = 0 against every generator row
-    g, i.e. G * H^dagger = 0.  g is passed on to euclidean_parity_check.
+    g, i.e. G * H^dagger = 0.
     """
-    he = euclidean_parity_check(z, tower, g)
+    if z.is_empty():
+        raise ValueError("empty defining set: the code is all of F^n, dual is 0")
     powq = tower.fq2.power_map(tower.q)
-    return MatrixGF(tower.fq2, tuple(tuple(powq[v] for v in row) for row in he.data))
+    hc = tuple(powq[v] for v in reversed(check_polynomial(z, tower, g).coeffs))
+    n = z.ctx.n
+    return _shifts(tower.fq2, hc, n - len(hc) + 1, n)
 
 
 def code_matrices(z: DefiningSet, tower: FieldTower) -> tuple[MatrixGF, MatrixGF]:
@@ -409,15 +416,6 @@ def code_matrices(z: DefiningSet, tower: FieldTower) -> tuple[MatrixGF, MatrixGF
     if rank(g) != g.rows or rank(h) != h.rows or g.rows + h.rows != z.ctx.n:
         raise VerificationError("generator/parity-check ranks are not complementary")
     return g, h
-
-
-def hermitian_orthogonal(u: tuple[int, ...], v: tuple[int, ...], field: Field, q: int) -> bool:
-    """Whether sum_j u_j^q * v_j vanishes."""
-    powq = field.power_map(q)
-    acc = 0
-    for x, y in zip(u, v):
-        acc = field.add(acc, field.mul(powq[x], y))
-    return acc == 0
 
 
 def rank_hh_dagger(h: MatrixGF) -> int:

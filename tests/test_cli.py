@@ -373,6 +373,25 @@ def test_correlation_off_by_one_is_caught(capsys, monkeypatch, invocation, produ
     assert check in err
 
 
+# the first elimination multiplier of every column off by one in rank: its
+# row keeps a multiple of the pivot row while the column's entry is dropped
+@pytest.mark.parametrize(
+    "invocation", ["code --q 23 --m 2 --oracle", "verify --level rank-oracle --qmax 23"]
+)
+def test_rank_multiplier_off_by_one_is_caught(capsys, monkeypatch, invocation):
+    honest = oracle._multipliers
+
+    def bumped(field, values, pivot):
+        mults = honest(field, values, pivot)
+        mults[0] = field.add(mults[0], 1)
+        return mults
+
+    monkeypatch.setattr(oracle, "_multipliers", bumped)
+    rc, _out, err = run_cli(capsys, *invocation.split())
+    assert rc == 1
+    assert "rank(HH^dagger)" in err or "ranks are not complementary" in err
+
+
 # -- fault injection on the set route ------------------------------------------
 
 

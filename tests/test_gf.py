@@ -164,7 +164,7 @@ def test_lookup_tables_agree_with_raw_arithmetic(p, deg):
     raw_mul = f._mul_raw2 if p == 2 else f._mul_raw
     exp, log = f.exp_log_tables()
     assert exp is not None
-    assert (f.zech_tables() is None) == (p == 2)
+    assert (f._zech is None) == (p == 2)
     rng = random.Random(p * deg)
     for _ in range(300):
         a, b = rng.randrange(f.order), rng.randrange(f.order)
@@ -174,17 +174,30 @@ def test_lookup_tables_agree_with_raw_arithmetic(p, deg):
     assert _addition_mismatches(f, _random_pairs(f, 2000, p * deg)) == []
 
 
+@pytest.mark.parametrize("p,deg", [(7, 2), (2, 4)])
+def test_quartic_tables_follow_its_own_mul(p, deg):
+    # F_{q^4} of order <= 4096 may get tables too: each power of g in exp
+    # must be the last one times g by the quadratic extension's product
+    f = gf.QuadraticExtension(build_field(p, deg))
+    exp, log = f.exp_log_tables()
+    g = f.generator()
+    assert all(exp[i + 1] == f.mul(exp[i], g) for i in range(f.order - 2))
+    assert all(log[exp[i]] == i for i in range(f.order - 1))
+
+
 @pytest.mark.parametrize("p,deg", [(7, 2), (3, 4)])
 def test_zech_addition_on_all_pairs(p, deg):
     f = build_field(p, deg)
-    assert f.zech_tables() is not None
+    f.exp_log_tables()
+    assert f._zech is not None
     pairs = [(a, b) for a in range(f.order) for b in range(f.order)]
     assert _addition_mismatches(f, pairs) == []
 
 
 def test_quartic_negation_is_table_free():
     f = build_field(23, 4)
-    assert f.zech_tables() is None
+    f.exp_log_tables()
+    assert f._zech is None
     rng = random.Random(234)
     for _ in range(200):
         a = rng.randrange(f.order)
@@ -198,7 +211,8 @@ def test_zech_check_detects_an_entry_off_by_one():
     # a private copy of F_49, so the cached field stays intact
     good = build_field(7, 2)
     f = Field(7, 2, good.modulus)
-    _exp, log, zech = f.zech_tables()
+    _exp, log = f.exp_log_tables()
+    zech = f._zech
     pairs = [(a, b) for a in range(f.order) for b in range(f.order)]
     assert _addition_mismatches(f, pairs) == []
     zech[5] += 1

@@ -21,9 +21,7 @@ from eaqmds.oracle import (
     conjugate_transpose,
     convolve,
     dagger_product,
-    euclidean_parity_check,
     exhaustive_min_distance,
-    hermitian_orthogonal,
     matmul,
     nullspace,
     rank,
@@ -46,9 +44,10 @@ def test_matrix_shapes_and_ranks(toy):
     assert rank(g) == 7 and rank(h) == 3
 
 
-def test_euclidean_duality(toy, tower7):
-    z, g, _h = toy
-    he = euclidean_parity_check(z, tower7)
+def test_euclidean_duality(toy):
+    # H conjugated entry-wise is the Euclidean parity check
+    _z, g, h = toy
+    he = conjugate_transpose(h, 7).transpose()
     assert matmul(g, he.transpose()).is_zero()
     assert rank(he) == 3
 
@@ -58,9 +57,10 @@ def test_hermitian_duality(toy, tower7):
     # G H^dagger = 0, equivalently every H row is Hermitian-orthogonal to
     # every G row
     assert matmul(g, conjugate_transpose(h, 7)).is_zero()
+    powq = h.field.power_map(7)
     for hrow in h.data:
         for grow in g.data:
-            assert hermitian_orthogonal(hrow, grow, h.field, 7)
+            assert _dot(h.field, [powq[v] for v in hrow], grow) == 0
 
 
 def test_parity_rows_span_the_hermitian_dual_code(toy, tower7):
@@ -80,10 +80,10 @@ def test_rank_hh_dagger_toy(toy):
     assert rank_hh_dagger(h) == ebits(z) == 1
 
 
-def test_rank_hh_dagger_equals_euclidean_variant(toy, tower7):
+def test_rank_hh_dagger_equals_euclidean_variant(toy):
     # conjugating the parity check does not change rank(H H^dagger)
-    z, _g, h = toy
-    he = euclidean_parity_check(z, tower7)
+    _z, _g, h = toy
+    he = conjugate_transpose(h, 7).transpose()
     assert rank_hh_dagger(he) == rank_hh_dagger(h)
 
 
@@ -240,16 +240,31 @@ class RawArithmetic:
         return tuple(out)
 
     def rank(self, m):
-        rows = [list(r) for r in m]
+        # each row is held as d planes of F_p digits; adding fac times a row
+        # maps the digits of every entry by multiplication by fac, which is
+        # F_p-linear: digit j of fac * y is sum_k y_k * (digit j of fac * x^k)
+        f, p, d = self.f, self.f.p, self.f.degree
+        rows = [[list(plane) for plane in zip(*map(f.decode, row))] for row in m]
         r = 0
-        for c in range(len(rows[0]) if rows else 0):
-            piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        for c in range(len(m[0]) if m else 0):
+            piv = next((i for i in range(r, len(rows)) if any(pl[c] for pl in rows[i])), None)
             if piv is None:
                 continue
             rows[r], rows[piv] = rows[piv], rows[r]
+            inv = self.inv(f.encode(pl[c] for pl in rows[r]))
             for i in range(r + 1, len(rows)):
-                fac = self.neg(self.mul(rows[i][c], self.inv(rows[r][c])))
-                rows[i] = [self.add(x, self.mul(fac, y)) for x, y in zip(rows[i], rows[r])]
+                a = f.encode(pl[c] for pl in rows[i])
+                if not a:
+                    continue
+                fac = self.neg(self.mul(a, inv))
+                images = [f.decode(self.mul(fac, p**k)) for k in range(d)]
+                for j, plane in enumerate(rows[i]):
+                    # columns before c are zero in both rows
+                    acc = plane[c:]
+                    for image, pivot_plane in zip(images, rows[r]):
+                        if image[j]:
+                            acc = [x + image[j] * y for x, y in zip(acc, pivot_plane[c:])]
+                    plane[c:] = [x % p for x in acc]
             r += 1
         return r
 
@@ -319,6 +334,96 @@ def test_convolve_rejects_the_quartic_field(tower7):
     f = tower7.fq4
     with pytest.raises(ValueError, match="modulus over F_p"):
         convolve(f, [1, f.order - 1], [f.order - 1])
+
+
+# -- rank on packed rows --------------------------------------------------------
+
+
+def _rank_cases(f, raw, rng):
+    """Matrices whose elimination loses rank part way, with zero rows and
+    columns, in every shape from 0 x 0 to tall and wide."""
+    for rows, cols in [(0, 0), (1, 9), (9, 1), (12, 4), (4, 12), (9, 9), (13, 11)]:
+        yield _random_matrix(f, rng, rows, cols)
+        if rows and cols:
+            inner = rng.randrange(1, min(rows, cols) + 1)
+            a, b = _random_matrix(f, rng, rows, inner), _random_matrix(f, rng, inner, cols)
+            low = raw.matmul(a, b)
+            # a zero row and a zero column inserted at random places
+            i, j = rng.randrange(rows + 1), rng.randrange(cols + 1)
+            low = [r[:j] + (0,) + r[j:] for r in low]
+            yield tuple(low[:i] + [(0,) * (cols + 1)] + low[i:])
+    # rows 1 .. 4 are multiples of row 0 and the last row is row 0 + row 5:
+    # each entry of rows 1 .. 4 is zero after the first update, though its
+    # slots are not
+    u = _random_matrix(f, rng, 1, 8)[0]
+    scaled = [tuple(raw.mul(rng.randrange(1, f.order), v) for v in u) for _ in range(4)]
+    other = _random_matrix(f, rng, 1, 8)[0]
+    yield (u, *scaled, other, tuple(raw.add(a, b) for a, b in zip(u, other)))
+
+
+# (43, 2) is the field of `code --q 43`, (3, 8) has no lookup tables, and the
+# slots of (2^61 - 1, 1) are wider than 64 bits
+@pytest.mark.parametrize("p,deg", [(23, 2), (43, 2), (3, 6), (2, 10), (3, 8), (2**61 - 1, 1)])
+def test_rank_matches_raw_arithmetic(p, deg):
+    f = build_field(p, deg)
+    raw = RawArithmetic(f)
+    rng = random.Random(1000 * p + deg)
+    for _ in range(6):
+        for m in _rank_cases(f, raw, rng):
+            assert rank(MatrixGF(f, m)) == raw.rank(m), m
+
+
+# slot widths of 16, 32 and 64 bits (machine words) and of 128 (shifts)
+@pytest.mark.parametrize(
+    "p,deg,width", [(43, 2, 16), (2039, 1, 32), (2**31 - 1, 1, 64), (2**61 - 1, 1, 128)]
+)
+def test_rank_slot_sums_reach_the_width_bound(monkeypatch, p, deg, width):
+    # rows 0 .. n-2 hold 1 on the diagonal and the top element t (every
+    # digit p - 1) in the last column; the last row holds -t in columns
+    # 0 .. n-2, so each of its n - 1 updates has the multiplier t and adds
+    # t * t to its last entry, whose middle slot reaches
+    # (n - 1) * deg * (p-1)^2 >= 2^(width-1).  That entry starts at
+    # -(n - 1) * t^2, so the last row ends as zero: the rank is n - 1.
+    f = build_field(p, deg)
+    n = (2**width - 1) // (deg * (p - 1) ** 2)
+    assert (n - 1) * deg * (p - 1) ** 2 >= 2 ** (width - 1)
+    assert oracle._slot_width(n, deg, p) == width
+    raw = RawArithmetic(f)
+    t = f.order - 1
+    square = raw.mul(t, t)
+    last = raw.neg(f.encode((n - 1) * c % p for c in f.decode(square)))
+    m = MatrixGF(
+        f,
+        tuple((0,) * i + (1,) + (0,) * (n - 2 - i) + (t,) for i in range(n - 1))
+        + ((raw.neg(t),) * (n - 1) + (last,),),
+    )
+    assert rank(m) == n - 1
+    honest = oracle._slot_width
+    monkeypatch.setattr(oracle, "_slot_width", lambda *args: honest(*args) - 1)
+    assert rank(m) != n - 1
+
+
+def test_rank_rejects_the_quartic_field(tower7):
+    f = tower7.fq4
+    with pytest.raises(ValueError, match="modulus over F_p"):
+        rank(MatrixGF(f, ((1, f.order - 1),)))
+
+
+def test_rank_oracle_suite_ranks_match_raw_arithmetic(monkeypatch):
+    # every rank of the rank-oracle suite at q <= 27: G, H and HH^dagger of
+    # the family codes, HH^dagger of the random sets at q = 7 and 23
+    honest = oracle.rank
+    seen = Counter()
+
+    def checked(m):
+        got = honest(m)
+        assert got == RawArithmetic(m.field).rank(m.data), (m.rows, m.cols)
+        seen[m.field.order] += 1
+        return got
+
+    monkeypatch.setattr(oracle, "rank", checked)
+    assert oracle.verify_rank_oracle(27) == {"codes": 102}
+    assert seen == {7**2: 50, 23**2: 53, 27**2: 3}
 
 
 # -- shift-structured products -------------------------------------------------

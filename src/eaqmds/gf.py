@@ -323,8 +323,6 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
-        if self._exp is not None:
-            return self._exp[self.order - 1 - self._log[a]]
         return self.pow(a, self.order - 2)
 
     def pow(self, a: int, e: int) -> int:

@@ -134,18 +134,13 @@ class _Packer(dict):
     def __init__(self, f: Field, width: int):
         super().__init__()
         self.f, self.width, self.stride = f, width, (2 * f.degree - 1) * width
-        self._bytes: dict[int, bytes] = {}
 
     def __missing__(self, v: int) -> int:
         self[v] = _pack(self.f.decode(v), self.width)
         return self[v]
 
     def vector(self, elements: Sequence[int]) -> int:
-        if self.stride % 8:
-            return _pack([self[v] for v in elements], self.stride)
-        for v in set(elements).difference(self._bytes):
-            self._bytes[v] = self[v].to_bytes(self.stride // 8, "little")
-        return int.from_bytes(b"".join(map(self._bytes.__getitem__, elements)), "little")
+        return _pack([self[v] for v in elements], self.stride)
 
 
 def _slot_reducer(f: Field, width: int):

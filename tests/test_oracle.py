@@ -5,6 +5,7 @@ from math import isqrt
 import pytest
 
 from eaqmds import oracle
+from eaqmds.codes import check_polynomial
 from eaqmds.cosets import DefiningSet, all_cosets
 from eaqmds.exceptions import VerificationError
 from eaqmds.eaqecc import ebits
@@ -44,12 +45,22 @@ def test_matrix_shapes_and_ranks(toy):
     assert rank(g) == 7 and rank(h) == 3
 
 
-def test_euclidean_duality(toy):
-    # H conjugated entry-wise is the Euclidean parity check
-    _z, g, h = toy
-    he = conjugate_transpose(h, 7).transpose()
+def _euclidean_parity_check(z, tower):
+    # shifts of the reversed check polynomial, built entry by entry
+    hc = tuple(reversed(check_polynomial(z, tower).coeffs))
+    n = z.ctx.n
+    rows = n - len(hc) + 1
+    return MatrixGF(tower.fq2, tuple((0,) * r + hc + (0,) * (rows - 1 - r) for r in range(rows)))
+
+
+def test_euclidean_duality(toy, tower7):
+    # H is the Euclidean parity check conjugated entry-wise
+    z, g, h = toy
+    he = _euclidean_parity_check(z, tower7)
     assert matmul(g, he.transpose()).is_zero()
     assert rank(he) == 3
+    powq = tower7.fq2.power_map(7)
+    assert h.data == tuple(tuple(powq[v] for v in row) for row in he.data)
 
 
 def test_hermitian_duality(toy, tower7):
@@ -80,10 +91,10 @@ def test_rank_hh_dagger_toy(toy):
     assert rank_hh_dagger(h) == ebits(z) == 1
 
 
-def test_rank_hh_dagger_equals_euclidean_variant(toy):
+def test_rank_hh_dagger_equals_euclidean_variant(toy, tower7):
     # conjugating the parity check does not change rank(H H^dagger)
-    _z, _g, h = toy
-    he = conjugate_transpose(h, 7).transpose()
+    z, _g, h = toy
+    he = _euclidean_parity_check(z, tower7)
     assert rank_hh_dagger(he) == rank_hh_dagger(h)
 
 

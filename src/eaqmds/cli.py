@@ -20,7 +20,7 @@ from . import families, oracle
 from .cosets import CycContext, all_cosets
 from .eaqecc import eaqmds_status
 from .exceptions import VerificationError
-from .gf import field_tower
+from .gf import MAX_EXTENSION_ORDER, field_tower
 
 # above this the matrix oracle gets slow; larger q must be asked for explicitly
 ORACLE_Q_CAP = 32
@@ -96,14 +96,21 @@ def _print_record_text(rec: CodeRecord) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_budget(flag: str, value: int, n: int | None = None) -> None:
+def _check_budget(flag: str, value: int, n: int | None = None, oracle: bool = False) -> None:
     """Reject, before any work, an input whose modulus n (by default the
-    family length (q^2+1)/5 of q = value) exceeds MAX_MODULUS."""
+    family length (q^2+1)/5 of q = value) exceeds MAX_MODULUS, or a
+    matrix-oracle run up to q = value whose alphabet F_(q^2) is larger
+    than the extension fields gf builds."""
     n = (value * value + 1) // 5 if n is None else n
     if n > MAX_MODULUS:
         raise ValueError(
             f"{flag} {value} is out of budget: it needs modulus n = {n}, "
             f"above the limit {MAX_MODULUS}"
+        )
+    if oracle and value * value > MAX_EXTENSION_ORDER:
+        raise ValueError(
+            f"{flag} {value} is out of budget for the matrix oracle: F_(q^2) has "
+            f"order {value * value}, above the limit {MAX_EXTENSION_ORDER}"
         )
 
 
@@ -131,7 +138,7 @@ def cmd_cosets(args: argparse.Namespace) -> int:
 
 
 def cmd_code(args: argparse.Namespace) -> int:
-    _check_budget("--q", args.q)
+    _check_budget("--q", args.q, oracle=args.oracle)
     if args.oracle and args.q > ORACLE_Q_CAP and not args.allow_large_oracle:
         raise ValueError(
             f"the matrix oracle is capped at q <= {ORACLE_Q_CAP} by default; "
@@ -185,7 +192,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     qmax = args.qmax
     if args.level == "rank-oracle" and not args.allow_large_oracle:
         qmax = min(qmax, ORACLE_Q_CAP)
-    _check_budget("--qmax", qmax)
+    _check_budget("--qmax", qmax, oracle=args.level == "rank-oracle")
     # looked up per call, so a suite replaced on its module is the one run
     suite = {
         "coset": families.verify_cosets,

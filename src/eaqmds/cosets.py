@@ -297,27 +297,17 @@ def identity_windows(q: int) -> Iterator[tuple[int, int]]:
 
 
 def inverse_identity_windows(q: int, with_offset: bool) -> Iterator[tuple[int, int]]:
-    """The (t, j) windows for the inverse identity -q*C_{t*q-j} == C_{j*q+t}.
+    """The (t, j) windows for the inverse identity -q*C_{t*q-j} == C_{j*q+t}:
+    the forward windows with t in i's role and j in s's, in the same order.
 
     Two readings are in circulation for the q = 3 (mod 10) shape: one whose
-    middle window starts at (2q+4)/5 and one that starts 2 higher.  Both are
-    generated (pick with ``with_offset``) so callers can check each; the
-    identity itself holds on both.
+    middle window starts at (2q+4)/5, as the forward one does, and one that
+    starts 2 higher.  Both are generated (pick with ``with_offset``) so
+    callers can check each; the identity itself holds on both.
     """
-    r = q % 10
-    if r in (3, 8):
-        hi1 = (3 * q - 9) // 10
-        lo2 = (2 * q + 4) // 5 + (2 if with_offset else 0)
-        hi2 = (3 * q - 4) // 5
-        jmax = (q - 3) // 10
-        for j in range(jmax):
-            for t in _ranges((1, hi1), (lo2, hi2)):
-                yield t, j
-        for t in _ranges((1, hi1)):
-            yield t, jmax
-    elif r in (7, 2):
-        # same ranges as the forward identity, with t in i's role and j in s's
-        for s, i in identity_windows(q):
+    lo2 = (2 * q + 4) // 5
+    skip = range(lo2, lo2 + 2) if with_offset and q % 10 in (3, 8) else range(0)
+    for s, i in identity_windows(q):
+        # the first window ends below lo2, so only the middle one loses values
+        if i not in skip:
             yield i, s
-    else:
-        raise ValueError(f"q={q} is not congruent to 2, 3, 7 or 8 mod 10")

@@ -10,23 +10,27 @@ element index.
 Elements are canonical integer indices: the element with coefficient
 vector (c_0, ..., c_{d-1}) over F_p has index sum(c_i * p**i).  For
 p = 2 the index is the usual bitmask of the coefficient polynomial.
-Field orders up to 2**63 are supported.  Fields of order at most
-_ACCEL_CAP additionally get exp/log tables of a fixed generator g, so a
-product is one addition of logarithms; in odd characteristic they also get
+
+build_field picks the arithmetic from the field's structure, not its size.
+A prime field (PrimeField) computes with integers mod p and holds no
+tables, up to order 2**63.  An extension field (degree >= 2) gets exp/log
+tables of a fixed generator g once, when build_field makes it, so a
+product is one addition of logarithms; in odd characteristic it also gets
 a Zech table zech[k] = log(1 + g^k), so a sum is one lookup as well:
-g^a + g^b = g^(a + zech[b - a]) and -g^a = g^(a + (order-1)/2).  These
-tables take O(order) memory, O(q^2) for the code alphabet F_{q^2}.  Larger
-fields use digit-wise addition and negation and schoolbook multiplication,
-with no tables.  The packed matrix kernels of oracle (rank included) work
-on digits and need none of these tables.
+g^a + g^b = g^(a + zech[b - a]) and -g^a = g^(a + (order-1)/2).  For
+p = 2 a sum is an xor.  These tables take O(order) memory, so build_field
+refuses extension fields above MAX_EXTENSION_ORDER; the code alphabet
+F_{q^2} fits for every q <= 181.  The packed matrix kernels of oracle
+(rank included) work on digits and need none of these tables.
 
 The quartic field F_{q^4} is not built over F_p but as F_{q^2}[y] /
 (y^2 - y - b) (QuadraticExtension): a0 + a1*y has index a0 + a1*q^2, so
 F_{q^2} is literally the indices below q^2, no element is ever converted
 between the two fields, and each F_{q^4} operation is a few F_{q^2} ones.
+It builds no tables of its own.
 
-Field objects are immutable after construction (lookup tables are
-idempotent lazy caches); all operations are pure functions.
+Field objects are immutable after construction (power maps are idempotent
+lazy caches); all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -41,10 +45,10 @@ from typing import Iterable
 from .cosets import CycContext, coset
 from .exceptions import VerificationError
 
-# exp/log (and, for odd p, Zech) tables are built only for orders up to this bound
-_ACCEL_CAP = 4096
-# hard bound on p**degree
+# hard bound on a prime field's order
 _MAX_ORDER = 1 << 63
+# bound on an extension field's order: its tables take O(order) memory
+MAX_EXTENSION_ORDER = 1 << 15
 
 # Witness set making Miller-Rabin exact for all n < 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -158,11 +162,8 @@ def _is_irreducible(f: "Poly") -> bool:
 
 
 def _smallest_irreducible(p: int, degree: int) -> tuple[int, ...]:
-    """The monic irreducible of given degree with the smallest tail encoding."""
-    if degree == 1:
-        return (0, 1)
+    """The monic irreducible of given degree >= 2 with the smallest tail encoding."""
     fp = build_field(p, 1)
-    fp.exp_log_tables()  # Poly arithmetic over F_p by table lookups
     for t in range(p**degree):
         f = Poly(fp, _digits(t, p, degree) + (1,))
         if _is_irreducible(f):
@@ -184,11 +185,12 @@ def _digits(value: int, p: int, width: int) -> tuple[int, ...]:
 
 
 class Field:
-    """F_{p^degree} = F_p[x] / (modulus), elements as canonical int indices.
+    """F_{p^degree} = F_p[x] / (modulus) of degree >= 2, elements as
+    canonical int indices, computing by its exp/log and Zech tables.
 
     Construct via :func:`build_field`, never directly; build_field caches
     one instance per (p, degree) so field identity can be compared with
-    ``is``.
+    ``is``, and builds its tables.
     """
 
     def __init__(self, p: int, degree: int, modulus: tuple[int, ...]):
@@ -225,50 +227,39 @@ class Field:
             idx = idx * self.p + (c % self.p)
         return idx
 
-    # -- raw arithmetic on indices ------------------------------------------
+    # -- arithmetic on indices ----------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        zech = self._zech
-        if zech is None:
-            p = self.p
-            return self.encode((x + y) % p for x, y in zip(self.decode(a), self.decode(b)))
         if not a:
             return b
         log = self._log
         la = log[a]
-        s = la + zech[log[b] - la]
+        s = la + self._zech[log[b] - la]
         return self._exp[s] if s < self.log_zero else 0
 
     def neg(self, a: int) -> int:
         if self.p == 2 or not a:
             return a
-        if self._zech is not None:
-            return self._exp[self._log[a] + (self.order - 1) // 2]
-        p = self.p
-        return self.encode((-d) % p for d in self.decode(a))
+        return self._exp[self._log[a] + (self.order - 1) // 2]
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        zech = self._zech
-        if zech is None or not b:
-            return self.add(a, self.neg(b))
+        if not b:
+            return a
         log = self._log
         n1 = self.order - 1
         lb = log[b] + n1 // 2  # log of -b
-        s = lb + zech[log[a] - lb]
+        s = lb + self._zech[log[a] - lb]
         return self._exp[s - n1] if s < self.log_zero else 0
 
     def mul(self, a: int, b: int) -> int:
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[self._log[a] + self._log[b]]
-        if self.p == 2:
-            return self._mul_raw2(a, b)
-        return self._mul_raw(a, b)
+        exp = self._exp
+        if exp is None:  # the tables are being built
+            return self._mul_raw2(a, b) if self.p == 2 else self._mul_raw(a, b)
+        return exp[self._log[a] + self._log[b]] if a and b else 0
 
     def _mul_raw2(self, a: int, b: int) -> int:
         mod, top = self._modmask, 1 << self.degree
@@ -301,8 +292,6 @@ class Field:
 
     def _mul_raw(self, a: int, b: int) -> int:
         d, p = self.degree, self.p
-        if d == 1:
-            return a * b % p
         da, db = self.decode(a), self.decode(b)
         prod = [0] * (2 * d - 1)
         for i, ai in enumerate(da):
@@ -337,22 +326,21 @@ class Field:
             e >>= 1
         return result
 
-    # -- lookup-table acceleration -------------------------------------------
+    # -- lookup tables ---------------------------------------------------------
 
-    def exp_log_tables(self) -> tuple[list[int] | None, list[int] | None]:
-        """Build (lazily) and return exp/log tables; (None, None) if too big.
+    def exp_log_tables(self) -> tuple[list[int], list[int]]:
+        """Build (once) and return the exp/log tables of the field's own mul.
 
         exp has length 2*(order-1) so that exp[log[a] + log[b]] needs no
-        reduction, and log[0] = log_zero.  Multiplication by the generator
-        g is F_p-linear: for odd p each power of g takes d dot products of
-        digit vectors.  For odd p this also builds the Zech table of add and sub:
+        reduction, and log[0] = log_zero.  Until they exist, mul is the
+        schoolbook product.  Multiplication by the generator g is
+        F_p-linear: for odd p each power of g takes d dot products of digit
+        vectors.  For odd p this also builds the Zech table of add and sub:
         with n1 = order-1, zech[k] = log(1 + g^k) for k = -2*n1 .. 3*n1-1
         (through negative indexing), or log_zero where 1 + g^k = 0, and 0
         for k = 3*n1 .. 7*n1-1, where the log difference against
         log[0] = log_zero of a zero operand falls.
         """
-        if self.order > _ACCEL_CAP:
-            return None, None
         if self._exp is None:
             g = self.generator()
             p, d, n1 = self.p, self.degree, self.order - 1
@@ -417,16 +405,40 @@ class Field:
         return self._generator
 
 
+class PrimeField(Field):
+    """F_p = F_p[x] / (x): integers mod p, with no tables."""
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def neg(self, a: int) -> int:
+        return -a % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+
 @functools.lru_cache(maxsize=None)
 def build_field(p: int, degree: int) -> Field:
-    """The field of order p^degree with its canonical (smallest) modulus."""
+    """The field of order p^degree with its canonical (smallest) modulus:
+    a PrimeField for degree 1 (order up to 2^63), else a Field of order up
+    to MAX_EXTENSION_ORDER with its tables built."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    if p**degree > _MAX_ORDER:
-        raise ValueError(f"field order {p}^{degree} exceeds the 2^63 bound")
-    return Field(p, degree, _smallest_irreducible(p, degree))
+    if degree == 1:
+        if p > _MAX_ORDER:
+            raise ValueError(f"field order {p} exceeds the 2^63 bound")
+        return PrimeField(p, 1, (0, 1))
+    if p**degree > MAX_EXTENSION_ORDER:
+        raise ValueError(f"extension field order {p}^{degree} exceeds {MAX_EXTENSION_ORDER}")
+    f = Field(p, degree, _smallest_irreducible(p, degree))
+    f.exp_log_tables()
+    return f
 
 
 class QuadraticExtension(Field):
@@ -434,10 +446,11 @@ class QuadraticExtension(Field):
 
     a0 + a1*y has index a0 + a1*Q, so the base field is literally the
     indices below Q and its arithmetic (tables included) serves the
-    extension's.  The index is also the base-p digit vector over F_p, so
-    decode and encode keep their meaning.  b is the smallest base element
-    outside {x^2 - x}: then y^2 - y - b has no root, hence is irreducible,
-    for every p.  modulus holds its coefficients over the base field.
+    extension's, which builds no tables of its own.  The index is also
+    the base-p digit vector over F_p, so decode and encode keep their
+    meaning.  b is the smallest base element outside {x^2 - x}: then
+    y^2 - y - b has no root, hence is irreducible, for every p.  modulus
+    holds its coefficients over the base field.
     """
 
     def __init__(self, base: Field):
@@ -568,15 +581,6 @@ class Poly:
         if self.field is not other.field:
             raise ValueError("polynomials over different fields")
 
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        a = a + (0,) * (n - len(a))
-        b = b + (0,) * (n - len(b))
-        return Poly(f, (f.add(x, y) for x, y in zip(a, b)))
-
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
         f = self.field
@@ -648,10 +652,9 @@ class FieldTower:
         self.n = n
         if (q**4 - 1) % n != 0:
             raise ValueError(f"n={n} does not divide q^4-1 for q={q}")
-        self.fq2 = build_field(self.q_power.p, 2 * self.q_power.e)
         # the code alphabet's tables serve every generator-polynomial
         # division and every product in the quartic field
-        self.fq2.exp_log_tables()
+        self.fq2 = build_field(self.q_power.p, 2 * self.q_power.e)
         self.fq4 = QuadraticExtension(self.fq2)
         self.unity_root = find_element_of_order(self.fq4, n)
         self._context = CycContext(n, q)

@@ -11,6 +11,8 @@ and the modulus only where a value is read.  G and H hold shifts of one
 vector each, so G * H^dagger and H * H^dagger are Toeplitz:
 dagger_product checks that shift structure and takes each product from
 one convolution, with the dense matmul kept only as its reference.  The
+scalar work (nullspace, the toy distances) calls the field's own add, sub
+and mul, in whatever arithmetic build_field chose for the field.  The
 rank-oracle suite (verify_rank_oracle) compares the two routes on every
 family code and on random coset-closed sets.
 """
@@ -18,7 +20,6 @@ family code and on random coset-closed sets.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 import sys
 from dataclasses import dataclass
@@ -69,15 +70,6 @@ class MatrixGF:
 
     def is_zero(self) -> bool:
         return not any(map(any, self.data))
-
-
-def _ops(field: Field):
-    """(mul, add, sub): exp/log lookups and xor for p = 2, else the field's
-    own methods (Zech logarithms for small odd-p fields)."""
-    exp, log = field.exp_log_tables()
-    if exp is None or field.p != 2:
-        return field.mul, field.add, field.sub
-    return (lambda a, b: exp[log[a] + log[b]] if a and b else 0), operator.xor, operator.xor
 
 
 # matmul and convolve pack F_p digit vectors into integers, one slot of
@@ -323,7 +315,6 @@ def rank(m: MatrixGF) -> int:
 def nullspace(m: MatrixGF) -> MatrixGF:
     """A basis (rows) of the right nullspace {v : M v = 0}."""
     f = m.field
-    mul, _add, sub = _ops(f)
     rows = [list(r) for r in m.data]
     nrows, ncols = m.rows, m.cols
     pivots: list[int] = []
@@ -335,11 +326,13 @@ def nullspace(m: MatrixGF) -> MatrixGF:
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = f.inv(rows[r][c])
         if inv != 1:
-            rows[r] = [mul(inv, v) if v else 0 for v in rows[r]]
+            rows[r] = [f.mul(inv, v) if v else 0 for v in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
                 fac = rows[i][c]
-                rows[i] = [sub(vi, mul(fac, vr)) if vr else vi for vi, vr in zip(rows[i], rows[r])]
+                rows[i] = [
+                    f.sub(vi, f.mul(fac, vr)) if vr else vi for vi, vr in zip(rows[i], rows[r])
+                ]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -513,7 +506,6 @@ def verify_rank_oracle(q_max: int) -> dict[str, int]:
 def _min_weight_by_codewords(g: MatrixGF) -> int:
     """Enumerate every nonzero codeword m*G; exact and completely dumb."""
     f = g.field
-    mul, add, _sub = _ops(f)
     n = g.cols
     best = n + 1
     for msg in itertools.product(range(f.order), repeat=g.rows):
@@ -524,7 +516,7 @@ def _min_weight_by_codewords(g: MatrixGF) -> int:
             acc = 0
             for mi, row in zip(msg, g.data):
                 if mi and row[j]:
-                    acc = add(acc, mul(mi, row[j]))
+                    acc = f.add(acc, f.mul(mi, row[j]))
             if acc:
                 w += 1
         if w < best:

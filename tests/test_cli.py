@@ -10,6 +10,7 @@ import pytest
 from eaqmds import cli, codes, families, oracle
 from eaqmds.cli import CSV_HEADER, main
 from eaqmds.cosets import DefiningSet
+from eaqmds.gf import build_field
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -464,6 +465,9 @@ HUGE = str(10**20)
         ("verify", "--level", "coset", "--qmax", HUGE),
         ("verify", "--level", "theorem", "--qmax", "1001"),
         ("verify", "--level", "rank-oracle", "--qmax", HUGE, "--allow-large-oracle"),
+        # within MAX_MODULUS, but F_(q^2) is above the bound on extension fields
+        ("code", "--q", "997", "--m", "2", "--oracle", "--allow-large-oracle"),
+        ("verify", "--level", "rank-oracle", "--qmax", "1000", "--allow-large-oracle"),
     ],
 )
 def test_out_of_budget_inputs_exit_2(capsys, argv):
@@ -489,3 +493,24 @@ def test_budget_boundary_and_oracle_cap(capsys, monkeypatch):
     assert rc == 0
     assert seen == [32]
     assert out == "verify level=rank-oracle qmax=32: PASS (7 codes)\n"
+    # F_(q^2) for q = 181 still fits the bound on extension fields, q = 182 not
+    cli._check_budget("--q", 181, oracle=True)
+    with pytest.raises(ValueError, match="out of budget for the matrix oracle"):
+        cli._check_budget("--q", 182, oracle=True)
+
+
+def test_oracle_past_q_64_runs_on_tables(capsys):
+    # F_(67^2) has order 4489; build_field gives it exp/log and Zech tables,
+    # as every extension field within the bound, and the matrix route
+    # confirms the code's ebit count on them
+    f = build_field(67, 2)
+    assert f._exp is not None and f._zech is not None
+    rc, out, err = run_cli(capsys, *"code --q 67 --m 2 --oracle --allow-large-oracle".split())
+    assert (rc, err) == (0, "")
+    assert out == (
+        "[[898,649,136;21]]_67\n"
+        "family_id=q10k7 q=67 p=67 e=1 n=898 m=2 k=649 d=136 c=21\n"
+        "singleton_equality=true distance_precondition_ok=true rank_oracle_checked=true\n"
+        "errata_flags=\n"
+        "eaqmds_status=eaqmds\n"
+    )

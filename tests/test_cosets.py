@@ -205,6 +205,26 @@ def test_inverse_identity_holds_on_both_window_readings(q, with_offset):
         assert coset_product_identity_inverse(ctx, t, j), (q, t, j, with_offset)
 
 
+def _stated_inverse_windows(q, with_offset):
+    """The (t, j) windows of the q = 3, 8 (mod 10) shape written out from
+    their stated bounds, the middle window 2 higher in the offset reading."""
+    hi1 = (3 * q - 9) // 10
+    lo2 = (2 * q + 4) // 5 + (2 if with_offset else 0)
+    hi2 = (3 * q - 4) // 5
+    jmax = (q - 3) // 10
+    ts = [*range(1, hi1 + 1), *range(lo2, hi2 + 1)]
+    return [(t, j) for j in range(jmax) for t in ts] + [(t, jmax) for t in range(1, hi1 + 1)]
+
+
+@pytest.mark.parametrize("q", [3, 8, 13, 23, 43, 128, 293, 983])
+@pytest.mark.parametrize("with_offset", [False, True])
+def test_inverse_windows_follow_the_stated_bounds(q, with_offset):
+    # inverse_identity_windows swaps the forward windows; both readings must
+    # still give the stated windows, in the same order
+    got = list(inverse_identity_windows(q, with_offset))
+    assert got == _stated_inverse_windows(q, with_offset)
+
+
 def test_identity_window_membership_q23():
     wins = set(identity_windows(23))
     assert (0, 2) in wins and (1, 3) in wins and (2, 6) in wins

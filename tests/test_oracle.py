@@ -288,8 +288,8 @@ def _random_matrix(f, rng, rows, cols):
     )
 
 
-# (43, 2) is the field of `code --q 43`, (3, 8) has no lookup tables, and the
-# slots of (2^61 - 1, 1) are wider than 64 bits
+# (43, 2) is the field of `code --q 43`, (3, 8) has the most digits of the odd
+# characteristic fields here, and the slots of (2^61 - 1, 1) are wider than 64 bits
 @pytest.mark.parametrize("p,deg", [(23, 2), (3, 6), (2, 10), (43, 2), (3, 8), (2**61 - 1, 1)])
 def test_kernels_match_raw_arithmetic(p, deg):
     f = build_field(p, deg)
@@ -372,8 +372,8 @@ def _rank_cases(f, raw, rng):
     yield (u, *scaled, other, tuple(raw.add(a, b) for a, b in zip(u, other)))
 
 
-# (43, 2) is the field of `code --q 43`, (3, 8) has no lookup tables, and the
-# slots of (2^61 - 1, 1) are wider than 64 bits
+# (43, 2) is the field of `code --q 43`, (3, 8) has the most digits of the odd
+# characteristic fields here, and the slots of (2^61 - 1, 1) are wider than 64 bits
 @pytest.mark.parametrize("p,deg", [(23, 2), (43, 2), (3, 6), (2, 10), (3, 8), (2**61 - 1, 1)])
 def test_rank_matches_raw_arithmetic(p, deg):
     f = build_field(p, deg)

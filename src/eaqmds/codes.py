@@ -61,10 +61,8 @@ def generator_polynomial(z: DefiningSet, tower: FieldTower) -> Poly:
     return g
 
 
-def check_polynomial(z: DefiningSet, tower: FieldTower, g: Poly | None = None) -> Poly:
+def check_polynomial(z: DefiningSet, tower: FieldTower, g: Poly) -> Poly:
     """(x^n - 1) / g, the generator of the complementary-coset code, for
-    the generator polynomial g of Z (built here unless given).  The
-    division must be exact (checked)."""
-    if g is None:
-        g = generator_polynomial(z, tower)
+    the generator polynomial g of Z.  The division must be exact
+    (checked)."""
     return Poly.x_pow_n_minus_1(tower.fq2, z.ctx.n).exact_div(g)

@@ -31,25 +31,33 @@ class Decomposition:
     entangled_part: DefiningSet
 
 
+def check_split(whole: DefiningSet, free: DefiningSet, entangled: DefiningSet, stage: str) -> None:
+    """The checks on a split of a defining set into a free and an entangled
+    part: the parts partition it disjointly, the entangled part is
+    -q-invariant and the free part avoids its own -q image.  Any failure
+    raises VerificationError, its message led by stage."""
+    if free.union(entangled) != whole or not free.isdisjoint(entangled):
+        raise VerificationError(
+            f"{stage}: free part ({len(free)}) and entangled part ({len(entangled)}) do not "
+            f"partition the {len(whole)}-element set"
+        )
+    if entangled.neg_q() != entangled:
+        raise VerificationError(f"{stage}: entangled part is not -q-invariant")
+    if not free.isdisjoint(free.neg_q()):
+        raise VerificationError(f"{stage}: free part meets its own -q image")
+
+
 def decompose(z: DefiningSet) -> Decomposition:
     """Split Z; every structural invariant is checked on every call.
 
     The set algebra trusts closure, so these checks are what catches a
-    wrong -q map or a set that is not what it claims to be.
+    wrong -q map or a set that is not what it claims to be.  Applying -q
+    twice multiplies by q^2, which fixes coset-closed sets, so the overlap
+    is -q-invariant and the free part avoids its image.
     """
     overlap = z.intersect(z.neg_q())
     free = z.difference(overlap)
-    if free.union(overlap) != z or not free.isdisjoint(overlap):
-        raise VerificationError(
-            f"free part ({len(free)}) and overlap ({len(overlap)}) do not "
-            f"partition {z!r}"
-        )
-    # applying -q twice multiplies by q^2, which fixes coset-closed sets,
-    # so the overlap is -q-invariant and the free part avoids its image
-    if overlap.neg_q() != overlap:
-        raise VerificationError(f"overlap Z & -qZ of {z!r} is not -q-invariant")
-    if not free.isdisjoint(free.neg_q()):
-        raise VerificationError(f"free part of {z!r} meets its own -q image")
+    check_split(z, free, overlap, f"overlap Z & -qZ of {z!r}")
     return Decomposition(whole=z, free_part=free, entangled_part=overlap)
 
 
@@ -60,7 +68,7 @@ def ebits(z: DefiningSet) -> int:
 
 @dataclass(frozen=True)
 class EaqeccParams:
-    """[[n, k, d; c]] plus the certification flags.
+    """[[n, k, d; c]] plus the certification flags derived from them.
 
     d is the designed distance of the underlying cyclic code (exact
     whenever that code is MDS).  singleton_equality records whether
@@ -72,8 +80,14 @@ class EaqeccParams:
     k: int
     d: int
     c: int
-    singleton_equality: bool
-    distance_precondition_ok: bool
+
+    @property
+    def singleton_equality(self) -> bool:
+        return self.n + self.c - self.k == 2 * (self.d - 1)
+
+    @property
+    def distance_precondition_ok(self) -> bool:
+        return 2 * self.d <= self.n + 2
 
     def as_bracket(self) -> str:
         return f"[[{self.n},{self.k},{self.d};{self.c}]]"
@@ -93,25 +107,17 @@ def eaqecc_params(z: DefiningSet | Decomposition) -> EaqeccParams:
         raise ValueError(
             f"defining set too large: logical dimension 2*{k_classical}-{n}+{c} < 0"
         )
-    equality = n + c - k == 2 * (d - 1)
-    precondition = 2 * d <= n + 2
+    params = EaqeccParams(n=n, k=k, d=d, c=c)
     # with the precondition, n + c - k equals 2|Z| while d - 1, the longest
     # run of Z, is at most |Z|, so the bound can never be violated; tripwire
     # for internal bugs, naming the run that broke it
-    if precondition and n + c - k < 2 * (d - 1):
+    if params.distance_precondition_ok and n + c - k < 2 * (d - 1):
         raise VerificationError(
             f"longest run {d - 1} of the defining set exceeds |Z| = {len(z)}: "
             f"Singleton bound violated, n + c - k = {n + c - k} < 2(d-1) = {2 * (d - 1)} "
             f"for [[{n},{k},{d};{c}]]"
         )
-    return EaqeccParams(
-        n=n,
-        k=k,
-        d=d,
-        c=c,
-        singleton_equality=equality,
-        distance_precondition_ok=precondition,
-    )
+    return params
 
 
 def eaqmds_status(params: EaqeccParams) -> str:

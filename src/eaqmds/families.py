@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .codes import dimension
 from .cosets import (
     CycContext,
     DefiningSet,
@@ -41,7 +40,7 @@ from .cosets import (
     identity_windows,
     inverse_identity_windows,
 )
-from .eaqecc import Decomposition, EaqeccParams, decompose, eaqecc_params
+from .eaqecc import Decomposition, EaqeccParams, check_split, decompose, eaqecc_params
 from .exceptions import VerificationError
 from .gf import PrimePower
 
@@ -189,18 +188,8 @@ def check_window_lemmas(spec: FamilySpec, m: int, z: DefiningSet) -> DefiningSet
     -q-invariant, and the two partition the block z = C_0 .. C_{(m-1)q}
     disjointly.  Any failure raises VerificationError.
     """
-    q = spec.q.q
-    free = free_window_set(spec, m)
     ent = entangled_window_set(spec, m)
-    if not free.isdisjoint(free.neg_q()):
-        raise VerificationError(f"free windows meet their -q image at q={q}, m={m}")
-    if free.union(ent) != z or not free.isdisjoint(ent):
-        raise VerificationError(
-            f"windows ({len(free)} free, {len(ent)} entangled) do not partition "
-            f"the {len(z)}-element block at q={q}, m={m}"
-        )
-    if ent.neg_q() != ent:
-        raise VerificationError(f"entangled windows not -q-invariant at q={q}, m={m}")
+    check_split(z, free_window_set(spec, m), ent, f"windows at q={spec.q.q}, m={m}")
     return ent
 
 
@@ -211,14 +200,7 @@ def predicted_code(spec: FamilySpec, m: int) -> EaqeccParams:
     k = n - 4 * (m - 1) * (q - 5 * (m - 1)) - 1
     d = 2 * (m - 1) * q + 2
     c = 20 * (m - 1) ** 2 + 1
-    return EaqeccParams(
-        n=n,
-        k=k,
-        d=d,
-        c=c,
-        singleton_equality=(n + c - k == 2 * (d - 1)),
-        distance_precondition_ok=(2 * d <= n + 2),
-    )
+    return EaqeccParams(n=n, k=k, d=d, c=c)
 
 
 @dataclass(frozen=True)
@@ -245,7 +227,7 @@ def verify_family_code(spec: FamilySpec, m: int, allow_degenerate: bool = False)
     overlap Z intersect -qZ.  Any mismatch raises VerificationError.
     """
     _check_m(spec, m, allow_degenerate=allow_degenerate)
-    q, n = spec.q.q, spec.n
+    q = spec.q.q
     z = family_defining_set(spec, m)
     dec = decompose(z)
     verified = eaqecc_params(dec)
@@ -254,13 +236,8 @@ def verify_family_code(spec: FamilySpec, m: int, allow_degenerate: bool = False)
     run = verified.d - 1  # the designed distance is one more than the longest run
     if run != len(z):
         raise VerificationError(
-            f"defining set for q={q}, m={m} is not one circular run: "
+            f"defining set for q={q}, m={m} must be one circular run (hence MDS): "
             f"longest run {run}, |Z| = {len(z)}"
-        )
-    if verified.d != n - dimension(z) + 1:
-        raise VerificationError(
-            f"classical code is not MDS at q={q}, m={m}: designed distance "
-            f"{verified.d}, n - k + 1 = {n - dimension(z) + 1}"
         )
 
     if m >= 2:
@@ -273,12 +250,7 @@ def verify_family_code(spec: FamilySpec, m: int, allow_degenerate: bool = False)
         flags.append("degenerate-m1")
 
     predicted = predicted_code(spec, m)
-    if (predicted.n, predicted.k, predicted.d, predicted.c) != (
-        verified.n,
-        verified.k,
-        verified.d,
-        verified.c,
-    ):
+    if predicted != verified:
         raise VerificationError(
             f"closed form {predicted.as_bracket()} disagrees with first-principles "
             f"{verified.as_bracket()} at q={q}, m={m}"

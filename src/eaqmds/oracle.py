@@ -7,14 +7,16 @@ Everything here is explicit linear algebra, so that it shares no
 machinery with the set-algebra route it checks.  matmul, convolve and
 rank pack F_p digits into big integers (Kronecker substitution), so that
 one big-integer operation adds up many field products, and reduce mod p
-and the modulus only where a value is read.  G and H hold shifts of one
-vector each, so G * H^dagger and H * H^dagger are Toeplitz:
-dagger_product checks that shift structure and takes each product from
-one convolution, with the dense matmul kept only as its reference.  The
-scalar work (nullspace, the toy distances) calls the field's own add, sub
-and mul, in whatever arithmetic build_field chose for the field.  The
-rank-oracle suite (verify_rank_oracle) compares the two routes on every
-family code and on random coset-closed sets.
+and the modulus only where a value is read.  G and H are the shifts of
+one vector each, and are held as that vector (ShiftMatrix), never
+written out: G * H^dagger and H * H^dagger are Toeplitz, so
+dagger_product takes each from one convolution, and the ranks of G and
+H are read off their echelon shape.  The dense matmul and
+ShiftMatrix.dense are kept as references for tests.  The scalar work
+(nullspace, the toy distances) calls the field's own add, sub and mul,
+in whatever arithmetic build_field chose for the field.  The rank-oracle
+suite (verify_rank_oracle) compares the two routes on every family code
+and on random coset-closed sets.
 """
 
 from __future__ import annotations
@@ -207,29 +209,38 @@ def convolve(field: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _slot_reducer(field, width)(prod, len(a) + len(b) - 1)
 
 
-def _shift_vector(m: MatrixGF, name: str) -> tuple[int, ...]:
-    """Row 0 of m without its trailing zeros, checked to be every row i
-    when shifted right by i (with zeros around it)."""
-    v = m.data[0]
-    k = len(v)
-    while k and not v[k - 1]:
-        k -= 1
-    v = v[:k]
-    for i, row in enumerate(m.data):
-        if row[i : i + k] != v or any(row[:i]) or any(row[i + k :]):
-            raise VerificationError(f"{name} row {i} is not row 0 shifted right by {i}")
-    return v
+@dataclass(frozen=True)
+class ShiftMatrix:
+    """The matrix of cols columns whose row i is vec shifted right by i,
+    with zeros around it, for i = 0 .. cols - len(vec): G and H of a
+    cyclic code, held as their row 0.  vec has no trailing zeros.  When
+    vec[0] is nonzero the matrix is in echelon form with a pivot in every
+    row, so its rank is its row count."""
+
+    field: Field
+    vec: tuple[int, ...]
+    cols: int
+
+    def __post_init__(self) -> None:
+        if not (self.vec and self.vec[-1] and len(self.vec) <= self.cols):
+            raise ValueError(f"row 0 must hold 1 to {self.cols} entries, the last one nonzero")
+
+    @property
+    def rows(self) -> int:
+        return self.cols - len(self.vec) + 1
+
+    def dense(self) -> MatrixGF:
+        """Every row written out: the reference for tests and the toy distances."""
+        v, pad = self.vec, self.rows - 1
+        return MatrixGF(self.field, tuple((0,) * i + v + (0,) * (pad - i) for i in range(pad + 1)))
 
 
-def dagger_product(a: MatrixGF, b: MatrixGF, names: tuple[str, str] = ("A", "B")) -> MatrixGF:
+def dagger_product(a: ShiftMatrix, b: ShiftMatrix) -> MatrixGF:
     """A * B^dagger over the field of order q^2, for shift matrices A and B.
 
-    Row i of A must be a vector u (row 0 without its trailing zeros)
-    shifted right by i, and row j of B a vector w shifted right by j; the
-    first row that is not raises a VerificationError that names it, and
-    its matrix by names.  Entry (i, j) is then sum_s u_s * w_(s+i-j)^q,
-    the Toeplitz entry c[len(w) - 1 - i + j] of c = convolve(u, reversed
-    w^q), and 0 where that index falls outside c.
+    With u and w the row-0 vectors of A and B, entry (i, j) is
+    sum_s u_s * w_(s+i-j)^q, the Toeplitz entry c[len(w) - 1 - i + j] of
+    c = convolve(u, reversed w^q), and 0 where that index falls outside c.
     """
     f = a.field
     if b.field is not f:
@@ -239,10 +250,9 @@ def dagger_product(a: MatrixGF, b: MatrixGF, names: tuple[str, str] = ("A", "B")
     q = isqrt(f.order)
     if q * q != f.order:
         raise ValueError(f"field order {f.order} is not a square")
-    u = _shift_vector(a, names[0])
     powq = f.power_map(q)
-    w = [powq[v] for v in reversed(_shift_vector(b, names[1]))]
-    c = convolve(f, u, w)
+    w = [powq[v] for v in reversed(b.vec)]
+    c = convolve(f, a.vec, w)
     # c padded with zeros, so that row i of the product is one slice of it
     lead = max(0, a.rows - len(w))
     padded = [0] * lead + c + [0] * max(0, len(w) - 1 + b.rows - len(c))
@@ -353,30 +363,10 @@ def nullspace(m: MatrixGF) -> MatrixGF:
 # ---------------------------------------------------------------------------
 
 
-def _shifts(field: Field, vec: tuple[int, ...], count: int, n: int) -> MatrixGF:
-    """count x n matrix whose row i is vec shifted right by i."""
-    return MatrixGF(field, tuple((0,) * i + vec + (0,) * (n - len(vec) - i) for i in range(count)))
-
-
-def build_generator_matrix(z: DefiningSet, tower: FieldTower, g: Poly | None = None) -> MatrixGF:
-    """k x n matrix whose rows are the cyclic shifts of the generator
-    polynomial's coefficients; rank k by construction.  g is the generator
-    polynomial of Z; unless given, it is built here and checked to divide
-    x^n - 1."""
-    n = z.ctx.n
-    if len(z) >= n:
-        raise ValueError("defining set covers everything; the code is {0}")
-    if g is None:
-        g = generator_polynomial(z, tower)
-        check_polynomial(z, tower, g)
-    return _shifts(tower.fq2, g.coeffs, n - len(z), n)
-
-
-def build_parity_check_matrix(z: DefiningSet, tower: FieldTower, g: Poly | None = None) -> MatrixGF:
-    """(n-k) x n matrix whose rows are a basis of the Hermitian dual: the
-    shifts of the reversed check polynomial (x^n - 1)/g (a parity check of
-    the Euclidean dual), conjugated by the q-th power, for the generator
-    polynomial g of Z (built here unless given).
+def parity_check_matrix(z: DefiningSet, tower: FieldTower, g: Poly) -> ShiftMatrix:
+    """The (n-k) x n basis of the Hermitian dual: the shifts of the reversed
+    check polynomial (x^n - 1)/g (a parity check of the Euclidean dual),
+    conjugated by the q-th power, for the generator polynomial g of Z.
 
     Row r then satisfies sum_j r_j^q * g_j = 0 against every generator row
     g, i.e. G * H^dagger = 0.
@@ -385,38 +375,42 @@ def build_parity_check_matrix(z: DefiningSet, tower: FieldTower, g: Poly | None 
         raise ValueError("empty defining set: the code is all of F^n, dual is 0")
     powq = tower.fq2.power_map(tower.q)
     hc = tuple(powq[v] for v in reversed(check_polynomial(z, tower, g).coeffs))
+    return ShiftMatrix(tower.fq2, hc, z.ctx.n)
+
+
+def code_matrices(z: DefiningSet, tower: FieldTower) -> tuple[ShiftMatrix, ShiftMatrix]:
+    """(G, H): G the k x n shifts of the generator polynomial g of Z, H the
+    parity_check_matrix, checked: the ranks of G and H are full and add up
+    to n, and every entry of G H^dagger is 0.
+
+    The ranks need no elimination: each row-0 vector must start with a
+    nonzero entry, so each matrix has a pivot in every row, and the row
+    counts must add up to n.  The first entry of g is nonzero as g divides
+    x^n - 1 (the exact division that builds H checks it); that of H is the
+    conjugated leading coefficient 1 of the check polynomial."""
     n = z.ctx.n
-    return _shifts(tower.fq2, hc, n - len(hc) + 1, n)
-
-
-def code_matrices(z: DefiningSet, tower: FieldTower) -> tuple[MatrixGF, MatrixGF]:
-    """(G, H) with H the Hermitian-dual basis, checked: G and H are shift
-    matrices, every entry of G H^dagger is 0 and the ranks of G and H are
-    full and add up to n.
-
-    The generator polynomial is built once, and x^n - 1 is divided by it
-    once, for H; that exact division checks that it divides x^n - 1."""
+    if len(z) >= n:
+        raise ValueError("defining set covers everything; the code is {0}")
     gpoly = generator_polynomial(z, tower)
-    g = build_generator_matrix(z, tower, gpoly)
-    h = build_parity_check_matrix(z, tower, gpoly)
-    if not dagger_product(g, h, ("G", "H")).is_zero():
-        raise VerificationError("G * H^dagger != 0")
-    if rank(g) != g.rows or rank(h) != h.rows or g.rows + h.rows != z.ctx.n:
+    g = ShiftMatrix(tower.fq2, gpoly.coeffs, n)
+    h = parity_check_matrix(z, tower, gpoly)
+    if not (g.vec[0] and h.vec[0]) or g.rows + h.rows != n:
         raise VerificationError("generator/parity-check ranks are not complementary")
+    if not dagger_product(g, h).is_zero():
+        raise VerificationError("G * H^dagger != 0")
     return g, h
 
 
-def rank_hh_dagger(h: MatrixGF) -> int:
+def rank_hh_dagger(h: ShiftMatrix) -> int:
     """Exact rank of H * H^dagger over the field of order q^2.
 
     This is the matrix route to the ebit count; it must equal the size of
-    the defining-set overlap computed by the set-algebra route.  H must be
-    a shift matrix (see dagger_product).
+    the defining-set overlap computed by the set-algebra route.
     """
-    return rank(dagger_product(h, h, ("H", "H")))
+    return rank(dagger_product(h, h))
 
 
-def check_ebits(h: MatrixGF, c: int, where: str) -> None:
+def check_ebits(h: ShiftMatrix, c: int, where: str) -> None:
     """rank(HH^dagger) must equal c, the ebit count of the set route;
     where names the code in the counterexample."""
     got = rank_hh_dagger(h)
@@ -492,7 +486,7 @@ def verify_rank_oracle(q_max: int) -> dict[str, int]:
         ctx = CycContext.for_family(q)
         tower = field_tower(q, ctx.n)
         for z in _random_closed_sets(ctx, _RANDOM_SETS_PER_Q, _RANDOM_SEED + q):
-            h = build_parity_check_matrix(z, tower)
+            h = parity_check_matrix(z, tower, generator_polynomial(z, tower))
             check_ebits(h, ebits(z), f"for a random set of size {len(z)} at q={q}")
             checked += 1
     return {"codes": checked}

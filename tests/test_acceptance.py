@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 
 from eaqmds.cli import main
-from eaqmds.codes import bch_bound, dimension, longest_circular_run
+from eaqmds.codes import bch_bound, dimension, generator_polynomial, longest_circular_run
 from eaqmds.cosets import (
     CycContext,
     DefiningSet,
@@ -28,9 +28,9 @@ from eaqmds.families import (
 )
 from eaqmds.gf import field_tower
 from eaqmds.oracle import (
-    build_generator_matrix,
-    build_parity_check_matrix,
+    code_matrices,
     exhaustive_min_distance,
+    parity_check_matrix,
     rank_hh_dagger,
 )
 
@@ -149,7 +149,7 @@ def test_criterion_4_rank_oracle_equivalence():
             tower = field_tower(q, spec.n)
             for m in range(2, spec.m_max + 1):
                 z = family_defining_set(spec, m)
-                h = build_parity_check_matrix(z, tower)
+                h = parity_check_matrix(z, tower, generator_polynomial(z, tower))
                 assert rank_hh_dagger(h) == ebits(z) == 20 * (m - 1) ** 2 + 1, (q, m)
                 checked += 1
         for q in (7, 23):
@@ -162,7 +162,7 @@ def test_criterion_4_rank_oracle_equivalence():
                 z = DefiningSet.from_cosets(ctx, [r for r in reps if rng.random() < 0.5])
                 if z.is_empty() or len(z) >= ctx.n:
                     continue
-                h = build_parity_check_matrix(z, tower)
+                h = parity_check_matrix(z, tower, generator_polynomial(z, tower))
                 assert rank_hh_dagger(h) == ebits(z), (q, z.members)
                 done += 1
                 checked += 1
@@ -222,10 +222,10 @@ def test_criterion_7_toy_exhaustive_distance():
         tower = field_tower(7, 10)
 
         z0 = DefiningSet.from_cosets(ctx, [0])
-        g0 = build_generator_matrix(z0, tower)
-        assert exhaustive_min_distance(g0) == 2 == bch_bound(z0)
+        g0, _h0 = code_matrices(z0, tower)
+        assert exhaustive_min_distance(g0.dense()) == 2 == bch_bound(z0)
 
         z = DefiningSet.from_cosets(ctx, [0, 1])  # k = 7, Singleton forces d = 4
-        g = build_generator_matrix(z, tower)
-        d = exhaustive_min_distance(g)
+        g, _h = code_matrices(z, tower)
+        d = exhaustive_min_distance(g.dense())
         assert d == 10 - dimension(z) + 1 == 4

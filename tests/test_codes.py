@@ -127,7 +127,7 @@ def test_generator_times_complement_generator_is_xn_minus_1(tower7, ctx7):
 
 def test_check_polynomial_degree(tower7, ctx7):
     z = DefiningSet.from_cosets(ctx7, [0, 1])
-    assert check_polynomial(z, tower7).degree == dimension(z)
+    assert check_polynomial(z, tower7, generator_polynomial(z, tower7)).degree == dimension(z)
 
 
 def test_generator_degree_always_matches_set_size(tower23, ctx23):

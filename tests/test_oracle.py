@@ -5,19 +5,18 @@ from math import isqrt
 import pytest
 
 from eaqmds import oracle
-from eaqmds.codes import check_polynomial
+from eaqmds.cli import main
+from eaqmds.codes import check_polynomial, generator_polynomial
 from eaqmds.cosets import DefiningSet, all_cosets
-from eaqmds.exceptions import VerificationError
 from eaqmds.eaqecc import ebits
 from eaqmds.families import verify_family_code
-from eaqmds.gf import build_field, field_tower
+from eaqmds.gf import Poly, build_field, field_tower
 from eaqmds.oracle import (
     BUDGET_EXCEEDED,
     MatrixGF,
+    ShiftMatrix,
     _min_weight_by_codewords,
     _min_weight_by_supports,
-    build_generator_matrix,
-    build_parity_check_matrix,
     code_matrices,
     conjugate_transpose,
     convolve,
@@ -25,6 +24,7 @@ from eaqmds.oracle import (
     exhaustive_min_distance,
     matmul,
     nullspace,
+    parity_check_matrix,
     rank,
     rank_hh_dagger,
     rowspace_defining_set,
@@ -39,15 +39,19 @@ def toy(ctx7, tower7):
 
 
 def test_matrix_shapes_and_ranks(toy):
-    z, g, h = toy
+    _z, g, h = toy
     assert (g.rows, g.cols) == (7, 10)
     assert (h.rows, h.cols) == (3, 10)
-    assert rank(g) == 7 and rank(h) == 3
+    assert rank(g.dense()) == 7 and rank(h.dense()) == 3
+
+
+def _generator_matrix(z, tower):
+    return code_matrices(z, tower)[0].dense()
 
 
 def _euclidean_parity_check(z, tower):
     # shifts of the reversed check polynomial, built entry by entry
-    hc = tuple(reversed(check_polynomial(z, tower).coeffs))
+    hc = tuple(reversed(check_polynomial(z, tower, generator_polynomial(z, tower)).coeffs))
     n = z.ctx.n
     rows = n - len(hc) + 1
     return MatrixGF(tower.fq2, tuple((0,) * r + hc + (0,) * (rows - 1 - r) for r in range(rows)))
@@ -57,14 +61,14 @@ def test_euclidean_duality(toy, tower7):
     # H is the Euclidean parity check conjugated entry-wise
     z, g, h = toy
     he = _euclidean_parity_check(z, tower7)
-    assert matmul(g, he.transpose()).is_zero()
+    assert matmul(g.dense(), he.transpose()).is_zero()
     assert rank(he) == 3
     powq = tower7.fq2.power_map(7)
-    assert h.data == tuple(tuple(powq[v] for v in row) for row in he.data)
+    assert h.dense().data == tuple(tuple(powq[v] for v in row) for row in he.data)
 
 
 def test_hermitian_duality(toy, tower7):
-    _z, g, h = toy
+    g, h = toy[1].dense(), toy[2].dense()
     # G H^dagger = 0, equivalently every H row is Hermitian-orthogonal to
     # every G row
     assert matmul(g, conjugate_transpose(h, 7)).is_zero()
@@ -77,7 +81,7 @@ def test_hermitian_duality(toy, tower7):
 def test_parity_rows_span_the_hermitian_dual_code(toy, tower7):
     # the code spanned by H has defining set {z : -qz mod n not in Z}
     z, _g, h = toy
-    got = rowspace_defining_set(h, tower7)
+    got = rowspace_defining_set(h.dense(), tower7)
     assert got == {x for x in range(10) if (-7 * x) % 10 not in z}
 
 
@@ -95,7 +99,7 @@ def test_rank_hh_dagger_equals_euclidean_variant(toy, tower7):
     # conjugating the parity check does not change rank(H H^dagger)
     z, _g, h = toy
     he = _euclidean_parity_check(z, tower7)
-    assert rank_hh_dagger(he) == rank_hh_dagger(h)
+    assert rank(matmul(he, conjugate_transpose(he, 7))) == rank_hh_dagger(h)
 
 
 def test_rank_hh_dagger_family_q23(tower23, spec23):
@@ -112,23 +116,25 @@ def test_rank_oracle_on_random_sets_q7(ctx7, tower7):
         z = DefiningSet.from_cosets(ctx7, [r for r in reps if rng.random() < 0.5])
         if z.is_empty() or len(z) >= ctx7.n:
             continue
-        h = build_parity_check_matrix(z, tower7)
+        h = parity_check_matrix(z, tower7, generator_polynomial(z, tower7))
         assert rank_hh_dagger(h) == ebits(z), z.members
         done += 1
 
 
 def test_generator_matrix_rejects_full_set(ctx7, tower7):
-    with pytest.raises(ValueError):
-        build_generator_matrix(DefiningSet.full(ctx7), tower7)
+    with pytest.raises(ValueError, match="covers everything"):
+        code_matrices(DefiningSet.full(ctx7), tower7)
 
 
 def test_parity_check_rejects_empty_set(ctx7, tower7):
-    with pytest.raises(ValueError):
-        build_parity_check_matrix(DefiningSet.empty(ctx7), tower7)
+    with pytest.raises(ValueError, match="empty defining set"):
+        parity_check_matrix(DefiningSet.empty(ctx7), tower7, Poly.one(tower7.fq2))
+    with pytest.raises(ValueError, match="empty defining set"):
+        code_matrices(DefiningSet.empty(ctx7), tower7)
 
 
 def test_nullspace_is_the_dual(toy):
-    _z, g, _h = toy
+    g = toy[1].dense()
     ns = nullspace(g)
     assert ns.rows == 3
     assert matmul(g, ns.transpose()).is_zero()
@@ -140,27 +146,25 @@ def test_nullspace_is_the_dual(toy):
 
 def test_min_distance_single_root(ctx7, tower7):
     # Z = {0}: codewords are exactly the vectors with coordinate sum zero
-    g = build_generator_matrix(DefiningSet.from_cosets(ctx7, [0]), tower7)
+    g = _generator_matrix(DefiningSet.from_cosets(ctx7, [0]), tower7)
     assert exhaustive_min_distance(g) == 2
 
 
 def test_min_distance_confirms_mds_toy(toy):
     # k = 7, designed distance 4 = n-k+1; the support scan must find no
     # lighter codeword and certify exactly 4
-    _z, g, _h = toy
-    assert exhaustive_min_distance(g) == 4
+    assert exhaustive_min_distance(toy[1].dense()) == 4
 
 
 def test_min_distance_budget_sentinel(toy):
-    _z, g, _h = toy
-    assert exhaustive_min_distance(g, budget=3) == BUDGET_EXCEEDED
+    assert exhaustive_min_distance(toy[1].dense(), budget=3) == BUDGET_EXCEEDED
 
 
 def test_min_distance_modes_agree(ctx7, tower7):
     # small dimension: both the dumb codeword enumeration and the support
     # scan are feasible and must agree exactly
     z = DefiningSet.from_cosets(ctx7, [0, 1, 2, 3])  # k = 3
-    g = build_generator_matrix(z, tower7)
+    g = _generator_matrix(z, tower7)
     by_words = _min_weight_by_codewords(g)
     by_supports = _min_weight_by_supports(g, budget=10_000)
     assert by_words == by_supports
@@ -171,7 +175,7 @@ def test_weight_two_oracle_against_direct_vectors(ctx7, tower7):
     # independent dumbest-possible route for d=2: no weight-1 vector is a
     # codeword, but some weight-2 vector is (checked by raw syndrome)
     z = DefiningSet.from_cosets(ctx7, [0])
-    g = build_generator_matrix(z, tower7)
+    g = _generator_matrix(z, tower7)
     h = nullspace(g)
     f = h.field
     n = g.cols
@@ -421,8 +425,8 @@ def test_rank_rejects_the_quartic_field(tower7):
 
 
 def test_rank_oracle_suite_ranks_match_raw_arithmetic(monkeypatch):
-    # every rank of the rank-oracle suite at q <= 27: G, H and HH^dagger of
-    # the family codes, HH^dagger of the random sets at q = 7 and 23
+    # every rank of the rank-oracle suite at q <= 27: HH^dagger of the family
+    # codes and of the random sets at q = 7 and 23
     honest = oracle.rank
     seen = Counter()
 
@@ -432,21 +436,40 @@ def test_rank_oracle_suite_ranks_match_raw_arithmetic(monkeypatch):
         seen[m.field.order] += 1
         return got
 
+    honest_matrices = oracle.code_matrices
+    family = []
+
+    def recorded(z, tower):
+        family.extend(honest_matrices(z, tower))
+        return family[-2:]
+
     monkeypatch.setattr(oracle, "rank", checked)
+    monkeypatch.setattr(oracle, "code_matrices", recorded)
     assert oracle.verify_rank_oracle(27) == {"codes": 102}
-    assert seen == {7**2: 50, 23**2: 53, 27**2: 3}
+    assert seen == {7**2: 50, 23**2: 51, 27**2: 1}
+    # the wide G and H of the family codes at q = 23 and 27, written out:
+    # the rank kernel agrees with raw arithmetic, and each rank is the row
+    # count that code_matrices reads off the echelon shape
+    assert sorted(m.field.order for m in family) == [23**2] * 2 + [27**2] * 2
+    for m in family:
+        dense = m.dense()
+        assert honest(dense) == RawArithmetic(m.field).rank(dense.data) == m.rows
 
 
 # -- shift-structured products -------------------------------------------------
 
 
-def _shift_matrix(f, vec, rows, cols):
-    """rows shifts of vec, each one place further right, in cols columns."""
-    return MatrixGF(f, tuple((0,) * i + vec + (0,) * (cols - len(vec) - i) for i in range(rows)))
-
-
 def _raw_dagger(raw, a, b, q):
     return raw.matmul(a, tuple(zip(*((raw.pow(v, q) for v in row) for row in b))))
+
+
+def test_shift_matrix_vector_ends_in_a_nonzero_entry():
+    # the row count cols - len(vec) + 1 holds only for such a vector
+    f = build_field(7, 2)
+    assert ShiftMatrix(f, (0, 3), 4).dense().data == ((0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3))
+    for vec in [(), (1, 0), (1,) * 5]:
+        with pytest.raises(ValueError, match="the last one nonzero"):
+            ShiftMatrix(f, vec, 4)
 
 
 # F_{2^10} and F_{3^6} are the alphabets of q = 32 and q = 27; the slots of
@@ -472,21 +495,21 @@ def test_dagger_product_matches_raw_arithmetic(p, deg):
     def nonzero():
         return rng.randrange(1, f.order)
 
-    for cols, (ka, ra), (kb, rb) in [
-        (8, (2, 7), (2, 3)),  # lags outside c: more rows of A than len(w) + 1
-        (8, (3, 2), (2, 7)),  # and more rows of B than len(u) + 1
-        (9, (4, 1), (3, 1)),  # 1-row matrices
-        (9, (4, 1), (3, 7)),
-        (10, (4, 7), (6, 5)),  # the last shift of each ends at column n - 1
-        (6, (6, 1), (1, 6)),
+    for cols, ka, kb in [
+        (8, 2, 3),  # lags outside c: more rows of A than len(w) + 1
+        (8, 3, 2),  # and more rows of B than len(u) + 1
+        (9, 9, 9),  # 1-row matrices
+        (9, 9, 3),
+        (10, 4, 6),
+        (6, 1, 6),
     ]:
-        # nonzero last entries: the vectors have no trailing zeros to strip
+        # nonzero last entries: a shift matrix's vector has no trailing zeros
         u = _random_matrix(f, rng, 1, ka - 1)[0] + (nonzero(),)
         w = _random_matrix(f, rng, 1, kb - 1)[0] + (nonzero(),)
-        a, b = _shift_matrix(f, u, ra, cols), _shift_matrix(f, w, rb, cols)
+        a, b = ShiftMatrix(f, u, cols), ShiftMatrix(f, w, cols)
         got = dagger_product(a, b)
-        assert (got.rows, got.cols) == (ra, rb)
-        assert got.data == _raw_dagger(raw, a.data, b.data, q)
+        assert (got.rows, got.cols) == (cols - ka + 1, cols - kb + 1)
+        assert got.data == _raw_dagger(raw, a.dense().data, b.dense().data, q)
 
 
 # slot widths of 16, 32 and 64 bits (machine words) and of 128 (shifts)
@@ -520,9 +543,11 @@ def test_structured_products_match_dense_matmul(monkeypatch):
     honest = oracle.dagger_product
     seen = Counter()
 
-    def checked(a, b, names=("A", "B")):
-        got = honest(a, b, names)
-        assert got == matmul(a, conjugate_transpose(b, isqrt(a.field.order))), names
+    def checked(a, b):
+        got = honest(a, b)
+        names = ("H", "H") if a is b else ("G", "H")
+        dense = matmul(a.dense(), conjugate_transpose(b.dense(), isqrt(a.field.order)))
+        assert got == dense, names
         seen[names] += 1
         return got
 
@@ -531,29 +556,60 @@ def test_structured_products_match_dense_matmul(monkeypatch):
     assert seen == {("G", "H"): 4, ("H", "H"): 104}
 
 
+def _zero_first_entry(which):
+    """A ShiftMatrix constructor that zeroes the first entry of the vector
+    of G (which = 0) or of H (which = 1); code_matrices builds G first."""
+    built = []
+
+    def broken(field, vec, cols):
+        if len(built) == which:
+            vec = (0,) + vec[1:]
+        built.append(vec)
+        return ShiftMatrix(field, vec, cols)
+
+    return broken
+
+
+def _bumped_check_polynomial(z, tower, g):
+    h = check_polynomial(z, tower, g)
+    coeffs = list(h.coeffs)
+    coeffs[1] = h.field.add(coeffs[1], 1)
+    return Poly(h.field, coeffs)
+
+
+# faults on the row-0 vectors of G and H: a vector that starts with 0 breaks
+# the echelon certificate of the ranks, a bumped coefficient of the check
+# polynomial breaks G * H^dagger = 0; a family code reaches code_matrices
+# through both commands
 @pytest.mark.parametrize(
-    "name,builder", [("G", "build_generator_matrix"), ("H", "build_parity_check_matrix")]
+    "invocation", ["code --q 23 --m 2 --oracle", "verify --level rank-oracle --qmax 23"]
 )
-@pytest.mark.parametrize("where", ["support", "zeros"])
-@pytest.mark.parametrize("last", [False, True])
-def test_broken_shift_structure_is_caught(monkeypatch, ctx7, tower7, name, builder, where, last):
-    # one entry of row 1 or of the last row changed, in the shifted vector or
-    # in the zeros left of it: the structured product must name that row
-    honest = getattr(oracle, builder)
-    broken_rows = []
+@pytest.mark.parametrize(
+    "fault", ["G-first-entry-zero", "H-first-entry-zero", "h-coefficient-bumped"]
+)
+def test_broken_row_vector_is_caught(capsys, monkeypatch, invocation, fault):
+    if fault == "h-coefficient-bumped":
+        monkeypatch.setattr(oracle, "check_polynomial", _bumped_check_polynomial)
+        check = "G * H^dagger != 0"
+    else:
+        monkeypatch.setattr(oracle, "ShiftMatrix", _zero_first_entry("GH".index(fault[0])))
+        check = "generator/parity-check ranks are not complementary"
+    rc = main(invocation.split())
+    assert rc == 1
+    assert capsys.readouterr().err.endswith(f": {check}\n")
 
-    def broken(*args):
-        m = honest(*args)
-        i = m.rows - 1 if last else 1
-        j = i if where == "support" else i - 1
-        rows = [list(r) for r in m.data]
-        rows[i][j] = (rows[i][j] + 1) % m.field.order
-        broken_rows.append(i)
-        return MatrixGF(m.field, tuple(map(tuple, rows)))
 
-    monkeypatch.setattr(oracle, builder, broken)
-    z = DefiningSet.from_cosets(ctx7, [0, 1])
-    with pytest.raises(VerificationError) as exc:
-        code_matrices(z, tower7)
-    (i,) = broken_rows
-    assert str(exc.value) == f"{name} row {i} is not row 0 shifted right by {i}"
+def test_code_oracle_ranks_hh_dagger_alone(capsys, monkeypatch):
+    # the ranks of G (197 x 370) and H (173 x 370) are read off their echelon
+    # shape, so the one elimination of a code is the one of HH^dagger
+    honest = oracle.rank
+    shapes = []
+
+    def recorded(m):
+        shapes.append((m.rows, m.cols))
+        return honest(m)
+
+    monkeypatch.setattr(oracle, "rank", recorded)
+    assert main("code --q 43 --m 3 --oracle --allow-large-oracle".split()) == 0
+    capsys.readouterr()
+    assert shapes == [(173, 173)]

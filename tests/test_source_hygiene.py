@@ -42,6 +42,12 @@ def test_source_hygiene():
                 bad.append(f"{path.name}:{node.lineno}: true division")
             if path.stem != "gf" and isinstance(node, ast.Attribute) and node.attr in TABLE_ATTRS:
                 bad.append(f"{path.name}:{node.lineno}: reads {node.attr}")
+            # G and H are held as their row-0 vectors; only tests write them out
+            if isinstance(node, ast.Call) and "dense" in (
+                getattr(node.func, "attr", None),
+                getattr(node.func, "id", None),
+            ):
+                bad.append(f"{path.name}:{node.lineno}: calls dense")
         if path.stem in SET_ROUTE and "oracle" in _imported_modules(tree):
             bad.append(f"{path.name}: imports oracle")
     assert bad == []

@@ -514,7 +514,10 @@ def find_element_of_order(field: Field, n: int) -> int:
 
 class Poly:
     """Dense polynomial over one Field: tuple of element indices, constant
-    term first, no trailing zeros."""
+    term first, no trailing zeros.  It serves Rabin's modulus search over
+    F_p (products and divmod) and the minimal polynomials of FieldTower
+    (from_roots); the generator and check polynomials of a code are
+    products taken by oracle's convolve."""
 
     __slots__ = ("field", "coeffs")
 
@@ -532,13 +535,6 @@ class Poly:
     @classmethod
     def one(cls, field: Field) -> "Poly":
         return cls(field, (1,))
-
-    @classmethod
-    def x_pow_n_minus_1(cls, field: Field, n: int) -> "Poly":
-        coeffs = [0] * (n + 1)
-        coeffs[0] = field.neg(1)
-        coeffs[n] = 1
-        return cls(field, coeffs)
 
     @classmethod
     def from_roots(cls, field: Field, roots: Iterable[int]) -> "Poly":
@@ -624,12 +620,6 @@ class Poly:
             while rem and rem[-1] == 0:
                 rem.pop()
         return Poly(f, quo), Poly(f, rem)
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        quo, rem = self.divmod(other)
-        if not rem.is_zero():
-            raise VerificationError(f"expected exact division, remainder {rem.coeffs}")
-        return quo
 
 
 # ---------------------------------------------------------------------------

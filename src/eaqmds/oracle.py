@@ -7,11 +7,15 @@ Everything here is explicit linear algebra, so that it shares no
 machinery with the set-algebra route it checks.  matmul, convolve and
 rank pack F_p digits into big integers (Kronecker substitution), so that
 one big-integer operation adds up many field products, and reduce mod p
-and the modulus only where a value is read.  G and H are the shifts of
-one vector each, and are held as that vector (ShiftMatrix), never
+and the modulus only where a value is read.  One function builds both
+polynomials of a code: generator_polynomial multiplies minimal
+polynomials up a tree with convolve, g over the cosets of Z and the
+check polynomial h over those of its complement.  G and H are the shifts
+of one vector each, and are held as that vector (ShiftMatrix), never
 written out: G * H^dagger and H * H^dagger are Toeplitz, so
-dagger_product takes each from one convolution, and the ranks of G and
-H are read off their echelon shape.  The dense matmul and
+dagger_product takes each from one convolution.  The one G * H^dagger
+proves g * h = x^n - 1, and the ranks of G and H are read off their
+echelon shape.  The dense matmul and
 ShiftMatrix.dense are kept as references for tests.  The scalar work
 (nullspace, the toy distances) calls the field's own add, sub and mul,
 in whatever arithmetic build_field chose for the field.  The rank-oracle
@@ -28,12 +32,11 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence
 
-from .codes import check_polynomial, generator_polynomial
 from .cosets import CycContext, DefiningSet, all_cosets
 from .eaqecc import ebits
 from .exceptions import VerificationError
 from .families import FamilyCode, iter_family_sizes, verify_family_code
-from .gf import Field, FieldTower, Poly, field_tower
+from .gf import Field, FieldTower, field_tower
 
 BUDGET_EXCEEDED = "budget-exceeded"
 
@@ -363,41 +366,60 @@ def nullspace(m: MatrixGF) -> MatrixGF:
 # ---------------------------------------------------------------------------
 
 
-def parity_check_matrix(z: DefiningSet, tower: FieldTower, g: Poly) -> ShiftMatrix:
-    """The (n-k) x n basis of the Hermitian dual: the shifts of the reversed
-    check polynomial (x^n - 1)/g (a parity check of the Euclidean dual),
-    conjugated by the q-th power, for the generator polynomial g of Z.
-
-    Row r then satisfies sum_j r_j^q * g_j = 0 against every generator row
-    g, i.e. G * H^dagger = 0.
-    """
-    if z.is_empty():
-        raise ValueError("empty defining set: the code is all of F^n, dual is 0")
-    powq = tower.fq2.power_map(tower.q)
-    hc = tuple(powq[v] for v in reversed(check_polynomial(z, tower, g).coeffs))
-    return ShiftMatrix(tower.fq2, hc, z.ctx.n)
+def generator_polynomial(z: DefiningSet, tower: FieldTower) -> tuple[int, ...]:
+    """The monic generator of the cyclic code with defining set Z, constant
+    term first: the product of (x - root^j) over j in Z, taken as the
+    product of the minimal polynomials of Z's cosets, multiplied pairwise
+    up a balanced tree by convolve.  The result has degree |Z| (checked).
+    On the complement of Z it gives the check polynomial (x^n - 1)/g,
+    which code_matrices builds so and checks."""
+    ctx = z.ctx
+    if tower.n != ctx.n or tower.q != ctx.q:
+        raise ValueError("tower does not match the defining set's context")
+    f = tower.fq2
+    polys = [tower.minimal_polynomial(rep).coeffs for rep in z.coset_reps()] or [(1,)]
+    while len(polys) > 1:
+        pairs = [polys[i : i + 2] for i in range(0, len(polys), 2)]
+        polys = [convolve(f, *pair) if len(pair) == 2 else pair[0] for pair in pairs]
+    g = tuple(polys[0])
+    if len(g) != len(z) + 1 or g[-1] != 1:
+        raise VerificationError(
+            f"generator polynomial has degree {len(g) - 1} and leading coefficient "
+            f"{g[-1]}: expected monic of degree |Z| = {len(z)}"
+        )
+    return g
 
 
 def code_matrices(z: DefiningSet, tower: FieldTower) -> tuple[ShiftMatrix, ShiftMatrix]:
-    """(G, H): G the k x n shifts of the generator polynomial g of Z, H the
-    parity_check_matrix, checked: the ranks of G and H are full and add up
-    to n, and every entry of G H^dagger is 0.
+    """(G, H), checked: G the k x n shifts of the generator polynomial g of
+    Z, H the (n-k) x n shifts of the reversed check polynomial h, the
+    generator of the complement of Z, conjugated by the q-th power.  Row r
+    of H then satisfies sum_j r_j^q * g_j = 0 against every row g of G.
 
-    The ranks need no elimination: each row-0 vector must start with a
-    nonzero entry, so each matrix has a pivot in every row, and the row
-    counts must add up to n.  The first entry of g is nonzero as g divides
-    x^n - 1 (the exact division that builds H checks it); that of H is the
-    conjugated leading coefficient 1 of the check polynomial."""
+    Entry (i, j) of G * H^dagger is coefficient k + j - i of g * h, so the
+    entries cover coefficients 1 .. n-1.  Every entry 0, g and h monic of
+    degrees adding up to n and g_0 * h_0 = -1 is exactly g * h = x^n - 1:
+    g divides x^n - 1 with cofactor h, and no division is needed.  The
+    ranks need no elimination either: each row-0 vector starts with a
+    nonzero entry (g_0, and the conjugated leading 1 of h), so each matrix
+    has a pivot in every row, and the row counts add up to n."""
     n = z.ctx.n
     if len(z) >= n:
         raise ValueError("defining set covers everything; the code is {0}")
+    if z.is_empty():
+        raise ValueError("empty defining set: the code is all of F^n, dual is 0")
+    f = tower.fq2
     gpoly = generator_polynomial(z, tower)
-    g = ShiftMatrix(tower.fq2, gpoly.coeffs, n)
-    h = parity_check_matrix(z, tower, gpoly)
+    hpoly = generator_polynomial(z.complement(), tower)
+    powq = f.power_map(tower.q)
+    g = ShiftMatrix(f, gpoly, n)
+    h = ShiftMatrix(f, tuple(powq[v] for v in reversed(hpoly)), n)
     if not (g.vec[0] and h.vec[0]) or g.rows + h.rows != n:
         raise VerificationError("generator/parity-check ranks are not complementary")
     if not dagger_product(g, h).is_zero():
         raise VerificationError("G * H^dagger != 0")
+    if f.mul(gpoly[0], hpoly[0]) != f.neg(1):
+        raise VerificationError("g * h != x^n - 1")
     return g, h
 
 
@@ -486,8 +508,8 @@ def verify_rank_oracle(q_max: int) -> dict[str, int]:
         ctx = CycContext.for_family(q)
         tower = field_tower(q, ctx.n)
         for z in _random_closed_sets(ctx, _RANDOM_SETS_PER_Q, _RANDOM_SEED + q):
-            h = parity_check_matrix(z, tower, generator_polynomial(z, tower))
-            check_ebits(h, ebits(z), f"for a random set of size {len(z)} at q={q}")
+            where = f"for a random set of size {len(z)} at q={q}"
+            check_ebits(code_matrices(z, tower)[1], ebits(z), where)
             checked += 1
     return {"codes": checked}
 

@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 
 from eaqmds.cli import main
-from eaqmds.codes import bch_bound, dimension, generator_polynomial, longest_circular_run
+from eaqmds.codes import bch_bound, dimension, longest_circular_run
 from eaqmds.cosets import (
     CycContext,
     DefiningSet,
@@ -30,7 +30,6 @@ from eaqmds.gf import field_tower
 from eaqmds.oracle import (
     code_matrices,
     exhaustive_min_distance,
-    parity_check_matrix,
     rank_hh_dagger,
 )
 
@@ -149,7 +148,7 @@ def test_criterion_4_rank_oracle_equivalence():
             tower = field_tower(q, spec.n)
             for m in range(2, spec.m_max + 1):
                 z = family_defining_set(spec, m)
-                h = parity_check_matrix(z, tower, generator_polynomial(z, tower))
+                h = code_matrices(z, tower)[1]
                 assert rank_hh_dagger(h) == ebits(z) == 20 * (m - 1) ** 2 + 1, (q, m)
                 checked += 1
         for q in (7, 23):
@@ -162,7 +161,7 @@ def test_criterion_4_rank_oracle_equivalence():
                 z = DefiningSet.from_cosets(ctx, [r for r in reps if rng.random() < 0.5])
                 if z.is_empty() or len(z) >= ctx.n:
                     continue
-                h = parity_check_matrix(z, tower, generator_polynomial(z, tower))
+                h = code_matrices(z, tower)[1]
                 assert rank_hh_dagger(h) == ebits(z), (q, z.members)
                 done += 1
                 checked += 1

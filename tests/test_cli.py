@@ -350,9 +350,9 @@ def test_rank_oracle_off_by_one_is_caught(capsys, monkeypatch, invocation):
     assert "rank(HH^dagger)" in err
 
 
-# a correlation coefficient off by one: in every structured product, the
-# first G * H^dagger check fails; in H * H^dagger alone (u and w of one
-# length, which G * H^dagger never has here), the rank comparison does
+# a product coefficient off by one: in every convolve (the product trees of
+# g and h included), the first G * H^dagger check fails; in H * H^dagger
+# alone, the rank comparison does
 @pytest.mark.parametrize(
     "invocation", ["code --q 23 --m 2 --oracle", "verify --level rank-oracle --qmax 23"]
 )
@@ -360,15 +360,23 @@ def test_rank_oracle_off_by_one_is_caught(capsys, monkeypatch, invocation):
     "products,check", [("all", "G * H^dagger != 0"), ("square", "rank(HH^dagger) = ")]
 )
 def test_correlation_off_by_one_is_caught(capsys, monkeypatch, invocation, products, check):
-    honest = oracle.convolve
+    honest, honest_dagger = oracle.convolve, oracle.dagger_product
 
     def bumped(field, a, b):
         c = honest(field, a, b)
-        if products == "all" or len(a) == len(b):
-            c[len(c) // 2] = field.add(c[len(c) // 2], 1)
+        c[len(c) // 2] = field.add(c[len(c) // 2], 1)
         return c
 
-    monkeypatch.setattr(oracle, "convolve", bumped)
+    def square_bumped(a, b):
+        with monkeypatch.context() as patch:
+            if a is b:
+                patch.setattr(oracle, "convolve", bumped)
+            return honest_dagger(a, b)
+
+    if products == "all":
+        monkeypatch.setattr(oracle, "convolve", bumped)
+    else:
+        monkeypatch.setattr(oracle, "dagger_product", square_bumped)
     rc, _out, err = run_cli(capsys, *invocation.split())
     assert rc == 1
     assert check in err

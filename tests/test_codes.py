@@ -1,16 +1,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eaqmds.codes import (
-    bch_bound,
-    check_polynomial,
-    dimension,
-    generator_polynomial,
-    longest_circular_run,
-)
+from eaqmds.codes import bch_bound, dimension, longest_circular_run
 from eaqmds.cosets import CycContext, DefiningSet
 from eaqmds.families import family_defining_set, free_window_set
-from eaqmds.gf import Poly
 
 
 def test_dimension_examples(ctx23, spec23, spec43):
@@ -102,38 +95,6 @@ def test_hermitian_dual_containing(ctx23, spec23):
     assert _hermitian_dual_containing(free_window_set(spec23, 2))
     # the full family block does not (its overlap is the 21 ebits)
     assert not _hermitian_dual_containing(family_defining_set(spec23, 2))
-
-
-def test_generator_polynomial_of_c0_is_x_minus_1(tower7, ctx7):
-    g = generator_polynomial(DefiningSet.from_cosets(ctx7, [0]), tower7)
-    assert g.coeffs == (tower7.fq2.neg(1), 1)
-
-
-def test_generator_polynomial_divides_xn_minus_1(tower7, ctx7):
-    z = DefiningSet.from_cosets(ctx7, [0, 1])
-    g = generator_polynomial(z, tower7)
-    assert g.degree == len(z) == 3
-    full = Poly.x_pow_n_minus_1(tower7.fq2, 10)
-    q, r = full.divmod(g)
-    assert r.is_zero() and (q * g).coeffs == full.coeffs
-
-
-def test_generator_times_complement_generator_is_xn_minus_1(tower7, ctx7):
-    z = DefiningSet.from_cosets(ctx7, [0, 1])
-    g = generator_polynomial(z, tower7)
-    gc = generator_polynomial(z.complement(), tower7)
-    assert (g * gc).coeffs == Poly.x_pow_n_minus_1(tower7.fq2, 10).coeffs
-
-
-def test_check_polynomial_degree(tower7, ctx7):
-    z = DefiningSet.from_cosets(ctx7, [0, 1])
-    assert check_polynomial(z, tower7, generator_polynomial(z, tower7)).degree == dimension(z)
-
-
-def test_generator_degree_always_matches_set_size(tower23, ctx23):
-    for reps in ([0], [1], [0, 1, 2], [53]):
-        z = DefiningSet.from_cosets(ctx23, reps)
-        assert generator_polynomial(z, tower23).degree == len(z)
 
 
 def test_dual_containment_matches_zero_ebits(ctx7):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from math import isqrt
@@ -6,11 +7,11 @@ import pytest
 
 from eaqmds import oracle
 from eaqmds.cli import main
-from eaqmds.codes import check_polynomial, generator_polynomial
-from eaqmds.cosets import DefiningSet, all_cosets
+from eaqmds.codes import dimension
+from eaqmds.cosets import DefiningSet, all_cosets, coset
 from eaqmds.eaqecc import ebits
 from eaqmds.families import verify_family_code
-from eaqmds.gf import Poly, build_field, field_tower
+from eaqmds.gf import FieldTower, Poly, build_field, field_tower
 from eaqmds.oracle import (
     BUDGET_EXCEEDED,
     MatrixGF,
@@ -22,9 +23,9 @@ from eaqmds.oracle import (
     convolve,
     dagger_product,
     exhaustive_min_distance,
+    generator_polynomial,
     matmul,
     nullspace,
-    parity_check_matrix,
     rank,
     rank_hh_dagger,
     rowspace_defining_set,
@@ -51,7 +52,7 @@ def _generator_matrix(z, tower):
 
 def _euclidean_parity_check(z, tower):
     # shifts of the reversed check polynomial, built entry by entry
-    hc = tuple(reversed(check_polynomial(z, tower, generator_polynomial(z, tower)).coeffs))
+    hc = tuple(reversed(generator_polynomial(z.complement(), tower)))
     n = z.ctx.n
     rows = n - len(hc) + 1
     return MatrixGF(tower.fq2, tuple((0,) * r + hc + (0,) * (rows - 1 - r) for r in range(rows)))
@@ -116,7 +117,7 @@ def test_rank_oracle_on_random_sets_q7(ctx7, tower7):
         z = DefiningSet.from_cosets(ctx7, [r for r in reps if rng.random() < 0.5])
         if z.is_empty() or len(z) >= ctx7.n:
             continue
-        h = parity_check_matrix(z, tower7, generator_polynomial(z, tower7))
+        h = code_matrices(z, tower7)[1]
         assert rank_hh_dagger(h) == ebits(z), z.members
         done += 1
 
@@ -128,9 +129,72 @@ def test_generator_matrix_rejects_full_set(ctx7, tower7):
 
 def test_parity_check_rejects_empty_set(ctx7, tower7):
     with pytest.raises(ValueError, match="empty defining set"):
-        parity_check_matrix(DefiningSet.empty(ctx7), tower7, Poly.one(tower7.fq2))
-    with pytest.raises(ValueError, match="empty defining set"):
         code_matrices(DefiningSet.empty(ctx7), tower7)
+
+
+# -- the generator and check polynomials ---------------------------------------
+
+
+def _x_pow_n_minus_1(f, n):
+    return Poly(f, (f.neg(1),) + (0,) * (n - 1) + (1,))
+
+
+def test_generator_polynomial_of_c0_is_x_minus_1(tower7, ctx7):
+    g = generator_polynomial(DefiningSet.from_cosets(ctx7, [0]), tower7)
+    assert g == (tower7.fq2.neg(1), 1)
+
+
+def test_generator_polynomial_divides_xn_minus_1(tower7, ctx7):
+    z = DefiningSet.from_cosets(ctx7, [0, 1])
+    g = Poly(tower7.fq2, generator_polynomial(z, tower7))
+    assert g.degree == len(z) == 3
+    full = _x_pow_n_minus_1(tower7.fq2, 10)
+    q, r = full.divmod(g)
+    assert r.is_zero() and (q * g).coeffs == full.coeffs
+
+
+def test_generator_times_complement_generator_is_xn_minus_1(tower7, ctx7):
+    z = DefiningSet.from_cosets(ctx7, [0, 1])
+    g = Poly(tower7.fq2, generator_polynomial(z, tower7))
+    gc = Poly(tower7.fq2, generator_polynomial(z.complement(), tower7))
+    assert (g * gc).coeffs == _x_pow_n_minus_1(tower7.fq2, 10).coeffs
+
+
+def test_check_polynomial_degree(tower7, ctx7):
+    z = DefiningSet.from_cosets(ctx7, [0, 1])
+    assert len(generator_polynomial(z.complement(), tower7)) - 1 == dimension(z)
+
+
+def test_generator_degree_always_matches_set_size(tower23, ctx23):
+    for reps in ([0], [1], [0, 1, 2], [53]):
+        z = DefiningSet.from_cosets(ctx23, reps)
+        assert len(generator_polynomial(z, tower23)) - 1 == len(z)
+
+
+def test_tree_built_polynomials_match_scalar_reference(monkeypatch):
+    # every code of the rank-oracle suite at q <= 32: g against the scalar
+    # product of its minimal polynomials taken in turn, h against the
+    # scalar quotient of x^n - 1 by g
+    honest = oracle.code_matrices
+    codes = []
+
+    def recorded(z, tower):
+        codes.append((z, tower))
+        return honest(z, tower)
+
+    monkeypatch.setattr(oracle, "code_matrices", recorded)
+    assert oracle.verify_rank_oracle(32) == {"codes": 104}
+    assert len(codes) == 104
+    for z, tower in codes:
+        f = tower.fq2
+        reference = Poly.one(f)
+        for rep in z.coset_reps():
+            reference = reference * tower.minimal_polynomial(rep)
+        g = generator_polynomial(z, tower)
+        assert g == reference.coeffs
+        quotient, remainder = _x_pow_n_minus_1(f, z.ctx.n).divmod(Poly(f, g))
+        assert remainder.is_zero()
+        assert generator_polynomial(z.complement(), tower) == quotient.coeffs
 
 
 def test_nullspace_is_the_dual(toy):
@@ -447,11 +511,13 @@ def test_rank_oracle_suite_ranks_match_raw_arithmetic(monkeypatch):
     monkeypatch.setattr(oracle, "code_matrices", recorded)
     assert oracle.verify_rank_oracle(27) == {"codes": 102}
     assert seen == {7**2: 50, 23**2: 51, 27**2: 1}
-    # the wide G and H of the family codes at q = 23 and 27, written out:
-    # the rank kernel agrees with raw arithmetic, and each rank is the row
-    # count that code_matrices reads off the echelon shape
-    assert sorted(m.field.order for m in family) == [23**2] * 2 + [27**2] * 2
-    for m in family:
+    # every code reaches code_matrices, the two family codes first; their
+    # wide G and H at q = 23 and 27, written out: the rank kernel agrees
+    # with raw arithmetic, and each rank is the row count that
+    # code_matrices reads off the echelon shape
+    assert len(family) == 2 * 102
+    assert sorted(m.field.order for m in family[:4]) == [23**2] * 2 + [27**2] * 2
+    for m in family[:4]:
         dense = m.dense()
         assert honest(dense) == RawArithmetic(m.field).rank(dense.data) == m.rows
 
@@ -553,7 +619,7 @@ def test_structured_products_match_dense_matmul(monkeypatch):
 
     monkeypatch.setattr(oracle, "dagger_product", checked)
     assert oracle.verify_rank_oracle(32) == {"codes": 104}
-    assert seen == {("G", "H"): 4, ("H", "H"): 104}
+    assert seen == {("G", "H"): 104, ("H", "H"): 104}
 
 
 def _zero_first_entry(which):
@@ -570,27 +636,81 @@ def _zero_first_entry(which):
     return broken
 
 
-def _bumped_check_polynomial(z, tower, g):
-    h = check_polynomial(z, tower, g)
-    coeffs = list(h.coeffs)
-    coeffs[1] = h.field.add(coeffs[1], 1)
-    return Poly(h.field, coeffs)
+def _break_call(which, broken):
+    """A generator_polynomial that answers call number which (0 for g, 1
+    for h, as code_matrices builds g first) with broken(honest, z, tower)."""
+    honest = oracle.generator_polynomial
+    calls = itertools.count()
+
+    def stand_in(z, tower):
+        if next(calls) == which:
+            return broken(honest, z, tower)
+        return honest(z, tower)
+
+    return stand_in
 
 
-# faults on the row-0 vectors of G and H: a vector that starts with 0 breaks
-# the echelon certificate of the ranks, a bumped coefficient of the check
-# polynomial breaks G * H^dagger = 0; a family code reaches code_matrices
-# through both commands
+def _bumped(honest, z, tower):
+    """The polynomial with coefficient 1 raised by one."""
+    h = honest(z, tower)
+    return (h[0], tower.fq2.add(h[1], 1)) + h[2:]
+
+
+def _wrong_orbit(honest, z, tower):
+    """The product over Z with one coset traded for one of the same size
+    outside Z: monic of degree |Z|, and still a divisor of x^n - 1."""
+    inside, outside = z.coset_reps(), z.complement().coset_reps()
+    size = {r: len(coset(z.ctx, r)) for r in inside + outside}
+    a, b = next((a, b) for a in inside for b in outside if size[a] == size[b])
+    return honest(DefiningSet.from_cosets(z.ctx, [r for r in inside if r != a] + [b]), tower)
+
+
+def _roots_scaled():
+    """A minimal_polynomial whose roots are scaled by a generator lam of
+    F_(q^2): lam^deg * m(x / lam), monic and over F_(q^2), but its roots
+    are not n-th roots of unity."""
+    honest = FieldTower.minimal_polynomial
+
+    def scaled(tower, i):
+        m = honest(tower, i)
+        f = m.field
+        lam = f.generator()
+        return Poly(f, (f.mul(c, f.pow(lam, m.degree - k)) for k, c in enumerate(m.coeffs)))
+
+    return scaled
+
+
+# faults on the row-0 vectors of G and H and on the polynomials behind them;
+# a family code reaches code_matrices through both commands:
+# - a vector that starts with 0 breaks the echelon certificate of the ranks;
+# - a bumped coefficient of h breaks G * H^dagger = 0;
+# - a g over the wrong orbits still divides x^n - 1, but h is built on its
+#   own, so g * h has a double root and G * H^dagger != 0;
+# - roots scaled off the n-th roots of unity keep G * H^dagger = 0, as
+#   g * h = x^n - lam^n, and fail on the constant term
 @pytest.mark.parametrize(
     "invocation", ["code --q 23 --m 2 --oracle", "verify --level rank-oracle --qmax 23"]
 )
 @pytest.mark.parametrize(
-    "fault", ["G-first-entry-zero", "H-first-entry-zero", "h-coefficient-bumped"]
+    "fault",
+    [
+        "G-first-entry-zero",
+        "H-first-entry-zero",
+        "h-coefficient-bumped",
+        "wrong-orbit",
+        "roots-scaled",
+    ],
 )
 def test_broken_row_vector_is_caught(capsys, monkeypatch, invocation, fault):
     if fault == "h-coefficient-bumped":
-        monkeypatch.setattr(oracle, "check_polynomial", _bumped_check_polynomial)
+        monkeypatch.setattr(oracle, "generator_polynomial", _break_call(1, _bumped))
         check = "G * H^dagger != 0"
+    elif fault == "wrong-orbit":
+        monkeypatch.setattr(oracle, "generator_polynomial", _break_call(0, _wrong_orbit))
+        check = "G * H^dagger != 0"
+    elif fault == "roots-scaled":
+        monkeypatch.setattr(FieldTower, "minimal_polynomial", _roots_scaled())
+        check = "g * h != x^n - 1"
     else:
         monkeypatch.setattr(oracle, "ShiftMatrix", _zero_first_entry("GH".index(fault[0])))
         check = "generator/parity-check ranks are not complementary"

@@ -9,6 +9,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "eaqmds"
 # route in oracle, which is what checks them
 SET_ROUTE = ("cosets", "codes", "eaqecc", "families", "errata")
 
+# the set route computes in no field: it imports nothing from gf but the
+# prime-power parser, which families classifies q with
+GF_NAMES_ALLOWED = {
+    "cosets": set(), "codes": set(), "eaqecc": set(), "errata": set(), "families": {"PrimePower"},
+}
+
 # the lookup tables of an extension field belong to gf, which builds them
 # once in build_field; every other module computes through the field's
 # own add, sub, neg and mul
@@ -27,6 +33,31 @@ def _imported_modules(tree):
             else:  # from . import x
                 out.update(alias.name for alias in node.names)
     return out
+
+
+def _names_from_gf(tree):
+    """The names a tree imports from gf, and "gf" itself where it imports
+    the module whole."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module and node.module.split(".")[-1] == "gf":
+                out.update(alias.name for alias in node.names)
+            else:  # from . import gf, from eaqmds import gf
+                out.update(alias.name for alias in node.names if alias.name == "gf")
+        elif isinstance(node, ast.Import):
+            out.update("gf" for alias in node.names if alias.name.split(".")[-1] == "gf")
+    return out
+
+
+def test_set_route_imports_no_field_arithmetic():
+    bad = []
+    for stem, allowed in sorted(GF_NAMES_ALLOWED.items()):
+        tree = ast.parse((SRC / f"{stem}.py").read_text())
+        extra = _names_from_gf(tree) - allowed
+        if extra:
+            bad.append(f"{stem}.py imports {sorted(extra)} from gf")
+    assert bad == []
 
 
 def test_source_hygiene():

@@ -10,6 +10,10 @@ element index.
 Elements are canonical integer indices: the element with coefficient
 vector (c_0, ..., c_{d-1}) over F_p has index sum(c_i * p**i).  For
 p = 2 the index is the usual bitmask of the coefficient polynomial.
+A polynomial is a tuple or list of coefficients, constant term first:
+ints mod p in the modulus search (Rabin's test), whose remainder step
+_poly_mod also serves the table-free product of an extension field, and
+F_{q^2} indices for the minimal polynomials of FieldTower.
 
 build_field picks the arithmetic from the field's structure, not its size.
 A prime field (PrimeField) computes with integers mod p and holds no
@@ -40,7 +44,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .cosets import CycContext, coset
 from .exceptions import VerificationError
@@ -128,46 +132,70 @@ class PrimePower:
 
 
 # ---------------------------------------------------------------------------
-# modulus selection: Rabin's irreducibility test on Polys over F_p
+# modulus selection: Rabin's irreducibility test on int lists over F_p
 # ---------------------------------------------------------------------------
 
 
-def _gcd(a: "Poly", b: "Poly") -> "Poly":
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a
+def _poly_mod(a: list[int], f: Sequence[int], p: int) -> list[int]:
+    """a mod f over F_p, f with a nonzero last coefficient; the remainder
+    has no trailing zeros."""
+    r = list(a)
+    df = len(f) - 1
+    inv = pow(f[-1], -1, p)
+    for k in range(len(r) - 1, df - 1, -1):
+        c = r[k] * inv % p
+        if c:
+            for i, fi in enumerate(f, k - df):
+                r[i] -= c * fi
+    r = [c % p for c in r[:df]]
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
-def _powmod(base: "Poly", e: int, mod: "Poly") -> "Poly":
-    result = Poly.one(base.field)
-    while e:
-        if e & 1:
-            result = (result * base).divmod(mod)[1]
-        base = (base * base).divmod(mod)[1]
-        e >>= 1
-    return result
+def _mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> list[int]:
+    """a * b mod f over F_p: the schoolbook product, then one remainder."""
+    prod = [0] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                prod[j] += ai * bj
+    return _poly_mod(prod, f, p)
 
 
-def _is_irreducible(f: "Poly") -> bool:
-    """Rabin's test for a monic f of degree d >= 2 over a prime field:
+def _is_irreducible(f: list[int], p: int) -> bool:
+    """Rabin's test for a monic f of degree d >= 2 over F_p:
     x^(p^d) = x mod f, and gcd(f, x^(p^(d/r)) - x) = 1 for each prime r | d."""
-    d = f.degree
-    x = Poly(f.field, (0, 1))
+    d = len(f) - 1
+    x = [0, 1]
     frob = [x]  # frob[k] = x^(p^k) mod f
     for _ in range(d):
-        frob.append(_powmod(frob[-1], f.field.p, f))
-    return frob[d] == x and all(
-        _gcd(f, frob[d // r] - x).degree == 0 for r in factorize(d)
-    )
+        base, e, power = frob[-1], p, [1]
+        while e:
+            if e & 1:
+                power = _mulmod(power, base, f, p)
+            base = _mulmod(base, base, f, p)
+            e >>= 1
+        frob.append(power)
+    if frob[d] != x:
+        return False
+    for r in factorize(d):
+        h = [*frob[d // r], 0, 0]
+        h[1] -= 1  # x^(p^(d/r)) - x
+        a, b = f, _poly_mod(h, f, p)
+        while b:
+            a, b = b, _poly_mod(a, b, p)
+        if len(a) != 1:
+            return False
+    return True
 
 
 def _smallest_irreducible(p: int, degree: int) -> tuple[int, ...]:
     """The monic irreducible of given degree >= 2 with the smallest tail encoding."""
-    fp = build_field(p, 1)
     for t in range(p**degree):
-        f = Poly(fp, _digits(t, p, degree) + (1,))
-        if _is_irreducible(f):
-            return f.coeffs
+        f = [*_digits(t, p, degree), 1]
+        if _is_irreducible(f, p):
+            return tuple(f)
     raise AssertionError(f"no irreducible of degree {degree} over F_{p}")
 
 
@@ -209,9 +237,8 @@ class Field:
         self._generator: int | None = None
         self._group_factors: dict[int, int] | None = None
         self._power_maps: dict[int, list[int]] = {}
-        # schoolbook-product data from an F_p modulus, built on first use
+        # the p = 2 modulus as a bitmask, built on first use
         self._modmask: int | None = None
-        self._reduction: list[tuple[int, ...]] | None = None
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, degree={self.degree})"
@@ -275,39 +302,8 @@ class Field:
                 a ^= mod
         return r
 
-    def _reduction_rows(self) -> list[tuple[int, ...]]:
-        # row j = coefficient vector of x^(degree+j) reduced mod modulus
-        d, p = self.degree, self.p
-        rows: list[tuple[int, ...]] = []
-        cur = [(-c) % p for c in self.modulus[:d]]
-        for _ in range(max(d - 1, 1)):
-            rows.append(tuple(cur))
-            top = cur[d - 1]
-            cur = [0] + cur[: d - 1]
-            if top:
-                base = rows[0]
-                for i in range(d):
-                    cur[i] = (cur[i] + top * base[i]) % p
-        return rows
-
     def _mul_raw(self, a: int, b: int) -> int:
-        d, p = self.degree, self.p
-        da, db = self.decode(a), self.decode(b)
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] += ai * bj
-        red = self._reduction
-        if red is None:
-            red = self._reduction = self._reduction_rows()
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k] % p
-            if c:
-                row = red[k - d]
-                for i in range(d):
-                    prod[i] += c * row[i]
-        return self.encode(c % p for c in prod[:d])
+        return self.encode(_mulmod(self.decode(a), self.decode(b), self.modulus, self.p))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -508,121 +504,6 @@ def find_element_of_order(field: Field, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over a Field
-# ---------------------------------------------------------------------------
-
-
-class Poly:
-    """Dense polynomial over one Field: tuple of element indices, constant
-    term first, no trailing zeros.  It serves Rabin's modulus search over
-    F_p (products and divmod) and the minimal polynomials of FieldTower
-    (from_roots); the generator and check polynomials of a code are
-    products taken by oracle's convolve."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: Field, coeffs: Iterable[int]):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, field: Field) -> "Poly":
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field: Field) -> "Poly":
-        return cls(field, (1,))
-
-    @classmethod
-    def from_roots(cls, field: Field, roots: Iterable[int]) -> "Poly":
-        """The monic product of (x - r) over the given element indices."""
-        cur = [1]
-        for r in roots:
-            nr = field.neg(r)
-            nxt = [0] * (len(cur) + 1)
-            for i, c in enumerate(cur):
-                if c:
-                    nxt[i + 1] = field.add(nxt[i + 1], c)
-                    nxt[i] = field.add(nxt[i], field.mul(c, nr))
-            cur = nxt
-        return cls(field, cur)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.field is other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.field), self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"Poly({self.field!r}, {self.coeffs})"
-
-    def _check(self, other: "Poly") -> None:
-        if self.field is not other.field:
-            raise ValueError("polynomials over different fields")
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        a = a + (0,) * (n - len(a))
-        b = b + (0,) * (n - len(b))
-        return Poly(f, (f.sub(x, y) for x, y in zip(a, b)))
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(f)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = f.add(out[i + j], f.mul(ai, bj))
-        return Poly(f, out)
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        f = self.field
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dD = len(div) - 1
-        quo = [0] * max(len(rem) - dD, 0)
-        inv_lead = f.inv(div[-1])
-        while len(rem) - 1 >= dD and rem:
-            c = f.mul(rem[-1], inv_lead)
-            shift = len(rem) - 1 - dD
-            quo[shift] = c
-            for i, di in enumerate(div):
-                if di:
-                    rem[shift + i] = f.sub(rem[shift + i], f.mul(c, di))
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(f, quo), Poly(f, rem)
-
-
-# ---------------------------------------------------------------------------
 # the tower F_p < F_{q^2} < F_{q^4} used by generator polynomials and matrices
 # ---------------------------------------------------------------------------
 
@@ -649,7 +530,7 @@ class FieldTower:
         self.unity_root = find_element_of_order(self.fq4, n)
         self._context = CycContext(n, q)
         self._root_pows: list[int] | None = None
-        self._minpoly_cache: dict[int, Poly] = {}
+        self._minpoly_cache: dict[int, tuple[int, ...]] = {}
 
     def root_power(self, z: int) -> int:
         """Index (in the quartic field) of the n-th root of unity to power z."""
@@ -661,31 +542,30 @@ class FieldTower:
             self._root_pows = pows
         return self._root_pows[z % self.n]
 
-    def minimal_polynomial(self, i: int) -> Poly:
+    def minimal_polynomial(self, i: int) -> tuple[int, ...]:
         """Minimal polynomial over F_{q^2} of the i-th power of the root of
-        unity: the monic product of (x - root^j) over the coset of i, with
-        every coefficient verified to be fixed by the q^2 power map and to
-        be an index below q^2, that is, an element of F_{q^2} as it stands."""
+        unity, constant term first: the monic product of (x - root^j) over
+        the coset of i, with every coefficient verified to be fixed by the
+        q^2 power map and to be an index below q^2, that is, an element of
+        F_{q^2} as it stands."""
         orbit = coset(self._context, i)
         cached = self._minpoly_cache.get(orbit.rep)
         if cached is not None:
             return cached
-        big = Poly.from_roots(self.fq4, (self.root_power(j) for j in orbit.elements))
-        q2 = self.fq2.order
-        for c in big.coeffs:
-            if self.fq4.pow(c, q2) != c or c >= q2:
+        f4, q2 = self.fq4, self.fq2.order
+        coeffs = [1]
+        for j in orbit.elements:
+            # times (x - root^j): coefficient k is c_(k-1) - root^j * c_k
+            nr = f4.neg(self.root_power(j))
+            coeffs = [f4.add(hi, f4.mul(lo, nr)) for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+        for c in coeffs:
+            if f4.pow(c, q2) != c or c >= q2:
                 raise VerificationError(
                     f"coefficient {c} of the orbit product of {orbit.rep} is not in "
-                    f"F_(q^2): its q^2 power is {self.fq4.pow(c, q2)}, q^2 = {q2}"
+                    f"F_(q^2): its q^2 power is {f4.pow(c, q2)}, q^2 = {q2}"
                 )
-        small = Poly(self.fq2, big.coeffs)
-        if small.degree != len(orbit) or not small.is_monic():
-            raise VerificationError(
-                f"minimal polynomial of the orbit of {orbit.rep} has coefficients "
-                f"{small.coeffs}: expected monic of degree {len(orbit)}"
-            )
-        self._minpoly_cache[orbit.rep] = small
-        return small
+        mp = self._minpoly_cache[orbit.rep] = tuple(coeffs)
+        return mp
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,9 +16,9 @@ written out: G * H^dagger and H * H^dagger are Toeplitz, so
 dagger_product takes each from one convolution.  The one G * H^dagger
 proves g * h = x^n - 1, and the ranks of G and H are read off their
 echelon shape.  The dense matmul and
-ShiftMatrix.dense are kept as references for tests.  The scalar work
-(nullspace, the toy distances) calls the field's own add, sub and mul,
-in whatever arithmetic build_field chose for the field.  The rank-oracle
+ShiftMatrix.dense are kept as references for tests.  rank is the one
+elimination: the toy distances either enumerate codewords with the
+field's own add and mul or scan supports with rank.  The rank-oracle
 suite (verify_rank_oracle) compares the two routes on every family code
 and on random coset-closed sets.
 """
@@ -325,42 +325,6 @@ def rank(m: MatrixGF) -> int:
     return m.rows - len(active)
 
 
-def nullspace(m: MatrixGF) -> MatrixGF:
-    """A basis (rows) of the right nullspace {v : M v = 0}."""
-    f = m.field
-    rows = [list(r) for r in m.data]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = f.inv(rows[r][c])
-        if inv != 1:
-            rows[r] = [f.mul(inv, v) if v else 0 for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                fac = rows[i][c]
-                rows[i] = [
-                    f.sub(vi, f.mul(fac, vr)) if vr else vi for vi, vr in zip(rows[i], rows[r])
-                ]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = f.neg(rows[ri][fc])
-        basis.append(tuple(v))
-    return MatrixGF(f, tuple(basis))
-
-
 # ---------------------------------------------------------------------------
 # cyclic-code matrices
 # ---------------------------------------------------------------------------
@@ -377,7 +341,7 @@ def generator_polynomial(z: DefiningSet, tower: FieldTower) -> tuple[int, ...]:
     if tower.n != ctx.n or tower.q != ctx.q:
         raise ValueError("tower does not match the defining set's context")
     f = tower.fq2
-    polys = [tower.minimal_polynomial(rep).coeffs for rep in z.coset_reps()] or [(1,)]
+    polys = [tower.minimal_polynomial(rep) for rep in z.coset_reps()] or [(1,)]
     while len(polys) > 1:
         pairs = [polys[i : i + 2] for i in range(0, len(polys), 2)]
         polys = [convolve(f, *pair) if len(pair) == 2 else pair[0] for pair in pairs]
@@ -520,13 +484,12 @@ def verify_rank_oracle(q_max: int) -> dict[str, int]:
 
 
 def _min_weight_by_codewords(g: MatrixGF) -> int:
-    """Enumerate every nonzero codeword m*G; exact and completely dumb."""
+    """Enumerate every codeword m*G and skip the zero ones; exact and
+    completely dumb."""
     f = g.field
     n = g.cols
     best = n + 1
     for msg in itertools.product(range(f.order), repeat=g.rows):
-        if not any(msg):
-            continue
         w = 0
         for j in range(n):
             acc = 0
@@ -535,28 +498,25 @@ def _min_weight_by_codewords(g: MatrixGF) -> int:
                     acc = f.add(acc, f.mul(mi, row[j]))
             if acc:
                 w += 1
-        if w < best:
+        if 0 < w < best:
             best = w
     return best
 
 
 def _min_weight_by_supports(g: MatrixGF, budget: int) -> int | str:
-    """Smallest w such that some w columns of a parity check are linearly
-    dependent, i.e. some nonzero codeword has support of size w."""
-    h = nullspace(g)
-    if h.rows == 0:
-        # the rowspace is everything: weight-1 codewords exist
-        return 1
-    n = g.cols
-    hcols = list(zip(*h.data))
+    """Smallest |S| such that the columns of G outside S have a smaller
+    rank than G: then some nonzero codeword vanishes outside S, and the
+    smallest such S is its support."""
+    full = rank(g)
+    cols = list(zip(*g.data))
     examined = 0
-    for w in range(1, n + 1):
-        for support in itertools.combinations(range(n), w):
+    for w in range(1, g.cols + 1):
+        for support in itertools.combinations(range(g.cols), w):
             examined += 1
             if examined > budget:
                 return BUDGET_EXCEEDED
-            sub = MatrixGF(g.field, tuple(zip(*(hcols[j] for j in support))))
-            if rank(sub) < w:
+            rest = tuple(c for j, c in enumerate(cols) if j not in support)
+            if rank(MatrixGF(g.field, rest)) < full:
                 return w
     raise VerificationError("no nonzero codeword found in a nonzero code")
 
@@ -568,7 +528,7 @@ def exhaustive_min_distance(g: MatrixGF, budget: int = 500_000) -> int | str:
     Small message spaces are enumerated outright; otherwise supports are
     scanned in increasing size, charging one unit of budget per support.
     """
-    if g.rows == 0:
+    if rank(g) == 0:
         raise ValueError("the zero code has no nonzero codeword")
     size = g.field.order**g.rows - 1
     if size <= budget:

@@ -1,0 +1,33 @@
+"""Scalar reference for polynomial products and division over one field,
+one coefficient at a time with the field's own add, sub, mul and inv.
+Polynomials are tuples, constant term first, without trailing zeros."""
+
+
+def trim(a):
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return tuple(a)
+
+
+def poly_mul(f, a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] = f.add(out[j], f.mul(x, y))
+    return trim(out)
+
+
+def poly_divmod(f, a, b):
+    """(quotient, remainder) of a by b, whose last coefficient is nonzero."""
+    rem, db = list(trim(a)), len(b) - 1
+    quo = [0] * max(len(rem) - db, 0)
+    inv = f.inv(b[-1])
+    while len(rem) > db:
+        c = f.mul(rem[-1], inv)
+        shift = len(rem) - 1 - db
+        quo[shift] = c
+        for i, y in enumerate(b, shift):
+            rem[i] = f.sub(rem[i], f.mul(c, y))
+        rem = list(trim(rem))
+    return trim(quo), tuple(rem)

@@ -5,12 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eaqmds import gf
-from eaqmds.cosets import CycContext, CycCoset, coset
+from eaqmds.cosets import CycContext, CycCoset, all_cosets, coset
 from eaqmds.exceptions import VerificationError
 from eaqmds.gf import (
     Field,
     FieldTower,
-    Poly,
     PrimePower,
     build_field,
     factorize,
@@ -18,7 +17,8 @@ from eaqmds.gf import (
     find_element_of_order,
     is_prime,
 )
-from eaqmds.oracle import MatrixGF, conjugate_transpose
+from eaqmds.oracle import MatrixGF, conjugate_transpose, matmul
+from polyref import poly_divmod, poly_mul
 
 
 # -- independent oracle: exhaustive irreducibility scan for quadratics --------
@@ -73,6 +73,23 @@ def test_build_field_moduli_are_pinned(p, deg):
         assert build_field(p, deg).modulus == PINNED_MODULI[p, deg]
 
 
+def _mobius(k):
+    exponents = factorize(k).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+
+
+@pytest.mark.parametrize(
+    "p,deg",
+    [(2, d) for d in range(2, 9)] + [(3, d) for d in range(2, 6)] + [(5, 2), (5, 3), (7, 2)],
+)
+def test_rabin_test_passes_exactly_the_irreducibles(p, deg):
+    # Gauss: there are (1/d) * sum_{k | d} mu(k) p^(d/k) monic irreducibles
+    # of degree d over F_p; Rabin's test must pass that many of all p^d tails
+    passed = sum(gf._is_irreducible([*gf._digits(t, p, deg), 1], p) for t in range(p**deg))
+    gauss = sum(_mobius(k) * p ** (deg // k) for k in range(1, deg + 1) if deg % k == 0)
+    assert passed * deg == gauss
+
+
 def test_build_field_rejects_bad_input():
     with pytest.raises(ValueError):
         build_field(6, 2)
@@ -123,8 +140,8 @@ def test_zero_inverse_and_mixed_fields_raise():
     g = build_field(23, 2)
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
-    with pytest.raises(ValueError):
-        Poly.one(f) - Poly.one(g)  # noqa: B018 - the subtraction itself raises
+    with pytest.raises(ValueError, match="different fields"):
+        matmul(MatrixGF(f, ((1,),)), MatrixGF(g, ((1,),)))
 
 
 def test_index_arithmetic_on_f49():
@@ -288,22 +305,37 @@ def test_order_must_divide_group_order():
 
 def test_minimal_polynomial_of_unity_is_x_minus_1(tower7):
     mp = tower7.minimal_polynomial(0)
-    assert mp.coeffs == (tower7.fq2.neg(1), 1)
+    assert mp == (tower7.fq2.neg(1), 1)
 
 
 def test_minimal_polynomial_divides_xn_minus_1(tower7):
     mp = tower7.minimal_polynomial(1)
-    assert mp.degree == 2 and mp.is_monic()
+    assert len(mp) == 3 and mp[-1] == 1
     f = tower7.fq2
-    full = Poly(f, (f.neg(1),) + (0,) * 9 + (1,))  # x^10 - 1
-    q, r = full.divmod(mp)
-    assert r.is_zero()
-    assert (q * mp).coeffs == full.coeffs
+    full = (f.neg(1),) + (0,) * 9 + (1,)  # x^10 - 1
+    q, r = poly_divmod(f, full, mp)
+    assert r == ()
+    assert poly_mul(f, q, mp) == full
 
 
 def test_minimal_polynomial_degree_is_orbit_size(tower23):
     for i in (0, 1, 2, 53):
-        assert tower23.minimal_polynomial(i).degree == len(coset(CycContext(106, 23), i))
+        assert len(tower23.minimal_polynomial(i)) - 1 == len(coset(CycContext(106, 23), i))
+
+
+def test_minimal_polynomial_vanishes_exactly_on_its_coset(tower7, tower23):
+    for tower in (tower7, tower23):
+        f4 = tower.fq4
+        for orbit in all_cosets(CycContext(tower.n, tower.q)):
+            mp = tower.minimal_polynomial(orbit.rep)
+            zeros = []
+            for j in range(tower.n):
+                x, acc = tower.root_power(j), 0
+                for c in reversed(mp):  # Horner
+                    acc = f4.add(f4.mul(acc, x), c)
+                if not acc:
+                    zeros.append(j)
+            assert tuple(zeros) == orbit.elements, orbit.rep
 
 
 # non-orbit root sets in place of the coset of 1 = {1, 9} at q = 7, n = 10
@@ -397,33 +429,3 @@ def test_prime_power_parsing():
         PrimePower.from_int(12)
     with pytest.raises(ValueError):
         PrimePower(4, 1, 4)
-
-
-# -- polynomial helpers ------------------------------------------------------------
-
-
-def test_poly_divmod_roundtrip():
-    f = build_field(7, 2)
-    rng = random.Random(99)
-    for _ in range(50):
-        a = Poly(f, [rng.randrange(f.order) for _ in range(rng.randrange(1, 8))])
-        b = Poly(f, [rng.randrange(f.order) for _ in range(rng.randrange(1, 5))])
-        if b.is_zero():
-            continue
-        q, r = a.divmod(b)
-        assert a - r == q * b
-        assert r.is_zero() or r.degree < b.degree
-
-
-def test_poly_from_roots_has_those_roots():
-    f = build_field(7, 2)
-    roots = [3, 17, 40]
-    poly = Poly.from_roots(f, roots)
-    assert poly.degree == 3 and poly.is_monic()
-    # r is a root when x - r divides the polynomial
-    def remainder(r):
-        return poly.divmod(Poly(f, [f.neg(r), 1]))[1]
-
-    for r in roots:
-        assert remainder(r).is_zero()
-    assert not remainder(1).is_zero()

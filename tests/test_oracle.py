@@ -11,7 +11,7 @@ from eaqmds.codes import dimension
 from eaqmds.cosets import DefiningSet, all_cosets, coset
 from eaqmds.eaqecc import ebits
 from eaqmds.families import verify_family_code
-from eaqmds.gf import FieldTower, Poly, build_field, field_tower
+from eaqmds.gf import FieldTower, build_field, field_tower
 from eaqmds.oracle import (
     BUDGET_EXCEEDED,
     MatrixGF,
@@ -25,11 +25,11 @@ from eaqmds.oracle import (
     exhaustive_min_distance,
     generator_polynomial,
     matmul,
-    nullspace,
     rank,
     rank_hh_dagger,
     rowspace_defining_set,
 )
+from polyref import poly_divmod, poly_mul
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +136,7 @@ def test_parity_check_rejects_empty_set(ctx7, tower7):
 
 
 def _x_pow_n_minus_1(f, n):
-    return Poly(f, (f.neg(1),) + (0,) * (n - 1) + (1,))
+    return (f.neg(1),) + (0,) * (n - 1) + (1,)
 
 
 def test_generator_polynomial_of_c0_is_x_minus_1(tower7, ctx7):
@@ -146,18 +146,20 @@ def test_generator_polynomial_of_c0_is_x_minus_1(tower7, ctx7):
 
 def test_generator_polynomial_divides_xn_minus_1(tower7, ctx7):
     z = DefiningSet.from_cosets(ctx7, [0, 1])
-    g = Poly(tower7.fq2, generator_polynomial(z, tower7))
-    assert g.degree == len(z) == 3
-    full = _x_pow_n_minus_1(tower7.fq2, 10)
-    q, r = full.divmod(g)
-    assert r.is_zero() and (q * g).coeffs == full.coeffs
+    f = tower7.fq2
+    g = generator_polynomial(z, tower7)
+    assert len(g) - 1 == len(z) == 3
+    full = _x_pow_n_minus_1(f, 10)
+    q, r = poly_divmod(f, full, g)
+    assert r == () and poly_mul(f, q, g) == full
 
 
 def test_generator_times_complement_generator_is_xn_minus_1(tower7, ctx7):
     z = DefiningSet.from_cosets(ctx7, [0, 1])
-    g = Poly(tower7.fq2, generator_polynomial(z, tower7))
-    gc = Poly(tower7.fq2, generator_polynomial(z.complement(), tower7))
-    assert (g * gc).coeffs == _x_pow_n_minus_1(tower7.fq2, 10).coeffs
+    f = tower7.fq2
+    g = generator_polynomial(z, tower7)
+    gc = generator_polynomial(z.complement(), tower7)
+    assert poly_mul(f, g, gc) == _x_pow_n_minus_1(f, 10)
 
 
 def test_check_polynomial_degree(tower7, ctx7):
@@ -187,22 +189,14 @@ def test_tree_built_polynomials_match_scalar_reference(monkeypatch):
     assert len(codes) == 104
     for z, tower in codes:
         f = tower.fq2
-        reference = Poly.one(f)
+        reference = (1,)
         for rep in z.coset_reps():
-            reference = reference * tower.minimal_polynomial(rep)
+            reference = poly_mul(f, reference, tower.minimal_polynomial(rep))
         g = generator_polynomial(z, tower)
-        assert g == reference.coeffs
-        quotient, remainder = _x_pow_n_minus_1(f, z.ctx.n).divmod(Poly(f, g))
-        assert remainder.is_zero()
-        assert generator_polynomial(z.complement(), tower) == quotient.coeffs
-
-
-def test_nullspace_is_the_dual(toy):
-    g = toy[1].dense()
-    ns = nullspace(g)
-    assert ns.rows == 3
-    assert matmul(g, ns.transpose()).is_zero()
-    assert rank(ns) == 3
+        assert g == reference
+        quotient, remainder = poly_divmod(f, _x_pow_n_minus_1(f, z.ctx.n), g)
+        assert remainder == ()
+        assert generator_polynomial(z.complement(), tower) == quotient
 
 
 # -- exhaustive minimum distance -----------------------------------------------
@@ -233,6 +227,24 @@ def test_min_distance_modes_agree(ctx7, tower7):
     by_supports = _min_weight_by_supports(g, budget=10_000)
     assert by_words == by_supports
     assert exhaustive_min_distance(g, budget=200_000) == by_words
+    # a repeated row spans the same code: both routes must skip the zero
+    # codeword of a nonzero message and compare against rank(G), not the
+    # row count
+    f = g.field
+    pair = MatrixGF(f, g.data[:2])
+    repeated = MatrixGF(f, g.data[:2] + g.data[:1])
+    want = _min_weight_by_codewords(pair)
+    assert _min_weight_by_supports(pair, budget=10_000) == want
+    assert _min_weight_by_codewords(repeated) == want
+    assert _min_weight_by_supports(repeated, budget=10_000) == want
+    assert exhaustive_min_distance(MatrixGF(f, ((1, 2, 0), (2, 4, 0)))) == 2
+
+
+def test_min_distance_of_the_zero_code_raises(tower7):
+    f = tower7.fq2
+    for g in (MatrixGF(f, ()), MatrixGF(f, ((0, 0, 0),))):
+        with pytest.raises(ValueError, match="the zero code has no nonzero codeword"):
+            exhaustive_min_distance(g)
 
 
 def test_weight_two_oracle_against_direct_vectors(ctx7, tower7):
@@ -240,7 +252,7 @@ def test_weight_two_oracle_against_direct_vectors(ctx7, tower7):
     # codeword, but some weight-2 vector is (checked by raw syndrome)
     z = DefiningSet.from_cosets(ctx7, [0])
     g = _generator_matrix(z, tower7)
-    h = nullspace(g)
+    h = _euclidean_parity_check(z, tower7)
     f = h.field
     n = g.cols
 
@@ -373,11 +385,6 @@ def test_kernels_match_raw_arithmetic(p, deg):
         for m in (a, b, ab.data, ((0,) * cols,) * rows):
             want = raw.rank(m)
             assert rank(MatrixGF(f, m)) == want, m
-            ns = nullspace(MatrixGF(f, m))
-            assert ns.rows == len(m[0]) - want
-            if ns.rows:
-                assert not any(any(r) for r in raw.matmul(m, tuple(zip(*ns.data))))
-                assert raw.rank(ns.data) == ns.rows
 
 
 # slot widths of 16, 32 and 64 bits (machine words) and of 128 (shifts)
@@ -673,9 +680,9 @@ def _roots_scaled():
 
     def scaled(tower, i):
         m = honest(tower, i)
-        f = m.field
+        f = tower.fq2
         lam = f.generator()
-        return Poly(f, (f.mul(c, f.pow(lam, m.degree - k)) for k, c in enumerate(m.coeffs)))
+        return tuple(f.mul(c, f.pow(lam, len(m) - 1 - k)) for k, c in enumerate(m))
 
     return scaled
 

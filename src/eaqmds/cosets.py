@@ -244,10 +244,10 @@ class DefiningSet:
 
 
 def _neg_q_maps_coset(ctx: CycContext, src: int, dst: int) -> bool:
-    """Whether -q * C_src == C_dst as sets; maps by c = -q mod n, as neg_q does."""
-    n = ctx.n
-    c = -ctx.q % n
-    return {c * x % n for x in coset(ctx, src).elements} == set(coset(ctx, dst).elements)
+    """Whether -q * C_src == C_dst as sets.  As -q commutes with *q^2,
+    -q * C_src is the coset of -q * src, and two cosets are equal exactly
+    when they share an element, so one orbit is built."""
+    return -ctx.q * src % ctx.n in coset(ctx, dst).elements
 
 
 def coset_product_identity(ctx: CycContext, s: int, i: int) -> bool:

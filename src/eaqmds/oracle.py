@@ -1,5 +1,5 @@
 """Independent first-principles verification through explicit matrices
-over F_{q^2}: generator and parity-check matrices of the cyclic code,
+over F_{q^2}: the generator and check polynomials of the cyclic code,
 the exact rank of H * H^dagger (which must equal the ebit count computed
 from the defining-set overlap), and exhaustive distance checks for toys.
 
@@ -10,15 +10,15 @@ one big-integer operation adds up many field products, and reduce mod p
 and the modulus only where a value is read.  One function builds both
 polynomials of a code: generator_polynomial multiplies minimal
 polynomials up a tree with convolve, g over the cosets of Z and the
-check polynomial h over those of its complement.  G and H are the shifts
-of one vector each, and are held as that vector (ShiftMatrix), never
-written out: G * H^dagger and H * H^dagger are Toeplitz, so
-dagger_product takes each from one convolution.  The one G * H^dagger
-proves g * h = x^n - 1, and the ranks of G and H are read off their
-echelon shape.  The dense matmul and
-ShiftMatrix.dense are kept as references for tests.  rank is the one
-elimination: the toy distances either enumerate codewords with the
-field's own add and mul or scan supports with rank.  The rank-oracle
+check polynomial h over those of its complement.  code_polynomials
+proves g * h = x^n - 1 with one more convolve, which is all that the
+generator matrix G (the shifts of g) and the parity-check matrix H (the
+shifts of h reversed and conjugated) need: G * H^dagger = 0 and both
+have full rank.  Neither matrix is written out: H * H^dagger is
+Toeplitz, and hh_dagger reads it off one convolution of h.  The dense
+matmul and conjugate_transpose are kept as references for tests.  rank
+is the one elimination: the toy distances either walk the codewords with
+the field's own add and mul or scan supports with rank.  The rank-oracle
 suite (verify_rank_oracle) compares the two routes on every family code
 and on random coset-closed sets.
 """
@@ -72,9 +72,6 @@ class MatrixGF:
 
     def transpose(self) -> "MatrixGF":
         return MatrixGF(self.field, tuple(zip(*self.data)))
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.data))
 
 
 # matmul and convolve pack F_p digit vectors into integers, one slot of
@@ -167,7 +164,7 @@ def _slot_reducer(f: Field, width: int):
 
 def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     """A * B over a field F_p[x]/(f) built by build_field: the dense
-    reference for the shift-structured products of dagger_product.
+    reference for the shift-structured product of hh_dagger.
 
     Row j of B packs as one integer B_j with the digits of entry c from
     slot c*(2d-1) on.  Row i of the product is then S_i = sum_j
@@ -210,57 +207,6 @@ def convolve(field: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
     packed = _Packer(field, width)
     prod = packed.vector(a) * packed.vector(b)
     return _slot_reducer(field, width)(prod, len(a) + len(b) - 1)
-
-
-@dataclass(frozen=True)
-class ShiftMatrix:
-    """The matrix of cols columns whose row i is vec shifted right by i,
-    with zeros around it, for i = 0 .. cols - len(vec): G and H of a
-    cyclic code, held as their row 0.  vec has no trailing zeros.  When
-    vec[0] is nonzero the matrix is in echelon form with a pivot in every
-    row, so its rank is its row count."""
-
-    field: Field
-    vec: tuple[int, ...]
-    cols: int
-
-    def __post_init__(self) -> None:
-        if not (self.vec and self.vec[-1] and len(self.vec) <= self.cols):
-            raise ValueError(f"row 0 must hold 1 to {self.cols} entries, the last one nonzero")
-
-    @property
-    def rows(self) -> int:
-        return self.cols - len(self.vec) + 1
-
-    def dense(self) -> MatrixGF:
-        """Every row written out: the reference for tests and the toy distances."""
-        v, pad = self.vec, self.rows - 1
-        return MatrixGF(self.field, tuple((0,) * i + v + (0,) * (pad - i) for i in range(pad + 1)))
-
-
-def dagger_product(a: ShiftMatrix, b: ShiftMatrix) -> MatrixGF:
-    """A * B^dagger over the field of order q^2, for shift matrices A and B.
-
-    With u and w the row-0 vectors of A and B, entry (i, j) is
-    sum_s u_s * w_(s+i-j)^q, the Toeplitz entry c[len(w) - 1 - i + j] of
-    c = convolve(u, reversed w^q), and 0 where that index falls outside c.
-    """
-    f = a.field
-    if b.field is not f:
-        raise ValueError("matrices over different fields")
-    if a.cols != b.cols:
-        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times ({b.rows}x{b.cols})^dagger")
-    q = isqrt(f.order)
-    if q * q != f.order:
-        raise ValueError(f"field order {f.order} is not a square")
-    powq = f.power_map(q)
-    w = [powq[v] for v in reversed(b.vec)]
-    c = convolve(f, a.vec, w)
-    # c padded with zeros, so that row i of the product is one slice of it
-    lead = max(0, a.rows - len(w))
-    padded = [0] * lead + c + [0] * max(0, len(w) - 1 + b.rows - len(c))
-    first = lead + len(w) - 1  # entry (0, 0)
-    return MatrixGF(f, tuple(tuple(padded[first - i : first - i + b.rows]) for i in range(a.rows)))
 
 
 def conjugate_transpose(m: MatrixGF, q: int) -> MatrixGF:
@@ -326,7 +272,7 @@ def rank(m: MatrixGF) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cyclic-code matrices
+# cyclic-code polynomials and matrices
 # ---------------------------------------------------------------------------
 
 
@@ -336,7 +282,7 @@ def generator_polynomial(z: DefiningSet, tower: FieldTower) -> tuple[int, ...]:
     product of the minimal polynomials of Z's cosets, multiplied pairwise
     up a balanced tree by convolve.  The result has degree |Z| (checked).
     On the complement of Z it gives the check polynomial (x^n - 1)/g,
-    which code_matrices builds so and checks."""
+    which code_polynomials builds so and checks."""
     ctx = z.ctx
     if tower.n != ctx.n or tower.q != ctx.q:
         raise ValueError("tower does not match the defining set's context")
@@ -354,52 +300,60 @@ def generator_polynomial(z: DefiningSet, tower: FieldTower) -> tuple[int, ...]:
     return g
 
 
-def code_matrices(z: DefiningSet, tower: FieldTower) -> tuple[ShiftMatrix, ShiftMatrix]:
-    """(G, H), checked: G the k x n shifts of the generator polynomial g of
-    Z, H the (n-k) x n shifts of the reversed check polynomial h, the
-    generator of the complement of Z, conjugated by the q-th power.  Row r
-    of H then satisfies sum_j r_j^q * g_j = 0 against every row g of G.
+def code_polynomials(z: DefiningSet, tower: FieldTower) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(g, h), checked: g the generator polynomial of Z, and h the check
+    polynomial, built as the generator of the complement of Z.  The
+    generator matrix G is the k x n shifts of g; the parity-check matrix H
+    is the (n-k) x n shifts of h reversed and conjugated by the q-th power.
 
-    Entry (i, j) of G * H^dagger is coefficient k + j - i of g * h, so the
-    entries cover coefficients 1 .. n-1.  Every entry 0, g and h monic of
-    degrees adding up to n and g_0 * h_0 = -1 is exactly g * h = x^n - 1:
-    g divides x^n - 1 with cofactor h, and no division is needed.  The
-    ranks need no elimination either: each row-0 vector starts with a
-    nonzero entry (g_0, and the conjugated leading 1 of h), so each matrix
-    has a pivot in every row, and the row counts add up to n."""
+    The one check g * h = x^n - 1 proves all that G and H need, with no
+    division and no matrix written out.  Entry (i, j) of G * H^dagger is
+    coefficient k + j - i of g * h, one of coefficients 1 .. n-1, so
+    G * H^dagger = 0.  Coefficient 0 is g_0 * h_0 = -1, so g_0 != 0 and G
+    has a pivot in every row; H's first entry is the conjugate of h's
+    leading 1, so H has one too.  Their row counts n - |Z| and |Z| add up
+    to n by generator_polynomial's degree checks: the ranks are
+    complementary."""
     n = z.ctx.n
     if len(z) >= n:
         raise ValueError("defining set covers everything; the code is {0}")
     if z.is_empty():
         raise ValueError("empty defining set: the code is all of F^n, dual is 0")
     f = tower.fq2
-    gpoly = generator_polynomial(z, tower)
-    hpoly = generator_polynomial(z.complement(), tower)
-    powq = f.power_map(tower.q)
-    g = ShiftMatrix(f, gpoly, n)
-    h = ShiftMatrix(f, tuple(powq[v] for v in reversed(hpoly)), n)
-    if not (g.vec[0] and h.vec[0]) or g.rows + h.rows != n:
-        raise VerificationError("generator/parity-check ranks are not complementary")
-    if not dagger_product(g, h).is_zero():
-        raise VerificationError("G * H^dagger != 0")
-    if f.mul(gpoly[0], hpoly[0]) != f.neg(1):
+    g = generator_polynomial(z, tower)
+    h = generator_polynomial(z.complement(), tower)
+    if convolve(f, g, h) != [f.neg(1)] + [0] * (n - 1) + [1]:
         raise VerificationError("g * h != x^n - 1")
     return g, h
 
 
-def rank_hh_dagger(h: ShiftMatrix) -> int:
-    """Exact rank of H * H^dagger over the field of order q^2.
+def hh_dagger(f: Field, h: Sequence[int], n: int) -> MatrixGF:
+    """H * H^dagger over the field f of order q^2, where H is the
+    parity-check matrix of length n of the check polynomial h: its n - deg h
+    rows are the shifts of u = (h reversed)^q.
 
-    This is the matrix route to the ebit count; it must equal the size of
-    the defining-set overlap computed by the set-algebra route.
-    """
-    return rank(dagger_product(h, h))
+    Entry (i, j) is sum_s u_s * u_(s+i-j)^q.  As x^(q^2) = x, u^q reversed
+    is h, so the entry is c[deg h - i + j] of c = convolve(u, h), and 0
+    where that index falls outside c."""
+    q = isqrt(f.order)
+    if q * q != f.order:
+        raise ValueError(f"field order {f.order} is not a square")
+    powq = f.power_map(q)
+    rows = n - len(h) + 1
+    c = convolve(f, [powq[v] for v in reversed(h)], h)
+    # c padded with zeros, so that row i of the product is one slice of it
+    pad = [0] * max(0, rows - len(h))
+    padded = pad + c + pad
+    first = len(pad) + len(h) - 1  # entry (0, 0)
+    return MatrixGF(f, tuple(tuple(padded[first - i : first - i + rows]) for i in range(rows)))
 
 
-def check_ebits(h: ShiftMatrix, c: int, where: str) -> None:
-    """rank(HH^dagger) must equal c, the ebit count of the set route;
-    where names the code in the counterexample."""
-    got = rank_hh_dagger(h)
+def check_ebits(z: DefiningSet, tower: FieldTower, c: int, where: str) -> None:
+    """rank(HH^dagger) of the checked polynomials of Z must equal c, the
+    ebit count of the set route; where names the code in the
+    counterexample."""
+    _g, h = code_polynomials(z, tower)
+    got = rank(hh_dagger(tower.fq2, h, z.ctx.n))
     if got != c:
         raise VerificationError(
             f"rank(HH^dagger) = {got} but the set overlap has size {c} {where}"
@@ -407,10 +361,9 @@ def check_ebits(h: ShiftMatrix, c: int, where: str) -> None:
 
 
 def confirm_ebits(fc: FamilyCode, tower: FieldTower) -> None:
-    """Build the checked G and H of a verified family code over its tower
-    and compare rank(HH^dagger) with the code's ebit count."""
-    _g, h = code_matrices(fc.defining_set, tower)
-    check_ebits(h, fc.verified.c, f"at q={fc.spec.q.q}, m={fc.m}")
+    """Compare rank(HH^dagger) of a verified family code, over its tower,
+    with the code's ebit count."""
+    check_ebits(fc.defining_set, tower, fc.verified.c, f"at q={fc.spec.q.q}, m={fc.m}")
 
 
 def rowspace_defining_set(m: MatrixGF, tower: FieldTower) -> set[int]:
@@ -473,7 +426,7 @@ def verify_rank_oracle(q_max: int) -> dict[str, int]:
         tower = field_tower(q, ctx.n)
         for z in _random_closed_sets(ctx, _RANDOM_SETS_PER_Q, _RANDOM_SEED + q):
             where = f"for a random set of size {len(z)} at q={q}"
-            check_ebits(code_matrices(z, tower)[1], ebits(z), where)
+            check_ebits(z, tower, ebits(z), where)
             checked += 1
     return {"codes": checked}
 
@@ -484,22 +437,27 @@ def verify_rank_oracle(q_max: int) -> dict[str, int]:
 
 
 def _min_weight_by_codewords(g: MatrixGF) -> int:
-    """Enumerate every codeword m*G and skip the zero ones; exact and
-    completely dumb."""
+    """Walk every codeword m*G whose message m has 1 as its first nonzero
+    entry and skip the zero ones: exact, as every nonzero codeword is a
+    nonzero multiple of one of them, of the same weight.  Past its leading
+    1, m is walked in a p-ary Gray code on its F_p digits: step t adds 1
+    to digit v_p(t), the exponent of p in t, so each codeword is the last
+    one plus x^k times one row of G."""
     f = g.field
-    n = g.cols
-    best = n + 1
-    for msg in itertools.product(range(f.order), repeat=g.rows):
-        w = 0
-        for j in range(n):
-            acc = 0
-            for mi, row in zip(msg, g.data):
-                if mi and row[j]:
-                    acc = f.add(acc, f.mul(mi, row[j]))
-            if acc:
-                w += 1
-        if 0 < w < best:
-            best = w
+    best = g.cols + 1
+    steps = [[f.mul(f.p**k, v) for v in row] for row in g.data for k in range(f.degree)]
+    for lead, row in enumerate(g.data):
+        word, tail = list(row), steps[(lead + 1) * f.degree :]
+        for t in range(f.order ** (g.rows - 1 - lead)):
+            if t:
+                digit, rest = 0, t
+                while rest % f.p == 0:
+                    rest //= f.p
+                    digit += 1
+                word = list(map(f.add, word, tail[digit]))
+            w = g.cols - word.count(0)
+            if 0 < w < best:
+                best = w
     return best
 
 

@@ -1,5 +1,6 @@
 """Scalar reference for polynomial products and division over one field,
-one coefficient at a time with the field's own add, sub, mul and inv.
+one coefficient at a time with the field's own add, sub, mul and inv, and
+the shifted rows of a vector that make up a cyclic code's matrices.
 Polynomials are tuples, constant term first, without trailing zeros."""
 
 
@@ -31,3 +32,13 @@ def poly_divmod(f, a, b):
             rem[i] = f.sub(rem[i], f.mul(c, y))
         rem = list(trim(rem))
     return trim(quo), tuple(rem)
+
+
+def shift_rows(vec, n):
+    """The n - len(vec) + 1 rows of length n whose row i is vec shifted
+    right by i: the coefficients of x^i * vec(x), one polynomial a row.
+    The generator and parity-check matrices of a cyclic code are these
+    rows for one vector each."""
+    vec = tuple(vec)
+    rows = n - len(vec) + 1
+    return tuple((0,) * i + vec + (0,) * (rows - 1 - i) for i in range(rows))

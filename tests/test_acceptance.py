@@ -28,10 +28,13 @@ from eaqmds.families import (
 )
 from eaqmds.gf import field_tower
 from eaqmds.oracle import (
-    code_matrices,
+    MatrixGF,
+    code_polynomials,
     exhaustive_min_distance,
-    rank_hh_dagger,
+    hh_dagger,
+    rank,
 )
+from polyref import shift_rows
 
 
 @contextmanager
@@ -148,8 +151,9 @@ def test_criterion_4_rank_oracle_equivalence():
             tower = field_tower(q, spec.n)
             for m in range(2, spec.m_max + 1):
                 z = family_defining_set(spec, m)
-                h = code_matrices(z, tower)[1]
-                assert rank_hh_dagger(h) == ebits(z) == 20 * (m - 1) ** 2 + 1, (q, m)
+                h = code_polynomials(z, tower)[1]
+                got = rank(hh_dagger(tower.fq2, h, spec.n))
+                assert got == ebits(z) == 20 * (m - 1) ** 2 + 1, (q, m)
                 checked += 1
         for q in (7, 23):
             ctx = CycContext.for_family(q)
@@ -161,8 +165,8 @@ def test_criterion_4_rank_oracle_equivalence():
                 z = DefiningSet.from_cosets(ctx, [r for r in reps if rng.random() < 0.5])
                 if z.is_empty() or len(z) >= ctx.n:
                     continue
-                h = code_matrices(z, tower)[1]
-                assert rank_hh_dagger(h) == ebits(z), (q, z.members)
+                h = code_polynomials(z, tower)[1]
+                assert rank(hh_dagger(tower.fq2, h, ctx.n)) == ebits(z), (q, z.members)
                 done += 1
                 checked += 1
         elapsed = time.perf_counter() - t0
@@ -221,10 +225,10 @@ def test_criterion_7_toy_exhaustive_distance():
         tower = field_tower(7, 10)
 
         z0 = DefiningSet.from_cosets(ctx, [0])
-        g0, _h0 = code_matrices(z0, tower)
-        assert exhaustive_min_distance(g0.dense()) == 2 == bch_bound(z0)
+        g0 = MatrixGF(tower.fq2, shift_rows(code_polynomials(z0, tower)[0], 10))
+        assert exhaustive_min_distance(g0) == 2 == bch_bound(z0)
 
         z = DefiningSet.from_cosets(ctx, [0, 1])  # k = 7, Singleton forces d = 4
-        g, _h = code_matrices(z, tower)
-        d = exhaustive_min_distance(g.dense())
+        g = MatrixGF(tower.fq2, shift_rows(code_polynomials(z, tower)[0], 10))
+        d = exhaustive_min_distance(g)
         assert d == 10 - dimension(z) + 1 == 4

@@ -343,40 +343,39 @@ def test_record_stdout_is_pinned(capsys, invocation):
 
 @pytest.mark.parametrize("invocation", MATRIX_ROUTE_SMOKE)
 def test_rank_oracle_off_by_one_is_caught(capsys, monkeypatch, invocation):
-    honest = oracle.rank_hh_dagger
-    monkeypatch.setattr(oracle, "rank_hh_dagger", lambda h: honest(h) + 1)
+    honest = oracle.rank
+    monkeypatch.setattr(oracle, "rank", lambda m: honest(m) + 1)
     rc, _out, err = run_cli(capsys, *invocation.split())
     assert rc == 1
     assert "rank(HH^dagger)" in err
 
 
 # a product coefficient off by one: in every convolve (the product trees of
-# g and h included), the first G * H^dagger check fails; in H * H^dagger
+# g and h included), the g * h = x^n - 1 check fails; in H * H^dagger
 # alone, the rank comparison does
 @pytest.mark.parametrize(
     "invocation", ["code --q 23 --m 2 --oracle", "verify --level rank-oracle --qmax 23"]
 )
 @pytest.mark.parametrize(
-    "products,check", [("all", "G * H^dagger != 0"), ("square", "rank(HH^dagger) = ")]
+    "products,check", [("all", "g * h != x^n - 1"), ("square", "rank(HH^dagger) = ")]
 )
 def test_correlation_off_by_one_is_caught(capsys, monkeypatch, invocation, products, check):
-    honest, honest_dagger = oracle.convolve, oracle.dagger_product
+    honest, honest_hh = oracle.convolve, oracle.hh_dagger
 
     def bumped(field, a, b):
         c = honest(field, a, b)
         c[len(c) // 2] = field.add(c[len(c) // 2], 1)
         return c
 
-    def square_bumped(a, b):
+    def square_bumped(f, h, n):
         with monkeypatch.context() as patch:
-            if a is b:
-                patch.setattr(oracle, "convolve", bumped)
-            return honest_dagger(a, b)
+            patch.setattr(oracle, "convolve", bumped)
+            return honest_hh(f, h, n)
 
     if products == "all":
         monkeypatch.setattr(oracle, "convolve", bumped)
     else:
-        monkeypatch.setattr(oracle, "dagger_product", square_bumped)
+        monkeypatch.setattr(oracle, "hh_dagger", square_bumped)
     rc, _out, err = run_cli(capsys, *invocation.split())
     assert rc == 1
     assert check in err

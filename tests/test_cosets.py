@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from eaqmds.cosets import (
     CycContext,
     DefiningSet,
+    _neg_q_maps_coset,
     all_cosets,
     coset,
     coset_product_identity,
@@ -12,6 +13,7 @@ from eaqmds.cosets import (
     identity_windows,
     inverse_identity_windows,
 )
+from eaqmds.families import iter_family_sizes
 
 
 def test_context_validation():
@@ -230,3 +232,31 @@ def test_identity_window_membership_q23():
     assert (0, 2) in wins and (1, 3) in wins and (2, 6) in wins
     assert (0, 7) not in wins  # in the gap between the stated ranges
     assert (2, 10) not in wins  # the last s value only allows the low range
+
+
+def _two_orbit_maps(ctx, src, dst):
+    """The reference: -q times every element of C_src, as a set, against
+    the elements of C_dst."""
+    n = ctx.n
+    return {-ctx.q * x % n for x in coset(ctx, src).elements} == set(coset(ctx, dst).elements)
+
+
+def test_one_orbit_reflection_check_matches_two_orbits():
+    # every forward and inverse window pair of the family q <= 120, with the
+    # target moved by -1, 0 and +1: the one-orbit membership test must give
+    # the two-orbit answer, and some moved target must fail at every q
+    pairs = 0
+    for spec in iter_family_sizes(120):
+        q = spec.q.q
+        ctx = CycContext.for_family(q)
+        forward = [(s * q + i, i * q - s) for s, i in identity_windows(q)]
+        inverse = [(t * q - j, j * q + t) for t, j in inverse_identity_windows(q, False)]
+        failed = 0
+        for src, dst in forward + inverse:
+            for target in (dst - 1, dst, dst + 1):
+                want = _two_orbit_maps(ctx, src, target)
+                assert _neg_q_maps_coset(ctx, src, target) == want, (q, src, target)
+                failed += not want
+                pairs += 1
+        assert failed, q
+    assert pairs == 21_372

@@ -300,6 +300,13 @@ def test_order_must_divide_group_order():
         find_element_of_order(build_field(7, 2), 5)  # 5 does not divide 48
 
 
+def test_candidate_of_the_wrong_order_is_caught(monkeypatch):
+    # a "generator" of order 1 gives the candidate 1, whose order is 1, not 8
+    monkeypatch.setattr(Field, "generator", lambda self: 1)
+    with pytest.raises(VerificationError, match="candidate of order 8 has order 1"):
+        find_element_of_order(build_field(7, 2), 8)
+
+
 # -- minimal polynomials over the quadratic subfield ------------------------------
 
 

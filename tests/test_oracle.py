@@ -10,69 +10,83 @@ from eaqmds.cli import main
 from eaqmds.codes import dimension
 from eaqmds.cosets import DefiningSet, all_cosets, coset
 from eaqmds.eaqecc import ebits
+from eaqmds.exceptions import VerificationError
 from eaqmds.families import verify_family_code
 from eaqmds.gf import FieldTower, build_field, field_tower
 from eaqmds.oracle import (
     BUDGET_EXCEEDED,
     MatrixGF,
-    ShiftMatrix,
     _min_weight_by_codewords,
     _min_weight_by_supports,
-    code_matrices,
+    check_ebits,
+    code_polynomials,
     conjugate_transpose,
     convolve,
-    dagger_product,
     exhaustive_min_distance,
     generator_polynomial,
+    hh_dagger,
     matmul,
     rank,
-    rank_hh_dagger,
     rowspace_defining_set,
 )
-from polyref import poly_divmod, poly_mul
+from polyref import poly_divmod, poly_mul, shift_rows
+
+
+def _is_zero(m):
+    return not any(map(any, m.data))
+
+
+def _parity_check_matrix(f, h, n):
+    """H written out: the shifts of h reversed and conjugated by the q-th
+    power."""
+    powq = f.power_map(isqrt(f.order))
+    return MatrixGF(f, shift_rows([powq[v] for v in reversed(h)], n))
+
+
+def _code_matrices(f, g, h, n):
+    """G and H written out."""
+    return MatrixGF(f, shift_rows(g, n)), _parity_check_matrix(f, h, n)
+
+
+def _generator_matrix(z, tower):
+    return MatrixGF(tower.fq2, shift_rows(code_polynomials(z, tower)[0], z.ctx.n))
+
+
+def _euclidean_parity_check(z, tower):
+    # shifts of the reversed check polynomial, built entry by entry
+    hc = reversed(generator_polynomial(z.complement(), tower))
+    return MatrixGF(tower.fq2, shift_rows(hc, z.ctx.n))
 
 
 @pytest.fixture(scope="module")
 def toy(ctx7, tower7):
     z = DefiningSet.from_cosets(ctx7, [0, 1])  # {0, 1, 9}
-    g, h = code_matrices(z, tower7)
-    return z, g, h
+    g, h = code_polynomials(z, tower7)
+    return (z, *_code_matrices(tower7.fq2, g, h, 10), h)
 
 
 def test_matrix_shapes_and_ranks(toy):
-    _z, g, h = toy
+    _z, g, h, _hpoly = toy
     assert (g.rows, g.cols) == (7, 10)
     assert (h.rows, h.cols) == (3, 10)
-    assert rank(g.dense()) == 7 and rank(h.dense()) == 3
-
-
-def _generator_matrix(z, tower):
-    return code_matrices(z, tower)[0].dense()
-
-
-def _euclidean_parity_check(z, tower):
-    # shifts of the reversed check polynomial, built entry by entry
-    hc = tuple(reversed(generator_polynomial(z.complement(), tower)))
-    n = z.ctx.n
-    rows = n - len(hc) + 1
-    return MatrixGF(tower.fq2, tuple((0,) * r + hc + (0,) * (rows - 1 - r) for r in range(rows)))
+    assert rank(g) == 7 and rank(h) == 3
 
 
 def test_euclidean_duality(toy, tower7):
     # H is the Euclidean parity check conjugated entry-wise
-    z, g, h = toy
+    z, g, h, _hpoly = toy
     he = _euclidean_parity_check(z, tower7)
-    assert matmul(g.dense(), he.transpose()).is_zero()
+    assert _is_zero(matmul(g, he.transpose()))
     assert rank(he) == 3
     powq = tower7.fq2.power_map(7)
-    assert h.dense().data == tuple(tuple(powq[v] for v in row) for row in he.data)
+    assert h.data == tuple(tuple(powq[v] for v in row) for row in he.data)
 
 
 def test_hermitian_duality(toy, tower7):
-    g, h = toy[1].dense(), toy[2].dense()
+    _z, g, h, _hpoly = toy
     # G H^dagger = 0, equivalently every H row is Hermitian-orthogonal to
     # every G row
-    assert matmul(g, conjugate_transpose(h, 7)).is_zero()
+    assert _is_zero(matmul(g, conjugate_transpose(h, 7)))
     powq = h.field.power_map(7)
     for hrow in h.data:
         for grow in g.data:
@@ -81,8 +95,8 @@ def test_hermitian_duality(toy, tower7):
 
 def test_parity_rows_span_the_hermitian_dual_code(toy, tower7):
     # the code spanned by H has defining set {z : -qz mod n not in Z}
-    z, _g, h = toy
-    got = rowspace_defining_set(h.dense(), tower7)
+    z, _g, h, _hpoly = toy
+    got = rowspace_defining_set(h, tower7)
     assert got == {x for x in range(10) if (-7 * x) % 10 not in z}
 
 
@@ -91,22 +105,26 @@ def test_zero_matrix_rank():
     assert rank(MatrixGF(f, ((0, 0), (0, 0)))) == 0
 
 
-def test_rank_hh_dagger_toy(toy):
-    z, _g, h = toy
-    assert rank_hh_dagger(h) == ebits(z) == 1
+def test_rank_hh_dagger_toy(toy, tower7):
+    z, _g, _h, hpoly = toy
+    assert rank(hh_dagger(tower7.fq2, hpoly, 10)) == ebits(z) == 1
+    check_ebits(z, tower7, 1, "for the toy")
+    with pytest.raises(VerificationError, match=r"= 1 but the set overlap has size 2 for the toy"):
+        check_ebits(z, tower7, 2, "for the toy")
 
 
 def test_rank_hh_dagger_equals_euclidean_variant(toy, tower7):
     # conjugating the parity check does not change rank(H H^dagger)
-    z, _g, h = toy
+    z, _g, _h, hpoly = toy
     he = _euclidean_parity_check(z, tower7)
-    assert rank(matmul(he, conjugate_transpose(he, 7))) == rank_hh_dagger(h)
+    want = rank(hh_dagger(tower7.fq2, hpoly, 10))
+    assert rank(matmul(he, conjugate_transpose(he, 7))) == want
 
 
 def test_rank_hh_dagger_family_q23(tower23, spec23):
     fc = verify_family_code(spec23, 2)
-    _g, h = code_matrices(fc.defining_set, tower23)
-    assert rank_hh_dagger(h) == 21
+    _g, h = code_polynomials(fc.defining_set, tower23)
+    assert rank(hh_dagger(tower23.fq2, h, 106)) == 21
 
 
 def test_rank_oracle_on_random_sets_q7(ctx7, tower7):
@@ -117,19 +135,19 @@ def test_rank_oracle_on_random_sets_q7(ctx7, tower7):
         z = DefiningSet.from_cosets(ctx7, [r for r in reps if rng.random() < 0.5])
         if z.is_empty() or len(z) >= ctx7.n:
             continue
-        h = code_matrices(z, tower7)[1]
-        assert rank_hh_dagger(h) == ebits(z), z.members
+        h = code_polynomials(z, tower7)[1]
+        assert rank(hh_dagger(tower7.fq2, h, 10)) == ebits(z), z.members
         done += 1
 
 
 def test_generator_matrix_rejects_full_set(ctx7, tower7):
     with pytest.raises(ValueError, match="covers everything"):
-        code_matrices(DefiningSet.full(ctx7), tower7)
+        code_polynomials(DefiningSet.full(ctx7), tower7)
 
 
 def test_parity_check_rejects_empty_set(ctx7, tower7):
     with pytest.raises(ValueError, match="empty defining set"):
-        code_matrices(DefiningSet.empty(ctx7), tower7)
+        code_polynomials(DefiningSet.empty(ctx7), tower7)
 
 
 # -- the generator and check polynomials ---------------------------------------
@@ -177,14 +195,14 @@ def test_tree_built_polynomials_match_scalar_reference(monkeypatch):
     # every code of the rank-oracle suite at q <= 32: g against the scalar
     # product of its minimal polynomials taken in turn, h against the
     # scalar quotient of x^n - 1 by g
-    honest = oracle.code_matrices
+    honest = oracle.code_polynomials
     codes = []
 
     def recorded(z, tower):
         codes.append((z, tower))
         return honest(z, tower)
 
-    monkeypatch.setattr(oracle, "code_matrices", recorded)
+    monkeypatch.setattr(oracle, "code_polynomials", recorded)
     assert oracle.verify_rank_oracle(32) == {"codes": 104}
     assert len(codes) == 104
     for z, tower in codes:
@@ -211,11 +229,11 @@ def test_min_distance_single_root(ctx7, tower7):
 def test_min_distance_confirms_mds_toy(toy):
     # k = 7, designed distance 4 = n-k+1; the support scan must find no
     # lighter codeword and certify exactly 4
-    assert exhaustive_min_distance(toy[1].dense()) == 4
+    assert exhaustive_min_distance(toy[1]) == 4
 
 
 def test_min_distance_budget_sentinel(toy):
-    assert exhaustive_min_distance(toy[1].dense(), budget=3) == BUDGET_EXCEEDED
+    assert exhaustive_min_distance(toy[1], budget=3) == BUDGET_EXCEEDED
 
 
 def test_min_distance_modes_agree(ctx7, tower7):
@@ -507,26 +525,27 @@ def test_rank_oracle_suite_ranks_match_raw_arithmetic(monkeypatch):
         seen[m.field.order] += 1
         return got
 
-    honest_matrices = oracle.code_matrices
+    honest_polynomials = oracle.code_polynomials
     family = []
 
     def recorded(z, tower):
-        family.extend(honest_matrices(z, tower))
-        return family[-2:]
+        g, h = honest_polynomials(z, tower)
+        family.append((tower.fq2, g, h, z.ctx.n))
+        return g, h
 
     monkeypatch.setattr(oracle, "rank", checked)
-    monkeypatch.setattr(oracle, "code_matrices", recorded)
+    monkeypatch.setattr(oracle, "code_polynomials", recorded)
     assert oracle.verify_rank_oracle(27) == {"codes": 102}
     assert seen == {7**2: 50, 23**2: 51, 27**2: 1}
-    # every code reaches code_matrices, the two family codes first; their
-    # wide G and H at q = 23 and 27, written out: the rank kernel agrees
-    # with raw arithmetic, and each rank is the row count that
-    # code_matrices reads off the echelon shape
-    assert len(family) == 2 * 102
-    assert sorted(m.field.order for m in family[:4]) == [23**2] * 2 + [27**2] * 2
-    for m in family[:4]:
-        dense = m.dense()
-        assert honest(dense) == RawArithmetic(m.field).rank(dense.data) == m.rows
+    # every code reaches code_polynomials, the two family codes first;
+    # their wide G and H at q = 23 and 27, written out: the rank kernel
+    # agrees with raw arithmetic, and each rank is the row count that
+    # code_polynomials certifies from g * h = x^n - 1
+    assert len(family) == 102
+    assert [f.order for f, *_ in family[:2]] == [23**2, 27**2]
+    for code in family[:2]:
+        for m in _code_matrices(*code):
+            assert honest(m) == RawArithmetic(m.field).rank(m.data) == m.rows
 
 
 # -- shift-structured products -------------------------------------------------
@@ -534,15 +553,6 @@ def test_rank_oracle_suite_ranks_match_raw_arithmetic(monkeypatch):
 
 def _raw_dagger(raw, a, b, q):
     return raw.matmul(a, tuple(zip(*((raw.pow(v, q) for v in row) for row in b))))
-
-
-def test_shift_matrix_vector_ends_in_a_nonzero_entry():
-    # the row count cols - len(vec) + 1 holds only for such a vector
-    f = build_field(7, 2)
-    assert ShiftMatrix(f, (0, 3), 4).dense().data == ((0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3))
-    for vec in [(), (1, 0), (1,) * 5]:
-        with pytest.raises(ValueError, match="the last one nonzero"):
-            ShiftMatrix(f, vec, 4)
 
 
 # F_{2^10} and F_{3^6} are the alphabets of q = 32 and q = 27; the slots of
@@ -560,29 +570,32 @@ def test_convolve_matches_raw_arithmetic(p, deg):
 
 @pytest.mark.parametrize("p,deg", [(23, 2), (2, 10), (3, 6)])
 def test_dagger_product_matches_raw_arithmetic(p, deg):
+    # H * H^dagger from one convolution of h against the dense product of
+    # the written-out H, the shifts of h reversed and raised to the q-th power
     f = build_field(p, deg)
     q = isqrt(f.order)
     raw = RawArithmetic(f)
     rng = random.Random(1000 * p + deg)
-
-    def nonzero():
-        return rng.randrange(1, f.order)
-
-    for cols, ka, kb in [
-        (8, 2, 3),  # lags outside c: more rows of A than len(w) + 1
-        (8, 3, 2),  # and more rows of B than len(u) + 1
-        (9, 9, 9),  # 1-row matrices
-        (9, 9, 3),
-        (10, 4, 6),
-        (6, 1, 6),
+    for n, size in [
+        (8, 2),  # lags outside c: more rows than len(h) + 1
+        (9, 9),  # a 1-row matrix
+        (9, 3),
+        (10, 4),
+        (10, 6),
+        (6, 1),  # h = a constant: H is n x n, diagonal
     ]:
-        # nonzero last entries: a shift matrix's vector has no trailing zeros
-        u = _random_matrix(f, rng, 1, ka - 1)[0] + (nonzero(),)
-        w = _random_matrix(f, rng, 1, kb - 1)[0] + (nonzero(),)
-        a, b = ShiftMatrix(f, u, cols), ShiftMatrix(f, w, cols)
-        got = dagger_product(a, b)
-        assert (got.rows, got.cols) == (cols - ka + 1, cols - kb + 1)
-        assert got.data == _raw_dagger(raw, a.dense().data, b.dense().data, q)
+        # a nonzero last entry: a check polynomial has no trailing zeros
+        h = _random_matrix(f, rng, 1, size - 1)[0] + (rng.randrange(1, f.order),)
+        u = tuple(raw.pow(v, q) for v in reversed(h))
+        dense = shift_rows(u, n)
+        got = hh_dagger(f, h, n)
+        assert (got.rows, got.cols) == (n - size + 1,) * 2
+        assert got.data == _raw_dagger(raw, dense, dense, q)
+
+
+def test_hh_dagger_needs_a_square_order():
+    with pytest.raises(ValueError, match="is not a square"):
+        hh_dagger(build_field(7, 1), (1, 1), 4)
 
 
 # slot widths of 16, 32 and 64 bits (machine words) and of 128 (shifts)
@@ -611,41 +624,47 @@ def test_convolve_slot_sums_reach_the_width_bound(monkeypatch, p, deg, width):
 
 
 def test_structured_products_match_dense_matmul(monkeypatch):
-    # every product of the rank-oracle suite at q <= 32: G * H^dagger of the
-    # family codes, H * H^dagger of those and of the random sets at q = 7, 23
-    honest = oracle.dagger_product
+    # every code of the rank-oracle suite at q <= 32, its G and H written
+    # out: G * H^dagger = 0, which code_polynomials proves from g * h, and
+    # H * H^dagger from hh_dagger, both against the dense matmul
+    honest_polynomials, honest_hh = oracle.code_polynomials, oracle.hh_dagger
     seen = Counter()
 
-    def checked(a, b):
-        got = honest(a, b)
-        names = ("H", "H") if a is b else ("G", "H")
-        dense = matmul(a.dense(), conjugate_transpose(b.dense(), isqrt(a.field.order)))
-        assert got == dense, names
-        seen[names] += 1
+    def checked_polynomials(z, tower):
+        g, h = honest_polynomials(z, tower)
+        gm, hm = _code_matrices(tower.fq2, g, h, z.ctx.n)
+        assert _is_zero(matmul(gm, conjugate_transpose(hm, tower.q)))
+        seen["G", "H"] += 1
+        return g, h
+
+    def checked_hh(f, h, n):
+        got = honest_hh(f, h, n)
+        hm = _parity_check_matrix(f, h, n)
+        assert got == matmul(hm, conjugate_transpose(hm, isqrt(f.order)))
+        seen["H", "H"] += 1
         return got
 
-    monkeypatch.setattr(oracle, "dagger_product", checked)
+    monkeypatch.setattr(oracle, "code_polynomials", checked_polynomials)
+    monkeypatch.setattr(oracle, "hh_dagger", checked_hh)
     assert oracle.verify_rank_oracle(32) == {"codes": 104}
     assert seen == {("G", "H"): 104, ("H", "H"): 104}
 
 
-def _zero_first_entry(which):
-    """A ShiftMatrix constructor that zeroes the first entry of the vector
-    of G (which = 0) or of H (which = 1); code_matrices builds G first."""
-    built = []
+def _zero_constant(honest, z, tower):
+    """The polynomial with its constant term zeroed: for g, the first entry
+    of G's row vector."""
+    return (0,) + honest(z, tower)[1:]
 
-    def broken(field, vec, cols):
-        if len(built) == which:
-            vec = (0,) + vec[1:]
-        built.append(vec)
-        return ShiftMatrix(field, vec, cols)
 
-    return broken
+def _zero_leading(honest, z, tower):
+    """The polynomial with its leading coefficient zeroed: for h, the
+    conjugate of the first entry of H's row vector."""
+    return honest(z, tower)[:-1] + (0,)
 
 
 def _break_call(which, broken):
     """A generator_polynomial that answers call number which (0 for g, 1
-    for h, as code_matrices builds g first) with broken(honest, z, tower)."""
+    for h, as code_polynomials builds g first) with broken(honest, z, tower)."""
     honest = oracle.generator_polynomial
     calls = itertools.count()
 
@@ -688,13 +707,14 @@ def _roots_scaled():
 
 
 # faults on the row-0 vectors of G and H and on the polynomials behind them;
-# a family code reaches code_matrices through both commands:
-# - a vector that starts with 0 breaks the echelon certificate of the ranks;
+# a family code reaches code_polynomials through both commands, and each
+# fault breaks g * h = x^n - 1:
+# - a row vector that starts with 0 (g's constant term, or the conjugate of
+#   h's leading coefficient) would break the echelon certificate of the ranks;
 # - a bumped coefficient of h breaks G * H^dagger = 0;
 # - a g over the wrong orbits still divides x^n - 1, but h is built on its
-#   own, so g * h has a double root and G * H^dagger != 0;
-# - roots scaled off the n-th roots of unity keep G * H^dagger = 0, as
-#   g * h = x^n - lam^n, and fail on the constant term
+#   own, so g * h has a double root;
+# - roots scaled off the n-th roots of unity give g * h = x^n - lam^n
 @pytest.mark.parametrize(
     "invocation", ["code --q 23 --m 2 --oracle", "verify --level rank-oracle --qmax 23"]
 )
@@ -709,21 +729,19 @@ def _roots_scaled():
     ],
 )
 def test_broken_row_vector_is_caught(capsys, monkeypatch, invocation, fault):
-    if fault == "h-coefficient-bumped":
-        monkeypatch.setattr(oracle, "generator_polynomial", _break_call(1, _bumped))
-        check = "G * H^dagger != 0"
-    elif fault == "wrong-orbit":
-        monkeypatch.setattr(oracle, "generator_polynomial", _break_call(0, _wrong_orbit))
-        check = "G * H^dagger != 0"
-    elif fault == "roots-scaled":
+    if fault == "roots-scaled":
         monkeypatch.setattr(FieldTower, "minimal_polynomial", _roots_scaled())
-        check = "g * h != x^n - 1"
     else:
-        monkeypatch.setattr(oracle, "ShiftMatrix", _zero_first_entry("GH".index(fault[0])))
-        check = "generator/parity-check ranks are not complementary"
+        which, broken = {
+            "G-first-entry-zero": (0, _zero_constant),
+            "H-first-entry-zero": (1, _zero_leading),
+            "h-coefficient-bumped": (1, _bumped),
+            "wrong-orbit": (0, _wrong_orbit),
+        }[fault]
+        monkeypatch.setattr(oracle, "generator_polynomial", _break_call(which, broken))
     rc = main(invocation.split())
     assert rc == 1
-    assert capsys.readouterr().err.endswith(f": {check}\n")
+    assert capsys.readouterr().err.endswith(": g * h != x^n - 1\n")
 
 
 def test_code_oracle_ranks_hh_dagger_alone(capsys, monkeypatch):

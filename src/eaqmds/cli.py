@@ -20,7 +20,7 @@ from . import families, oracle
 from .cosets import CycContext, all_cosets
 from .eaqecc import eaqmds_status
 from .exceptions import VerificationError
-from .gf import MAX_EXTENSION_ORDER, field_tower
+from .gf import MAX_EXTENSION_ORDER
 
 # above this the matrix oracle gets slow; larger q must be asked for explicitly
 ORACLE_Q_CAP = 32
@@ -147,7 +147,7 @@ def cmd_code(args: argparse.Namespace) -> int:
     spec = families.classify(args.q)
     fc = families.verify_family_code(spec, args.m, allow_degenerate=args.allow_degenerate)
     if args.oracle:
-        oracle.confirm_ebits(fc, field_tower(args.q, spec.n))
+        oracle.confirm_ebits(fc)
     rec = CodeRecord.from_family_code(fc, rank_oracle_checked=args.oracle)
     if args.format == "json":
         print(json.dumps(asdict(rec), indent=2))

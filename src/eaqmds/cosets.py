@@ -4,8 +4,8 @@ algebra of coset-closed subsets, including the -q map.
 The engine accepts any modulus n coprime to q.  The lengths this package
 is really about, n = (q^2+1)/5, satisfy q^2 = -1 (mod n); then every
 orbit is the pair {i, n-i} (a singleton for i = 0 and, when n is even,
-for i = n/2).  Structural assertions specific to that situation are only
-made when the context actually has it.
+for i = n/2).  The engine relies on no such shape; families.verify_cosets
+checks it on the family moduli.
 
 Closure is checked once, by the public constructor DefiningSet(ctx,
 members).  The set algebra, the -q map and from_cosets build closed sets
@@ -42,11 +42,6 @@ class CycContext:
     @property
     def multiplier(self) -> int:
         return self.q * self.q % self.n
-
-    @property
-    def q_squared_is_minus_one(self) -> bool:
-        """True when q^2 = -1 (mod n); forces every coset to be {i, n-i}."""
-        return self.multiplier == (self.n - 1) % self.n
 
     @classmethod
     def for_family(cls, q: int) -> "CycContext":
@@ -98,9 +93,9 @@ class DefiningSet:
     """A union of whole cosets: a subset of Z_n closed under *q^2 mod n.
 
     ``DefiningSet(ctx, members)`` is the one constructor that takes
-    arbitrary residues, and it checks closure.  Every other way of making
-    a set (``empty``, ``full``, ``from_cosets`` and the set algebra below)
-    builds a closed set by construction and skips the check.
+    arbitrary residues, and it checks closure.  The other ways of making a
+    set (``from_cosets`` and the set algebra below) build a closed set by
+    construction and skip the check.
 
     ``residues`` is the set as a frozenset; ``members`` is the same set as
     an ascending tuple.
@@ -131,10 +126,6 @@ class DefiningSet:
         return z
 
     @classmethod
-    def empty(cls, ctx: CycContext) -> "DefiningSet":
-        return cls._closed(ctx, frozenset())
-
-    @classmethod
     def from_cosets(cls, ctx: CycContext, reps: Iterable[int]) -> "DefiningSet":
         """The union of the cosets of ``reps`` (any integers).
 
@@ -150,10 +141,6 @@ class DefiningSet:
             new = {x * mult % n for x in new} - closed
             closed |= new
         return cls._closed(ctx, frozenset(closed))
-
-    @classmethod
-    def full(cls, ctx: CycContext) -> "DefiningSet":
-        return cls._closed(ctx, frozenset(range(ctx.n)))
 
     # -- basic protocol ------------------------------------------------------
 

@@ -181,16 +181,15 @@ def entangled_window_set(spec: FamilySpec, m: int) -> DefiningSet:
     return _window_union(spec, m, ((0, m - 1), gap2, gap3), ((0, m - 2), gap2, gap3))
 
 
-def check_window_lemmas(spec: FamilySpec, m: int, z: DefiningSet) -> DefiningSet:
-    """Check the window lemmas at one (q, m) and return the entangled windows.
-
-    The free windows avoid their own -q image, the entangled windows are
-    -q-invariant, and the two partition the block z = C_0 .. C_{(m-1)q}
-    disjointly.  Any failure raises VerificationError.
+def check_window_lemmas(spec: FamilySpec, m: int, z: DefiningSet) -> None:
+    """Check the window lemmas at one (q, m) for the lemma level, which has
+    no decomposition of z to compare the windows with: the free windows
+    avoid their own -q image, the entangled windows are -q-invariant, and
+    the two partition the block z = C_0 .. C_{(m-1)q} disjointly.  Any
+    failure raises VerificationError.
     """
-    ent = entangled_window_set(spec, m)
-    check_split(z, free_window_set(spec, m), ent, f"windows at q={spec.q.q}, m={m}")
-    return ent
+    free, ent = free_window_set(spec, m), entangled_window_set(spec, m)
+    check_split(z, free, ent, f"windows at q={spec.q.q}, m={m}")
 
 
 def predicted_code(spec: FamilySpec, m: int) -> EaqeccParams:
@@ -220,11 +219,11 @@ def verify_family_code(spec: FamilySpec, m: int, allow_degenerate: bool = False)
     """Build the defining set and re-derive every claimed quantity from
     first principles, comparing against the closed forms.
 
-    Checks, besides predicted == verified: the defining set is a single
-    circular run (hence classical MDS); the free windows avoid their -q
-    image; free and entangled windows partition the set disjointly; the
-    entangled windows are -q-invariant and coincide with the computed
-    overlap Z intersect -qZ.  Any mismatch raises VerificationError.
+    decompose checks its own split of Z.  This checks that Z is one circular
+    run (hence classical MDS and, as n + c - k = 2|Z|, the Singleton equality),
+    that the windows equal the two checked parts (so they inherit the lemmas)
+    and that predicted == verified, the ebit count included.  Any mismatch
+    raises VerificationError.
     """
     _check_m(spec, m, allow_degenerate=allow_degenerate)
     q = spec.q.q
@@ -241,11 +240,14 @@ def verify_family_code(spec: FamilySpec, m: int, allow_degenerate: bool = False)
         )
 
     if m >= 2:
-        ent = check_window_lemmas(spec, m, z)
-        if ent != dec.entangled_part:
-            raise VerificationError(
-                f"entangled windows differ from computed overlap at q={q}, m={m}"
-            )
+        free, ent = free_window_set(spec, m), entangled_window_set(spec, m)
+        parts = (("free", free, dec.free_part), ("entangled", ent, dec.entangled_part))
+        for part, windows, computed in parts:
+            if windows != computed:
+                raise VerificationError(
+                    f"windows at q={q}, m={m}: the {part} windows ({len(windows)}) differ "
+                    f"from the computed {part} part ({len(computed)})"
+                )
     else:
         flags.append("degenerate-m1")
 
@@ -255,8 +257,6 @@ def verify_family_code(spec: FamilySpec, m: int, allow_degenerate: bool = False)
             f"closed form {predicted.as_bracket()} disagrees with first-principles "
             f"{verified.as_bracket()} at q={q}, m={m}"
         )
-    if not verified.singleton_equality:
-        raise VerificationError(f"Singleton equality fails at q={q}, m={m}")
 
     if not verified.distance_precondition_ok:
         flags.append("distance-precondition-violated")
@@ -275,36 +275,31 @@ def verify_family_code(spec: FamilySpec, m: int, allow_degenerate: bool = False)
     )
 
 
-def iter_family_sizes(q_max: int, family_id: str | None = None) -> list[FamilySpec]:
-    """All specs with q <= q_max, ascending, in one pass over q: of one
-    family, or of all four when family_id is None."""
-    if family_id is not None and family_id not in FAMILY_IDS:
-        raise ValueError(f"unknown family {family_id!r}; expected one of {FAMILY_IDS}")
+def iter_family_sizes(q_max: int) -> list[FamilySpec]:
+    """All specs of the four families with q <= q_max, ascending, in one
+    pass over q."""
     specs = []
     for q in range(2, q_max + 1):
         try:
-            spec = classify(q)
+            specs.append(classify(q))
         except ValueError:
             continue
-        if family_id in (None, spec.family_id):
-            specs.append(spec)
     return specs
-
-
-def enumerate_family(family_id: str, q_max: int) -> list[FamilyCode]:
-    """Every verified (q, m) grid point of one family with q <= q_max,
-    ordered by q ascending then m ascending."""
-    return [
-        verify_family_code(spec, m)
-        for spec in iter_family_sizes(q_max, family_id)
-        for m in range(2, spec.m_max + 1)
-    ]
 
 
 def family_grid(q_max: int) -> list[tuple[FamilySpec, int]]:
     """All (spec, m) points across the four families with q <= q_max,
     ordered by q ascending then m ascending."""
     return [(spec, m) for spec in iter_family_sizes(q_max) for m in range(2, spec.m_max + 1)]
+
+
+def enumerate_family(family_id: str, q_max: int) -> list[FamilyCode]:
+    """Every verified (q, m) grid point of one family with q <= q_max,
+    ordered by q ascending then m ascending."""
+    if family_id not in FAMILY_IDS:
+        raise ValueError(f"unknown family {family_id!r}; expected one of {FAMILY_IDS}")
+    grid = family_grid(q_max)
+    return [verify_family_code(spec, m) for spec, m in grid if spec.family_id == family_id]
 
 
 # -- verification suites: each returns its named counts, in print order -----
@@ -368,14 +363,9 @@ def verify_lemmas(q_max: int) -> dict[str, int]:
 
 
 def verify_theorem(q_max: int) -> dict[str, int]:
-    """verify_family_code at every (q, m) with q <= q_max, and the ebit
-    count 20(m-1)^2+1."""
-    points = 0
-    for spec, m in family_grid(q_max):
-        c = verify_family_code(spec, m).verified.c
-        if c != 20 * (m - 1) ** 2 + 1:
-            raise VerificationError(
-                f"ebit count {c} != 20(m-1)^2+1 at q={spec.q.q}, m={m}"
-            )
-        points += 1
-    return {"(q, m) points": points}
+    """verify_family_code at every (q, m) with q <= q_max.  The ebit count
+    20(m-1)^2+1 is checked there, as part of the closed form."""
+    grid = family_grid(q_max)
+    for spec, m in grid:
+        verify_family_code(spec, m)
+    return {"(q, m) points": len(grid)}

@@ -311,9 +311,6 @@ class Field:
         return self.pow(a, self.order - 2)
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a = self.inv(a)
-            e = -e
         result = 1
         while e:
             if e & 1:
@@ -543,9 +540,8 @@ class FieldTower:
     def minimal_polynomial(self, i: int) -> tuple[int, ...]:
         """Minimal polynomial over F_{q^2} of the i-th power of the root of
         unity, constant term first: the monic product of (x - root^j) over
-        the coset of i, with every coefficient verified to be fixed by the
-        q^2 power map and to be an index below q^2, that is, an element of
-        F_{q^2} as it stands."""
+        the coset of i, with every coefficient verified to be an index below
+        q^2, that is, an element of F_{q^2} as it stands."""
         orbit = coset(self._context, i)
         cached = self._minpoly_cache.get(orbit.rep)
         if cached is not None:
@@ -557,10 +553,10 @@ class FieldTower:
             nr = f4.neg(self.root_power(j))
             coeffs = [f4.add(hi, f4.mul(lo, nr)) for lo, hi in zip(coeffs + [0], [0] + coeffs)]
         for c in coeffs:
-            if f4.pow(c, q2) != c or c >= q2:
+            if c >= q2:
                 raise VerificationError(
                     f"coefficient {c} of the orbit product of {orbit.rep} is not in "
-                    f"F_(q^2): its q^2 power is {f4.pow(c, q2)}, q^2 = {q2}"
+                    f"F_(q^2): its index is not below q^2 = {q2}"
                 )
         mp = self._minpoly_cache[orbit.rep] = tuple(coeffs)
         return mp

@@ -35,7 +35,7 @@ from typing import Sequence
 from .cosets import CycContext, DefiningSet, all_cosets
 from .eaqecc import ebits
 from .exceptions import VerificationError
-from .families import FamilyCode, iter_family_sizes, verify_family_code
+from .families import FamilyCode, family_grid, verify_family_code
 from .gf import Field, FieldTower, field_tower
 
 BUDGET_EXCEEDED = "budget-exceeded"
@@ -69,9 +69,6 @@ class MatrixGF:
     @property
     def cols(self) -> int:
         return len(self.data[0]) if self.data else 0
-
-    def transpose(self) -> "MatrixGF":
-        return MatrixGF(self.field, tuple(zip(*self.data)))
 
 
 # matmul and convolve pack F_p digit vectors into integers, one slot of
@@ -360,9 +357,10 @@ def check_ebits(z: DefiningSet, tower: FieldTower, c: int, where: str) -> None:
         )
 
 
-def confirm_ebits(fc: FamilyCode, tower: FieldTower) -> None:
+def confirm_ebits(fc: FamilyCode) -> None:
     """Compare rank(HH^dagger) of a verified family code, over its tower,
     with the code's ebit count."""
+    tower = field_tower(fc.spec.q.q, fc.spec.n)
     check_ebits(fc.defining_set, tower, fc.verified.c, f"at q={fc.spec.q.q}, m={fc.m}")
 
 
@@ -412,13 +410,9 @@ def verify_rank_oracle(q_max: int) -> dict[str, int]:
     """rank(HH^dagger) against the set-route ebit count: every family code
     with q <= q_max, then random coset-closed sets at q = 7 and 23."""
     checked = 0
-    for spec in iter_family_sizes(q_max):
-        if spec.m_max < 2:
-            continue
-        tower = field_tower(spec.q.q, spec.n)
-        for m in range(2, spec.m_max + 1):
-            confirm_ebits(verify_family_code(spec, m), tower)
-            checked += 1
+    for spec, m in family_grid(q_max):
+        confirm_ebits(verify_family_code(spec, m))
+        checked += 1
     for q in (7, 23):
         if q > q_max:
             continue

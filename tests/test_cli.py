@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -454,6 +455,40 @@ def test_longest_run_off_by_one_is_caught(capsys, monkeypatch):
     assert err.startswith("invariant violation: ")
     # the message names the faulty quantity, not only its consequence
     assert "longest run 48" in err and "|Z| = 47" in err
+
+
+# the entangled windows alone one coset short: on the theorem route only the
+# equality with the computed entangled part sees it, on the lemma route the
+# window partition does
+@pytest.mark.parametrize("level", ["theorem", "lemma"])
+def test_entangled_windows_missing_a_coset_are_caught(capsys, monkeypatch, level):
+    honest = families.entangled_window_set
+
+    def short(spec, m):
+        return honest(spec, m).difference(DefiningSet.from_cosets(spec.context(), [0]))
+
+    monkeypatch.setattr(families, "entangled_window_set", short)
+    _assert_counterexample(capsys, "verify", "--level", level, "--qmax", "60")
+
+
+# a closed form one ebit high: the comparison with the first-principles
+# parameters is the one check on the ebit formula
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--level", "theorem", "--qmax", "60"), ("code", "--q", "23", "--m", "2")],
+    ids=["verify", "code"],
+)
+def test_closed_form_ebit_off_by_one_is_caught(capsys, monkeypatch, argv):
+    honest = families.predicted_code
+
+    def bumped(spec, m):
+        p = honest(spec, m)
+        return dataclasses.replace(p, c=p.c + 1)
+
+    monkeypatch.setattr(families, "predicted_code", bumped)
+    rc, _out, err = run_cli(capsys, *argv)
+    assert rc == 1, err
+    assert "closed form" in err
 
 
 # -- input guards: rejected before any allocation --------------------------------

@@ -7,7 +7,7 @@ from eaqmds.families import family_defining_set, free_window_set
 
 
 def test_dimension_examples(ctx23, spec23, spec43):
-    assert dimension(DefiningSet.empty(ctx23)) == 106
+    assert dimension(DefiningSet(ctx23, ())) == 106
     assert dimension(family_defining_set(spec23, 2)) == 106 - 47
     assert dimension(family_defining_set(spec43, 2)) == 370 - 87
 
@@ -23,8 +23,8 @@ def test_bch_bound_examples(ctx23, spec23):
 
 
 def test_bch_bound_conventions(ctx23):
-    assert bch_bound(DefiningSet.empty(ctx23)) == 1
-    assert bch_bound(DefiningSet.full(ctx23)) == 107
+    assert bch_bound(DefiningSet(ctx23, ())) == 1
+    assert bch_bound(DefiningSet(ctx23, range(ctx23.n))) == 107
 
 
 @settings(max_examples=80, deadline=None)
@@ -90,7 +90,7 @@ def test_mds_certificates(ctx23, spec23, spec43):
 
 
 def test_hermitian_dual_containing(ctx23, spec23):
-    assert _hermitian_dual_containing(DefiningSet.empty(ctx23))
+    assert _hermitian_dual_containing(DefiningSet(ctx23, ()))
     # the five-window free set really avoids its -q image
     assert _hermitian_dual_containing(free_window_set(spec23, 2))
     # the full family block does not (its overlap is the 21 ebits)

@@ -23,7 +23,7 @@ def test_context_validation():
         CycContext.for_family(11)  # 122 is not divisible by 5
     ctx = CycContext.for_family(23)
     assert ctx.n == 106
-    assert ctx.q_squared_is_minus_one
+    assert ctx.q * ctx.q % ctx.n == ctx.n - 1
 
 
 def test_cosets_q23(ctx23):
@@ -124,8 +124,8 @@ def test_set_kernels_match_naive_reference(name, data):
         (a.difference(b), ra - rb),
         (a.complement(), everything - ra),
         (a.neg_q(), {(-q * x) % n for x in ra}),
-        (DefiningSet.empty(ctx), set()),
-        (DefiningSet.full(ctx), everything),
+        (DefiningSet(ctx, ()), set()),
+        (DefiningSet(ctx, range(n)), everything),
     )
     for got, want in cases:
         assert got.members == tuple(sorted(want))
@@ -159,7 +159,7 @@ def test_set_algebra_examples(ctx7, ctx23):
 
 def test_mismatched_contexts_raise(ctx7, ctx23):
     with pytest.raises(ValueError):
-        DefiningSet.empty(ctx7).union(DefiningSet.empty(ctx23))
+        DefiningSet(ctx7, ()).union(DefiningSet(ctx23, ()))
 
 
 def test_closure_is_validated(ctx23):
@@ -172,7 +172,7 @@ def test_coset_reps_and_complement(ctx23):
     assert z.coset_reps() == (0, 1, 2)
     comp = z.complement()
     assert len(comp) == 106 - 5
-    assert z.union(comp) == DefiningSet.full(ctx23)
+    assert z.union(comp) == DefiningSet(ctx23, range(ctx23.n))
 
 
 # -- the reflection identity -q C_{sq+i} = C_{iq-s} ------------------------------

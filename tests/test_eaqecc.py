@@ -16,7 +16,7 @@ from eaqmds.families import classify, family_defining_set
 
 
 def test_decompose_empty(ctx23):
-    dec = decompose(DefiningSet.empty(ctx23))
+    dec = decompose(DefiningSet(ctx23, ()))
     assert dec.free_part.is_empty() and dec.entangled_part.is_empty()
 
 

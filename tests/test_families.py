@@ -184,11 +184,11 @@ def test_iter_family_sizes_is_one_ascending_pass():
     every = iter_family_sizes(200)
     qs = [spec.q.q for spec in every]
     assert qs == sorted(qs) and len(set(qs)) == len(qs)
-    for fid in FAMILY_IDS:
-        assert iter_family_sizes(200, fid) == [s for s in every if s.family_id == fid]
     assert {s.family_id for s in every} == set(FAMILY_IDS)
-    with pytest.raises(ValueError):
-        iter_family_sizes(100, "nope")
+    # enumerate_family filters the one grid by family
+    for fid in FAMILY_IDS:
+        got = [(fc.spec, fc.m) for fc in enumerate_family(fid, 60)]
+        assert got == [(s, m) for s, m in family_grid(60) if s.family_id == fid]
 
 
 def test_family_grid_covers_all_families():

@@ -13,21 +13,20 @@ def dimension(z: DefiningSet) -> int:
     return z.ctx.n - len(z)
 
 
-def longest_circular_run(members, n: int) -> int:
-    """Length of the longest run of consecutive residues mod n in a set.
+def longest_circular_run(mask: int, n: int) -> int:
+    """Length of the longest run of consecutive residues mod n in a set,
+    given as a bitmask (bit x set when x is in the set).
 
-    Works on any residue collection (no closure needed); a full circle
-    counts as n.  The members mark a bytearray indicator; its runs of
-    ones are the pieces between zero bytes, and a run that wraps around
-    is the first piece plus the last.
+    Works on any residue set (no closure needed); a full circle counts
+    as n.  Read from one of its zeros, the n-digit binary string has no
+    run that wraps around, and its runs of ones are the words left once
+    each zero is a space.
     """
-    marks = bytearray(n)
-    for x in members:
-        marks[x % n] = 1
-    runs = marks.split(b"\0")
-    if len(runs) == 1:
+    bits = format(mask, f"0{n}b")
+    zero = bits.find("0")
+    if zero < 0:
         return n
-    return max(max(map(len, runs)), len(runs[0]) + len(runs[-1]))
+    return max(map(len, (bits[zero:] + bits[:zero]).replace("0", " ").split()), default=0)
 
 
 def bch_bound(z: DefiningSet) -> int:
@@ -37,4 +36,4 @@ def bch_bound(z: DefiningSet) -> int:
     at least d.  Empty Z gives 1 (the whole space); full Z gives n+1 (the
     zero code) by convention.
     """
-    return longest_circular_run(z.residues, z.ctx.n) + 1
+    return longest_circular_run(z.mask, z.ctx.n) + 1

@@ -4,22 +4,25 @@ algebra of coset-closed subsets, including the -q map.
 The engine accepts any modulus n coprime to q.  The lengths this package
 is really about, n = (q^2+1)/5, satisfy q^2 = -1 (mod n); then every
 orbit is the pair {i, n-i} (a singleton for i = 0 and, when n is even,
-for i = n/2).  The engine relies on no such shape; families.verify_cosets
-checks it on the family moduli.
+for i = n/2).  families.verify_cosets checks that shape on the family
+moduli; the engine tests q^2 = -1 (mod n) itself, once per (n, q).
 
-Closure is checked once, by the public constructor DefiningSet(ctx,
-members).  The set algebra, the -q map and from_cosets build closed sets
-by construction, skip that check, and each works on the whole set at once
-(frozenset operations, or one comprehension over all members) instead of
-building cosets one by one.  A set sorts its members only when they are
-asked for.
-
-All values are immutable and all operations are pure functions.
+A set is one int bitmask, bit x set exactly when x is a member, so its
+set algebra is one int operation each.  Where q^2 = -1 (mod n),
+from_cosets closes by the reflection x -> n-x, and -q, which sends
+i + k*q to (-i*q mod n) + k, moves each strided slice t[i::q] of the
+indicator string t as one arc; elsewhere from_cosets iterates *q^2 and
+-q maps element by element, as it does any set of fewer than q members.
+Closure is checked once, by DefiningSet(ctx, members), which keeps the
+residues (mapped by -q element by element) and builds the mask only
+when an operation needs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -89,6 +92,21 @@ def all_cosets(ctx: CycContext) -> list[CycCoset]:
     return out
 
 
+def _mask_of(indicator: str | bytes | bytearray) -> int:
+    """The mask of a '0'/'1' indicator string: bit x set where character x is '1'."""
+    return int(indicator[::-1], 2)
+
+
+@lru_cache(maxsize=None)
+def _stride_order(n: int, q: int) -> tuple[int, ...] | None:
+    """When q^2 = -1 (mod n), i < q in the order of (-i*q) mod n, where the
+    arc of t[i::q] starts, else None.  The arcs tile 0..n-1 and the arc of
+    i = 0 starts at 0, so laid end to end in this order none wraps around."""
+    if (q * q + 1) % n:
+        return None
+    return tuple(sorted(range(q), key=lambda i: -i * q % n))
+
+
 class DefiningSet:
     """A union of whole cosets: a subset of Z_n closed under *q^2 mod n.
 
@@ -97,11 +115,11 @@ class DefiningSet:
     set (``from_cosets`` and the set algebra below) build a closed set by
     construction and skip the check.
 
-    ``residues`` is the set as a frozenset; ``members`` is the same set as
-    an ascending tuple.
+    ``mask`` is the set as an int, bit x set exactly when x is a member;
+    ``members`` is the same set as an ascending tuple, expanded on demand.
     """
 
-    __slots__ = ("ctx", "residues", "_members")
+    __slots__ = ("ctx", "_mask", "_residues")
 
     def __init__(self, ctx: CycContext, members: Iterable[int]):
         n, mult = ctx.n, ctx.multiplier
@@ -113,68 +131,84 @@ class DefiningSet:
                 f"{m} in, {m * mult % n} out"
             )
         self.ctx = ctx
-        self.residues = mset
-        self._members: tuple[int, ...] | None = None
+        self._mask: int | None = None
+        self._residues: frozenset[int] | None = mset
 
     @classmethod
-    def _closed(cls, ctx: CycContext, residues: frozenset[int]) -> "DefiningSet":
-        """Wrap residues already known to be reduced mod n and closed."""
+    def _closed(cls, ctx: CycContext, mask: int | None, residues=None) -> "DefiningSet":
+        """Wrap a mask, or a frozenset of residues mod n, known to be closed."""
         z = object.__new__(cls)
-        z.ctx = ctx
-        z.residues = residues
-        z._members = None
+        z.ctx, z._mask, z._residues = ctx, mask, residues
         return z
 
     @classmethod
-    def from_cosets(cls, ctx: CycContext, reps: Iterable[int]) -> "DefiningSet":
-        """The union of the cosets of ``reps`` (any integers).
+    def from_cosets(cls, ctx: CycContext, *reps: Iterable[int]) -> "DefiningSet":
+        """The union of the cosets of the integers in one or more iterables
+        ``reps``; each ``range`` inside 0..n-1 is marked by one slice.
 
-        Closes the whole set under *q^2 at once, mapping the newest
-        elements each round until none is new: two rounds when every coset
-        is {i, n-i}, one per orbit element on a general modulus.  No coset
-        is built one by one.
+        Where every coset is {x, n-x}, the marks are closed by one
+        reflection.  Elsewhere the whole set is closed under *q^2 at once,
+        mapping the newest elements each round until none is new.
         """
         n, mult = ctx.n, ctx.multiplier
-        closed = {r % n for r in reps}
-        new = closed
-        while new:
-            new = {x * mult % n for x in new} - closed
-            closed |= new
-        return cls._closed(ctx, frozenset(closed))
+        if _stride_order(n, ctx.q) is None:
+            closed = {r % n for run in reps for r in run}
+            new = closed
+            while new:
+                new = {x * mult % n for x in new} - closed
+                closed |= new
+            return cls._closed(ctx, None, frozenset(closed))
+        marks = bytearray(b"0" * n)
+        for run in reps:
+            if isinstance(run, range) and run.step > 0 and 0 <= run.start <= run.stop <= n:
+                marks[run.start : run.stop : run.step] = b"1" * len(run)
+            else:
+                for r in run:
+                    marks[r % n] = 49  # ord("1")
+        # bit x of the second mask is mark n-x (mark 0 for x = 0)
+        return cls._closed(ctx, _mask_of(marks) | int(marks[1:] + marks[:1], 2))
 
     # -- basic protocol ------------------------------------------------------
 
     @property
+    def mask(self) -> int:
+        """The set as an int, bit x set exactly when x is a member."""
+        if self._mask is None:
+            self._mask = sum(1 << x for x in self._residues)  # distinct, so the sum is the union
+        return self._mask
+
+    @property
     def members(self) -> tuple[int, ...]:
-        """The residues in ascending order (sorted on first use, then cached)."""
-        if self._members is None:
-            self._members = tuple(sorted(self.residues))
-        return self._members
+        """The residues in ascending order."""
+        if self._residues is not None:
+            return tuple(sorted(self._residues))
+        bits = format(self._mask, f"0{self.ctx.n}b")[::-1].encode().replace(b"0", b"\0")
+        return tuple(compress(range(self.ctx.n), bits))
 
     def __len__(self) -> int:
-        return len(self.residues)
+        return len(self._residues) if self._mask is None else self._mask.bit_count()
 
     def __contains__(self, x: int) -> bool:
-        return x % self.ctx.n in self.residues
+        return self.mask >> x % self.ctx.n & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DefiningSet)
-            and self.ctx == other.ctx
-            and self.residues == other.residues
-        )
+        if not isinstance(other, DefiningSet) or self.ctx != other.ctx:
+            return False
+        if self._mask is None and other._mask is None:
+            return self._residues == other._residues
+        return self.mask == other.mask
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self.residues))
+        return hash((self.ctx, self.mask))
 
     def __repr__(self) -> str:
         return f"DefiningSet(n={self.ctx.n}, q={self.ctx.q}, size={len(self)})"
 
     def is_empty(self) -> bool:
-        return not self.residues
+        return len(self) == 0
 
     def _check(self, other: "DefiningSet") -> None:
         if self.ctx != other.ctx:
@@ -185,33 +219,40 @@ class DefiningSet:
 
     def union(self, other: "DefiningSet") -> "DefiningSet":
         self._check(other)
-        return DefiningSet._closed(self.ctx, self.residues | other.residues)
+        return DefiningSet._closed(self.ctx, self.mask | other.mask)
 
     def intersect(self, other: "DefiningSet") -> "DefiningSet":
         self._check(other)
-        return DefiningSet._closed(self.ctx, self.residues & other.residues)
+        return DefiningSet._closed(self.ctx, self.mask & other.mask)
 
     def difference(self, other: "DefiningSet") -> "DefiningSet":
         self._check(other)
-        return DefiningSet._closed(self.ctx, self.residues - other.residues)
+        return DefiningSet._closed(self.ctx, self.mask & ~other.mask)
 
     def isdisjoint(self, other: "DefiningSet") -> bool:
         self._check(other)
-        return self.residues.isdisjoint(other.residues)
+        return not self.mask & other.mask
 
     def complement(self) -> "DefiningSet":
-        return DefiningSet._closed(self.ctx, frozenset(range(self.ctx.n)) - self.residues)
+        return DefiningSet._closed(self.ctx, ((1 << self.ctx.n) - 1) ^ self.mask)
 
     def neg_q(self) -> "DefiningSet":
         """The image {(n - q*x) mod n}; again coset-closed, same size.
 
         Closed because -q commutes with *q^2, so it is not re-checked.  On
         coset-closed sets this map is an involution: applying it twice
-        multiplies by q^2, which fixes every coset.
+        multiplies by q^2, which fixes every coset.  Where q^2 = -1 (mod n),
+        a mask of q or more members is mapped by q strided slices; any
+        other set, such as one made from members, element by element.
         """
-        n = self.ctx.n
-        c = -self.ctx.q % n
-        return DefiningSet._closed(self.ctx, frozenset(c * x % n for x in self.residues))
+        n, q = self.ctx.n, self.ctx.q
+        residues = self._residues
+        if residues is None:
+            if self._mask.bit_count() >= q and (order := _stride_order(n, q)) is not None:
+                t = format(self._mask, f"0{n}b")[::-1]  # the indicator: character x is bit x
+                return DefiningSet._closed(self.ctx, _mask_of("".join([t[i::q] for i in order])))
+            residues = self.members
+        return DefiningSet._closed(self.ctx, None, frozenset([-q * x % n for x in residues]))
 
     def coset_reps(self) -> tuple[int, ...]:
         """Ascending representatives of the distinct cosets this set unites."""

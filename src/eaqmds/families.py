@@ -29,7 +29,6 @@ q <= q_max; this module never imports oracle, the matrix route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .cosets import (
     CycContext,
@@ -157,7 +156,7 @@ def _window_union(
     q = spec.q.q
     runs = [range(s * q + lo, s * q + hi + 1) for s in range(m - 1) for lo, hi in forward]
     runs += [range(t * q - hi, t * q - lo + 1) for t in range(1, m) for lo, hi in backward]
-    return DefiningSet.from_cosets(spec.context(), chain.from_iterable(runs))
+    return DefiningSet.from_cosets(spec.context(), *runs)
 
 
 def free_window_set(spec: FamilySpec, m: int) -> DefiningSet:

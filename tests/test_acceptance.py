@@ -180,7 +180,7 @@ def test_criterion_5_classical_mds_certification():
         for spec, m in family_grid(200):
             z = family_defining_set(spec, m)
             n = spec.n
-            assert longest_circular_run(z.members, n) == len(z), (spec.q.q, m)
+            assert longest_circular_run(z.mask, n) == len(z), (spec.q.q, m)
             assert bch_bound(z) == n - dimension(z) + 1, (spec.q.q, m)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from eaqmds import cli, codes, families, oracle
+from eaqmds import cli, codes, cosets, families, oracle
 from eaqmds.cli import CSV_HEADER, main
 from eaqmds.cosets import DefiningSet
 from eaqmds.gf import build_field
@@ -445,6 +445,23 @@ def test_wrong_neg_q_map_is_caught(capsys, monkeypatch, wrong, level):
 
     monkeypatch.setattr(DefiningSet, "neg_q", neg_q)
     _assert_counterexample(capsys, "verify", "--level", level, "--qmax", "60")
+
+
+# two arcs of the strided -q map swapped: every family block and free part
+# has at least q members and takes the strided path; the coset level maps
+# sets of one or two members, which go element by element, so it cannot
+# see this fault
+@pytest.mark.parametrize("level", ["theorem", "lemma"])
+def test_swapped_stride_arcs_are_caught(capsys, monkeypatch, level):
+    honest = cosets._stride_order
+
+    def swapped(n, q):
+        order = honest(n, q)
+        return order and (order[0], order[2], order[1], *order[3:])
+
+    monkeypatch.setattr(cosets, "_stride_order", swapped)
+    _assert_counterexample(capsys, "verify", "--level", level, "--qmax", "60")
+    assert run_cli(capsys, "verify", "--level", "coset", "--qmax", "60")[0] == 0
 
 
 def test_longest_run_off_by_one_is_caught(capsys, monkeypatch):

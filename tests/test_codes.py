@@ -6,6 +6,11 @@ from eaqmds.cosets import CycContext, DefiningSet
 from eaqmds.families import family_defining_set, free_window_set
 
 
+def run_of(members, n):
+    """longest_circular_run of any residues, written out as its bitmask."""
+    return longest_circular_run(sum({1 << x % n for x in members}), n)
+
+
 def test_dimension_examples(ctx23, spec23, spec43):
     assert dimension(DefiningSet(ctx23, ())) == 106
     assert dimension(family_defining_set(spec23, 2)) == 106 - 47
@@ -34,9 +39,9 @@ def test_bch_bound_conventions(ctx23):
 )
 def test_run_length_invariant_under_shift_and_negation(members, shift):
     n = 60
-    base = longest_circular_run(members, n)
-    assert longest_circular_run({(x + shift) % n for x in members}, n) == base
-    assert longest_circular_run({(-x) % n for x in members}, n) == base
+    base = run_of(members, n)
+    assert run_of({(x + shift) % n for x in members}, n) == base
+    assert run_of({(-x) % n for x in members}, n) == base
 
 
 def naive_longest_run(members, n):
@@ -55,20 +60,20 @@ def naive_longest_run(members, n):
 def test_longest_run_matches_naive_loop(data):
     n = data.draw(st.integers(1, 60))
     members = data.draw(st.lists(st.integers(-3 * n, 3 * n), max_size=2 * n))
-    assert longest_circular_run(members, n) == naive_longest_run(members, n)
+    assert run_of(members, n) == naive_longest_run(members, n)
 
 
 def test_longest_run_edge_cases():
     for n in range(1, 61):
-        assert longest_circular_run([], n) == 0
-        assert longest_circular_run(range(n), n) == n
-        assert longest_circular_run(range(-n, 2 * n), n) == n  # repeated residues
+        assert run_of([], n) == 0
+        assert run_of(range(n), n) == n
+        assert run_of(range(-n, 2 * n), n) == n  # repeated residues
         for k in range(n + 1):
             # an arc of length k across 0 wraps around for 2 <= k < n
             arc = [n - k // 2 + j for j in range(k)]
-            assert longest_circular_run(arc, n) == k == naive_longest_run(arc, n)
+            assert run_of(arc, n) == k == naive_longest_run(arc, n)
         if n >= 2:
-            assert longest_circular_run(range(1, n), n) == n - 1
+            assert run_of(range(1, n), n) == n - 1
 
 
 def _mds_certificate(z):

@@ -13,7 +13,7 @@ from eaqmds.cosets import (
     identity_windows,
     inverse_identity_windows,
 )
-from eaqmds.families import iter_family_sizes
+from eaqmds.families import family_defining_set, iter_family_sizes
 
 
 def test_context_validation():
@@ -89,12 +89,15 @@ def test_set_algebra_preserves_closure(data):
         DefiningSet(ctx, combined.members)  # would raise if closure broke
 
 
-# the family contexts at q = 7, 23, 32 (every coset {i, n-i}) and one general
-# modulus with longer orbits: 4 has order 5 mod 31
+# the family contexts at q = 7, 23, 32, 43 (every coset {i, n-i}: from_cosets
+# closes by reflection, and -q maps sets of q or more members by strided
+# slices), and one general modulus with longer orbits, where both go element
+# by element: 4 has order 5 mod 31
 KERNEL_CONTEXTS = {
     "q7": CycContext.for_family(7),
     "q23": CycContext.for_family(23),
     "q32": CycContext.for_family(32),
+    "q43": CycContext.for_family(43),
     "n31-q2": CycContext(31, 2),
 }
 
@@ -116,6 +119,9 @@ def test_set_kernels_match_naive_reference(name, data):
     reps_a, reps_b = data.draw(reps), data.draw(reps)
     a, b = DefiningSet.from_cosets(ctx, reps_a), DefiningSet.from_cosets(ctx, reps_b)
     ra, rb = naive_union_of_cosets(ctx, reps_a), naive_union_of_cosets(ctx, reps_b)
+    # a range inside 0..n-1 is marked by one slice, any other one element by element
+    ends = st.integers(-n, 2 * n)
+    run = range(data.draw(ends), data.draw(ends), data.draw(st.integers(1, 3)))
     everything = set(range(n))
     cases = (
         (a, ra),
@@ -124,6 +130,8 @@ def test_set_kernels_match_naive_reference(name, data):
         (a.difference(b), ra - rb),
         (a.complement(), everything - ra),
         (a.neg_q(), {(-q * x) % n for x in ra}),
+        (a.complement().neg_q(), {(-q * x) % n for x in everything - ra}),  # mostly >= q members
+        (DefiningSet.from_cosets(ctx, run, reps_b), naive_union_of_cosets(ctx, [*run, *reps_b])),
         (DefiningSet(ctx, ()), set()),
         (DefiningSet(ctx, range(n)), everything),
     )
@@ -141,13 +149,29 @@ def test_plus_q_equals_minus_q_on_family_contexts(name, data):
     # can tell the two maps apart
     ctx = KERNEL_CONTEXTS[name]
     z = data.draw(coset_closed_sets(ctx))
-    assert z.neg_q().residues == {ctx.q * x % ctx.n for x in z}
+    assert set(z.neg_q().members) == {ctx.q * x % ctx.n for x in z}
+
+
+def test_neg_q_of_family_blocks_and_their_parts_matches_elementwise():
+    # the block, its overlap with its -q image and its free part span both
+    # -q paths: the overlap has 20(m-1)^2+1 members, fewer than q for small m
+    sizes = set()
+    for spec in iter_family_sizes(200):
+        ctx, q = spec.context(), spec.q.q
+        for m in range(1, spec.m_max + 1):
+            z = family_defining_set(spec, m)
+            overlap = z.intersect(z.neg_q())
+            for part in (z, overlap, z.difference(overlap)):
+                want = sorted(-q * x % ctx.n for x in part.members)
+                assert part.neg_q().members == tuple(want), (q, m, len(part))
+                sizes.add(len(part) >= q)
+    assert sizes == {False, True}
 
 
 def test_plus_q_differs_from_minus_q_on_longer_orbits():
     ctx = KERNEL_CONTEXTS["n31-q2"]
     z = DefiningSet.from_cosets(ctx, [3])  # {3, 12, 17, 24, 6}
-    assert z.neg_q().residues != {ctx.q * x % ctx.n for x in z}
+    assert set(z.neg_q().members) != {ctx.q * x % ctx.n for x in z}
 
 
 def test_set_algebra_examples(ctx7, ctx23):

@@ -12,10 +12,9 @@ set algebra is one int operation each.  Where q^2 = -1 (mod n),
 from_cosets closes by the reflection x -> n-x, and -q, which sends
 i + k*q to (-i*q mod n) + k, moves each strided slice t[i::q] of the
 indicator string t as one arc; elsewhere from_cosets iterates *q^2 and
--q maps element by element, as it does any set of fewer than q members.
-Closure is checked once, by DefiningSet(ctx, members), which keeps the
-residues (mapped by -q element by element) and builds the mask only
-when an operation needs it.
+-q maps element by element.  Closure is checked once, by
+DefiningSet(ctx, members), which keeps the residues (mapped by -q
+element by element) and builds the mask only when an operation needs it.
 """
 
 from __future__ import annotations
@@ -174,7 +173,10 @@ class DefiningSet:
     def mask(self) -> int:
         """The set as an int, bit x set exactly when x is a member."""
         if self._mask is None:
-            self._mask = sum(1 << x for x in self._residues)  # distinct, so the sum is the union
+            marks = bytearray(b"0" * self.ctx.n)
+            for x in self._residues:
+                marks[x] = 49  # ord("1")
+            self._mask = _mask_of(marks)
         return self._mask
 
     @property
@@ -242,16 +244,15 @@ class DefiningSet:
         Closed because -q commutes with *q^2, so it is not re-checked.  On
         coset-closed sets this map is an involution: applying it twice
         multiplies by q^2, which fixes every coset.  Where q^2 = -1 (mod n),
-        a mask of q or more members is mapped by q strided slices; any
-        other set, such as one made from members, element by element.
+        a set held as a mask is mapped by q strided slices; a set held as
+        residues (made from members), or any set elsewhere, element by
+        element.
         """
         n, q = self.ctx.n, self.ctx.q
-        residues = self._residues
-        if residues is None:
-            if self._mask.bit_count() >= q and (order := _stride_order(n, q)) is not None:
-                t = format(self._mask, f"0{n}b")[::-1]  # the indicator: character x is bit x
-                return DefiningSet._closed(self.ctx, _mask_of("".join([t[i::q] for i in order])))
-            residues = self.members
+        if self._residues is None and (order := _stride_order(n, q)) is not None:
+            t = format(self._mask, f"0{n}b")[::-1]  # the indicator: character x is bit x
+            return DefiningSet._closed(self.ctx, _mask_of("".join([t[i::q] for i in order])))
+        residues = self.members if self._residues is None else self._residues
         return DefiningSet._closed(self.ctx, None, frozenset([-q * x % n for x in residues]))
 
     def coset_reps(self) -> tuple[int, ...]:

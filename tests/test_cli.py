@@ -447,10 +447,10 @@ def test_wrong_neg_q_map_is_caught(capsys, monkeypatch, wrong, level):
     _assert_counterexample(capsys, "verify", "--level", level, "--qmax", "60")
 
 
-# two arcs of the strided -q map swapped: every family block and free part
-# has at least q members and takes the strided path; the coset level maps
-# sets of one or two members, which go element by element, so it cannot
-# see this fault
+# two arcs of the strided -q map swapped: every family block and its parts
+# are held as masks and take the strided path; the coset level maps sets
+# made from members, held as residues, which go element by element, so it
+# cannot see this fault
 @pytest.mark.parametrize("level", ["theorem", "lemma"])
 def test_swapped_stride_arcs_are_caught(capsys, monkeypatch, level):
     honest = cosets._stride_order

@@ -90,9 +90,9 @@ def test_set_algebra_preserves_closure(data):
 
 
 # the family contexts at q = 7, 23, 32, 43 (every coset {i, n-i}: from_cosets
-# closes by reflection, and -q maps sets of q or more members by strided
-# slices), and one general modulus with longer orbits, where both go element
-# by element: 4 has order 5 mod 31
+# closes by reflection, and -q maps a set held as a mask by strided slices),
+# and one general modulus with longer orbits, where both go element by
+# element: 4 has order 5 mod 31
 KERNEL_CONTEXTS = {
     "q7": CycContext.for_family(7),
     "q23": CycContext.for_family(23),
@@ -130,7 +130,8 @@ def test_set_kernels_match_naive_reference(name, data):
         (a.difference(b), ra - rb),
         (a.complement(), everything - ra),
         (a.neg_q(), {(-q * x) % n for x in ra}),
-        (a.complement().neg_q(), {(-q * x) % n for x in everything - ra}),  # mostly >= q members
+        (a.complement().neg_q(), {(-q * x) % n for x in everything - ra}),
+        (DefiningSet(ctx, ra).neg_q(), {(-q * x) % n for x in ra}),  # held as residues
         (DefiningSet.from_cosets(ctx, run, reps_b), naive_union_of_cosets(ctx, [*run, *reps_b])),
         (DefiningSet(ctx, ()), set()),
         (DefiningSet(ctx, range(n)), everything),
@@ -153,19 +154,18 @@ def test_plus_q_equals_minus_q_on_family_contexts(name, data):
 
 
 def test_neg_q_of_family_blocks_and_their_parts_matches_elementwise():
-    # the block, its overlap with its -q image and its free part span both
-    # -q paths: the overlap has 20(m-1)^2+1 members, fewer than q for small m
-    sizes = set()
+    # the block, its overlap with its -q image and its free part are held as
+    # masks (strided -q); the same sets made from members are held as
+    # residues (-q element by element)
     for spec in iter_family_sizes(200):
         ctx, q = spec.context(), spec.q.q
         for m in range(1, spec.m_max + 1):
             z = family_defining_set(spec, m)
             overlap = z.intersect(z.neg_q())
             for part in (z, overlap, z.difference(overlap)):
-                want = sorted(-q * x % ctx.n for x in part.members)
-                assert part.neg_q().members == tuple(want), (q, m, len(part))
-                sizes.add(len(part) >= q)
-    assert sizes == {False, True}
+                want = tuple(sorted(-q * x % ctx.n for x in part.members))
+                assert part.neg_q().members == want, (q, m, len(part))
+                assert DefiningSet(ctx, part.members).neg_q().members == want, (q, m)
 
 
 def test_plus_q_differs_from_minus_q_on_longer_orbits():

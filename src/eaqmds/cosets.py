@@ -5,7 +5,8 @@ The engine accepts any modulus n coprime to q.  The lengths this package
 is really about, n = (q^2+1)/5, satisfy q^2 = -1 (mod n); then every
 orbit is the pair {i, n-i} (a singleton for i = 0 and, when n is even,
 for i = n/2).  families.verify_cosets checks that shape on the family
-moduli; the engine tests q^2 = -1 (mod n) itself, once per (n, q).
+moduli; the engine tests q^2 = -1 (mod n) itself, once per (n, q), and
+there checks -q*C_src == C_dst as -q*src = +-dst (mod n), building no orbit.
 
 A set is one int bitmask, bit x set exactly when x is a member, so its
 set algebra is one int operation each.  Where q^2 = -1 (mod n),
@@ -273,10 +274,13 @@ class DefiningSet:
 
 
 def _neg_q_maps_coset(ctx: CycContext, src: int, dst: int) -> bool:
-    """Whether -q * C_src == C_dst as sets.  As -q commutes with *q^2,
-    -q * C_src is the coset of -q * src, and two cosets are equal exactly
-    when they share an element, so one orbit is built."""
-    return -ctx.q * src % ctx.n in coset(ctx, dst).elements
+    """Whether -q * C_src == C_dst as sets: as -q commutes with *q^2, whether
+    -q*src lies in C_dst, which is {dst, -dst} where q^2 = -1 (mod n);
+    elsewhere the one orbit C_dst is built."""
+    n, image = ctx.n, -ctx.q * src % ctx.n
+    if _stride_order(n, ctx.q) is not None:
+        return image in (dst % n, -dst % n)
+    return image in coset(ctx, dst).elements
 
 
 def coset_product_identity(ctx: CycContext, s: int, i: int) -> bool:

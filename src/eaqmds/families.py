@@ -306,32 +306,37 @@ def enumerate_family(family_id: str, q_max: int) -> list[FamilyCode]:
 
 def verify_cosets(q_max: int) -> dict[str, int]:
     """Every family modulus with q <= q_max: the cosets are the pairs
-    {i, n-i} and partition Z_n, and -q is an injective involution on them."""
+    {i, n-i}, which partition Z_n, and -q is an injective involution on them.
+
+    all_cosets must be exactly (i, n-i) for i <= n/2, or (i,) where i = 0 or
+    2i = n: shape and partition at once.  Then -q maps each coset C not yet
+    covered to C', which must have |C| elements, be C_j for j = min C' and map
+    back onto C; so -q also maps C_j onto C, of |C_j| elements, and back.
+    """
     sizes = iter_family_sizes(q_max)
-    checked = 0
     for spec in sizes:
-        ctx = spec.context()
-        cs = all_cosets(ctx)
-        seen = set()
-        for c in cs:
-            for x in c.elements:
-                if x in seen:
-                    raise VerificationError(f"cosets overlap at q={spec.q.q}: {x}")
-                seen.add(x)
-            if set(c.elements) != {c.rep, (ctx.n - c.rep) % ctx.n}:
-                raise VerificationError(
-                    f"coset of {c.rep} at q={spec.q.q} is not {{i, n-i}}"
-                )
-            z = DefiningSet(ctx, c.elements)
-            img = z.neg_q()
-            if len(img) != len(z):
-                raise VerificationError(f"-q map not injective at q={spec.q.q}")
-            if img.neg_q() != z:
-                raise VerificationError(f"-q map not an involution at q={spec.q.q}")
-        if len(seen) != ctx.n:
-            raise VerificationError(f"cosets do not partition Z_{ctx.n} at q={spec.q.q}")
-        checked += len(cs)
-    return {"field sizes": len(sizes), "cosets": checked}
+        ctx, q, n = spec.context(), spec.q.q, spec.n
+        pairs = [(i,) if i == 0 or 2 * i == n else (i, n - i) for i in range(n // 2 + 1)]
+        cs = [c.elements for c in all_cosets(ctx)]
+        if cs != pairs:
+            k = next((k for k, pair in enumerate(pairs) if cs[k : k + 1] != [pair]), len(pairs))
+            got, want = cs[k : k + 1] or "missing", pairs[k : k + 1] or "none"
+            raise VerificationError(f"coset {k} at q={q} is {got}, not {want}")
+        covered = bytearray(len(pairs))
+        for i, c in enumerate(pairs):
+            if covered[i]:
+                continue
+            img = DefiningSet(ctx, c).neg_q()
+            image = img.members
+            if len(image) != len(c):
+                raise VerificationError(f"-q maps coset {i} at q={q}, {c}, to {image}")
+            j = image[0]
+            if j >= len(pairs) or image != pairs[j]:
+                raise VerificationError(f"-q maps coset {i} at q={q} to {image}, not a coset")
+            if (back := img.neg_q().members) != c:
+                raise VerificationError(f"-q maps coset {i} at q={q} to {image}, then to {back}")
+            covered[i] = covered[j] = 1  # -q swaps C and C_j, so both are checked
+    return {"field sizes": len(sizes), "cosets": sum(spec.n // 2 + 1 for spec in sizes)}
 
 
 def verify_lemmas(q_max: int) -> dict[str, int]:

@@ -464,6 +464,112 @@ def test_swapped_stride_arcs_are_caught(capsys, monkeypatch, level):
     assert run_cli(capsys, "verify", "--level", "coset", "--qmax", "60")[0] == 0
 
 
+def _assert_counterexample_is(capsys, message, *argv):
+    """Exit 1 with exactly this counterexample: the check that owns the
+    fault, not a later one, must be the one to see it."""
+    rc, _out, err = run_cli(capsys, *argv)
+    assert rc == 1, err
+    assert err.splitlines()[-1] == f"counterexample: {message}"
+
+
+def _trade_elements(cs):
+    """The cosets with C_1 and C_2 trading their second elements."""
+    (a, b), (c, d) = cs[1].elements, cs[2].elements
+    one = dataclasses.replace(cs[1], elements=(a, d))
+    two = dataclasses.replace(cs[2], elements=(c, b))
+    return [cs[0], one, two, *cs[3:]]
+
+
+# faults in all_cosets, seen at q = 8 (n = 13, cosets (0,), (1, 12) .. (6, 7))
+# by the one comparison with the pairs (i, n-i), which names the first coset
+# that differs
+WRONG_COSETS = {
+    "last-pair-dropped": (lambda cs: cs[:-1], "coset 6 at q=8 is missing, not [(6, 7)]"),
+    "two-pairs-trade-an-element": (_trade_elements, "coset 1 at q=8 is [(1, 11)], not [(1, 12)]"),
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(WRONG_COSETS))
+def test_wrong_cosets_are_caught(capsys, monkeypatch, wrong):
+    fault, message = WRONG_COSETS[wrong]
+    honest = families.all_cosets
+    monkeypatch.setattr(families, "all_cosets", lambda ctx: fault(honest(ctx)))
+    _assert_counterexample_is(capsys, message, "verify", "--level", "coset", "--qmax", "60")
+
+
+HONEST_NEG_Q = DefiningSet.neg_q
+
+
+def _swapping(table):
+    """-q, except that at q = 8 each set in table (as its members) goes to
+    the set it is paired with there, left unclosed."""
+
+    def neg_q(z):
+        if z.ctx.q == 8 and z.members in table:
+            return DefiningSet._closed(z.ctx, None, frozenset(table[z.members]))
+        return HONEST_NEG_Q(z)
+
+    return neg_q
+
+
+# wrong -q maps at the coset level.  At q = 8, -q pairs C_0 with itself, C_1
+# = (1, 12) with C_5 = (5, 8), C_2 with C_3 and C_4 with C_6.  The swaps
+# keep every other check true, so each needs the check that names it; the
+# extra coset is also no coset, so the coset check backs up the size check.
+WRONG_COSET_IMAGES = {
+    "one-extra-coset": (
+        lambda z: HONEST_NEG_Q(z).union(DefiningSet.from_cosets(z.ctx, [1])),
+        "-q maps coset 0 at q=8, (0,), to (0, 1, 12)",
+    ),
+    "coset-of-another-size": (
+        _swapping({(0,): (1, 12), (1, 12): (0,), (5, 8): (5, 8)}),
+        "-q maps coset 0 at q=8, (0,), to (1, 12)",
+    ),
+    "image-not-a-coset": (
+        _swapping({(1, 12): (1, 2), (1, 2): (1, 12), (5, 8): (5, 8)}),
+        "-q maps coset 1 at q=8 to (1, 2), not a coset",
+    ),
+    # -(q+1) maps every coset onto a coset of its size, but at q = 8 C_1 to
+    # C_4 = (4, 9) and C_4 to C_3 = (3, 10)
+    "no-involution": (
+        lambda z: DefiningSet._closed(
+            z.ctx, None, frozenset(-(z.ctx.q + 1) * x % z.ctx.n for x in z)
+        ),
+        "-q maps coset 1 at q=8 to (4, 9), then to (3, 10)",
+    ),
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(WRONG_COSET_IMAGES))
+def test_wrong_coset_images_are_caught(capsys, monkeypatch, wrong):
+    neg_q, message = WRONG_COSET_IMAGES[wrong]
+    monkeypatch.setattr(DefiningSet, "neg_q", neg_q)
+    _assert_counterexample_is(capsys, message, "verify", "--level", "coset", "--qmax", "60")
+
+
+# each reflection identity tested against its target shifted by +1: the
+# lemma level must fail at the first window pair of q = 8 and name it
+@pytest.mark.parametrize(
+    ("name", "shifted", "message"),
+    [
+        (
+            "coset_product_identity",
+            lambda ctx, s, i: cosets._neg_q_maps_coset(ctx, s * ctx.q + i, i * ctx.q - s + 1),
+            "reflection identity fails at q=8, s=0, i=1",
+        ),
+        (
+            "coset_product_identity_inverse",
+            lambda ctx, t, j: cosets._neg_q_maps_coset(ctx, t * ctx.q - j, j * ctx.q + t + 1),
+            "inverse identity fails at q=8, t=1, j=0 (offset=False)",
+        ),
+    ],
+    ids=["forward", "inverse"],
+)
+def test_shifted_reflection_identity_is_caught(capsys, monkeypatch, name, shifted, message):
+    monkeypatch.setattr(families, name, shifted)
+    _assert_counterexample_is(capsys, message, "verify", "--level", "lemma", "--qmax", "60")
+
+
 def test_longest_run_off_by_one_is_caught(capsys, monkeypatch):
     honest = codes.longest_circular_run
     monkeypatch.setattr(codes, "longest_circular_run", lambda members, n: honest(members, n) + 1)

@@ -6,6 +6,7 @@ from eaqmds.cosets import (
     CycContext,
     DefiningSet,
     _neg_q_maps_coset,
+    _stride_order,
     all_cosets,
     coset,
     coset_product_identity,
@@ -267,8 +268,9 @@ def _two_orbit_maps(ctx, src, dst):
 
 def test_one_orbit_reflection_check_matches_two_orbits():
     # every forward and inverse window pair of the family q <= 120, with the
-    # target moved by -1, 0 and +1: the one-orbit membership test must give
-    # the two-orbit answer, and some moved target must fail at every q
+    # target moved by -1, 0 and +1: the reflection check (the +-dst test on
+    # these moduli) must give the two-orbit answer, and some moved target
+    # must fail at every q
     pairs = 0
     for spec in iter_family_sizes(120):
         q = spec.q.q
@@ -284,3 +286,23 @@ def test_one_orbit_reflection_check_matches_two_orbits():
                 pairs += 1
         assert failed, q
     assert pairs == 21_372
+
+
+@pytest.mark.parametrize(
+    ("ctx", "arithmetic"),
+    [(CycContext.for_family(23), True), (CycContext(31, 2), False), (CycContext(8, 3), False)],
+    ids=["q23", "n31-q2", "n8-q3"],
+)
+def test_both_reflection_branches_match_two_orbits_on_every_pair(ctx, arithmetic):
+    # q^2 = -1 (mod 106) sends q = 23 to the +-dst comparison; the general
+    # moduli keep the one-orbit membership test
+    assert (_stride_order(ctx.n, ctx.q) is not None) == arithmetic
+    n = ctx.n
+    hits = 0
+    for src in range(n):
+        for dst in range(n):
+            want = _two_orbit_maps(ctx, src, dst)
+            assert _neg_q_maps_coset(ctx, src, dst) == want, (src, dst)
+            hits += want
+    # each src maps onto the |C| members of one coset C: sum of |C|^2
+    assert hits == sum(len(c) ** 2 for c in all_cosets(ctx))

@@ -5,7 +5,8 @@ suites live in families (set route) and oracle (matrix route).
 
 Output is deterministic: identical invocations produce byte-identical
 output (no timestamps).  Data goes to stdout, diagnostics to stderr.
-Exit codes: 0 success, 1 invariant violation, 2 usage error.
+Exit codes: 0 success, 1 invariant violation or internal fault, 2 usage
+error (a UsageError from an input guard).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import errata as errata_mod
 from . import families, oracle
 from .cosets import CycContext, all_cosets
 from .eaqecc import eaqmds_status
-from .exceptions import VerificationError
+from .exceptions import UsageError, VerificationError
 from .gf import MAX_EXTENSION_ORDER
 
 # above this the matrix oracle gets slow; larger q must be asked for explicitly
@@ -103,12 +104,12 @@ def _check_budget(flag: str, value: int, n: int | None = None, oracle: bool = Fa
     than the extension fields gf builds."""
     n = (value * value + 1) // 5 if n is None else n
     if n > MAX_MODULUS:
-        raise ValueError(
+        raise UsageError(
             f"{flag} {value} is out of budget: it needs modulus n = {n}, "
             f"above the limit {MAX_MODULUS}"
         )
     if oracle and value * value > MAX_EXTENSION_ORDER:
-        raise ValueError(
+        raise UsageError(
             f"{flag} {value} is out of budget for the matrix oracle: F_(q^2) has "
             f"order {value * value}, above the limit {MAX_EXTENSION_ORDER}"
         )
@@ -127,20 +128,20 @@ def cmd_cosets(args: argparse.Namespace) -> int:
         payload = {
             "q": q,
             "n": ctx.n,
-            "cosets": [{"rep": c.rep, "elements": list(c.elements)} for c in cs],
+            "cosets": [{"rep": c[0], "elements": list(c)} for c in cs],
         }
         print(json.dumps(payload, indent=2))
     else:
         print(f"q={q} n={ctx.n} count={len(cs)}")
         for c in cs:
-            print(f"C_{c.rep} = {{{', '.join(str(x) for x in c.elements)}}}")
+            print(f"C_{c[0]} = {{{', '.join(str(x) for x in c)}}}")
     return 0
 
 
 def cmd_code(args: argparse.Namespace) -> int:
     _check_budget("--q", args.q, oracle=args.oracle)
     if args.oracle and args.q > ORACLE_Q_CAP and not args.allow_large_oracle:
-        raise ValueError(
+        raise UsageError(
             f"the matrix oracle is capped at q <= {ORACLE_Q_CAP} by default; "
             f"pass --allow-large-oracle to run q={args.q}"
         )
@@ -268,9 +269,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # past the input guards a ValueError is a fault, not bad input
+        print(f"internal error in {args.command}: {exc}", file=sys.stderr)
+        return 1
     except VerificationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1

@@ -26,6 +26,8 @@ from itertools import compress
 from math import gcd
 from typing import Iterable, Iterator
 
+from .exceptions import UsageError
+
 
 @dataclass(frozen=True)
 class CycContext:
@@ -36,11 +38,11 @@ class CycContext:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError(f"modulus must be positive, got {self.n}")
+            raise UsageError(f"modulus must be positive, got {self.n}")
         if self.q < 2:
-            raise ValueError(f"q must be at least 2, got {self.q}")
+            raise UsageError(f"q must be at least 2, got {self.q}")
         if gcd(self.n, self.q) != 1:
-            raise ValueError(f"gcd(n={self.n}, q={self.q}) != 1")
+            raise UsageError(f"gcd(n={self.n}, q={self.q}) != 1")
 
     @property
     def multiplier(self) -> int:
@@ -50,24 +52,13 @@ class CycContext:
     def for_family(cls, q: int) -> "CycContext":
         """The context with n = (q^2+1)/5; q^2+1 must be divisible by 5."""
         if (q * q + 1) % 5 != 0:
-            raise ValueError(f"(q^2+1) not divisible by 5 for q={q}")
+            raise UsageError(f"(q^2+1) not divisible by 5 for q={q}")
         return cls((q * q + 1) // 5, q)
 
 
-@dataclass(frozen=True)
-class CycCoset:
-    """One orbit under multiplication by q^2 mod n, with smallest-member rep."""
-
-    ctx: CycContext
-    rep: int
-    elements: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def coset(ctx: CycContext, i: int) -> CycCoset:
-    """The coset containing i: the orbit {i, i*q^2, i*q^4, ...} mod n."""
+def coset(ctx: CycContext, i: int) -> tuple[int, ...]:
+    """The coset containing i: the orbit {i, i*q^2, i*q^4, ...} mod n, as
+    an ascending tuple, whose first member is the coset's representative."""
     i %= ctx.n
     mult = ctx.multiplier
     orbit = [i]
@@ -75,18 +66,17 @@ def coset(ctx: CycContext, i: int) -> CycCoset:
     while cur != i:
         orbit.append(cur)
         cur = cur * mult % ctx.n
-    orbit.sort()
-    return CycCoset(ctx, orbit[0], tuple(orbit))
+    return tuple(sorted(orbit))
 
 
-def all_cosets(ctx: CycContext) -> list[CycCoset]:
+def all_cosets(ctx: CycContext) -> list[tuple[int, ...]]:
     """All cosets, by ascending representative; they partition 0..n-1."""
     seen = bytearray(ctx.n)
     out = []
     for i in range(ctx.n):
         if not seen[i]:
             c = coset(ctx, i)
-            for x in c.elements:
+            for x in c:
                 seen[x] = 1
             out.append(c)
     return out
@@ -263,8 +253,8 @@ class DefiningSet:
         for m in self.members:
             if m not in seen:
                 c = coset(self.ctx, m)
-                seen.update(c.elements)
-                reps.append(c.rep)
+                seen.update(c)
+                reps.append(c[0])
         return tuple(reps)
 
 
@@ -280,7 +270,7 @@ def _neg_q_maps_coset(ctx: CycContext, src: int, dst: int) -> bool:
     n, image = ctx.n, -ctx.q * src % ctx.n
     if _stride_order(n, ctx.q) is not None:
         return image in (dst % n, -dst % n)
-    return image in coset(ctx, dst).elements
+    return image in coset(ctx, dst)
 
 
 def coset_product_identity(ctx: CycContext, s: int, i: int) -> bool:

@@ -40,7 +40,7 @@ from .cosets import (
     inverse_identity_windows,
 )
 from .eaqecc import Decomposition, EaqeccParams, check_split, decompose, eaqecc_params
-from .exceptions import VerificationError
+from .exceptions import UsageError, VerificationError
 from .gf import PrimePower
 
 FAMILY_IDS = ("q10k3", "q10k7", "e1mod4", "e3mod4")
@@ -90,26 +90,26 @@ class FamilySpec:
 
 
 def classify(q: int) -> FamilySpec:
-    """The unique family containing q; ValueError naming why there is none."""
+    """The unique family containing q; UsageError naming why there is none."""
     try:
         pp = PrimePower.from_int(q)
     except ValueError:
-        raise ValueError(f"q={q} is not a prime power") from None
+        raise UsageError(f"q={q} is not a prime power") from None
     n5 = q * q + 1
     if n5 % 5 != 0:
-        raise ValueError(f"(q^2+1) not divisible by 5 for q={q} (need q = +-2 mod 5)")
+        raise UsageError(f"(q^2+1) not divisible by 5 for q={q} (need q = +-2 mod 5)")
     n = n5 // 5
     if pp.p == 2:
         if pp.e > 1 and pp.e % 4 == 1:
             return FamilySpec("e1mod4", pp, n, (q - 2) // 10)
         if pp.e % 4 == 3:
             return FamilySpec("e3mod4", pp, n, (q - 8) // 10)
-        raise ValueError(f"q={q} = 2^e needs an odd exponent e (e=1 mod 4 requires e>1)")
+        raise UsageError(f"q={q} = 2^e needs an odd exponent e (e=1 mod 4 requires e>1)")
     if q % 10 == 3 and q >= 23:
         return FamilySpec("q10k3", pp, n, (q - 3) // 10)
     if q % 10 == 7 and q >= 27:
         return FamilySpec("q10k7", pp, n, (q - 7) // 10)
-    raise ValueError(f"q={q} is below the family minimum (23 for q=3 mod 10, 27 for q=7 mod 10)")
+    raise UsageError(f"q={q} is below the family minimum (23 for q=3 mod 10, 27 for q=7 mod 10)")
 
 
 def _anchors(spec: FamilySpec) -> tuple[int, int, int, int, int]:
@@ -129,7 +129,7 @@ def _check_m(spec: FamilySpec, m: int, allow_degenerate: bool = False) -> None:
     if not lo <= m <= spec.m_max:
         q = spec.q.q
         valid = f"valid m: 2..{spec.m_max}" if spec.m_max >= 2 else f"q={q} has no valid m"
-        raise ValueError(f"m={m} out of range for q={q}; {valid}")
+        raise UsageError(f"m={m} out of range for q={q}; {valid}")
 
 
 def family_defining_set(spec: FamilySpec, m: int) -> DefiningSet:
@@ -317,7 +317,7 @@ def verify_cosets(q_max: int) -> dict[str, int]:
     for spec in sizes:
         ctx, q, n = spec.context(), spec.q.q, spec.n
         pairs = [(i,) if i == 0 or 2 * i == n else (i, n - i) for i in range(n // 2 + 1)]
-        cs = [c.elements for c in all_cosets(ctx)]
+        cs = all_cosets(ctx)
         if cs != pairs:
             k = next((k for k, pair in enumerate(pairs) if cs[k : k + 1] != [pair]), len(pairs))
             got, want = cs[k : k + 1] or "missing", pairs[k : k + 1] or "none"

@@ -1,4 +1,4 @@
-"""Exact arithmetic in prime fields and their extensions.
+"""Exact arithmetic in the extension fields of F_p.
 
 Everything is deterministic so that serialized outputs are reproducible
 byte-for-byte across runs: a field of order p^d always gets the same
@@ -15,17 +15,15 @@ ints mod p in the modulus search (Rabin's test), whose remainder step
 _poly_mod also serves the table-free product of an extension field, and
 F_{q^2} indices for the minimal polynomials of FieldTower.
 
-build_field picks the arithmetic from the field's structure, not its size.
-A prime field (PrimeField) computes with integers mod p and holds no
-tables, up to order 2**63.  An extension field (degree >= 2) gets exp/log
+build_field makes extension fields (degree >= 2) only.  Each gets exp/log
 tables of a fixed generator g once, when build_field makes it, so a
 product is one addition of logarithms; in odd characteristic it also gets
 a Zech table zech[k] = log(1 + g^k), so a sum is one lookup as well:
 g^a + g^b = g^(a + zech[b - a]) and -g^a = g^(a + (order-1)/2).  For
 p = 2 a sum is an xor.  These tables take O(order) memory, so build_field
 refuses extension fields above MAX_EXTENSION_ORDER; the code alphabet
-F_{q^2} fits for every q <= 181.  The packed matrix kernels of oracle
-(rank included) work on digits and need none of these tables.
+F_{q^2} fits for every q <= 181.  The packed kernels of oracle (convolve
+and rank) work on digits and need none of these tables.
 
 The quartic field F_{q^4} is not built over F_p but as F_{q^2}[y] /
 (y^2 - y - b) (QuadraticExtension): a0 + a1*y has index a0 + a1*q^2, so
@@ -49,8 +47,6 @@ from typing import Iterable, Sequence
 from .cosets import CycContext, coset
 from .exceptions import VerificationError
 
-# hard bound on a prime field's order
-_MAX_ORDER = 1 << 63
 # bound on an extension field's order: its tables take O(order) memory
 MAX_EXTENSION_ORDER = 1 << 15
 
@@ -227,7 +223,7 @@ class Field:
         self.modulus = modulus
         # generator() scans element indices from here up: below p lies F_p,
         # whose orders divide p - 1
-        self._first_generator_candidate = p if degree > 1 else 1
+        self._first_generator_candidate = p
         self.order = p**degree
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
@@ -398,35 +394,15 @@ class Field:
         return self._generator
 
 
-class PrimeField(Field):
-    """F_p = F_p[x] / (x): integers mod p, with no tables."""
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-
 @functools.lru_cache(maxsize=None)
 def build_field(p: int, degree: int) -> Field:
-    """The field of order p^degree with its canonical (smallest) modulus:
-    a PrimeField for degree 1 (order up to 2^63), else a Field of order up
-    to MAX_EXTENSION_ORDER with its tables built."""
+    """The extension field of order p^degree, degree >= 2, with its
+    canonical (smallest) modulus and its tables built; its order is at
+    most MAX_EXTENSION_ORDER."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    if degree == 1:
-        if p > _MAX_ORDER:
-            raise ValueError(f"field order {p} exceeds the 2^63 bound")
-        return PrimeField(p, 1, (0, 1))
+    if degree < 2:
+        raise ValueError(f"degree must be >= 2, got {degree}")
     if p**degree > MAX_EXTENSION_ORDER:
         raise ValueError(f"extension field order {p}^{degree} exceeds {MAX_EXTENSION_ORDER}")
     f = Field(p, degree, _smallest_irreducible(p, degree))
@@ -543,22 +519,22 @@ class FieldTower:
         the coset of i, with every coefficient verified to be an index below
         q^2, that is, an element of F_{q^2} as it stands."""
         orbit = coset(self._context, i)
-        cached = self._minpoly_cache.get(orbit.rep)
+        cached = self._minpoly_cache.get(orbit[0])
         if cached is not None:
             return cached
         f4, q2 = self.fq4, self.fq2.order
         coeffs = [1]
-        for j in orbit.elements:
+        for j in orbit:
             # times (x - root^j): coefficient k is c_(k-1) - root^j * c_k
             nr = f4.neg(self.root_power(j))
             coeffs = [f4.add(hi, f4.mul(lo, nr)) for lo, hi in zip(coeffs + [0], [0] + coeffs)]
         for c in coeffs:
             if c >= q2:
                 raise VerificationError(
-                    f"coefficient {c} of the orbit product of {orbit.rep} is not in "
+                    f"coefficient {c} of the orbit product of {orbit[0]} is not in "
                     f"F_(q^2): its index is not below q^2 = {q2}"
                 )
-        mp = self._minpoly_cache[orbit.rep] = tuple(coeffs)
+        mp = self._minpoly_cache[orbit[0]] = tuple(coeffs)
         return mp
 
 

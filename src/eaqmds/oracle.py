@@ -1,13 +1,13 @@
 """Independent first-principles verification through explicit matrices
 over F_{q^2}: the generator and check polynomials of the cyclic code,
-the exact rank of H * H^dagger (which must equal the ebit count computed
-from the defining-set overlap), and exhaustive distance checks for toys.
+and the exact rank of H * H^dagger, which must equal the ebit count
+computed from the defining-set overlap.
 
 Everything here is explicit linear algebra, so that it shares no
-machinery with the set-algebra route it checks.  matmul, convolve and
-rank pack F_p digits into big integers (Kronecker substitution), so that
-one big-integer operation adds up many field products, and reduce mod p
-and the modulus only where a value is read.  One function builds both
+machinery with the set-algebra route it checks.  convolve and rank pack
+F_p digits into big integers (Kronecker substitution), so that one
+big-integer operation adds up many field products, and reduce mod p and
+the modulus only where a value is read.  One function builds both
 polynomials of a code: generator_polynomial multiplies minimal
 polynomials up a tree with convolve, g over the cosets of Z and the
 check polynomial h over those of its complement.  code_polynomials
@@ -15,17 +15,13 @@ proves g * h = x^n - 1 with one more convolve, which is all that the
 generator matrix G (the shifts of g) and the parity-check matrix H (the
 shifts of h reversed and conjugated) need: G * H^dagger = 0 and both
 have full rank.  Neither matrix is written out: H * H^dagger is
-Toeplitz, and hh_dagger reads it off one convolution of h.  The dense
-matmul and conjugate_transpose are kept as references for tests.  rank
-is the one elimination: the toy distances either walk the codewords with
-the field's own add and mul or scan supports with rank.  The rank-oracle
-suite (verify_rank_oracle) compares the two routes on every family code
-and on random coset-closed sets.
+Toeplitz, and hh_dagger reads it off one convolution of h for rank, the
+one elimination.  The rank-oracle suite (verify_rank_oracle) compares
+the two routes on every family code and on random coset-closed sets.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 import sys
 from dataclasses import dataclass
@@ -37,8 +33,6 @@ from .eaqecc import ebits
 from .exceptions import VerificationError
 from .families import FamilyCode, family_grid, verify_family_code
 from .gf import Field, FieldTower, field_tower
-
-BUDGET_EXCEEDED = "budget-exceeded"
 
 
 @dataclass(frozen=True)
@@ -71,7 +65,7 @@ class MatrixGF:
         return len(self.data[0]) if self.data else 0
 
 
-# matmul and convolve pack F_p digit vectors into integers, one slot of
+# convolve and rank pack F_p digit vectors into integers, one slot of
 # _slot_width bits per digit (Kronecker substitution), so that a big-integer
 # product adds up the digit convolutions of many field products at once.  On
 # a little-endian host a slot as wide as a machine word unpacks through a
@@ -159,41 +153,11 @@ def _slot_reducer(f: Field, width: int):
     return reduce
 
 
-def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
-    """A * B over a field F_p[x]/(f) built by build_field: the dense
-    reference for the shift-structured product of hh_dagger.
-
-    Row j of B packs as one integer B_j with the digits of entry c from
-    slot c*(2d-1) on.  Row i of the product is then S_i = sum_j
-    pack(a_ij) * B_j, one big-integer multiply-add per nonzero a_ij, and
-    slot c*(2d-1) + k of S_i holds coefficient k of
-    sum_j a_ij(x) * b_jc(x), exactly, as no slot sum reaches 2^width.
-    """
-    if a.field is not b.field:
-        raise ValueError("matrices over different fields")
-    if a.cols != b.rows:
-        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    f = a.field
-    _check_packable(f)
-    width = _slot_width(a.cols, f.degree, f.p)
-    packed = _Packer(f, width)
-    reduce = _slot_reducer(f, width)
-    packed_rows = [packed.vector(row) for row in b.data]
-    out = []
-    for row in a.data:
-        acc = 0
-        for v, bj in zip(row, packed_rows):
-            if v:
-                acc += packed[v] * bj
-        out.append(tuple(reduce(acc, b.cols)))
-    return MatrixGF(f, tuple(out))
-
-
 def convolve(field: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
     """c_e = sum_s a_s * b_(e-s) over a field F_p[x]/(f): the coefficients
     of the product of the polynomials with coefficients a and b.
 
-    Both vectors pack as in matmul, element s from slot s*(2d-1) on, so
+    Both vectors pack by _Packer.vector, element s from slot s*(2d-1) on, so
     one big-integer product holds every c_e, and the slot width covers
     sums of min(len a, len b) products.
     """
@@ -206,15 +170,6 @@ def convolve(field: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _slot_reducer(field, width)(prod, len(a) + len(b) - 1)
 
 
-def conjugate_transpose(m: MatrixGF, q: int) -> MatrixGF:
-    """Transpose with entry-wise q-th power (the field must have order q^2)."""
-    f = m.field
-    if f.order != q * q:
-        raise ValueError(f"field order {f.order} is not {q}^2")
-    powq = f.power_map(q)
-    return MatrixGF(f, tuple(tuple(powq[v] for v in col) for col in zip(*m.data)))
-
-
 def _multipliers(f: Field, values: Sequence[int], pivot: int) -> list[int]:
     """-a / pivot for each a in values: the factors that clear those
     entries of a column against its pivot."""
@@ -224,7 +179,7 @@ def _multipliers(f: Field, values: Sequence[int], pivot: int) -> list[int]:
 
 def rank(m: MatrixGF) -> int:
     """Exact rank over a field F_p[x]/(f) built by build_field, by
-    Gaussian elimination on rows packed as in matmul, column 0 highest.
+    Gaussian elimination on rows packed by _Packer.vector, column 0 highest.
 
     An eliminated column is cleared from every row, so the entry of the
     next column is the row shifted right.  Clearing an entry a against the
@@ -364,27 +319,6 @@ def confirm_ebits(fc: FamilyCode) -> None:
     check_ebits(fc.defining_set, tower, fc.verified.c, f"at q={fc.spec.q.q}, m={fc.m}")
 
 
-def rowspace_defining_set(m: MatrixGF, tower: FieldTower) -> set[int]:
-    """Exponents z with row(root^z) = 0 for every row: the defining set of
-    the cyclic code spanned by the rows (rows read as polynomials; their
-    F_{q^2} entries are F_{q^4} elements as they stand)."""
-    f4 = tower.fq4
-    out = set()
-    for z in range(tower.n):
-        x = tower.root_power(z)
-        ok = True
-        for row in m.data:
-            acc = 0
-            for c in reversed(row):
-                acc = f4.add(f4.mul(acc, x), c)
-            if acc != 0:
-                ok = False
-                break
-        if ok:
-            out.add(z)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the rank-oracle suite
 # ---------------------------------------------------------------------------
@@ -397,7 +331,7 @@ def _random_closed_sets(ctx: CycContext, count: int, seed: int) -> list[Defining
     """count coset-closed sets, neither empty nor full, each coset drawn
     with probability 1/2."""
     rng = random.Random(seed)
-    reps = [c.rep for c in all_cosets(ctx)]
+    reps = [c[0] for c in all_cosets(ctx)]
     out = []
     while len(out) < count:
         z = DefiningSet.from_cosets(ctx, [r for r in reps if rng.random() < 0.5])
@@ -423,66 +357,3 @@ def verify_rank_oracle(q_max: int) -> dict[str, int]:
             check_ebits(z, tower, ebits(z), where)
             checked += 1
     return {"codes": checked}
-
-
-# ---------------------------------------------------------------------------
-# exhaustive minimum distance (toy scale)
-# ---------------------------------------------------------------------------
-
-
-def _min_weight_by_codewords(g: MatrixGF) -> int:
-    """Walk every codeword m*G whose message m has 1 as its first nonzero
-    entry and skip the zero ones: exact, as every nonzero codeword is a
-    nonzero multiple of one of them, of the same weight.  Past its leading
-    1, m is walked in a p-ary Gray code on its F_p digits: step t adds 1
-    to digit v_p(t), the exponent of p in t, so each codeword is the last
-    one plus x^k times one row of G."""
-    f = g.field
-    best = g.cols + 1
-    steps = [[f.mul(f.p**k, v) for v in row] for row in g.data for k in range(f.degree)]
-    for lead, row in enumerate(g.data):
-        word, tail = list(row), steps[(lead + 1) * f.degree :]
-        for t in range(f.order ** (g.rows - 1 - lead)):
-            if t:
-                digit, rest = 0, t
-                while rest % f.p == 0:
-                    rest //= f.p
-                    digit += 1
-                word = list(map(f.add, word, tail[digit]))
-            w = g.cols - word.count(0)
-            if 0 < w < best:
-                best = w
-    return best
-
-
-def _min_weight_by_supports(g: MatrixGF, budget: int) -> int | str:
-    """Smallest |S| such that the columns of G outside S have a smaller
-    rank than G: then some nonzero codeword vanishes outside S, and the
-    smallest such S is its support."""
-    full = rank(g)
-    cols = list(zip(*g.data))
-    examined = 0
-    for w in range(1, g.cols + 1):
-        for support in itertools.combinations(range(g.cols), w):
-            examined += 1
-            if examined > budget:
-                return BUDGET_EXCEEDED
-            rest = tuple(c for j, c in enumerate(cols) if j not in support)
-            if rank(MatrixGF(g.field, rest)) < full:
-                return w
-    raise VerificationError("no nonzero codeword found in a nonzero code")
-
-
-def exhaustive_min_distance(g: MatrixGF, budget: int = 500_000) -> int | str:
-    """True minimum Hamming weight of the rowspace of G, or the explicit
-    "budget-exceeded" sentinel - never a guess.
-
-    Small message spaces are enumerated outright; otherwise supports are
-    scanned in increasing size, charging one unit of budget per support.
-    """
-    if rank(g) == 0:
-        raise ValueError("the zero code has no nonzero codeword")
-    size = g.field.order**g.rows - 1
-    if size <= budget:
-        return _min_weight_by_codewords(g)
-    return _min_weight_by_supports(g, budget)

@@ -27,13 +27,8 @@ from eaqmds.families import (
     iter_family_sizes,
 )
 from eaqmds.gf import field_tower
-from eaqmds.oracle import (
-    MatrixGF,
-    code_polynomials,
-    exhaustive_min_distance,
-    hh_dagger,
-    rank,
-)
+from eaqmds.oracle import MatrixGF, code_polynomials, hh_dagger, rank
+from matref import exhaustive_min_distance
 from polyref import shift_rows
 
 
@@ -159,7 +154,7 @@ def test_criterion_4_rank_oracle_equivalence():
             ctx = CycContext.for_family(q)
             tower = field_tower(q, ctx.n)
             rng = random.Random(973 + q)
-            reps = [c.rep for c in all_cosets(ctx)]
+            reps = [c[0] for c in all_cosets(ctx)]
             done = 0
             while done < 50:
                 z = DefiningSet.from_cosets(ctx, [r for r in reps if rng.random() < 0.5])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from eaqmds import cli, codes, cosets, families, oracle
+from eaqmds import cli, codes, cosets, eaqecc, families, oracle
 from eaqmds.cli import CSV_HEADER, main
 from eaqmds.cosets import DefiningSet
 from eaqmds.gf import build_field
@@ -104,6 +104,14 @@ def test_code_oracle_cap(capsys):
     rc, _, err = run_cli(capsys, "code", "--q", "43", "--m", "2", "--oracle")
     assert rc == 2
     assert "--allow-large-oracle" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    # a ValueError raised past the input guards is a fault: exit 1, not 2
+    monkeypatch.setattr(eaqecc, "dimension", lambda z: 0)
+    rc, out, err = run_cli(capsys, "code", "--q", "23", "--m", "2")
+    assert (rc, out) == (1, "")
+    assert err.startswith("internal error in code: defining set too large")
 
 
 def _text_record(out):
@@ -474,10 +482,8 @@ def _assert_counterexample_is(capsys, message, *argv):
 
 def _trade_elements(cs):
     """The cosets with C_1 and C_2 trading their second elements."""
-    (a, b), (c, d) = cs[1].elements, cs[2].elements
-    one = dataclasses.replace(cs[1], elements=(a, d))
-    two = dataclasses.replace(cs[2], elements=(c, b))
-    return [cs[0], one, two, *cs[3:]]
+    (a, b), (c, d) = cs[1], cs[2]
+    return [cs[0], (a, d), (c, b), *cs[3:]]
 
 
 # faults in all_cosets, seen at q = 8 (n = 13, cosets (0,), (1, 12) .. (6, 7))

@@ -35,7 +35,7 @@ def test_decompose_family_overlap_size(spec23):
 def _random_closed_sets(q, count, seed):
     ctx = CycContext.for_family(q)
     rng = random.Random(seed)
-    reps = [c.rep for c in all_cosets(ctx)]
+    reps = [c[0] for c in all_cosets(ctx)]
     for _ in range(count):
         yield DefiningSet.from_cosets(ctx, [r for r in reps if rng.random() < 0.5])
 

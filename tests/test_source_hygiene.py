@@ -82,3 +82,21 @@ def test_source_hygiene():
         if path.stem in SET_ROUTE and "oracle" in _imported_modules(tree):
             bad.append(f"{path.name}: imports oracle")
     assert bad == []
+
+
+def test_every_public_definition_is_used_in_the_package():
+    # a public top-level function or class that no code of the package names
+    # serves only the tests, which hold such references themselves
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if is_def and not node.name.startswith("_"):
+                defined.append((node.name, f"{path.stem}.{node.name}"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert [where for name, where in defined if name not in used] == []

@@ -107,17 +107,7 @@ def eaqecc_params(z: DefiningSet | Decomposition) -> EaqeccParams:
         raise ValueError(
             f"defining set too large: logical dimension 2*{k_classical}-{n}+{c} < 0"
         )
-    params = EaqeccParams(n=n, k=k, d=d, c=c)
-    # with the precondition, n + c - k equals 2|Z| while d - 1, the longest
-    # run of Z, is at most |Z|, so the bound can never be violated; tripwire
-    # for internal bugs, naming the run that broke it
-    if params.distance_precondition_ok and n + c - k < 2 * (d - 1):
-        raise VerificationError(
-            f"longest run {d - 1} of the defining set exceeds |Z| = {len(z)}: "
-            f"Singleton bound violated, n + c - k = {n + c - k} < 2(d-1) = {2 * (d - 1)} "
-            f"for [[{n},{k},{d};{c}]]"
-        )
-    return params
+    return EaqeccParams(n=n, k=k, d=d, c=c)
 
 
 def eaqmds_status(params: EaqeccParams) -> str:

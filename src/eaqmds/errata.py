@@ -6,14 +6,16 @@ sign error in the closed-form dimension, example tables computed with
 that wrong form, and optimality claims in a distance regime where the
 certifying bound does not apply.  The printed values are pinned here as
 a static fixture - they are data, not code - and every corrected value
-is re-derived two independent ways that must agree:
+is read from families.verify_family_code, the one derivation that the
+code, enumerate and verify commands share.  Each example row prints the
+logical dimension by two routes:
 
     route A:  k = 2(n - |Z|) - n + c   with c from the set overlap
     route B:  k = n + c - 2(d - 1)     with d from the consecutive run
 
-The report is therefore regression-tested: if the construction engine
-ever drifted, the audit would fail loudly rather than reprint stale
-numbers.
+They differ by 2(run - |Z|), which the one-run check there requires to
+be 0.  If the construction engine ever drifted, the audit would fail
+loudly rather than reprint stale numbers.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import bch_bound, dimension
-from .eaqecc import ebits
-from .exceptions import VerificationError
+from .exceptions import UsageError, VerificationError
 from .families import (
     PRINTED_EXAMPLE_DIMENSIONS,
     FamilySpec,
     classify,
     family_defining_set,
     family_grid,
+    verify_family_code,
 )
 
 ENTRY_IDS = ("E1", "E2", "E3", "E4", "E5", "E6", "E7")
@@ -54,51 +56,38 @@ def _spec(q: int) -> FamilySpec:
     """The family of a published example's field size."""
     try:
         return classify(q)
-    except ValueError as exc:
+    except UsageError as exc:
         raise VerificationError(f"published example q={q} is in no family: {exc}") from None
 
 
 def _corrected_dimensions(q: int) -> list[dict]:
-    """Recompute every printed code for one field size, both routes."""
+    """Every printed code for one field size, as verified, by both routes."""
     spec = _spec(q)
     out = []
     printed_ms = sorted(m for (qq, m) in PRINTED_EXAMPLE_DIMENSIONS if qq == q)
     for m in printed_ms:
-        z = family_defining_set(spec, m)
-        n = spec.n
-        c = ebits(z)
-        d = bch_bound(z)
-        route_a = 2 * dimension(z) - n + c
-        route_b = n + c - 2 * (d - 1)
-        if route_a != route_b:
-            raise VerificationError(
-                f"independent dimension derivations disagree at q={q}, m={m}: "
-                f"{route_a} vs {route_b}"
-            )
-        printed = PRINTED_EXAMPLE_DIMENSIONS[(q, m)]
+        v = verify_family_code(spec, m).verified
         out.append(
             {
                 "q": q,
                 "m": m,
-                "n": n,
-                "d": d,
-                "c": c,
-                "printed_k": printed,
-                "computed_k": route_a,
-                "k_via_2k_minus_n_plus_c": route_a,
-                "k_via_singleton_equality": route_b,
+                "n": v.n,
+                "d": v.d,
+                "c": v.c,
+                "printed_k": PRINTED_EXAMPLE_DIMENSIONS[(q, m)],
+                "computed_k": v.k,
+                "k_via_2k_minus_n_plus_c": v.k,
+                "k_via_singleton_equality": v.n + v.c - 2 * (v.d - 1),
             }
         )
     return out
 
 
 def _entry_e1() -> ErrataEntry:
-    spec = _spec(23)
-    z = family_defining_set(spec, 2)
-    k_classical = dimension(z)
-    c = ebits(z)
-    stated = 2 * k_classical - spec.n
-    corrected = stated + c
+    fc = verify_family_code(_spec(23), 2)
+    k_classical = dimension(fc.defining_set)
+    c, corrected = fc.verified.c, fc.verified.k
+    stated = 2 * k_classical - fc.spec.n
     data = {
         "stated_formula": "2k - n",
         "corrected_formula": "2k - n + c",
@@ -124,14 +113,10 @@ def _entry_e1() -> ErrataEntry:
 
 
 def _entry_e2() -> ErrataEntry:
-    spec = _spec(23)
-    q, n, m = 23, spec.n, 2
+    q, m = 23, 2
+    fc = verify_family_code(_spec(q), m)  # checks the corrected form against k
+    n, corrected = fc.spec.n, fc.predicted.k
     stated = n - 4 * (m - 1) * (5 * m - q - 5) - 1
-    corrected = n - 4 * (m - 1) * (q - 5 * (m - 1)) - 1
-    z = family_defining_set(spec, m)
-    first_principles = 2 * dimension(z) - n + ebits(z)
-    if corrected != first_principles:
-        raise VerificationError("corrected closed form fails its own witness")
     data = {
         "stated_formula": "n - 4(m-1)(5m-q-5) - 1",
         "corrected_formula": "n - 4(m-1)(q-5(m-1)) - 1",
@@ -206,12 +191,8 @@ def _entry_e7(q_max: int) -> ErrataEntry:
 def errata_report(q_max: int = 200) -> tuple[ErrataEntry, ...]:
     """The fixed audit: entries E1..E7, deterministic order and content."""
     entries = [_entry_e1(), _entry_e2()]
-    for entry_id, q in zip(("E3", "E4", "E5", "E6"), _EXAMPLE_QS):
-        entries.append(_example_entry(entry_id, q))
+    entries += [_example_entry(entry_id, q) for entry_id, q in zip(ENTRY_IDS[2:6], _EXAMPLE_QS)]
     entries.append(_entry_e7(q_max))
-    ids = tuple(e.entry_id for e in entries)
-    if ids != ENTRY_IDS:
-        raise VerificationError(f"errata entries {ids} are not {ENTRY_IDS}")
     return tuple(entries)
 
 

@@ -231,6 +231,9 @@ def verify_family_code(spec: FamilySpec, m: int, allow_degenerate: bool = False)
     verified = eaqecc_params(dec)
     flags: list[str] = []
 
+    # n + c - k = 2|Z| always holds, so run = |Z| implies that the errata's
+    # two routes to k agree (they differ by 2(run - |Z|)) and, by its weaker
+    # half run <= |Z|, the Singleton bound n + c - k >= 2(d - 1)
     run = verified.d - 1  # the designed distance is one more than the longest run
     if run != len(z):
         raise VerificationError(
@@ -281,7 +284,7 @@ def iter_family_sizes(q_max: int) -> list[FamilySpec]:
     for q in range(2, q_max + 1):
         try:
             specs.append(classify(q))
-        except ValueError:
+        except UsageError:
             continue
     return specs
 

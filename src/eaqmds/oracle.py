@@ -1,4 +1,4 @@
-"""Independent first-principles verification through explicit matrices
+"""Independent first-principles verification through linear algebra
 over F_{q^2}: the generator and check polynomials of the cyclic code,
 and the exact rank of H * H^dagger, which must equal the ebit count
 computed from the defining-set overlap.

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from eaqmds import cli, codes, cosets, eaqecc, families, oracle
+from eaqmds import cli, codes, cosets, eaqecc, errata, families, oracle
 from eaqmds.cli import CSV_HEADER, main
 from eaqmds.cosets import DefiningSet
+from eaqmds.exceptions import UsageError
 from eaqmds.gf import build_field
 
 REPO = Path(__file__).resolve().parents[1]
@@ -112,6 +113,21 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     rc, out, err = run_cli(capsys, "code", "--q", "23", "--m", "2")
     assert (rc, out) == (1, "")
     assert err.startswith("internal error in code: defining set too large")
+
+
+def test_internal_value_error_in_a_sweep_is_not_a_skipped_q(capsys, monkeypatch):
+    # a sweep skips the q that classify refuses, never one that faults
+    honest = families.FamilySpec.__post_init__
+
+    def faulty(self):
+        if self.q.q == 23:
+            raise ValueError("fault at q=23")
+        honest(self)
+
+    monkeypatch.setattr(families.FamilySpec, "__post_init__", faulty)
+    rc, out, err = run_cli(capsys, "verify", "--level", "theorem", "--qmax", "60")
+    assert (rc, out) == (1, "")
+    assert err == "internal error in verify: fault at q=23\n"
 
 
 def _text_record(out):
@@ -576,14 +592,86 @@ def test_shifted_reflection_identity_is_caught(capsys, monkeypatch, name, shifte
     _assert_counterexample_is(capsys, message, "verify", "--level", "lemma", "--qmax", "60")
 
 
+def _assert_violation_is(capsys, message, *argv):
+    """Exit 1 with exactly this invariant violation, for the commands that
+    print one line on failure."""
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (1, ""), err
+    assert err == f"invariant violation: {message}\n"
+
+
+# a longest run one too long is seen by the one-run check, which implies the
+# Singleton bound and which the errata audit relies on for its two routes to
+# k; the message names the faulty quantity, not only its consequence
 def test_longest_run_off_by_one_is_caught(capsys, monkeypatch):
     honest = codes.longest_circular_run
     monkeypatch.setattr(codes, "longest_circular_run", lambda members, n: honest(members, n) + 1)
-    rc, _out, err = run_cli(capsys, "code", "--q", "23", "--m", "2")
-    assert rc == 1
-    assert err.startswith("invariant violation: ")
-    # the message names the faulty quantity, not only its consequence
-    assert "longest run 48" in err and "|Z| = 47" in err
+    message = (
+        "defining set for q=23, m=2 must be one circular run (hence MDS): "
+        "longest run 48, |Z| = 47"
+    )
+    for argv in (("code", "--q", "23", "--m", "2"), ("errata",)):
+        _assert_violation_is(capsys, message, *argv)
+
+
+def test_family_block_one_coset_too_long_is_caught(capsys, monkeypatch):
+    honest = DefiningSet.from_cosets
+
+    def long_block(ctx, *reps):
+        # the family block is the one set built from a single run C_0 .. C_j
+        if len(reps) == 1 and isinstance(reps[0], range) and reps[0].start == 0:
+            reps = (range(reps[0].stop + 1),)
+        return honest(ctx, *reps)
+
+    monkeypatch.setattr(DefiningSet, "from_cosets", staticmethod(long_block))
+    message = "C_0..C_23 has 49 elements, not 2(m-1)q+1 = 47, at q=23, m=2"
+    _assert_violation_is(capsys, message, "code", "--q", "23", "--m", "2")
+
+
+def test_published_example_in_no_family_is_a_violation(capsys, monkeypatch):
+    # the example field sizes are constants, so classify refusing one is a
+    # fault of the audit (exit 1), not bad input (exit 2)
+    honest = errata.classify
+
+    def refusing(q):
+        if q == 37:
+            raise UsageError("q=37 refused")
+        return honest(q)
+
+    monkeypatch.setattr(errata, "classify", refusing)
+    message = "published example q=37 is in no family: q=37 refused"
+    _assert_violation_is(capsys, message, "errata")
+
+
+# one -q pair of cosets, C_1 and its image C_23 at q = 23, moved from the
+# entangled windows into the free ones: the partition and the invariance of
+# the entangled part still hold, so at the lemma level only the free part's
+# disjointness from its -q image sees it; the theorem level compares the
+# windows with the computed parts first
+@pytest.mark.parametrize(
+    ("level", "message"),
+    [
+        ("lemma", "windows at q=23, m=2: free part meets its own -q image"),
+        (
+            "theorem",
+            "windows at q=23, m=2: the free windows (30) differ from the computed "
+            "free part (26)",
+        ),
+    ],
+    ids=["lemma", "theorem"],
+)
+def test_neg_q_pair_in_the_free_windows_is_caught(capsys, monkeypatch, level, message):
+    free, entangled = families.free_window_set, families.entangled_window_set
+
+    def pair(spec):
+        c1 = DefiningSet.from_cosets(spec.context(), [1])
+        return c1.union(c1.neg_q())
+
+    monkeypatch.setattr(families, "free_window_set", lambda s, m: free(s, m).union(pair(s)))
+    monkeypatch.setattr(
+        families, "entangled_window_set", lambda s, m: entangled(s, m).difference(pair(s))
+    )
+    _assert_counterexample_is(capsys, message, "verify", "--level", level, "--qmax", "60")
 
 
 # the entangled windows alone one coset short: on the theorem route only the

@@ -4,27 +4,28 @@ and the exact rank of H * H^dagger, which must equal the ebit count
 computed from the defining-set overlap.
 
 Everything here is explicit linear algebra, so that it shares no
-machinery with the set-algebra route it checks.  convolve and rank pack
-F_p digits into big integers (Kronecker substitution), so that one
-big-integer operation adds up many field products, and reduce mod p and
-the modulus only where a value is read.  One function builds both
-polynomials of a code: generator_polynomial multiplies minimal
-polynomials up a tree with convolve, g over the cosets of Z and the
-check polynomial h over those of its complement.  code_polynomials
+machinery with the set-algebra route it checks.  convolve and
+toeplitz_rank pack F_p digits into big integers (Kronecker substitution),
+so that one big-integer operation adds up many field products, and
+reduce mod p and the modulus only where a value is read.  One function
+builds both polynomials of a code: generator_polynomial multiplies
+minimal polynomials up a tree with convolve, g over the cosets of Z and
+the check polynomial h over those of its complement.  code_polynomials
 proves g * h = x^n - 1 with one more convolve, which is all that the
 generator matrix G (the shifts of g) and the parity-check matrix H (the
 shifts of h reversed and conjugated) need: G * H^dagger = 0 and both
-have full rank.  Neither matrix is written out: H * H^dagger is
-Toeplitz, and hh_dagger reads it off one convolution of h for rank, the
-one elimination.  The rank-oracle suite (verify_rank_oracle) compares
-the two routes on every family code and on random coset-closed sets.
+have full rank.  No matrix is written out: H * H^dagger is Toeplitz,
+hh_dagger reads the vector of its diagonals off one convolution of h,
+and toeplitz_rank packs that vector once and takes each row as a window
+of it for the one elimination.  The rank-oracle suite
+(verify_rank_oracle) compares the two routes on every family code and on
+random coset-closed sets.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence
 
@@ -35,41 +36,11 @@ from .families import FamilyCode, family_grid, verify_family_code
 from .gf import Field, FieldTower, field_tower
 
 
-@dataclass(frozen=True)
-class MatrixGF:
-    """Dense matrix over one Field; entries are canonical element indices
-    in row-major tuples."""
-
-    field: Field
-    data: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.data:
-            width = len(self.data[0])
-            order = self.field.order
-            for i, r in enumerate(self.data):
-                if len(r) != width:
-                    raise VerificationError(f"row {i} has {len(r)} entries, row 0 has {width}")
-                if r and not (0 <= min(r) and max(r) < order):
-                    v = next(v for v in r if not 0 <= v < order)
-                    raise VerificationError(
-                        f"entry {v} in row {i} is not an element of {self.field!r}"
-                    )
-
-    @property
-    def rows(self) -> int:
-        return len(self.data)
-
-    @property
-    def cols(self) -> int:
-        return len(self.data[0]) if self.data else 0
-
-
-# convolve and rank pack F_p digit vectors into integers, one slot of
-# _slot_width bits per digit (Kronecker substitution), so that a big-integer
-# product adds up the digit convolutions of many field products at once.  On
-# a little-endian host a slot as wide as a machine word unpacks through a
-# memoryview cast.
+# convolve and toeplitz_rank pack F_p digit vectors into integers, one slot
+# of _slot_width bits per digit (Kronecker substitution), so that a
+# big-integer product adds up the digit convolutions of many field products
+# at once.  On a little-endian host a slot as wide as a machine word unpacks
+# through a memoryview cast.
 _WORD_CODES = (
     {memoryview(bytes(8)).cast(c).itemsize * 8: c for c in "HIQ"}
     if sys.byteorder == "little"
@@ -177,29 +148,25 @@ def _multipliers(f: Field, values: Sequence[int], pivot: int) -> list[int]:
     return [f.mul(a, scale) for a in values]
 
 
-def rank(m: MatrixGF) -> int:
-    """Exact rank over a field F_p[x]/(f) built by build_field, by
-    Gaussian elimination on rows packed by _Packer.vector, column 0 highest.
+def _eliminate(packed: _Packer, rows: list[int], cols: int) -> int:
+    """The rank of the matrix whose rows are packed by packed.vector, column
+    0 highest, cols columns each, by Gaussian elimination; rows is used up.
 
     An eliminated column is cleared from every row, so the entry of the
     next column is the row shifted right.  Clearing an entry a against the
     pivot row adds pack(-a / pivot) * (pivot row): one big-integer
     multiply-add with no reduction, as a slot sums a digit below p and
-    fewer than nrows updates of at most d*(p-1)^2.  An entry is reduced
-    when its column is reached, a pivot row once if it was ever updated;
-    a row never updated holds its digits.  The rank does not depend on
-    which nonzero entry of a column is the pivot.
+    fewer than len(rows) updates of at most d*(p-1)^2, which the width of
+    packed must hold.  An entry is reduced when its column is reached, a
+    pivot row once if it was ever updated; a row never updated holds its
+    digits.  The rank does not depend on which nonzero entry of a column
+    is the pivot.
     """
-    f = m.field
-    _check_packable(f)
-    width = _slot_width(m.rows, f.degree, f.p)
-    packed = _Packer(f, width)
-    stride = packed.stride
-    reduce = _slot_reducer(f, width)
-    rows = [packed.vector(row[::-1]) for row in m.data]
-    active = list(range(m.rows))  # rows not yet taken as pivots, in order
+    f, stride = packed.f, packed.stride
+    reduce = _slot_reducer(f, packed.width)
+    active = list(range(len(rows)))  # rows not yet taken as pivots, in order
     updated = set()
-    shift = m.cols * stride
+    shift = cols * stride
     while active and shift:
         shift -= stride
         hits = [(i, top) for i in active if (top := rows[i] >> shift)]
@@ -220,7 +187,23 @@ def rank(m: MatrixGF) -> int:
                 if mult:
                     rows[i] += packed[mult] * prow
                     updated.add(i)
-    return m.rows - len(active)
+    return len(rows) - len(active)
+
+
+def toeplitz_rank(f: Field, t: Sequence[int]) -> int:
+    """Exact rank over a field F_p[x]/(f) built by build_field of the r x r
+    Toeplitz matrix with entry (i, j) = t[r - 1 - i + j], t of 2r - 1
+    entries.
+
+    t is packed once, reversed, by _Packer.vector: row i, column 0 highest,
+    is then the window of r slots from slot i*(2d-1) on, so no row is
+    written out before _eliminate."""
+    _check_packable(f)
+    r = (len(t) + 1) // 2
+    packed = _Packer(f, _slot_width(r, f.degree, f.p))
+    stride = packed.stride
+    whole, mask = packed.vector(t[::-1]), (1 << (r * stride)) - 1
+    return _eliminate(packed, [(whole >> (i * stride)) & mask for i in range(r)], r)
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +262,12 @@ def code_polynomials(z: DefiningSet, tower: FieldTower) -> tuple[tuple[int, ...]
     return g, h
 
 
-def hh_dagger(f: Field, h: Sequence[int], n: int) -> MatrixGF:
+def hh_dagger(f: Field, h: Sequence[int], n: int) -> list[int]:
     """H * H^dagger over the field f of order q^2, where H is the
-    parity-check matrix of length n of the check polynomial h: its n - deg h
-    rows are the shifts of u = (h reversed)^q.
+    parity-check matrix of length n of the check polynomial h: its
+    r = n - deg h rows are the shifts of u = (h reversed)^q.  The product
+    is Toeplitz, and comes as the vector t of its 2r - 1 diagonals, with
+    entry (i, j) = t[r - 1 - i + j] (see toeplitz_rank).
 
     Entry (i, j) is sum_s u_s * u_(s+i-j)^q.  As x^(q^2) = x, u^q reversed
     is h, so the entry is c[deg h - i + j] of c = convolve(u, h), and 0
@@ -293,11 +278,10 @@ def hh_dagger(f: Field, h: Sequence[int], n: int) -> MatrixGF:
     powq = f.power_map(q)
     rows = n - len(h) + 1
     c = convolve(f, [powq[v] for v in reversed(h)], h)
-    # c padded with zeros, so that row i of the product is one slice of it
+    # c padded with zeros, so that t is one slice of it
     pad = [0] * max(0, rows - len(h))
-    padded = pad + c + pad
-    first = len(pad) + len(h) - 1  # entry (0, 0)
-    return MatrixGF(f, tuple(tuple(padded[first - i : first - i + rows]) for i in range(rows)))
+    start = len(pad) + len(h) - rows  # t[0], entry (rows - 1, 0)
+    return (pad + c + pad)[start : start + 2 * rows - 1]
 
 
 def check_ebits(z: DefiningSet, tower: FieldTower, c: int, where: str) -> None:
@@ -305,7 +289,7 @@ def check_ebits(z: DefiningSet, tower: FieldTower, c: int, where: str) -> None:
     ebit count of the set route; where names the code in the
     counterexample."""
     _g, h = code_polynomials(z, tower)
-    got = rank(hh_dagger(tower.fq2, h, z.ctx.n))
+    got = toeplitz_rank(tower.fq2, hh_dagger(tower.fq2, h, z.ctx.n))
     if got != c:
         raise VerificationError(
             f"rank(HH^dagger) = {got} but the set overlap has size {c} {where}"

@@ -1,16 +1,18 @@
-"""Dense references for the tests of the matrix route: the product of two
-written-out matrices on oracle's packed kernel, the conjugate transpose,
-the defining set of a rowspace, the exhaustive minimum distance of toy
-codes, and the prime fields F_p, whose large p reach slot widths of 32,
-64 and 128 bits with small matrices.  The package holds G, H and
-H * H^dagger by their row-0 vectors and needs none of these."""
+"""Dense references for the tests of the matrix route: written-out
+matrices, their product and rank on oracle's packed kernels, the
+conjugate transpose, the Toeplitz matrix of a vector of diagonals, the
+defining set of a rowspace, the exhaustive minimum distance of toy codes,
+and the prime fields F_p, whose large p reach slot widths of 32, 64 and
+128 bits with small matrices.  The package holds G and H by their row-0
+vectors and H * H^dagger by its diagonals, and needs none of these."""
 
 import itertools
+from dataclasses import dataclass
 
 from eaqmds import oracle
 from eaqmds.exceptions import VerificationError
 from eaqmds.gf import Field, build_field
-from eaqmds.oracle import MatrixGF, _check_packable, _Packer, _slot_reducer, rank
+from eaqmds.oracle import _check_packable, _eliminate, _Packer, _slot_reducer
 
 BUDGET_EXCEEDED = "budget-exceeded"
 
@@ -32,6 +34,29 @@ class PrimeField(Field):
 
     def mul(self, a, b):
         return a * b % self.p
+
+
+@dataclass(frozen=True)
+class MatrixGF:
+    """Dense matrix over one field; entries are element indices in
+    row-major tuples."""
+
+    field: Field
+    data: tuple
+
+    @property
+    def rows(self):
+        return len(self.data)
+
+    @property
+    def cols(self):
+        return len(self.data[0]) if self.data else 0
+
+
+def toeplitz_matrix(f, t):
+    """The r x r matrix with entry (i, j) = t[r - 1 - i + j], written out."""
+    r = (len(t) + 1) // 2
+    return MatrixGF(f, tuple(tuple(t[r - 1 - i : 2 * r - 1 - i]) for i in range(r)))
 
 
 def field(p, degree):
@@ -68,6 +93,17 @@ def matmul(a, b):
                 acc += packed[v] * bj
         out.append(tuple(reduce(acc, b.cols)))
     return MatrixGF(f, tuple(out))
+
+
+def rank(m):
+    """Exact rank of a written-out matrix over a field F_p[x]/(f): each row
+    packed by _Packer.vector, column 0 highest, and eliminated by oracle's
+    kernel."""
+    f = m.field
+    _check_packable(f)
+    # looked up per call, so that a test can narrow the slots
+    packed = _Packer(f, oracle._slot_width(m.rows, f.degree, f.p))
+    return _eliminate(packed, [packed.vector(row[::-1]) for row in m.data], m.cols)
 
 
 def conjugate_transpose(m, q):

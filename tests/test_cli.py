@@ -12,7 +12,7 @@ from eaqmds import cli, codes, cosets, eaqecc, errata, families, oracle
 from eaqmds.cli import CSV_HEADER, main
 from eaqmds.cosets import DefiningSet
 from eaqmds.exceptions import UsageError
-from eaqmds.gf import build_field
+from eaqmds.gf import PrimePower, build_field
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -280,20 +280,15 @@ def test_module_entry_point():
 
 def test_checks_survive_python_O():
     # the checks are VerificationErrors, not asserts, so -O keeps them
-    bad_entry = (
-        "from eaqmds.exceptions import VerificationError\n"
-        "from eaqmds.gf import build_field\n"
-        "from eaqmds.oracle import MatrixGF\n"
-        "try:\n"
-        "    MatrixGF(build_field(7, 2), ((0, 49),))\n"
-        "except VerificationError as exc:\n"
-        "    print(exc)\n"
-        "else:\n"
-        "    raise SystemExit('out-of-range entry accepted')\n"
+    long_run = (
+        "from eaqmds import cli, codes\n"
+        "honest = codes.longest_circular_run\n"
+        "codes.longest_circular_run = lambda members, n: honest(members, n) + 1\n"
+        "raise SystemExit(cli.main(['code', '--q', '23', '--m', '2']))\n"
     )
-    proc = _run_module("-O", "-c", bad_entry)
-    assert proc.returncode == 0, proc.stderr
-    assert b"entry 49" in proc.stdout
+    proc = _run_module("-O", "-c", long_run)
+    assert proc.returncode == 1, proc.stderr
+    assert b"longest run 48, |Z| = 47" in proc.stderr
     argv = ("-m", "eaqmds", "code", "--q", "23", "--m", "2", "--oracle")
     plain, optimized = _run_module(*argv), _run_module("-O", *argv)
     assert plain.returncode == optimized.returncode == 0
@@ -368,8 +363,8 @@ def test_record_stdout_is_pinned(capsys, invocation):
 
 @pytest.mark.parametrize("invocation", MATRIX_ROUTE_SMOKE)
 def test_rank_oracle_off_by_one_is_caught(capsys, monkeypatch, invocation):
-    honest = oracle.rank
-    monkeypatch.setattr(oracle, "rank", lambda m: honest(m) + 1)
+    honest = oracle.toeplitz_rank
+    monkeypatch.setattr(oracle, "toeplitz_rank", lambda f, t: honest(f, t) + 1)
     rc, _out, err = run_cli(capsys, *invocation.split())
     assert rc == 1
     assert "rank(HH^dagger)" in err
@@ -626,6 +621,21 @@ def test_family_block_one_coset_too_long_is_caught(capsys, monkeypatch):
     monkeypatch.setattr(DefiningSet, "from_cosets", staticmethod(long_block))
     message = "C_0..C_23 has 49 elements, not 2(m-1)q+1 = 47, at q=23, m=2"
     _assert_violation_is(capsys, message, "code", "--q", "23", "--m", "2")
+
+
+# q = 27 filed under the q = 3 (mod 10) shape: its anchors (q+2)/5 .. are
+# not whole, which only the anchor check sees
+def test_window_anchors_of_the_wrong_shape_are_caught(capsys, monkeypatch):
+    honest = families.classify
+
+    def misfiled(q):
+        if q == 27:
+            return families.FamilySpec("q10k3", PrimePower.from_int(27), 146, 2)
+        return honest(q)
+
+    monkeypatch.setattr(families, "classify", misfiled)
+    message = "window anchors (29, 24, 58, 53, 82) at q=27 are not all divisible by 5"
+    _assert_violation_is(capsys, message, "code", "--q", "27", "--m", "2")
 
 
 def test_published_example_in_no_family_is_a_violation(capsys, monkeypatch):

@@ -17,8 +17,7 @@ from eaqmds.gf import (
     find_element_of_order,
     is_prime,
 )
-from eaqmds.oracle import MatrixGF
-from matref import matmul
+from matref import MatrixGF, matmul
 from polyref import poly_divmod, poly_mul
 
 

@@ -14,16 +14,16 @@ from eaqmds.exceptions import VerificationError
 from eaqmds.families import verify_family_code
 from eaqmds.gf import FieldTower, field_tower
 from eaqmds.oracle import (
-    MatrixGF,
     check_ebits,
     code_polynomials,
     convolve,
     generator_polynomial,
     hh_dagger,
-    rank,
+    toeplitz_rank,
 )
 from matref import (
     BUDGET_EXCEEDED,
+    MatrixGF,
     PrimeField,
     _min_weight_by_codewords,
     _min_weight_by_supports,
@@ -31,7 +31,9 @@ from matref import (
     exhaustive_min_distance,
     field,
     matmul,
+    rank,
     rowspace_defining_set,
+    toeplitz_matrix,
 )
 from polyref import poly_divmod, poly_mul, shift_rows
 
@@ -111,7 +113,7 @@ def test_zero_matrix_rank():
 
 def test_rank_hh_dagger_toy(toy, tower7):
     z, _g, _h, hpoly = toy
-    assert rank(hh_dagger(tower7.fq2, hpoly, 10)) == ebits(z) == 1
+    assert toeplitz_rank(tower7.fq2, hh_dagger(tower7.fq2, hpoly, 10)) == ebits(z) == 1
     check_ebits(z, tower7, 1, "for the toy")
     with pytest.raises(VerificationError, match=r"= 1 but the set overlap has size 2 for the toy"):
         check_ebits(z, tower7, 2, "for the toy")
@@ -121,14 +123,14 @@ def test_rank_hh_dagger_equals_euclidean_variant(toy, tower7):
     # conjugating the parity check does not change rank(H H^dagger)
     z, _g, _h, hpoly = toy
     he = _euclidean_parity_check(z, tower7)
-    want = rank(hh_dagger(tower7.fq2, hpoly, 10))
+    want = toeplitz_rank(tower7.fq2, hh_dagger(tower7.fq2, hpoly, 10))
     assert rank(matmul(he, conjugate_transpose(he, 7))) == want
 
 
 def test_rank_hh_dagger_family_q23(tower23, spec23):
     fc = verify_family_code(spec23, 2)
     _g, h = code_polynomials(fc.defining_set, tower23)
-    assert rank(hh_dagger(tower23.fq2, h, 106)) == 21
+    assert toeplitz_rank(tower23.fq2, hh_dagger(tower23.fq2, h, 106)) == 21
 
 
 def test_rank_oracle_on_random_sets_q7(ctx7, tower7):
@@ -140,7 +142,7 @@ def test_rank_oracle_on_random_sets_q7(ctx7, tower7):
         if z.is_empty() or len(z) >= ctx7.n:
             continue
         h = code_polynomials(z, tower7)[1]
-        assert rank(hh_dagger(tower7.fq2, h, 10)) == ebits(z), z.members
+        assert toeplitz_rank(tower7.fq2, hh_dagger(tower7.fq2, h, 10)) == ebits(z), z.members
         done += 1
 
 
@@ -515,18 +517,53 @@ def test_rank_rejects_the_quartic_field(tower7):
     f = tower7.fq4
     with pytest.raises(ValueError, match="modulus over F_p"):
         rank(MatrixGF(f, ((1, f.order - 1),)))
+    with pytest.raises(ValueError, match="modulus over F_p"):
+        toeplitz_rank(f, (1, f.order - 1, 1))
+
+
+# -- rank of a Toeplitz matrix from its diagonals -------------------------------
+
+
+def _toeplitz_cases(f, rng):
+    """Vectors of diagonals: r = 1, all zero, constant, and random ones,
+    rank-deficient ones included."""
+    yield (0,)
+    yield (rng.randrange(1, f.order),)
+    for r in (2, 5, 9):
+        yield (0,) * (2 * r - 1)
+        yield (rng.randrange(1, f.order),) * (2 * r - 1)  # every entry equal: rank 1
+    for r in range(1, 12):
+        yield _random_matrix(f, rng, 1, 2 * r - 1)[0]
+
+
+# (43, 2) is the field of `code --q 43`, (3, 8) has the most digits of the odd
+# characteristic fields here, and the slots of (2^61 - 1, 1) are wider than 64 bits
+@pytest.mark.parametrize("p,deg", [(23, 2), (43, 2), (3, 6), (2, 10), (3, 8), (2**61 - 1, 1)])
+def test_toeplitz_rank_matches_raw_arithmetic(p, deg):
+    f = field(p, deg)
+    raw = RawArithmetic(f)
+    rng = random.Random(1000 * p + deg)
+    for t in _toeplitz_cases(f, rng):
+        assert toeplitz_rank(f, t) == raw.rank(toeplitz_matrix(f, t).data), t
+    # a single nonzero at index k is the diagonal j - i = k - (r - 1), with
+    # r - |k - (r - 1)| entries in distinct rows and columns: a row window
+    # off by one stride would move it
+    for r in (1, 2, 5, 9):
+        for k in range(2 * r - 1):
+            t = (0,) * k + (rng.randrange(1, f.order),) + (0,) * (2 * r - 2 - k)
+            assert toeplitz_rank(f, t) == r - abs(k - (r - 1)), t
 
 
 def test_rank_oracle_suite_ranks_match_raw_arithmetic(monkeypatch):
     # every rank of the rank-oracle suite at q <= 27: HH^dagger of the family
     # codes and of the random sets at q = 7 and 23
-    honest = oracle.rank
+    honest = oracle.toeplitz_rank
     seen = Counter()
 
-    def checked(m):
-        got = honest(m)
-        assert got == RawArithmetic(m.field).rank(m.data), (m.rows, m.cols)
-        seen[m.field.order] += 1
+    def checked(f, t):
+        got = honest(f, t)
+        assert got == RawArithmetic(f).rank(toeplitz_matrix(f, t).data), len(t)
+        seen[f.order] += 1
         return got
 
     honest_polynomials = oracle.code_polynomials
@@ -537,7 +574,7 @@ def test_rank_oracle_suite_ranks_match_raw_arithmetic(monkeypatch):
         family.append((tower.fq2, g, h, z.ctx.n))
         return g, h
 
-    monkeypatch.setattr(oracle, "rank", checked)
+    monkeypatch.setattr(oracle, "toeplitz_rank", checked)
     monkeypatch.setattr(oracle, "code_polynomials", recorded)
     assert oracle.verify_rank_oracle(27) == {"codes": 102}
     assert seen == {7**2: 50, 23**2: 51, 27**2: 1}
@@ -549,7 +586,7 @@ def test_rank_oracle_suite_ranks_match_raw_arithmetic(monkeypatch):
     assert [f.order for f, *_ in family[:2]] == [23**2, 27**2]
     for code in family[:2]:
         for m in _code_matrices(*code):
-            assert honest(m) == RawArithmetic(m.field).rank(m.data) == m.rows
+            assert rank(m) == RawArithmetic(m.field).rank(m.data) == m.rows
 
 
 # -- shift-structured products -------------------------------------------------
@@ -593,8 +630,8 @@ def test_dagger_product_matches_raw_arithmetic(p, deg):
         u = tuple(raw.pow(v, q) for v in reversed(h))
         dense = shift_rows(u, n)
         got = hh_dagger(f, h, n)
-        assert (got.rows, got.cols) == (n - size + 1,) * 2
-        assert got.data == _raw_dagger(raw, dense, dense, q)
+        assert len(got) == 2 * (n - size + 1) - 1
+        assert toeplitz_matrix(f, got).data == _raw_dagger(raw, dense, dense, q)
 
 
 def test_hh_dagger_needs_a_square_order():
@@ -644,7 +681,7 @@ def test_structured_products_match_dense_matmul(monkeypatch):
     def checked_hh(f, h, n):
         got = honest_hh(f, h, n)
         hm = _parity_check_matrix(f, h, n)
-        assert got == matmul(hm, conjugate_transpose(hm, isqrt(f.order)))
+        assert toeplitz_matrix(f, got) == matmul(hm, conjugate_transpose(hm, isqrt(f.order)))
         seen["H", "H"] += 1
         return got
 
@@ -748,17 +785,37 @@ def test_broken_row_vector_is_caught(capsys, monkeypatch, invocation, fault):
     assert capsys.readouterr().err.endswith(": g * h != x^n - 1\n")
 
 
+# at n = 106 the cosets {1, 105} and {53} trade places: Z builds g on {53}
+# for {1, 105} and its complement builds h on {1, 105} for {53}, so
+# g * h = x^n - 1 still holds and only the degree check of g sees it
+def test_generator_of_the_wrong_degree_is_caught(capsys, monkeypatch):
+    honest = DefiningSet.coset_reps
+
+    def traded(z):
+        reps = honest(z)
+        if z.ctx.n == 106 and (1 in reps) != (53 in reps):
+            reps = tuple(sorted({1: 53, 53: 1}.get(r, r) for r in reps))
+        return reps
+
+    monkeypatch.setattr(DefiningSet, "coset_reps", traded)
+    assert main("code --q 23 --m 2 --oracle".split()) == 1
+    assert capsys.readouterr().err.endswith(
+        ": generator polynomial has degree 46 and leading coefficient 1: "
+        "expected monic of degree |Z| = 47\n"
+    )
+
+
 def test_code_oracle_ranks_hh_dagger_alone(capsys, monkeypatch):
     # the ranks of G (197 x 370) and H (173 x 370) are read off their echelon
     # shape, so the one elimination of a code is the one of HH^dagger
-    honest = oracle.rank
-    shapes = []
+    honest = oracle.toeplitz_rank
+    sizes = []
 
-    def recorded(m):
-        shapes.append((m.rows, m.cols))
-        return honest(m)
+    def recorded(f, t):
+        sizes.append(len(t))
+        return honest(f, t)
 
-    monkeypatch.setattr(oracle, "rank", recorded)
+    monkeypatch.setattr(oracle, "toeplitz_rank", recorded)
     assert main("code --q 43 --m 3 --oracle --allow-large-oracle".split()) == 0
     capsys.readouterr()
-    assert shapes == [(173, 173)]
+    assert sizes == [2 * 173 - 1]

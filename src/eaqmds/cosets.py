@@ -1,21 +1,20 @@
 """Cyclotomic cosets modulo n under multiplication by q^2, and the set
 algebra of coset-closed subsets, including the -q map.
 
-The engine accepts any modulus n coprime to q.  The lengths this package
-is really about, n = (q^2+1)/5, satisfy q^2 = -1 (mod n); then every
+Cosets are computed for any modulus n coprime to q.  The lengths this
+package is about, n = (q^2+1)/5, satisfy q^2 = -1 (mod n); then every
 orbit is the pair {i, n-i} (a singleton for i = 0 and, when n is even,
 for i = n/2).  families.verify_cosets checks that shape on the family
-moduli; the engine tests q^2 = -1 (mod n) itself, once per (n, q), and
-there checks -q*C_src == C_dst as -q*src = +-dst (mod n), building no orbit.
+moduli, and the reflection identity checks -q*C_src == C_dst as
+-q*src = +-dst (mod n), building no orbit.
 
-A set is one int bitmask, bit x set exactly when x is a member, so its
-set algebra is one int operation each.  Where q^2 = -1 (mod n),
+Defining sets exist only where q^2 = -1 (mod n), which _stride_order
+tests once per (n, q).  A set is one int bitmask, bit x set exactly when
+x is a member, so its set algebra is one int operation each.
 from_cosets closes by the reflection x -> n-x, and -q, which sends
 i + k*q to (-i*q mod n) + k, moves each strided slice t[i::q] of the
-indicator string t as one arc; elsewhere from_cosets iterates *q^2 and
--q maps element by element.  Closure is checked once, by
-DefiningSet(ctx, members), which keeps the residues (mapped by -q
-element by element) and builds the mask only when an operation needs it.
+indicator string t as one arc.  Closure is checked once, by
+DefiningSet(ctx, members).
 """
 
 from __future__ import annotations
@@ -88,17 +87,19 @@ def _mask_of(indicator: str | bytes | bytearray) -> int:
 
 
 @lru_cache(maxsize=None)
-def _stride_order(n: int, q: int) -> tuple[int, ...] | None:
-    """When q^2 = -1 (mod n), i < q in the order of (-i*q) mod n, where the
-    arc of t[i::q] starts, else None.  The arcs tile 0..n-1 and the arc of
-    i = 0 starts at 0, so laid end to end in this order none wraps around."""
+def _stride_order(n: int, q: int) -> tuple[int, ...]:
+    """i < q in the order of (-i*q) mod n, where the arc of t[i::q] starts.
+    The arcs tile 0..n-1 and the arc of i = 0 starts at 0, so laid end to
+    end in this order none wraps around.  Raises ValueError unless
+    q^2 = -1 (mod n), where defining sets live."""
     if (q * q + 1) % n:
-        return None
+        raise ValueError(f"defining sets need q^2 = -1 (mod n); not so for n={n}, q={q}")
     return tuple(sorted(range(q), key=lambda i: -i * q % n))
 
 
 class DefiningSet:
-    """A union of whole cosets: a subset of Z_n closed under *q^2 mod n.
+    """A union of whole cosets: a subset of Z_n closed under *q^2 mod n,
+    for a modulus with q^2 = -1 (mod n), so closed under x -> n-x.
 
     ``DefiningSet(ctx, members)`` is the one constructor that takes
     arbitrary residues, and it checks closure.  The other ways of making a
@@ -109,45 +110,33 @@ class DefiningSet:
     ``members`` is the same set as an ascending tuple, expanded on demand.
     """
 
-    __slots__ = ("ctx", "_mask", "_residues")
+    __slots__ = ("ctx", "mask")
 
     def __init__(self, ctx: CycContext, members: Iterable[int]):
-        n, mult = ctx.n, ctx.multiplier
-        mset = frozenset(int(m) % n for m in members)
-        if not {m * mult % n for m in mset} <= mset:
-            m = min(x for x in mset if x * mult % n not in mset)
-            raise ValueError(
-                f"set is not closed under multiplication by q^2: "
-                f"{m} in, {m * mult % n} out"
-            )
-        self.ctx = ctx
-        self._mask: int | None = None
-        self._residues: frozenset[int] | None = mset
+        n = ctx.n
+        _stride_order(n, ctx.q)
+        marks = bytearray(b"0" * n)
+        for m in members:
+            marks[int(m) % n] = 49  # ord("1")
+        if marks[1:] != marks[:0:-1]:  # mark x against mark n-x, for x = 1..n-1
+            m = next(x for x in range(1, n) if marks[x] > marks[n - x])
+            raise ValueError(f"set is not closed under multiplication by q^2: {m} in, {n - m} out")
+        self.ctx, self.mask = ctx, _mask_of(marks)
 
     @classmethod
-    def _closed(cls, ctx: CycContext, mask: int | None, residues=None) -> "DefiningSet":
-        """Wrap a mask, or a frozenset of residues mod n, known to be closed."""
+    def _closed(cls, ctx: CycContext, mask: int) -> "DefiningSet":
+        """Wrap a mask known to be closed."""
         z = object.__new__(cls)
-        z.ctx, z._mask, z._residues = ctx, mask, residues
+        z.ctx, z.mask = ctx, mask
         return z
 
     @classmethod
     def from_cosets(cls, ctx: CycContext, *reps: Iterable[int]) -> "DefiningSet":
         """The union of the cosets of the integers in one or more iterables
-        ``reps``; each ``range`` inside 0..n-1 is marked by one slice.
-
-        Where every coset is {x, n-x}, the marks are closed by one
-        reflection.  Elsewhere the whole set is closed under *q^2 at once,
-        mapping the newest elements each round until none is new.
-        """
-        n, mult = ctx.n, ctx.multiplier
-        if _stride_order(n, ctx.q) is None:
-            closed = {r % n for run in reps for r in run}
-            new = closed
-            while new:
-                new = {x * mult % n for x in new} - closed
-                closed |= new
-            return cls._closed(ctx, None, frozenset(closed))
+        ``reps``; each ``range`` inside 0..n-1 is marked by one slice, and
+        the marks are closed by one reflection."""
+        n = ctx.n
+        _stride_order(n, ctx.q)
         marks = bytearray(b"0" * n)
         for run in reps:
             if isinstance(run, range) and run.step > 0 and 0 <= run.start <= run.stop <= n:
@@ -161,25 +150,13 @@ class DefiningSet:
     # -- basic protocol ------------------------------------------------------
 
     @property
-    def mask(self) -> int:
-        """The set as an int, bit x set exactly when x is a member."""
-        if self._mask is None:
-            marks = bytearray(b"0" * self.ctx.n)
-            for x in self._residues:
-                marks[x] = 49  # ord("1")
-            self._mask = _mask_of(marks)
-        return self._mask
-
-    @property
     def members(self) -> tuple[int, ...]:
         """The residues in ascending order."""
-        if self._residues is not None:
-            return tuple(sorted(self._residues))
-        bits = format(self._mask, f"0{self.ctx.n}b")[::-1].encode().replace(b"0", b"\0")
+        bits = format(self.mask, f"0{self.ctx.n}b")[::-1].encode().replace(b"0", b"\0")
         return tuple(compress(range(self.ctx.n), bits))
 
     def __len__(self) -> int:
-        return len(self._residues) if self._mask is None else self._mask.bit_count()
+        return self.mask.bit_count()
 
     def __contains__(self, x: int) -> bool:
         return self.mask >> x % self.ctx.n & 1 == 1
@@ -188,11 +165,7 @@ class DefiningSet:
         return iter(self.members)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DefiningSet) or self.ctx != other.ctx:
-            return False
-        if self._mask is None and other._mask is None:
-            return self._residues == other._residues
-        return self.mask == other.mask
+        return isinstance(other, DefiningSet) and (self.ctx, self.mask) == (other.ctx, other.mask)
 
     def __hash__(self) -> int:
         return hash((self.ctx, self.mask))
@@ -201,7 +174,7 @@ class DefiningSet:
         return f"DefiningSet(n={self.ctx.n}, q={self.ctx.q}, size={len(self)})"
 
     def is_empty(self) -> bool:
-        return len(self) == 0
+        return self.mask == 0
 
     def _check(self, other: "DefiningSet") -> None:
         if self.ctx != other.ctx:
@@ -230,32 +203,28 @@ class DefiningSet:
         return DefiningSet._closed(self.ctx, ((1 << self.ctx.n) - 1) ^ self.mask)
 
     def neg_q(self) -> "DefiningSet":
-        """The image {(n - q*x) mod n}; again coset-closed, same size.
+        """The image {(n - q*x) mod n}, mapped by q strided slices; again
+        coset-closed, same size.
 
         Closed because -q commutes with *q^2, so it is not re-checked.  On
         coset-closed sets this map is an involution: applying it twice
-        multiplies by q^2, which fixes every coset.  Where q^2 = -1 (mod n),
-        a set held as a mask is mapped by q strided slices; a set held as
-        residues (made from members), or any set elsewhere, element by
-        element.
+        multiplies by q^2, which fixes every coset.
         """
         n, q = self.ctx.n, self.ctx.q
-        if self._residues is None and (order := _stride_order(n, q)) is not None:
-            t = format(self._mask, f"0{n}b")[::-1]  # the indicator: character x is bit x
-            return DefiningSet._closed(self.ctx, _mask_of("".join([t[i::q] for i in order])))
-        residues = self.members if self._residues is None else self._residues
-        return DefiningSet._closed(self.ctx, None, frozenset([-q * x % n for x in residues]))
+        t = format(self.mask, f"0{n}b")[::-1]  # the indicator: character x is bit x
+        arcs = [t[i::q] for i in _stride_order(n, q)]
+        return DefiningSet._closed(self.ctx, _mask_of("".join(arcs)))
 
     def coset_reps(self) -> tuple[int, ...]:
-        """Ascending representatives of the distinct cosets this set unites."""
-        reps = []
-        seen: set[int] = set()
-        for m in self.members:
-            if m not in seen:
-                c = coset(self.ctx, m)
-                seen.update(c)
-                reps.append(c[0])
-        return tuple(reps)
+        """Ascending representatives of the distinct cosets this set unites:
+        each coset {x, n-x} is represented by its member x with 2x <= n."""
+        n = self.ctx.n
+        return tuple(x for x in self.members if 2 * x <= n)
+
+
+def neg_q_image(ctx: CycContext, residues: Iterable[int]) -> tuple[int, ...]:
+    """The distinct residues -q*x mod n, for x in residues, ascending."""
+    return tuple(sorted({-ctx.q * x % ctx.n for x in residues}))
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +233,11 @@ class DefiningSet:
 
 
 def _neg_q_maps_coset(ctx: CycContext, src: int, dst: int) -> bool:
-    """Whether -q * C_src == C_dst as sets: as -q commutes with *q^2, whether
-    -q*src lies in C_dst, which is {dst, -dst} where q^2 = -1 (mod n);
-    elsewhere the one orbit C_dst is built."""
+    """Whether -q * C_src == C_dst as sets, on a modulus with q^2 = -1
+    (mod n): as -q commutes with *q^2, whether -q*src lies in C_dst, which
+    is {dst, -dst} there."""
     n, image = ctx.n, -ctx.q * src % ctx.n
-    if _stride_order(n, ctx.q) is not None:
-        return image in (dst % n, -dst % n)
-    return image in coset(ctx, dst)
+    return image in (dst % n, -dst % n)
 
 
 def coset_product_identity(ctx: CycContext, s: int, i: int) -> bool:

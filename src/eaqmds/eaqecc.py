@@ -93,10 +93,9 @@ class EaqeccParams:
         return f"[[{self.n},{self.k},{self.d};{self.c}]]"
 
 
-def eaqecc_params(z: DefiningSet | Decomposition) -> EaqeccParams:
-    """Entanglement-assisted parameters derived from a defining set, or
-    from its decomposition when the caller already has one."""
-    dec = z if isinstance(z, Decomposition) else decompose(z)
+def eaqecc_params(dec: Decomposition) -> EaqeccParams:
+    """Entanglement-assisted parameters derived from the decomposition of
+    a defining set."""
     z = dec.whole
     n = z.ctx.n
     k_classical = dimension(z)

@@ -38,6 +38,7 @@ from .cosets import (
     coset_product_identity_inverse,
     identity_windows,
     inverse_identity_windows,
+    neg_q_image,
 )
 from .eaqecc import Decomposition, EaqeccParams, check_split, decompose, eaqecc_params
 from .exceptions import UsageError, VerificationError
@@ -329,14 +330,13 @@ def verify_cosets(q_max: int) -> dict[str, int]:
         for i, c in enumerate(pairs):
             if covered[i]:
                 continue
-            img = DefiningSet(ctx, c).neg_q()
-            image = img.members
+            image = neg_q_image(ctx, c)
             if len(image) != len(c):
                 raise VerificationError(f"-q maps coset {i} at q={q}, {c}, to {image}")
             j = image[0]
             if j >= len(pairs) or image != pairs[j]:
                 raise VerificationError(f"-q maps coset {i} at q={q} to {image}, not a coset")
-            if (back := img.neg_q().members) != c:
+            if (back := neg_q_image(ctx, image)) != c:
                 raise VerificationError(f"-q maps coset {i} at q={q} to {image}, then to {back}")
             covered[i] = covered[j] = 1  # -q swaps C and C_j, so both are checked
     return {"field sizes": len(sizes), "cosets": sum(spec.n // 2 + 1 for spec in sizes)}

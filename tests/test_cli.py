@@ -444,9 +444,10 @@ def test_window_anchor_off_by_one_is_caught(capsys, monkeypatch, index, delta, l
     _assert_counterexample(capsys, "verify", "--level", level, "--qmax", "60")
 
 
-# wrong maps in place of x -> -q*x; the result is closed again by from_cosets,
-# so only the checks on the decomposition and on the cosets can see the fault
-# (the map x -> q*x is no fault here: it equals -q on every coset {i, n-i})
+# wrong maps in place of x -> -q*x, on defining sets at the theorem level
+# (closed again by from_cosets, so only the checks on the decomposition can
+# see the fault) and on cosets at the coset level (the map x -> q*x is no
+# fault here: it equals -q on every coset {i, n-i})
 WRONG_NEG_Q = {
     "plus-one": lambda x, n, q: (-q * x + 1) % n,
     "times-minus-q-minus-one": lambda x, n, q: -(q + 1) * x % n,
@@ -462,21 +463,26 @@ def test_wrong_neg_q_map_is_caught(capsys, monkeypatch, wrong, level):
         n, q = self.ctx.n, self.ctx.q
         return DefiningSet.from_cosets(self.ctx, (image(x, n, q) for x in self))
 
-    monkeypatch.setattr(DefiningSet, "neg_q", neg_q)
+    def neg_q_image(ctx, residues):
+        return tuple(sorted({image(x, ctx.n, ctx.q) for x in residues}))
+
+    if level == "coset":
+        monkeypatch.setattr(families, "neg_q_image", neg_q_image)
+    else:
+        monkeypatch.setattr(DefiningSet, "neg_q", neg_q)
     _assert_counterexample(capsys, "verify", "--level", level, "--qmax", "60")
 
 
 # two arcs of the strided -q map swapped: every family block and its parts
-# are held as masks and take the strided path; the coset level maps sets
-# made from members, held as residues, which go element by element, so it
-# cannot see this fault
+# take the strided path; the coset level maps its cosets element by element
+# (neg_q_image), so it cannot see this fault
 @pytest.mark.parametrize("level", ["theorem", "lemma"])
 def test_swapped_stride_arcs_are_caught(capsys, monkeypatch, level):
     honest = cosets._stride_order
 
     def swapped(n, q):
         order = honest(n, q)
-        return order and (order[0], order[2], order[1], *order[3:])
+        return (order[0], order[2], order[1], *order[3:])
 
     monkeypatch.setattr(cosets, "_stride_order", swapped)
     _assert_counterexample(capsys, "verify", "--level", level, "--qmax", "60")
@@ -514,19 +520,19 @@ def test_wrong_cosets_are_caught(capsys, monkeypatch, wrong):
     _assert_counterexample_is(capsys, message, "verify", "--level", "coset", "--qmax", "60")
 
 
-HONEST_NEG_Q = DefiningSet.neg_q
+HONEST_NEG_Q_IMAGE = families.neg_q_image
 
 
 def _swapping(table):
-    """-q, except that at q = 8 each set in table (as its members) goes to
-    the set it is paired with there, left unclosed."""
+    """-q, except that at q = 8 each coset in table goes to the residues it
+    is paired with there."""
 
-    def neg_q(z):
-        if z.ctx.q == 8 and z.members in table:
-            return DefiningSet._closed(z.ctx, None, frozenset(table[z.members]))
-        return HONEST_NEG_Q(z)
+    def neg_q_image(ctx, residues):
+        if ctx.q == 8 and residues in table:
+            return table[residues]
+        return HONEST_NEG_Q_IMAGE(ctx, residues)
 
-    return neg_q
+    return neg_q_image
 
 
 # wrong -q maps at the coset level.  At q = 8, -q pairs C_0 with itself, C_1
@@ -535,7 +541,7 @@ def _swapping(table):
 # extra coset is also no coset, so the coset check backs up the size check.
 WRONG_COSET_IMAGES = {
     "one-extra-coset": (
-        lambda z: HONEST_NEG_Q(z).union(DefiningSet.from_cosets(z.ctx, [1])),
+        lambda ctx, r: tuple(sorted({*HONEST_NEG_Q_IMAGE(ctx, r), 1, ctx.n - 1})),
         "-q maps coset 0 at q=8, (0,), to (0, 1, 12)",
     ),
     "coset-of-another-size": (
@@ -549,9 +555,7 @@ WRONG_COSET_IMAGES = {
     # -(q+1) maps every coset onto a coset of its size, but at q = 8 C_1 to
     # C_4 = (4, 9) and C_4 to C_3 = (3, 10)
     "no-involution": (
-        lambda z: DefiningSet._closed(
-            z.ctx, None, frozenset(-(z.ctx.q + 1) * x % z.ctx.n for x in z)
-        ),
+        lambda ctx, r: tuple(sorted({-(ctx.q + 1) * x % ctx.n for x in r})),
         "-q maps coset 1 at q=8 to (4, 9), then to (3, 10)",
     ),
 }
@@ -559,8 +563,8 @@ WRONG_COSET_IMAGES = {
 
 @pytest.mark.parametrize("wrong", sorted(WRONG_COSET_IMAGES))
 def test_wrong_coset_images_are_caught(capsys, monkeypatch, wrong):
-    neg_q, message = WRONG_COSET_IMAGES[wrong]
-    monkeypatch.setattr(DefiningSet, "neg_q", neg_q)
+    neg_q_image, message = WRONG_COSET_IMAGES[wrong]
+    monkeypatch.setattr(families, "neg_q_image", neg_q_image)
     _assert_counterexample_is(capsys, message, "verify", "--level", "coset", "--qmax", "60")
 
 

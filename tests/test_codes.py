@@ -2,7 +2,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaqmds.codes import bch_bound, dimension, longest_circular_run
-from eaqmds.cosets import CycContext, DefiningSet
+from eaqmds.cosets import DefiningSet
 from eaqmds.families import family_defining_set, free_window_set
 
 
@@ -22,9 +22,8 @@ def test_bch_bound_examples(ctx23, spec23):
     # the family block {83..105, 0..23} is one circular run of 47
     z = family_defining_set(spec23, 2)
     assert bch_bound(z) == 48
-    # non-adjacent singletons in a context where all cosets are singletons
-    ctx = CycContext(8, 3)
-    assert bch_bound(DefiningSet(ctx, [0, 2])) == 2
+    # non-adjacent cosets {2, 104} and {4, 102}: no run longer than 1
+    assert bch_bound(DefiningSet.from_cosets(ctx23, [2, 4])) == 2
 
 
 def test_bch_bound_conventions(ctx23):

@@ -6,7 +6,6 @@ from eaqmds.cosets import (
     CycContext,
     DefiningSet,
     _neg_q_maps_coset,
-    _stride_order,
     all_cosets,
     coset,
     coset_product_identity,
@@ -90,16 +89,13 @@ def test_set_algebra_preserves_closure(data):
         DefiningSet(ctx, combined.members)  # would raise if closure broke
 
 
-# the family contexts at q = 7, 23, 32, 43 (every coset {i, n-i}: from_cosets
-# closes by reflection, and -q maps a set held as a mask by strided slices),
-# and one general modulus with longer orbits, where both go element by
-# element: 4 has order 5 mod 31
+# the family contexts at q = 7, 23, 32, 43: every coset is {i, n-i}, so
+# from_cosets closes by reflection and -q maps by strided slices
 KERNEL_CONTEXTS = {
     "q7": CycContext.for_family(7),
     "q23": CycContext.for_family(23),
     "q32": CycContext.for_family(32),
     "q43": CycContext.for_family(43),
-    "n31-q2": CycContext(31, 2),
 }
 
 
@@ -132,7 +128,6 @@ def test_set_kernels_match_naive_reference(name, data):
         (a.complement(), everything - ra),
         (a.neg_q(), {(-q * x) % n for x in ra}),
         (a.complement().neg_q(), {(-q * x) % n for x in everything - ra}),
-        (DefiningSet(ctx, ra).neg_q(), {(-q * x) % n for x in ra}),  # held as residues
         (DefiningSet.from_cosets(ctx, run, reps_b), naive_union_of_cosets(ctx, [*run, *reps_b])),
         (DefiningSet(ctx, ()), set()),
         (DefiningSet(ctx, range(n)), everything),
@@ -155,9 +150,8 @@ def test_plus_q_equals_minus_q_on_family_contexts(name, data):
 
 
 def test_neg_q_of_family_blocks_and_their_parts_matches_elementwise():
-    # the block, its overlap with its -q image and its free part are held as
-    # masks (strided -q); the same sets made from members are held as
-    # residues (-q element by element)
+    # the block, its overlap with its -q image and its free part, mapped by
+    # strided slices, against -q element by element
     for spec in iter_family_sizes(200):
         ctx, q = spec.context(), spec.q.q
         for m in range(1, spec.m_max + 1):
@@ -166,13 +160,6 @@ def test_neg_q_of_family_blocks_and_their_parts_matches_elementwise():
             for part in (z, overlap, z.difference(overlap)):
                 want = tuple(sorted(-q * x % ctx.n for x in part.members))
                 assert part.neg_q().members == want, (q, m, len(part))
-                assert DefiningSet(ctx, part.members).neg_q().members == want, (q, m)
-
-
-def test_plus_q_differs_from_minus_q_on_longer_orbits():
-    ctx = KERNEL_CONTEXTS["n31-q2"]
-    z = DefiningSet.from_cosets(ctx, [3])  # {3, 12, 17, 24, 6}
-    assert set(z.neg_q().members) != {ctx.q * x % ctx.n for x in z}
 
 
 def test_set_algebra_examples(ctx7, ctx23):
@@ -188,8 +175,18 @@ def test_mismatched_contexts_raise(ctx7, ctx23):
 
 
 def test_closure_is_validated(ctx23):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"1 in, 105 out"):
         DefiningSet(ctx23, [1])  # orbit of 1 also contains 105
+
+
+def test_defining_sets_need_q_squared_minus_one():
+    # off the family moduli cosets are longer than {i, n-i}, so closing by
+    # reflection and mapping -q by strided slices would be wrong: no set is
+    # made there.  4 has order 5 mod 31; every coset mod 8 is a singleton
+    with pytest.raises(ValueError, match=r"n=31, q=2"):
+        DefiningSet(CycContext(31, 2), ())
+    with pytest.raises(ValueError, match=r"n=8, q=3"):
+        DefiningSet.from_cosets(CycContext(8, 3), [0])
 
 
 def test_coset_reps_and_complement(ctx23):
@@ -288,15 +285,9 @@ def test_one_orbit_reflection_check_matches_two_orbits():
     assert pairs == 21_372
 
 
-@pytest.mark.parametrize(
-    ("ctx", "arithmetic"),
-    [(CycContext.for_family(23), True), (CycContext(31, 2), False), (CycContext(8, 3), False)],
-    ids=["q23", "n31-q2", "n8-q3"],
-)
-def test_both_reflection_branches_match_two_orbits_on_every_pair(ctx, arithmetic):
-    # q^2 = -1 (mod 106) sends q = 23 to the +-dst comparison; the general
-    # moduli keep the one-orbit membership test
-    assert (_stride_order(ctx.n, ctx.q) is not None) == arithmetic
+@pytest.mark.parametrize("ctx", [CycContext.for_family(23)], ids=["q23"])
+def test_both_reflection_branches_match_two_orbits_on_every_pair(ctx):
+    # q^2 = -1 (mod 106): the +-dst comparison against the two orbits
     n = ctx.n
     hits = 0
     for src in range(n):

@@ -52,7 +52,7 @@ def test_decompose_invariants_fuzzed(q):
         assert (c == 0) == z.isdisjoint(z.neg_q())
         assert ebits(z.neg_q()) == c
         if not z.is_empty() and len(z) < z.ctx.n:
-            assert eaqecc_params(z).k >= 0
+            assert eaqecc_params(dec).k >= 0
 
 
 def test_ebits_examples(ctx23, spec43):
@@ -62,39 +62,39 @@ def test_ebits_examples(ctx23, spec43):
 
 
 def test_eaqecc_params_golden(spec23, spec43):
-    p = eaqecc_params(family_defining_set(spec23, 2))
+    p = eaqecc_params(decompose(family_defining_set(spec23, 2)))
     assert (p.n, p.k, p.d, p.c) == (106, 33, 48, 21)
     assert p.singleton_equality and p.distance_precondition_ok
 
-    p = eaqecc_params(family_defining_set(spec43, 3))
+    p = eaqecc_params(decompose(family_defining_set(spec43, 3)))
     assert (p.n, p.k, p.d, p.c) == (370, 105, 174, 81)
     assert p.singleton_equality
 
 
 def test_eaqecc_params_corrects_printed_q37_example():
     spec = classify(37)
-    p = eaqecc_params(family_defining_set(spec, 2))
+    p = eaqecc_params(decompose(family_defining_set(spec, 2)))
     # two independent routes to the dimension: 2k-n+c and n+c-2(d-1)
     assert p.k == 2 * 199 - 274 + 21 == 274 + 21 - 2 * 75 == 145
 
 
 def test_eaqmds_statuses(spec23, spec43, ctx23):
-    good = eaqecc_params(family_defining_set(spec23, 2))
+    good = eaqecc_params(decompose(family_defining_set(spec23, 2)))
     assert eaqmds_status(good) == EAQMDS
 
-    beyond = eaqecc_params(family_defining_set(spec43, 4))
+    beyond = eaqecc_params(decompose(family_defining_set(spec43, 4)))
     assert (beyond.n, beyond.k, beyond.d, beyond.c) == (370, 33, 260, 181)
     assert beyond.singleton_equality and not beyond.distance_precondition_ok
     assert eaqmds_status(beyond) == EQUALITY_WITHOUT_PRECONDITION
 
     # a lone pair coset gives strict inequality: n + c - k = 4 > 2 = 2(d-1)
-    strict = eaqecc_params(DefiningSet.from_cosets(ctx23, [2]))
+    strict = eaqecc_params(decompose(DefiningSet.from_cosets(ctx23, [2])))
     assert not strict.singleton_equality
     assert eaqmds_status(strict) == NOT_EAQMDS
 
 
 def test_single_coset_c0_gives_trivial_eaqmds(ctx7, ctx23):
     for ctx in (ctx7, ctx23):
-        p = eaqecc_params(DefiningSet.from_cosets(ctx, [0]))
+        p = eaqecc_params(decompose(DefiningSet.from_cosets(ctx, [0])))
         assert (p.n, p.k, p.d, p.c) == (ctx.n, ctx.n - 1, 2, 1)
         assert eaqmds_status(p) == EAQMDS

@@ -351,6 +351,9 @@ def verify_lemmas(q_max: int) -> dict[str, int]:
     for spec in sizes:
         ctx = spec.context()
         q = spec.q.q
+        # the identities test -q*src = +-dst (mod n), which needs q^2 = -1 (mod n)
+        if (ctx.q * ctx.q + 1) % ctx.n:
+            raise VerificationError(f"q^2 != -1 (mod n) at q={ctx.q}, n={ctx.n}")
         for s, i in identity_windows(q):
             if not coset_product_identity(ctx, s, i):
                 raise VerificationError(f"reflection identity fails at q={q}, s={s}, i={i}")

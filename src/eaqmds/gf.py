@@ -13,7 +13,7 @@ p = 2 the index is the usual bitmask of the coefficient polynomial.
 A polynomial is a tuple or list of coefficients, constant term first:
 ints mod p in the modulus search (Rabin's test), whose remainder step
 _poly_mod also serves the table-free product of an extension field, and
-F_{q^2} indices for the minimal polynomials of FieldTower.
+F_{q^2} indices for the quadratic minimal polynomials of FieldTower.
 
 build_field makes extension fields (degree >= 2) only.  Each gets exp/log
 tables of a fixed generator g once, when build_field makes it, so a
@@ -23,13 +23,12 @@ g^a + g^b = g^(a + zech[b - a]) and -g^a = g^(a + (order-1)/2).  For
 p = 2 a sum is an xor.  These tables take O(order) memory, so build_field
 refuses extension fields above MAX_EXTENSION_ORDER; the code alphabet
 F_{q^2} fits for every q <= 181.  The packed kernels of oracle (convolve
-and rank) work on digits and need none of these tables.
+and toeplitz_rank) work on digits and need none of these tables.
 
-The quartic field F_{q^4} is not built over F_p but as F_{q^2}[y] /
-(y^2 - y - b) (QuadraticExtension): a0 + a1*y has index a0 + a1*q^2, so
-F_{q^2} is literally the indices below q^2, no element is ever converted
-between the two fields, and each F_{q^4} operation is a few F_{q^2} ones.
-It builds no tables of its own.
+The n-th roots of unity of the codes lie in F_{q^4}, which is never
+built: n divides q^2+1, so the minimal polynomial of beta^i over F_{q^2}
+is x^2 - V_i x + 1 with V_i = beta^i + beta^-i in F_{q^2}, and
+FieldTower computes every V_i over F_{q^2} as a Lucas sequence.
 
 Field objects are immutable after construction (power maps are idempotent
 lazy caches); all operations are pure functions.
@@ -41,10 +40,8 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Sequence
 
-from .cosets import CycContext, coset
 from .exceptions import VerificationError
 
 # bound on an extension field's order: its tables take O(order) memory
@@ -221,9 +218,6 @@ class Field:
         self.p = p
         self.degree = degree
         self.modulus = modulus
-        # generator() scans element indices from here up: below p lies F_p,
-        # whose orders divide p - 1
-        self._first_generator_candidate = p
         self.order = p**degree
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
@@ -231,7 +225,6 @@ class Field:
         # log[0] and every log-domain value from here up stand for zero
         self.log_zero = 5 * (self.order - 1)
         self._generator: int | None = None
-        self._group_factors: dict[int, int] | None = None
         self._power_maps: dict[int, list[int]] = {}
         # the p = 2 modulus as a bitmask, built on first use
         self._modmask: int | None = None
@@ -365,28 +358,15 @@ class Field:
             self._power_maps[e] = tab
         return tab
 
-    # -- multiplicative structure ---------------------------------------------
-
-    def _factors_of_group(self) -> dict[int, int]:
-        if self._group_factors is None:
-            self._group_factors = factorize(self.order - 1)
-        return self._group_factors
-
-    def multiplicative_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        order = self.order - 1
-        for r in self._factors_of_group():
-            while order % r == 0 and self.pow(a, order // r) == 1:
-                order //= r
-        return order
-
     def generator(self) -> int:
-        """Smallest element index generating the multiplicative group."""
+        """Smallest element index generating the multiplicative group: g
+        with g^((order-1)/r) != 1 for each prime r | order-1."""
         if self._generator is None:
             n1 = self.order - 1
-            for idx in range(self._first_generator_candidate, self.order):
-                if self.multiplicative_order(idx) == n1:
+            cofactors = [n1 // r for r in factorize(n1)]
+            # below p lies F_p, whose orders divide p - 1
+            for idx in range(self.p, self.order):
+                if all(self.pow(idx, k) != 1 for k in cofactors):
                     self._generator = idx
                     break
             else:  # pragma: no cover - every finite field has a generator
@@ -410,137 +390,84 @@ def build_field(p: int, degree: int) -> Field:
     return f
 
 
-class QuadraticExtension(Field):
-    """F_{Q^2} = F_Q[y] / (y^2 - y - b) over a base field F_Q.
-
-    a0 + a1*y has index a0 + a1*Q, so the base field is literally the
-    indices below Q and its arithmetic (tables included) serves the
-    extension's, which builds no tables of its own.  The index is also
-    the base-p digit vector over F_p, so decode and encode keep their
-    meaning.  b is the smallest base element outside {x^2 - x}: then
-    y^2 - y - b has no root, hence is irreducible, for every p.  modulus
-    holds its coefficients over the base field.
-    """
-
-    def __init__(self, base: Field):
-        image = {base.sub(base.mul(x, x), x) for x in range(base.order)}
-        self.b = next(v for v in range(base.order) if v not in image)
-        super().__init__(base.p, 2 * base.degree, (base.neg(self.b), base.neg(1), 1))
-        self.base = base
-        # the base field holds no generator of the whole group
-        self._first_generator_candidate = base.order
-
-    def __repr__(self) -> str:
-        return f"QuadraticExtension({self.base!r}, b={self.b})"
-
-    def _halves(self, op, a: int, b: int) -> int:
-        # op on the constant halves and on the y halves, separately
-        big = self.base.order
-        return op(a % big, b % big) + op(a // big, b // big) * big
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b if self.p == 2 else self._halves(self.base.add, a, b)
-
-    def sub(self, a: int, b: int) -> int:
-        return a ^ b if self.p == 2 else self._halves(self.base.sub, a, b)
-
-    def neg(self, a: int) -> int:
-        return self.sub(0, a)
-
-    def mul(self, a: int, b: int) -> int:
-        # (a0 + a1 y)(b0 + b1 y) with y^2 = y + b, Karatsuba style:
-        # a0 b0 + b a1 b1 + ((a0 + a1)(b0 + b1) - a0 b0) y
-        f, big = self.base, self.base.order
-        a0, a1 = a % big, a // big
-        b0, b1 = b % big, b // big
-        t0, t2 = f.mul(a0, b0), f.mul(a1, b1)
-        hi = f.sub(f.mul(f.add(a0, a1), f.add(b0, b1)), t0)
-        return f.add(t0, f.mul(self.b, t2)) + hi * big
-
-
-def find_element_of_order(field: Field, n: int) -> int:
-    """A multiplicative element of exact order n (n must divide order-1).
-
-    Deterministic: always g^((order-1)/n) for the smallest generator g.
-    The returned order is verified exactly before returning.
-    """
-    group = field.order - 1
-    if n < 1 or group % n != 0:
-        raise ValueError(f"{n} does not divide the group order {group}")
-    lam = field.pow(field.generator(), group // n)
-    found = field.multiplicative_order(lam)
-    if found != n:
-        raise VerificationError(f"candidate of order {n} has order {found}")
-    return lam
-
-
 # ---------------------------------------------------------------------------
-# the tower F_p < F_{q^2} < F_{q^4} used by generator polynomials and matrices
+# the code alphabet F_{q^2} and the Lucas traces of an n-th root of unity
 # ---------------------------------------------------------------------------
+
+
+def _lucas(f: Field, a: int, k: int) -> int:
+    """V_k(a) = beta^k + beta^-k over f, for the roots beta, 1/beta of
+    x^2 - a*x + 1, by the ladder V_2j = V_j^2 - 2, V_2j+1 = V_j*V_j+1 - a
+    on the bits of k >= 1, from (V_0, V_1) = (2, a)."""
+    two = f.add(1, 1)
+    lo, hi = two, a  # (V_j, V_j+1) for j the leading bits of k
+    for bit in bin(k)[2:]:
+        mid = f.sub(f.mul(lo, hi), a)
+        if bit == "1":
+            lo, hi = mid, f.sub(f.mul(hi, hi), two)
+        else:
+            lo, hi = f.sub(f.mul(lo, lo), two), mid
+    return lo
+
+
+def _primitive_trace(f: Field, n: int) -> int | None:
+    """The smallest a in f whose roots beta of x^2 - a*x + 1 have order
+    exactly n, or None: V_n(a) = 2 and V_(n/r)(a) != 2 for each prime
+    r | n, as (beta^k - 1)^2 = beta^k * (V_k(a) - 2)."""
+    two = f.add(1, 1)
+    cofactors = [n // r for r in factorize(n)]
+    for a in range(f.order):
+        if _lucas(f, a, n) == two and all(_lucas(f, a, k) != two for k in cofactors):
+            return a
+    return None
 
 
 class FieldTower:
-    """The ambient fields for length-n cyclic codes over F_{q^2}.
+    """The code alphabet F_{q^2} and the minimal polynomials over it of the
+    powers of a primitive n-th root of unity beta, for n > 2 dividing q^2+1.
 
-    Bundles the quadratic extension F_{q^2} of F_p (the code alphabet),
-    its own quadratic extension F_{q^4} (the splitting field containing
-    the n-th roots of unity, in which F_{q^2} is the indices below q^2),
-    and a fixed primitive n-th root of unity.
+    beta lies in F_{q^4} and is never written out.  As beta^(q^2) =
+    beta^-1, the trace V_i = beta^i + beta^-i lies in F_{q^2}, and the
+    coset {i, n-i} of i gives the minimal polynomial x^2 - V_i x + 1.
+    a = V_1 is the smallest element of F_{q^2} whose beta has order
+    exactly n (_primitive_trace); such a beta is not in F_{q^2}, since n
+    does not divide q^2 - 1, so x^2 - a x + 1 is irreducible there.
+    traces holds V_0 .. V_(n//2), by V_(i+1) = a V_i - V_(i-1).
     """
 
     def __init__(self, q: int, n: int):
-        self.q_power = PrimePower.from_int(q)
+        if n <= 2 or (q * q + 1) % n:
+            raise ValueError(f"n={n} must exceed 2 and divide q^2+1 for q={q}")
+        pp = PrimePower.from_int(q)
         self.q = q
         self.n = n
-        if (q**4 - 1) % n != 0:
-            raise ValueError(f"n={n} does not divide q^4-1 for q={q}")
-        # the code alphabet's tables serve every generator-polynomial
-        # division and every product in the quartic field
-        self.fq2 = build_field(self.q_power.p, 2 * self.q_power.e)
-        self.fq4 = QuadraticExtension(self.fq2)
-        self.unity_root = find_element_of_order(self.fq4, n)
-        self._context = CycContext(n, q)
-        self._root_pows: list[int] | None = None
-        self._minpoly_cache: dict[int, tuple[int, ...]] = {}
-
-    def root_power(self, z: int) -> int:
-        """Index (in the quartic field) of the n-th root of unity to power z."""
-        if self._root_pows is None:
-            pows = [1] * self.n
-            f = self.fq4
-            for i in range(1, self.n):
-                pows[i] = f.mul(pows[i - 1], self.unity_root)
-            self._root_pows = pows
-        return self._root_pows[z % self.n]
+        self.fq2 = f = build_field(pp.p, 2 * pp.e)
+        # the exact-order test on a proves beta a primitive n-th root; each
+        # V_i is then an F_{q^2} element by construction, with no check
+        a = _primitive_trace(f, n)
+        if a is None:
+            raise VerificationError(
+                f"no element of F_(q^2) at q={q} is the trace of a root of unity of order n={n}"
+            )
+        traces = [f.add(1, 1), a]
+        for _ in range(n // 2 - 1):
+            traces.append(f.sub(f.mul(a, traces[-1]), traces[-2]))
+        self.traces = traces
 
     def minimal_polynomial(self, i: int) -> tuple[int, ...]:
-        """Minimal polynomial over F_{q^2} of the i-th power of the root of
-        unity, constant term first: the monic product of (x - root^j) over
-        the coset of i, with every coefficient verified to be an index below
-        q^2, that is, an element of F_{q^2} as it stands."""
-        orbit = coset(self._context, i)
-        cached = self._minpoly_cache.get(orbit[0])
-        if cached is not None:
-            return cached
-        f4, q2 = self.fq4, self.fq2.order
-        coeffs = [1]
-        for j in orbit:
-            # times (x - root^j): coefficient k is c_(k-1) - root^j * c_k
-            nr = f4.neg(self.root_power(j))
-            coeffs = [f4.add(hi, f4.mul(lo, nr)) for lo, hi in zip(coeffs + [0], [0] + coeffs)]
-        for c in coeffs:
-            if c >= q2:
-                raise VerificationError(
-                    f"coefficient {c} of the orbit product of {orbit[0]} is not in "
-                    f"F_(q^2): its index is not below q^2 = {q2}"
-                )
-        mp = self._minpoly_cache[orbit[0]] = tuple(coeffs)
-        return mp
+        """Minimal polynomial over F_{q^2} of beta^i, constant term first:
+        x^2 - V_i x + 1 for i folded to min(i, n-i), but x - 1 for i = 0
+        and x + 1 for i = n/2, where beta^i = -1."""
+        f, n = self.fq2, self.n
+        i = min(i % n, -i % n)
+        if i == 0:
+            return (f.neg(1), 1)
+        if 2 * i == n:
+            return (1, 1)
+        return (1, f.neg(self.traces[i]), 1)
 
 
 @functools.lru_cache(maxsize=None)
 def field_tower(q: int, n: int) -> FieldTower:
-    """Cached tower for (q, n); n must be coprime to q and divide q^4-1."""
-    if gcd(q, n) != 1:
-        raise ValueError(f"gcd(n={n}, q={q}) != 1")
+    """Cached FieldTower(q, n); n must exceed 2 and divide q^2+1."""
     return FieldTower(q, n)

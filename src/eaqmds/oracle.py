@@ -77,8 +77,8 @@ def _unpack(packed: int, count: int, width: int):
 
 def _check_packable(f: Field) -> None:
     """The packed kernels need a field F_p[x]/(f) built by build_field: the
-    digits of a QuadraticExtension do not multiply as polynomials modulo
-    one F_p polynomial."""
+    digits of a field given over a subfield do not multiply as polynomials
+    modulo one F_p polynomial."""
     if len(f.modulus) != f.degree + 1:
         raise ValueError(f"{f!r} is not F_p[x]/(f): the packed kernels need a modulus over F_p")
 
@@ -213,7 +213,7 @@ def toeplitz_rank(f: Field, t: Sequence[int]) -> int:
 
 def generator_polynomial(z: DefiningSet, tower: FieldTower) -> tuple[int, ...]:
     """The monic generator of the cyclic code with defining set Z, constant
-    term first: the product of (x - root^j) over j in Z, taken as the
+    term first: the product of (x - beta^j) over j in Z, taken as the
     product of the minimal polynomials of Z's cosets, multiplied pairwise
     up a balanced tree by convolve.  The result has degree |Z| (checked).
     On the complement of Z it gives the check polynomial (x^n - 1)/g,

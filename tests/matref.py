@@ -2,16 +2,20 @@
 matrices, their product and rank on oracle's packed kernels, the
 conjugate transpose, the Toeplitz matrix of a vector of diagonals, the
 defining set of a rowspace, the exhaustive minimum distance of toy codes,
-and the prime fields F_p, whose large p reach slot widths of 32, 64 and
-128 bits with small matrices.  The package holds G and H by their row-0
-vectors and H * H^dagger by its diagonals, and needs none of these."""
+the prime fields F_p, whose large p reach slot widths of 32, 64 and 128
+bits with small matrices, and the quartic field F_{q^4} that holds the
+n-th roots of unity, with the orbit products of their powers.  The
+package holds G and H by their row-0 vectors, H * H^dagger by its
+diagonals and the roots of unity by their traces, and needs none of
+these."""
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from eaqmds import oracle
 from eaqmds.exceptions import VerificationError
-from eaqmds.gf import Field, build_field
+from eaqmds.gf import Field, PrimePower, build_field, factorize
 from eaqmds.oracle import _check_packable, _eliminate, _Packer, _slot_reducer
 
 BUDGET_EXCEEDED = "budget-exceeded"
@@ -34,6 +38,109 @@ class PrimeField(Field):
 
     def mul(self, a, b):
         return a * b % self.p
+
+
+class QuadraticExtension(Field):
+    """F_{Q^2} = F_Q[y] / (y^2 - y - b) over a base field F_Q.
+
+    a0 + a1*y has index a0 + a1*Q, so the base field is literally the
+    indices below Q and its arithmetic (tables included) serves the
+    extension's, which builds no tables of its own.  The index is also
+    the base-p digit vector over F_p, so decode and encode keep their
+    meaning.  b is the smallest base element outside {x^2 - x}: then
+    y^2 - y - b has no root, hence is irreducible, for every p.  modulus
+    holds its coefficients over the base field.
+    """
+
+    def __init__(self, base):
+        image = {base.sub(base.mul(x, x), x) for x in range(base.order)}
+        self.b = next(v for v in range(base.order) if v not in image)
+        super().__init__(base.p, 2 * base.degree, (base.neg(self.b), base.neg(1), 1))
+        self.base = base
+
+    def __repr__(self):
+        return f"QuadraticExtension({self.base!r}, b={self.b})"
+
+    def _halves(self, op, a, b):
+        # op on the constant halves and on the y halves, separately
+        big = self.base.order
+        return op(a % big, b % big) + op(a // big, b // big) * big
+
+    def add(self, a, b):
+        return a ^ b if self.p == 2 else self._halves(self.base.add, a, b)
+
+    def sub(self, a, b):
+        return a ^ b if self.p == 2 else self._halves(self.base.sub, a, b)
+
+    def neg(self, a):
+        return self.sub(0, a)
+
+    def mul(self, a, b):
+        # (a0 + a1 y)(b0 + b1 y) with y^2 = y + b, Karatsuba style:
+        # a0 b0 + b a1 b1 + ((a0 + a1)(b0 + b1) - a0 b0) y
+        f, big = self.base, self.base.order
+        a0, a1 = a % big, a // big
+        b0, b1 = b % big, b // big
+        t0, t2 = f.mul(a0, b0), f.mul(a1, b1)
+        hi = f.sub(f.mul(f.add(a0, a1), f.add(b0, b1)), t0)
+        return f.add(t0, f.mul(self.b, t2)) + hi * big
+
+    def generator(self):
+        # the base field holds no generator of the whole group
+        if self._generator is None:
+            n1 = self.order - 1
+            cofactors = [n1 // r for r in factorize(n1)]
+            self._generator = next(
+                g
+                for g in range(self.base.order, self.order)
+                if all(self.pow(g, k) != 1 for k in cofactors)
+            )
+        return self._generator
+
+
+@functools.lru_cache(maxsize=None)
+def quartic(q):
+    """The reference F_{q^4} over the package's F_{q^2}."""
+    pp = PrimePower.from_int(q)
+    return QuadraticExtension(build_field(pp.p, 2 * pp.e))
+
+
+def lucas_root(f4, a):
+    """A root beta of x^2 - a*x + 1 in f4 outside its base field, for a in
+    the base: beta = u + v*y with v = a - 2u != 0 (the y part of
+    beta^2 - a*beta), found by scanning u; None if there is none."""
+    base = f4.base
+    for u in range(base.order):
+        v = base.sub(a, base.add(u, u))
+        beta = u + v * base.order
+        if v and not f4.add(f4.mul(beta, f4.sub(beta, a)), 1):
+            return beta
+    return None
+
+
+def tower_root(tower):
+    """beta of the tower in the reference F_{q^4}: a root of
+    x^2 - V_1 x + 1."""
+    return lucas_root(quartic(tower.q), tower.traces[1])
+
+
+def orbit_product(f4, beta, orbit):
+    """The monic product of (x - beta^j) over j in orbit, constant term
+    first, over f4."""
+    coeffs = [1]
+    for j in orbit:
+        # times (x - beta^j): coefficient k is c_(k-1) - beta^j * c_k
+        nr = f4.neg(f4.pow(beta, j))
+        coeffs = [f4.add(hi, f4.mul(lo, nr)) for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+    return tuple(coeffs)
+
+
+def evaluate(f, poly, x):
+    """poly(x) over f by Horner, poly constant term first."""
+    acc = 0
+    for c in reversed(poly):
+        acc = f.add(f.mul(acc, x), c)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -113,24 +220,15 @@ def conjugate_transpose(m, q):
 
 
 def rowspace_defining_set(m, tower):
-    """Exponents z with row(root^z) = 0 for every row: the defining set of
-    the cyclic code spanned by the rows (rows read as polynomials; their
-    F_{q^2} entries are F_{q^4} elements as they stand)."""
-    f4 = tower.fq4
-    out = set()
-    for z in range(tower.n):
-        x = tower.root_power(z)
-        ok = True
-        for row in m.data:
-            acc = 0
-            for c in reversed(row):
-                acc = f4.add(f4.mul(acc, x), c)
-            if acc != 0:
-                ok = False
-                break
-        if ok:
-            out.add(z)
-    return out
+    """Exponents z with row(beta^z) = 0 for every row: the defining set of
+    the cyclic code spanned by the rows (rows read as polynomials, over
+    the reference F_{q^4}, whose indices below q^2 are F_{q^2})."""
+    f4, beta = quartic(tower.q), tower_root(tower)
+    return {
+        z
+        for z in range(tower.n)
+        if not any(evaluate(f4, row, f4.pow(beta, z)) for row in m.data)
+    }
 
 
 # -- exhaustive minimum distance (toy scale) -----------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from eaqmds import cli, codes, cosets, eaqecc, errata, families, oracle
 from eaqmds.cli import CSV_HEADER, main
-from eaqmds.cosets import DefiningSet
+from eaqmds.cosets import CycContext, DefiningSet
 from eaqmds.exceptions import UsageError
 from eaqmds.gf import PrimePower, build_field
 
@@ -588,6 +588,19 @@ def test_wrong_coset_images_are_caught(capsys, monkeypatch, wrong):
 )
 def test_shifted_reflection_identity_is_caught(capsys, monkeypatch, name, shifted, message):
     monkeypatch.setattr(families, name, shifted)
+    _assert_counterexample_is(capsys, message, "verify", "--level", "lemma", "--qmax", "60")
+
+
+def test_lemma_level_refuses_a_context_where_q2_is_not_minus_one(capsys, monkeypatch):
+    # the reflection identities compare -q*src with +-dst, which holds only
+    # where q^2 = -1 (mod n); 8^2 + 1 = 65 is not 0 mod 31
+    honest = families.FamilySpec.context
+    monkeypatch.setattr(
+        families.FamilySpec,
+        "context",
+        lambda spec: CycContext(31, 8) if spec.q.q == 8 else honest(spec),
+    )
+    message = "q^2 != -1 (mod n) at q=8, n=31"
     _assert_counterexample_is(capsys, message, "verify", "--level", "lemma", "--qmax", "60")
 
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eaqmds import gf
+from eaqmds import gf, oracle
+from eaqmds.cli import main
 from eaqmds.cosets import CycContext, all_cosets, coset
 from eaqmds.exceptions import VerificationError
 from eaqmds.gf import (
@@ -14,10 +15,17 @@ from eaqmds.gf import (
     build_field,
     factorize,
     field_tower,
-    find_element_of_order,
     is_prime,
 )
-from matref import MatrixGF, matmul
+from matref import (
+    MatrixGF,
+    QuadraticExtension,
+    evaluate,
+    matmul,
+    orbit_product,
+    quartic,
+    tower_root,
+)
 from polyref import poly_divmod, poly_mul
 
 
@@ -202,7 +210,7 @@ def test_quartic_tables_follow_its_own_mul(p, deg):
     # a quadratic extension builds no tables itself, but tables built for
     # one must follow its own product: each power of g in exp must be the
     # last one times g by the quadratic extension's product
-    f = gf.QuadraticExtension(build_field(p, deg))
+    f = QuadraticExtension(build_field(p, deg))
     exp, log = f.exp_log_tables()
     g = f.generator()
     assert all(exp[i + 1] == f.mul(exp[i], g) for i in range(f.order - 2))
@@ -218,7 +226,7 @@ def test_zech_addition_on_all_pairs(p, deg):
 
 
 def test_quartic_negation_is_table_free():
-    f = field_tower(23, 106).fq4
+    f = QuadraticExtension(build_field(23, 2))
     rng = random.Random(234)
     for _ in range(200):
         a = rng.randrange(f.order)
@@ -243,6 +251,13 @@ def test_zech_check_detects_an_entry_off_by_one():
     assert all(log[b] - log[a] == 5 for op, a, b in bad if op == "add")
 
 
+def _order(f, a):
+    """The multiplicative order of a: the least divisor k of order - 1
+    with a^k = 1."""
+    n1 = f.order - 1
+    return next(k for k in range(1, n1 + 1) if n1 % k == 0 and f.pow(a, k) == 1)
+
+
 # -- conjugation a -> a^q on the field of order q^2 ------------------------------
 
 
@@ -260,47 +275,79 @@ def test_conjugate_fixes_prime_subfield_and_involutes():
 def test_conjugate_of_norm_one_element_is_inverse():
     # an element of order q+1 satisfies a^(q+1) = 1, so a^q = a^(-1)
     f = build_field(7, 2)
-    a = find_element_of_order(f, 8)
+    a = f.pow(f.generator(), 6)
+    assert _order(f, a) == 8
     assert f.pow(a, 7) == f.inv(a)
 
 
-# -- elements of prescribed order ------------------------------------------------
+# -- the root of unity beta, given by its trace a = V_1 ---------------------------
+
+
+def test_primitive_tenth_root_in_f7_quartic(tower7):
+    # beta, a root of x^2 - a x + 1 in the reference F_(7^4), has order 10
+    f4, lam = quartic(7), tower_root(tower7)
+    assert f4.pow(lam, 10) == 1
+    assert f4.pow(lam, 5) != 1
+    assert f4.pow(lam, 2) != 1
+
+
+def test_primitive_106th_root_in_f23_quartic(tower23):
+    f4, lam = quartic(23), tower_root(tower23)
+    assert f4.pow(lam, 106) == 1
+    for r in (2, 53):
+        assert f4.pow(lam, 106 // r) != 1
 
 
 def test_order_one_element_is_identity():
+    # a = 2 is the trace of beta = 1, the double root of x^2 - 2x + 1:
+    # V_k = 2 at every k, so the search never takes it for n > 1
     f = build_field(7, 2)
-    assert find_element_of_order(f, 1) == 1
-
-
-def test_primitive_tenth_root_in_f7_quartic():
-    for f in (build_field(7, 4), field_tower(7, 10).fq4):
-        lam = find_element_of_order(f, 10)
-        assert f.pow(lam, 10) == 1
-        assert f.pow(lam, 5) != 1
-        assert f.pow(lam, 2) != 1
-
-
-def test_primitive_106th_root_in_f23_quartic():
-    f = field_tower(23, 106).fq4
-    lam = find_element_of_order(f, 106)
-    assert f.pow(lam, 106) == 1
-    for r in (2, 53):
-        assert f.pow(lam, 106 // r) != 1
+    assert all(gf._lucas(f, 2, k) == 2 for k in range(1, 60))
 
 
 def test_order_must_divide_group_order():
-    with pytest.raises(ValueError):
-        find_element_of_order(build_field(7, 2), 5)  # 5 does not divide 48
+    # a root of x^2 - a x + 1 over F_49 lies in F_(7^4), whose group order
+    # 2400 is no multiple of 11: no trace has order 11
+    assert gf._primitive_trace(build_field(7, 2), 11) is None
+    assert gf._primitive_trace(build_field(7, 2), 5) is not None
+
+
+def test_lucas_ladder_matches_the_recurrence(tower23):
+    f, traces = tower23.fq2, tower23.traces
+    assert all(gf._lucas(f, traces[1], k) == traces[k] for k in range(1, 54))
+    assert gf._lucas(f, traces[1], 106) == 2
 
 
 def test_candidate_of_the_wrong_order_is_caught(monkeypatch):
-    # a "generator" of order 1 gives the candidate 1, whose order is 1, not 8
-    monkeypatch.setattr(Field, "generator", lambda self: 1)
-    with pytest.raises(VerificationError, match="candidate of order 8 has order 1"):
-        find_element_of_order(build_field(7, 2), 8)
+    # a ladder that always answers V_k = 2 makes every beta look like 1:
+    # no candidate has order exactly n, and the search must say so
+    monkeypatch.setattr(gf, "_lucas", lambda f, a, k: f.add(1, 1))
+    with pytest.raises(
+        VerificationError,
+        match=r"no element of F_\(q\^2\) at q=7 is the trace of a root of unity of order n=10",
+    ):
+        FieldTower(7, 10)
 
 
-# -- minimal polynomials over the quadratic subfield ------------------------------
+def test_unity_root_lies_outside_subfield(tower7):
+    # order 10 does not divide 48, so x^2 - a x + 1 has no root in F_49
+    f, a = tower7.fq2, tower7.traces[1]
+    assert all(f.add(f.mul(x, f.sub(x, a)), 1) for x in range(f.order))
+    lam = tower_root(tower7)
+    assert lam >= f.order
+    assert quartic(7).pow(lam, 49) != lam
+
+
+def test_tower_requires_n_dividing_q2_plus_1():
+    # 16 divides 7^4 - 1 but not 7^2 + 1; 2 divides 50 but beta = -1
+    # has no quadratic minimal polynomial
+    for n in (16, 11, 2):
+        with pytest.raises(ValueError, match=f"n={n} must exceed 2 and divide q\\^2\\+1 for q=7"):
+            FieldTower(7, n)
+    assert field_tower(7, 25).minimal_polynomial(1)[-1] == 1
+
+
+# -- minimal polynomials over F_(q^2) ----------------------------------------------
 
 
 def test_minimal_polynomial_of_unity_is_x_minus_1(tower7):
@@ -325,35 +372,57 @@ def test_minimal_polynomial_degree_is_orbit_size(tower23):
 
 def test_minimal_polynomial_vanishes_exactly_on_its_coset(tower7, tower23):
     for tower in (tower7, tower23):
-        f4 = tower.fq4
+        f4, beta = quartic(tower.q), tower_root(tower)
+        roots = [f4.pow(beta, j) for j in range(tower.n)]
         for orbit in all_cosets(CycContext(tower.n, tower.q)):
             mp = tower.minimal_polynomial(orbit[0])
-            zeros = []
-            for j in range(tower.n):
-                x, acc = tower.root_power(j), 0
-                for c in reversed(mp):  # Horner
-                    acc = f4.add(f4.mul(acc, x), c)
-                if not acc:
-                    zeros.append(j)
-            assert tuple(zeros) == orbit, orbit[0]
+            zeros = tuple(j for j, x in enumerate(roots) if not evaluate(f4, mp, x))
+            assert zeros == orbit, orbit[0]
 
 
-# non-orbit root sets in place of the coset of 1 = {1, 9} at q = 7, n = 10
-NON_ORBITS = {"half-orbit": (1,), "wrong-partner": (1, 2), "wrong-orbit": (1, 3)}
+@pytest.mark.parametrize("q", [7, 23, 27, 32, 43])
+def test_lucas_quadratic_is_the_orbit_product(q):
+    # beta is a root of x^2 - a x + 1 in the reference F_(q^4); each
+    # minimal polynomial, from the traces alone, must be the product of
+    # (x - beta^j) over its coset, taken in F_(q^4)
+    ctx = CycContext.for_family(q)
+    tower = field_tower(q, ctx.n)
+    f4, beta = quartic(q), tower_root(tower)
+    assert f4.pow(beta, ctx.n) == 1
+    assert all(f4.pow(beta, ctx.n // r) != 1 for r in factorize(ctx.n))
+    for orbit in all_cosets(ctx):
+        want = orbit_product(f4, beta, orbit)
+        assert all(tower.minimal_polynomial(j) == want for j in orbit), orbit
 
 
-@pytest.mark.parametrize("roots", sorted(NON_ORBITS))
-def test_minimal_polynomial_rejects_a_non_orbit_root_set(monkeypatch, roots):
-    # an uncached tower, so nothing built from the injected orbit outlives the test
-    tower = FieldTower(7, 10)
-    elements = NON_ORBITS[roots]
-    monkeypatch.setattr(gf, "coset", lambda ctx, i: elements)
-    # F_{q^2} is the indices below q^2 in F_{q^4}: the index bound catches it
-    with pytest.raises(VerificationError, match=r"its index is not below q\^2 = 49"):
-        tower.minimal_polynomial(1)
+# faults in the traces behind the minimal polynomials, on an uncached tower
+# at q = 23, n = 106: a bumped V_1, and an a whose beta has order n/2 = 53.
+# Each breaks the product of all minimal polynomials, x^n - 1, so both
+# commands must see g * h != x^n - 1
+@pytest.mark.parametrize(
+    "invocation", ["code --q 23 --m 2 --oracle", "verify --level rank-oracle --qmax 23"]
+)
+@pytest.mark.parametrize("fault", ["bumped-trace", "order-n-over-2"])
+def test_minimal_polynomial_from_a_wrong_trace_is_caught(capsys, monkeypatch, invocation, fault):
+    honest, search = oracle.field_tower, gf._primitive_trace
+
+    def faulty(q, n):
+        if q != 23:
+            return honest(q, n)
+        with monkeypatch.context() as m:
+            if fault == "order-n-over-2":
+                m.setattr(gf, "_primitive_trace", lambda f, n: search(f, n // 2))
+            tower = FieldTower(q, n)
+        if fault == "bumped-trace":
+            tower.traces[1] = tower.fq2.add(tower.traces[1], 1)
+        return tower
+
+    monkeypatch.setattr(oracle, "field_tower", faulty)
+    assert main(invocation.split()) == 1
+    assert capsys.readouterr().err.endswith(": g * h != x^n - 1\n")
 
 
-# -- F_{q^2} inside F_{q^4} = F_{q^2}[y] / (y^2 - y - b) ----------------------------
+# -- F_(q^2) inside the reference F_(q^4) = F_(q^2)[y] / (y^2 - y - b) ---------------
 
 
 @pytest.mark.parametrize("q", [7, 23, 27, 32])
@@ -362,8 +431,8 @@ def test_embedding_is_a_field_homomorphism(q):
     # the identity on indices: the quartic field must reproduce F_{q^2}'s
     # sums, differences, negatives and products there, and fix them under
     # the q^2 power map
-    tw = field_tower(q, (q * q + 1) // 5)
-    f2, f4 = tw.fq2, tw.fq4
+    f4 = quartic(q)
+    f2 = f4.base
     rng = random.Random(q)
     for _ in range(200):
         a, b = rng.randrange(f2.order), rng.randrange(f2.order)
@@ -376,13 +445,13 @@ def test_embedding_is_a_field_homomorphism(q):
 
 @pytest.mark.parametrize("q", [7, 23, 27, 32])
 def test_quartic_field_is_a_field(q):
-    tw = field_tower(q, (q * q + 1) // 5)
-    f2, f4 = tw.fq2, tw.fq4
+    f4 = quartic(q)
+    f2 = f4.base
     assert f4.order == q**4 and f4.p == f2.p
     # y^2 - y - b has no root in F_{q^2}, so it is irreducible there
     assert all(f2.sub(f2.sub(f2.mul(x, x), x), f4.b) for x in range(f2.order))
     g = f4.generator()
-    assert g >= f2.order and f4.multiplicative_order(g) == f4.order - 1
+    assert g >= f2.order and _order(f4, g) == f4.order - 1
     rng = random.Random(q + 1)
     for _ in range(200):
         a, b, c = (rng.randrange(f4.order) for _ in range(3))
@@ -391,17 +460,6 @@ def test_quartic_field_is_a_field(q):
         assert f4.add(a, f4.neg(a)) == 0
         if a:
             assert f4.mul(a, f4.inv(a)) == 1
-
-
-def test_unity_root_lies_outside_subfield(tower7):
-    lam = tower7.unity_root  # order 10 does not divide 48
-    assert lam >= tower7.fq2.order
-    assert tower7.fq4.pow(lam, 49) != lam
-
-
-def test_tower_requires_n_dividing_q4_minus_1():
-    with pytest.raises(ValueError):
-        field_tower(7, 11)
 
 
 # -- assorted number theory helpers ----------------------------------------------

@@ -60,6 +60,12 @@ def test_set_route_imports_no_field_arithmetic():
     assert bad == []
 
 
+def test_gf_imports_nothing_from_cosets():
+    # the matrix route builds its minimal polynomials from the Lucas traces
+    # alone, so it borrows no orbit from the set route
+    assert "cosets" not in _imported_modules(ast.parse((SRC / "gf.py").read_text()))
+
+
 def test_source_hygiene():
     # an assert vanishes under python -O, so no check may be one; a true
     # division makes a float in a package whose arithmetic is exact

@@ -17,13 +17,18 @@ shifts of h reversed and conjugated) need: G * H^dagger = 0 and both
 have full rank.  No matrix is written out: H * H^dagger is Toeplitz,
 hh_dagger reads the vector of its diagonals off one convolution of h,
 and toeplitz_rank packs that vector once and takes each row as a window
-of it for the one elimination.  The rank-oracle suite
+of it for the one elimination.  check_ebits ranks the smaller of the two
+Gram matrices: H * H^dagger when 2|Z| <= n, else G * G^dagger, which
+hh_dagger builds from g and whose rank plus 2|Z| - n is that of
+H * H^dagger.  The packed digits and the reducer of a field are kept
+across calls, one set per slot width.  The rank-oracle suite
 (verify_rank_oracle) compares the two routes on every family code and on
 random coset-closed sets.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import sys
 from math import isqrt
@@ -85,11 +90,14 @@ def _check_packable(f: Field) -> None:
 
 class _Packer(dict):
     """element -> its F_p digits packed one to a slot of width bits, built
-    on first use; vector packs elements 2d-1 slots apart, the first lowest."""
+    on first use; vector packs elements 2d-1 slots apart, the first lowest,
+    and reduce is _slot_reducer(f, width).  A pure memo table of the field:
+    _packer keeps one per (field, width) across calls."""
 
     def __init__(self, f: Field, width: int):
         super().__init__()
         self.f, self.width, self.stride = f, width, (2 * f.degree - 1) * width
+        self.reduce = _slot_reducer(f, width)
 
     def __missing__(self, v: int) -> int:
         self[v] = _pack(self.f.decode(v), self.width)
@@ -99,13 +107,19 @@ class _Packer(dict):
         return _pack([self[v] for v in elements], self.stride)
 
 
+# The one _Packer per (field, width): fields are per-(p, d) singletons of
+# build_field, so x^d, the high parts and the digit packings are built once.
+_packer = functools.lru_cache(maxsize=None)(_Packer)
+
+
 def _slot_reducer(f: Field, width: int):
     """reduce(packed, count): the count elements held by packed, 2d-1
     slots of width bits each, lowest first, where the slots of an entry
     hold the digits of a polynomial of degree below 2d-1 over the integers.
     Each entry reduces its slots mod p into the index u of that polynomial
     over F_p, that is (u mod p^d) + x^d * (u div p^d); the field's own mul
-    gives each high part that occurs times x^d once per reducer."""
+    gives each high part that occurs times x^d once per reducer, a pure
+    memo table of the field that its _Packer keeps."""
     p, d, order = f.p, f.degree, f.order
     span = 2 * d - 1
     xd = f.encode(-c for c in f.modulus[:d])  # x^d mod f
@@ -136,9 +150,8 @@ def convolve(field: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not (a and b):
         return []
     width = _slot_width(min(len(a), len(b)), field.degree, field.p)
-    packed = _Packer(field, width)
-    prod = packed.vector(a) * packed.vector(b)
-    return _slot_reducer(field, width)(prod, len(a) + len(b) - 1)
+    packed = _packer(field, width)
+    return packed.reduce(packed.vector(a) * packed.vector(b), len(a) + len(b) - 1)
 
 
 def _multipliers(f: Field, values: Sequence[int], pivot: int) -> list[int]:
@@ -162,8 +175,7 @@ def _eliminate(packed: _Packer, rows: list[int], cols: int) -> int:
     digits.  The rank does not depend on which nonzero entry of a column
     is the pivot.
     """
-    f, stride = packed.f, packed.stride
-    reduce = _slot_reducer(f, packed.width)
+    f, stride, reduce = packed.f, packed.stride, packed.reduce
     active = list(range(len(rows)))  # rows not yet taken as pivots, in order
     updated = set()
     shift = cols * stride
@@ -200,7 +212,7 @@ def toeplitz_rank(f: Field, t: Sequence[int]) -> int:
     written out before _eliminate."""
     _check_packable(f)
     r = (len(t) + 1) // 2
-    packed = _Packer(f, _slot_width(r, f.degree, f.p))
+    packed = _packer(f, _slot_width(r, f.degree, f.p))
     stride = packed.stride
     whole, mask = packed.vector(t[::-1]), (1 << (r * stride)) - 1
     return _eliminate(packed, [(whole >> (i * stride)) & mask for i in range(r)], r)
@@ -267,7 +279,9 @@ def hh_dagger(f: Field, h: Sequence[int], n: int) -> list[int]:
     parity-check matrix of length n of the check polynomial h: its
     r = n - deg h rows are the shifts of u = (h reversed)^q.  The product
     is Toeplitz, and comes as the vector t of its 2r - 1 diagonals, with
-    entry (i, j) = t[r - 1 - i + j] (see toeplitz_rank).
+    entry (i, j) = t[r - 1 - i + j] (see toeplitz_rank).  Given
+    (g reversed)^q for h, u is g and the product is G * G^dagger, with
+    k = n - deg g rows.
 
     Entry (i, j) is sum_s u_s * u_(s+i-j)^q.  As x^(q^2) = x, u^q reversed
     is h, so the entry is c[deg h - i + j] of c = convolve(u, h), and 0
@@ -287,12 +301,25 @@ def hh_dagger(f: Field, h: Sequence[int], n: int) -> list[int]:
 def check_ebits(z: DefiningSet, tower: FieldTower, c: int, where: str) -> None:
     """rank(HH^dagger) of the checked polynomials of Z must equal c, the
     ebit count of the set route; where names the code in the
-    counterexample."""
-    _g, h = code_polynomials(z, tower)
-    got = toeplitz_rank(tower.fq2, hh_dagger(tower.fq2, h, z.ctx.n))
+    counterexample.
+
+    The smaller Gram matrix is ranked: HH^dagger has |Z| rows and
+    GG^dagger has k = n - |Z|.  The Hermitian hull has dimension
+    k - rank(GG^dagger) = (n - k) - rank(HH^dagger) (Guenda, Jitman and
+    Gulliver, Des. Codes Cryptogr. 86, 2018), so where 2|Z| > n the rank
+    of HH^dagger is rank(GG^dagger) + 2|Z| - n, and the counterexample
+    says so."""
+    g, h = code_polynomials(z, tower)
+    f, n = tower.fq2, z.ctx.n
+    excess, side = max(0, 2 * len(z) - n), ""
+    if excess:
+        # hh_dagger's rows, the shifts of its input reversed and conjugated, are then G's
+        powq = f.power_map(tower.q)
+        h, side = [powq[v] for v in reversed(g)], " (rank(GG^dagger) + 2|Z| - n)"
+    got = toeplitz_rank(f, hh_dagger(f, h, n)) + excess
     if got != c:
         raise VerificationError(
-            f"rank(HH^dagger) = {got} but the set overlap has size {c} {where}"
+            f"rank(HH^dagger) = {got}{side} but the set overlap has size {c} {where}"
         )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from eaqmds import oracle
 from eaqmds.exceptions import VerificationError
 from eaqmds.gf import Field, PrimePower, build_field, factorize
-from eaqmds.oracle import _check_packable, _eliminate, _Packer, _slot_reducer
+from eaqmds.oracle import _check_packable, _eliminate, _packer
 
 BUDGET_EXCEEDED = "budget-exceeded"
 
@@ -189,8 +189,7 @@ def matmul(a, b):
     _check_packable(f)
     # looked up per call, so that a test can narrow the slots
     width = oracle._slot_width(a.cols, f.degree, f.p)
-    packed = _Packer(f, width)
-    reduce = _slot_reducer(f, width)
+    packed = _packer(f, width)
     packed_rows = [packed.vector(row) for row in b.data]
     out = []
     for row in a.data:
@@ -198,7 +197,7 @@ def matmul(a, b):
         for v, bj in zip(row, packed_rows):
             if v:
                 acc += packed[v] * bj
-        out.append(tuple(reduce(acc, b.cols)))
+        out.append(tuple(packed.reduce(acc, b.cols)))
     return MatrixGF(f, tuple(out))
 
 
@@ -209,7 +208,7 @@ def rank(m):
     f = m.field
     _check_packable(f)
     # looked up per call, so that a test can narrow the slots
-    packed = _Packer(f, oracle._slot_width(m.rows, f.degree, f.p))
+    packed = _packer(f, oracle._slot_width(m.rows, f.degree, f.p))
     return _eliminate(packed, [packed.vector(row[::-1]) for row in m.data], m.cols)
 
 

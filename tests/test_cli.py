@@ -370,6 +370,33 @@ def test_rank_oracle_off_by_one_is_caught(capsys, monkeypatch, invocation):
     assert "rank(HH^dagger)" in err
 
 
+# a rank off by one on the GG^dagger side alone, which (32, 3) takes with
+# |Z| = 129 of n = 205: the counterexample names the Gram matrix ranked
+@pytest.mark.parametrize(
+    "invocation", ["code --q 32 --m 3 --oracle", "verify --level rank-oracle --qmax 32"]
+)
+def test_gg_dagger_rank_off_by_one_is_caught(capsys, monkeypatch, invocation):
+    honest_polynomials, honest_rank = oracle.code_polynomials, oracle.toeplitz_rank
+    size = []
+
+    def recorded(z, tower):
+        size[:] = [len(z)]
+        return honest_polynomials(z, tower)
+
+    def bumped(f, t):
+        # HH^dagger has |Z| rows; GG^dagger, the other side, n - |Z|
+        return honest_rank(f, t) + ((len(t) + 1) // 2 != size[0])
+
+    monkeypatch.setattr(oracle, "code_polynomials", recorded)
+    monkeypatch.setattr(oracle, "toeplitz_rank", bumped)
+    rc, _out, err = run_cli(capsys, *invocation.split())
+    assert rc == 1
+    assert err.endswith(
+        "rank(HH^dagger) = 82 (rank(GG^dagger) + 2|Z| - n) "
+        "but the set overlap has size 81 at q=32, m=3\n"
+    )
+
+
 # a product coefficient off by one: in every convolve (the product trees of
 # g and h included), the g * h = x^n - 1 check fails; in H * H^dagger
 # alone, the rank comparison does

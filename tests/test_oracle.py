@@ -556,34 +556,45 @@ def test_toeplitz_rank_matches_raw_arithmetic(p, deg):
 
 
 def test_rank_oracle_suite_ranks_match_raw_arithmetic(monkeypatch):
-    # every rank of the rank-oracle suite at q <= 27: HH^dagger of the family
-    # codes and of the random sets at q = 7 and 23
+    # every rank of the rank-oracle suite at q <= 27, of the family codes
+    # and of the random sets at q = 7 and 23: the smaller Gram matrix,
+    # against raw arithmetic; then HH^dagger of every code, ranked here
+    # (by raw arithmetic too where the suite took GG^dagger), against the
+    # rank the suite took plus 2|Z| - n on the GG^dagger side
     honest = oracle.toeplitz_rank
-    seen = Counter()
-
-    def checked(f, t):
-        got = honest(f, t)
-        assert got == RawArithmetic(f).rank(toeplitz_matrix(f, t).data), len(t)
-        seen[f.order] += 1
-        return got
-
     honest_polynomials = oracle.code_polynomials
-    family = []
+    family, ranked = [], []
+    seen = Counter()
 
     def recorded(z, tower):
         g, h = honest_polynomials(z, tower)
         family.append((tower.fq2, g, h, z.ctx.n))
         return g, h
 
+    def checked(f, t):
+        got = honest(f, t)
+        assert got == RawArithmetic(f).rank(toeplitz_matrix(f, t).data), len(t)
+        # HH^dagger has |Z| = deg g rows, GG^dagger n - |Z|
+        side = "HH" if (len(t) + 1) // 2 == len(family[-1][1]) - 1 else "GG"
+        seen[side] += 1
+        ranked.append((side, got))
+        return got
+
     monkeypatch.setattr(oracle, "toeplitz_rank", checked)
     monkeypatch.setattr(oracle, "code_polynomials", recorded)
     assert oracle.verify_rank_oracle(27) == {"codes": 102}
-    assert seen == {7**2: 50, 23**2: 51, 27**2: 1}
+    assert seen == {"GG": 35, "HH": 67}
+    assert len(family) == len(ranked) == 102
+    for (f, g, h, n), (side, got) in zip(family, ranked):
+        excess = 2 * (len(g) - 1) - n
+        assert (side == "GG") == (excess > 0)
+        t = hh_dagger(f, h, n)
+        direct = RawArithmetic(f).rank(toeplitz_matrix(f, t).data) if side == "GG" else got
+        assert honest(f, t) == direct == got + max(excess, 0)
     # every code reaches code_polynomials, the two family codes first;
     # their wide G and H at q = 23 and 27, written out: the rank kernel
     # agrees with raw arithmetic, and each rank is the row count that
     # code_polynomials certifies from g * h = x^n - 1
-    assert len(family) == 102
     assert [f.order for f, *_ in family[:2]] == [23**2, 27**2]
     for code in family[:2]:
         for m in _code_matrices(*code):
@@ -668,28 +679,32 @@ def test_convolve_slot_sums_reach_the_width_bound(monkeypatch, p, deg, width):
 def test_structured_products_match_dense_matmul(monkeypatch):
     # every code of the rank-oracle suite at q <= 32, its G and H written
     # out: G * H^dagger = 0, which code_polynomials proves from g * h, and
-    # H * H^dagger from hh_dagger, both against the dense matmul
+    # the Gram matrix of the smaller side, H * H^dagger or G * G^dagger,
+    # from hh_dagger, both against the dense matmul
     honest_polynomials, honest_hh = oracle.code_polynomials, oracle.hh_dagger
     seen = Counter()
+    written = {}
 
     def checked_polynomials(z, tower):
         g, h = honest_polynomials(z, tower)
-        gm, hm = _code_matrices(tower.fq2, g, h, z.ctx.n)
-        assert _is_zero(matmul(gm, conjugate_transpose(hm, tower.q)))
+        written["G"], written["H"] = _code_matrices(tower.fq2, g, h, z.ctx.n)
+        assert _is_zero(matmul(written["G"], conjugate_transpose(written["H"], tower.q)))
         seen["G", "H"] += 1
         return g, h
 
-    def checked_hh(f, h, n):
-        got = honest_hh(f, h, n)
-        hm = _parity_check_matrix(f, h, n)
-        assert toeplitz_matrix(f, got) == matmul(hm, conjugate_transpose(hm, isqrt(f.order)))
-        seen["H", "H"] += 1
+    def checked_hh(f, u, n):
+        got = honest_hh(f, u, n)
+        # the rows hh_dagger takes: the shifts of u reversed and conjugated
+        m = _parity_check_matrix(f, u, n)
+        side = next(side for side in "HG" if written[side] == m)
+        assert toeplitz_matrix(f, got) == matmul(m, conjugate_transpose(m, isqrt(f.order)))
+        seen[side, side] += 1
         return got
 
     monkeypatch.setattr(oracle, "code_polynomials", checked_polynomials)
     monkeypatch.setattr(oracle, "hh_dagger", checked_hh)
     assert oracle.verify_rank_oracle(32) == {"codes": 104}
-    assert seen == {("G", "H"): 104, ("H", "H"): 104}
+    assert seen == {("G", "H"): 104, ("G", "G"): 36, ("H", "H"): 68}
 
 
 def _zero_constant(honest, z, tower):
@@ -820,3 +835,19 @@ def test_code_oracle_ranks_hh_dagger_alone(capsys, monkeypatch):
     assert main("code --q 43 --m 3 --oracle --allow-large-oracle".split()) == 0
     capsys.readouterr()
     assert sizes == [2 * 173 - 1]
+
+
+def test_code_oracle_ranks_the_smaller_gram_matrix(capsys, monkeypatch):
+    # at (32, 3), |Z| = 129 of n = 205: GG^dagger (76 x 76) is ranked, not
+    # HH^dagger (129 x 129)
+    honest = oracle.toeplitz_rank
+    sizes = []
+
+    def recorded(f, t):
+        sizes.append(len(t))
+        return honest(f, t)
+
+    monkeypatch.setattr(oracle, "toeplitz_rank", recorded)
+    assert main("code --q 32 --m 3 --oracle".split()) == 0
+    capsys.readouterr()
+    assert sizes == [2 * 76 - 1]

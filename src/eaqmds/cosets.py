@@ -158,17 +158,8 @@ class DefiningSet:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def __contains__(self, x: int) -> bool:
-        return self.mask >> x % self.ctx.n & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DefiningSet) and (self.ctx, self.mask) == (other.ctx, other.mask)
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.mask))
 
     def __repr__(self) -> str:
         return f"DefiningSet(n={self.ctx.n}, q={self.ctx.q}, size={len(self)})"

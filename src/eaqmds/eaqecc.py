@@ -35,7 +35,8 @@ def check_split(whole: DefiningSet, free: DefiningSet, entangled: DefiningSet, s
     """The checks on a split of a defining set into a free and an entangled
     part: the parts partition it disjointly, the entangled part is
     -q-invariant and the free part avoids its own -q image.  Any failure
-    raises VerificationError, its message led by stage."""
+    raises VerificationError, its message led by stage.  A split that passes
+    is Z minus -qZ and Z & -qZ (proved at families.check_window_lemmas)."""
     if free.union(entangled) != whole or not free.isdisjoint(entangled):
         raise VerificationError(
             f"{stage}: free part ({len(free)}) and entangled part ({len(entangled)}) do not "

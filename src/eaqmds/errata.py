@@ -172,7 +172,6 @@ def _entry_e7(q_max: int) -> ErrataEntry:
         d = bch_bound(family_defining_set(spec, m))
         if 2 * d > n + 2:
             hits.append({"q": q, "m": m, "n": n, "d": d, "threshold_2d_le": n + 2})
-    hits.sort(key=lambda h: (h["q"], h["m"]))
     # (n+2)/2 printed from integers: one decimal place, .0 or .5
     lines = tuple(
         f"q={h['q']} m={h['m']}: d={h['d']} exceeds (n+2)/2 = "

@@ -21,7 +21,8 @@ shapes (q = 3, 8 mod 10 versus q = 7, 2 mod 10) round those cut points
 differently so that all anchors are integers.
 
 verify_family_code() never trusts the closed forms: it rebuilds every
-quantity from first principles and raises on any mismatch.  The suites
+quantity from first principles and raises on any mismatch; for m >= 2 it
+takes the windows that check_window_lemmas checked as its split.  The suites
 verify_cosets, verify_lemmas and verify_theorem sweep the set route over
 q <= q_max; this module never imports oracle, the matrix route.
 """
@@ -181,15 +182,19 @@ def entangled_window_set(spec: FamilySpec, m: int) -> DefiningSet:
     return _window_union(spec, m, ((0, m - 1), gap2, gap3), ((0, m - 2), gap2, gap3))
 
 
-def check_window_lemmas(spec: FamilySpec, m: int, z: DefiningSet) -> None:
-    """Check the window lemmas at one (q, m) for the lemma level, which has
-    no decomposition of z to compare the windows with: the free windows
-    avoid their own -q image, the entangled windows are -q-invariant, and
-    the two partition the block z = C_0 .. C_{(m-1)q} disjointly.  Any
-    failure raises VerificationError.
+def check_window_lemmas(spec: FamilySpec, m: int, z: DefiningSet) -> Decomposition:
+    """Check the window lemmas at one (q, m): the free windows avoid their
+    own -q image, the entangled windows are -q-invariant, and the two
+    partition the block z = C_0 .. C_{(m-1)q} disjointly.  Any failure
+    raises VerificationError.  Returns the checked windows as the split of z.
     """
     free, ent = free_window_set(spec, m), entangled_window_set(spec, m)
+    # A split (F, E) of Z that passes check_split is Z \ -qZ and Z & -qZ:
+    # E lies in Z, and E = -qE lies in -qZ.  F avoids -qF, and -qE = E,
+    # which is disjoint from F, so F avoids -qZ = -qF | -qE.  As F and E
+    # partition Z, they are the parts decompose(z) would build.
     check_split(z, free, ent, f"windows at q={spec.q.q}, m={m}")
+    return Decomposition(whole=z, free_part=free, entangled_part=ent)
 
 
 def predicted_code(spec: FamilySpec, m: int) -> EaqeccParams:
@@ -219,18 +224,22 @@ def verify_family_code(spec: FamilySpec, m: int, allow_degenerate: bool = False)
     """Build the defining set and re-derive every claimed quantity from
     first principles, comparing against the closed forms.
 
-    decompose checks its own split of Z.  This checks that Z is one circular
-    run (hence classical MDS and, as n + c - k = 2|Z|, the Singleton equality),
-    that the windows equal the two checked parts (so they inherit the lemmas)
-    and that predicted == verified, the ebit count included.  Any mismatch
-    raises VerificationError.
+    For m >= 2 the split of Z is the windows check_window_lemmas checked;
+    m = 1 has no windows and takes decompose(Z).  This checks that Z is one
+    circular run (hence classical MDS and, as n + c - k = 2|Z|, the
+    Singleton equality) and that predicted == verified, the ebit count
+    included.  Any mismatch raises VerificationError.
     """
     _check_m(spec, m, allow_degenerate=allow_degenerate)
     q = spec.q.q
     z = family_defining_set(spec, m)
-    dec = decompose(z)
-    verified = eaqecc_params(dec)
     flags: list[str] = []
+    if m >= 2:
+        dec = check_window_lemmas(spec, m, z)
+    else:
+        dec = decompose(z)
+        flags.append("degenerate-m1")
+    verified = eaqecc_params(dec)
 
     # n + c - k = 2|Z| always holds, so run = |Z| implies that the errata's
     # two routes to k agree (they differ by 2(run - |Z|)) and, by its weaker
@@ -241,18 +250,6 @@ def verify_family_code(spec: FamilySpec, m: int, allow_degenerate: bool = False)
             f"defining set for q={q}, m={m} must be one circular run (hence MDS): "
             f"longest run {run}, |Z| = {len(z)}"
         )
-
-    if m >= 2:
-        free, ent = free_window_set(spec, m), entangled_window_set(spec, m)
-        parts = (("free", free, dec.free_part), ("entangled", ent, dec.entangled_part))
-        for part, windows, computed in parts:
-            if windows != computed:
-                raise VerificationError(
-                    f"windows at q={q}, m={m}: the {part} windows ({len(windows)}) differ "
-                    f"from the computed {part} part ({len(computed)})"
-                )
-    else:
-        flags.append("degenerate-m1")
 
     predicted = predicted_code(spec, m)
     if predicted != verified:

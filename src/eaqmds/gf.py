@@ -47,34 +47,6 @@ from .exceptions import VerificationError
 # bound on an extension field's order: its tables take O(order) memory
 MAX_EXTENSION_ORDER = 1 << 15
 
-# Witness set making Miller-Rabin exact for all n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin, exact below 3.3e24)."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (n up to ~1e12 in practice)."""
     if n < 1:
@@ -94,6 +66,11 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division, through factorize."""
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 @dataclass(frozen=True)

@@ -488,7 +488,7 @@ def test_wrong_neg_q_map_is_caught(capsys, monkeypatch, wrong, level):
 
     def neg_q(self):
         n, q = self.ctx.n, self.ctx.q
-        return DefiningSet.from_cosets(self.ctx, (image(x, n, q) for x in self))
+        return DefiningSet.from_cosets(self.ctx, (image(x, n, q) for x in self.members))
 
     def neg_q_image(ctx, residues):
         return tuple(sorted({image(x, ctx.n, ctx.q) for x in residues}))
@@ -699,22 +699,10 @@ def test_published_example_in_no_family_is_a_violation(capsys, monkeypatch):
 
 # one -q pair of cosets, C_1 and its image C_23 at q = 23, moved from the
 # entangled windows into the free ones: the partition and the invariance of
-# the entangled part still hold, so at the lemma level only the free part's
-# disjointness from its -q image sees it; the theorem level compares the
-# windows with the computed parts first
-@pytest.mark.parametrize(
-    ("level", "message"),
-    [
-        ("lemma", "windows at q=23, m=2: free part meets its own -q image"),
-        (
-            "theorem",
-            "windows at q=23, m=2: the free windows (30) differ from the computed "
-            "free part (26)",
-        ),
-    ],
-    ids=["lemma", "theorem"],
-)
-def test_neg_q_pair_in_the_free_windows_is_caught(capsys, monkeypatch, level, message):
+# the entangled part still hold, so on both levels only the free part's
+# disjointness from its -q image sees it
+@pytest.mark.parametrize("level", ["lemma", "theorem"])
+def test_neg_q_pair_in_the_free_windows_is_caught(capsys, monkeypatch, level):
     free, entangled = families.free_window_set, families.entangled_window_set
 
     def pair(spec):
@@ -725,12 +713,12 @@ def test_neg_q_pair_in_the_free_windows_is_caught(capsys, monkeypatch, level, me
     monkeypatch.setattr(
         families, "entangled_window_set", lambda s, m: entangled(s, m).difference(pair(s))
     )
+    message = "windows at q=23, m=2: free part meets its own -q image"
     _assert_counterexample_is(capsys, message, "verify", "--level", level, "--qmax", "60")
 
 
-# the entangled windows alone one coset short: on the theorem route only the
-# equality with the computed entangled part sees it, on the lemma route the
-# window partition does
+# the entangled windows alone one coset short: on both levels the window
+# partition sees it
 @pytest.mark.parametrize("level", ["theorem", "lemma"])
 def test_entangled_windows_missing_a_coset_are_caught(capsys, monkeypatch, level):
     honest = families.entangled_window_set

@@ -146,7 +146,7 @@ def test_plus_q_equals_minus_q_on_family_contexts(name, data):
     # can tell the two maps apart
     ctx = KERNEL_CONTEXTS[name]
     z = data.draw(coset_closed_sets(ctx))
-    assert set(z.neg_q().members) == {ctx.q * x % ctx.n for x in z}
+    assert set(z.neg_q().members) == {ctx.q * x % ctx.n for x in z.members}
 
 
 def test_neg_q_of_family_blocks_and_their_parts_matches_elementwise():

@@ -1,7 +1,7 @@
 import pytest
 
 from eaqmds.cosets import DefiningSet
-from eaqmds.eaqecc import ebits
+from eaqmds.eaqecc import decompose, ebits
 from eaqmds.families import (
     FAMILY_IDS,
     classify,
@@ -160,13 +160,14 @@ def test_degenerate_m1():
 
 
 def test_entangled_part_equals_window_complement_everywhere_small():
-    # the computed overlap Z n -qZ must be exactly the entangled windows
-    for q in (23, 43, 37, 47, 32, 128):
-        spec = classify(q)
-        for m in range(2, spec.m_max + 1):
-            fc = verify_family_code(spec, m)
-            assert fc.decomposition.entangled_part == entangled_window_set(spec, m)
-            assert fc.verified.c == 20 * (m - 1) ** 2 + 1 == ebits(fc.defining_set)
+    # the checked windows that verify_family_code takes as its split must be
+    # exactly Z \ -qZ and Z n -qZ, computed directly by decompose
+    for spec, m in family_grid(200):
+        fc = verify_family_code(spec, m)
+        dec = decompose(fc.defining_set)
+        assert fc.decomposition.free_part == dec.free_part, (spec.q.q, m)
+        assert fc.decomposition.entangled_part == dec.entangled_part, (spec.q.q, m)
+        assert fc.verified.c == 20 * (m - 1) ** 2 + 1 == ebits(fc.defining_set)
 
 
 def test_enumerate_family_grids():

@@ -104,7 +104,7 @@ def test_parity_rows_span_the_hermitian_dual_code(toy, tower7):
     # the code spanned by H has defining set {z : -qz mod n not in Z}
     z, _g, h, _hpoly = toy
     got = rowspace_defining_set(h, tower7)
-    assert got == {x for x in range(10) if (-7 * x) % 10 not in z}
+    assert got == {x for x in range(10) if (-7 * x) % 10 not in z.members}
 
 
 def test_zero_matrix_rank():

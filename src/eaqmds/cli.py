@@ -5,14 +5,15 @@ suites live in families (set route) and oracle (matrix route).
 
 Output is deterministic: identical invocations produce byte-identical
 output (no timestamps).  Data goes to stdout, diagnostics to stderr.
-Exit codes: 0 success, 1 invariant violation or internal fault, 2 usage
-error (a UsageError from an input guard).
+Exit codes: 0 success, 1 invariant violation, internal fault or stdout
+closed early, 2 usage error (a UsageError from an input guard).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -268,7 +269,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here at the latest
+        return status
+    except BrokenPipeError:
+        # stdout on devnull, so that the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

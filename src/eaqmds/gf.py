@@ -15,23 +15,24 @@ ints mod p in the modulus search (Rabin's test), whose remainder step
 _poly_mod also serves the table-free product of an extension field, and
 F_{q^2} indices for the quadratic minimal polynomials of FieldTower.
 
-build_field makes extension fields (degree >= 2) only.  Each gets exp/log
-tables of a fixed generator g once, when build_field makes it, so a
-product is one addition of logarithms; in odd characteristic it also gets
-a Zech table zech[k] = log(1 + g^k), so a sum is one lookup as well:
-g^a + g^b = g^(a + zech[b - a]) and -g^a = g^(a + (order-1)/2).  For
-p = 2 a sum is an xor.  These tables take O(order) memory, so build_field
-refuses extension fields above MAX_EXTENSION_ORDER; the code alphabet
-F_{q^2} fits for every q <= 181.  The packed kernels of oracle (convolve
-and toeplitz_rank) work on digits and need none of these tables.
+build_field makes extension fields (degree >= 2) only, each whole: its
+generator g and the exp/log tables of g are built with the table-free
+product first, so a product is one addition of logarithms, a power one
+multiplication and an inverse one negation; for odd p a Zech table
+zech[k] = log(1 + g^k) makes a sum one lookup as well: g^a + g^b =
+g^(a + zech[b - a]) and -g^a = g^(a + (order-1)/2).  For p = 2 a sum is
+an xor.  These tables take O(order) memory, so build_field refuses
+extension fields above MAX_EXTENSION_ORDER; the code alphabet F_{q^2}
+fits for every q <= 181.  The packed kernels of oracle (convolve and
+toeplitz_rank) work on digits and need none of these tables.
 
 The n-th roots of unity of the codes lie in F_{q^4}, which is never
 built: n divides q^2+1, so the minimal polynomial of beta^i over F_{q^2}
 is x^2 - V_i x + 1 with V_i = beta^i + beta^-i in F_{q^2}, and
 FieldTower computes every V_i over F_{q^2} as a Lucas sequence.
 
-Field objects are immutable after construction (power maps are idempotent
-lazy caches); all operations are pure functions.
+Field objects are immutable after construction; all operations are pure
+functions.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exceptions import VerificationError
 
@@ -133,20 +134,26 @@ def _mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> lis
     return _poly_mod(prod, f, p)
 
 
+def _power(mul, a, e: int, one=1):
+    """a^e by square-and-multiply on the product mul, starting from one."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
+
+
 def _is_irreducible(f: list[int], p: int) -> bool:
     """Rabin's test for a monic f of degree d >= 2 over F_p:
     x^(p^d) = x mod f, and gcd(f, x^(p^(d/r)) - x) = 1 for each prime r | d."""
     d = len(f) - 1
     x = [0, 1]
+    mul = functools.partial(_mulmod, f=f, p=p)
     frob = [x]  # frob[k] = x^(p^k) mod f
     for _ in range(d):
-        base, e, power = frob[-1], p, [1]
-        while e:
-            if e & 1:
-                power = _mulmod(power, base, f, p)
-            base = _mulmod(base, base, f, p)
-            e >>= 1
-        frob.append(power)
+        frob.append(_power(mul, frob[-1], p, [1]))
     if frob[d] != x:
         return False
     for r in factorize(d):
@@ -177,6 +184,28 @@ def _digits(value: int, p: int, width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _raw_product(f: Field) -> Callable[[int, int], int]:
+    """The table-free product on the indices of f = F_p[x]/(modulus), which
+    a Field finds its generator and builds its tables with: shift-and-xor
+    on bitmasks for p = 2, else the schoolbook product of digit vectors."""
+    if f.p != 2:
+        return lambda a, b: f.encode(_mulmod(f.decode(a), f.decode(b), f.modulus, f.p))
+    mod, top = sum(c << i for i, c in enumerate(f.modulus)), 1 << f.degree
+
+    def mul(a: int, b: int) -> int:
+        r = 0
+        while b:
+            if b & 1:
+                r ^= a
+            b >>= 1
+            a <<= 1
+            if a & top:
+                a ^= mod
+        return r
+
+    return mul
+
+
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
@@ -188,7 +217,13 @@ class Field:
 
     Construct via :func:`build_field`, never directly; build_field caches
     one instance per (p, degree) so field identity can be compared with
-    ``is``, and builds its tables.
+    ``is``.  The constructor finds the generator g and builds the tables
+    with _raw_product, so that every operation is a lookup.  exp has
+    length 2*(order-1) so that exp[log[a] + log[b]] needs no reduction,
+    and log[0] = log_zero.  For odd p, with n1 = order-1, zech[k] =
+    log(1 + g^k) for k = -2*n1 .. 3*n1-1 (through negative indexing), or
+    log_zero where 1 + g^k = 0, and 0 for k = 3*n1 .. 7*n1-1, where the
+    log difference against log[0] = log_zero of a zero operand falls.
     """
 
     def __init__(self, p: int, degree: int, modulus: tuple[int, ...]):
@@ -196,20 +231,39 @@ class Field:
         self.degree = degree
         self.modulus = modulus
         self.order = p**degree
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._zech: list[int] | None = None
+        n1 = self.order - 1
         # log[0] and every log-domain value from here up stand for zero
-        self.log_zero = 5 * (self.order - 1)
-        self._generator: int | None = None
-        self._power_maps: dict[int, list[int]] = {}
-        # the p = 2 modulus as a bitmask, built on first use
-        self._modmask: int | None = None
+        self.log_zero = 5 * n1
+        mul = _raw_product(self)
+        # the smallest g with g^(n1/r) != 1 for each prime r | n1; below p
+        # lies F_p, whose orders divide p - 1
+        cofactors = [n1 // r for r in factorize(n1)]
+        self.generator = g = next(
+            idx for idx in range(p, self.order) if all(_power(mul, idx, k) != 1 for k in cofactors)
+        )
+        if p == 2:
+            # shift-and-xor, F_2-linear already
+            exp = list(itertools.accumulate([g] * (n1 - 1), mul, initial=1))
+        else:
+            # digit j of v * g is sum_k v_k * (digit j of x^k * g) mod p
+            rows = list(zip(*(self.decode(mul(p**k, g)) for k in range(degree))))
+            exp = []
+            digits = self.decode(1)
+            for _ in range(n1):
+                exp.append(self.encode(digits))
+                digits = [sum(map(operator.mul, row, digits)) % p for row in rows]
+        log = [self.log_zero] * self.order
+        for i, v in enumerate(exp):
+            log[v] = i
+        exp += exp
+        if p != 2:
+            # 1 + g^k adds one to the constant digit of g^k's index
+            z = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp[:n1]]
+            self._zech = z * 3 + [0] * (4 * n1) + z * 2
+        self._exp, self._log = exp, log
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, degree={self.degree})"
-
-    # -- encoding ----------------------------------------------------------
 
     def decode(self, idx: int) -> tuple[int, ...]:
         return _digits(idx, self.p, self.degree)
@@ -219,8 +273,6 @@ class Field:
         for c in reversed(list(coeffs)):
             idx = idx * self.p + (c % self.p)
         return idx
-
-    # -- arithmetic on indices ----------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -249,122 +301,32 @@ class Field:
         return self._exp[s - n1] if s < self.log_zero else 0
 
     def mul(self, a: int, b: int) -> int:
-        exp = self._exp
-        if exp is None:  # the tables are being built
-            return self._mul_raw2(a, b) if self.p == 2 else self._mul_raw(a, b)
-        return exp[self._log[a] + self._log[b]] if a and b else 0
-
-    def _mul_raw2(self, a: int, b: int) -> int:
-        mod, top = self._modmask, 1 << self.degree
-        if mod is None:
-            mod = self._modmask = sum(c << i for i, c in enumerate(self.modulus))
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= mod
-        return r
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        return self.encode(_mulmod(self.decode(a), self.decode(b), self.modulus, self.p))
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
-        return self.pow(a, self.order - 2)
+        return self._exp[self.order - 1 - self._log[a]]
 
     def pow(self, a: int, e: int) -> int:
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
-
-    # -- lookup tables ---------------------------------------------------------
-
-    def exp_log_tables(self) -> tuple[list[int], list[int]]:
-        """Build (once) and return the exp/log tables of the field's own mul.
-
-        exp has length 2*(order-1) so that exp[log[a] + log[b]] needs no
-        reduction, and log[0] = log_zero.  Until they exist, mul is the
-        schoolbook product.  Multiplication by the generator g is
-        F_p-linear: for odd p each power of g takes d dot products of digit
-        vectors.  For odd p this also builds the Zech table of add and sub:
-        with n1 = order-1, zech[k] = log(1 + g^k) for k = -2*n1 .. 3*n1-1
-        (through negative indexing), or log_zero where 1 + g^k = 0, and 0
-        for k = 3*n1 .. 7*n1-1, where the log difference against
-        log[0] = log_zero of a zero operand falls.
-        """
-        if self._exp is None:
-            g = self.generator()
-            p, d, n1 = self.p, self.degree, self.order - 1
-            # no tables yet: mul is the raw product
-            if p == 2:
-                # shift-and-xor, F_2-linear already
-                exp = list(itertools.accumulate([g] * (n1 - 1), self.mul, initial=1))
-            else:
-                # digit j of v * g is sum_k v_k * (digit j of x^k * g) mod p
-                rows = list(zip(*(self.decode(self.mul(p**k, g)) for k in range(d))))
-                place = [p**k for k in range(d)]
-                exp = []
-                digits = self.decode(1)
-                for _ in range(n1):
-                    exp.append(sum(map(operator.mul, digits, place)))
-                    digits = [sum(map(operator.mul, row, digits)) % p for row in rows]
-            log = [self.log_zero] * self.order
-            for i, v in enumerate(exp):
-                log[v] = i
-            exp += exp
-            if p != 2:
-                # 1 + g^k adds one to the constant digit of g^k's index
-                z = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp[:n1]]
-                self._zech = z * 3 + [0] * (4 * n1) + z * 2
-            self._exp, self._log = exp, log
-        return self._exp, self._log
-
-    def power_map(self, e: int) -> list[int]:
-        """Table of a -> a^e for every element (cached per exponent)."""
-        tab = self._power_maps.get(e)
-        if tab is None:
-            tab = [self.pow(a, e) for a in range(self.order)]
-            self._power_maps[e] = tab
-        return tab
-
-    def generator(self) -> int:
-        """Smallest element index generating the multiplicative group: g
-        with g^((order-1)/r) != 1 for each prime r | order-1."""
-        if self._generator is None:
-            n1 = self.order - 1
-            cofactors = [n1 // r for r in factorize(n1)]
-            # below p lies F_p, whose orders divide p - 1
-            for idx in range(self.p, self.order):
-                if all(self.pow(idx, k) != 1 for k in cofactors):
-                    self._generator = idx
-                    break
-            else:  # pragma: no cover - every finite field has a generator
-                raise AssertionError("no generator found")
-        return self._generator
+        """a^e for e >= 0, with 0^0 = 1."""
+        if not a:
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.order - 1)]
 
 
 @functools.lru_cache(maxsize=None)
 def build_field(p: int, degree: int) -> Field:
     """The extension field of order p^degree, degree >= 2, with its
-    canonical (smallest) modulus and its tables built; its order is at
-    most MAX_EXTENSION_ORDER."""
+    canonical (smallest) modulus, its generator and its tables; its order
+    is at most MAX_EXTENSION_ORDER."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if degree < 2:
         raise ValueError(f"degree must be >= 2, got {degree}")
     if p**degree > MAX_EXTENSION_ORDER:
         raise ValueError(f"extension field order {p}^{degree} exceeds {MAX_EXTENSION_ORDER}")
-    f = Field(p, degree, _smallest_irreducible(p, degree))
-    f.exp_log_tables()
-    return f
+    return Field(p, degree, _smallest_irreducible(p, degree))
 
 
 # ---------------------------------------------------------------------------

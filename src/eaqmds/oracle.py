@@ -289,9 +289,8 @@ def hh_dagger(f: Field, h: Sequence[int], n: int) -> list[int]:
     q = isqrt(f.order)
     if q * q != f.order:
         raise ValueError(f"field order {f.order} is not a square")
-    powq = f.power_map(q)
     rows = n - len(h) + 1
-    c = convolve(f, [powq[v] for v in reversed(h)], h)
+    c = convolve(f, [f.pow(v, q) for v in reversed(h)], h)
     # c padded with zeros, so that t is one slice of it
     pad = [0] * max(0, rows - len(h))
     start = len(pad) + len(h) - rows  # t[0], entry (rows - 1, 0)
@@ -314,8 +313,7 @@ def check_ebits(z: DefiningSet, tower: FieldTower, c: int, where: str) -> None:
     excess, side = max(0, 2 * len(z) - n), ""
     if excess:
         # hh_dagger's rows, the shifts of its input reversed and conjugated, are then G's
-        powq = f.power_map(tower.q)
-        h, side = [powq[v] for v in reversed(g)], " (rank(GG^dagger) + 2|Z| - n)"
+        h, side = [f.pow(v, tower.q) for v in reversed(g)], " (rank(GG^dagger) + 2|Z| - n)"
     got = toeplitz_rank(f, hh_dagger(f, h, n)) + excess
     if got != c:
         raise VerificationError(

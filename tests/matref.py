@@ -21,11 +21,42 @@ from eaqmds.oracle import _check_packable, _eliminate, _packer
 BUDGET_EXCEEDED = "budget-exceeded"
 
 
-class PrimeField(Field):
+def square_and_multiply(mul, a, e):
+    """a^e by the product mul alone, with no table: the reference for
+    powers and inverses."""
+    result = 1
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
+
+
+class _TableFree:
+    """A reference field computing by its own mul: the index encoding of
+    gf.Field, and powers and inverses by square-and-multiply."""
+
+    decode = Field.decode
+    encode = Field.encode
+
+    def pow(self, a, e):
+        return square_and_multiply(self.mul, a, e)
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inversion of zero field element")
+        return self.pow(a, self.order - 2)
+
+
+class PrimeField(_TableFree):
     """F_p = F_p[x] / (x): integers mod p, with no tables."""
 
     def __init__(self, p):
-        super().__init__(p, 1, (0, 1))
+        self.p = p
+        self.degree = 1
+        self.modulus = (0, 1)
+        self.order = p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -40,7 +71,7 @@ class PrimeField(Field):
         return a * b % self.p
 
 
-class QuadraticExtension(Field):
+class QuadraticExtension(_TableFree):
     """F_{Q^2} = F_Q[y] / (y^2 - y - b) over a base field F_Q.
 
     a0 + a1*y has index a0 + a1*Q, so the base field is literally the
@@ -55,8 +86,11 @@ class QuadraticExtension(Field):
     def __init__(self, base):
         image = {base.sub(base.mul(x, x), x) for x in range(base.order)}
         self.b = next(v for v in range(base.order) if v not in image)
-        super().__init__(base.p, 2 * base.degree, (base.neg(self.b), base.neg(1), 1))
         self.base = base
+        self.p = base.p
+        self.degree = 2 * base.degree
+        self.modulus = (base.neg(self.b), base.neg(1), 1)
+        self.order = base.order**2
 
     def __repr__(self):
         return f"QuadraticExtension({self.base!r}, b={self.b})"
@@ -85,17 +119,17 @@ class QuadraticExtension(Field):
         hi = f.sub(f.mul(f.add(a0, a1), f.add(b0, b1)), t0)
         return f.add(t0, f.mul(self.b, t2)) + hi * big
 
+    @functools.cached_property
     def generator(self):
-        # the base field holds no generator of the whole group
-        if self._generator is None:
-            n1 = self.order - 1
-            cofactors = [n1 // r for r in factorize(n1)]
-            self._generator = next(
-                g
-                for g in range(self.base.order, self.order)
-                if all(self.pow(g, k) != 1 for k in cofactors)
-            )
-        return self._generator
+        """The smallest generator of the multiplicative group, which lies
+        outside the base field: g^((order-1)/r) != 1 for each prime r."""
+        n1 = self.order - 1
+        cofactors = [n1 // r for r in factorize(n1)]
+        return next(
+            g
+            for g in range(self.base.order, self.order)
+            if all(self.pow(g, k) != 1 for k in cofactors)
+        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -214,8 +248,8 @@ def rank(m):
 
 def conjugate_transpose(m, q):
     """Transpose with entry-wise q-th power."""
-    powq = m.field.power_map(q)
-    return MatrixGF(m.field, tuple(tuple(powq[v] for v in col) for col in zip(*m.data)))
+    f = m.field
+    return MatrixGF(f, tuple(tuple(f.pow(v, q) for v in col) for col in zip(*m.data)))
 
 
 def rowspace_defining_set(m, tower):

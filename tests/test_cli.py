@@ -272,6 +272,24 @@ def _run_module(*args):
     )
 
 
+def test_reader_closing_the_pipe_early_ends_quietly():
+    # like `| head -1`: the reader takes one line and closes the pipe; the
+    # JSON (about 120 kB) outgrows the pipe, so the command meets it closed
+    # and must exit 1 with nothing on stderr, not a BrokenPipeError traceback
+    argv = "-m eaqmds enumerate --family q10k3 --format json --qmax 400".split()
+    proc = subprocess.Popen(
+        [sys.executable, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=REPO,
+        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait() == 1
+
+
 def test_module_entry_point():
     proc = _run_module("-m", "eaqmds", "code", "--q", "23", "--m", "2")
     assert proc.returncode == 0
@@ -805,7 +823,7 @@ def test_oracle_past_q_64_runs_on_tables(capsys):
     # as every extension field within the bound, and the matrix route
     # confirms the code's ebit count on them
     f = build_field(67, 2)
-    assert f._exp is not None and f._zech is not None
+    assert len(f._log) == f.order and len(f._zech) == 9 * (f.order - 1)
     rc, out, err = run_cli(capsys, *"code --q 67 --m 2 --oracle --allow-large-oracle".split())
     assert (rc, err) == (0, "")
     assert out == (

@@ -24,6 +24,7 @@ from matref import (
     matmul,
     orbit_product,
     quartic,
+    square_and_multiply,
     tower_root,
 )
 from polyref import poly_divmod, poly_mul
@@ -193,34 +194,60 @@ def test_lookup_tables_agree_with_raw_arithmetic(p, deg):
     # and the tower compute with them; they must reproduce the table-free
     # arithmetic exactly
     f = build_field(p, deg)
-    raw_mul = f._mul_raw2 if p == 2 else f._mul_raw
-    assert f._exp is not None and f._log is not None
-    assert (f._zech is None) == (p == 2)
+    raw_mul = gf._raw_product(f)
+    assert len(f._exp) == 2 * (f.order - 1) and len(f._log) == f.order
+    # p = 2 adds by xor and has no Zech table
+    assert hasattr(f, "_zech") == (p != 2)
     rng = random.Random(p * deg)
     for _ in range(300):
         a, b = rng.randrange(f.order), rng.randrange(f.order)
         assert f.mul(a, b) == raw_mul(a, b)
-    powq = f.power_map(3)
-    assert all(powq[a] == f.mul(a, f.mul(a, a)) for a in range(0, f.order, 7))
+    assert all(f.pow(a, 3) == f.mul(a, f.mul(a, a)) for a in range(0, f.order, 7))
     assert _addition_mismatches(f, _random_pairs(f, 2000, p * deg)) == []
 
 
-@pytest.mark.parametrize("p,deg", [(7, 2), (2, 4)])
-def test_quartic_tables_follow_its_own_mul(p, deg):
-    # a quadratic extension builds no tables itself, but tables built for
-    # one must follow its own product: each power of g in exp must be the
-    # last one times g by the quadratic extension's product
-    f = QuadraticExtension(build_field(p, deg))
-    exp, log = f.exp_log_tables()
-    g = f.generator()
-    assert all(exp[i + 1] == f.mul(exp[i], g) for i in range(f.order - 2))
-    assert all(log[exp[i]] == i for i in range(f.order - 1))
+# the generators that the tables were built on before the constructor built
+# them; each is the smallest index of multiplicative order order - 1
+PINNED_GENERATORS = {
+    (7, 2): 9, (43, 2): 45, (173, 2): 174, (3, 6): 3, (5, 6): 5, (2, 10): 2, (2, 12): 3, (2, 14): 7,
+}
+
+
+@pytest.mark.parametrize("p,deg", sorted(PINNED_GENERATORS))
+def test_generators_are_pinned(p, deg):
+    f = build_field(p, deg)
+    g = f.generator
+    assert g == PINNED_GENERATORS[p, deg] and _order(f, g) == f.order - 1
+    assert all(_order(f, a) < f.order - 1 for a in range(1, g))
+    # build_field returns the field whole: no attribute is left to fill in
+    assert None not in vars(f).values()
+
+
+# pow and inv are log lookups; square-and-multiply on the table-free product
+# is their reference, on every element of F_49 and F_(2^10) and on 0, 1 and
+# 150 random elements of F_(173^2)
+@pytest.mark.parametrize("p,deg,sample", [(7, 2, None), (2, 10, None), (173, 2, 150)])
+def test_pow_and_inv_by_logs_match_square_and_multiply(p, deg, sample):
+    f = build_field(p, deg)
+    raw_mul = gf._raw_product(f)
+    q, n1 = p ** (deg // 2), f.order - 1
+    elements = range(f.order)
+    if sample:
+        elements = [0, 1, *random.Random(p).sample(range(2, f.order), sample)]
+    for a in elements:
+        for e in (0, 1, q, n1 - 1, n1, n1 + 1):
+            assert f.pow(a, e) == square_and_multiply(raw_mul, a, e), (a, e)
+        if a:
+            assert f.inv(a) == square_and_multiply(raw_mul, a, n1 - 1), a
+    assert f.pow(0, 0) == 1 and f.pow(0, n1) == 0
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
 
 
 @pytest.mark.parametrize("p,deg", [(7, 2), (3, 4)])
 def test_zech_addition_on_all_pairs(p, deg):
     f = build_field(p, deg)
-    assert f._zech is not None
+    assert f._zech
     pairs = [(a, b) for a in range(f.order) for b in range(f.order)]
     assert _addition_mismatches(f, pairs) == []
 
@@ -240,8 +267,7 @@ def test_zech_check_detects_an_entry_off_by_one():
     # a private copy of F_49, so the cached field stays intact
     good = build_field(7, 2)
     f = Field(7, 2, good.modulus)
-    _exp, log = f.exp_log_tables()
-    zech = f._zech
+    log, zech = f._log, f._zech
     pairs = [(a, b) for a in range(f.order) for b in range(f.order)]
     assert _addition_mismatches(f, pairs) == []
     zech[5] += 1
@@ -263,19 +289,18 @@ def _order(f, a):
 
 def test_conjugate_fixes_prime_subfield_and_involutes():
     f = build_field(7, 2)
-    conj = f.power_map(7)
-    assert conj[0] == 0
-    assert conj[1] == 1
+    assert f.pow(0, 7) == 0
+    assert f.pow(1, 7) == 1
     rng = random.Random(7)
     for _ in range(50):
         a = rng.randrange(f.order)
-        assert conj[conj[a]] == a
+        assert f.pow(f.pow(a, 7), 7) == a
 
 
 def test_conjugate_of_norm_one_element_is_inverse():
     # an element of order q+1 satisfies a^(q+1) = 1, so a^q = a^(-1)
     f = build_field(7, 2)
-    a = f.pow(f.generator(), 6)
+    a = f.pow(f.generator, 6)
     assert _order(f, a) == 8
     assert f.pow(a, 7) == f.inv(a)
 
@@ -450,7 +475,7 @@ def test_quartic_field_is_a_field(q):
     assert f4.order == q**4 and f4.p == f2.p
     # y^2 - y - b has no root in F_{q^2}, so it is irreducible there
     assert all(f2.sub(f2.sub(f2.mul(x, x), x), f4.b) for x in range(f2.order))
-    g = f4.generator()
+    g = f4.generator
     assert g >= f2.order and _order(f4, g) == f4.order - 1
     rng = random.Random(q + 1)
     for _ in range(200):

@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from eaqmds import oracle
+from eaqmds import gf, oracle
 from eaqmds.cli import main
 from eaqmds.codes import dimension
 from eaqmds.cosets import DefiningSet, all_cosets, coset
@@ -34,6 +34,7 @@ from matref import (
     quartic,
     rank,
     rowspace_defining_set,
+    square_and_multiply,
     toeplitz_matrix,
 )
 from polyref import poly_divmod, poly_mul, shift_rows
@@ -46,8 +47,8 @@ def _is_zero(m):
 def _parity_check_matrix(f, h, n):
     """H written out: the shifts of h reversed and conjugated by the q-th
     power."""
-    powq = f.power_map(isqrt(f.order))
-    return MatrixGF(f, shift_rows([powq[v] for v in reversed(h)], n))
+    q = isqrt(f.order)
+    return MatrixGF(f, shift_rows([f.pow(v, q) for v in reversed(h)], n))
 
 
 def _code_matrices(f, g, h, n):
@@ -85,8 +86,8 @@ def test_euclidean_duality(toy, tower7):
     he = _euclidean_parity_check(z, tower7)
     assert _is_zero(matmul(g, MatrixGF(he.field, tuple(zip(*he.data)))))
     assert rank(he) == 3
-    powq = tower7.fq2.power_map(7)
-    assert h.data == tuple(tuple(powq[v] for v in row) for row in he.data)
+    f = tower7.fq2
+    assert h.data == tuple(tuple(f.pow(v, 7) for v in row) for row in he.data)
 
 
 def test_hermitian_duality(toy, tower7):
@@ -94,10 +95,10 @@ def test_hermitian_duality(toy, tower7):
     # G H^dagger = 0, equivalently every H row is Hermitian-orthogonal to
     # every G row
     assert _is_zero(matmul(g, conjugate_transpose(h, 7)))
-    powq = h.field.power_map(7)
+    f = h.field
     for hrow in h.data:
         for grow in g.data:
-            assert _dot(h.field, [powq[v] for v in hrow], grow) == 0
+            assert _dot(f, [f.pow(v, 7) for v in hrow], grow) == 0
 
 
 def test_parity_rows_span_the_hermitian_dual_code(toy, tower7):
@@ -314,7 +315,7 @@ class RawArithmetic:
 
     def __init__(self, f):
         self.f = f
-        self.mul = f._mul_raw2 if f.p == 2 else f._mul_raw
+        self.mul = gf._raw_product(f)
 
     def add(self, a, b):
         f = self.f
@@ -328,13 +329,7 @@ class RawArithmetic:
         return self.pow(a, self.f.order - 2)
 
     def pow(self, a, e):
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return square_and_multiply(self.mul, a, e)
 
     def convolve(self, a, b):
         out = [0] * (len(a) + len(b) - 1) if a and b else []
@@ -757,7 +752,7 @@ def _roots_scaled():
     def scaled(tower, i):
         m = honest(tower, i)
         f = tower.fq2
-        lam = f.generator()
+        lam = f.generator
         return tuple(f.mul(c, f.pow(lam, len(m) - 1 - k)) for k, c in enumerate(m))
 
     return scaled

@@ -16,9 +16,9 @@ GF_NAMES_ALLOWED = {
 }
 
 # the lookup tables of an extension field belong to gf, which builds them
-# once in build_field; every other module computes through the field's
-# own add, sub, neg and mul
-TABLE_ATTRS = {"_exp", "_log", "_zech", "exp_log_tables"}
+# with the field in build_field; every other module computes through the
+# field's own add, sub, neg, mul, pow and inv
+TABLE_ATTRS = {"_exp", "_log", "_zech"}
 
 
 def _imported_modules(tree):

@@ -3,6 +3,12 @@ selectable depth, emit machine-readable tables, print the errata audit.
 It only parses, guards inputs and prints: the checks and the verify
 suites live in families (set route) and oracle (matrix route).
 
+Importing this module loads families, with the set route under it, and
+nothing more of the package: oracle is imported by the commands that run
+the matrix route (code --oracle, verify --level rank-oracle), errata by
+the errata command, and json by --format json.  A set-route command thus
+never loads the matrix route.
+
 Output is deterministic: identical invocations produce byte-identical
 output (no timestamps).  Data goes to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 invariant violation, internal fault or stdout
@@ -12,13 +18,11 @@ closed early, 2 usage error (a UsageError from an input guard).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
-from . import errata as errata_mod
-from . import families, oracle
+from . import families
 from .cosets import CycContext, all_cosets
 from .eaqecc import eaqmds_status
 from .exceptions import UsageError, VerificationError
@@ -32,8 +36,7 @@ ORACLE_Q_CAP = 32
 MAX_MODULUS = 200_000
 
 
-@dataclass(frozen=True)
-class CodeRecord:
+class CodeRecord(NamedTuple):
     """Flat, serialization-stable view of one verified code."""
 
     family_id: str
@@ -77,11 +80,17 @@ class CodeRecord:
         return [
             "|".join(v) if isinstance(v, tuple) else str(v).lower() if isinstance(v, bool)
             else str(v)
-            for v in asdict(self).values()
+            for v in self
         ]
 
 
-CSV_HEADER = ",".join(f.name for f in fields(CodeRecord))
+CSV_HEADER = ",".join(CodeRecord._fields)
+
+
+def _print_json(value: object) -> None:
+    import json  # loaded by --format json alone
+
+    print(json.dumps(value, indent=2))
 
 
 def _print_record_text(rec: CodeRecord) -> None:
@@ -126,12 +135,11 @@ def cmd_cosets(args: argparse.Namespace) -> int:
         ctx = CycContext.for_family(q)
     cs = all_cosets(ctx)
     if args.format == "json":
-        payload = {
+        _print_json({
             "q": q,
             "n": ctx.n,
             "cosets": [{"rep": c[0], "elements": list(c)} for c in cs],
-        }
-        print(json.dumps(payload, indent=2))
+        })
     else:
         print(f"q={q} n={ctx.n} count={len(cs)}")
         for c in cs:
@@ -149,10 +157,12 @@ def cmd_code(args: argparse.Namespace) -> int:
     spec = families.classify(args.q)
     fc = families.verify_family_code(spec, args.m, allow_degenerate=args.allow_degenerate)
     if args.oracle:
+        from . import oracle
+
         oracle.confirm_ebits(fc)
     rec = CodeRecord.from_family_code(fc, rank_oracle_checked=args.oracle)
     if args.format == "json":
-        print(json.dumps(asdict(rec), indent=2))
+        _print_json(rec._asdict())
     else:
         _print_record_text(rec)
         print(f"eaqmds_status={eaqmds_status(fc.verified)}")
@@ -164,7 +174,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     codes = families.enumerate_family(args.family, args.qmax)
     records = [CodeRecord.from_family_code(fc) for fc in codes]
     if args.format == "json":
-        print(json.dumps([asdict(r) for r in records], indent=2))
+        _print_json([r._asdict() for r in records])
     elif args.format == "csv":
         print(CSV_HEADER)
         for r in records:
@@ -182,11 +192,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_errata(args: argparse.Namespace) -> int:
     _check_budget("--qmax", args.qmax)
-    entries = errata_mod.errata_report(args.qmax)
+    from . import errata
+
+    entries = errata.errata_report(args.qmax)
     if args.format == "json":
-        print(json.dumps(errata_mod.render_json(entries), indent=2))
+        _print_json(errata.render_json(entries))
     else:
-        sys.stdout.write(errata_mod.render_text(entries))
+        sys.stdout.write(errata.render_text(entries))
     return 0
 
 
@@ -196,12 +208,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         qmax = min(qmax, ORACLE_Q_CAP)
     _check_budget("--qmax", qmax, oracle=args.level == "rank-oracle")
     # looked up per call, so a suite replaced on its module is the one run
-    suite = {
-        "coset": families.verify_cosets,
-        "lemma": families.verify_lemmas,
-        "theorem": families.verify_theorem,
-        "rank-oracle": oracle.verify_rank_oracle,
-    }[args.level]
+    if args.level == "rank-oracle":
+        from . import oracle
+
+        suite = oracle.verify_rank_oracle
+    else:
+        suite = {
+            "coset": families.verify_cosets,
+            "lemma": families.verify_lemmas,
+            "theorem": families.verify_theorem,
+        }[args.level]
     try:
         counts = suite(qmax)
         summary = ", ".join(f"{v} {k}" for k, v in counts.items())

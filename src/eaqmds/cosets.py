@@ -19,7 +19,6 @@ DefiningSet(ctx, members).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import gcd
@@ -28,20 +27,41 @@ from typing import Iterable, Iterator
 from .exceptions import UsageError
 
 
-@dataclass(frozen=True)
 class CycContext:
-    """Modulus n and alphabet parameter q; orbits multiply by q^2 mod n."""
+    """Modulus n and alphabet parameter q; orbits multiply by q^2 mod n.
 
-    n: int
-    q: int
+    Immutable, equal and hashing by (n, q).  Its fields are slots, not
+    tuple items: coset() reads them on every call, and a slot read is the
+    faster of the two."""
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise UsageError(f"modulus must be positive, got {self.n}")
-        if self.q < 2:
-            raise UsageError(f"q must be at least 2, got {self.q}")
-        if gcd(self.n, self.q) != 1:
-            raise UsageError(f"gcd(n={self.n}, q={self.q}) != 1")
+    __slots__ = ("n", "q")
+
+    def __init__(self, n: int, q: int) -> None:
+        if n < 1:
+            raise UsageError(f"modulus must be positive, got {n}")
+        if q < 2:
+            raise UsageError(f"q must be at least 2, got {q}")
+        if gcd(n, q) != 1:
+            raise UsageError(f"gcd(n={n}, q={q}) != 1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable CycContext")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable CycContext")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CycContext:
+            return NotImplemented
+        return (self.n, self.q) == (other.n, other.q)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.q))
+
+    def __repr__(self) -> str:
+        return f"CycContext(n={self.n}, q={self.q})"
 
     @property
     def multiplier(self) -> int:

@@ -10,7 +10,7 @@ cyclic code, where c is the size of the overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codes import bch_bound, dimension
 from .cosets import DefiningSet
@@ -21,8 +21,7 @@ EQUALITY_WITHOUT_PRECONDITION = "equality-without-precondition"
 NOT_EAQMDS = "not-eaqmds"
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Z split as free_part (disjoint from its -q image) plus entangled_part
     (Z intersected with -qZ, itself -q-invariant)."""
 
@@ -67,8 +66,7 @@ def ebits(z: DefiningSet) -> int:
     return len(decompose(z).entangled_part)
 
 
-@dataclass(frozen=True)
-class EaqeccParams:
+class EaqeccParams(NamedTuple):
     """[[n, k, d; c]] plus the certification flags derived from them.
 
     d is the designed distance of the underlying cyclic code (exact

@@ -20,7 +20,7 @@ loudly rather than reprint stale numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codes import bch_bound, dimension
 from .exceptions import UsageError, VerificationError
@@ -44,8 +44,7 @@ _EXAMPLE_NOTES = {
 }
 
 
-@dataclass(frozen=True)
-class ErrataEntry:
+class ErrataEntry(NamedTuple):
     entry_id: str
     title: str
     lines: tuple[str, ...]

@@ -29,7 +29,7 @@ q <= q_max; this module never imports oracle, the matrix route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cosets import (
     CycContext,
@@ -71,21 +71,20 @@ PRINTED_EXAMPLE_DIMENSIONS: dict[tuple[int, int], int] = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(
+    NamedTuple("FamilySpec", [("family_id", str), ("q", PrimePower), ("n", int), ("m_max", int)])
+):
     """One admissible field size with its family tag and m range."""
 
-    family_id: str
-    q: PrimePower
-    n: int
-    m_max: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family_id not in FAMILY_IDS:
-            raise ValueError(f"unknown family {self.family_id!r}; expected one of {FAMILY_IDS}")
-        q = self.q.q
-        if (q * q + 1) % 5 != 0 or self.n != (q * q + 1) // 5:
-            raise ValueError(f"n={self.n} is not (q^2+1)/5 for q={q}")
+    def __new__(cls, family_id: str, q: PrimePower, n: int, m_max: int) -> FamilySpec:
+        if family_id not in FAMILY_IDS:
+            raise ValueError(f"unknown family {family_id!r}; expected one of {FAMILY_IDS}")
+        qq = q.q
+        if (qq * qq + 1) % 5 != 0 or n != (qq * qq + 1) // 5:
+            raise ValueError(f"n={n} is not (q^2+1)/5 for q={qq}")
+        return super().__new__(cls, family_id, q, n, m_max)
 
     def context(self) -> CycContext:
         return CycContext.for_family(self.q.q)
@@ -207,8 +206,7 @@ def predicted_code(spec: FamilySpec, m: int) -> EaqeccParams:
     return EaqeccParams(n=n, k=k, d=d, c=c)
 
 
-@dataclass(frozen=True)
-class FamilyCode:
+class FamilyCode(NamedTuple):
     """One fully verified (q, m) grid point."""
 
     spec: FamilySpec

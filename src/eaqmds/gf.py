@@ -40,8 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exceptions import VerificationError
 
@@ -74,21 +73,19 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == {n: 1}
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(NamedTuple("PrimePower", [("p", int), ("e", int), ("q", int)])):
     """A field size q = p^e with its factorization."""
 
-    p: int
-    e: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.e < 1:
-            raise ValueError(f"exponent must be positive, got {self.e}")
-        if self.p**self.e != self.q:
-            raise ValueError(f"{self.q} != {self.p}^{self.e}")
+    def __new__(cls, p: int, e: int, q: int) -> PrimePower:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if e < 1:
+            raise ValueError(f"exponent must be positive, got {e}")
+        if p**e != q:
+            raise ValueError(f"{q} != {p}^{e}")
+        return super().__new__(cls, p, e, q)
 
     @classmethod
     def from_int(cls, q: int) -> "PrimePower":

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import json
 import subprocess
@@ -117,14 +116,14 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
 
 def test_internal_value_error_in_a_sweep_is_not_a_skipped_q(capsys, monkeypatch):
     # a sweep skips the q that classify refuses, never one that faults
-    honest = families.FamilySpec.__post_init__
+    honest = families.FamilySpec
 
-    def faulty(self):
-        if self.q.q == 23:
+    def faulty(family_id, q, n, m_max):
+        if q.q == 23:
             raise ValueError("fault at q=23")
-        honest(self)
+        return honest(family_id, q, n, m_max)
 
-    monkeypatch.setattr(families.FamilySpec, "__post_init__", faulty)
+    monkeypatch.setattr(families, "FamilySpec", faulty)
     rc, out, err = run_cli(capsys, "verify", "--level", "theorem", "--qmax", "60")
     assert (rc, out) == (1, "")
     assert err == "internal error in verify: fault at q=23\n"
@@ -294,6 +293,35 @@ def test_module_entry_point():
     proc = _run_module("-m", "eaqmds", "code", "--q", "23", "--m", "2")
     assert proc.returncode == 0
     assert b"[[106,33,48;21]]_23" in proc.stdout
+
+
+# in a fresh process: which of the heavy modules are loaded, after the
+# import and after each set-route command, then after a matrix-route one
+_STARTUP_PROBE = """
+import sys
+import eaqmds.cli
+
+HEAVY = ("dataclasses", "inspect", "json", "eaqmds.oracle", "eaqmds.errata")
+
+def report(stage):
+    print(stage, *[m for m in HEAVY if m in sys.modules], file=sys.stderr)
+
+report("import")
+for argv in ("verify --level theorem --qmax 60", "code --q 23 --m 2", "code --q 23 --m 2 --oracle"):
+    eaqmds.cli.main(argv.split())
+    report(argv)
+"""
+
+
+def test_start_up_loads_only_what_the_command_runs():
+    proc = _run_module("-c", _STARTUP_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.decode().splitlines() == [
+        "import",
+        "verify --level theorem --qmax 60",
+        "code --q 23 --m 2",
+        "code --q 23 --m 2 --oracle eaqmds.oracle",
+    ]
 
 
 def test_checks_survive_python_O():
@@ -760,7 +788,7 @@ def test_closed_form_ebit_off_by_one_is_caught(capsys, monkeypatch, argv):
 
     def bumped(spec, m):
         p = honest(spec, m)
-        return dataclasses.replace(p, c=p.c + 1)
+        return p._replace(c=p.c + 1)
 
     monkeypatch.setattr(families, "predicted_code", bumped)
     rc, _out, err = run_cli(capsys, *argv)

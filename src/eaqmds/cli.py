@@ -1,11 +1,13 @@
 """Command-line surface: enumerate the families, verify claims at
 selectable depth, emit machine-readable tables, print the errata audit.
 It only parses, guards inputs and prints: the checks and the verify
-suites live in families (set route) and oracle (matrix route).
+suites live in families (set route), oracle (matrix route) and
+crosscheck (the two compared).
 
 Importing this module loads families, with the set route under it, and
-nothing more of the package: oracle is imported by the commands that run
-the matrix route (code --oracle, verify --level rank-oracle), errata by
+nothing more of the package: crosscheck, with oracle and gf under it, is
+imported by the commands that run the matrix route (code --oracle,
+verify --level rank-oracle), gf alone by their budget check, errata by
 the errata command, and json by --format json.  A set-route command thus
 never loads the matrix route.
 
@@ -26,7 +28,6 @@ from . import families
 from .cosets import CycContext, all_cosets
 from .eaqecc import eaqmds_status
 from .exceptions import UsageError, VerificationError
-from .gf import MAX_EXTENSION_ORDER
 
 # above this the matrix oracle gets slow; larger q must be asked for explicitly
 ORACLE_Q_CAP = 32
@@ -118,7 +119,11 @@ def _check_budget(flag: str, value: int, n: int | None = None, oracle: bool = Fa
             f"{flag} {value} is out of budget: it needs modulus n = {n}, "
             f"above the limit {MAX_MODULUS}"
         )
-    if oracle and value * value > MAX_EXTENSION_ORDER:
+    if not oracle:
+        return
+    from .gf import MAX_EXTENSION_ORDER
+
+    if value * value > MAX_EXTENSION_ORDER:
         raise UsageError(
             f"{flag} {value} is out of budget for the matrix oracle: F_(q^2) has "
             f"order {value * value}, above the limit {MAX_EXTENSION_ORDER}"
@@ -157,9 +162,9 @@ def cmd_code(args: argparse.Namespace) -> int:
     spec = families.classify(args.q)
     fc = families.verify_family_code(spec, args.m, allow_degenerate=args.allow_degenerate)
     if args.oracle:
-        from . import oracle
+        from . import crosscheck
 
-        oracle.confirm_ebits(fc)
+        crosscheck.confirm_ebits(fc)
     rec = CodeRecord.from_family_code(fc, rank_oracle_checked=args.oracle)
     if args.format == "json":
         _print_json(rec._asdict())
@@ -209,9 +214,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check_budget("--qmax", qmax, oracle=args.level == "rank-oracle")
     # looked up per call, so a suite replaced on its module is the one run
     if args.level == "rank-oracle":
-        from . import oracle
+        from . import crosscheck
 
-        suite = oracle.verify_rank_oracle
+        suite = crosscheck.verify_rank_oracle
     else:
         suite = {
             "coset": families.verify_cosets,

@@ -13,8 +13,10 @@ tests once per (n, q).  A set is one int bitmask, bit x set exactly when
 x is a member, so its set algebra is one int operation each.
 from_cosets closes by the reflection x -> n-x, and -q, which sends
 i + k*q to (-i*q mod n) + k, moves each strided slice t[i::q] of the
-indicator string t as one arc.  Closure is checked once, by
-DefiningSet(ctx, members).
+indicator string t as one arc.  The sets the package builds are closed
+by construction, by from_cosets and the set algebra; DefiningSet(ctx,
+members) checks the closure of arbitrary residues, and the matrix route,
+which takes Z as residues, checks it by the degree of g.
 """
 
 from __future__ import annotations
@@ -184,15 +186,12 @@ class DefiningSet:
     def __repr__(self) -> str:
         return f"DefiningSet(n={self.ctx.n}, q={self.ctx.q}, size={len(self)})"
 
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
     def _check(self, other: "DefiningSet") -> None:
         if self.ctx != other.ctx:
             raise ValueError("defining sets live in different contexts")
 
-    # -- set algebra: unions, intersections and differences of closed sets,
-    # and the complement of one, are closed again, so none is re-checked ----
+    # -- set algebra: unions, intersections and differences of closed sets
+    # are closed again, so none is re-checked ---------------------------------
 
     def union(self, other: "DefiningSet") -> "DefiningSet":
         self._check(other)
@@ -210,9 +209,6 @@ class DefiningSet:
         self._check(other)
         return not self.mask & other.mask
 
-    def complement(self) -> "DefiningSet":
-        return DefiningSet._closed(self.ctx, ((1 << self.ctx.n) - 1) ^ self.mask)
-
     def neg_q(self) -> "DefiningSet":
         """The image {(n - q*x) mod n}, mapped by q strided slices; again
         coset-closed, same size.
@@ -225,12 +221,6 @@ class DefiningSet:
         t = format(self.mask, f"0{n}b")[::-1]  # the indicator: character x is bit x
         arcs = [t[i::q] for i in _stride_order(n, q)]
         return DefiningSet._closed(self.ctx, _mask_of("".join(arcs)))
-
-    def coset_reps(self) -> tuple[int, ...]:
-        """Ascending representatives of the distinct cosets this set unites:
-        each coset {x, n-x} is represented by its member x with 2x <= n."""
-        n = self.ctx.n
-        return tuple(x for x in self.members if 2 * x <= n)
 
 
 def neg_q_image(ctx: CycContext, residues: Iterable[int]) -> tuple[int, ...]:

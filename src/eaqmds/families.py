@@ -24,7 +24,7 @@ verify_family_code() never trusts the closed forms: it rebuilds every
 quantity from first principles and raises on any mismatch; for m >= 2 it
 takes the windows that check_window_lemmas checked as its split.  The suites
 verify_cosets, verify_lemmas and verify_theorem sweep the set route over
-q <= q_max; this module never imports oracle, the matrix route.
+q <= q_max.  No field code is loaded: q is parsed by primes, not gf.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .cosets import (
 )
 from .eaqecc import Decomposition, EaqeccParams, check_split, decompose, eaqecc_params
 from .exceptions import UsageError, VerificationError
-from .gf import PrimePower
+from .primes import PrimePower
 
 FAMILY_IDS = ("q10k3", "q10k7", "e1mod4", "e3mod4")
 

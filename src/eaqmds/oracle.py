@@ -21,24 +21,21 @@ of it for the one elimination.  check_ebits ranks the smaller of the two
 Gram matrices: H * H^dagger when 2|Z| <= n, else G * G^dagger, which
 hh_dagger builds from g and whose rank plus 2|Z| - n is that of
 H * H^dagger.  The packed digits and the reducer of a field are kept
-across calls, one set per slot width.  The rank-oracle suite
-(verify_rank_oracle) compares the two routes on every family code and on
-random coset-closed sets.
+across calls, one set per slot width.  Z comes in as plain residues, an
+ascending tuple such as DefiningSet.members, and n and q from the
+FieldTower, so this module imports nothing of the set route; crosscheck
+compares the two routes.
 """
 
 from __future__ import annotations
 
 import functools
-import random
 import sys
 from math import isqrt
 from typing import Sequence
 
-from .cosets import CycContext, DefiningSet, all_cosets
-from .eaqecc import ebits
 from .exceptions import VerificationError
-from .families import FamilyCode, family_grid, verify_family_code
-from .gf import Field, FieldTower, field_tower
+from .gf import Field, FieldTower
 
 
 # convolve and toeplitz_rank pack F_p digit vectors into integers, one slot
@@ -223,18 +220,16 @@ def toeplitz_rank(f: Field, t: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def generator_polynomial(z: DefiningSet, tower: FieldTower) -> tuple[int, ...]:
-    """The monic generator of the cyclic code with defining set Z, constant
-    term first: the product of (x - beta^j) over j in Z, taken as the
-    product of the minimal polynomials of Z's cosets, multiplied pairwise
-    up a balanced tree by convolve.  The result has degree |Z| (checked).
-    On the complement of Z it gives the check polynomial (x^n - 1)/g,
-    which code_polynomials builds so and checks."""
-    ctx = z.ctx
-    if tower.n != ctx.n or tower.q != ctx.q:
-        raise ValueError("tower does not match the defining set's context")
-    f = tower.fq2
-    polys = [tower.minimal_polynomial(rep) for rep in z.coset_reps()] or [(1,)]
+def generator_polynomial(z: Sequence[int], tower: FieldTower) -> tuple[int, ...]:
+    """The monic generator of the cyclic code with defining set Z, ascending
+    residues mod n, constant term first: the product of (x - beta^j) over
+    j in Z, taken as the product of the minimal polynomials of the cosets
+    {x, n-x} that Z meets, multiplied pairwise up a balanced tree by
+    convolve.  The result has degree |Z| (checked), which fails for a Z
+    not closed under x -> n-x.  On the complement of Z it gives the check
+    polynomial (x^n - 1)/g, which code_polynomials builds so and checks."""
+    f, n = tower.fq2, tower.n
+    polys = [tower.minimal_polynomial(x) for x in sorted({min(j, n - j) for j in z})] or [(1,)]
     while len(polys) > 1:
         pairs = [polys[i : i + 2] for i in range(0, len(polys), 2)]
         polys = [convolve(f, *pair) if len(pair) == 2 else pair[0] for pair in pairs]
@@ -247,7 +242,7 @@ def generator_polynomial(z: DefiningSet, tower: FieldTower) -> tuple[int, ...]:
     return g
 
 
-def code_polynomials(z: DefiningSet, tower: FieldTower) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def code_polynomials(z: Sequence[int], tower: FieldTower) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(g, h), checked: g the generator polynomial of Z, and h the check
     polynomial, built as the generator of the complement of Z.  The
     generator matrix G is the k x n shifts of g; the parity-check matrix H
@@ -261,14 +256,13 @@ def code_polynomials(z: DefiningSet, tower: FieldTower) -> tuple[tuple[int, ...]
     leading 1, so H has one too.  Their row counts n - |Z| and |Z| add up
     to n by generator_polynomial's degree checks: the ranks are
     complementary."""
-    n = z.ctx.n
+    f, n = tower.fq2, tower.n
     if len(z) >= n:
         raise ValueError("defining set covers everything; the code is {0}")
-    if z.is_empty():
+    if not z:
         raise ValueError("empty defining set: the code is all of F^n, dual is 0")
-    f = tower.fq2
     g = generator_polynomial(z, tower)
-    h = generator_polynomial(z.complement(), tower)
+    h = generator_polynomial(sorted(set(range(n)).difference(z)), tower)
     if convolve(f, g, h) != [f.neg(1)] + [0] * (n - 1) + [1]:
         raise VerificationError("g * h != x^n - 1")
     return g, h
@@ -297,7 +291,7 @@ def hh_dagger(f: Field, h: Sequence[int], n: int) -> list[int]:
     return (pad + c + pad)[start : start + 2 * rows - 1]
 
 
-def check_ebits(z: DefiningSet, tower: FieldTower, c: int, where: str) -> None:
+def check_ebits(z: Sequence[int], tower: FieldTower, c: int, where: str) -> None:
     """rank(HH^dagger) of the checked polynomials of Z must equal c, the
     ebit count of the set route; where names the code in the
     counterexample.
@@ -309,7 +303,7 @@ def check_ebits(z: DefiningSet, tower: FieldTower, c: int, where: str) -> None:
     of HH^dagger is rank(GG^dagger) + 2|Z| - n, and the counterexample
     says so."""
     g, h = code_polynomials(z, tower)
-    f, n = tower.fq2, z.ctx.n
+    f, n = tower.fq2, tower.n
     excess, side = max(0, 2 * len(z) - n), ""
     if excess:
         # hh_dagger's rows, the shifts of its input reversed and conjugated, are then G's
@@ -319,50 +313,3 @@ def check_ebits(z: DefiningSet, tower: FieldTower, c: int, where: str) -> None:
         raise VerificationError(
             f"rank(HH^dagger) = {got}{side} but the set overlap has size {c} {where}"
         )
-
-
-def confirm_ebits(fc: FamilyCode) -> None:
-    """Compare rank(HH^dagger) of a verified family code, over its tower,
-    with the code's ebit count."""
-    tower = field_tower(fc.spec.q.q, fc.spec.n)
-    check_ebits(fc.defining_set, tower, fc.verified.c, f"at q={fc.spec.q.q}, m={fc.m}")
-
-
-# ---------------------------------------------------------------------------
-# the rank-oracle suite
-# ---------------------------------------------------------------------------
-
-_RANDOM_SEED = 20250808
-_RANDOM_SETS_PER_Q = 50
-
-
-def _random_closed_sets(ctx: CycContext, count: int, seed: int) -> list[DefiningSet]:
-    """count coset-closed sets, neither empty nor full, each coset drawn
-    with probability 1/2."""
-    rng = random.Random(seed)
-    reps = [c[0] for c in all_cosets(ctx)]
-    out = []
-    while len(out) < count:
-        z = DefiningSet.from_cosets(ctx, [r for r in reps if rng.random() < 0.5])
-        if not z.is_empty() and len(z) < ctx.n:
-            out.append(z)
-    return out
-
-
-def verify_rank_oracle(q_max: int) -> dict[str, int]:
-    """rank(HH^dagger) against the set-route ebit count: every family code
-    with q <= q_max, then random coset-closed sets at q = 7 and 23."""
-    checked = 0
-    for spec, m in family_grid(q_max):
-        confirm_ebits(verify_family_code(spec, m))
-        checked += 1
-    for q in (7, 23):
-        if q > q_max:
-            continue
-        ctx = CycContext.for_family(q)
-        tower = field_tower(q, ctx.n)
-        for z in _random_closed_sets(ctx, _RANDOM_SETS_PER_Q, _RANDOM_SEED + q):
-            where = f"for a random set of size {len(z)} at q={q}"
-            check_ebits(z, tower, ebits(z), where)
-            checked += 1
-    return {"codes": checked}

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from eaqmds import oracle
 from eaqmds.exceptions import VerificationError
-from eaqmds.gf import Field, PrimePower, build_field, factorize
+from eaqmds.gf import Field, build_field
+from eaqmds.primes import PrimePower, factorize
 from eaqmds.oracle import _check_packable, _eliminate, _packer
 
 BUDGET_EXCEEDED = "budget-exceeded"

@@ -9,6 +9,8 @@ no test shows can fail.  One JSON line is printed per site:
 
     {"file": "codes.py", "line": 9, "killed": true, "first_failure": "tests.test_x::test_y"}
 
+and a summary line on stderr, such as "19 sites, 0 survivors".  The exit
+status is 1 if any site survives (or the unmutated tests fail), else 0.
 Run it from the repository root:
 
     python tests/mutate_checks.py
@@ -96,6 +98,7 @@ def main() -> int:
         if not passed:
             print(f"unmutated tests fail ({failure}); no survey made", file=sys.stderr)
             return 1
+        sites = survivors = 0
         for path in sorted((copy / PACKAGE).glob("*.py")):
             source = path.read_text()
             for site in check_sites(source):
@@ -111,7 +114,10 @@ def main() -> int:
                     "first_failure": failure,
                 }
                 print(json.dumps(record), flush=True)
-    return 0
+                sites += 1
+                survivors += passed
+    print(f"{sites} sites, {survivors} survivors", file=sys.stderr)
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from eaqmds import cli, codes, cosets, eaqecc, errata, families, oracle
+from eaqmds import cli, codes, cosets, crosscheck, eaqecc, errata, families, oracle
 from eaqmds.cli import CSV_HEADER, main
 from eaqmds.cosets import CycContext, DefiningSet
 from eaqmds.exceptions import UsageError
-from eaqmds.gf import PrimePower, build_field
+from eaqmds.gf import build_field
+from eaqmds.primes import PrimePower
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -301,7 +302,7 @@ _STARTUP_PROBE = """
 import sys
 import eaqmds.cli
 
-HEAVY = ("dataclasses", "inspect", "json", "eaqmds.oracle", "eaqmds.errata")
+HEAVY = ("dataclasses", "inspect", "json", "eaqmds.oracle", "eaqmds.gf", "eaqmds.errata")
 
 def report(stage):
     print(stage, *[m for m in HEAVY if m in sys.modules], file=sys.stderr)
@@ -320,7 +321,7 @@ def test_start_up_loads_only_what_the_command_runs():
         "import",
         "verify --level theorem --qmax 60",
         "code --q 23 --m 2",
-        "code --q 23 --m 2 --oracle eaqmds.oracle",
+        "code --q 23 --m 2 --oracle eaqmds.oracle eaqmds.gf",
     ]
 
 
@@ -834,7 +835,7 @@ def test_budget_boundary_and_oracle_cap(capsys, monkeypatch):
     # without --allow-large-oracle, rank-oracle caps qmax before the budget check
     seen = []
     monkeypatch.setattr(
-        oracle, "verify_rank_oracle", lambda qmax: seen.append(qmax) or {"codes": 7}
+        crosscheck, "verify_rank_oracle", lambda qmax: seen.append(qmax) or {"codes": 7}
     )
     rc, out, _ = run_cli(capsys, "verify", "--level", "rank-oracle", "--qmax", HUGE)
     assert rc == 0

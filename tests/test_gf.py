@@ -4,19 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eaqmds import gf, oracle
+from eaqmds import crosscheck, gf
 from eaqmds.cli import main
 from eaqmds.cosets import CycContext, all_cosets, coset
 from eaqmds.exceptions import VerificationError
-from eaqmds.gf import (
-    Field,
-    FieldTower,
-    PrimePower,
-    build_field,
-    factorize,
-    field_tower,
-    is_prime,
-)
+from eaqmds.gf import Field, FieldTower, build_field, field_tower
+from eaqmds.primes import PrimePower, factorize, is_prime
 from matref import (
     MatrixGF,
     QuadraticExtension,
@@ -429,7 +422,7 @@ def test_lucas_quadratic_is_the_orbit_product(q):
 )
 @pytest.mark.parametrize("fault", ["bumped-trace", "order-n-over-2"])
 def test_minimal_polynomial_from_a_wrong_trace_is_caught(capsys, monkeypatch, invocation, fault):
-    honest, search = oracle.field_tower, gf._primitive_trace
+    honest, search = crosscheck.field_tower, gf._primitive_trace
 
     def faulty(q, n):
         if q != 23:
@@ -442,7 +435,7 @@ def test_minimal_polynomial_from_a_wrong_trace_is_caught(capsys, monkeypatch, in
             tower.traces[1] = tower.fq2.add(tower.traces[1], 1)
         return tower
 
-    monkeypatch.setattr(oracle, "field_tower", faulty)
+    monkeypatch.setattr(crosscheck, "field_tower", faulty)
     assert main(invocation.split()) == 1
     assert capsys.readouterr().err.endswith(": g * h != x^n - 1\n")
 

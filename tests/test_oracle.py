@@ -5,13 +5,13 @@ from math import isqrt
 
 import pytest
 
-from eaqmds import gf, oracle
+from eaqmds import crosscheck, gf, oracle
 from eaqmds.cli import main
 from eaqmds.codes import dimension
-from eaqmds.cosets import DefiningSet, all_cosets, coset
+from eaqmds.cosets import CycContext, DefiningSet, all_cosets, coset
 from eaqmds.eaqecc import ebits
 from eaqmds.exceptions import VerificationError
-from eaqmds.families import verify_family_code
+from eaqmds.families import family_defining_set, verify_family_code
 from eaqmds.gf import FieldTower, field_tower
 from eaqmds.oracle import (
     check_ebits,
@@ -56,20 +56,25 @@ def _code_matrices(f, g, h, n):
     return MatrixGF(f, shift_rows(g, n)), _parity_check_matrix(f, h, n)
 
 
+def _complement(z):
+    """The residues outside the defining set z, ascending."""
+    return DefiningSet(z.ctx, range(z.ctx.n)).difference(z).members
+
+
 def _generator_matrix(z, tower):
-    return MatrixGF(tower.fq2, shift_rows(code_polynomials(z, tower)[0], z.ctx.n))
+    return MatrixGF(tower.fq2, shift_rows(code_polynomials(z.members, tower)[0], z.ctx.n))
 
 
 def _euclidean_parity_check(z, tower):
     # shifts of the reversed check polynomial, built entry by entry
-    hc = reversed(generator_polynomial(z.complement(), tower))
+    hc = reversed(generator_polynomial(_complement(z), tower))
     return MatrixGF(tower.fq2, shift_rows(hc, z.ctx.n))
 
 
 @pytest.fixture(scope="module")
 def toy(ctx7, tower7):
     z = DefiningSet.from_cosets(ctx7, [0, 1])  # {0, 1, 9}
-    g, h = code_polynomials(z, tower7)
+    g, h = code_polynomials(z.members, tower7)
     return (z, *_code_matrices(tower7.fq2, g, h, 10), h)
 
 
@@ -116,9 +121,9 @@ def test_zero_matrix_rank():
 def test_rank_hh_dagger_toy(toy, tower7):
     z, _g, _h, hpoly = toy
     assert toeplitz_rank(tower7.fq2, hh_dagger(tower7.fq2, hpoly, 10)) == ebits(z) == 1
-    check_ebits(z, tower7, 1, "for the toy")
+    check_ebits(z.members, tower7, 1, "for the toy")
     with pytest.raises(VerificationError, match=r"= 1 but the set overlap has size 2 for the toy"):
-        check_ebits(z, tower7, 2, "for the toy")
+        check_ebits(z.members, tower7, 2, "for the toy")
 
 
 def test_rank_hh_dagger_equals_euclidean_variant(toy, tower7):
@@ -131,7 +136,7 @@ def test_rank_hh_dagger_equals_euclidean_variant(toy, tower7):
 
 def test_rank_hh_dagger_family_q23(tower23, spec23):
     fc = verify_family_code(spec23, 2)
-    _g, h = code_polynomials(fc.defining_set, tower23)
+    _g, h = code_polynomials(fc.defining_set.members, tower23)
     assert toeplitz_rank(tower23.fq2, hh_dagger(tower23.fq2, h, 106)) == 21
 
 
@@ -141,21 +146,21 @@ def test_rank_oracle_on_random_sets_q7(ctx7, tower7):
     done = 0
     while done < 25:
         z = DefiningSet.from_cosets(ctx7, [r for r in reps if rng.random() < 0.5])
-        if z.is_empty() or len(z) >= ctx7.n:
+        if not 0 < len(z) < ctx7.n:
             continue
-        h = code_polynomials(z, tower7)[1]
+        h = code_polynomials(z.members, tower7)[1]
         assert toeplitz_rank(tower7.fq2, hh_dagger(tower7.fq2, h, 10)) == ebits(z), z.members
         done += 1
 
 
 def test_generator_matrix_rejects_full_set(ctx7, tower7):
     with pytest.raises(ValueError, match="covers everything"):
-        code_polynomials(DefiningSet(ctx7, range(ctx7.n)), tower7)
+        code_polynomials(tuple(range(ctx7.n)), tower7)
 
 
 def test_parity_check_rejects_empty_set(ctx7, tower7):
     with pytest.raises(ValueError, match="empty defining set"):
-        code_polynomials(DefiningSet(ctx7, ()), tower7)
+        code_polynomials((), tower7)
 
 
 # -- the generator and check polynomials ---------------------------------------
@@ -166,14 +171,14 @@ def _x_pow_n_minus_1(f, n):
 
 
 def test_generator_polynomial_of_c0_is_x_minus_1(tower7, ctx7):
-    g = generator_polynomial(DefiningSet.from_cosets(ctx7, [0]), tower7)
+    g = generator_polynomial(DefiningSet.from_cosets(ctx7, [0]).members, tower7)
     assert g == (tower7.fq2.neg(1), 1)
 
 
 def test_generator_polynomial_divides_xn_minus_1(tower7, ctx7):
     z = DefiningSet.from_cosets(ctx7, [0, 1])
     f = tower7.fq2
-    g = generator_polynomial(z, tower7)
+    g = generator_polynomial(z.members, tower7)
     assert len(g) - 1 == len(z) == 3
     full = _x_pow_n_minus_1(f, 10)
     q, r = poly_divmod(f, full, g)
@@ -183,20 +188,20 @@ def test_generator_polynomial_divides_xn_minus_1(tower7, ctx7):
 def test_generator_times_complement_generator_is_xn_minus_1(tower7, ctx7):
     z = DefiningSet.from_cosets(ctx7, [0, 1])
     f = tower7.fq2
-    g = generator_polynomial(z, tower7)
-    gc = generator_polynomial(z.complement(), tower7)
+    g = generator_polynomial(z.members, tower7)
+    gc = generator_polynomial(_complement(z), tower7)
     assert poly_mul(f, g, gc) == _x_pow_n_minus_1(f, 10)
 
 
 def test_check_polynomial_degree(tower7, ctx7):
     z = DefiningSet.from_cosets(ctx7, [0, 1])
-    assert len(generator_polynomial(z.complement(), tower7)) - 1 == dimension(z)
+    assert len(generator_polynomial(_complement(z), tower7)) - 1 == dimension(z)
 
 
 def test_generator_degree_always_matches_set_size(tower23, ctx23):
     for reps in ([0], [1], [0, 1, 2], [53]):
         z = DefiningSet.from_cosets(ctx23, reps)
-        assert len(generator_polynomial(z, tower23)) - 1 == len(z)
+        assert len(generator_polynomial(z.members, tower23)) - 1 == len(z)
 
 
 def test_tree_built_polynomials_match_scalar_reference(monkeypatch):
@@ -211,18 +216,18 @@ def test_tree_built_polynomials_match_scalar_reference(monkeypatch):
         return honest(z, tower)
 
     monkeypatch.setattr(oracle, "code_polynomials", recorded)
-    assert oracle.verify_rank_oracle(32) == {"codes": 104}
+    assert crosscheck.verify_rank_oracle(32) == {"codes": 104}
     assert len(codes) == 104
     for z, tower in codes:
-        f = tower.fq2
+        f, n = tower.fq2, tower.n
         reference = (1,)
-        for rep in z.coset_reps():
+        for rep in (x for x in z if 2 * x <= n):
             reference = poly_mul(f, reference, tower.minimal_polynomial(rep))
         g = generator_polynomial(z, tower)
         assert g == reference
-        quotient, remainder = poly_divmod(f, _x_pow_n_minus_1(f, z.ctx.n), g)
+        quotient, remainder = poly_divmod(f, _x_pow_n_minus_1(f, n), g)
         assert remainder == ()
-        assert generator_polynomial(z.complement(), tower) == quotient
+        assert generator_polynomial(sorted(set(range(n)) - set(z)), tower) == quotient
 
 
 # -- exhaustive minimum distance -----------------------------------------------
@@ -563,7 +568,7 @@ def test_rank_oracle_suite_ranks_match_raw_arithmetic(monkeypatch):
 
     def recorded(z, tower):
         g, h = honest_polynomials(z, tower)
-        family.append((tower.fq2, g, h, z.ctx.n))
+        family.append((tower.fq2, g, h, tower.n))
         return g, h
 
     def checked(f, t):
@@ -577,7 +582,7 @@ def test_rank_oracle_suite_ranks_match_raw_arithmetic(monkeypatch):
 
     monkeypatch.setattr(oracle, "toeplitz_rank", checked)
     monkeypatch.setattr(oracle, "code_polynomials", recorded)
-    assert oracle.verify_rank_oracle(27) == {"codes": 102}
+    assert crosscheck.verify_rank_oracle(27) == {"codes": 102}
     assert seen == {"GG": 35, "HH": 67}
     assert len(family) == len(ranked) == 102
     for (f, g, h, n), (side, got) in zip(family, ranked):
@@ -682,7 +687,7 @@ def test_structured_products_match_dense_matmul(monkeypatch):
 
     def checked_polynomials(z, tower):
         g, h = honest_polynomials(z, tower)
-        written["G"], written["H"] = _code_matrices(tower.fq2, g, h, z.ctx.n)
+        written["G"], written["H"] = _code_matrices(tower.fq2, g, h, tower.n)
         assert _is_zero(matmul(written["G"], conjugate_transpose(written["H"], tower.q)))
         seen["G", "H"] += 1
         return g, h
@@ -698,7 +703,7 @@ def test_structured_products_match_dense_matmul(monkeypatch):
 
     monkeypatch.setattr(oracle, "code_polynomials", checked_polynomials)
     monkeypatch.setattr(oracle, "hh_dagger", checked_hh)
-    assert oracle.verify_rank_oracle(32) == {"codes": 104}
+    assert crosscheck.verify_rank_oracle(32) == {"codes": 104}
     assert seen == {("G", "H"): 104, ("G", "G"): 36, ("H", "H"): 68}
 
 
@@ -737,10 +742,12 @@ def _bumped(honest, z, tower):
 def _wrong_orbit(honest, z, tower):
     """The product over Z with one coset traded for one of the same size
     outside Z: monic of degree |Z|, and still a divisor of x^n - 1."""
-    inside, outside = z.coset_reps(), z.complement().coset_reps()
-    size = {r: len(coset(z.ctx, r)) for r in inside + outside}
+    ctx = CycContext(tower.n, tower.q)
+    inside = [x for x in z if 2 * x <= ctx.n]
+    outside = [x for x in range(ctx.n // 2 + 1) if x not in inside]
+    size = {r: len(coset(ctx, r)) for r in inside + outside}
     a, b = next((a, b) for a in inside for b in outside if size[a] == size[b])
-    return honest(DefiningSet.from_cosets(z.ctx, [r for r in inside if r != a] + [b]), tower)
+    return honest(DefiningSet.from_cosets(ctx, [r for r in inside if r != a] + [b]).members, tower)
 
 
 def _roots_scaled():
@@ -796,24 +803,38 @@ def test_broken_row_vector_is_caught(capsys, monkeypatch, invocation, fault):
     assert capsys.readouterr().err.endswith(": g * h != x^n - 1\n")
 
 
-# at n = 106 the cosets {1, 105} and {53} trade places: Z builds g on {53}
-# for {1, 105} and its complement builds h on {1, 105} for {53}, so
-# g * h = x^n - 1 still holds and only the degree check of g sees it
+# at n = 106 the cosets {1, 105} and {53} trade minimal polynomials: Z
+# builds g on {53} for {1, 105} and its complement builds h on {1, 105} for
+# {53}, so g * h = x^n - 1 still holds and only the degree check of g sees it
 def test_generator_of_the_wrong_degree_is_caught(capsys, monkeypatch):
-    honest = DefiningSet.coset_reps
+    honest = FieldTower.minimal_polynomial
 
-    def traded(z):
-        reps = honest(z)
-        if z.ctx.n == 106 and (1 in reps) != (53 in reps):
-            reps = tuple(sorted({1: 53, 53: 1}.get(r, r) for r in reps))
-        return reps
+    def traded(tower, i):
+        return honest(tower, {1: 53, 53: 1}.get(i, i) if tower.n == 106 else i)
 
-    monkeypatch.setattr(DefiningSet, "coset_reps", traded)
+    monkeypatch.setattr(FieldTower, "minimal_polynomial", traded)
     assert main("code --q 23 --m 2 --oracle".split()) == 1
     assert capsys.readouterr().err.endswith(
         ": generator polynomial has degree 46 and leading coefficient 1: "
         "expected monic of degree |Z| = 47\n"
     )
+
+
+# Z comes to the matrix route as plain residues; one that is not closed
+# under x -> n-x meets a coset {x, n-x} in one member, whose minimal
+# polynomial still has degree 2, so g has a degree above |Z|.  Dropping 1
+# and 104 = n - 2 together keeps the count of members x with 2x <= n whole,
+# but not the count of the cosets met.
+@pytest.mark.parametrize("dropped", [(1,), (105,), (1, 104)])
+def test_residues_not_closed_fail_the_degree_check(spec23, tower23, dropped):
+    z = tuple(x for x in family_defining_set(spec23, 2).members if x not in dropped)
+    assert len(z) == 47 - len(dropped)
+    with pytest.raises(
+        VerificationError,
+        match=rf"^generator polynomial has degree 47 and leading coefficient 1: "
+        rf"expected monic of degree \|Z\| = {len(z)}$",
+    ):
+        oracle.check_ebits(z, tower23, 21, "at q=23, m=2")
 
 
 def test_code_oracle_ranks_hh_dagger_alone(capsys, monkeypatch):

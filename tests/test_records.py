@@ -9,7 +9,7 @@ from eaqmds.cosets import CycContext
 from eaqmds.eaqecc import EaqeccParams, decompose
 from eaqmds.exceptions import UsageError
 from eaqmds.families import FamilySpec, classify, family_defining_set, verify_family_code
-from eaqmds.gf import PrimePower
+from eaqmds.primes import PrimePower
 
 
 def _code():

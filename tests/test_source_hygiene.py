@@ -5,15 +5,12 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "eaqmds"
 
-# the set route and the errata audit must stay independent of the matrix
-# route in oracle, which is what checks them
+# the two routes check each other, so neither may lean on the other: the
+# set route and the errata audit load no field code, the matrix route and
+# primes, the prime-power parser it shares with families, no set algebra;
+# crosscheck alone imports both routes, to compare them
 SET_ROUTE = ("cosets", "codes", "eaqecc", "families", "errata")
-
-# the set route computes in no field: it imports nothing from gf but the
-# prime-power parser, which families classifies q with
-GF_NAMES_ALLOWED = {
-    "cosets": set(), "codes": set(), "eaqecc": set(), "errata": set(), "families": {"PrimePower"},
-}
+MATRIX_ROUTE = ("gf", "oracle")
 
 # the lookup tables of an extension field belong to gf, which builds them
 # with the field in build_field; every other module computes through the
@@ -35,35 +32,25 @@ def _imported_modules(tree):
     return out
 
 
-def _names_from_gf(tree):
-    """The names a tree imports from gf, and "gf" itself where it imports
-    the module whole."""
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[-1] == "gf":
-                out.update(alias.name for alias in node.names)
-            else:  # from . import gf, from eaqmds import gf
-                out.update(alias.name for alias in node.names if alias.name == "gf")
-        elif isinstance(node, ast.Import):
-            out.update("gf" for alias in node.names if alias.name.split(".")[-1] == "gf")
+def _crossings(stems, forbidden):
+    """Each module of stems that imports one of forbidden, with those it
+    imports."""
+    out = {}
+    for stem in stems:
+        hits = _imported_modules(ast.parse((SRC / f"{stem}.py").read_text())) & forbidden
+        if hits:
+            out[stem] = sorted(hits)
     return out
 
 
 def test_set_route_imports_no_field_arithmetic():
-    bad = []
-    for stem, allowed in sorted(GF_NAMES_ALLOWED.items()):
-        tree = ast.parse((SRC / f"{stem}.py").read_text())
-        extra = _names_from_gf(tree) - allowed
-        if extra:
-            bad.append(f"{stem}.py imports {sorted(extra)} from gf")
-    assert bad == []
+    assert _crossings(SET_ROUTE, {*MATRIX_ROUTE, "crosscheck"}) == {}
 
 
-def test_gf_imports_nothing_from_cosets():
+def test_matrix_route_imports_nothing_of_the_set_route():
     # the matrix route builds its minimal polynomials from the Lucas traces
-    # alone, so it borrows no orbit from the set route
-    assert "cosets" not in _imported_modules(ast.parse((SRC / "gf.py").read_text()))
+    # and takes Z as plain residues, so it borrows no orbit and no set type
+    assert _crossings((*MATRIX_ROUTE, "primes"), {*SET_ROUTE, "crosscheck"}) == {}
 
 
 def test_source_hygiene():
@@ -85,14 +72,13 @@ def test_source_hygiene():
                 getattr(node.func, "id", None),
             ):
                 bad.append(f"{path.name}:{node.lineno}: calls dense")
-        if path.stem in SET_ROUTE and "oracle" in _imported_modules(tree):
-            bad.append(f"{path.name}: imports oracle")
     assert bad == []
 
 
 def test_every_public_definition_is_used_in_the_package():
-    # a public top-level function or class that no code of the package names
-    # serves only the tests, which hold such references themselves
+    # a public top-level function or class, or a public method or property
+    # of a public class, that no code of the package names serves only the
+    # tests, which hold such references themselves
     defined, used = [], set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -100,6 +86,13 @@ def test_every_public_definition_is_used_in_the_package():
             is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             if is_def and not node.name.startswith("_"):
                 defined.append((node.name, f"{path.stem}.{node.name}"))
+                if isinstance(node, ast.ClassDef):
+                    defined.extend(
+                        (item.name, f"{path.stem}.{node.name}.{item.name}")
+                        for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")
+                    )
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)

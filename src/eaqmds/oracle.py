@@ -7,7 +7,10 @@ Everything here is explicit linear algebra, so that it shares no
 machinery with the set-algebra route it checks.  convolve and
 toeplitz_rank pack F_p digits into big integers (Kronecker substitution),
 so that one big-integer operation adds up many field products, and
-reduce mod p and the modulus only where a value is read.  One function
+reduce mod p and the modulus only where a value is read, every slot of
+a packed integer at once in a few big-integer operations (word-parallel,
+_Packer): to the reduced digits still packed, which an updated pivot row
+of toeplitz_rank keeps, or to the element of each entry.  One function
 builds both polynomials of a code: generator_polynomial multiplies
 minimal polynomials up a tree with convolve, g over the cosets of Z and
 the check polynomial h over those of its complement.  code_polynomials
@@ -20,11 +23,11 @@ and toeplitz_rank packs that vector once and takes each row as a window
 of it for the one elimination.  check_ebits ranks the smaller of the two
 Gram matrices: H * H^dagger when 2|Z| <= n, else G * G^dagger, which
 hh_dagger builds from g and whose rank plus 2|Z| - n is that of
-H * H^dagger.  The packed digits and the reducer of a field are kept
-across calls, one set per slot width.  Z comes in as plain residues, an
-ascending tuple such as DefiningSet.members, and n and q from the
-FieldTower, so this module imports nothing of the set route; crosscheck
-compares the two routes.
+H * H^dagger.  The packed digits and the reducer's constants and masks
+of a field are kept across calls, one set per slot width.  Z comes in as
+plain residues, an ascending tuple such as DefiningSet.members, and n and
+q from the FieldTower, so this module imports nothing of the set route;
+crosscheck compares the two routes.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from .gf import Field, FieldTower
 # convolve and toeplitz_rank pack F_p digit vectors into integers, one slot
 # of _slot_width bits per digit (Kronecker substitution), so that a
 # big-integer product adds up the digit convolutions of many field products
-# at once.  On a little-endian host a slot as wide as a machine word unpacks
-# through a memoryview cast.
+# at once.  On a little-endian host a slot as wide as a machine word is read
+# back through a memoryview cast.
 _WORD_CODES = (
     {memoryview(bytes(8)).cast(c).itemsize * 8: c for c in "HIQ"}
     if sys.byteorder == "little"
@@ -53,9 +56,13 @@ _WORD_CODES = (
 def _slot_width(inner: int, d: int, p: int) -> int:
     """Bits per slot for a product with the given inner dimension over
     F_{p^d}: a slot sums at most inner * d products of two digits below p,
-    so it holds every sum once 2^width > inner * d * (p-1)^2.  Rounded up
-    to 16, 32 or 64 bits where one of them is wide enough."""
-    bits = (inner * d * (p - 1) ** 2).bit_length()
+    so it holds every sum once 2^width > inner * d * (p-1)^2, and it holds
+    one product even for an empty matrix.  Rounded up to 16, 32 or 64 bits
+    where one of them is wide enough.  Every width so chosen for a field of
+    build_field or of degree 1 passes the checks of _Packer: it is at
+    least 16 bits or about twice as wide as p, which leaves the reducer
+    room."""
+    bits = (max(inner, 1) * d * (p - 1) ** 2).bit_length()
     return next((w for w in (16, 32, 64) if bits <= w), bits)
 
 
@@ -68,13 +75,17 @@ def _pack(parts, stride: int) -> int:
     return int.from_bytes(b"".join([x.to_bytes(size, "little") for x in parts]), "little")
 
 
-def _unpack(packed: int, count: int, width: int):
-    """The count slots of width bits that make up packed, lowest first."""
-    code = _WORD_CODES.get(width)
-    if code is None:
-        mask = (1 << width) - 1
-        return [(packed >> (width * i)) & mask for i in range(count)]
-    return memoryview(packed.to_bytes(count * width // 8, "little")).cast(code)
+def _repeat(unit: int, step: int, times: int) -> int:
+    """unit repeated times, step bits apart, for unit below 2^step."""
+    return unit * (((1 << (step * times)) - 1) // ((1 << step) - 1))
+
+
+def _barrett(p: int, bound: int) -> tuple[int, int]:
+    """(s, m) with m = ceil(2^s / p), for which (x * m) >> s = x // p for
+    every 0 <= x <= bound: s = bits(bound) + bits(p), so that
+    x * (m * p - 2^s) < bound * p < 2^s."""
+    s = bound.bit_length() + p.bit_length()
+    return s, -((-1 << s) // p)
 
 
 def _check_packable(f: Field) -> None:
@@ -87,14 +98,62 @@ def _check_packable(f: Field) -> None:
 
 class _Packer(dict):
     """element -> its F_p digits packed one to a slot of width bits, built
-    on first use; vector packs elements 2d-1 slots apart, the first lowest,
-    and reduce is _slot_reducer(f, width).  A pure memo table of the field:
-    _packer keeps one per (field, width) across calls."""
+    on first use; vector packs elements 2d-1 slots apart, the first lowest.
+    A pure memo table of the field: _packer keeps one per (field, width)
+    across calls.
+
+    digits and reduce read back count such entries, whose slot k holds
+    coefficient k of a polynomial of degree below 2d-1 over the integers,
+    any value below 2^width, by a few big-integer operations on the whole
+    of packed, all slots at once:
+      - mod p: for p = 2 an AND with the low bit of every slot.  For odd
+        p, each slot's bits from h up are folded into its low ones,
+        x -> (x mod 2^h) + (x >> h) * (2^h mod p), which leaves it at
+        most fbound.  Then the even and the odd slots, each in a lane of
+        2 * width bits, take the quotient (x * m) >> s of their lane, and
+        the remainder is x - p * quotient.  m = ceil(2^s / p) gives the
+        exact floor(x / p) for every x <= fbound, as
+        x * (m * p - 2^s) < 2^s, and fbound * m < 2^(2 * width) keeps the
+        product in its lane;
+      - mod f: the high slots d .. 2d-2 of every entry, moved down to its
+        slot 0, times x^d mod f packed, of degree a, are added into the
+        low d slots; repeated while the degree (2d-2 at first, lowered by
+        d - a each time) reaches d, then mod p again.  That is digits:
+        the entries packed as vector packs their elements;
+      - index: digits times the packing of (p^(d-1), ..., p, 1) holds in
+        slot d-1 of each entry the element sum(digit_k * p^k): every slot
+        of that product sums at most p^d - 1 < 2^width, so none carries.
+        reduce reads that one slot per entry.
+    The constructor raises ValueError unless every bound above holds, and
+    the slots after mod f stay below 2^width.  The masks of these steps
+    cover the largest count seen, one set per packer: an AND with a
+    longer mask costs only the shorter operand."""
 
     def __init__(self, f: Field, width: int):
         super().__init__()
-        self.f, self.width, self.stride = f, width, (2 * f.degree - 1) * width
-        self.reduce = _slot_reducer(f, width)
+        p, d = f.p, f.degree
+        self.f, self.width, self.stride = f, width, (2 * d - 1) * width
+        xd = [-c % p for c in f.modulus[:d]]  # x^d mod f
+        a = max((k for k, c in enumerate(xd) if c), default=0)
+        self.folds, deg, bound = 0, 2 * d - 2, p - 1
+        while deg >= d:
+            self.folds, deg, bound = self.folds + 1, deg - d + a, bound * (1 + (a + 1) * (p - 1))
+        ok = p**d <= 1 << width and bound < 1 << width
+        if p != 2 and ok:
+            h = (width + p.bit_length() + 1) // 2
+            c = pow(2, h, p)
+            fbound = (1 << h) - 1 + ((1 << (width - h)) - 1) * c
+            s, m = _barrett(p, fbound)
+            excess = m * p - (1 << s)
+            ok = fbound < 1 << width and fbound * m < 1 << (2 * width)
+            ok = ok and 0 <= excess and fbound * excess < 1 << s
+            # a slot x folds to x - (x >> h) * self.c
+            self.h, self.c, self.s, self.m = h, (1 << h) - c, s, m
+        if not ok:
+            raise ValueError(f"the slot reducer is not exact at {width} bits over {f!r}")
+        self.xd = _pack(xd, width)
+        self.horner = _pack([p**k for k in range(d - 1, -1, -1)], width)
+        self._grow(1)
 
     def __missing__(self, v: int) -> int:
         self[v] = _pack(self.f.decode(v), self.width)
@@ -103,36 +162,67 @@ class _Packer(dict):
     def vector(self, elements: Sequence[int]) -> int:
         return _pack([self[v] for v in elements], self.stride)
 
+    def _grow(self, count: int) -> None:
+        """The masks for count entries, each one pattern repeated: per slot,
+        its low bit (p = 2) or its low width - h bits; per lane of two
+        slots, its even slot, its odd slot and the quotient bits of each;
+        per entry, its low d slots and its low d - 1 slots."""
+        w, d, stride = self.width, self.f.degree, self.stride
+        slots = count * (2 * d - 1)
+        if self.f.p == 2:
+            per_slot = (_repeat(1, w, slots),)
+        else:
+            lanes = (slots + 1) // 2
+            even = _repeat((1 << w) - 1, 2 * w, lanes)
+            quotient = _repeat((1 << (2 * w - self.s)) - 1, 2 * w, lanes)
+            high = _repeat((1 << (w - self.h)) - 1, w, slots)
+            per_slot = (high, even, even << w, quotient, quotient << w)
+        self.masks = (
+            *per_slot,
+            _repeat((1 << (d * w)) - 1, stride, count),
+            _repeat((1 << ((d - 1) * w)) - 1, stride, count),
+        )
+        self.capacity = count
+
+    def _mod_p(self, x: int) -> int:
+        if self.f.p == 2:
+            return x & self.masks[0]
+        high, even, odd, quotient_even, quotient_odd = self.masks[:5]
+        m, s = self.m, self.s
+        x -= ((x >> self.h) & high) * self.c
+        q = ((x & even) * m >> s) & quotient_even
+        return x - (q + (((x & odd) * m >> s) & quotient_odd)) * self.f.p
+
+    def digits(self, packed: int, count: int) -> int:
+        """The count entries of packed, each reduced mod p and mod f to the
+        d digits of its element in its low slots, 0 above: the packing of
+        those elements by vector."""
+        if count > self.capacity:
+            self._grow(count)
+        r = self._mod_p(packed)
+        if not self.folds:
+            return r
+        low, high = self.masks[-2:]
+        shift, xd = self.f.degree * self.width, self.xd
+        for _ in range(self.folds):
+            r = (r & low) + ((r >> shift) & high) * xd
+        return self._mod_p(r)
+
+    def reduce(self, packed: int, count: int) -> list[int]:
+        """The elements of the count entries of packed, lowest first."""
+        u = self.digits(packed, count) * self.horner
+        w, first, span = self.width, self.f.degree - 1, 2 * self.f.degree - 1
+        code = _WORD_CODES.get(w)
+        if code is None:
+            mask = (1 << w) - 1
+            return [(u >> (self.stride * e + first * w)) & mask for e in range(count)]
+        slots = memoryview(u.to_bytes(count * self.stride // 8, "little")).cast(code)
+        return slots[first::span].tolist()
+
 
 # The one _Packer per (field, width): fields are per-(p, d) singletons of
-# build_field, so x^d, the high parts and the digit packings are built once.
+# build_field, so the digit packings, x^d mod f and the masks are built once.
 _packer = functools.lru_cache(maxsize=None)(_Packer)
-
-
-def _slot_reducer(f: Field, width: int):
-    """reduce(packed, count): the count elements held by packed, 2d-1
-    slots of width bits each, lowest first, where the slots of an entry
-    hold the digits of a polynomial of degree below 2d-1 over the integers.
-    Each entry reduces its slots mod p into the index u of that polynomial
-    over F_p, that is (u mod p^d) + x^d * (u div p^d); the field's own mul
-    gives each high part that occurs times x^d once per reducer, a pure
-    memo table of the field that its _Packer keeps."""
-    p, d, order = f.p, f.degree, f.order
-    span = 2 * d - 1
-    xd = f.encode(-c for c in f.modulus[:d])  # x^d mod f
-    high = {0: 0}
-    add = f.add
-
-    def reduce(packed: int, count: int) -> list[int]:
-        r = _unpack(packed, count * span, width)
-        u = [x % p for x in r[span - 1 :: span]]
-        for k in range(span - 2, -1, -1):
-            u = [x * p + y % p for x, y in zip(u, r[k::span])]
-        for h in {x // order for x in u}.difference(high):
-            high[h] = f.mul(h, xd)
-        return [x if x < order else add(x % order, high[x // order]) for x in u]
-
-    return reduce
 
 
 def convolve(field: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -167,10 +257,12 @@ def _eliminate(packed: _Packer, rows: list[int], cols: int) -> int:
     pivot row adds pack(-a / pivot) * (pivot row): one big-integer
     multiply-add with no reduction, as a slot sums a digit below p and
     fewer than len(rows) updates of at most d*(p-1)^2, which the width of
-    packed must hold.  An entry is reduced when its column is reached, a
-    pivot row once if it was ever updated; a row never updated holds its
-    digits.  The rank does not depend on which nonzero entry of a column
-    is the pivot.
+    packed must hold.  The entries of a column are read as elements
+    (packed.reduce) when it is reached.  A pivot row that was ever updated
+    is reduced once, in packed form (packed.digits), to the digits that
+    packed.vector would give it, so it is never unpacked; a row never
+    updated holds its digits.  The rank does not depend on which nonzero
+    entry of a column is the pivot.
     """
     f, stride, reduce = packed.f, packed.stride, packed.reduce
     active = list(range(len(rows)))  # rows not yet taken as pivots, in order
@@ -189,7 +281,7 @@ def _eliminate(packed: _Packer, rows: list[int], cols: int) -> int:
         piv = hits[k][0]
         prow = rows[piv]
         if piv in updated:
-            prow = packed.vector(reduce(prow, shift // stride))
+            prow = packed.digits(prow, shift // stride)
         active.remove(piv)
         if len(hits) > k + 1:
             for (i, _top), mult in zip(hits[k + 1 :], _multipliers(f, values[k + 1 :], values[k])):

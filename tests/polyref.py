@@ -1,6 +1,7 @@
 """Scalar reference for polynomial products and division over one field,
-one coefficient at a time with the field's own add, sub, mul and inv, and
-the shifted rows of a vector that make up a cyclic code's matrices.
+one coefficient at a time with the field's own add, sub, mul and inv, the
+shifted rows of a vector that make up a cyclic code's matrices, and the
+reduction of one packed entry's integer coefficients to field digits.
 Polynomials are tuples, constant term first, without trailing zeros."""
 
 
@@ -42,3 +43,18 @@ def shift_rows(vec, n):
     vec = tuple(vec)
     rows = n - len(vec) + 1
     return tuple((0,) * i + vec + (0,) * (rows - 1 - i) for i in range(rows))
+
+
+def slot_digits(p, modulus, slots):
+    """The d = len(modulus) - 1 digits over F_p of the polynomial whose
+    coefficients, constant term first, are the integers slots: each taken
+    mod p, then the remainder mod the monic modulus (integers mod p,
+    constant term first), one coefficient at a time.  The reference for
+    the packed kernels' slot reducer."""
+    d = len(modulus) - 1
+    r = [x % p for x in slots] + [0] * d
+    for k in range(len(slots) - 1, d - 1, -1):
+        c = r[k]
+        for i, fi in enumerate(modulus, k - d):
+            r[i] = (r[i] - c * fi) % p
+    return r[:d]

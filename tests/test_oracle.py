@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -37,7 +38,7 @@ from matref import (
     square_and_multiply,
     toeplitz_matrix,
 )
-from polyref import poly_divmod, poly_mul, shift_rows
+from polyref import poly_divmod, poly_mul, shift_rows, slot_digits
 
 
 def _is_zero(m):
@@ -674,6 +675,103 @@ def test_convolve_slot_sums_reach_the_width_bound(monkeypatch, p, deg, width):
     honest = oracle._slot_width
     monkeypatch.setattr(oracle, "_slot_width", lambda *args: honest(*args) - 1)
     assert convolve(f, a, a) != want
+
+
+# -- the slot reducer -----------------------------------------------------------
+
+# the alphabets of q = 128, 32, 27, 7, 43 and 173: d up to 14, p = 2 and odd,
+# and in F_{173^2} the widest digits of the tabled fields
+REDUCER_FIELDS = [(2, 14), (2, 10), (3, 6), (7, 2), (43, 2), (173, 2)]
+
+
+def _slot_entries(f, width, rng):
+    """Entries of 2d - 1 slot values below 2^width, in counts 0, 1 and
+    several hundred: every slot at the top 2^width - 1; every slot p - 1
+    but slot 0, which takes each value below p, so that after the fold mod
+    f slot 0 meets every residue at its largest; random values; and a mix
+    of these with 0."""
+    span, top = 2 * f.degree - 1, (1 << width) - 1
+    yield []
+    yield [[top] * span]
+    yield [[v] + [f.p - 1] * (span - 1) for v in range(f.p)]
+    yield [[rng.randrange(top + 1) for _ in range(span)] for _ in range(300)]
+    choices = (0, f.p - 1, top)
+    yield [[rng.choice(choices) or rng.randrange(top + 1) for _ in range(span)] for _ in range(40)]
+
+
+# 15 bits is a width that no memoryview cast reads, and the one that the
+# width-bound tests narrow 16 to
+@pytest.mark.parametrize("width", [15, 16, 32, 64])
+@pytest.mark.parametrize("p,deg", REDUCER_FIELDS)
+def test_slot_reducer_matches_scalar_reference(p, deg, width):
+    # a fresh packer, whose masks grow to 300 entries and then serve 40
+    f = gf.build_field(p, deg)
+    packed = oracle._Packer(f, width)
+    rng = random.Random(1000 * p + width)
+    for entries in _slot_entries(f, width, rng):
+        whole = oracle._pack([oracle._pack(e, width) for e in entries], packed.stride)
+        want = [f.encode(slot_digits(p, f.modulus, e)) for e in entries]
+        assert packed.reduce(whole, len(entries)) == want
+        assert packed.digits(whole, len(entries)) == packed.vector(want)
+
+
+def _multiplier_one_too_small(honest):
+    def barrett(p, bound):
+        s, m = honest(p, bound)
+        return s, m - 1
+
+    return barrett
+
+
+def test_slot_reducer_refuses_a_multiplier_one_too_small(capsys, monkeypatch):
+    # with m = floor(2^s / p) the quotient can come out one short, leaving
+    # a slot at p or above; the bounds checked at construction refuse it
+    monkeypatch.setattr(oracle, "_barrett", _multiplier_one_too_small(oracle._barrett))
+    for p, deg in REDUCER_FIELDS[2:]:
+        for width in (16, 32, 64):
+            with pytest.raises(ValueError, match="slot reducer is not exact"):
+                oracle._Packer(gf.build_field(p, deg), width)
+    monkeypatch.setattr(oracle, "_packer", functools.lru_cache(maxsize=None)(oracle._Packer))
+    assert main("code --q 43 --m 3 --oracle --allow-large-oracle".split()) == 1
+    assert "slot reducer is not exact at 16 bits" in capsys.readouterr().err
+
+
+def test_slot_reducer_with_its_last_fold_dropped_is_caught(capsys, monkeypatch):
+    # over F_{3^6}, the alphabet of q = 27, one fold by x^6 mod f takes the
+    # degree of every entry below 6; without it the entries are not reduced
+    def dropped(f, width):
+        packed = oracle._Packer(f, width)
+        packed.folds -= 1
+        return packed
+
+    monkeypatch.setattr(oracle, "_packer", functools.lru_cache(maxsize=None)(dropped))
+    assert main("code --q 27 --m 2 --oracle".split()) == 1
+    assert capsys.readouterr().err.endswith(": g * h != x^n - 1\n")
+
+
+def _int_bits(obj):
+    """The bit lengths of the ints in obj, through tuples, lists and dicts."""
+    if isinstance(obj, int):
+        return obj.bit_length()
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        return sum(_int_bits(x) for x in obj)
+    return 0
+
+
+@pytest.mark.parametrize("p,deg", [(23, 2), (2, 10)])
+def test_slot_reducer_state_stays_within_the_largest_count(p, deg):
+    # reduced at every count up to 200 in random order, a packer holds one
+    # set of masks, each 200 entries long: a set kept per count would hold
+    # about 100 times as many bits
+    packed = oracle._Packer(gf.build_field(p, deg), 16)
+    counts = list(range(1, 201))
+    random.Random(p).shuffle(counts)
+    for count in counts:
+        packed.reduce((1 << (count * packed.stride)) - 1, count)
+    state = {k: v for k, v in vars(packed).items() if k != "f"}
+    assert _int_bits(state) <= (len(packed.masks) + 1) * 200 * packed.stride
 
 
 def test_structured_products_match_dense_matmul(monkeypatch):

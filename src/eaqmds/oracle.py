@@ -10,24 +10,24 @@ so that one big-integer operation adds up many field products, and
 reduce mod p and the modulus only where a value is read, every slot of
 a packed integer at once in a few big-integer operations (word-parallel,
 _Packer): to the reduced digits still packed, which an updated pivot row
-of toeplitz_rank keeps, or to the element of each entry.  One function
-builds both polynomials of a code: generator_polynomial multiplies
-minimal polynomials up a tree with convolve, g over the cosets of Z and
-the check polynomial h over those of its complement.  code_polynomials
-proves g * h = x^n - 1 with one more convolve, which is all that the
-generator matrix G (the shifts of g) and the parity-check matrix H (the
-shifts of h reversed and conjugated) need: G * H^dagger = 0 and both
-have full rank.  No matrix is written out: H * H^dagger is Toeplitz,
+of toeplitz_rank and each level of a product tree keep, or to the element
+of each entry.  One function builds both polynomials of a code:
+generator_polynomial multiplies minimal polynomials up a tree of packed
+products, g over the cosets of Z and the check polynomial h over those of
+its complement.  code_polynomials proves g * h = x^n - 1 with one
+convolve, which is all that the generator matrix G (the shifts of g) and
+the parity-check matrix H (the shifts of h reversed and conjugated) need:
+G * H^dagger = 0 and both have full rank.  No matrix is written out: H * H^dagger is Toeplitz,
 hh_dagger reads the vector of its diagonals off one convolution of h,
 and toeplitz_rank packs that vector once and takes each row as a window
 of it for the one elimination.  check_ebits ranks the smaller of the two
 Gram matrices: H * H^dagger when 2|Z| <= n, else G * G^dagger, which
 hh_dagger builds from g and whose rank plus 2|Z| - n is that of
-H * H^dagger.  The packed digits and the reducer's constants and masks
-of a field are kept across calls, one set per slot width.  Z comes in as
-plain residues, an ascending tuple such as DefiningSet.members, and n and
-q from the FieldTower, so this module imports nothing of the set route;
-crosscheck compares the two routes.
+H * H^dagger.  The packed digits, the packed minimal polynomials and the
+reducer's constants and masks of a field are kept across calls, one set
+per slot width.  Z comes in as plain residues, an ascending tuple such as
+DefiningSet.members, and n and q from the FieldTower, so this module
+imports nothing of the set route; crosscheck compares the two routes.
 """
 
 from __future__ import annotations
@@ -270,21 +270,23 @@ def _eliminate(packed: _Packer, rows: list[int], cols: int) -> int:
     shift = cols * stride
     while active and shift:
         shift -= stride
-        hits = [(i, top) for i in active if (top := rows[i] >> shift)]
-        values = reduce(_pack([top for _i, top in hits], stride), len(hits))
-        mask = (1 << shift) - 1
-        for i, _top in hits:
-            rows[i] &= mask
+        mask, hits, tops = (1 << shift) - 1, [], []
+        for i in active:
+            if top := rows[i] >> shift:
+                rows[i] &= mask
+                hits.append(i)
+                tops.append(top)
+        values = reduce(_pack(tops, stride), len(hits))
         k = next((k for k, v in enumerate(values) if v), None)
         if k is None:
             continue
-        piv = hits[k][0]
+        piv = hits[k]
         prow = rows[piv]
         if piv in updated:
             prow = packed.digits(prow, shift // stride)
         active.remove(piv)
         if len(hits) > k + 1:
-            for (i, _top), mult in zip(hits[k + 1 :], _multipliers(f, values[k + 1 :], values[k])):
+            for i, mult in zip(hits[k + 1 :], _multipliers(f, values[k + 1 :], values[k])):
                 if mult:
                     rows[i] += packed[mult] * prow
                     updated.add(i)
@@ -312,20 +314,38 @@ def toeplitz_rank(f: Field, t: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _packed_polynomial(f: Field, width: int, coefficients: tuple[int, ...]) -> int:
+    """coefficients packed by the _Packer of (f, width), memoized by value."""
+    return _packer(f, width).vector(coefficients)
+
+
 def generator_polynomial(z: Sequence[int], tower: FieldTower) -> tuple[int, ...]:
     """The monic generator of the cyclic code with defining set Z, ascending
     residues mod n, constant term first: the product of (x - beta^j) over
     j in Z, taken as the product of the minimal polynomials of the cosets
-    {x, n-x} that Z meets, multiplied pairwise up a balanced tree by
-    convolve.  The result has degree |Z| (checked), which fails for a Z
-    not closed under x -> n-x.  On the complement of Z it gives the check
-    polynomial (x^n - 1)/g, which code_polynomials builds so and checks."""
+    {x, n-x} that Z meets, multiplied pairwise up a balanced tree.  The
+    result has degree |Z| (checked), which fails for a Z not closed under
+    x -> n-x.  On the complement of Z it gives the check polynomial
+    (x^n - 1)/g, which code_polynomials builds so and checks.
+
+    The tree stays packed, as convolve packs: each level is one big-integer
+    product per pair, reduced by _Packer.digits, and g is read as elements
+    once, at the root.  One slot width serves the whole tree: the two
+    factors of a product have degrees adding up to at most D, the degree
+    of the root, so its inner dimension, the shorter length, is at most
+    D/2 + 1 (n/2 + 1 once D = |Z| passes the check)."""
     f, n = tower.fq2, tower.n
+    _check_packable(f)
     polys = [tower.minimal_polynomial(x) for x in sorted({min(j, n - j) for j in z})] or [(1,)]
-    while len(polys) > 1:
-        pairs = [polys[i : i + 2] for i in range(0, len(polys), 2)]
-        polys = [convolve(f, *pair) if len(pair) == 2 else pair[0] for pair in pairs]
-    g = tuple(polys[0])
+    width = _slot_width(sum(len(m) - 1 for m in polys) // 2 + 1, f.degree, f.p)
+    packed = _packer(f, width)
+    level = [(_packed_polynomial(f, width, m), len(m)) for m in polys]
+    while len(level) > 1:
+        products = [(a * b, la + lb - 1) for (a, la), (b, lb) in zip(level[::2], level[1::2])]
+        odd = level[2 * len(products) :]
+        level = [(packed.digits(x, count), count) for x, count in products] + odd
+    g = tuple(packed.reduce(*level[0]))
     if len(g) != len(z) + 1 or g[-1] != 1:
         raise VerificationError(
             f"generator polynomial has degree {len(g) - 1} and leading coefficient "
@@ -365,13 +385,13 @@ def hh_dagger(f: Field, h: Sequence[int], n: int) -> list[int]:
     parity-check matrix of length n of the check polynomial h: its
     r = n - deg h rows are the shifts of u = (h reversed)^q.  The product
     is Toeplitz, and comes as the vector t of its 2r - 1 diagonals, with
-    entry (i, j) = t[r - 1 - i + j] (see toeplitz_rank).  Given
-    (g reversed)^q for h, u is g and the product is G * G^dagger, with
-    k = n - deg g rows.
+    entry (i, j) = t[r - 1 - i + j] (see toeplitz_rank).  Given g for h,
+    the product is G * G^dagger, with k = n - deg g rows.
 
     Entry (i, j) is sum_s u_s * u_(s+i-j)^q.  As x^(q^2) = x, u^q reversed
     is h, so the entry is c[deg h - i + j] of c = convolve(u, h), and 0
-    where that index falls outside c."""
+    where that index falls outside c.  That c is symmetric in u and h, so
+    the shifts of g and of (g reversed)^q have one Gram matrix."""
     q = isqrt(f.order)
     if q * q != f.order:
         raise ValueError(f"field order {f.order} is not a square")
@@ -396,11 +416,9 @@ def check_ebits(z: Sequence[int], tower: FieldTower, c: int, where: str) -> None
     says so."""
     g, h = code_polynomials(z, tower)
     f, n = tower.fq2, tower.n
-    excess, side = max(0, 2 * len(z) - n), ""
-    if excess:
-        # hh_dagger's rows, the shifts of its input reversed and conjugated, are then G's
-        h, side = [f.pow(v, tower.q) for v in reversed(g)], " (rank(GG^dagger) + 2|Z| - n)"
-    got = toeplitz_rank(f, hh_dagger(f, h, n)) + excess
+    excess = max(0, 2 * len(z) - n)
+    side = " (rank(GG^dagger) + 2|Z| - n)" if excess else ""
+    got = toeplitz_rank(f, hh_dagger(f, g if excess else h, n)) + excess
     if got != c:
         raise VerificationError(
             f"rank(HH^dagger) = {got}{side} but the set overlap has size {c} {where}"

@@ -444,9 +444,9 @@ def test_gg_dagger_rank_off_by_one_is_caught(capsys, monkeypatch, invocation):
     )
 
 
-# a product coefficient off by one: in every convolve (the product trees of
-# g and h included), the g * h = x^n - 1 check fails; in H * H^dagger
-# alone, the rank comparison does
+# a product coefficient off by one: in every convolve (the product g * h
+# included), the g * h = x^n - 1 check fails; in H * H^dagger alone, the
+# rank comparison does
 @pytest.mark.parametrize(
     "invocation", ["code --q 23 --m 2 --oracle", "verify --level rank-oracle --qmax 23"]
 )

@@ -231,6 +231,48 @@ def test_tree_built_polynomials_match_scalar_reference(monkeypatch):
         assert generator_polynomial(sorted(set(range(n)) - set(z)), tower) == quotient
 
 
+# the alphabets F_(7^2), F_(23^2), F_(3^6) and F_(2^10), the last two with
+# the mod f folds of the packed tree
+@pytest.mark.parametrize("q", [7, 23, 27, 32])
+def test_packed_tree_matches_the_scalar_product(q):
+    # random sets closed under x -> n-x, from none of the cosets {x, n-x}
+    # to all of them, and their complements: each polynomial against the
+    # product of its minimal polynomials taken in turn by poly_mul
+    n = (q * q + 1) // 5
+    tower = field_tower(q, n)
+    rng = random.Random(q)
+    reps = range(n // 2 + 1)
+    for size in (0, 1, 2, 5, *(rng.randrange(len(reps)) for _ in range(6)), len(reps)):
+        chosen = set(rng.sample(reps, size))
+        for side in (chosen, set(reps) - chosen):
+            z = sorted({x for r in side for x in (r, (n - r) % n)})
+            reference = functools.reduce(
+                lambda a, r: poly_mul(tower.fq2, a, tower.minimal_polynomial(r)), sorted(side), (1,)
+            )
+            assert generator_polynomial(z, tower) == reference
+
+
+# at (43, 3), |Z| = 173 of n = 370: the trees of g and h are bounded by
+# inner dimensions 173 // 2 + 1 = 87 and 197 // 2 + 1 = 99, which take
+# 19-bit sums, so 32-bit slots.  At 15 bits the sums of this code's digits
+# carry into the next slot; at 16 they happen not to.
+@pytest.mark.parametrize("which", [0, 1])
+def test_tree_narrower_than_its_bound_is_caught(capsys, monkeypatch, which):
+    honest = oracle._slot_width
+    inners = []
+
+    def narrowed(inner, d, p):
+        inners.append(inner)
+        return 15 if len(inners) == which + 1 else honest(inner, d, p)
+
+    monkeypatch.setattr(oracle, "_slot_width", narrowed)
+    assert main("code --q 43 --m 3 --oracle --allow-large-oracle".split()) == 1
+    assert inners[: which + 1] == [87, 99][: which + 1]
+    assert honest(inners[which], 2, 43) == 32
+    err = capsys.readouterr().err
+    assert err.endswith(": g * h != x^n - 1\n") or ": generator polynomial has degree" in err
+
+
 # -- exhaustive minimum distance -----------------------------------------------
 
 
@@ -733,7 +775,7 @@ def test_slot_reducer_refuses_a_multiplier_one_too_small(capsys, monkeypatch):
                 oracle._Packer(gf.build_field(p, deg), width)
     monkeypatch.setattr(oracle, "_packer", functools.lru_cache(maxsize=None)(oracle._Packer))
     assert main("code --q 43 --m 3 --oracle --allow-large-oracle".split()) == 1
-    assert "slot reducer is not exact at 16 bits" in capsys.readouterr().err
+    assert "slot reducer is not exact at 32 bits" in capsys.readouterr().err
 
 
 def test_slot_reducer_with_its_last_fold_dropped_is_caught(capsys, monkeypatch):
@@ -777,24 +819,24 @@ def test_slot_reducer_state_stays_within_the_largest_count(p, deg):
 def test_structured_products_match_dense_matmul(monkeypatch):
     # every code of the rank-oracle suite at q <= 32, its G and H written
     # out: G * H^dagger = 0, which code_polynomials proves from g * h, and
-    # the Gram matrix of the smaller side, H * H^dagger or G * G^dagger,
-    # from hh_dagger, both against the dense matmul
+    # the Gram matrix of the smaller side, H * H^dagger from h or
+    # G * G^dagger from g, from hh_dagger, both against the dense matmul
     honest_polynomials, honest_hh = oracle.code_polynomials, oracle.hh_dagger
     seen = Counter()
     written = {}
 
     def checked_polynomials(z, tower):
         g, h = honest_polynomials(z, tower)
-        written["G"], written["H"] = _code_matrices(tower.fq2, g, h, tower.n)
-        assert _is_zero(matmul(written["G"], conjugate_transpose(written["H"], tower.q)))
+        G, H = _code_matrices(tower.fq2, g, h, tower.n)
+        assert _is_zero(matmul(G, conjugate_transpose(H, tower.q)))
+        written["H"], written["G"] = (h, H), (g, G)
         seen["G", "H"] += 1
         return g, h
 
     def checked_hh(f, u, n):
         got = honest_hh(f, u, n)
-        # the rows hh_dagger takes: the shifts of u reversed and conjugated
-        m = _parity_check_matrix(f, u, n)
-        side = next(side for side in "HG" if written[side] == m)
+        side = next(side for side in "HG" if written[side][0] == tuple(u))
+        m = written[side][1]
         assert toeplitz_matrix(f, got) == matmul(m, conjugate_transpose(m, isqrt(f.order)))
         seen[side, side] += 1
         return got
@@ -898,6 +940,17 @@ def test_broken_row_vector_is_caught(capsys, monkeypatch, invocation, fault):
         monkeypatch.setattr(oracle, "generator_polynomial", _break_call(which, broken))
     rc = main(invocation.split())
     assert rc == 1
+    assert capsys.readouterr().err.endswith(": g * h != x^n - 1\n")
+
+
+def test_packed_leaves_follow_the_minimal_polynomials(capsys, monkeypatch):
+    # the packed leaves of the product trees are memoized by their
+    # coefficients, so minimal polynomials that change after an honest run
+    # of the same code, on the same cached tower, are packed anew
+    assert main("code --q 23 --m 2 --oracle".split()) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(FieldTower, "minimal_polynomial", _roots_scaled())
+    assert main("code --q 23 --m 2 --oracle".split()) == 1
     assert capsys.readouterr().err.endswith(": g * h != x^n - 1\n")
 
 

@@ -134,22 +134,12 @@ def _entry_e2() -> ErrataEntry:
 
 def _example_entry(entry_id: str, q: int) -> ErrataEntry:
     rows = _corrected_dimensions(q)
-    lines = []
-    for r in rows:
-        lines.append(
-            "q={q} m={m}: printed [[{n},{pk},{d};{c}]] -> computed [[{n},{ck},{d};{c}]] "
-            "(2k-n+c = {ra}; n+c-2(d-1) = {rb})".format(
-                q=r["q"],
-                m=r["m"],
-                n=r["n"],
-                pk=r["printed_k"],
-                ck=r["computed_k"],
-                d=r["d"],
-                c=r["c"],
-                ra=r["k_via_2k_minus_n_plus_c"],
-                rb=r["k_via_singleton_equality"],
-            )
-        )
+    lines = [
+        "q={q} m={m}: printed [[{n},{printed_k},{d};{c}]] -> "
+        "computed [[{n},{computed_k},{d};{c}]] (2k-n+c = {k_via_2k_minus_n_plus_c}; "
+        "n+c-2(d-1) = {k_via_singleton_equality})".format(**r)
+        for r in rows
+    ]
     note = _EXAMPLE_NOTES.get(q)
     if note:
         lines.append(f"note: {note}")

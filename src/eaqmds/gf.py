@@ -18,13 +18,14 @@ F_{q^2} indices for the quadratic minimal polynomials of FieldTower.
 build_field makes extension fields (degree >= 2) only, each whole: its
 generator g and the exp/log tables of g are built with the table-free
 product first, so a product is one addition of logarithms, a power one
-multiplication and an inverse one negation; for odd p a Zech table
-zech[k] = log(1 + g^k) makes a sum one lookup as well: g^a + g^b =
-g^(a + zech[b - a]) and -g^a = g^(a + (order-1)/2).  For p = 2 a sum is
-an xor.  These tables take O(order) memory, so build_field refuses
-extension fields above MAX_EXTENSION_ORDER; the code alphabet F_{q^2}
-fits for every q <= 181.  The packed kernels of oracle (convolve and
-toeplitz_rank) work on digits and need none of these tables.
+multiplication and an inverse one negation; for odd p the Zech table,
+one period of zech[k] = log(1 + g^k), makes a sum one lookup as well:
+g^a + g^b = g^(a + zech[b - a]), and -g^a = g^(a + (order-1)/2) is one
+exp lookup.  For p = 2 a sum is an xor.  These tables take O(order)
+memory, so build_field refuses extension fields above
+MAX_EXTENSION_ORDER; the code alphabet F_{q^2} fits for every q <= 181.
+The packed kernels of oracle (convolve and toeplitz_rank) work on digits
+and need none of these tables.
 
 The n-th roots of unity of the codes lie in F_{q^4}, which is never
 built: n divides q^2+1, so the minimal polynomial of beta^i over F_{q^2}
@@ -166,10 +167,8 @@ class Field:
     ``is``.  The constructor finds the generator g and builds the tables
     with _raw_product, so that every operation is a lookup.  exp has
     length 2*(order-1) so that exp[log[a] + log[b]] needs no reduction,
-    and log[0] = log_zero.  For odd p, with n1 = order-1, zech[k] =
-    log(1 + g^k) for k = -2*n1 .. 3*n1-1 (through negative indexing), or
-    log_zero where 1 + g^k = 0, and 0 for k = 3*n1 .. 7*n1-1, where the
-    log difference against log[0] = log_zero of a zero operand falls.
+    and log[0] = None; for odd p, zech[k] = log(1 + g^k) for
+    k = 0 .. order-2, None where 1 + g^k = 0.
     """
 
     def __init__(self, p: int, degree: int, modulus: tuple[int, ...]):
@@ -178,8 +177,6 @@ class Field:
         self.modulus = modulus
         self.order = p**degree
         n1 = self.order - 1
-        # log[0] and every log-domain value from here up stand for zero
-        self.log_zero = 5 * n1
         mul = _raw_product(self)
         # the smallest g with g^(n1/r) != 1 for each prime r | n1; below p
         # lies F_p, whose orders divide p - 1
@@ -198,14 +195,13 @@ class Field:
             for _ in range(n1):
                 exp.append(self.encode(digits))
                 digits = [sum(map(operator.mul, row, digits)) % p for row in rows]
-        log = [self.log_zero] * self.order
+        log = [None] * self.order
         for i, v in enumerate(exp):
             log[v] = i
         exp += exp
         if p != 2:
             # 1 + g^k adds one to the constant digit of g^k's index
-            z = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp[:n1]]
-            self._zech = z * 3 + [0] * (4 * n1) + z * 2
+            self._zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp[:n1]]
         self._exp, self._log = exp, log
 
     def __repr__(self) -> str:
@@ -223,12 +219,13 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if not a:
-            return b
+        if not (a and b):
+            return a or b
         log = self._log
         la = log[a]
-        s = la + self._zech[log[b] - la]
-        return self._exp[s] if s < self.log_zero else 0
+        # log b - log a lies in (-(order-1), order-1): a negative one wraps
+        z = self._zech[log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def neg(self, a: int) -> int:
         if self.p == 2 or not a:
@@ -236,15 +233,7 @@ class Field:
         return self._exp[self._log[a] + (self.order - 1) // 2]
 
     def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if not b:
-            return a
-        log = self._log
-        n1 = self.order - 1
-        lb = log[b] + n1 // 2  # log of -b
-        s = lb + self._zech[log[a] - lb]
-        return self._exp[s - n1] if s < self.log_zero else 0
+        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         return self._exp[self._log[a] + self._log[b]] if a and b else 0

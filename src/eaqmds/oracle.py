@@ -9,8 +9,8 @@ toeplitz_rank pack F_p digits into big integers (Kronecker substitution),
 so that one big-integer operation adds up many field products, and
 reduce mod p and the modulus only where a value is read, every slot of
 a packed integer at once in a few big-integer operations (word-parallel,
-_Packer): to the reduced digits still packed, which an updated pivot row
-of toeplitz_rank and each level of a product tree keep, or to the element
+_Packer): to the reduced digits still packed, which every pivot row of
+toeplitz_rank and each level of a product tree keep, or to the element
 of each entry.  One function builds both polynomials of a code:
 generator_polynomial multiplies minimal polynomials up a tree of packed
 products, g over the cosets of Z and the check polynomial h over those of
@@ -86,14 +86,6 @@ def _barrett(p: int, bound: int) -> tuple[int, int]:
     x * (m * p - 2^s) < bound * p < 2^s."""
     s = bound.bit_length() + p.bit_length()
     return s, -((-1 << s) // p)
-
-
-def _check_packable(f: Field) -> None:
-    """The packed kernels need a field F_p[x]/(f) built by build_field: the
-    digits of a field given over a subfield do not multiply as polynomials
-    modulo one F_p polynomial."""
-    if len(f.modulus) != f.degree + 1:
-        raise ValueError(f"{f!r} is not F_p[x]/(f): the packed kernels need a modulus over F_p")
 
 
 class _Packer(dict):
@@ -233,7 +225,6 @@ def convolve(field: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
     one big-integer product holds every c_e, and the slot width covers
     sums of min(len a, len b) products.
     """
-    _check_packable(field)
     if not (a and b):
         return []
     width = _slot_width(min(len(a), len(b)), field.degree, field.p)
@@ -258,15 +249,14 @@ def _eliminate(packed: _Packer, rows: list[int], cols: int) -> int:
     multiply-add with no reduction, as a slot sums a digit below p and
     fewer than len(rows) updates of at most d*(p-1)^2, which the width of
     packed must hold.  The entries of a column are read as elements
-    (packed.reduce) when it is reached.  A pivot row that was ever updated
-    is reduced once, in packed form (packed.digits), to the digits that
-    packed.vector would give it, so it is never unpacked; a row never
-    updated holds its digits.  The rank does not depend on which nonzero
-    entry of a column is the pivot.
+    (packed.reduce) when it is reached.  Every pivot row is reduced once,
+    in packed form (packed.digits), to the digits that packed.vector would
+    give it, so it is never unpacked; a row never updated holds those
+    digits already, and digits leaves it as it is.  The rank does not
+    depend on which nonzero entry of a column is the pivot.
     """
     f, stride, reduce = packed.f, packed.stride, packed.reduce
     active = list(range(len(rows)))  # rows not yet taken as pivots, in order
-    updated = set()
     shift = cols * stride
     while active and shift:
         shift -= stride
@@ -281,15 +271,12 @@ def _eliminate(packed: _Packer, rows: list[int], cols: int) -> int:
         if k is None:
             continue
         piv = hits[k]
-        prow = rows[piv]
-        if piv in updated:
-            prow = packed.digits(prow, shift // stride)
+        prow = packed.digits(rows[piv], shift // stride)
         active.remove(piv)
         if len(hits) > k + 1:
             for i, mult in zip(hits[k + 1 :], _multipliers(f, values[k + 1 :], values[k])):
                 if mult:
                     rows[i] += packed[mult] * prow
-                    updated.add(i)
     return len(rows) - len(active)
 
 
@@ -301,7 +288,6 @@ def toeplitz_rank(f: Field, t: Sequence[int]) -> int:
     t is packed once, reversed, by _Packer.vector: row i, column 0 highest,
     is then the window of r slots from slot i*(2d-1) on, so no row is
     written out before _eliminate."""
-    _check_packable(f)
     r = (len(t) + 1) // 2
     packed = _packer(f, _slot_width(r, f.degree, f.p))
     stride = packed.stride
@@ -336,7 +322,6 @@ def generator_polynomial(z: Sequence[int], tower: FieldTower) -> tuple[int, ...]
     of the root, so its inner dimension, the shorter length, is at most
     D/2 + 1 (n/2 + 1 once D = |Z| passes the check)."""
     f, n = tower.fq2, tower.n
-    _check_packable(f)
     polys = [tower.minimal_polynomial(x) for x in sorted({min(j, n - j) for j in z})] or [(1,)]
     width = _slot_width(sum(len(m) - 1 for m in polys) // 2 + 1, f.degree, f.p)
     packed = _packer(f, width)

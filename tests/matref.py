@@ -17,7 +17,7 @@ from eaqmds import oracle
 from eaqmds.exceptions import VerificationError
 from eaqmds.gf import Field, build_field
 from eaqmds.primes import PrimePower, factorize
-from eaqmds.oracle import _check_packable, _eliminate, _packer
+from eaqmds.oracle import _eliminate, _packer
 
 BUDGET_EXCEEDED = "budget-exceeded"
 
@@ -221,7 +221,6 @@ def matmul(a, b):
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     f = a.field
-    _check_packable(f)
     # looked up per call, so that a test can narrow the slots
     width = oracle._slot_width(a.cols, f.degree, f.p)
     packed = _packer(f, width)
@@ -241,7 +240,6 @@ def rank(m):
     packed by _Packer.vector, column 0 highest, and eliminated by oracle's
     kernel."""
     f = m.field
-    _check_packable(f)
     # looked up per call, so that a test can narrow the slots
     packed = _packer(f, oracle._slot_width(m.rows, f.degree, f.p))
     return _eliminate(packed, [packed.vector(row[::-1]) for row in m.data], m.cols)

@@ -266,8 +266,17 @@ def test_zech_check_detects_an_entry_off_by_one():
     zech[5] += 1
     bad = _addition_mismatches(f, pairs)
     assert any(op == "add" for op, _a, _b in bad)
-    # add(a, b) reads zech[log b - log a]: only those pairs may be hit
-    assert all(log[b] - log[a] == 5 for op, a, b in bad if op == "add")
+    # add(a, b) reads zech[(log b - log a) mod (order - 1)]: only those
+    # pairs may be hit
+    assert all((log[b] - log[a]) % (f.order - 1) == 5 for op, a, b in bad if op == "add")
+    # the one None entry, k = (order - 1)/2, is where 1 + g^k = 0; made an
+    # int, it breaks add(a, -a) for every nonzero a, and no other sum
+    f = Field(7, 2, good.modulus)
+    half = (f.order - 1) // 2
+    assert [k for k, z in enumerate(f._zech) if z is None] == [half]
+    f._zech[half] = 0
+    hit = {(a, b) for op, a, b in _addition_mismatches(f, pairs) if op == "add"}
+    assert hit == {(a, f.neg(a)) for a in range(1, f.order)}
 
 
 def _order(f, a):

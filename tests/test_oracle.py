@@ -32,7 +32,6 @@ from matref import (
     exhaustive_min_distance,
     field,
     matmul,
-    quartic,
     rank,
     rowspace_defining_set,
     square_and_multiply,
@@ -475,21 +474,6 @@ def test_matmul_slot_sums_reach_the_width_bound(monkeypatch, p, deg, width):
     assert matmul(MatrixGF(f, a), MatrixGF(f, b)).data != want
 
 
-def test_matmul_rejects_the_quartic_field():
-    # the reference F_{q^4} is a quadratic extension of F_{q^2}: its digits
-    # over F_p do not multiply as polynomials modulo one F_p polynomial
-    f = quartic(7)
-    m = MatrixGF(f, ((1, f.order - 1),))
-    with pytest.raises(ValueError, match="modulus over F_p"):
-        matmul(m, MatrixGF(f, tuple(zip(*m.data))))
-
-
-def test_convolve_rejects_the_quartic_field():
-    f = quartic(7)
-    with pytest.raises(ValueError, match="modulus over F_p"):
-        convolve(f, [1, f.order - 1], [f.order - 1])
-
-
 # -- rank on packed rows --------------------------------------------------------
 
 
@@ -555,14 +539,6 @@ def test_rank_slot_sums_reach_the_width_bound(monkeypatch, p, deg, width):
     honest = oracle._slot_width
     monkeypatch.setattr(oracle, "_slot_width", lambda *args: honest(*args) - 1)
     assert rank(m) != n - 1
-
-
-def test_rank_rejects_the_quartic_field():
-    f = quartic(7)
-    with pytest.raises(ValueError, match="modulus over F_p"):
-        rank(MatrixGF(f, ((1, f.order - 1),)))
-    with pytest.raises(ValueError, match="modulus over F_p"):
-        toeplitz_rank(f, (1, f.order - 1, 1))
 
 
 # -- rank of a Toeplitz matrix from its diagonals -------------------------------

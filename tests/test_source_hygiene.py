@@ -75,6 +75,29 @@ def test_source_hygiene():
     assert bad == []
 
 
+def _bound_names(node):
+    """The names a top-level statement binds: a def or class, or the plain
+    names an assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _read_names(tree):
+    """Every name a tree reads, as a variable or as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
 def test_every_public_definition_is_used_in_the_package():
     # a public top-level function or class, or a public method or property
     # of a public class, that no code of the package names serves only the
@@ -93,9 +116,32 @@ def test_every_public_definition_is_used_in_the_package():
                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not item.name.startswith("_")
                     )
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        used |= _read_names(tree)
     assert [where for name, where in defined if name not in used] == []
+
+
+def test_every_private_definition_and_import_is_used_in_the_package():
+    # a private top-level definition that no code of the package reads, or
+    # a name that a module imports and never reads, is left over from code
+    # that went, or serves only the tests, which define what they need
+    private, unread_imports, used = [], [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        private.extend(
+            (name, f"{path.stem}.{name}")
+            for node in tree.body
+            for name in _bound_names(node)
+            if name.startswith("_") and not name.startswith("__")
+        )
+        read = _read_names(tree)
+        used |= read
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        unread_imports.extend(
+            f"{path.name}:{node.lineno}: {bound}"
+            for node in imports
+            if getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (bound := (alias.asname or alias.name).split(".")[0]) not in read
+        )
+    assert [where for name, where in private if name not in used] == []
+    assert unread_imports == []

@@ -9,7 +9,7 @@ toeplitz_rank pack F_p digits into big integers (Kronecker substitution),
 so that one big-integer operation adds up many field products, and
 reduce mod p and the modulus only where a value is read, every slot of
 a packed integer at once in a few big-integer operations (word-parallel,
-_Packer): to the reduced digits still packed, which every pivot row of
+_Packer): to the reduced digits still packed, which each step of
 toeplitz_rank and each level of a product tree keep, or to the element
 of each entry.  One function builds both polynomials of a code:
 generator_polynomial multiplies minimal polynomials up a tree of packed
@@ -17,17 +17,20 @@ products, g over the cosets of Z and the check polynomial h over those of
 its complement.  code_polynomials proves g * h = x^n - 1 with one
 convolve, which is all that the generator matrix G (the shifts of g) and
 the parity-check matrix H (the shifts of h reversed and conjugated) need:
-G * H^dagger = 0 and both have full rank.  No matrix is written out: H * H^dagger is Toeplitz,
-hh_dagger reads the vector of its diagonals off one convolution of h,
-and toeplitz_rank packs that vector once and takes each row as a window
-of it for the one elimination.  check_ebits ranks the smaller of the two
-Gram matrices: H * H^dagger when 2|Z| <= n, else G * G^dagger, which
-hh_dagger builds from g and whose rank plus 2|Z| - n is that of
-H * H^dagger.  The packed digits, the packed minimal polynomials and the
-reducer's constants and masks of a field are kept across calls, one set
-per slot width.  Z comes in as plain residues, an ascending tuple such as
-DefiningSet.members, and n and q from the FieldTower, so this module
-imports nothing of the set route; crosscheck compares the two routes.
+G * H^dagger = 0 and both have full rank.  No matrix is written out:
+H * H^dagger is Toeplitz, hh_dagger reads the vector t of its diagonals
+off one convolution of h, and toeplitz_rank takes the rank from the
+linear complexity of t, by Berlekamp-Massey on the packed products of t
+with its two connection polynomials: 2r - 1 steps of one packed
+multiply-add each for r rows, and nothing eliminated.  check_ebits ranks
+the smaller of the two Gram matrices: H * H^dagger when 2|Z| <= n, else
+G * G^dagger, which hh_dagger builds from g and whose rank plus
+2|Z| - n is that of H * H^dagger.  The packed digits, the packed minimal
+polynomials and the reducer's constants and masks of a field are kept
+across calls, one set per slot width.  Z comes in as plain residues, an
+ascending tuple such as DefiningSet.members, and n and q from the
+FieldTower, so this module imports nothing of the set route; crosscheck
+compares the two routes.
 """
 
 from __future__ import annotations
@@ -232,67 +235,42 @@ def convolve(field: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
     return packed.reduce(packed.vector(a) * packed.vector(b), len(a) + len(b) - 1)
 
 
-def _multipliers(f: Field, values: Sequence[int], pivot: int) -> list[int]:
-    """-a / pivot for each a in values: the factors that clear those
-    entries of a column against its pivot."""
-    scale = f.neg(f.inv(pivot))
-    return [f.mul(a, scale) for a in values]
-
-
-def _eliminate(packed: _Packer, rows: list[int], cols: int) -> int:
-    """The rank of the matrix whose rows are packed by packed.vector, column
-    0 highest, cols columns each, by Gaussian elimination; rows is used up.
-
-    An eliminated column is cleared from every row, so the entry of the
-    next column is the row shifted right.  Clearing an entry a against the
-    pivot row adds pack(-a / pivot) * (pivot row): one big-integer
-    multiply-add with no reduction, as a slot sums a digit below p and
-    fewer than len(rows) updates of at most d*(p-1)^2, which the width of
-    packed must hold.  The entries of a column are read as elements
-    (packed.reduce) when it is reached.  Every pivot row is reduced once,
-    in packed form (packed.digits), to the digits that packed.vector would
-    give it, so it is never unpacked; a row never updated holds those
-    digits already, and digits leaves it as it is.  The rank does not
-    depend on which nonzero entry of a column is the pivot.
-    """
-    f, stride, reduce = packed.f, packed.stride, packed.reduce
-    active = list(range(len(rows)))  # rows not yet taken as pivots, in order
-    shift = cols * stride
-    while active and shift:
-        shift -= stride
-        mask, hits, tops = (1 << shift) - 1, [], []
-        for i in active:
-            if top := rows[i] >> shift:
-                rows[i] &= mask
-                hits.append(i)
-                tops.append(top)
-        values = reduce(_pack(tops, stride), len(hits))
-        k = next((k for k, v in enumerate(values) if v), None)
-        if k is None:
-            continue
-        piv = hits[k]
-        prow = packed.digits(rows[piv], shift // stride)
-        active.remove(piv)
-        if len(hits) > k + 1:
-            for i, mult in zip(hits[k + 1 :], _multipliers(f, values[k + 1 :], values[k])):
-                if mult:
-                    rows[i] += packed[mult] * prow
-    return len(rows) - len(active)
-
-
 def toeplitz_rank(f: Field, t: Sequence[int]) -> int:
     """Exact rank over a field F_p[x]/(f) built by build_field of the r x r
     Toeplitz matrix with entry (i, j) = t[r - 1 - i + j], t of 2r - 1
     entries.
 
-    t is packed once, reversed, by _Packer.vector: row i, column 0 highest,
-    is then the window of r slots from slot i*(2d-1) on, so no row is
-    written out before _eliminate."""
-    r = (len(t) + 1) // 2
-    packed = _packer(f, _slot_width(r, f.degree, f.p))
+    With its rows reversed it is the Hankel matrix (t[i + j]), whose rank
+    is min(L, 2r - L) for L the linear complexity of t (Jonckheere and Ma,
+    Linear Algebra Appl. 125, 1989), which Berlekamp-Massey gives in
+    2r - 1 steps (Massey, IEEE Trans. IT 15, 1969).  The connection
+    polynomials C and B are never formed, only their products with t,
+    packed by _Packer.vector and reduced: ct = C * t from index k on, whose
+    entry 0 is the discrepancy d of step k, and bt = B * t from index
+    k - m on, B being the C of m steps back, with discrepancy b.  So the
+    update C -= (d / b) x^m B is ct += pack(-d / b) * bt, with no shift;
+    where 2L <= k, B takes the old C, and L becomes k + 1 - L.  B = 1 at
+    k = -1, so bt starts as t one entry up.  Both keep only the n - k live
+    entries of step k, so a slot holds one digit plus d products of two
+    digits.  Once ct is 0, no later step has a discrepancy."""
+    n = len(t)
+    packed = _packer(f, _slot_width(2, f.degree, f.p))
     stride = packed.stride
-    whole, mask = packed.vector(t[::-1]), (1 << (r * stride)) - 1
-    return _eliminate(packed, [(whole >> (i * stride)) & mask for i in range(r)], r)
+    entry = (1 << stride) - 1
+    ct = packed.vector(t)
+    bt, b, length = ct << stride, 1, 0
+    for k in range(n):
+        if not ct:
+            break
+        if ct & entry:
+            d = packed.reduce(ct & entry, 1)[0]
+            scale = packed[f.neg(f.mul(d, f.inv(b)))]
+            update = ct + scale * (bt & ((1 << ((n - k) * stride)) - 1))
+            if 2 * length <= k:
+                bt, b, length = ct, d, k + 1 - length
+            ct = packed.digits(update, n - k)
+        ct >>= stride
+    return min(length, n + 1 - length)
 
 
 # ---------------------------------------------------------------------------

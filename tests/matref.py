@@ -1,5 +1,6 @@
 """Dense references for the tests of the matrix route: written-out
-matrices, their product and rank on oracle's packed kernels, the
+matrices, their product and their rank by Gaussian elimination on
+oracle's packed kernels (the reference for toeplitz_rank), the
 conjugate transpose, the Toeplitz matrix of a vector of diagonals, the
 defining set of a rowspace, the exhaustive minimum distance of toy codes,
 the prime fields F_p, whose large p reach slot widths of 32, 64 and 128
@@ -17,7 +18,7 @@ from eaqmds import oracle
 from eaqmds.exceptions import VerificationError
 from eaqmds.gf import Field, build_field
 from eaqmds.primes import PrimePower, factorize
-from eaqmds.oracle import _eliminate, _packer
+from eaqmds.oracle import _pack, _packer
 
 BUDGET_EXCEEDED = "budget-exceeded"
 
@@ -235,10 +236,60 @@ def matmul(a, b):
     return MatrixGF(f, tuple(out))
 
 
+def _multipliers(f, values, pivot):
+    """-a / pivot for each a in values: the factors that clear those
+    entries of a column against its pivot."""
+    scale = f.neg(f.inv(pivot))
+    return [f.mul(a, scale) for a in values]
+
+
+def _eliminate(packed, rows, cols):
+    """The rank of the matrix whose rows are packed by packed.vector, column
+    0 highest, cols columns each, by Gaussian elimination; rows is used up.
+
+    An eliminated column is cleared from every row, so the entry of the
+    next column is the row shifted right.  Clearing an entry a against the
+    pivot row adds pack(-a / pivot) * (pivot row): one big-integer
+    multiply-add with no reduction, as a slot sums a digit below p and
+    fewer than len(rows) updates of at most d*(p-1)^2, which the width of
+    packed must hold.  The entries of a column are read as elements
+    (packed.reduce) when it is reached.  Every pivot row is reduced once,
+    in packed form (packed.digits), to the digits that packed.vector would
+    give it, so it is never unpacked; a row never updated holds those
+    digits already, and digits leaves it as it is.  The rank does not
+    depend on which nonzero entry of a column is the pivot.
+    """
+    f, stride, reduce = packed.f, packed.stride, packed.reduce
+    active = list(range(len(rows)))  # rows not yet taken as pivots, in order
+    shift = cols * stride
+    while active and shift:
+        shift -= stride
+        mask, hits, tops = (1 << shift) - 1, [], []
+        for i in active:
+            if top := rows[i] >> shift:
+                rows[i] &= mask
+                hits.append(i)
+                tops.append(top)
+        values = reduce(_pack(tops, stride), len(hits))
+        k = next((k for k, v in enumerate(values) if v), None)
+        if k is None:
+            continue
+        piv = hits[k]
+        prow = packed.digits(rows[piv], shift // stride)
+        active.remove(piv)
+        if len(hits) > k + 1:
+            for i, mult in zip(hits[k + 1 :], _multipliers(f, values[k + 1 :], values[k])):
+                if mult:
+                    rows[i] += packed[mult] * prow
+    return len(rows) - len(active)
+
+
 def rank(m):
     """Exact rank of a written-out matrix over a field F_p[x]/(f): each row
-    packed by _Packer.vector, column 0 highest, and eliminated by oracle's
-    kernel."""
+    packed by _Packer.vector, column 0 highest, and eliminated by
+    _eliminate on oracle's packed kernels.  The dense reference for
+    toeplitz_rank, which ranks by the linear complexity of the diagonals
+    and eliminates nothing."""
     f = m.field
     # looked up per call, so that a test can narrow the slots
     packed = _packer(f, oracle._slot_width(m.rows, f.degree, f.p))

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -475,23 +476,40 @@ def test_correlation_off_by_one_is_caught(capsys, monkeypatch, invocation, produ
     assert check in err
 
 
-# the first elimination multiplier of every column off by one in rank: its
-# row keeps a multiple of the pivot row while the column's entry is dropped
+# faults in the Berlekamp-Massey steps of toeplitz_rank, each put in by
+# rewriting one expression of its source: the coefficient -d/b plus one, the
+# length changed only when 2L < k, and the update left unreduced, whose
+# slots then outgrow their width
+RANK_FAULTS = {
+    "coefficient": ("f.neg(f.mul(d, f.inv(b)))", "f.add(f.neg(f.mul(d, f.inv(b))), 1)"),
+    "length change": ("2 * length <= k", "2 * length < k"),
+    "unreduced update": ("packed.digits(update, n - k)", "update"),
+}
+
+
+def _rewritten_rank(old, new):
+    source = inspect.getsource(oracle.toeplitz_rank)
+    assert source.count(old) == 1
+    namespace = dict(vars(oracle))
+    exec(source.replace(old, new), namespace)
+    return namespace["toeplitz_rank"]
+
+
 @pytest.mark.parametrize(
-    "invocation", ["code --q 23 --m 2 --oracle", "verify --level rank-oracle --qmax 23"]
+    "invocation,overlap",
+    [
+        ("code --q 23 --m 2 --oracle", 21),
+        ("verify --level rank-oracle --qmax 23", 21),
+        ("code --q 43 --m 3 --oracle --allow-large-oracle", 81),
+    ],
 )
-def test_rank_multiplier_off_by_one_is_caught(capsys, monkeypatch, invocation):
-    honest = oracle._multipliers
-
-    def bumped(field, values, pivot):
-        mults = honest(field, values, pivot)
-        mults[0] = field.add(mults[0], 1)
-        return mults
-
-    monkeypatch.setattr(oracle, "_multipliers", bumped)
+@pytest.mark.parametrize("fault", sorted(RANK_FAULTS))
+def test_rank_kernel_fault_is_caught(capsys, monkeypatch, fault, invocation, overlap):
+    monkeypatch.setattr(oracle, "toeplitz_rank", _rewritten_rank(*RANK_FAULTS[fault]))
     rc, _out, err = run_cli(capsys, *invocation.split())
     assert rc == 1
-    assert "rank(HH^dagger)" in err or "ranks are not complementary" in err
+    assert "rank(HH^dagger) = " in err
+    assert f"but the set overlap has size {overlap} " in err
 
 
 # -- fault injection on the set route ------------------------------------------

@@ -544,9 +544,25 @@ def test_rank_slot_sums_reach_the_width_bound(monkeypatch, p, deg, width):
 # -- rank of a Toeplitz matrix from its diagonals -------------------------------
 
 
+def _recurrent(f, rng, length, count):
+    """count terms of a random linear recurrence of the given length from
+    random initial terms: linear complexity at most length."""
+    taps = [rng.randrange(f.order) for _ in range(length)]
+    s = [rng.randrange(f.order) for _ in range(length)]
+    while len(s) < count:
+        acc = 0
+        for c, x in zip(taps, s[-length:]):
+            acc = f.add(acc, f.mul(c, x))
+        s.append(acc)
+    return tuple(s[:count])
+
+
 def _toeplitz_cases(f, rng):
     """Vectors of diagonals: r = 1, all zero, constant, and random ones,
-    rank-deficient ones included."""
+    rank-deficient ones included; t[0] = 1 before a random rest, whose
+    first discrepancy meets B = 1 one entry below t; recurrences of linear
+    complexity below r, and of r or more with one entry changed; runs of
+    leading zeros; r up to 30."""
     yield (0,)
     yield (rng.randrange(1, f.order),)
     for r in (2, 5, 9):
@@ -554,6 +570,18 @@ def _toeplitz_cases(f, rng):
         yield (rng.randrange(1, f.order),) * (2 * r - 1)  # every entry equal: rank 1
     for r in range(1, 12):
         yield _random_matrix(f, rng, 1, 2 * r - 1)[0]
+    for r in (2, 3, 7, 16, 30):
+        n = 2 * r - 1
+        yield (1,) + _random_matrix(f, rng, 1, n - 1)[0]
+        length = rng.randrange(1, r)
+        t = _recurrent(f, rng, length, n)
+        yield t
+        # the recurrence first fails at k, which takes the linear
+        # complexity to k + 1 - length >= r
+        k = rng.randrange(r + length - 1, n)
+        yield t[:k] + (f.add(t[k], 1),) + t[k + 1 :]
+        zeros = rng.randrange(1, n)
+        yield (0,) * zeros + _random_matrix(f, rng, 1, n - zeros)[0]
 
 
 # (43, 2) is the field of `code --q 43`, (3, 8) has the most digits of the odd
@@ -966,7 +994,7 @@ def test_residues_not_closed_fail_the_degree_check(spec23, tower23, dropped):
 
 def test_code_oracle_ranks_hh_dagger_alone(capsys, monkeypatch):
     # the ranks of G (197 x 370) and H (173 x 370) are read off their echelon
-    # shape, so the one elimination of a code is the one of HH^dagger
+    # shape, so the one rank of a code is the one of HH^dagger
     honest = oracle.toeplitz_rank
     sizes = []
 

@@ -1,12 +1,13 @@
 """Cyclotomic cosets modulo n under multiplication by q^2, and the set
 algebra of coset-closed subsets, including the -q map.
 
-Cosets are computed for any modulus n coprime to q.  The lengths this
+Cosets are computed for any modulus n coprime to q, all at once, by
+walking each orbit through one list of x*q^2 mod n.  The lengths this
 package is about, n = (q^2+1)/5, satisfy q^2 = -1 (mod n); then every
 orbit is the pair {i, n-i} (a singleton for i = 0 and, when n is even,
 for i = n/2).  families.verify_cosets checks that shape on the family
-moduli, and the reflection identity checks -q*C_src == C_dst as
--q*src = +-dst (mod n), building no orbit.
+moduli and their -q images, read from one list of -q*x mod n, and
+neg_q_misses checks -q*C_src == C_dst as -q*src = +-dst (mod n).
 
 Defining sets exist only where q^2 = -1 (mod n), which _stride_order
 tests once per (n, q).  A set is one int bitmask, bit x set exactly when
@@ -22,7 +23,7 @@ which takes Z as residues, checks it by the degree of g.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, count
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -33,8 +34,7 @@ class CycContext:
     """Modulus n and alphabet parameter q; orbits multiply by q^2 mod n.
 
     Immutable, equal and hashing by (n, q).  Its fields are slots, not
-    tuple items: coset() reads them on every call, and a slot read is the
-    faster of the two."""
+    tuple items: a slot read is the faster of the two."""
 
     __slots__ = ("n", "q")
 
@@ -77,29 +77,25 @@ class CycContext:
         return cls((q * q + 1) // 5, q)
 
 
-def coset(ctx: CycContext, i: int) -> tuple[int, ...]:
-    """The coset containing i: the orbit {i, i*q^2, i*q^4, ...} mod n, as
-    an ascending tuple, whose first member is the coset's representative."""
-    i %= ctx.n
-    mult = ctx.multiplier
-    orbit = [i]
-    cur = i * mult % ctx.n
-    while cur != i:
-        orbit.append(cur)
-        cur = cur * mult % ctx.n
-    return tuple(sorted(orbit))
-
-
 def all_cosets(ctx: CycContext) -> list[tuple[int, ...]]:
-    """All cosets, by ascending representative; they partition 0..n-1."""
-    seen = bytearray(ctx.n)
+    """All cosets, by ascending representative; they partition 0..n-1.
+    Each is an orbit {i, i*q^2, ...} mod n, walked through one list of
+    x*q^2 mod n, as an ascending tuple led by its representative."""
+    n, mult = ctx.n, ctx.multiplier
+    image = [x * mult % n for x in range(n)]
+    unseen = bytearray(b"\1") * n
     out = []
-    for i in range(ctx.n):
-        if not seen[i]:
-            c = coset(ctx, i)
-            for x in c:
-                seen[x] = 1
-            out.append(c)
+    # compress reads unseen as it goes, and a walk from i clears only
+    # members above i, so each i it yields is the least of a new orbit
+    for i in compress(range(n), unseen):
+        orbit = [i]
+        x = image[i]
+        while x != i:
+            unseen[x] = 0
+            orbit.append(x)
+            x = image[x]
+        orbit.sort()
+        out.append(tuple(orbit))
     return out
 
 
@@ -223,9 +219,13 @@ class DefiningSet:
         return DefiningSet._closed(self.ctx, _mask_of("".join(arcs)))
 
 
-def neg_q_image(ctx: CycContext, residues: Iterable[int]) -> tuple[int, ...]:
-    """The distinct residues -q*x mod n, for x in residues, ascending."""
-    return tuple(sorted({-ctx.q * x % ctx.n for x in residues}))
+def neg_q_images(ctx: CycContext, cosets: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The image -q*C of each C in cosets, of distinct residues: its
+    residues -q*x mod n, ascending, read from one list of -q*x mod n.  As
+    gcd(q, n) = 1, -q is injective mod n, so no two of them coincide."""
+    n = ctx.n
+    neg_q = [-ctx.q * x % n for x in range(n)]
+    return [tuple(sorted(map(neg_q.__getitem__, c))) for c in cosets]
 
 
 # ---------------------------------------------------------------------------
@@ -233,31 +233,19 @@ def neg_q_image(ctx: CycContext, residues: Iterable[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _neg_q_maps_coset(ctx: CycContext, src: int, dst: int) -> bool:
-    """Whether -q * C_src == C_dst as sets, on a modulus with q^2 = -1
-    (mod n): as -q commutes with *q^2, whether -q*src lies in C_dst, which
-    is {dst, -dst} there."""
-    n, image = ctx.n, -ctx.q * src % ctx.n
-    return image in (dst % n, -dst % n)
+def neg_q_misses(ctx: CycContext, src: Iterable[int], dst: Iterable[int]) -> list[int]:
+    """The positions k, ascending, where -q * C_src[k] != C_dst[k], for two
+    aligned sequences of residues, on a modulus with q^2 = -1 (mod n): as -q
+    commutes with *q^2, where -q*src[k] is not in C_dst[k] = {+-dst[k]},
+    that is, where n divides neither dst[k] - q*src[k] nor dst[k] + q*src[k]."""
+    n, q = ctx.n, ctx.q
+    return [k for k, a, b in zip(count(), src, dst) if (b - q * a) % n and (b + q * a) % n]
 
 
-def coset_product_identity(ctx: CycContext, s: int, i: int) -> bool:
-    """Check -q * C_{s*q+i} == C_{(i*q-s) mod n} as a set identity."""
-    return _neg_q_maps_coset(ctx, s * ctx.q + i, i * ctx.q - s)
-
-
-def coset_product_identity_inverse(ctx: CycContext, t: int, j: int) -> bool:
-    """Check -q * C_{t*q-j} == C_{(j*q+t) mod n} as a set identity."""
-    return _neg_q_maps_coset(ctx, t * ctx.q - j, j * ctx.q + t)
-
-
-def _ranges(*bounds: tuple[int, int]) -> Iterator[int]:
-    for lo, hi in bounds:
-        yield from range(lo, hi + 1)
-
-
-def identity_windows(q: int) -> Iterator[tuple[int, int]]:
-    """The stated (s, i) windows of the reflection identity for a family q.
+def identity_windows(q: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+    """The stated windows of the reflection identity for a family q, one
+    row per s: (s, ((lo, hi), ...)), where i runs over lo..hi of each
+    window in turn.
 
     Odd q uses the windows exactly as stated for q = 3 and 7 (mod 10); for
     the even field sizes (q = 2 or 8 mod 10) the same expressions are used
@@ -266,30 +254,26 @@ def identity_windows(q: int) -> Iterator[tuple[int, int]]:
     """
     r = q % 10
     if r in (3, 8):
-        hi1 = (3 * q - 9) // 10
-        lo2, hi2 = (2 * q + 4) // 5, (3 * q - 4) // 5
+        first = (1, (3 * q - 9) // 10)
+        middle = ((2 * q + 4) // 5, (3 * q - 4) // 5)
         smax = (q - 3) // 10
         for s in range(smax):
-            for i in _ranges((1, hi1), (lo2, hi2)):
-                yield s, i
-        for i in _ranges((1, hi1)):
-            yield smax, i
+            yield s, (first, middle)
+        yield smax, (first,)
     elif r in (7, 2):
-        smax = (q - 7) // 10
-        for s in range(smax + 1):
-            for i in _ranges(
-                (1, (q - 2) // 5),
-                ((3 * q + 9) // 10, (2 * q - 4) // 5),
-                ((q + 1) // 2, (7 * q - 9) // 10),
-            ):
-                yield s, i
+        windows = ((1, (q - 2) // 5), ((3 * q + 9) // 10, (2 * q - 4) // 5),
+                   ((q + 1) // 2, (7 * q - 9) // 10))
+        for s in range((q - 7) // 10 + 1):
+            yield s, windows
     else:
         raise ValueError(f"q={q} is not congruent to 2, 3, 7 or 8 mod 10")
 
 
-def inverse_identity_windows(q: int, with_offset: bool) -> Iterator[tuple[int, int]]:
-    """The (t, j) windows for the inverse identity -q*C_{t*q-j} == C_{j*q+t}:
-    the forward windows with t in i's role and j in s's, in the same order.
+def inverse_identity_windows(
+    q: int, with_offset: bool
+) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+    """The windows of the inverse identity -q*C_{t*q-j} == C_{j*q+t}: the
+    forward rows with j in s's role and t in i's, in the same order.
 
     Two readings are in circulation for the q = 3 (mod 10) shape: one whose
     middle window starts at (2q+4)/5, as the forward one does, and one that
@@ -297,8 +281,7 @@ def inverse_identity_windows(q: int, with_offset: bool) -> Iterator[tuple[int, i
     callers can check each; the identity itself holds on both.
     """
     lo2 = (2 * q + 4) // 5
-    skip = range(lo2, lo2 + 2) if with_offset and q % 10 in (3, 8) else range(0)
-    for s, i in identity_windows(q):
-        # the first window ends below lo2, so only the middle one loses values
-        if i not in skip:
-            yield i, s
+    shift = 2 if with_offset and q % 10 in (3, 8) else 0
+    for j, windows in identity_windows(q):
+        # the offset reading drops lo2 and lo2 + 1, where the middle window starts
+        yield j, tuple((lo + shift if lo == lo2 else lo, hi) for lo, hi in windows)

@@ -24,22 +24,23 @@ verify_family_code() never trusts the closed forms: it rebuilds every
 quantity from first principles and raises on any mismatch; for m >= 2 it
 takes the windows that check_window_lemmas checked as its split.  The suites
 verify_cosets, verify_lemmas and verify_theorem sweep the set route over
-q <= q_max.  No field code is loaded: q is parsed by primes, not gf.
+q <= q_max; the first two check lists built per modulus and per window.
+No field code is loaded: q is parsed by primes, not gf.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import NamedTuple
 
 from .cosets import (
     CycContext,
     DefiningSet,
     all_cosets,
-    coset_product_identity,
-    coset_product_identity_inverse,
     identity_windows,
     inverse_identity_windows,
-    neg_q_image,
+    neg_q_images,
+    neg_q_misses,
 )
 from .eaqecc import Decomposition, EaqeccParams, check_split, decompose, eaqecc_params
 from .exceptions import UsageError, VerificationError
@@ -315,31 +316,33 @@ def verify_cosets(q_max: int) -> dict[str, int]:
     sizes = iter_family_sizes(q_max)
     for spec in sizes:
         ctx, q, n = spec.context(), spec.q.q, spec.n
-        pairs = [(i,) if i == 0 or 2 * i == n else (i, n - i) for i in range(n // 2 + 1)]
+        pairs = [(0,), *zip(range(1, (n + 1) // 2), range(n - 1, n // 2, -1))]
+        if n % 2 == 0:
+            pairs.append((n // 2,))
         cs = all_cosets(ctx)
         if cs != pairs:
             k = next((k for k, pair in enumerate(pairs) if cs[k : k + 1] != [pair]), len(pairs))
             got, want = cs[k : k + 1] or "missing", pairs[k : k + 1] or "none"
             raise VerificationError(f"coset {k} at q={q} is {got}, not {want}")
-        covered = bytearray(len(pairs))
-        for i, c in enumerate(pairs):
-            if covered[i]:
-                continue
-            image = neg_q_image(ctx, c)
+        images = neg_q_images(ctx, pairs)
+        uncovered = bytearray(b"\1") * len(pairs)
+        for i in compress(range(len(pairs)), uncovered):  # reads uncovered as it goes
+            c, image = pairs[i], images[i]
             if len(image) != len(c):
                 raise VerificationError(f"-q maps coset {i} at q={q}, {c}, to {image}")
             j = image[0]
             if j >= len(pairs) or image != pairs[j]:
                 raise VerificationError(f"-q maps coset {i} at q={q} to {image}, not a coset")
-            if (back := neg_q_image(ctx, image)) != c:
+            if (back := images[j]) != c:  # the image of C' = C_j
                 raise VerificationError(f"-q maps coset {i} at q={q} to {image}, then to {back}")
-            covered[i] = covered[j] = 1  # -q swaps C and C_j, so both are checked
+            uncovered[j] = 0  # -q swaps C and C_j, so both are checked
     return {"field sizes": len(sizes), "cosets": sum(spec.n // 2 + 1 for spec in sizes)}
 
 
 def verify_lemmas(q_max: int) -> dict[str, int]:
     """The reflection identities over their windows, and the window lemmas
-    at every (q, m) with q <= q_max."""
+    at every (q, m) with q <= q_max; one neg_q_misses call checks each
+    window of a row, and a failure names its first failing (s, i) or (t, j)."""
     sizes = iter_family_sizes(q_max)
     identities = 0
     windows = 0
@@ -349,18 +352,25 @@ def verify_lemmas(q_max: int) -> dict[str, int]:
         # the identities test -q*src = +-dst (mod n), which needs q^2 = -1 (mod n)
         if (ctx.q * ctx.q + 1) % ctx.n:
             raise VerificationError(f"q^2 != -1 (mod n) at q={ctx.q}, n={ctx.n}")
-        for s, i in identity_windows(q):
-            if not coset_product_identity(ctx, s, i):
-                raise VerificationError(f"reflection identity fails at q={q}, s={s}, i={i}")
-            identities += 1
+        # forward: src = s*q + i, dst = i*q - s for i in lo..hi
+        for s, row in identity_windows(q):
+            for lo, hi in row:
+                src = range(s * q + lo, s * q + hi + 1)
+                if miss := neg_q_misses(ctx, src, range(lo * q - s, hi * q - s + 1, q)):
+                    i = lo + miss[0]
+                    raise VerificationError(f"reflection identity fails at q={q}, s={s}, i={i}")
+                identities += len(src)
+        # inverse: src = t*q - j, dst = j*q + t for t in lo..hi
         for with_offset in (False, True):
-            for t, j in inverse_identity_windows(q, with_offset):
-                if not coset_product_identity_inverse(ctx, t, j):
-                    raise VerificationError(
-                        f"inverse identity fails at q={q}, t={t}, j={j} "
-                        f"(offset={with_offset})"
-                    )
-                identities += 1
+            for j, row in inverse_identity_windows(q, with_offset):
+                for lo, hi in row:
+                    src = range(lo * q - j, hi * q - j + 1, q)
+                    if miss := neg_q_misses(ctx, src, range(j * q + lo, j * q + hi + 1)):
+                        raise VerificationError(
+                            f"inverse identity fails at q={q}, t={lo + miss[0]}, j={j} "
+                            f"(offset={with_offset})"
+                        )
+                    identities += len(src)
         for m in range(2, spec.m_max + 1):
             check_window_lemmas(spec, m, family_defining_set(spec, m))
             windows += 1

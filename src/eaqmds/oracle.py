@@ -122,7 +122,8 @@ class _Packer(dict):
     The constructor raises ValueError unless every bound above holds, and
     the slots after mod f stay below 2^width.  The masks of these steps
     cover the largest count seen, one set per packer: an AND with a
-    longer mask costs only the shorter operand."""
+    longer mask costs only the shorter operand.  elements maps each
+    one-entry packing toeplitz_rank has read by reduce to its element."""
 
     def __init__(self, f: Field, width: int):
         super().__init__()
@@ -148,6 +149,7 @@ class _Packer(dict):
             raise ValueError(f"the slot reducer is not exact at {width} bits over {f!r}")
         self.xd = _pack(xd, width)
         self.horner = _pack([p**k for k in range(d - 1, -1, -1)], width)
+        self.elements: dict[int, int] = {}
         self._grow(1)
 
     def __missing__(self, v: int) -> int:
@@ -246,24 +248,28 @@ def toeplitz_rank(f: Field, t: Sequence[int]) -> int:
     2r - 1 steps (Massey, IEEE Trans. IT 15, 1969).  The connection
     polynomials C and B are never formed, only their products with t,
     packed by _Packer.vector and reduced: ct = C * t from index k on, whose
-    entry 0 is the discrepancy d of step k, and bt = B * t from index
-    k - m on, B being the C of m steps back, with discrepancy b.  So the
-    update C -= (d / b) x^m B is ct += pack(-d / b) * bt, with no shift;
-    where 2L <= k, B takes the old C, and L becomes k + 1 - L.  B = 1 at
-    k = -1, so bt starts as t one entry up.  Both keep only the n - k live
-    entries of step k, so a slot holds one digit plus d products of two
-    digits.  Once ct is 0, no later step has a discrepancy."""
+    entry 0 is the discrepancy d of step k (read through packed.elements),
+    and bt = B * t from index k - m on, B being the C of m steps back, with
+    discrepancy b.  So the update C -= (d / b) x^m B is
+    ct += pack(-d / b) * bt, with no shift; where 2L <= k, B takes the old
+    C, and L becomes k + 1 - L.  B = 1 at k = -1, so bt starts as t one
+    entry up.  Both keep only the n - k live entries of step k, so a slot
+    holds one digit plus d products of two digits.  Once ct is 0, no later
+    step has a discrepancy."""
     n = len(t)
     packed = _packer(f, _slot_width(2, f.degree, f.p))
     stride = packed.stride
     entry = (1 << stride) - 1
+    elements = packed.elements
     ct = packed.vector(t)
     bt, b, length = ct << stride, 1, 0
     for k in range(n):
         if not ct:
             break
-        if ct & entry:
-            d = packed.reduce(ct & entry, 1)[0]
+        if e := ct & entry:
+            d = elements.get(e)
+            if d is None:
+                d = elements[e] = packed.reduce(e, 1)[0]
             scale = packed[f.neg(f.mul(d, f.inv(b)))]
             update = ct + scale * (bt & ((1 << ((n - k) * stride)) - 1))
             if 2 * length <= k:

@@ -1,0 +1,85 @@
+"""Scalar reference for cyclotomic cosets and the reflection identity: one
+orbit walked by arithmetic, one (s, i) window pair at a time, each check
+made on whole orbits.  The package computes all cosets of a modulus at
+once and checks the identity on whole windows; these are what it is
+compared with."""
+
+
+def coset(ctx, i):
+    """The coset containing i: the orbit {i, i*q^2, i*q^4, ...} mod n, as
+    an ascending tuple, whose first member is the coset's representative."""
+    i %= ctx.n
+    mult = ctx.q * ctx.q % ctx.n
+    orbit = [i]
+    cur = i * mult % ctx.n
+    while cur != i:
+        orbit.append(cur)
+        cur = cur * mult % ctx.n
+    return tuple(sorted(orbit))
+
+
+def cosets_one_by_one(ctx):
+    """All cosets by ascending representative, one coset() call per residue."""
+    return [c for i in range(ctx.n) if (c := coset(ctx, i))[0] == i]
+
+
+def neg_q_maps(ctx, src, dst):
+    """Whether -q * C_src == C_dst, with both orbits in full."""
+    return {-ctx.q * x % ctx.n for x in coset(ctx, src)} == set(coset(ctx, dst))
+
+
+def coset_product_identity(ctx, s, i):
+    """-q * C_{s*q+i} == C_{i*q-s}, on whole orbits."""
+    return neg_q_maps(ctx, s * ctx.q + i, i * ctx.q - s)
+
+
+def coset_product_identity_inverse(ctx, t, j):
+    """-q * C_{t*q-j} == C_{j*q+t}, on whole orbits."""
+    return neg_q_maps(ctx, t * ctx.q - j, j * ctx.q + t)
+
+
+def _ranges(*bounds):
+    for lo, hi in bounds:
+        yield from range(lo, hi + 1)
+
+
+def identity_pairs(q):
+    """The stated (s, i) windows of the reflection identity, one pair at a
+    time, in the package's order."""
+    r = q % 10
+    if r in (3, 8):
+        hi1 = (3 * q - 9) // 10
+        lo2, hi2 = (2 * q + 4) // 5, (3 * q - 4) // 5
+        smax = (q - 3) // 10
+        for s in range(smax):
+            for i in _ranges((1, hi1), (lo2, hi2)):
+                yield s, i
+        for i in _ranges((1, hi1)):
+            yield smax, i
+    elif r in (7, 2):
+        smax = (q - 7) // 10
+        for s in range(smax + 1):
+            for i in _ranges(
+                (1, (q - 2) // 5),
+                ((3 * q + 9) // 10, (2 * q - 4) // 5),
+                ((q + 1) // 2, (7 * q - 9) // 10),
+            ):
+                yield s, i
+    else:
+        raise ValueError(f"q={q} is not congruent to 2, 3, 7 or 8 mod 10")
+
+
+def inverse_identity_pairs(q, with_offset):
+    """The (t, j) pairs of the inverse identity: the forward pairs swapped,
+    in the same order, the offset reading without i = lo2 and lo2 + 1."""
+    lo2 = (2 * q + 4) // 5
+    skip = range(lo2, lo2 + 2) if with_offset and q % 10 in (3, 8) else range(0)
+    for s, i in identity_pairs(q):
+        if i not in skip:
+            yield i, s
+
+
+def expand(rows):
+    """The (row, x) pairs of rows (row, ((lo, hi), ...)), x running over
+    lo..hi of each window in turn."""
+    return [(r, x) for r, windows in rows for lo, hi in windows for x in range(lo, hi + 1)]

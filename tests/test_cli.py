@@ -555,11 +555,11 @@ def test_wrong_neg_q_map_is_caught(capsys, monkeypatch, wrong, level):
         n, q = self.ctx.n, self.ctx.q
         return DefiningSet.from_cosets(self.ctx, (image(x, n, q) for x in self.members))
 
-    def neg_q_image(ctx, residues):
-        return tuple(sorted({image(x, ctx.n, ctx.q) for x in residues}))
+    def neg_q_images(ctx, cosets):
+        return [tuple(sorted({image(x, ctx.n, ctx.q) for x in c})) for c in cosets]
 
     if level == "coset":
-        monkeypatch.setattr(families, "neg_q_image", neg_q_image)
+        monkeypatch.setattr(families, "neg_q_images", neg_q_images)
     else:
         monkeypatch.setattr(DefiningSet, "neg_q", neg_q)
     _assert_counterexample(capsys, "verify", "--level", level, "--qmax", "60")
@@ -567,7 +567,7 @@ def test_wrong_neg_q_map_is_caught(capsys, monkeypatch, wrong, level):
 
 # two arcs of the strided -q map swapped: every family block and its parts
 # take the strided path; the coset level maps its cosets element by element
-# (neg_q_image), so it cannot see this fault
+# (neg_q_images), so it cannot see this fault
 @pytest.mark.parametrize("level", ["theorem", "lemma"])
 def test_swapped_stride_arcs_are_caught(capsys, monkeypatch, level):
     honest = cosets._stride_order
@@ -612,19 +612,20 @@ def test_wrong_cosets_are_caught(capsys, monkeypatch, wrong):
     _assert_counterexample_is(capsys, message, "verify", "--level", "coset", "--qmax", "60")
 
 
-HONEST_NEG_Q_IMAGE = families.neg_q_image
+HONEST_NEG_Q_IMAGES = families.neg_q_images
 
 
 def _swapping(table):
     """-q, except that at q = 8 each coset in table goes to the residues it
     is paired with there."""
 
-    def neg_q_image(ctx, residues):
-        if ctx.q == 8 and residues in table:
-            return table[residues]
-        return HONEST_NEG_Q_IMAGE(ctx, residues)
+    def neg_q_images(ctx, cosets):
+        images = HONEST_NEG_Q_IMAGES(ctx, cosets)
+        if ctx.q != 8:
+            return images
+        return [table.get(c, image) for c, image in zip(cosets, images)]
 
-    return neg_q_image
+    return neg_q_images
 
 
 # wrong -q maps at the coset level.  At q = 8, -q pairs C_0 with itself, C_1
@@ -633,7 +634,9 @@ def _swapping(table):
 # extra coset is also no coset, so the coset check backs up the size check.
 WRONG_COSET_IMAGES = {
     "one-extra-coset": (
-        lambda ctx, r: tuple(sorted({*HONEST_NEG_Q_IMAGE(ctx, r), 1, ctx.n - 1})),
+        lambda ctx, cs: [
+            tuple(sorted({*image, 1, ctx.n - 1})) for image in HONEST_NEG_Q_IMAGES(ctx, cs)
+        ],
         "-q maps coset 0 at q=8, (0,), to (0, 1, 12)",
     ),
     "coset-of-another-size": (
@@ -647,7 +650,7 @@ WRONG_COSET_IMAGES = {
     # -(q+1) maps every coset onto a coset of its size, but at q = 8 C_1 to
     # C_4 = (4, 9) and C_4 to C_3 = (3, 10)
     "no-involution": (
-        lambda ctx, r: tuple(sorted({-(ctx.q + 1) * x % ctx.n for x in r})),
+        lambda ctx, cs: [tuple(sorted({-(ctx.q + 1) * x % ctx.n for x in c})) for c in cs],
         "-q maps coset 1 at q=8 to (4, 9), then to (3, 10)",
     ),
 }
@@ -655,31 +658,32 @@ WRONG_COSET_IMAGES = {
 
 @pytest.mark.parametrize("wrong", sorted(WRONG_COSET_IMAGES))
 def test_wrong_coset_images_are_caught(capsys, monkeypatch, wrong):
-    neg_q_image, message = WRONG_COSET_IMAGES[wrong]
-    monkeypatch.setattr(families, "neg_q_image", neg_q_image)
+    neg_q_images, message = WRONG_COSET_IMAGES[wrong]
+    monkeypatch.setattr(families, "neg_q_images", neg_q_images)
     _assert_counterexample_is(capsys, message, "verify", "--level", "coset", "--qmax", "60")
 
 
 # each reflection identity tested against its target shifted by +1: the
-# lemma level must fail at the first window pair of q = 8 and name it
+# lemma level must fail at the first window pair of q = 8 and name it.  A
+# forward window passes src = s*q + i, a range of step 1, and an inverse
+# one src = t*q - j, of step q
 @pytest.mark.parametrize(
-    ("name", "shifted", "message"),
+    ("forward", "message"),
     [
-        (
-            "coset_product_identity",
-            lambda ctx, s, i: cosets._neg_q_maps_coset(ctx, s * ctx.q + i, i * ctx.q - s + 1),
-            "reflection identity fails at q=8, s=0, i=1",
-        ),
-        (
-            "coset_product_identity_inverse",
-            lambda ctx, t, j: cosets._neg_q_maps_coset(ctx, t * ctx.q - j, j * ctx.q + t + 1),
-            "inverse identity fails at q=8, t=1, j=0 (offset=False)",
-        ),
+        (True, "reflection identity fails at q=8, s=0, i=1"),
+        (False, "inverse identity fails at q=8, t=1, j=0 (offset=False)"),
     ],
     ids=["forward", "inverse"],
 )
-def test_shifted_reflection_identity_is_caught(capsys, monkeypatch, name, shifted, message):
-    monkeypatch.setattr(families, name, shifted)
+def test_shifted_reflection_identity_is_caught(capsys, monkeypatch, forward, message):
+    honest = families.neg_q_misses
+
+    def shifted(ctx, src, dst):
+        if (src.step == 1) == forward:
+            dst = [b + 1 for b in dst]
+        return honest(ctx, src, dst)
+
+    monkeypatch.setattr(families, "neg_q_misses", shifted)
     _assert_counterexample_is(capsys, message, "verify", "--level", "lemma", "--qmax", "60")
 
 

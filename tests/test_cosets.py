@@ -1,3 +1,7 @@
+import random
+from itertools import product
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,15 +9,23 @@ from hypothesis import strategies as st
 from eaqmds.cosets import (
     CycContext,
     DefiningSet,
-    _neg_q_maps_coset,
     all_cosets,
+    identity_windows,
+    inverse_identity_windows,
+    neg_q_images,
+    neg_q_misses,
+)
+from eaqmds.families import family_defining_set, iter_family_sizes
+from cosetref import (
     coset,
     coset_product_identity,
     coset_product_identity_inverse,
-    identity_windows,
-    inverse_identity_windows,
+    cosets_one_by_one,
+    expand,
+    identity_pairs,
+    inverse_identity_pairs,
+    neg_q_maps,
 )
-from eaqmds.families import family_defining_set, iter_family_sizes
 
 
 def test_context_validation():
@@ -27,10 +39,51 @@ def test_context_validation():
 
 
 def test_cosets_q23(ctx23):
-    assert coset(ctx23, 0) == (0,)
-    assert coset(ctx23, 1) == (1, 105)
-    assert coset(ctx23, 53) == (53,)  # the midpoint (q^2+1)/10
-    assert coset(ctx23, 105)[0] == 1
+    cs = all_cosets(ctx23)
+    assert cs[0] == (0,)
+    assert cs[1] == (1, 105)
+    assert cs[53] == (53,)  # the midpoint (q^2+1)/10
+    assert next(c for c in cs if 105 in c)[0] == 1
+
+
+def _random_contexts(count):
+    """count seeded coprime (n, q) with n <= 500, most of them off the
+    family moduli, where orbits can be longer than 2."""
+    rng, out = random.Random(2718), []
+    while len(out) < count:
+        n, q = rng.randrange(1, 501), rng.randrange(2, 100)
+        if gcd(n, q) == 1:
+            out.append(CycContext(n, q))
+    return out
+
+
+# every family modulus with q <= 60, 4 of order 5 mod 31, 9 = 1 mod 8 (all
+# singletons), and random moduli
+SCALAR_CONTEXTS = [
+    *(spec.context() for spec in iter_family_sizes(60)),
+    CycContext(31, 2),
+    CycContext(8, 3),
+    *_random_contexts(30),
+]
+
+
+def test_all_cosets_matches_the_scalar_orbit_walk():
+    # all_cosets walks every orbit through one list of images; the
+    # reference walks one orbit per residue by arithmetic
+    longer = 0
+    for ctx in SCALAR_CONTEXTS:
+        got = all_cosets(ctx)
+        assert got == cosets_one_by_one(ctx), ctx
+        longer += max(map(len, got)) > 2
+    assert longer >= 20
+
+
+def test_neg_q_images_match_the_elementwise_images():
+    # the distinct residues -q*x, ascending; -q is injective as gcd(q, n) = 1
+    for ctx in SCALAR_CONTEXTS:
+        n, cs = ctx.n, all_cosets(ctx)
+        want = [tuple(sorted({-ctx.q * x % n for x in c})) for c in cs]
+        assert neg_q_images(ctx, cs) == want, ctx
 
 
 def test_all_cosets_partition_counts(ctx7, ctx23, ctx32):
@@ -203,22 +256,23 @@ def test_from_cosets_unites_whole_cosets(ctx23):
 
 
 def test_identity_examples(ctx23):
-    assert coset_product_identity(ctx23, 0, 2)
-    # -q C_26 = C_68 = {38, 68}
-    assert coset_product_identity(ctx23, 1, 3)
-    assert set(coset(ctx23, 68)) == {38, 68}
+    # (s, i) = (0, 2): -q C_2 = C_46; (1, 3): -q C_26 = C_68 = {38, 68}
+    assert neg_q_misses(ctx23, [2, 26], [46, 68]) == []
+    assert coset_product_identity(ctx23, 0, 2) and coset_product_identity(ctx23, 1, 3)
+    assert all_cosets(ctx23)[38] == (38, 68)
     ctx37 = CycContext.for_family(37)
-    assert coset_product_identity(ctx37, 0, 1)
+    assert neg_q_misses(ctx37, [1], [37]) == [] and coset_product_identity(ctx37, 0, 1)
+    # a target moved by one is a miss, named by its position
+    assert neg_q_misses(ctx23, [2, 26], [46, 69]) == [1]
 
 
 @pytest.mark.parametrize("q", [23, 43, 37, 47, 32, 128])
 def test_identity_holds_on_all_stated_windows(q):
     ctx = CycContext.for_family(q)
-    count = 0
-    for s, i in identity_windows(q):
-        assert coset_product_identity(ctx, s, i), (q, s, i)
-        count += 1
-    assert count > 0
+    pairs = expand(identity_windows(q))
+    assert all(coset_product_identity(ctx, s, i) for s, i in pairs), q
+    assert neg_q_misses(ctx, [s * q + i for s, i in pairs], [i * q - s for s, i in pairs]) == []
+    assert len(pairs) > 0
 
 
 @pytest.mark.parametrize("q", [23, 43, 37, 32, 128])
@@ -227,8 +281,25 @@ def test_inverse_identity_holds_on_both_window_readings(q, with_offset):
     # the two circulating window readings differ by an offset of 2 in one
     # bound; the identity holds on both, so neither is flagged as wrong
     ctx = CycContext.for_family(q)
-    for t, j in inverse_identity_windows(q, with_offset):
-        assert coset_product_identity_inverse(ctx, t, j), (q, t, j, with_offset)
+    pairs = [(t, j) for j, t in expand(inverse_identity_windows(q, with_offset))]
+    assert all(coset_product_identity_inverse(ctx, t, j) for t, j in pairs)
+    assert neg_q_misses(ctx, [t * q - j for t, j in pairs], [j * q + t for t, j in pairs]) == []
+
+
+def test_window_rows_expand_to_the_scalar_window_pairs():
+    # each row (s, ((lo, hi), ...)) stands for its (s, i) pairs, in order;
+    # the offset reading starts the middle window 2 higher
+    count = 0
+    for spec in iter_family_sizes(400):
+        q = spec.q.q
+        forward = expand(identity_windows(q))
+        assert forward == list(identity_pairs(q)), q
+        count += len(forward) * (q <= 300)
+        for with_offset in (False, True):
+            inverse = [(t, j) for j, t in expand(inverse_identity_windows(q, with_offset))]
+            assert inverse == list(inverse_identity_pairs(q, with_offset)), (q, with_offset)
+            count += len(inverse) * (q <= 300)
+    assert count == 134_351  # the identity checks of verify --level lemma --qmax 300
 
 
 def _stated_inverse_windows(q, with_offset):
@@ -247,22 +318,15 @@ def _stated_inverse_windows(q, with_offset):
 def test_inverse_windows_follow_the_stated_bounds(q, with_offset):
     # inverse_identity_windows swaps the forward windows; both readings must
     # still give the stated windows, in the same order
-    got = list(inverse_identity_windows(q, with_offset))
+    got = [(t, j) for j, t in expand(inverse_identity_windows(q, with_offset))]
     assert got == _stated_inverse_windows(q, with_offset)
 
 
 def test_identity_window_membership_q23():
-    wins = set(identity_windows(23))
+    wins = set(expand(identity_windows(23)))
     assert (0, 2) in wins and (1, 3) in wins and (2, 6) in wins
     assert (0, 7) not in wins  # in the gap between the stated ranges
     assert (2, 10) not in wins  # the last s value only allows the low range
-
-
-def _two_orbit_maps(ctx, src, dst):
-    """The reference: -q times every element of C_src, as a set, against
-    the elements of C_dst."""
-    n = ctx.n
-    return {-ctx.q * x % n for x in coset(ctx, src)} == set(coset(ctx, dst))
 
 
 def test_one_orbit_reflection_check_matches_two_orbits():
@@ -274,28 +338,23 @@ def test_one_orbit_reflection_check_matches_two_orbits():
     for spec in iter_family_sizes(120):
         q = spec.q.q
         ctx = CycContext.for_family(q)
-        forward = [(s * q + i, i * q - s) for s, i in identity_windows(q)]
-        inverse = [(t * q - j, j * q + t) for t, j in inverse_identity_windows(q, False)]
-        failed = 0
-        for src, dst in forward + inverse:
-            for target in (dst - 1, dst, dst + 1):
-                want = _two_orbit_maps(ctx, src, target)
-                assert _neg_q_maps_coset(ctx, src, target) == want, (q, src, target)
-                failed += not want
-                pairs += 1
-        assert failed, q
+        forward = [(s * q + i, i * q - s) for s, i in expand(identity_windows(q))]
+        inverse = [(t * q - j, j * q + t) for j, t in expand(inverse_identity_windows(q, False))]
+        moved = [(src, dst + d) for src, dst in forward + inverse for d in (-1, 0, 1)]
+        src, dst = zip(*moved)
+        misses = [k for k, (a, b) in enumerate(moved) if not neg_q_maps(ctx, a, b)]
+        assert neg_q_misses(ctx, src, dst) == misses, q
+        assert misses, q
+        pairs += len(moved)
     assert pairs == 21_372
 
 
 @pytest.mark.parametrize("ctx", [CycContext.for_family(23)], ids=["q23"])
 def test_both_reflection_branches_match_two_orbits_on_every_pair(ctx):
     # q^2 = -1 (mod 106): the +-dst comparison against the two orbits
-    n = ctx.n
-    hits = 0
-    for src in range(n):
-        for dst in range(n):
-            want = _two_orbit_maps(ctx, src, dst)
-            assert _neg_q_maps_coset(ctx, src, dst) == want, (src, dst)
-            hits += want
+    every = list(product(range(ctx.n), repeat=2))
+    maps = [neg_q_maps(ctx, src, dst) for src, dst in every]
+    src, dst = zip(*every)
+    assert neg_q_misses(ctx, src, dst) == [k for k, hit in enumerate(maps) if not hit]
     # each src maps onto the |C| members of one coset C: sum of |C|^2
-    assert hits == sum(len(c) ** 2 for c in all_cosets(ctx))
+    assert sum(maps) == sum(len(c) ** 2 for c in all_cosets(ctx))

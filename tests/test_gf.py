@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from eaqmds import crosscheck, gf
 from eaqmds.cli import main
-from eaqmds.cosets import CycContext, all_cosets, coset
+from eaqmds.cosets import CycContext, all_cosets
 from eaqmds.exceptions import VerificationError
 from eaqmds.gf import Field, FieldTower, build_field, field_tower
 from eaqmds.primes import PrimePower, factorize, is_prime
+from cosetref import coset
 from matref import (
     MatrixGF,
     QuadraticExtension,

@@ -9,7 +9,7 @@ import pytest
 from eaqmds import crosscheck, gf, oracle
 from eaqmds.cli import main
 from eaqmds.codes import dimension
-from eaqmds.cosets import CycContext, DefiningSet, all_cosets, coset
+from eaqmds.cosets import CycContext, DefiningSet, all_cosets
 from eaqmds.eaqecc import ebits
 from eaqmds.exceptions import VerificationError
 from eaqmds.families import family_defining_set, verify_family_code
@@ -22,6 +22,7 @@ from eaqmds.oracle import (
     hh_dagger,
     toeplitz_rank,
 )
+from cosetref import coset
 from matref import (
     BUDGET_EXCEEDED,
     MatrixGF,
@@ -600,6 +601,29 @@ def test_toeplitz_rank_matches_raw_arithmetic(p, deg):
         for k in range(2 * r - 1):
             t = (0,) * k + (rng.randrange(1, f.order),) + (0,) * (2 * r - 2 - k)
             assert toeplitz_rank(f, t) == r - abs(k - (r - 1)), t
+
+
+def test_discrepancy_lookup_holds_only_reduced_packings(monkeypatch):
+    # toeplitz_rank reads each discrepancy through its packer's elements
+    # dict, filled by reduce on a miss.  The entries it reads are reduced,
+    # so after every rank of the q <= 53 sweep each key is the packing of
+    # its element, and no packer holds more keys than its field has elements
+    honest = oracle._packer
+    honest.cache_clear()
+    packers = {}
+
+    def recorded(f, width):
+        packed = honest(f, width)
+        packers[id(packed)] = packed
+        return packed
+
+    monkeypatch.setattr(oracle, "_packer", recorded)
+    assert crosscheck.verify_rank_oracle(53) == {"codes": 116}
+    read = [p for p in packers.values() if p.elements]
+    assert len(read) == 8  # F_(q^2) for q = 7, 23, 27, 32, 37, 43, 47, 53
+    for packed in read:
+        assert len(packed.elements) <= packed.f.order
+        assert all(packed[d] == e for e, d in packed.elements.items())
 
 
 def test_rank_oracle_suite_ranks_match_raw_arithmetic(monkeypatch):

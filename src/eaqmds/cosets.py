@@ -12,18 +12,18 @@ neg_q_misses checks -q*C_src == C_dst as -q*src = +-dst (mod n).
 Defining sets exist only where q^2 = -1 (mod n), which _stride_order
 tests once per (n, q).  A set is one int bitmask, bit x set exactly when
 x is a member, so its set algebra is one int operation each.
-from_cosets closes by the reflection x -> n-x, and -q, which sends
-i + k*q to (-i*q mod n) + k, moves each strided slice t[i::q] of the
-indicator string t as one arc.  The sets the package builds are closed
-by construction, by from_cosets and the set algebra; DefiningSet(ctx,
-members) checks the closure of arbitrary residues, and the matrix route,
-which takes Z as residues, checks it by the degree of g.
+from_cosets closes by the reflection x -> n-x, from_runs makes each
+periodic family of runs and its reflection by one multiply, and -q moves
+each strided slice t[i::q] of the indicator string t as one arc (it
+sends i + k*q to (-i*q mod n) + k).  The sets the package builds are
+closed by construction; DefiningSet(ctx, members) checks the closure of
+arbitrary residues, and the matrix route checks it by the degree of g.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, count
+from itertools import chain, compress, count
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -65,10 +65,6 @@ class CycContext:
     def __repr__(self) -> str:
         return f"CycContext(n={self.n}, q={self.q})"
 
-    @property
-    def multiplier(self) -> int:
-        return self.q * self.q % self.n
-
     @classmethod
     def for_family(cls, q: int) -> "CycContext":
         """The context with n = (q^2+1)/5; q^2+1 must be divisible by 5."""
@@ -81,7 +77,7 @@ def all_cosets(ctx: CycContext) -> list[tuple[int, ...]]:
     """All cosets, by ascending representative; they partition 0..n-1.
     Each is an orbit {i, i*q^2, ...} mod n, walked through one list of
     x*q^2 mod n, as an ascending tuple led by its representative."""
-    n, mult = ctx.n, ctx.multiplier
+    n, mult = ctx.n, ctx.q * ctx.q % ctx.n
     image = [x * mult % n for x in range(n)]
     unseen = bytearray(b"\1") * n
     out = []
@@ -99,9 +95,13 @@ def all_cosets(ctx: CycContext) -> list[tuple[int, ...]]:
     return out
 
 
-def _mask_of(indicator: str | bytes | bytearray) -> int:
-    """The mask of a '0'/'1' indicator string: bit x set where character x is '1'."""
-    return int(indicator[::-1], 2)
+@lru_cache(maxsize=4)  # the (q, m-1) of the window sets of one (q, m), and the block
+def _repunit(period: int, count: int) -> int:
+    """The sum of 2^(k*period) over k < count, by doubling shifts."""
+    unit, terms = 1, 1
+    while terms < count:
+        unit, terms = unit | unit << terms * period, 2 * terms
+    return unit & ((1 << count * period) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -121,7 +121,7 @@ class DefiningSet:
 
     ``DefiningSet(ctx, members)`` is the one constructor that takes
     arbitrary residues, and it checks closure.  The other ways of making a
-    set (``from_cosets`` and the set algebra below) build a closed set by
+    set (``from_cosets``, ``from_runs`` and the set algebra) build a closed set by
     construction and skip the check.
 
     ``mask`` is the set as an int, bit x set exactly when x is a member;
@@ -139,7 +139,7 @@ class DefiningSet:
         if marks[1:] != marks[:0:-1]:  # mark x against mark n-x, for x = 1..n-1
             m = next(x for x in range(1, n) if marks[x] > marks[n - x])
             raise ValueError(f"set is not closed under multiplication by q^2: {m} in, {n - m} out")
-        self.ctx, self.mask = ctx, _mask_of(marks)
+        self.ctx, self.mask = ctx, int(marks[::-1], 2)
 
     @classmethod
     def _closed(cls, ctx: CycContext, mask: int) -> "DefiningSet":
@@ -151,19 +151,31 @@ class DefiningSet:
     @classmethod
     def from_cosets(cls, ctx: CycContext, *reps: Iterable[int]) -> "DefiningSet":
         """The union of the cosets of the integers in one or more iterables
-        ``reps``; each ``range`` inside 0..n-1 is marked by one slice, and
-        the marks are closed by one reflection."""
+        ``reps``, marked one by one and closed by one reflection."""
         n = ctx.n
         _stride_order(n, ctx.q)
         marks = bytearray(b"0" * n)
-        for run in reps:
-            if isinstance(run, range) and run.step > 0 and 0 <= run.start <= run.stop <= n:
-                marks[run.start : run.stop : run.step] = b"1" * len(run)
-            else:
-                for r in run:
-                    marks[r % n] = 49  # ord("1")
-        # bit x of the second mask is mark n-x (mark 0 for x = 0)
-        return cls._closed(ctx, _mask_of(marks) | int(marks[1:] + marks[:1], 2))
+        for r in chain.from_iterable(reps):
+            marks[r % n] = 49  # ord("1")
+        # bit x of the first mask is mark x, of the second mark n-x (mark 0 for x = 0)
+        return cls._closed(ctx, int(marks[::-1], 2) | int(marks[1:] + marks[:1], 2))
+
+    @classmethod
+    def from_runs(cls, ctx: CycContext, runs: Iterable[tuple[int, int, int, int]]) -> "DefiningSet":
+        """The union of the cosets of start + k*period + j (j < length,
+        k < count) over the families (start, length, period, count) in runs:
+        one multiply each, whose reflection x -> n-x is the same product at
+        n - last.  ValueError where a nonempty family leaves Z_n or overlaps."""
+        n, mask = ctx.n, 0
+        _stride_order(n, ctx.q)
+        for start, length, period, count in runs:
+            if length > 0 and count > 0:  # an empty family adds nothing
+                last = start + (count - 1) * period + length - 1
+                if start < 0 or last >= n or (count > 1 and length > period):
+                    raise ValueError(f"runs {start, length, period, count} overlap or leave Z_{n}")
+                family = ((1 << length) - 1) * _repunit(period, count)  # multiply, then shift
+                mask |= family << start | family << (n - last)
+        return cls._closed(ctx, mask & ~(1 << n))  # bit n is the reflection of x = 0
 
     # -- basic protocol ------------------------------------------------------
 
@@ -216,7 +228,7 @@ class DefiningSet:
         n, q = self.ctx.n, self.ctx.q
         t = format(self.mask, f"0{n}b")[::-1]  # the indicator: character x is bit x
         arcs = [t[i::q] for i in _stride_order(n, q)]
-        return DefiningSet._closed(self.ctx, _mask_of("".join(arcs)))
+        return DefiningSet._closed(self.ctx, int("".join(arcs)[::-1], 2))
 
 
 def neg_q_images(ctx: CycContext, cosets: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -137,8 +137,7 @@ def _check_m(spec: FamilySpec, m: int, allow_degenerate: bool = False) -> None:
 def family_defining_set(spec: FamilySpec, m: int) -> DefiningSet:
     """The block C_0 .. C_{(m-1)q}: 2(m-1)q+1 residues in one circular run."""
     _check_m(spec, m, allow_degenerate=True)
-    ctx = spec.context()
-    z = DefiningSet.from_cosets(ctx, range((m - 1) * spec.q.q + 1))
+    z = DefiningSet.from_runs(spec.context(), [(0, (m - 1) * spec.q.q + 1, 1, 1)])
     if len(z) != 2 * (m - 1) * spec.q.q + 1:
         raise VerificationError(
             f"C_0..C_{(m - 1) * spec.q.q} has {len(z)} elements, "
@@ -154,11 +153,11 @@ def _window_union(
     backward: tuple[tuple[int, int], ...],
 ) -> DefiningSet:
     """The cosets C_{s*q+i} for i in a forward window [lo, hi], s < m-1,
-    and C_{t*q-j} for j in a backward window [lo, hi], 1 <= t < m."""
+    and C_{t*q-j} for j in a backward window, 1 <= t < m: m-1 runs each."""
     q = spec.q.q
-    runs = [range(s * q + lo, s * q + hi + 1) for s in range(m - 1) for lo, hi in forward]
-    runs += [range(t * q - hi, t * q - lo + 1) for t in range(1, m) for lo, hi in backward]
-    return DefiningSet.from_cosets(spec.context(), *runs)
+    runs = [(lo, hi - lo + 1, q, m - 1) for lo, hi in forward]
+    runs += [(q - hi, hi - lo + 1, q, m - 1) for lo, hi in backward]
+    return DefiningSet.from_runs(spec.context(), runs)
 
 
 def free_window_set(spec: FamilySpec, m: int) -> DefiningSet:
@@ -324,6 +323,7 @@ def verify_cosets(q_max: int) -> dict[str, int]:
             k = next((k for k, pair in enumerate(pairs) if cs[k : k + 1] != [pair]), len(pairs))
             got, want = cs[k : k + 1] or "missing", pairs[k : k + 1] or "none"
             raise VerificationError(f"coset {k} at q={q} is {got}, not {want}")
+        del cs  # equal to pairs; two lists of n/2 + 1 tuples are enough
         images = neg_q_images(ctx, pairs)
         uncovered = bytearray(b"\1") * len(pairs)
         for i in compress(range(len(pairs)), uncovered):  # reads uncovered as it goes
@@ -344,11 +344,9 @@ def verify_lemmas(q_max: int) -> dict[str, int]:
     at every (q, m) with q <= q_max; one neg_q_misses call checks each
     window of a row, and a failure names its first failing (s, i) or (t, j)."""
     sizes = iter_family_sizes(q_max)
-    identities = 0
-    windows = 0
+    identities = windows = 0
     for spec in sizes:
-        ctx = spec.context()
-        q = spec.q.q
+        ctx, q = spec.context(), spec.q.q
         # the identities test -q*src = +-dst (mod n), which needs q^2 = -1 (mod n)
         if (ctx.q * ctx.q + 1) % ctx.n:
             raise VerificationError(f"q^2 != -1 (mod n) at q={ctx.q}, n={ctx.n}")

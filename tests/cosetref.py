@@ -1,8 +1,11 @@
 """Scalar reference for cyclotomic cosets and the reflection identity: one
 orbit walked by arithmetic, one (s, i) window pair at a time, each check
-made on whole orbits.  The package computes all cosets of a modulus at
-once and checks the identity on whole windows; these are what it is
-compared with."""
+made on whole orbits, and the window sets as unions of one range of
+representatives per window and s or t.  The package computes all cosets
+of a modulus at once, checks the identity on whole windows and builds
+each window family by one multiply; these are what it is compared with."""
+
+from eaqmds.cosets import DefiningSet
 
 
 def coset(ctx, i):
@@ -83,3 +86,18 @@ def expand(rows):
     """The (row, x) pairs of rows (row, ((lo, hi), ...)), x running over
     lo..hi of each window in turn."""
     return [(r, x) for r, windows in rows for lo, hi in windows for x in range(lo, hi + 1)]
+
+
+def block_by_runs(spec, m):
+    """The block C_0 .. C_{(m-1)q}, united from one range of representatives."""
+    return DefiningSet.from_cosets(spec.context(), range((m - 1) * spec.q.q + 1))
+
+
+def window_union_by_runs(spec, m, forward, backward):
+    """The cosets C_{s*q+i} for i in a forward window [lo, hi], s < m-1, and
+    C_{t*q-j} for j in a backward window [lo, hi], 1 <= t < m, united from
+    one range of representatives per window and s or t."""
+    q = spec.q.q
+    runs = [range(s * q + lo, s * q + hi + 1) for s in range(m - 1) for lo, hi in forward]
+    runs += [range(t * q - hi, t * q - lo + 1) for t in range(1, m) for lo, hi in backward]
+    return DefiningSet.from_cosets(spec.context(), *runs)

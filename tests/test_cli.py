@@ -723,17 +723,33 @@ def test_longest_run_off_by_one_is_caught(capsys, monkeypatch):
 
 
 def test_family_block_one_coset_too_long_is_caught(capsys, monkeypatch):
-    honest = DefiningSet.from_cosets
+    honest = DefiningSet.from_runs
 
-    def long_block(ctx, *reps):
+    def long_block(ctx, runs):
         # the family block is the one set built from a single run C_0 .. C_j
-        if len(reps) == 1 and isinstance(reps[0], range) and reps[0].start == 0:
-            reps = (range(reps[0].stop + 1),)
-        return honest(ctx, *reps)
+        if len(runs) == 1 and runs[0][0] == 0 and runs[0][3] == 1:
+            (start, length, period, count), = runs
+            runs = [(start, length + 1, period, count)]
+        return honest(ctx, runs)
 
-    monkeypatch.setattr(DefiningSet, "from_cosets", staticmethod(long_block))
+    monkeypatch.setattr(DefiningSet, "from_runs", staticmethod(long_block))
     message = "C_0..C_23 has 49 elements, not 2(m-1)q+1 = 47, at q=23, m=2"
     _assert_violation_is(capsys, message, "code", "--q", "23", "--m", "2")
+
+
+# the repunit of a window family one period too wide: every run after the
+# first moves by k, so the window sets no longer tile the block.  Only a
+# family of two or more runs sees it, the first at q = 32, m = 3; the block
+# is one run, so its size check cannot
+@pytest.mark.parametrize("level", ["theorem", "lemma"])
+def test_window_repunit_one_period_too_wide_is_caught(capsys, monkeypatch, level):
+    honest = cosets._repunit
+    monkeypatch.setattr(cosets, "_repunit", lambda period, count: honest(period + 1, count))
+    message = (
+        "windows at q=32, m=3: free part (48) and entangled part (83) "
+        "do not partition the 129-element set"
+    )
+    _assert_counterexample_is(capsys, message, "verify", "--level", level, "--qmax", "60")
 
 
 # q = 27 filed under the q = 3 (mod 10) shape: its anchors (q+2)/5 .. are

@@ -15,8 +15,15 @@ from eaqmds.cosets import (
     neg_q_images,
     neg_q_misses,
 )
-from eaqmds.families import family_defining_set, iter_family_sizes
+from eaqmds import families
+from eaqmds.families import (
+    entangled_window_set,
+    family_defining_set,
+    free_window_set,
+    iter_family_sizes,
+)
 from cosetref import (
+    block_by_runs,
     coset,
     coset_product_identity,
     coset_product_identity_inverse,
@@ -25,6 +32,7 @@ from cosetref import (
     identity_pairs,
     inverse_identity_pairs,
     neg_q_maps,
+    window_union_by_runs,
 )
 
 
@@ -169,7 +177,8 @@ def test_set_kernels_match_naive_reference(name, data):
     reps_a, reps_b = data.draw(reps), data.draw(reps)
     a, b = DefiningSet.from_cosets(ctx, reps_a), DefiningSet.from_cosets(ctx, reps_b)
     ra, rb = naive_union_of_cosets(ctx, reps_a), naive_union_of_cosets(ctx, reps_b)
-    # a range inside 0..n-1 is marked by one slice, any other one element by element
+    # a range of representatives, even one that leaves 0..n-1, is marked
+    # element by element like any other iterable
     ends = st.integers(-n, 2 * n)
     run = range(data.draw(ends), data.draw(ends), data.draw(st.integers(1, 3)))
     everything = set(range(n))
@@ -190,6 +199,92 @@ def test_set_kernels_match_naive_reference(name, data):
         assert got.members == tuple(sorted(want))
         assert len(got) == len(want)
         assert DefiningSet(ctx, got.members) == got  # the checked constructor agrees
+
+
+@st.composite
+def run_families(draw, n):
+    """One (start, length, period, count) inside 0..n-1 without overlaps,
+    empty families included: length <= period when count > 1, and start
+    drawn up to the largest that keeps last = n - 1."""
+    period = draw(st.integers(1, n))
+    count = draw(st.integers(0, max(1, n // period)))
+    length = draw(st.integers(0, period if count > 1 else n))
+    span = (count - 1) * period + length if length and count else 0
+    start = draw(st.sampled_from([0, n - span]) | st.integers(0, n - span))
+    return start, length, period, count
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CONTEXTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_from_runs_matches_naive_reference(name, data):
+    ctx = KERNEL_CONTEXTS[name]
+    runs = data.draw(st.lists(run_families(ctx.n), max_size=4))
+    reps = [
+        start + k * period + j
+        for start, length, period, count in runs
+        for k in range(count)
+        for j in range(length)
+    ]
+    z = DefiningSet.from_runs(ctx, runs)
+    assert z.members == tuple(sorted(naive_union_of_cosets(ctx, reps)))
+    assert DefiningSet(ctx, z.members) == z  # the checked constructor agrees
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CONTEXTS))
+def test_from_runs_edge_families(name):
+    # start 0 (whose reflection lands on bit n), last = n - 1, touching runs
+    # (length = period), one run, the whole of Z_n and empty families
+    ctx = KERNEL_CONTEXTS[name]
+    n, q = ctx.n, ctx.q
+    for runs in (
+        [(0, 1, 1, 1)],
+        [(0, q, q, n // q)],
+        [(n - 3, 3, 5, 1)],
+        [(n % q, q, q, n // q)],
+        [(2, 1, q, 1)],
+        [(0, n, 1, 1)],
+        [(0, 0, 1, 1), (5, 3, 4, 0), (n - 1, -2, 1, 1)],
+        [],
+    ):
+        reps = [s + k * p + j for s, length, p, c in runs for k in range(c) for j in range(length)]
+        want = tuple(sorted(naive_union_of_cosets(ctx, reps)))
+        assert DefiningSet.from_runs(ctx, runs).members == want, runs
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        [(0, 4, 3, 2)],  # runs of length 4 every 3 overlap
+        [(0, 2, 1, 2)],
+        [(100, 7, 1, 1)],  # last = 106 = n
+        [(0, 2, 53, 3)],  # last = 107
+        [(-1, 2, 3, 1)],  # start < 0
+        [(1, 1, 1, 1), (-5, 1, 1, 1)],  # a later family refused
+    ],
+)
+def test_from_runs_refuses_overlaps_and_families_outside_z_n(ctx23, runs):
+    with pytest.raises(ValueError, match=r"overlap or leave Z_106"):
+        DefiningSet.from_runs(ctx23, runs)
+
+
+def test_window_sets_and_blocks_match_the_per_run_unions(monkeypatch):
+    # each window family by one multiply, against one range of
+    # representatives per window and s or t, united by from_cosets
+    points = [(spec, m) for spec in iter_family_sizes(200) for m in range(1, spec.m_max + 1)]
+    got = {}
+    for spec, m in points:
+        got[spec.q.q, m] = family_defining_set(spec, m)
+        if m >= 2:
+            got[spec.q.q, m, "free"] = free_window_set(spec, m)
+            got[spec.q.q, m, "entangled"] = entangled_window_set(spec, m)
+    monkeypatch.setattr(families, "_window_union", window_union_by_runs)
+    for spec, m in points:
+        assert got[spec.q.q, m] == block_by_runs(spec, m), (spec.q.q, m)
+        if m >= 2:
+            assert got[spec.q.q, m, "free"] == free_window_set(spec, m), (spec.q.q, m)
+            assert got[spec.q.q, m, "entangled"] == entangled_window_set(spec, m), (spec.q.q, m)
+    assert len(got) == 623  # 23 blocks at m = 1, and 3 sets at each of the 200 points
 
 
 @pytest.mark.parametrize("name", ["q7", "q23", "q32"])

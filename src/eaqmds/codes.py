@@ -18,15 +18,24 @@ def longest_circular_run(mask: int, n: int) -> int:
     given as a bitmask (bit x set when x is in the set).
 
     Works on any residue set (no closure needed); a full circle counts
-    as n.  Read from one of its zeros, the n-digit binary string has no
-    run that wraps around, and its runs of ones are the words left once
-    each zero is a space.
+    as n.  Rotated so that its lowest zero is bit 0, no run wraps; level j
+    marks the starts of runs of 2^j ones, the one before and its shift
+    ANDed, and binary steps down the levels lengthen the longest run.
     """
-    bits = format(mask, f"0{n}b")
-    zero = bits.find("0")
-    if zero < 0:
+    full = (1 << n) - 1
+    if mask == full:
         return n
-    return max(map(len, (bits[zero:] + bits[:zero]).replace("0", " ").split()), default=0)
+    zero = (~mask & (mask + 1)).bit_length() - 1  # the lowest zero
+    run, levels = mask >> zero | (mask << (n - zero) & full), []
+    while run:
+        levels.append(run)
+        run &= run >> (1 << len(levels) - 1)
+    starts, length = -1, 0  # -1 has every bit set
+    for j in range(len(levels) - 1, -1, -1):
+        longer = starts & levels[j] >> length
+        if longer:
+            starts, length = longer, length + (1 << j)
+    return length
 
 
 def bch_bound(z: DefiningSet) -> int:

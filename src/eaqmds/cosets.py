@@ -9,15 +9,16 @@ for i = n/2).  families.verify_cosets checks that shape on the family
 moduli and their -q images, read from one list of -q*x mod n, and
 neg_q_misses checks -q*C_src == C_dst as -q*src = +-dst (mod n).
 
-Defining sets exist only where q^2 = -1 (mod n), which _stride_order
-tests once per (n, q).  A set is one int bitmask, bit x set exactly when
+Defining sets exist only where q^2 = -1 (mod n), which _check_modulus
+tests as each set is built.  A set is one int bitmask, bit x set exactly when
 x is a member, so its set algebra is one int operation each.
 from_cosets closes by the reflection x -> n-x, from_runs makes each
-periodic family of runs and its reflection by one multiply, and -q moves
-each strided slice t[i::q] of the indicator string t as one arc (it
-sends i + k*q to (-i*q mod n) + k).  The sets the package builds are
-closed by construction; DefiningSet(ctx, members) checks the closure of
-arbitrary residues, and the matrix route checks it by the degree of g.
+periodic family of runs and its reflection by one multiply, and -q reads
+each row s*q .. s*q+q-1 of its image as one stride-q slice of the
+indicator string (bit s*q + i of the image is bit i*q - s of the set).
+The sets the package builds are closed by construction; DefiningSet(ctx,
+members) checks the closure of arbitrary residues, and the matrix route
+checks it by the degree of g.
 """
 
 from __future__ import annotations
@@ -104,15 +105,10 @@ def _repunit(period: int, count: int) -> int:
     return unit & ((1 << count * period) - 1)
 
 
-@lru_cache(maxsize=None)
-def _stride_order(n: int, q: int) -> tuple[int, ...]:
-    """i < q in the order of (-i*q) mod n, where the arc of t[i::q] starts.
-    The arcs tile 0..n-1 and the arc of i = 0 starts at 0, so laid end to
-    end in this order none wraps around.  Raises ValueError unless
-    q^2 = -1 (mod n), where defining sets live."""
+def _check_modulus(n: int, q: int) -> None:
+    """Raises ValueError unless q^2 = -1 (mod n), where defining sets live."""
     if (q * q + 1) % n:
         raise ValueError(f"defining sets need q^2 = -1 (mod n); not so for n={n}, q={q}")
-    return tuple(sorted(range(q), key=lambda i: -i * q % n))
 
 
 class DefiningSet:
@@ -132,7 +128,7 @@ class DefiningSet:
 
     def __init__(self, ctx: CycContext, members: Iterable[int]):
         n = ctx.n
-        _stride_order(n, ctx.q)
+        _check_modulus(n, ctx.q)
         marks = bytearray(b"0" * n)
         for m in members:
             marks[int(m) % n] = 49  # ord("1")
@@ -153,7 +149,7 @@ class DefiningSet:
         """The union of the cosets of the integers in one or more iterables
         ``reps``, marked one by one and closed by one reflection."""
         n = ctx.n
-        _stride_order(n, ctx.q)
+        _check_modulus(n, ctx.q)
         marks = bytearray(b"0" * n)
         for r in chain.from_iterable(reps):
             marks[r % n] = 49  # ord("1")
@@ -167,7 +163,7 @@ class DefiningSet:
         one multiply each, whose reflection x -> n-x is the same product at
         n - last.  ValueError where a nonempty family leaves Z_n or overlaps."""
         n, mask = ctx.n, 0
-        _stride_order(n, ctx.q)
+        _check_modulus(n, ctx.q)
         for start, length, period, count in runs:
             if length > 0 and count > 0:  # an empty family adds nothing
                 last = start + (count - 1) * period + length - 1
@@ -218,17 +214,24 @@ class DefiningSet:
         return not self.mask & other.mask
 
     def neg_q(self) -> "DefiningSet":
-        """The image {(n - q*x) mod n}, mapped by q strided slices; again
+        """The image {(n - q*x) mod n}, read by row slices; again
         coset-closed, same size.
+
+        Bit y of the image is bit q*y mod n of the set, as (-q)(q) = 1.  The
+        indicator string t has bit n-1-j as character j, repeated so that no
+        slice wraps; its stride-q slice from character q + s holds bits
+        (q-1-k)*q - s for k < q (q^2 = -1), which is row s of the image,
+        bits s*q + q-1 down to s*q, MSB first.  The top row's characters
+        past bit n-1 are dropped.
 
         Closed because -q commutes with *q^2, so it is not re-checked.  On
         coset-closed sets this map is an involution: applying it twice
         multiplies by q^2, which fixes every coset.
         """
         n, q = self.ctx.n, self.ctx.q
-        t = format(self.mask, f"0{n}b")[::-1]  # the indicator: character x is bit x
-        arcs = [t[i::q] for i in _stride_order(n, q)]
-        return DefiningSet._closed(self.ctx, int("".join(arcs)[::-1], 2))
+        t = format(self.mask, f"0{n}b") * (q * q // n + 2)
+        rows = "".join([t[q + s : q * q + s + 1 : q] for s in range((n - 1) // q, -1, -1)])
+        return DefiningSet._closed(self.ctx, int(rows[len(rows) - n :], 2))
 
 
 def neg_q_images(ctx: CycContext, cosets: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -31,34 +31,35 @@ class Decomposition(NamedTuple):
 
 
 def check_split(whole: DefiningSet, free: DefiningSet, entangled: DefiningSet, stage: str) -> None:
-    """The checks on a split of a defining set into a free and an entangled
-    part: the parts partition it disjointly, the entangled part is
-    -q-invariant and the free part avoids its own -q image.  Any failure
-    raises VerificationError, its message led by stage.  A split that passes
-    is Z minus -qZ and Z & -qZ (proved at families.check_window_lemmas)."""
+    """The checks on a split of a closed set Z into a free part F and an
+    entangled part E: they partition Z, E lies in I = -qZ and F avoids it.
+    Any failure raises VerificationError, its message led by stage.
+
+    This is E = -qE with F & -qF empty: those give I = E | -qF, and
+    conversely E = Z & I, whose image is I & q^2 Z = E.  So a split that
+    passes is Z minus -qZ and Z & -qZ.  E outside I is not -q-invariant;
+    otherwise one more image, of E, tells which of the two failed."""
     if free.union(entangled) != whole or not free.isdisjoint(entangled):
         raise VerificationError(
             f"{stage}: free part ({len(free)}) and entangled part ({len(entangled)}) do not "
             f"partition the {len(whole)}-element set"
         )
-    if entangled.neg_q() != entangled:
+    image = whole.neg_q().mask
+    if entangled.mask & ~image or (free.mask & image and entangled.neg_q() != entangled):
         raise VerificationError(f"{stage}: entangled part is not -q-invariant")
-    if not free.isdisjoint(free.neg_q()):
+    if free.mask & image:
         raise VerificationError(f"{stage}: free part meets its own -q image")
 
 
 def decompose(z: DefiningSet) -> Decomposition:
-    """Split Z; every structural invariant is checked on every call.
-
-    The set algebra trusts closure, so these checks are what catches a
-    wrong -q map or a set that is not what it claims to be.  Applying -q
-    twice multiplies by q^2, which fixes coset-closed sets, so the overlap
-    is -q-invariant and the free part avoids its image.
-    """
+    """Split Z into Z minus -qZ and the overlap Z & -qZ.  The set algebra
+    trusts closure, so the one check that can fail, that the overlap is
+    -q-invariant (as -q twice is *q^2), is what catches a wrong -q map or
+    a set that is not what it claims to be."""
     overlap = z.intersect(z.neg_q())
-    free = z.difference(overlap)
-    check_split(z, free, overlap, f"overlap Z & -qZ of {z!r}")
-    return Decomposition(whole=z, free_part=free, entangled_part=overlap)
+    if overlap.neg_q() != overlap:
+        raise VerificationError(f"overlap Z & -qZ of {z!r}: entangled part is not -q-invariant")
+    return Decomposition(whole=z, free_part=z.difference(overlap), entangled_part=overlap)
 
 
 def ebits(z: DefiningSet) -> int:

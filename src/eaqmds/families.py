@@ -188,10 +188,7 @@ def check_window_lemmas(spec: FamilySpec, m: int, z: DefiningSet) -> Decompositi
     raises VerificationError.  Returns the checked windows as the split of z.
     """
     free, ent = free_window_set(spec, m), entangled_window_set(spec, m)
-    # A split (F, E) of Z that passes check_split is Z \ -qZ and Z & -qZ:
-    # E lies in Z, and E = -qE lies in -qZ.  F avoids -qF, and -qE = E,
-    # which is disjoint from F, so F avoids -qZ = -qF | -qE.  As F and E
-    # partition Z, they are the parts decompose(z) would build.
+    # passing check_split makes them Z \ -qZ and Z & -qZ, what decompose(z) builds
     check_split(z, free, ent, f"windows at q={spec.q.q}, m={m}")
     return Decomposition(whole=z, free_part=free, entangled_part=ent)
 

@@ -4,6 +4,7 @@ import inspect
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from eaqmds.cosets import CycContext, DefiningSet
 from eaqmds.exceptions import UsageError
 from eaqmds.gf import build_field
 from eaqmds.primes import PrimePower
+
+import coderef
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -565,18 +568,50 @@ def test_wrong_neg_q_map_is_caught(capsys, monkeypatch, wrong, level):
     _assert_counterexample(capsys, "verify", "--level", level, "--qmax", "60")
 
 
-# two arcs of the strided -q map swapped: every family block and its parts
-# take the strided path; the coset level maps its cosets element by element
-# (neg_q_images), so it cannot see this fault
+def _mapped_by(image):
+    """A neg_q that maps each member by image(x, n, q), closed by from_cosets."""
+
+    def neg_q(self):
+        n, q = self.ctx.n, self.ctx.q
+        return DefiningSet.from_cosets(self.ctx, (image(x, n, q) for x in self.members))
+
+    return neg_q
+
+
+# the same wrong maps on the random sets of the rank-oracle level: below
+# q = 23 there is no family code, so the one check to see them is the
+# invariance of the overlap that decompose builds
+@pytest.mark.parametrize("wrong", sorted(WRONG_NEG_Q))
+def test_wrong_neg_q_map_is_caught_by_decompose(capsys, monkeypatch, wrong):
+    monkeypatch.setattr(DefiningSet, "neg_q", _mapped_by(WRONG_NEG_Q[wrong]))
+    message = (
+        "overlap Z & -qZ of DefiningSet(n=10, q=7, size=6): entangled part is not -q-invariant"
+    )
+    _assert_counterexample_is(capsys, message, "verify", "--level", "rank-oracle", "--qmax", "7")
+
+
+# faults in the row slices of the -q map, each put in by rewriting one
+# expression of DefiningSet.neg_q: every row read one character late, or
+# rows 2k and 2k+1 trading places.  Every family block and its parts take
+# this map; the coset level maps its cosets element by element
+# (neg_q_images), so it cannot see either fault.  Rows 0 and 1 alone
+# swapped go unseen: the forward windows repeat from row to row, so no
+# family set tells those two rows of its image apart
+NEG_Q_FAULTS = {
+    "row offset": ("t[q + s : q * q + s + 1 : q]", "t[q + s + 1 : q * q + s + 2 : q]"),
+    "rows swapped": ("t[q + s : q * q + s + 1 : q]", "t[q + (s ^ 1) : q * q + (s ^ 1) + 1 : q]"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(NEG_Q_FAULTS))
 @pytest.mark.parametrize("level", ["theorem", "lemma"])
-def test_swapped_stride_arcs_are_caught(capsys, monkeypatch, level):
-    honest = cosets._stride_order
-
-    def swapped(n, q):
-        order = honest(n, q)
-        return (order[0], order[2], order[1], *order[3:])
-
-    monkeypatch.setattr(cosets, "_stride_order", swapped)
+def test_neg_q_row_fault_is_caught(capsys, monkeypatch, level, fault):
+    old, new = NEG_Q_FAULTS[fault]
+    source = textwrap.dedent(inspect.getsource(DefiningSet.neg_q))
+    assert source.count(old) == 1
+    namespace = dict(vars(cosets))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(DefiningSet, "neg_q", namespace["neg_q"])
     _assert_counterexample(capsys, "verify", "--level", level, "--qmax", "60")
     assert run_cli(capsys, "verify", "--level", "coset", "--qmax", "60")[0] == 0
 
@@ -813,6 +848,52 @@ def test_entangled_windows_missing_a_coset_are_caught(capsys, monkeypatch, level
 
     monkeypatch.setattr(families, "entangled_window_set", short)
     _assert_counterexample(capsys, "verify", "--level", level, "--qmax", "60")
+
+
+def _shifted(anchors, index, delta):
+    return tuple(a + delta * (k == index) for k, a in enumerate(anchors))
+
+
+def _c1_pair(spec):
+    c1 = DefiningSet.from_cosets(spec.context(), [1])
+    return c1.union(c1.neg_q())
+
+
+# the window faults of the tests above, each as the functions of families
+# it wraps: the -q pair C_1, C_q moved into the free windows, C_0 dropped
+# from the entangled windows, and each anchor shifted by one
+WINDOW_FAULTS = {
+    "pair moved": [
+        ("free_window_set", lambda f: lambda s, m: f(s, m).union(_c1_pair(s))),
+        ("entangled_window_set", lambda f: lambda s, m: f(s, m).difference(_c1_pair(s))),
+    ],
+    "coset dropped": [
+        (
+            "entangled_window_set",
+            lambda f: lambda s, m: f(s, m).difference(DefiningSet.from_cosets(s.context(), [0])),
+        )
+    ],
+    **{
+        f"anchor {i} {d:+d}": [("_anchors", lambda f, i=i, d=d: lambda s: _shifted(f(s), i, d))]
+        for i in range(5)
+        for d in (1, -1)
+    },
+}
+
+
+# the one-image check_split against the two-image reference under each
+# window fault: the same exit code and the same counterexample line
+@pytest.mark.parametrize("fault", sorted(WINDOW_FAULTS))
+@pytest.mark.parametrize("level", ["theorem", "lemma"])
+def test_window_faults_read_the_same_with_one_image_as_with_two(capsys, monkeypatch, level, fault):
+    for name, wrap in WINDOW_FAULTS[fault]:
+        monkeypatch.setattr(families, name, wrap(getattr(families, name)))
+    argv = ("verify", "--level", level, "--qmax", "60")
+    rc, _out, err = run_cli(capsys, *argv)
+    monkeypatch.setattr(families, "check_split", coderef.check_split)
+    rc_ref, _out, err_ref = run_cli(capsys, *argv)
+    assert rc == rc_ref == 1
+    assert err.splitlines()[-1] == err_ref.splitlines()[-1]
 
 
 # a closed form one ebit high: the comparison with the first-principles

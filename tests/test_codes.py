@@ -1,9 +1,13 @@
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaqmds.codes import bch_bound, dimension, longest_circular_run
 from eaqmds.cosets import DefiningSet
 from eaqmds.families import family_defining_set, free_window_set
+
+import coderef
 
 
 def run_of(members, n):
@@ -73,6 +77,21 @@ def test_longest_run_edge_cases():
             assert run_of(arc, n) == k == naive_longest_run(arc, n)
         if n >= 2:
             assert run_of(range(1, n), n) == n - 1
+
+
+def test_longest_run_matches_the_string_reference():
+    # random masks of densities 1/8, 1/2, 7/8 and 31/32, the empty and the
+    # full mask, and the full mask less one bit, whose run wraps around
+    rng = random.Random(7450)
+    for n in [*range(1, 71), 370, 7450]:
+        full = (1 << n) - 1
+        masks = [0, full, full ^ 1 << rng.randrange(n)]
+        for _ in range(8):
+            a, b, c = (rng.getrandbits(n) for _ in range(3))
+            masks += [a & b & c, a, a | b | c, a | b | c | rng.getrandbits(n) | rng.getrandbits(n)]
+        for mask in masks:
+            want = coderef.longest_circular_run(mask, n)
+            assert longest_circular_run(mask, n) == want, (n, mask)
 
 
 def _mds_certificate(z):

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import compress, product
 from math import gcd
 
 import pytest
@@ -309,6 +309,29 @@ def test_neg_q_of_family_blocks_and_their_parts_matches_elementwise():
             for part in (z, overlap, z.difference(overlap)):
                 want = tuple(sorted(-q * x % ctx.n for x in part.members))
                 assert part.neg_q().members == want, (q, m, len(part))
+
+
+def test_neg_q_matches_elementwise_on_random_sets_of_every_modulus():
+    # every modulus n > 2 of a context with q^2 = -1 (mod n), q < 60, three
+    # random closed sets each, and one at each family modulus with
+    # 60 <= q <= 997, against -q element by element
+    rng = random.Random(997)
+    points = [
+        (CycContext(n, q), 3)
+        for q in range(2, 60)
+        for n in range(3, q * q + 2)
+        if (q * q + 1) % n == 0 and gcd(n, q) == 1
+    ]
+    points += [(spec.context(), 1) for spec in iter_family_sizes(997) if spec.q.q >= 60]
+    coin = bytes(b < 64 for b in range(256))  # a random byte to a bit set 1 time in 4
+    checked = 0
+    for ctx, sets in points:
+        n, q = ctx.n, ctx.q
+        for _ in range(sets):
+            z = DefiningSet.from_cosets(ctx, compress(range(n), rng.randbytes(n).translate(coin)))
+            assert z.neg_q() == DefiningSet.from_cosets(ctx, [-q * x for x in z.members]), ctx
+            checked += 1
+    assert checked == 686  # 3 at each of 201 moduli with q < 60, 1 at each of 83 family moduli
 
 
 def test_set_algebra_examples(ctx7, ctx23):

@@ -7,12 +7,22 @@ from eaqmds.eaqecc import (
     EAQMDS,
     EQUALITY_WITHOUT_PRECONDITION,
     NOT_EAQMDS,
+    check_split,
     decompose,
     eaqecc_params,
     eaqmds_status,
     ebits,
 )
-from eaqmds.families import classify, family_defining_set
+from eaqmds.exceptions import VerificationError
+from eaqmds.families import (
+    classify,
+    entangled_window_set,
+    family_defining_set,
+    free_window_set,
+    iter_family_sizes,
+)
+
+import coderef
 
 
 def test_decompose_empty(ctx23):
@@ -98,3 +108,41 @@ def test_single_coset_c0_gives_trivial_eaqmds(ctx7, ctx23):
         p = eaqecc_params(decompose(DefiningSet.from_cosets(ctx, [0])))
         assert (p.n, p.k, p.d, p.c) == (ctx.n, ctx.n - 1, 2, 1)
         assert eaqmds_status(p) == EAQMDS
+
+
+def _split_verdict(check, whole, free, entangled):
+    """None where check passes the split, else its message."""
+    try:
+        check(whole, free, entangled, "split")
+    except VerificationError as exc:
+        return str(exc)
+    return None
+
+
+def test_one_image_split_check_agrees_with_the_two_image_one():
+    # at every family (q, m) with q <= 200, m >= 2: the window split, and
+    # the split with C_1 alone or with its image C_q moved from the
+    # entangled part to the free one, with the least free coset moved the
+    # other way, and with C_0 dropped from the entangled part
+    verdicts = set()
+    for spec in iter_family_sizes(200):
+        ctx = spec.context()
+        c0, c1 = DefiningSet.from_cosets(ctx, [0]), DefiningSet.from_cosets(ctx, [1])
+        pair = c1.union(c1.neg_q())
+        for m in range(2, spec.m_max + 1):
+            z = family_defining_set(spec, m)
+            free, ent = free_window_set(spec, m), entangled_window_set(spec, m)
+            least = DefiningSet.from_cosets(ctx, free.members[:1])
+            splits = [
+                (free, ent),
+                (free.union(c1), ent.difference(c1)),
+                (free.union(pair), ent.difference(pair)),
+                (free.difference(least), ent.union(least)),
+                (free, ent.difference(c0)),
+            ]
+            for f, e in splits:
+                want = _split_verdict(coderef.check_split, z, f, e)
+                assert _split_verdict(check_split, z, f, e) == want, (spec.q.q, m)
+                verdicts.add(want and want.rsplit(" ", 1)[1])
+    # each outcome is met: a pass, and the partition, invariance and free checks failing
+    assert verdicts == {None, "set", "-q-invariant", "image"}

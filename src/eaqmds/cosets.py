@@ -2,12 +2,13 @@
 algebra of coset-closed subsets, including the -q map.
 
 Cosets are computed for any modulus n coprime to q, all at once, by
-walking each orbit through one list of x*q^2 mod n.  The lengths this
+walking each orbit through one table of x*q^2 mod n.  The lengths this
 package is about, n = (q^2+1)/5, satisfy q^2 = -1 (mod n); then every
 orbit is the pair {i, n-i} (a singleton for i = 0 and, when n is even,
 for i = n/2).  families.verify_cosets checks that shape on the family
-moduli and their -q images, read from one list of -q*x mod n, and
-neg_q_misses checks -q*C_src == C_dst as -q*src = +-dst (mod n).
+moduli, and that the table t = neg_q_map of -q*x mod n squares to
+negation, which makes -q an involution on those cosets; neg_q_misses
+checks -q*C_src == C_dst as -q*src = +-dst (mod n).
 
 Defining sets exist only where q^2 = -1 (mod n), which _check_modulus
 tests as each set is built.  A set is one int bitmask, bit x set exactly when
@@ -24,8 +25,9 @@ checks it by the degree of g.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
 from math import gcd
+from operator import mod
 from typing import Iterable, Iterator
 
 from .exceptions import UsageError
@@ -74,19 +76,34 @@ class CycContext:
         return cls((q * q + 1) // 5, q)
 
 
+def _times(n: int, a: int) -> list[int]:
+    """The table x -> a*x mod n for x = 0..n-1, built in C (a may be 0)."""
+    return list(map(mod, count(0, a), repeat(n, n)))
+
+
+def neg_q_map(ctx: CycContext) -> list[int]:
+    """The table t[x] = -q*x mod n for x = 0..n-1."""
+    return _times(ctx.n, -ctx.q % ctx.n)
+
+
 def all_cosets(ctx: CycContext) -> list[tuple[int, ...]]:
     """All cosets, by ascending representative; they partition 0..n-1.
-    Each is an orbit {i, i*q^2, ...} mod n, walked through one list of
-    x*q^2 mod n, as an ascending tuple led by its representative."""
-    n, mult = ctx.n, ctx.q * ctx.q % ctx.n
-    image = [x * mult % n for x in range(n)]
+    Each is an orbit {i, i*q^2, ...} mod n, walked through one table of
+    x*q^2 mod n, as an ascending tuple led by its representative.  An orbit
+    of one or two members is closed by one lookup, image[image[i]] == i."""
+    n = ctx.n
+    image = _times(n, ctx.q * ctx.q % n)
     unseen = bytearray(b"\1") * n
     out = []
     # compress reads unseen as it goes, and a walk from i clears only
     # members above i, so each i it yields is the least of a new orbit
     for i in compress(range(n), unseen):
-        orbit = [i]
         x = image[i]
+        if image[x] == i:
+            unseen[x] = 0
+            out.append((i, x) if x != i else (i,))
+            continue
+        orbit = [i]
         while x != i:
             unseen[x] = 0
             orbit.append(x)
@@ -232,15 +249,6 @@ class DefiningSet:
         t = format(self.mask, f"0{n}b") * (q * q // n + 2)
         rows = "".join([t[q + s : q * q + s + 1 : q] for s in range((n - 1) // q, -1, -1)])
         return DefiningSet._closed(self.ctx, int(rows[len(rows) - n :], 2))
-
-
-def neg_q_images(ctx: CycContext, cosets: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The image -q*C of each C in cosets, of distinct residues: its
-    residues -q*x mod n, ascending, read from one list of -q*x mod n.  As
-    gcd(q, n) = 1, -q is injective mod n, so no two of them coincide."""
-    n = ctx.n
-    neg_q = [-ctx.q * x % n for x in range(n)]
-    return [tuple(sorted(map(neg_q.__getitem__, c))) for c in cosets]
 
 
 # ---------------------------------------------------------------------------

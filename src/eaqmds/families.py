@@ -30,7 +30,6 @@ No field code is loaded: q is parsed by primes, not gf.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import NamedTuple
 
 from .cosets import (
@@ -39,7 +38,7 @@ from .cosets import (
     all_cosets,
     identity_windows,
     inverse_identity_windows,
-    neg_q_images,
+    neg_q_map,
     neg_q_misses,
 )
 from .eaqecc import Decomposition, EaqeccParams, check_split, decompose, eaqecc_params
@@ -302,12 +301,15 @@ def enumerate_family(family_id: str, q_max: int) -> list[FamilyCode]:
 
 def verify_cosets(q_max: int) -> dict[str, int]:
     """Every family modulus with q <= q_max: the cosets are the pairs
-    {i, n-i}, which partition Z_n, and -q is an injective involution on them.
+    {i, n-i}, which partition Z_n, and -q is an involution on them.
 
     all_cosets must be exactly (i, n-i) for i <= n/2, or (i,) where i = 0 or
-    2i = n: shape and partition at once.  Then -q maps each coset C not yet
-    covered to C', which must have |C| elements, be C_j for j = min C' and map
-    back onto C; so -q also maps C_j onto C, of |C_j| elements, and back.
+    2i = n: shape and partition at once.  Then the table t of -q*x mod n
+    must square to negation, t(t(x)) = -x for every residue x.  That makes t
+    a bijection that commutes with negation, t(-x) = t^3(x) = -t(x), so t
+    maps each coset {x, -x} onto the coset {t(x), -t(x)} of the same size,
+    and that coset back onto {-x, x}.  A failure names the first coset
+    with a residue x where t(t(x)) != -x.
     """
     sizes = iter_family_sizes(q_max)
     for spec in sizes:
@@ -320,19 +322,13 @@ def verify_cosets(q_max: int) -> dict[str, int]:
             k = next((k for k, pair in enumerate(pairs) if cs[k : k + 1] != [pair]), len(pairs))
             got, want = cs[k : k + 1] or "missing", pairs[k : k + 1] or "none"
             raise VerificationError(f"coset {k} at q={q} is {got}, not {want}")
-        del cs  # equal to pairs; two lists of n/2 + 1 tuples are enough
-        images = neg_q_images(ctx, pairs)
-        uncovered = bytearray(b"\1") * len(pairs)
-        for i in compress(range(len(pairs)), uncovered):  # reads uncovered as it goes
-            c, image = pairs[i], images[i]
-            if len(image) != len(c):
-                raise VerificationError(f"-q maps coset {i} at q={q}, {c}, to {image}")
-            j = image[0]
-            if j >= len(pairs) or image != pairs[j]:
-                raise VerificationError(f"-q maps coset {i} at q={q} to {image}, not a coset")
-            if (back := images[j]) != c:  # the image of C' = C_j
-                raise VerificationError(f"-q maps coset {i} at q={q} to {image}, then to {back}")
-            uncovered[j] = 0  # -q swaps C and C_j, so both are checked
+        del cs  # equal to pairs; freed before the tables of n residues are built
+        t = neg_q_map(ctx)
+        if list(map(t.__getitem__, t)) != [0, *range(n - 1, 0, -1)]:
+            i = min(min(x, n - x) for x in range(n) if t[t[x]] != -x % n)
+            image = tuple(sorted({t[x] for x in pairs[i]}))
+            back = tuple(sorted({t[y] for y in image}))
+            raise VerificationError(f"-q maps coset {i} at q={q} to {image}, then to {back}")
     return {"field sizes": len(sizes), "cosets": sum(spec.n // 2 + 1 for spec in sizes)}
 
 

@@ -541,11 +541,16 @@ def test_window_anchor_off_by_one_is_caught(capsys, monkeypatch, index, delta, l
 
 # wrong maps in place of x -> -q*x, on defining sets at the theorem level
 # (closed again by from_cosets, so only the checks on the decomposition can
-# see the fault) and on cosets at the coset level (the map x -> q*x is no
-# fault here: it equals -q on every coset {i, n-i})
+# see the fault) and as the table of the coset level, whose first failing
+# coset is pinned (the map x -> q*x is no fault there: it too squares to
+# negation, and equals -q on every coset {i, n-i})
 WRONG_NEG_Q = {
     "plus-one": lambda x, n, q: (-q * x + 1) % n,
     "times-minus-q-minus-one": lambda x, n, q: -(q + 1) * x % n,
+}
+WRONG_NEG_Q_AT_COSETS = {
+    "plus-one": "-q maps coset 0 at q=8 to (1,), then to (6,)",
+    "times-minus-q-minus-one": "-q maps coset 1 at q=8 to (4, 9), then to (3, 10)",
 }
 
 
@@ -553,19 +558,15 @@ WRONG_NEG_Q = {
 @pytest.mark.parametrize("level", ["theorem", "coset"])
 def test_wrong_neg_q_map_is_caught(capsys, monkeypatch, wrong, level):
     image = WRONG_NEG_Q[wrong]
-
-    def neg_q(self):
-        n, q = self.ctx.n, self.ctx.q
-        return DefiningSet.from_cosets(self.ctx, (image(x, n, q) for x in self.members))
-
-    def neg_q_images(ctx, cosets):
-        return [tuple(sorted({image(x, ctx.n, ctx.q) for x in c})) for c in cosets]
-
+    argv = ("verify", "--level", level, "--qmax", "60")
     if level == "coset":
-        monkeypatch.setattr(families, "neg_q_images", neg_q_images)
+        monkeypatch.setattr(
+            families, "neg_q_map", lambda ctx: [image(x, ctx.n, ctx.q) for x in range(ctx.n)]
+        )
+        _assert_counterexample_is(capsys, WRONG_NEG_Q_AT_COSETS[wrong], *argv)
     else:
-        monkeypatch.setattr(DefiningSet, "neg_q", neg_q)
-    _assert_counterexample(capsys, "verify", "--level", level, "--qmax", "60")
+        monkeypatch.setattr(DefiningSet, "neg_q", _mapped_by(image))
+        _assert_counterexample(capsys, *argv)
 
 
 def _mapped_by(image):
@@ -593,8 +594,8 @@ def test_wrong_neg_q_map_is_caught_by_decompose(capsys, monkeypatch, wrong):
 # faults in the row slices of the -q map, each put in by rewriting one
 # expression of DefiningSet.neg_q: every row read one character late, or
 # rows 2k and 2k+1 trading places.  Every family block and its parts take
-# this map; the coset level maps its cosets element by element
-# (neg_q_images), so it cannot see either fault.  Rows 0 and 1 alone
+# this map; the coset level checks its own table of -q*x mod n
+# (neg_q_map), so it cannot see either fault.  Rows 0 and 1 alone
 # swapped go unseen: the forward windows repeat from row to row, so no
 # family set tells those two rows of its image apart
 NEG_Q_FAULTS = {
@@ -647,54 +648,55 @@ def test_wrong_cosets_are_caught(capsys, monkeypatch, wrong):
     _assert_counterexample_is(capsys, message, "verify", "--level", "coset", "--qmax", "60")
 
 
-HONEST_NEG_Q_IMAGES = families.neg_q_images
+HONEST_NEG_Q_MAP = families.neg_q_map
 
 
-def _swapping(table):
-    """-q, except that at q = 8 each coset in table goes to the residues it
-    is paired with there."""
+def _table_at_8(wrong):
+    """The table of -q, except that at q = 8 each residue x in wrong goes
+    to wrong[x]."""
 
-    def neg_q_images(ctx, cosets):
-        images = HONEST_NEG_Q_IMAGES(ctx, cosets)
-        if ctx.q != 8:
-            return images
-        return [table.get(c, image) for c, image in zip(cosets, images)]
+    def neg_q_map(ctx):
+        t = HONEST_NEG_Q_MAP(ctx)
+        if ctx.q == 8:
+            for x, y in wrong.items():
+                t[x] = y
+        return t
 
-    return neg_q_images
+    return neg_q_map
 
 
-# wrong -q maps at the coset level.  At q = 8, -q pairs C_0 with itself, C_1
-# = (1, 12) with C_5 = (5, 8), C_2 with C_3 and C_4 with C_6.  The swaps
-# keep every other check true, so each needs the check that names it; the
-# extra coset is also no coset, so the coset check backs up the size check.
+# wrong -q tables at the coset level, at q = 8 (n = 13), where -q pairs C_0
+# with itself, C_1 = (1, 12) with C_5 = (5, 8), C_2 with C_3 and C_4 with C_6.
+# A table sends each residue to one residue, so it cannot map a coset onto
+# more residues than it has; the check t(t(x)) = -x names the first coset
+# with a residue where it fails.  The identity maps every coset onto
+# itself, of its size, and back, yet is no -q: t(t(1)) = 1, not 12
 WRONG_COSET_IMAGES = {
-    "one-extra-coset": (
-        lambda ctx, cs: [
-            tuple(sorted({*image, 1, ctx.n - 1})) for image in HONEST_NEG_Q_IMAGES(ctx, cs)
-        ],
-        "-q maps coset 0 at q=8, (0,), to (0, 1, 12)",
-    ),
     "coset-of-another-size": (
-        _swapping({(0,): (1, 12), (1, 12): (0,), (5, 8): (5, 8)}),
-        "-q maps coset 0 at q=8, (0,), to (1, 12)",
+        _table_at_8({1: 0, 12: 0}),
+        "-q maps coset 1 at q=8 to (0,), then to (0,)",
     ),
     "image-not-a-coset": (
-        _swapping({(1, 12): (1, 2), (1, 2): (1, 12), (5, 8): (5, 8)}),
-        "-q maps coset 1 at q=8 to (1, 2), not a coset",
+        _table_at_8({1: 1, 12: 2}),
+        "-q maps coset 1 at q=8 to (1, 2), then to (1, 10)",
     ),
     # -(q+1) maps every coset onto a coset of its size, but at q = 8 C_1 to
     # C_4 = (4, 9) and C_4 to C_3 = (3, 10)
     "no-involution": (
-        lambda ctx, cs: [tuple(sorted({-(ctx.q + 1) * x % ctx.n for x in c})) for c in cs],
+        _table_at_8({x: -9 * x % 13 for x in range(13)}),
         "-q maps coset 1 at q=8 to (4, 9), then to (3, 10)",
+    ),
+    "identity": (
+        _table_at_8({x: x for x in range(13)}),
+        "-q maps coset 1 at q=8 to (1, 12), then to (1, 12)",
     ),
 }
 
 
 @pytest.mark.parametrize("wrong", sorted(WRONG_COSET_IMAGES))
 def test_wrong_coset_images_are_caught(capsys, monkeypatch, wrong):
-    neg_q_images, message = WRONG_COSET_IMAGES[wrong]
-    monkeypatch.setattr(families, "neg_q_images", neg_q_images)
+    neg_q_map, message = WRONG_COSET_IMAGES[wrong]
+    monkeypatch.setattr(families, "neg_q_map", neg_q_map)
     _assert_counterexample_is(capsys, message, "verify", "--level", "coset", "--qmax", "60")
 
 

@@ -12,7 +12,7 @@ from eaqmds.cosets import (
     all_cosets,
     identity_windows,
     inverse_identity_windows,
-    neg_q_images,
+    neg_q_map,
     neg_q_misses,
 )
 from eaqmds import families
@@ -66,11 +66,15 @@ def _random_contexts(count):
 
 
 # every family modulus with q <= 60, 4 of order 5 mod 31, 9 = 1 mod 8 (all
-# singletons), and random moduli
+# singletons), n = 1 (where q^2 = 0 mod n), 9 = 1 mod 2, 4 mod 35 (a fixed
+# point and orbits of length 2, 3 and 6 in one modulus), and random moduli
 SCALAR_CONTEXTS = [
     *(spec.context() for spec in iter_family_sizes(60)),
     CycContext(31, 2),
     CycContext(8, 3),
+    CycContext(1, 2),
+    CycContext(2, 3),
+    CycContext(35, 2),
     *_random_contexts(30),
 ]
 
@@ -86,12 +90,9 @@ def test_all_cosets_matches_the_scalar_orbit_walk():
     assert longer >= 20
 
 
-def test_neg_q_images_match_the_elementwise_images():
-    # the distinct residues -q*x, ascending; -q is injective as gcd(q, n) = 1
+def test_neg_q_map_matches_the_elementwise_images():
     for ctx in SCALAR_CONTEXTS:
-        n, cs = ctx.n, all_cosets(ctx)
-        want = [tuple(sorted({-ctx.q * x % n for x in c})) for c in cs]
-        assert neg_q_images(ctx, cs) == want, ctx
+        assert neg_q_map(ctx) == [-ctx.q * x % ctx.n for x in range(ctx.n)], ctx
 
 
 def test_all_cosets_partition_counts(ctx7, ctx23, ctx32):

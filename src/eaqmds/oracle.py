@@ -7,15 +7,15 @@ Everything here is explicit linear algebra, so that it shares no
 machinery with the set-algebra route it checks.  convolve and
 toeplitz_rank pack F_p digits into big integers (Kronecker substitution),
 so that one big-integer operation adds up many field products, and
-reduce mod p and the modulus only where a value is read, every slot of
-a packed integer at once in a few big-integer operations (word-parallel,
-_Packer): to the reduced digits still packed, which each step of
-toeplitz_rank and each level of a product tree keep, or to the element
-of each entry.  One function builds both polynomials of a code:
-generator_polynomial multiplies minimal polynomials up a tree of packed
-products, g over the cosets of Z and the check polynomial h over those of
-its complement.  code_polynomials proves g * h = x^n - 1 with one
-convolve, which is all that the generator matrix G (the shifts of g) and
+reduce mod p and the modulus only where a value is read, multiplied or
+about to outgrow its slot, every slot of a packed integer at once in a
+few big-integer operations (word-parallel, _Packer): to the reduced
+digits still packed, or to the element of each entry.  One function
+builds both polynomials of a code: generator_polynomial multiplies
+minimal polynomials up a tree of packed products, one reduction per
+level, g over the cosets of Z and the check polynomial h over those of
+its complement.  code_polynomials proves g * h = x^n - 1 with one packed
+product, which is all that the generator matrix G (the shifts of g) and
 the parity-check matrix H (the shifts of h reversed and conjugated) need:
 G * H^dagger = 0 and both have full rank.  No matrix is written out:
 H * H^dagger is Toeplitz, hh_dagger reads the vector t of its diagonals
@@ -25,12 +25,12 @@ with its two connection polynomials: 2r - 1 steps of one packed
 multiply-add each for r rows, and nothing eliminated.  check_ebits ranks
 the smaller of the two Gram matrices: H * H^dagger when 2|Z| <= n, else
 G * G^dagger, which hh_dagger builds from g and whose rank plus
-2|Z| - n is that of H * H^dagger.  The packed digits, the packed minimal
-polynomials and the reducer's constants and masks of a field are kept
-across calls, one set per slot width.  Z comes in as plain residues, an
-ascending tuple such as DefiningSet.members, and n and q from the
-FieldTower, so this module imports nothing of the set route; crosscheck
-compares the two routes.
+2|Z| - n is that of H * H^dagger.  The packed digits and the reducer's
+constants and masks of a field, and the packed minimal polynomials of a
+tower, are kept across calls, one set per slot width.  Z comes in as
+plain residues, an ascending tuple such as DefiningSet.members, and n
+and q from the FieldTower, so this module imports nothing of the set
+route; crosscheck compares the two routes.
 """
 
 from __future__ import annotations
@@ -78,6 +78,14 @@ def _pack(parts, stride: int) -> int:
     return int.from_bytes(b"".join([x.to_bytes(size, "little") for x in parts]), "little")
 
 
+def _unpack(x: int, count: int, stride: int) -> list[int]:
+    """The count parts of x, stride bits each, lowest first: _pack undone."""
+    if stride % 8:
+        return [(x >> (stride * i)) & ((1 << stride) - 1) for i in range(count)]
+    b, size = x.to_bytes(count * stride // 8, "little"), stride // 8
+    return [int.from_bytes(b[i : i + size], "little") for i in range(0, len(b), size)]
+
+
 def _repeat(unit: int, step: int, times: int) -> int:
     """unit repeated times, step bits apart, for unit below 2^step."""
     return unit * (((1 << (step * times)) - 1) // ((1 << step) - 1))
@@ -122,8 +130,8 @@ class _Packer(dict):
     The constructor raises ValueError unless every bound above holds, and
     the slots after mod f stay below 2^width.  The masks of these steps
     cover the largest count seen, one set per packer: an AND with a
-    longer mask costs only the shorter operand.  elements maps each
-    one-entry packing toeplitz_rank has read by reduce to its element."""
+    longer mask costs only the shorter operand.  elements maps the reduced
+    packing of each discrepancy toeplitz_rank has read to its element."""
 
     def __init__(self, f: Field, width: int):
         super().__init__()
@@ -228,12 +236,10 @@ def convolve(field: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
 
     Both vectors pack by _Packer.vector, element s from slot s*(2d-1) on, so
     one big-integer product holds every c_e, and the slot width covers
-    sums of min(len a, len b) products.
-    """
+    sums of min(len a, len b) products."""
     if not (a and b):
         return []
-    width = _slot_width(min(len(a), len(b)), field.degree, field.p)
-    packed = _packer(field, width)
+    packed = _packer(field, _slot_width(min(len(a), len(b)), field.degree, field.p))
     return packed.reduce(packed.vector(a) * packed.vector(b), len(a) + len(b) - 1)
 
 
@@ -247,34 +253,41 @@ def toeplitz_rank(f: Field, t: Sequence[int]) -> int:
     Linear Algebra Appl. 125, 1989), which Berlekamp-Massey gives in
     2r - 1 steps (Massey, IEEE Trans. IT 15, 1969).  The connection
     polynomials C and B are never formed, only their products with t,
-    packed by _Packer.vector and reduced: ct = C * t from index k on, whose
-    entry 0 is the discrepancy d of step k (read through packed.elements),
-    and bt = B * t from index k - m on, B being the C of m steps back, with
-    discrepancy b.  So the update C -= (d / b) x^m B is
-    ct += pack(-d / b) * bt, with no shift; where 2L <= k, B takes the old
-    C, and L becomes k + 1 - L.  B = 1 at k = -1, so bt starts as t one
-    entry up.  Both keep only the n - k live entries of step k, so a slot
-    holds one digit plus d products of two digits.  Once ct is 0, no later
-    step has a discrepancy."""
+    packed by _Packer.vector: ct = C * t from index k on, whose entry 0 is
+    the discrepancy d of step k, and bt = B * t from index k - m on, B
+    being the C of m steps back, with discrepancy b.  So the update
+    C -= (d / b) x^m B is ct += pack(-d / b) * bt, with no shift, left
+    unreduced; where 2L <= k, B takes the old C, and L becomes k + 1 - L.
+    B = 1 at k = -1, so bt starts as t one entry up.  Both keep only the
+    n - k live entries of step k.  bt, being multiplied, is reduced: ct is
+    reduced at each step where 2L <= k, and once room updates have piled
+    up, room keeping a slot of one digit plus room * d products of two
+    digits below 2^width, where the reducer is exact.  Elsewhere only
+    entry 0 is reduced, to read d.  Once ct is 0, no later step has a
+    discrepancy."""
     n = len(t)
     packed = _packer(f, _slot_width(2, f.degree, f.p))
-    stride = packed.stride
-    entry = (1 << stride) - 1
-    elements = packed.elements
+    stride, entry, elements = packed.stride, (1 << packed.stride) - 1, packed.elements
+    if (room := ((1 << packed.width) - f.p) // (f.degree * (f.p - 1) ** 2)) < 1:
+        raise ValueError(f"no room for an unreduced update at {packed.width} bits over {f!r}")
     ct = packed.vector(t)
-    bt, b, length = ct << stride, 1, 0
+    bt, b, length, pending = ct << stride, 1, 0, 0
     for k in range(n):
         if not ct:
             break
+        change = 2 * length <= k
+        if pending and (change or pending == room):
+            ct, pending = packed.digits(ct, n - k), 0
         if e := ct & entry:
-            d = elements.get(e)
-            if d is None:
+            if pending:
+                e = packed.digits(e, 1)
+            if (d := elements.get(e)) is None:
                 d = elements[e] = packed.reduce(e, 1)[0]
-            scale = packed[f.neg(f.mul(d, f.inv(b)))]
-            update = ct + scale * (bt & ((1 << ((n - k) * stride)) - 1))
-            if 2 * length <= k:
-                bt, b, length = ct, d, k + 1 - length
-            ct = packed.digits(update, n - k)
+            if d:
+                update = packed[f.neg(f.mul(d, f.inv(b)))] * (bt & ((1 << ((n - k) * stride)) - 1))
+                if change:
+                    bt, b, length = ct, d, k + 1 - length
+                ct, pending = ct + update, pending + 1
         ct >>= stride
     return min(length, n + 1 - length)
 
@@ -285,9 +298,12 @@ def toeplitz_rank(f: Field, t: Sequence[int]) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _packed_polynomial(f: Field, width: int, coefficients: tuple[int, ...]) -> int:
-    """coefficients packed by the _Packer of (f, width), memoized by value."""
-    return _packer(f, width).vector(coefficients)
+def _leaves(tower: FieldTower, width: int) -> list[tuple[int, int]]:
+    """(packing, degree) of the minimal polynomial of each coset {x, n-x},
+    by the _Packer of (tower.fq2, width), indexed by x <= n/2."""
+    packed = _packer(tower.fq2, width)
+    polys = map(tower.minimal_polynomial, range(tower.n // 2 + 1))
+    return [(packed.vector(m), len(m) - 1) for m in polys]
 
 
 def generator_polynomial(z: Sequence[int], tower: FieldTower) -> tuple[int, ...]:
@@ -299,22 +315,24 @@ def generator_polynomial(z: Sequence[int], tower: FieldTower) -> tuple[int, ...]
     x -> n-x.  On the complement of Z it gives the check polynomial
     (x^n - 1)/g, which code_polynomials builds so and checks.
 
-    The tree stays packed, as convolve packs: each level is one big-integer
-    product per pair, reduced by _Packer.digits, and g is read as elements
-    once, at the root.  One slot width serves the whole tree: the two
-    factors of a product have degrees adding up to at most D, the degree
-    of the root, so its inner dimension, the shorter length, is at most
-    D/2 + 1 (n/2 + 1 once D = |Z| passes the check)."""
+    The tree stays packed, as convolve packs, from the leaves of _leaves:
+    each level is one big-integer product per pair, the products laid side
+    by side size entries apart and reduced by one _Packer.digits, and g is
+    read as elements once, at the root.  One slot width serves every tree
+    of the tower: the two factors of a product have degrees adding up to
+    at most n, so its inner dimension, the shorter length, is at most
+    n/2 + 1."""
     f, n = tower.fq2, tower.n
-    polys = [tower.minimal_polynomial(x) for x in sorted({min(j, n - j) for j in z})] or [(1,)]
-    width = _slot_width(sum(len(m) - 1 for m in polys) // 2 + 1, f.degree, f.p)
-    packed = _packer(f, width)
-    level = [(_packed_polynomial(f, width, m), len(m)) for m in polys]
+    width = _slot_width(n // 2 + 1, f.degree, f.p)
+    packed, leaves = _packer(f, width), _leaves(tower, width)
+    level, degrees = zip(*[leaves[x] for x in {min(j, n - j) for j in z}] or [(packed[1], 0)])
+    size = 3  # entries per part: a leaf has degree <= 2, a product 2 * size - 1
     while len(level) > 1:
-        products = [(a * b, la + lb - 1) for (a, la), (b, lb) in zip(level[::2], level[1::2])]
-        odd = level[2 * len(products) :]
-        level = [(packed.digits(x, count), count) for x, count in products] + odd
-    g = tuple(packed.reduce(*level[0]))
+        pairs = [a * b for a, b in zip(level[::2], level[1::2])]
+        level, size = [*pairs, *level[2 * len(pairs) :]], 2 * size - 1
+        joined = packed.digits(_pack(level, size * packed.stride), len(level) * size)
+        level = _unpack(joined, len(level), size * packed.stride)
+    g = tuple(packed.reduce(level[0], sum(degrees) + 1))
     if len(g) != len(z) + 1 or g[-1] != 1:
         raise VerificationError(
             f"generator polynomial has degree {len(g) - 1} and leading coefficient "
@@ -336,7 +354,7 @@ def code_polynomials(z: Sequence[int], tower: FieldTower) -> tuple[tuple[int, ..
     has a pivot in every row; H's first entry is the conjugate of h's
     leading 1, so H has one too.  Their row counts n - |Z| and |Z| add up
     to n by generator_polynomial's degree checks: the ranks are
-    complementary."""
+    complementary.  g and h pack at their trees' width, which covers g * h."""
     f, n = tower.fq2, tower.n
     if len(z) >= n:
         raise ValueError("defining set covers everything; the code is {0}")
@@ -344,7 +362,9 @@ def code_polynomials(z: Sequence[int], tower: FieldTower) -> tuple[tuple[int, ..
         raise ValueError("empty defining set: the code is all of F^n, dual is 0")
     g = generator_polynomial(z, tower)
     h = generator_polynomial(sorted(set(range(n)).difference(z)), tower)
-    if convolve(f, g, h) != [f.neg(1)] + [0] * (n - 1) + [1]:
+    packed = _packer(f, _slot_width(n // 2 + 1, f.degree, f.p))
+    product = packed.digits(packed.vector(g) * packed.vector(h), len(g) + len(h) - 1)
+    if product != packed[f.neg(1)] + (packed[1] << (n * packed.stride)):
         raise VerificationError("g * h != x^n - 1")
     return g, h
 

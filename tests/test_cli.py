@@ -448,9 +448,20 @@ def test_gg_dagger_rank_off_by_one_is_caught(capsys, monkeypatch, invocation):
     )
 
 
-# a product coefficient off by one: in every convolve (the product g * h
-# included), the g * h = x^n - 1 check fails; in H * H^dagger alone, the
-# rank comparison does
+def _rewritten(function, old, new):
+    """function with the one occurrence of old in its source replaced by
+    new, compiled in a copy of the oracle namespace."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1
+    namespace = dict(vars(oracle))
+    exec(source.replace(old, new), namespace)
+    return namespace[function.__name__]
+
+
+# a product coefficient off by one: in every product of two polynomials
+# (every convolve, and the packed product g * h of code_polynomials, whose
+# middle coefficient is bumped), the g * h = x^n - 1 check fails; in
+# H * H^dagger alone, the rank comparison does
 @pytest.mark.parametrize(
     "invocation", ["code --q 23 --m 2 --oracle", "verify --level rank-oracle --qmax 23"]
 )
@@ -472,6 +483,10 @@ def test_correlation_off_by_one_is_caught(capsys, monkeypatch, invocation, produ
 
     if products == "all":
         monkeypatch.setattr(oracle, "convolve", bumped)
+        product = "packed.vector(g) * packed.vector(h)"
+        middle = "(1 << ((len(g) + len(h) - 1) // 2 * packed.stride))"
+        bumped_product = _rewritten(oracle.code_polynomials, product, f"({product} + {middle})")
+        monkeypatch.setattr(oracle, "code_polynomials", bumped_product)
     else:
         monkeypatch.setattr(oracle, "hh_dagger", square_bumped)
     rc, _out, err = run_cli(capsys, *invocation.split())
@@ -480,22 +495,20 @@ def test_correlation_off_by_one_is_caught(capsys, monkeypatch, invocation, produ
 
 
 # faults in the Berlekamp-Massey steps of toeplitz_rank, each put in by
-# rewriting one expression of its source: the coefficient -d/b plus one, the
-# length changed only when 2L < k, and the update left unreduced, whose
-# slots then outgrow their width
+# rewriting one expression of its source: the coefficient -d/b plus one; the
+# length changed only when 2L < k; C * t not reduced where 2L <= k, so that
+# B * t, taken from it at a length change, is multiplied unreduced; and an
+# update not counted, so that the next step takes C * t for reduced, with
+# the same effect.  Both of the last two let slots outgrow their width.
+# (The room bound left out is no fault here: at q = 23 and 43 no more than
+# four updates pile up between reductions, against a room of 67 and 18;
+# tests/test_oracle.py shows it on a sequence that piles up more.)
 RANK_FAULTS = {
     "coefficient": ("f.neg(f.mul(d, f.inv(b)))", "f.add(f.neg(f.mul(d, f.inv(b))), 1)"),
     "length change": ("2 * length <= k", "2 * length < k"),
-    "unreduced update": ("packed.digits(update, n - k)", "update"),
+    "B unreduced": ("(change or pending == room)", "pending == room"),
+    "update not counted": ("pending + 1", "pending"),
 }
-
-
-def _rewritten_rank(old, new):
-    source = inspect.getsource(oracle.toeplitz_rank)
-    assert source.count(old) == 1
-    namespace = dict(vars(oracle))
-    exec(source.replace(old, new), namespace)
-    return namespace["toeplitz_rank"]
 
 
 @pytest.mark.parametrize(
@@ -508,11 +521,25 @@ def _rewritten_rank(old, new):
 )
 @pytest.mark.parametrize("fault", sorted(RANK_FAULTS))
 def test_rank_kernel_fault_is_caught(capsys, monkeypatch, fault, invocation, overlap):
-    monkeypatch.setattr(oracle, "toeplitz_rank", _rewritten_rank(*RANK_FAULTS[fault]))
+    faulty = _rewritten(oracle.toeplitz_rank, *RANK_FAULTS[fault])
+    monkeypatch.setattr(oracle, "toeplitz_rank", faulty)
     rc, _out, err = run_cli(capsys, *invocation.split())
     assert rc == 1
     assert "rank(HH^dagger) = " in err
     assert f"but the set overlap has size {overlap} " in err
+
+
+# the product tree with the joined reduction of one level skipped (the
+# first, whose products come straight from the leaves): its products
+# reach the next level unreduced, and their slots outgrow the width
+def test_tree_level_left_unreduced_is_caught(capsys, monkeypatch):
+    joined = "packed.digits(_pack(level, size * packed.stride), len(level) * size)"
+    skipped = f"({joined} if size > 5 else _pack(level, size * packed.stride))"
+    faulty = _rewritten(oracle.generator_polynomial, joined, skipped)
+    monkeypatch.setattr(oracle, "generator_polynomial", faulty)
+    rc, _out, err = run_cli(capsys, "code", "--q", "23", "--m", "2", "--oracle")
+    assert rc == 1
+    assert err.endswith(": g * h != x^n - 1\n")
 
 
 # -- fault injection on the set route ------------------------------------------

@@ -1,10 +1,14 @@
 import functools
+import inspect
 import itertools
 import random
+import textwrap
 from collections import Counter
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eaqmds import crosscheck, gf, oracle
 from eaqmds.cli import main
@@ -252,10 +256,30 @@ def test_packed_tree_matches_the_scalar_product(q):
             assert generator_polynomial(z, tower) == reference
 
 
-# at (43, 3), |Z| = 173 of n = 370: the trees of g and h are bounded by
-# inner dimensions 173 // 2 + 1 = 87 and 197 // 2 + 1 = 99, which take
-# 19-bit sums, so 32-bit slots.  At 15 bits the sums of this code's digits
-# carry into the next slot; at 16 they happen not to.
+# trees of 0, 1, 2, 3 and 5 leaves: no product, one leaf, one pair, a pair
+# and an odd tail, and two levels with a tail at each.  Where n is even the
+# first set holds both cosets of one member, {0} and {n/2}, whose leaves
+# have degree 1.
+@pytest.mark.parametrize("q", [7, 23, 27, 32])
+@pytest.mark.parametrize("leaves", [0, 1, 2, 3, 5])
+def test_tree_of_few_leaves_matches_a_poly_mul_chain(q, leaves):
+    n = (q * q + 1) // 5
+    tower = field_tower(q, n)
+    rng = random.Random(10 * q + leaves)
+    reps = range(n // 2 + 1)
+    singles = [0, n // 2] if n % 2 == 0 else [0]
+    firsts = singles[:leaves] + rng.sample(reps[1 : n // 2], max(leaves - len(singles), 0))
+    for chosen in (firsts, *(rng.sample(reps, leaves) for _ in range(4))):
+        z = sorted({x for r in chosen for x in (r, (n - r) % n)})
+        want = (1,)
+        for r in chosen:
+            want = poly_mul(tower.fq2, want, tower.minimal_polynomial(r))
+        assert generator_polynomial(z, tower) == want, chosen
+
+
+# at (43, 3), n = 370: the trees of g and h share the bound of the tower,
+# inner dimension n/2 + 1 = 186, which takes 20-bit sums, so 32-bit slots.
+# At 15 bits the sums of this code's digits carry into the next slot.
 @pytest.mark.parametrize("which", [0, 1])
 def test_tree_narrower_than_its_bound_is_caught(capsys, monkeypatch, which):
     honest = oracle._slot_width
@@ -267,7 +291,7 @@ def test_tree_narrower_than_its_bound_is_caught(capsys, monkeypatch, which):
 
     monkeypatch.setattr(oracle, "_slot_width", narrowed)
     assert main("code --q 43 --m 3 --oracle --allow-large-oracle".split()) == 1
-    assert inners[: which + 1] == [87, 99][: which + 1]
+    assert inners[: which + 1] == [186, 186][: which + 1]
     assert honest(inners[which], 2, 43) == 32
     err = capsys.readouterr().err
     assert err.endswith(": g * h != x^n - 1\n") or ": generator polynomial has degree" in err
@@ -603,11 +627,87 @@ def test_toeplitz_rank_matches_raw_arithmetic(p, deg):
             assert toeplitz_rank(f, t) == r - abs(k - (r - 1)), t
 
 
+# the alphabets of q = 32, 23, 43 and 27.  A 16-bit slot of toeplitz_rank
+# has room for 6553, 67, 18 and 2730 unreduced updates over them.
+LAZY_FIELDS = [(2, 10), (23, 2), (43, 2), (3, 6)]
+
+
+@st.composite
+def _diagonals(draw, f):
+    """Diagonals of an r x r Toeplitz matrix, r <= 24: a run of leading
+    zeros, after which L jumps and as many steps pass with no length
+    change, then random entries or the terms of a random recurrence (rank
+    deficient where it is shorter than r)."""
+    r = draw(st.integers(1, 24))
+    n = 2 * r - 1
+    zeros = draw(st.integers(0, n))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        return (0,) * zeros + _recurrent(f, rng, draw(st.integers(1, r)), n - zeros)
+    return (0,) * zeros + tuple(rng.randrange(f.order) for _ in range(n - zeros))
+
+
+@pytest.mark.parametrize("p,deg", LAZY_FIELDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lazy_toeplitz_rank_matches_the_dense_reference(p, deg, data):
+    f = field(p, deg)
+    t = data.draw(_diagonals(f))
+    assert toeplitz_rank(f, t) == rank(toeplitz_matrix(f, t)), t
+
+
+def _rewritten_rank(width, old, new, **names):
+    """toeplitz_rank with old in its source replaced by new, the names
+    given added to its globals, and its slots narrowed to width bits if
+    width is given."""
+    source = textwrap.dedent(inspect.getsource(oracle.toeplitz_rank))
+    assert source.count(old) == 1
+    namespace = dict(vars(oracle), **names)
+    if width:
+        namespace["_slot_width"] = lambda inner, d, p: width
+    exec(source.replace(old, new), namespace)
+    return namespace["toeplitz_rank"]
+
+
+# z leading zeros take L to z + 1 at step z, and the next z steps or so
+# change no length, so that more than room updates pile up where z exceeds
+# the room: 18 at (43, 2) and 67 at (23, 2) with 16-bit slots, and 1 and
+# 2 with the slots narrowed to 12 and 11 bits (the reducer stays exact).
+# After the zeros come random entries, or the terms of a recurrence of
+# length 3, whose Toeplitz matrix is rank deficient: there, a C * t whose
+# slots outgrew their width shows as discrepancies that should be zero.
+@pytest.mark.parametrize(
+    "p,deg,zeros,width", [(43, 2, 30, None), (23, 2, 80, None), (43, 2, 4, 12), (23, 2, 4, 11)]
+)
+def test_lazy_toeplitz_rank_reduces_once_room_updates_pile_up(p, deg, zeros, width):
+    f = field(p, deg)
+    rng = random.Random(zeros)
+    steps = []
+    recorded = _rewritten_rank(
+        width, "pending == room", "pending == room and not steps.append(k)", steps=steps
+    )
+    unbounded = _rewritten_rank(width, "(change or pending == room)", "change")
+    wrong = 0
+    for r in (zeros + 10, zeros + 25):
+        n = 2 * r - 1
+        random_rest = tuple(rng.randrange(f.order) for _ in range(n - zeros))
+        for t in ((0,) * zeros + random_rest, (0,) * zeros + _recurrent(f, rng, 3, n - zeros)):
+            steps.clear()
+            want = rank(toeplitz_matrix(f, t))
+            assert recorded(f, t) == want, t
+            assert steps, t
+            wrong += unbounded(f, t) != want
+    if width:
+        # with no room bound, the narrowed slots outgrow their width
+        assert wrong
+
+
 def test_discrepancy_lookup_holds_only_reduced_packings(monkeypatch):
     # toeplitz_rank reads each discrepancy through its packer's elements
-    # dict, filled by reduce on a miss.  The entries it reads are reduced,
-    # so after every rank of the q <= 53 sweep each key is the packing of
-    # its element, and no packer holds more keys than its field has elements
+    # dict, filled by reduce on a miss.  Entry 0 of C * t is reduced before
+    # it is looked up, also where the rest of C * t is not, so after every
+    # rank of the q <= 53 sweep each key is the packing of its element, and
+    # no packer holds more keys than its field has elements
     honest = oracle._packer
     honest.cache_clear()
     packers = {}
@@ -918,6 +1018,14 @@ def _wrong_orbit(honest, z, tower):
     return honest(DefiningSet.from_cosets(ctx, [r for r in inside if r != a] + [b]).members, tower)
 
 
+def _fresh_leaves(monkeypatch):
+    """An empty table of packed leaves for the rest of the test: leaves
+    packed from patched minimal polynomials are neither taken from the
+    table that the other tests share nor left in it."""
+    fresh = functools.lru_cache(maxsize=None)(oracle._leaves.__wrapped__)
+    monkeypatch.setattr(oracle, "_leaves", fresh)
+
+
 def _roots_scaled():
     """A minimal_polynomial whose roots are scaled by a generator lam of
     F_(q^2): lam^deg * m(x / lam), monic and over F_(q^2), but its roots
@@ -957,6 +1065,7 @@ def _roots_scaled():
 )
 def test_broken_row_vector_is_caught(capsys, monkeypatch, invocation, fault):
     if fault == "roots-scaled":
+        _fresh_leaves(monkeypatch)
         monkeypatch.setattr(FieldTower, "minimal_polynomial", _roots_scaled())
     else:
         which, broken = {
@@ -972,11 +1081,19 @@ def test_broken_row_vector_is_caught(capsys, monkeypatch, invocation, fault):
 
 
 def test_packed_leaves_follow_the_minimal_polynomials(capsys, monkeypatch):
-    # the packed leaves of the product trees are memoized by their
-    # coefficients, so minimal polynomials that change after an honest run
-    # of the same code, on the same cached tower, are packed anew
+    # the packed leaves of the product trees are one table per tower and
+    # slot width, built from the tower's minimal polynomials on first use:
+    # after an honest run each entry is its coset's minimal polynomial,
+    # packed, with its degree, and a table built while the minimal
+    # polynomials are wrong carries the fault into both trees
     assert main("code --q 23 --m 2 --oracle".split()) == 0
     capsys.readouterr()
+    tower = field_tower(23, 106)
+    width = oracle._slot_width(54, 2, 23)
+    packed = oracle._packer(tower.fq2, width)
+    polys = [tower.minimal_polynomial(x) for x in range(54)]
+    assert oracle._leaves(tower, width) == [(packed.vector(m), len(m) - 1) for m in polys]
+    _fresh_leaves(monkeypatch)
     monkeypatch.setattr(FieldTower, "minimal_polynomial", _roots_scaled())
     assert main("code --q 23 --m 2 --oracle".split()) == 1
     assert capsys.readouterr().err.endswith(": g * h != x^n - 1\n")
@@ -991,6 +1108,7 @@ def test_generator_of_the_wrong_degree_is_caught(capsys, monkeypatch):
     def traded(tower, i):
         return honest(tower, {1: 53, 53: 1}.get(i, i) if tower.n == 106 else i)
 
+    _fresh_leaves(monkeypatch)
     monkeypatch.setattr(FieldTower, "minimal_polynomial", traded)
     assert main("code --q 23 --m 2 --oracle".split()) == 1
     assert capsys.readouterr().err.endswith(

@@ -13,60 +13,38 @@ checks -q*C_src == C_dst as -q*src = +-dst (mod n).
 Defining sets exist only where q^2 = -1 (mod n), which _check_modulus
 tests as each set is built.  A set is one int bitmask, bit x set exactly when
 x is a member, so its set algebra is one int operation each.
-from_cosets closes by the reflection x -> n-x, from_runs makes each
-periodic family of runs and its reflection by one multiply, and -q reads
-each row s*q .. s*q+q-1 of its image as one stride-q slice of the
-indicator string (bit s*q + i of the image is bit i*q - s of the set).
-The sets the package builds are closed by construction; DefiningSet(ctx,
-members) checks the closure of arbitrary residues, and the matrix route
-checks it by the degree of g.
+DefiningSet.from_runs is the one constructor from residues: it makes each
+periodic family of runs and its reflection x -> n-x by one multiply, so
+every set it builds is closed.  -q reads each row s*q .. s*q+q-1 of its
+image as one stride-q slice of the indicator string (bit s*q + i of the
+image is bit i*q - s of the set).  The matrix route checks the closure of
+the residues it is given by the degree of g.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, compress, count, repeat
+from itertools import compress, count, repeat
 from math import gcd
 from operator import mod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .exceptions import UsageError
 
 
-class CycContext:
-    """Modulus n and alphabet parameter q; orbits multiply by q^2 mod n.
+class CycContext(NamedTuple("CycContext", [("n", int), ("q", int)])):
+    """Modulus n and alphabet parameter q; orbits multiply by q^2 mod n."""
 
-    Immutable, equal and hashing by (n, q).  Its fields are slots, not
-    tuple items: a slot read is the faster of the two."""
+    __slots__ = ()
 
-    __slots__ = ("n", "q")
-
-    def __init__(self, n: int, q: int) -> None:
+    def __new__(cls, n: int, q: int) -> CycContext:
         if n < 1:
             raise UsageError(f"modulus must be positive, got {n}")
         if q < 2:
             raise UsageError(f"q must be at least 2, got {q}")
         if gcd(n, q) != 1:
             raise UsageError(f"gcd(n={n}, q={q}) != 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable CycContext")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an immutable CycContext")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not CycContext:
-            return NotImplemented
-        return (self.n, self.q) == (other.n, other.q)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.q))
-
-    def __repr__(self) -> str:
-        return f"CycContext(n={self.n}, q={self.q})"
+        return super().__new__(cls, n, q)
 
     @classmethod
     def for_family(cls, q: int) -> "CycContext":
@@ -132,10 +110,8 @@ class DefiningSet:
     """A union of whole cosets: a subset of Z_n closed under *q^2 mod n,
     for a modulus with q^2 = -1 (mod n), so closed under x -> n-x.
 
-    ``DefiningSet(ctx, members)`` is the one constructor that takes
-    arbitrary residues, and it checks closure.  The other ways of making a
-    set (``from_cosets``, ``from_runs`` and the set algebra) build a closed set by
-    construction and skip the check.
+    ``from_runs`` builds a closed set by construction, and the set algebra
+    keeps it closed, so neither checks closure.
 
     ``mask`` is the set as an int, bit x set exactly when x is a member;
     ``members`` is the same set as an ascending tuple, expanded on demand.
@@ -143,35 +119,12 @@ class DefiningSet:
 
     __slots__ = ("ctx", "mask")
 
-    def __init__(self, ctx: CycContext, members: Iterable[int]):
-        n = ctx.n
-        _check_modulus(n, ctx.q)
-        marks = bytearray(b"0" * n)
-        for m in members:
-            marks[int(m) % n] = 49  # ord("1")
-        if marks[1:] != marks[:0:-1]:  # mark x against mark n-x, for x = 1..n-1
-            m = next(x for x in range(1, n) if marks[x] > marks[n - x])
-            raise ValueError(f"set is not closed under multiplication by q^2: {m} in, {n - m} out")
-        self.ctx, self.mask = ctx, int(marks[::-1], 2)
-
     @classmethod
     def _closed(cls, ctx: CycContext, mask: int) -> "DefiningSet":
         """Wrap a mask known to be closed."""
         z = object.__new__(cls)
         z.ctx, z.mask = ctx, mask
         return z
-
-    @classmethod
-    def from_cosets(cls, ctx: CycContext, *reps: Iterable[int]) -> "DefiningSet":
-        """The union of the cosets of the integers in one or more iterables
-        ``reps``, marked one by one and closed by one reflection."""
-        n = ctx.n
-        _check_modulus(n, ctx.q)
-        marks = bytearray(b"0" * n)
-        for r in chain.from_iterable(reps):
-            marks[r % n] = 49  # ord("1")
-        # bit x of the first mask is mark x, of the second mark n-x (mark 0 for x = 0)
-        return cls._closed(ctx, int(marks[::-1], 2) | int(marks[1:] + marks[:1], 2))
 
     @classmethod
     def from_runs(cls, ctx: CycContext, runs: Iterable[tuple[int, int, int, int]]) -> "DefiningSet":

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 from .cosets import CycContext, DefiningSet, all_cosets
-from .eaqecc import ebits
+from .eaqecc import decompose
 from .families import FamilyCode, family_grid, verify_family_code
 from .gf import field_tower
 from .oracle import check_ebits
@@ -34,7 +34,7 @@ def _random_closed_sets(ctx: CycContext, count: int, seed: int) -> list[Defining
     reps = [c[0] for c in all_cosets(ctx)]
     out = []
     while len(out) < count:
-        z = DefiningSet.from_cosets(ctx, [r for r in reps if rng.random() < 0.5])
+        z = DefiningSet.from_runs(ctx, [(r, 1, 1, 1) for r in reps if rng.random() < 0.5])
         if 0 < len(z) < ctx.n:
             out.append(z)
     return out
@@ -54,6 +54,6 @@ def verify_rank_oracle(q_max: int) -> dict[str, int]:
         tower = field_tower(q, ctx.n)
         for z in _random_closed_sets(ctx, _RANDOM_SETS_PER_Q, _RANDOM_SEED + q):
             where = f"for a random set of size {len(z)} at q={q}"
-            check_ebits(z.members, tower, ebits(z), where)
+            check_ebits(z.members, tower, len(decompose(z)), where)
             checked += 1
     return {"codes": checked}

@@ -1,11 +1,11 @@
-"""Defining-set decomposition, ebit counting, and entanglement-assisted
-code parameters with Singleton certification.
+"""The split of a defining set by its -q image, the ebit count, and
+entanglement-assisted code parameters with Singleton certification.
 
-The decomposition splits a defining set Z into the part that meets its
-own -q image (each element there costs one pre-shared entangled pair)
-and the remainder, which is disjoint from its -q image.  The derived
-quantum parameters are [[n, 2k - n + c, d; c]] for the classical [n, k]
-cyclic code, where c is the size of the overlap.
+A defining set Z splits as Z minus -qZ, which is disjoint from its own -q
+image, and the overlap Z & -qZ, each element of which costs one
+pre-shared entangled pair.  The derived quantum parameters are
+[[n, 2k - n + c, d; c]] for the classical [n, k] cyclic code, where c is
+the size of the overlap.
 """
 
 from __future__ import annotations
@@ -19,15 +19,6 @@ from .exceptions import VerificationError
 EAQMDS = "eaqmds"
 EQUALITY_WITHOUT_PRECONDITION = "equality-without-precondition"
 NOT_EAQMDS = "not-eaqmds"
-
-
-class Decomposition(NamedTuple):
-    """Z split as free_part (disjoint from its -q image) plus entangled_part
-    (Z intersected with -qZ, itself -q-invariant)."""
-
-    whole: DefiningSet
-    free_part: DefiningSet
-    entangled_part: DefiningSet
 
 
 def check_split(whole: DefiningSet, free: DefiningSet, entangled: DefiningSet, stage: str) -> None:
@@ -51,20 +42,15 @@ def check_split(whole: DefiningSet, free: DefiningSet, entangled: DefiningSet, s
         raise VerificationError(f"{stage}: free part meets its own -q image")
 
 
-def decompose(z: DefiningSet) -> Decomposition:
-    """Split Z into Z minus -qZ and the overlap Z & -qZ.  The set algebra
-    trusts closure, so the one check that can fail, that the overlap is
-    -q-invariant (as -q twice is *q^2), is what catches a wrong -q map or
-    a set that is not what it claims to be."""
+def decompose(z: DefiningSet) -> DefiningSet:
+    """The overlap Z & -qZ, whose size is the ebit count; Z minus it is the
+    free part.  The set algebra trusts closure, so the one check that can
+    fail, that the overlap is -q-invariant (as -q twice is *q^2), is what
+    catches a wrong -q map or a set that is not what it claims to be."""
     overlap = z.intersect(z.neg_q())
     if overlap.neg_q() != overlap:
         raise VerificationError(f"overlap Z & -qZ of {z!r}: entangled part is not -q-invariant")
-    return Decomposition(whole=z, free_part=z.difference(overlap), entangled_part=overlap)
-
-
-def ebits(z: DefiningSet) -> int:
-    """Number of pre-shared entangled pairs the construction consumes."""
-    return len(decompose(z).entangled_part)
+    return overlap
 
 
 class EaqeccParams(NamedTuple):
@@ -93,13 +79,11 @@ class EaqeccParams(NamedTuple):
         return f"[[{self.n},{self.k},{self.d};{self.c}]]"
 
 
-def eaqecc_params(dec: Decomposition) -> EaqeccParams:
-    """Entanglement-assisted parameters derived from the decomposition of
-    a defining set."""
-    z = dec.whole
+def eaqecc_params(z: DefiningSet, c: int) -> EaqeccParams:
+    """Entanglement-assisted parameters of the code with defining set z
+    and ebit count c."""
     n = z.ctx.n
     k_classical = dimension(z)
-    c = len(dec.entangled_part)
     d = bch_bound(z)
     k = 2 * k_classical - n + c
     if k < 0:

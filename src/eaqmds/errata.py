@@ -114,7 +114,7 @@ def _entry_e1() -> ErrataEntry:
 def _entry_e2() -> ErrataEntry:
     q, m = 23, 2
     fc = verify_family_code(_spec(q), m)  # checks the corrected form against k
-    n, corrected = fc.spec.n, fc.predicted.k
+    n, corrected = fc.spec.n, fc.verified.k
     stated = n - 4 * (m - 1) * (5 * m - q - 5) - 1
     data = {
         "stated_formula": "n - 4(m-1)(5m-q-5) - 1",

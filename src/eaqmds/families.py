@@ -22,7 +22,8 @@ differently so that all anchors are integers.
 
 verify_family_code() never trusts the closed forms: it rebuilds every
 quantity from first principles and raises on any mismatch; for m >= 2 it
-takes the windows that check_window_lemmas checked as its split.  The suites
+takes the entangled windows that check_window_lemmas checked as the
+overlap Z & -qZ, whose size is the ebit count.  The suites
 verify_cosets, verify_lemmas and verify_theorem sweep the set route over
 q <= q_max; the first two check lists built per modulus and per window.
 No field code is loaded: q is parsed by primes, not gf.
@@ -41,7 +42,7 @@ from .cosets import (
     neg_q_map,
     neg_q_misses,
 )
-from .eaqecc import Decomposition, EaqeccParams, check_split, decompose, eaqecc_params
+from .eaqecc import EaqeccParams, check_split, decompose, eaqecc_params
 from .exceptions import UsageError, VerificationError
 from .primes import PrimePower
 
@@ -180,16 +181,16 @@ def entangled_window_set(spec: FamilySpec, m: int) -> DefiningSet:
     return _window_union(spec, m, ((0, m - 1), gap2, gap3), ((0, m - 2), gap2, gap3))
 
 
-def check_window_lemmas(spec: FamilySpec, m: int, z: DefiningSet) -> Decomposition:
+def check_window_lemmas(spec: FamilySpec, m: int, z: DefiningSet) -> DefiningSet:
     """Check the window lemmas at one (q, m): the free windows avoid their
     own -q image, the entangled windows are -q-invariant, and the two
     partition the block z = C_0 .. C_{(m-1)q} disjointly.  Any failure
-    raises VerificationError.  Returns the checked windows as the split of z.
+    raises VerificationError.  Returns the checked entangled windows.
     """
     free, ent = free_window_set(spec, m), entangled_window_set(spec, m)
-    # passing check_split makes them Z \ -qZ and Z & -qZ, what decompose(z) builds
+    # passing check_split makes ent = Z & -qZ, the overlap decompose(z) returns
     check_split(z, free, ent, f"windows at q={spec.q.q}, m={m}")
-    return Decomposition(whole=z, free_part=free, entangled_part=ent)
+    return ent
 
 
 def predicted_code(spec: FamilySpec, m: int) -> EaqeccParams:
@@ -208,8 +209,6 @@ class FamilyCode(NamedTuple):
     spec: FamilySpec
     m: int
     defining_set: DefiningSet
-    decomposition: Decomposition
-    predicted: EaqeccParams
     verified: EaqeccParams
     errata_flags: tuple[str, ...]
 
@@ -218,22 +217,23 @@ def verify_family_code(spec: FamilySpec, m: int, allow_degenerate: bool = False)
     """Build the defining set and re-derive every claimed quantity from
     first principles, comparing against the closed forms.
 
-    For m >= 2 the split of Z is the windows check_window_lemmas checked;
-    m = 1 has no windows and takes decompose(Z).  This checks that Z is one
-    circular run (hence classical MDS and, as n + c - k = 2|Z|, the
-    Singleton equality) and that predicted == verified, the ebit count
-    included.  Any mismatch raises VerificationError.
+    For m >= 2 the overlap Z & -qZ is the entangled windows that
+    check_window_lemmas checked; m = 1 has no windows and takes decompose(Z).
+    This checks that Z is one circular run (hence classical MDS and, as
+    n + c - k = 2|Z|, the Singleton equality) and that the closed form
+    equals the verified parameters, the ebit count included.  Any mismatch
+    raises VerificationError.
     """
     _check_m(spec, m, allow_degenerate=allow_degenerate)
     q = spec.q.q
     z = family_defining_set(spec, m)
     flags: list[str] = []
     if m >= 2:
-        dec = check_window_lemmas(spec, m, z)
+        overlap = check_window_lemmas(spec, m, z)
     else:
-        dec = decompose(z)
+        overlap = decompose(z)
         flags.append("degenerate-m1")
-    verified = eaqecc_params(dec)
+    verified = eaqecc_params(z, len(overlap))
 
     # n + c - k = 2|Z| always holds, so run = |Z| implies that the errata's
     # two routes to k agree (they differ by 2(run - |Z|)) and, by its weaker
@@ -262,8 +262,6 @@ def verify_family_code(spec: FamilySpec, m: int, allow_degenerate: bool = False)
         spec=spec,
         m=m,
         defining_set=z,
-        decomposition=dec,
-        predicted=predicted,
         verified=verified,
         errata_flags=tuple(flags),
     )

@@ -62,9 +62,10 @@ def _slot_width(inner: int, d: int, p: int) -> int:
     so it holds every sum once 2^width > inner * d * (p-1)^2, and it holds
     one product even for an empty matrix.  Rounded up to 16, 32 or 64 bits
     where one of them is wide enough.  Every width so chosen for a field of
-    build_field or of degree 1 passes the checks of _Packer: it is at
-    least 16 bits or about twice as wide as p, which leaves the reducer
-    room."""
+    build_field, so of order at most gf.MAX_EXTENSION_ORDER, or of degree 1
+    passes the checks of _Packer: it is at least 16 bits or about twice as
+    wide as p, which leaves the reducer room.  Past that cap it need not:
+    F_{7^6}, F_{17^4}, F_{19^4} and F_{2^18} fail at 16 bits."""
     bits = (max(inner, 1) * d * (p - 1) ** 2).bit_length()
     return next((w for w in (16, 32, 64) if bits <= w), bits)
 

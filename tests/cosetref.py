@@ -3,9 +3,40 @@ orbit walked by arithmetic, one (s, i) window pair at a time, each check
 made on whole orbits, and the window sets as unions of one range of
 representatives per window and s or t.  The package computes all cosets
 of a modulus at once, checks the identity on whole windows and builds
-each window family by one multiply; these are what it is compared with."""
+each window family by one multiply; these are what it is compared with.
+Sets of arbitrary residues are made here too: the package builds every
+set from runs, closed by construction, and these two constructors, one
+that checks closure and one that closes by reflection, are its reference."""
 
-from eaqmds.cosets import DefiningSet
+from itertools import chain
+
+from eaqmds.cosets import DefiningSet, _check_modulus
+
+
+def defining_set(ctx, members):
+    """The set of the residues members mod n; ValueError unless it is closed
+    under multiplication by q^2, checked as mark x against mark n-x."""
+    n = ctx.n
+    _check_modulus(n, ctx.q)
+    marks = bytearray(b"0" * n)
+    for m in members:
+        marks[int(m) % n] = 49  # ord("1")
+    if marks[1:] != marks[:0:-1]:  # mark x against mark n-x, for x = 1..n-1
+        m = next(x for x in range(1, n) if marks[x] > marks[n - x])
+        raise ValueError(f"set is not closed under multiplication by q^2: {m} in, {n - m} out")
+    return DefiningSet._closed(ctx, int(marks[::-1], 2))
+
+
+def from_cosets(ctx, *reps):
+    """The union of the cosets of the integers in one or more iterables
+    reps, marked one by one and closed by one reflection x -> n-x."""
+    n = ctx.n
+    _check_modulus(n, ctx.q)
+    marks = bytearray(b"0" * n)
+    for r in chain.from_iterable(reps):
+        marks[r % n] = 49  # ord("1")
+    # bit x of the first mask is mark x, of the second mark n-x (mark 0 for x = 0)
+    return DefiningSet._closed(ctx, int(marks[::-1], 2) | int(marks[1:] + marks[:1], 2))
 
 
 def coset(ctx, i):
@@ -90,7 +121,7 @@ def expand(rows):
 
 def block_by_runs(spec, m):
     """The block C_0 .. C_{(m-1)q}, united from one range of representatives."""
-    return DefiningSet.from_cosets(spec.context(), range((m - 1) * spec.q.q + 1))
+    return from_cosets(spec.context(), range((m - 1) * spec.q.q + 1))
 
 
 def window_union_by_runs(spec, m, forward, backward):
@@ -100,4 +131,4 @@ def window_union_by_runs(spec, m, forward, backward):
     q = spec.q.q
     runs = [range(s * q + lo, s * q + hi + 1) for s in range(m - 1) for lo, hi in forward]
     runs += [range(t * q - hi, t * q - lo + 1) for t in range(1, m) for lo, hi in backward]
-    return DefiningSet.from_cosets(spec.context(), *runs)
+    return from_cosets(spec.context(), *runs)

@@ -9,8 +9,8 @@ from contextlib import contextmanager
 
 from eaqmds.cli import main
 from eaqmds.codes import bch_bound, dimension, longest_circular_run
-from eaqmds.cosets import CycContext, DefiningSet, all_cosets, identity_windows
-from eaqmds.eaqecc import ebits
+from eaqmds.cosets import CycContext, all_cosets, identity_windows
+from eaqmds.eaqecc import decompose
 from eaqmds.errata import errata_report
 from eaqmds.families import (
     classify,
@@ -22,7 +22,7 @@ from eaqmds.families import (
 )
 from eaqmds.gf import field_tower
 from eaqmds.oracle import code_polynomials, hh_dagger, toeplitz_rank
-from cosetref import coset_product_identity, expand
+from cosetref import coset_product_identity, expand, from_cosets
 from matref import MatrixGF, exhaustive_min_distance
 from polyref import shift_rows
 
@@ -98,7 +98,7 @@ def test_criterion_2_theorem_reproduction_at_scale():
         for spec, m in grid:
             z = family_defining_set(spec, m)
             n, q = spec.n, spec.q.q
-            c = ebits(z)
+            c = len(decompose(z))
             assert c == 20 * (m - 1) ** 2 + 1, (q, m, c)
             k = 2 * dimension(z) - n + c
             d = bch_bound(z)
@@ -143,7 +143,7 @@ def test_criterion_4_rank_oracle_equivalence():
                 z = family_defining_set(spec, m)
                 h = code_polynomials(z.members, tower)[1]
                 got = toeplitz_rank(tower.fq2, hh_dagger(tower.fq2, h, spec.n))
-                assert got == ebits(z) == 20 * (m - 1) ** 2 + 1, (q, m)
+                assert got == len(decompose(z)) == 20 * (m - 1) ** 2 + 1, (q, m)
                 checked += 1
         for q in (7, 23):
             ctx = CycContext.for_family(q)
@@ -152,12 +152,12 @@ def test_criterion_4_rank_oracle_equivalence():
             reps = [c[0] for c in all_cosets(ctx)]
             done = 0
             while done < 50:
-                z = DefiningSet.from_cosets(ctx, [r for r in reps if rng.random() < 0.5])
+                z = from_cosets(ctx, [r for r in reps if rng.random() < 0.5])
                 if not 0 < len(z) < ctx.n:
                     continue
                 h = code_polynomials(z.members, tower)[1]
                 got = toeplitz_rank(tower.fq2, hh_dagger(tower.fq2, h, ctx.n))
-                assert got == ebits(z), (q, z.members)
+                assert got == len(decompose(z)), (q, z.members)
                 done += 1
                 checked += 1
         elapsed = time.perf_counter() - t0
@@ -215,11 +215,11 @@ def test_criterion_7_toy_exhaustive_distance():
         ctx = CycContext.for_family(7)
         tower = field_tower(7, 10)
 
-        z0 = DefiningSet.from_cosets(ctx, [0])
+        z0 = from_cosets(ctx, [0])
         g0 = MatrixGF(tower.fq2, shift_rows(code_polynomials(z0.members, tower)[0], 10))
         assert exhaustive_min_distance(g0) == 2 == bch_bound(z0)
 
-        z = DefiningSet.from_cosets(ctx, [0, 1])  # k = 7, Singleton forces d = 4
+        z = from_cosets(ctx, [0, 1])  # k = 7, Singleton forces d = 4
         g = MatrixGF(tower.fq2, shift_rows(code_polynomials(z.members, tower)[0], 10))
         d = exhaustive_min_distance(g)
         assert d == 10 - dimension(z) + 1 == 4

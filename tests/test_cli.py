@@ -17,6 +17,7 @@ from eaqmds.gf import build_field
 from eaqmds.primes import PrimePower
 
 import coderef
+from cosetref import from_cosets
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -567,7 +568,7 @@ def test_window_anchor_off_by_one_is_caught(capsys, monkeypatch, index, delta, l
 
 
 # wrong maps in place of x -> -q*x, on defining sets at the theorem level
-# (closed again by from_cosets, so only the checks on the decomposition can
+# (closed again by cosetref.from_cosets, so only the checks on the split can
 # see the fault) and as the table of the coset level, whose first failing
 # coset is pinned (the map x -> q*x is no fault there: it too squares to
 # negation, and equals -q on every coset {i, n-i})
@@ -601,7 +602,7 @@ def _mapped_by(image):
 
     def neg_q(self):
         n, q = self.ctx.n, self.ctx.q
-        return DefiningSet.from_cosets(self.ctx, (image(x, n, q) for x in self.members))
+        return from_cosets(self.ctx, (image(x, n, q) for x in self.members))
 
     return neg_q
 
@@ -855,7 +856,7 @@ def test_neg_q_pair_in_the_free_windows_is_caught(capsys, monkeypatch, level):
     free, entangled = families.free_window_set, families.entangled_window_set
 
     def pair(spec):
-        c1 = DefiningSet.from_cosets(spec.context(), [1])
+        c1 = from_cosets(spec.context(), [1])
         return c1.union(c1.neg_q())
 
     monkeypatch.setattr(families, "free_window_set", lambda s, m: free(s, m).union(pair(s)))
@@ -873,7 +874,7 @@ def test_entangled_windows_missing_a_coset_are_caught(capsys, monkeypatch, level
     honest = families.entangled_window_set
 
     def short(spec, m):
-        return honest(spec, m).difference(DefiningSet.from_cosets(spec.context(), [0]))
+        return honest(spec, m).difference(from_cosets(spec.context(), [0]))
 
     monkeypatch.setattr(families, "entangled_window_set", short)
     _assert_counterexample(capsys, "verify", "--level", level, "--qmax", "60")
@@ -884,7 +885,7 @@ def _shifted(anchors, index, delta):
 
 
 def _c1_pair(spec):
-    c1 = DefiningSet.from_cosets(spec.context(), [1])
+    c1 = from_cosets(spec.context(), [1])
     return c1.union(c1.neg_q())
 
 
@@ -899,7 +900,7 @@ WINDOW_FAULTS = {
     "coset dropped": [
         (
             "entangled_window_set",
-            lambda f: lambda s, m: f(s, m).difference(DefiningSet.from_cosets(s.context(), [0])),
+            lambda f: lambda s, m: f(s, m).difference(from_cosets(s.context(), [0])),
         )
     ],
     **{

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaqmds.codes import bch_bound, dimension, longest_circular_run
-from eaqmds.cosets import DefiningSet
 from eaqmds.families import family_defining_set, free_window_set
 
 import coderef
+from cosetref import defining_set, from_cosets
 
 
 def run_of(members, n):
@@ -16,23 +16,23 @@ def run_of(members, n):
 
 
 def test_dimension_examples(ctx23, spec23, spec43):
-    assert dimension(DefiningSet(ctx23, ())) == 106
+    assert dimension(defining_set(ctx23, ())) == 106
     assert dimension(family_defining_set(spec23, 2)) == 106 - 47
     assert dimension(family_defining_set(spec43, 2)) == 370 - 87
 
 
 def test_bch_bound_examples(ctx23, spec23):
-    assert bch_bound(DefiningSet.from_cosets(ctx23, [0])) == 2
+    assert bch_bound(from_cosets(ctx23, [0])) == 2
     # the family block {83..105, 0..23} is one circular run of 47
     z = family_defining_set(spec23, 2)
     assert bch_bound(z) == 48
     # non-adjacent cosets {2, 104} and {4, 102}: no run longer than 1
-    assert bch_bound(DefiningSet.from_cosets(ctx23, [2, 4])) == 2
+    assert bch_bound(from_cosets(ctx23, [2, 4])) == 2
 
 
 def test_bch_bound_conventions(ctx23):
-    assert bch_bound(DefiningSet(ctx23, ())) == 1
-    assert bch_bound(DefiningSet(ctx23, range(ctx23.n))) == 107
+    assert bch_bound(defining_set(ctx23, ())) == 1
+    assert bch_bound(defining_set(ctx23, range(ctx23.n))) == 107
 
 
 @settings(max_examples=80, deadline=None)
@@ -108,12 +108,12 @@ def _hermitian_dual_containing(z):
 def test_mds_certificates(ctx23, spec23, spec43):
     assert _mds_certificate(family_defining_set(spec23, 2)) == (106, 59, 48, True)
     assert _mds_certificate(family_defining_set(spec43, 3)) == (370, 197, 174, True)
-    _n, _k, d, is_mds = _mds_certificate(DefiningSet.from_cosets(ctx23, [0, 2]))
+    _n, _k, d, is_mds = _mds_certificate(from_cosets(ctx23, [0, 2]))
     assert not is_mds and d == 2
 
 
 def test_hermitian_dual_containing(ctx23, spec23):
-    assert _hermitian_dual_containing(DefiningSet(ctx23, ()))
+    assert _hermitian_dual_containing(defining_set(ctx23, ()))
     # the five-window free set really avoids its -q image
     assert _hermitian_dual_containing(free_window_set(spec23, 2))
     # the full family block does not (its overlap is the 21 ebits)
@@ -122,9 +122,9 @@ def test_hermitian_dual_containing(ctx23, spec23):
 
 def test_dual_containment_matches_zero_ebits(ctx7):
     # cross-module consistency spot check; the fuzz version lives with the
-    # decomposition tests
-    from eaqmds.eaqecc import ebits
+    # decompose tests
+    from eaqmds.eaqecc import decompose
 
     for reps in ([], [1], [1, 2], [0, 1]):
-        z = DefiningSet.from_cosets(ctx7, reps)
-        assert _hermitian_dual_containing(z) == (ebits(z) == 0)
+        z = from_cosets(ctx7, reps)
+        assert _hermitian_dual_containing(z) == (len(decompose(z)) == 0)

@@ -28,7 +28,9 @@ from cosetref import (
     coset_product_identity,
     coset_product_identity_inverse,
     cosets_one_by_one,
+    defining_set,
     expand,
+    from_cosets,
     identity_pairs,
     inverse_identity_pairs,
     neg_q_maps,
@@ -117,15 +119,15 @@ def test_every_coset_is_a_conjugate_pair(ctx23, ctx32):
 
 
 def test_neg_q_map_examples(ctx23):
-    assert DefiningSet.from_cosets(ctx23, [0]).neg_q().members == (0,)
+    assert from_cosets(ctx23, [0]).neg_q().members == (0,)
     # -23*2 = 60, -23*104 = 46 (mod 106)
-    assert DefiningSet.from_cosets(ctx23, [2]).neg_q().members == (46, 60)
+    assert from_cosets(ctx23, [2]).neg_q().members == (46, 60)
 
 
 def coset_closed_sets(ctx):
     reps = sorted({c[0] for c in all_cosets(ctx)})
     return st.sets(st.sampled_from(reps)).map(
-        lambda chosen: DefiningSet.from_cosets(ctx, chosen)
+        lambda chosen: from_cosets(ctx, chosen)
     )
 
 
@@ -148,11 +150,11 @@ def test_set_algebra_preserves_closure(data):
     assert a.intersect(a) == a
     assert len(a.difference(a)) == 0
     for combined in (a.union(b), a.intersect(b), a.difference(b)):
-        DefiningSet(ctx, combined.members)  # would raise if closure broke
+        defining_set(ctx, combined.members)  # would raise if closure broke
 
 
 # the family contexts at q = 7, 23, 32, 43: every coset is {i, n-i}, so
-# from_cosets closes by reflection and -q maps by strided slices
+# sets close by reflection and -q maps by strided slices
 KERNEL_CONTEXTS = {
     "q7": CycContext.for_family(7),
     "q23": CycContext.for_family(23),
@@ -176,14 +178,14 @@ def test_set_kernels_match_naive_reference(name, data):
     n, q = ctx.n, ctx.q
     reps = st.lists(st.integers(-2 * n, 2 * n), max_size=n)
     reps_a, reps_b = data.draw(reps), data.draw(reps)
-    a, b = DefiningSet.from_cosets(ctx, reps_a), DefiningSet.from_cosets(ctx, reps_b)
+    a, b = from_cosets(ctx, reps_a), from_cosets(ctx, reps_b)
     ra, rb = naive_union_of_cosets(ctx, reps_a), naive_union_of_cosets(ctx, reps_b)
     # a range of representatives, even one that leaves 0..n-1, is marked
     # element by element like any other iterable
     ends = st.integers(-n, 2 * n)
     run = range(data.draw(ends), data.draw(ends), data.draw(st.integers(1, 3)))
     everything = set(range(n))
-    full = DefiningSet(ctx, everything)
+    full = defining_set(ctx, everything)
     cases = (
         (a, ra),
         (a.union(b), ra | rb),
@@ -192,14 +194,14 @@ def test_set_kernels_match_naive_reference(name, data):
         (full.difference(a), everything - ra),
         (a.neg_q(), {(-q * x) % n for x in ra}),
         (full.difference(a).neg_q(), {(-q * x) % n for x in everything - ra}),
-        (DefiningSet.from_cosets(ctx, run, reps_b), naive_union_of_cosets(ctx, [*run, *reps_b])),
-        (DefiningSet(ctx, ()), set()),
-        (DefiningSet(ctx, range(n)), everything),
+        (from_cosets(ctx, run, reps_b), naive_union_of_cosets(ctx, [*run, *reps_b])),
+        (defining_set(ctx, ()), set()),
+        (defining_set(ctx, range(n)), everything),
     )
     for got, want in cases:
         assert got.members == tuple(sorted(want))
         assert len(got) == len(want)
-        assert DefiningSet(ctx, got.members) == got  # the checked constructor agrees
+        assert defining_set(ctx, got.members) == got  # the checked reference agrees
 
 
 @st.composite
@@ -229,7 +231,7 @@ def test_from_runs_matches_naive_reference(name, data):
     ]
     z = DefiningSet.from_runs(ctx, runs)
     assert z.members == tuple(sorted(naive_union_of_cosets(ctx, reps)))
-    assert DefiningSet(ctx, z.members) == z  # the checked constructor agrees
+    assert defining_set(ctx, z.members) == z  # the checked reference agrees
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CONTEXTS))
@@ -329,27 +331,28 @@ def test_neg_q_matches_elementwise_on_random_sets_of_every_modulus():
     for ctx, sets in points:
         n, q = ctx.n, ctx.q
         for _ in range(sets):
-            z = DefiningSet.from_cosets(ctx, compress(range(n), rng.randbytes(n).translate(coin)))
-            assert z.neg_q() == DefiningSet.from_cosets(ctx, [-q * x for x in z.members]), ctx
+            z = from_cosets(ctx, compress(range(n), rng.randbytes(n).translate(coin)))
+            assert z.neg_q() == from_cosets(ctx, [-q * x for x in z.members]), ctx
             checked += 1
     assert checked == 686  # 3 at each of 201 moduli with q < 60, 1 at each of 83 family moduli
 
 
 def test_set_algebra_examples(ctx7, ctx23):
-    c2, c3 = DefiningSet.from_cosets(ctx23, [2]), DefiningSet.from_cosets(ctx23, [3])
+    c2, c3 = from_cosets(ctx23, [2]), from_cosets(ctx23, [3])
     assert len(c2.union(c3)) == 4
-    z = DefiningSet.from_cosets(ctx7, [0, 1])  # {0, 1, 9}
+    z = from_cosets(ctx7, [0, 1])  # {0, 1, 9}
     assert z.intersect(z.neg_q()).members == (0,)  # -7*{0,1,9} = {0,3,7} mod 10
 
 
 def test_mismatched_contexts_raise(ctx7, ctx23):
     with pytest.raises(ValueError):
-        DefiningSet(ctx7, ()).union(DefiningSet(ctx23, ()))
+        DefiningSet.from_runs(ctx7, ()).union(DefiningSet.from_runs(ctx23, ()))
 
 
 def test_closure_is_validated(ctx23):
+    # the checked reference constructor, which the set kernels are compared with
     with pytest.raises(ValueError, match=r"1 in, 105 out"):
-        DefiningSet(ctx23, [1])  # orbit of 1 also contains 105
+        defining_set(ctx23, [1])  # orbit of 1 also contains 105
 
 
 def test_defining_sets_need_q_squared_minus_one():
@@ -357,15 +360,15 @@ def test_defining_sets_need_q_squared_minus_one():
     # reflection and mapping -q by strided slices would be wrong: no set is
     # made there.  4 has order 5 mod 31; every coset mod 8 is a singleton
     with pytest.raises(ValueError, match=r"n=31, q=2"):
-        DefiningSet(CycContext(31, 2), ())
+        DefiningSet.from_runs(CycContext(31, 2), ())
     with pytest.raises(ValueError, match=r"n=8, q=3"):
-        DefiningSet.from_cosets(CycContext(8, 3), [0])
+        DefiningSet.from_runs(CycContext(8, 3), [(0, 1, 1, 1)])
 
 
 def test_from_cosets_unites_whole_cosets(ctx23):
-    z = DefiningSet.from_cosets(ctx23, [0, 1, 105, 2])
+    z = from_cosets(ctx23, [0, 1, 105, 2])
     assert z.members == (0, 1, 2, 104, 105)
-    full = DefiningSet(ctx23, range(ctx23.n))
+    full = defining_set(ctx23, range(ctx23.n))
     rest = full.difference(z)
     assert len(rest) == 106 - 5
     assert z.union(rest) == full and z.isdisjoint(rest)

@@ -1,7 +1,6 @@
 import pytest
 
-from eaqmds.cosets import DefiningSet
-from eaqmds.eaqecc import decompose, ebits
+from eaqmds.eaqecc import decompose
 from eaqmds.families import (
     FAMILY_IDS,
     classify,
@@ -14,6 +13,8 @@ from eaqmds.families import (
     predicted_code,
     verify_family_code,
 )
+
+from cosetref import from_cosets
 
 
 def test_classify_examples():
@@ -66,7 +67,7 @@ def test_family_defining_set_range_errors(spec23):
 
 
 def test_free_windows_q23_m2_match_published_list(spec23):
-    want = DefiningSet.from_cosets(
+    want = from_cosets(
         spec23.context(), [2, 3, 6, 7, 8, 11, 12, 15, 16, 17, 20, 21, 22]
     )
     assert free_window_set(spec23, 2) == want
@@ -75,19 +76,19 @@ def test_free_windows_q23_m2_match_published_list(spec23):
 def test_free_windows_q32_m2_match_published_list():
     spec = classify(32)
     reps = [*range(2, 6), *range(8, 12), *range(14, 19), *range(21, 25), *range(27, 32)]
-    assert free_window_set(spec, 2) == DefiningSet.from_cosets(spec.context(), reps)
+    assert free_window_set(spec, 2) == from_cosets(spec.context(), reps)
 
 
 def test_free_windows_q43_follow_the_stated_ranges(spec43):
     ctx = spec43.context()
     m2 = [*range(2, 8), *range(10, 17), *range(19, 25), *range(27, 34), *range(36, 43)]
-    assert free_window_set(spec43, 2) == DefiningSet.from_cosets(ctx, m2)
+    assert free_window_set(spec43, 2) == from_cosets(ctx, m2)
     m3 = []
     for s in (0, 1):
         m3 += [s * 43 + i for i in (*range(3, 7), *range(11, 16), *range(20, 24))]
     for t in (1, 2):
         m3 += [t * 43 - j for j in (*range(11, 16), *range(2, 7))]
-    assert free_window_set(spec43, 3) == DefiningSet.from_cosets(ctx, m3)
+    assert free_window_set(spec43, 3) == from_cosets(ctx, m3)
 
 
 def test_free_windows_q37_m3_follow_the_stated_ranges():
@@ -102,11 +103,11 @@ def test_free_windows_q37_m3_follow_the_stated_ranges():
     for t in (1, 2):
         reps += [t * 37 - j for j in (*range(10, 13), *range(2, 6))]
     free = free_window_set(spec, 3)
-    assert free == DefiningSet.from_cosets(ctx, reps)
+    assert free == from_cosets(ctx, reps)
     ent = entangled_window_set(spec, 3)
     z = family_defining_set(spec, 3)
     assert free.union(ent) == z and free.isdisjoint(ent)
-    bad = DefiningSet.from_cosets(ctx, list(reps) + [37 - 13, 2 * 37 - 13])
+    bad = from_cosets(ctx, list(reps) + [37 - 13, 2 * 37 - 13])
     assert not bad.isdisjoint(ent)
 
 
@@ -139,7 +140,7 @@ def test_predicted_params_golden(spec43):
 
 def test_verify_family_code_golden(spec23):
     fc = verify_family_code(spec23, 2)
-    assert fc.predicted == fc.verified
+    assert fc.verified == predicted_code(spec23, 2)
     assert (fc.verified.n, fc.verified.k, fc.verified.d, fc.verified.c) == (106, 33, 48, 21)
     assert fc.errata_flags == ()
 
@@ -165,10 +166,11 @@ def test_entangled_part_equals_window_complement_everywhere_small():
     # exactly Z \ -qZ and Z n -qZ, computed directly by decompose
     for spec, m in family_grid(200):
         fc = verify_family_code(spec, m)
-        dec = decompose(fc.defining_set)
-        assert fc.decomposition.free_part == dec.free_part, (spec.q.q, m)
-        assert fc.decomposition.entangled_part == dec.entangled_part, (spec.q.q, m)
-        assert fc.verified.c == 20 * (m - 1) ** 2 + 1 == ebits(fc.defining_set)
+        z = fc.defining_set
+        overlap = decompose(z)
+        assert entangled_window_set(spec, m) == overlap, (spec.q.q, m)
+        assert free_window_set(spec, m) == z.difference(overlap), (spec.q.q, m)
+        assert fc.verified.c == 20 * (m - 1) ** 2 + 1 == len(overlap)
 
 
 def test_enumerate_family_grids():

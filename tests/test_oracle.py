@@ -1,10 +1,12 @@
 import functools
+import hashlib
 import inspect
 import itertools
 import random
 import textwrap
 from collections import Counter
 from math import isqrt
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,12 @@ from hypothesis import strategies as st
 from eaqmds import crosscheck, gf, oracle
 from eaqmds.cli import main
 from eaqmds.codes import dimension
-from eaqmds.cosets import CycContext, DefiningSet, all_cosets
-from eaqmds.eaqecc import ebits
+from eaqmds.cosets import CycContext, all_cosets
+from eaqmds.eaqecc import decompose
 from eaqmds.exceptions import VerificationError
 from eaqmds.families import family_defining_set, verify_family_code
 from eaqmds.gf import FieldTower, field_tower
+from eaqmds.primes import is_prime
 from eaqmds.oracle import (
     check_ebits,
     code_polynomials,
@@ -26,7 +29,7 @@ from eaqmds.oracle import (
     hh_dagger,
     toeplitz_rank,
 )
-from cosetref import coset
+from cosetref import coset, defining_set, from_cosets
 from matref import (
     BUDGET_EXCEEDED,
     MatrixGF,
@@ -63,7 +66,7 @@ def _code_matrices(f, g, h, n):
 
 def _complement(z):
     """The residues outside the defining set z, ascending."""
-    return DefiningSet(z.ctx, range(z.ctx.n)).difference(z).members
+    return defining_set(z.ctx, range(z.ctx.n)).difference(z).members
 
 
 def _generator_matrix(z, tower):
@@ -78,7 +81,7 @@ def _euclidean_parity_check(z, tower):
 
 @pytest.fixture(scope="module")
 def toy(ctx7, tower7):
-    z = DefiningSet.from_cosets(ctx7, [0, 1])  # {0, 1, 9}
+    z = from_cosets(ctx7, [0, 1])  # {0, 1, 9}
     g, h = code_polynomials(z.members, tower7)
     return (z, *_code_matrices(tower7.fq2, g, h, 10), h)
 
@@ -125,7 +128,7 @@ def test_zero_matrix_rank():
 
 def test_rank_hh_dagger_toy(toy, tower7):
     z, _g, _h, hpoly = toy
-    assert toeplitz_rank(tower7.fq2, hh_dagger(tower7.fq2, hpoly, 10)) == ebits(z) == 1
+    assert toeplitz_rank(tower7.fq2, hh_dagger(tower7.fq2, hpoly, 10)) == len(decompose(z)) == 1
     check_ebits(z.members, tower7, 1, "for the toy")
     with pytest.raises(VerificationError, match=r"= 1 but the set overlap has size 2 for the toy"):
         check_ebits(z.members, tower7, 2, "for the toy")
@@ -150,11 +153,11 @@ def test_rank_oracle_on_random_sets_q7(ctx7, tower7):
     reps = [c[0] for c in all_cosets(ctx7)]
     done = 0
     while done < 25:
-        z = DefiningSet.from_cosets(ctx7, [r for r in reps if rng.random() < 0.5])
+        z = from_cosets(ctx7, [r for r in reps if rng.random() < 0.5])
         if not 0 < len(z) < ctx7.n:
             continue
         h = code_polynomials(z.members, tower7)[1]
-        assert toeplitz_rank(tower7.fq2, hh_dagger(tower7.fq2, h, 10)) == ebits(z), z.members
+        assert toeplitz_rank(tower7.fq2, hh_dagger(tower7.fq2, h, 10)) == len(decompose(z)), z.members
         done += 1
 
 
@@ -176,12 +179,12 @@ def _x_pow_n_minus_1(f, n):
 
 
 def test_generator_polynomial_of_c0_is_x_minus_1(tower7, ctx7):
-    g = generator_polynomial(DefiningSet.from_cosets(ctx7, [0]).members, tower7)
+    g = generator_polynomial(from_cosets(ctx7, [0]).members, tower7)
     assert g == (tower7.fq2.neg(1), 1)
 
 
 def test_generator_polynomial_divides_xn_minus_1(tower7, ctx7):
-    z = DefiningSet.from_cosets(ctx7, [0, 1])
+    z = from_cosets(ctx7, [0, 1])
     f = tower7.fq2
     g = generator_polynomial(z.members, tower7)
     assert len(g) - 1 == len(z) == 3
@@ -191,7 +194,7 @@ def test_generator_polynomial_divides_xn_minus_1(tower7, ctx7):
 
 
 def test_generator_times_complement_generator_is_xn_minus_1(tower7, ctx7):
-    z = DefiningSet.from_cosets(ctx7, [0, 1])
+    z = from_cosets(ctx7, [0, 1])
     f = tower7.fq2
     g = generator_polynomial(z.members, tower7)
     gc = generator_polynomial(_complement(z), tower7)
@@ -199,14 +202,29 @@ def test_generator_times_complement_generator_is_xn_minus_1(tower7, ctx7):
 
 
 def test_check_polynomial_degree(tower7, ctx7):
-    z = DefiningSet.from_cosets(ctx7, [0, 1])
+    z = from_cosets(ctx7, [0, 1])
     assert len(generator_polynomial(_complement(z), tower7)) - 1 == dimension(z)
 
 
 def test_generator_degree_always_matches_set_size(tower23, ctx23):
     for reps in ([0], [1], [0, 1, 2], [53]):
-        z = DefiningSet.from_cosets(ctx23, reps)
+        z = from_cosets(ctx23, reps)
         assert len(generator_polynomial(z.members, tower23)) - 1 == len(z)
+
+
+def test_rank_oracle_random_sets_are_pinned():
+    # verify --level rank-oracle prints only a count, so the 100 random
+    # sets it ranks, 2,814 residues in all, are pinned by their digest
+    sets = [
+        z.members
+        for q in (7, 23)
+        for z in crosscheck._random_closed_sets(
+            CycContext.for_family(q), crosscheck._RANDOM_SETS_PER_Q, crosscheck._RANDOM_SEED + q
+        )
+    ]
+    assert (len(sets), sum(map(len, sets))) == (100, 2814)
+    digest = hashlib.sha256(repr(sets).encode()).hexdigest()
+    assert digest == "0b412f03b3f6a0cd97fde3e0643b8150a50a93428aae4f31cc952c88a67332a5"
 
 
 def test_tree_built_polynomials_match_scalar_reference(monkeypatch):
@@ -302,7 +320,7 @@ def test_tree_narrower_than_its_bound_is_caught(capsys, monkeypatch, which):
 
 def test_min_distance_single_root(ctx7, tower7):
     # Z = {0}: codewords are exactly the vectors with coordinate sum zero
-    g = _generator_matrix(DefiningSet.from_cosets(ctx7, [0]), tower7)
+    g = _generator_matrix(from_cosets(ctx7, [0]), tower7)
     assert exhaustive_min_distance(g) == 2
 
 
@@ -319,7 +337,7 @@ def test_min_distance_budget_sentinel(toy):
 def test_min_distance_modes_agree(ctx7, tower7):
     # small dimension: both the dumb codeword enumeration and the support
     # scan are feasible and must agree exactly
-    z = DefiningSet.from_cosets(ctx7, [0, 1, 2, 3])  # k = 3
+    z = from_cosets(ctx7, [0, 1, 2, 3])  # k = 3
     g = _generator_matrix(z, tower7)
     by_words = _min_weight_by_codewords(g)
     by_supports = _min_weight_by_supports(g, budget=10_000)
@@ -348,7 +366,7 @@ def test_min_distance_of_the_zero_code_raises(tower7):
 def test_weight_two_oracle_against_direct_vectors(ctx7, tower7):
     # independent dumbest-possible route for d=2: no weight-1 vector is a
     # codeword, but some weight-2 vector is (checked by raw syndrome)
-    z = DefiningSet.from_cosets(ctx7, [0])
+    z = from_cosets(ctx7, [0])
     g = _generator_matrix(z, tower7)
     h = _euclidean_parity_check(z, tower7)
     f = h.field
@@ -906,6 +924,26 @@ def test_slot_reducer_refuses_a_multiplier_one_too_small(capsys, monkeypatch):
     assert "slot reducer is not exact at 32 bits" in capsys.readouterr().err
 
 
+def test_slot_widths_pass_the_packer_checks_on_every_tabled_field():
+    # every F_{p^d}, d >= 2, of order up to the cap, at the widths of inner
+    # dimensions 1, 2, 3, p^d / 5 and 2^15; a stand-in with p, degree and
+    # the modulus build_field picks is all the constructor reads
+    fields = [
+        (p, d)
+        for p in range(2, isqrt(gf.MAX_EXTENSION_ORDER) + 1)
+        if is_prime(p)
+        for d in range(2, gf.MAX_EXTENSION_ORDER.bit_length())
+        if p**d <= gf.MAX_EXTENSION_ORDER
+    ]
+    built = 0
+    for p, d in fields:
+        f = SimpleNamespace(p=p, degree=d, modulus=gf._smallest_irreducible(p, d))
+        for inner in (1, 2, 3, p**d // 5, 2**15):
+            oracle._Packer(f, oracle._slot_width(inner, d, p))
+            built += 1
+    assert built == 390
+
+
 def test_slot_reducer_with_its_last_fold_dropped_is_caught(capsys, monkeypatch):
     # over F_{3^6}, the alphabet of q = 27, one fold by x^6 mod f takes the
     # degree of every entry below 6; without it the entries are not reduced
@@ -1015,7 +1053,7 @@ def _wrong_orbit(honest, z, tower):
     outside = [x for x in range(ctx.n // 2 + 1) if x not in inside]
     size = {r: len(coset(ctx, r)) for r in inside + outside}
     a, b = next((a, b) for a in inside for b in outside if size[a] == size[b])
-    return honest(DefiningSet.from_cosets(ctx, [r for r in inside if r != a] + [b]).members, tower)
+    return honest(from_cosets(ctx, [r for r in inside if r != a] + [b]).members, tower)
 
 
 def _fresh_leaves(monkeypatch):

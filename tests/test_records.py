@@ -6,9 +6,9 @@ import pytest
 from eaqmds import errata
 from eaqmds.cli import CodeRecord
 from eaqmds.cosets import CycContext
-from eaqmds.eaqecc import EaqeccParams, decompose
+from eaqmds.eaqecc import EaqeccParams
 from eaqmds.exceptions import UsageError
-from eaqmds.families import FamilySpec, classify, family_defining_set, verify_family_code
+from eaqmds.families import FamilySpec, classify, verify_family_code
 from eaqmds.primes import PrimePower
 
 
@@ -25,16 +25,7 @@ RECORDS = {
     "EaqeccParams": (lambda: EaqeccParams(106, 33, 48, 21), ("n", "k", "d", "c"), True),
     "CodeRecord": (lambda: CodeRecord.from_family_code(_code()), CodeRecord._fields, True),
     # a DefiningSet or a dict among the fields makes these unhashable
-    "Decomposition": (
-        lambda: decompose(family_defining_set(classify(23), 2)),
-        ("whole", "free_part", "entangled_part"),
-        False,
-    ),
-    "FamilyCode": (
-        _code,
-        ("spec", "m", "defining_set", "decomposition", "predicted", "verified", "errata_flags"),
-        False,
-    ),
+    "FamilyCode": (_code, ("spec", "m", "defining_set", "verified", "errata_flags"), False),
     "ErrataEntry": (lambda: errata.errata_report(60)[0], ("entry_id", "title", "lines", "data"), False),
 }
 

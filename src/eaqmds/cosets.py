@@ -2,13 +2,15 @@
 algebra of coset-closed subsets, including the -q map.
 
 Cosets are computed for any modulus n coprime to q, all at once, by
-walking each orbit through one table of x*q^2 mod n.  The lengths this
-package is about, n = (q^2+1)/5, satisfy q^2 = -1 (mod n); then every
-orbit is the pair {i, n-i} (a singleton for i = 0 and, when n is even,
-for i = n/2).  families.verify_cosets checks that shape on the family
-moduli, and that the table t = neg_q_map of -q*x mod n squares to
-negation, which makes -q an involution on those cosets; neg_q_misses
-checks -q*C_src == C_dst as -q*src = +-dst (mod n).
+walking each orbit through one table of x*q^2 mod n.  A table of b*x mod n
+is |b| arithmetic progressions, each filled by one slice assignment where
+they are long, else by one C-level map.  The lengths this package is
+about, n = (q^2+1)/5, satisfy q^2 = -1 (mod n); then every orbit is the
+pair {i, n-i} (a singleton for i = 0 and, when n is even, for i = n/2).
+families.verify_cosets checks that shape on the family moduli, and that
+the table t = neg_q_map of -q*x mod n squares to negation, which makes -q
+an involution on those cosets; neg_q_misses checks -q*C_src == C_dst as
+-q*src = +-dst (mod n), by map chains over a whole window.
 
 Defining sets exist only where q^2 = -1 (mod n), which _check_modulus
 tests as each set is built.  A set is one int bitmask, bit x set exactly when
@@ -26,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress, count, repeat
 from math import gcd
-from operator import mod
+from operator import add, mod, mul, sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .exceptions import UsageError
@@ -36,6 +38,7 @@ class CycContext(NamedTuple("CycContext", [("n", int), ("q", int)])):
     """Modulus n and alphabet parameter q; orbits multiply by q^2 mod n."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: both check
 
     def __new__(cls, n: int, q: int) -> CycContext:
         if n < 1:
@@ -55,8 +58,25 @@ class CycContext(NamedTuple("CycContext", [("n", int), ("q", int)])):
 
 
 def _times(n: int, a: int) -> list[int]:
-    """The table x -> a*x mod n for x = 0..n-1, built in C (a may be 0)."""
-    return list(map(mod, count(0, a), repeat(n, n)))
+    """The table x -> a*x mod n for x = 0..n-1 (a may be 0 or negative).
+
+    With a = +-c (mod n), c <= n/2: for a = c the x with k*n <= c*x <
+    (k+1)*n map to c*x - k*n, run k of c, each one slice assignment of a
+    range of step c; for a = -c each run lands at n - x instead, as
+    -c*x = c*(n-x).  Where runs are shorter than 24 residues one C-level
+    map over count(0, a) is faster, and is used instead."""
+    c = min(b := a % n, n - b)
+    if 24 * c > n:
+        return list(map(mod, count(0, a), repeat(n, n)))
+    t, lo = [0] * n, 1
+    for kn in range(0, c * n, n):
+        hi = -((kn + n) // -c)
+        if b == c:
+            t[lo:hi] = range(c * lo - kn, c * hi - kn, c)
+        else:
+            t[n - hi + 1 : n - lo + 1] = range(c * hi - c - kn, c * lo - c - kn, -c)
+        lo = hi
+    return t
 
 
 def neg_q_map(ctx: CycContext) -> list[int]:
@@ -211,11 +231,23 @@ class DefiningSet:
 
 def neg_q_misses(ctx: CycContext, src: Iterable[int], dst: Iterable[int]) -> list[int]:
     """The positions k, ascending, where -q * C_src[k] != C_dst[k], for two
-    aligned sequences of residues, on a modulus with q^2 = -1 (mod n): as -q
-    commutes with *q^2, where -q*src[k] is not in C_dst[k] = {+-dst[k]},
-    that is, where n divides neither dst[k] - q*src[k] nor dst[k] + q*src[k]."""
+    iterables of residues read in step, on a modulus with q^2 = -1 (mod n):
+    as -q commutes with *q^2, where -q*src[k] is not in C_dst[k] = {+-dst[k]},
+    that is, where n divides neither dst[k] - q*src[k] nor dst[k] + q*src[k].
+
+    Each branch is one C-level map chain over the window (q*src a range when
+    src is one); where either is 0 mod n throughout, nothing misses, and
+    only otherwise are the positions listed."""
     n, q = ctx.n, ctx.q
-    return [k for k, a, b in zip(count(), src, dst) if (b - q * a) % n and (b + q * a) % n]
+    if isinstance(src, range):
+        qsrc = range(q * src.start, q * src.stop, q * src.step)
+    else:
+        qsrc = list(map(mul, src, repeat(q)))
+    dst = dst if isinstance(dst, range) else list(dst)
+    for branch in (add, sub):  # 0 mod n throughout: no miss, every residue read
+        if not any(map(mod, map(branch, dst, qsrc), repeat(n))):
+            return []
+    return [k for k, qa, b in zip(count(), qsrc, dst) if (b - qa) % n and (b + qa) % n]
 
 
 def identity_windows(q: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:

@@ -36,6 +36,7 @@ class PrimePower(NamedTuple("PrimePower", [("p", int), ("e", int), ("q", int)]))
     """A field size q = p^e with its factorization."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: both check
 
     def __new__(cls, p: int, e: int, q: int) -> PrimePower:
         if not is_prime(p):

@@ -653,6 +653,35 @@ def _assert_counterexample_is(capsys, message, *argv):
     assert err.splitlines()[-1] == f"counterexample: {message}"
 
 
+# faults in the run arithmetic of cosets._times, each put in by rewriting one
+# expression of it: every run of step -c placed one residue early, or the
+# runs of a negative multiplier laid down as those of a positive one.  On a
+# family modulus q^2 = -1 is one run of step -1, built by slices from
+# q = 23 (n = 106; n = 13 at q = 8 is too short and takes the map), so the
+# coset level sees either in its table of q^2 at q = 23
+TIMES_FAULTS = {
+    "run-placed-one-early": (
+        ("t[n - hi + 1 : n - lo + 1]", "t[n - hi : n - lo]"),
+        "coset 0 at q=23 is [(0, 105)], not [(0,)]",
+    ),
+    "sign-of-the-step-lost": (
+        ("if b == c:", "if b != c:"),
+        "coset 1 at q=23 is [(1,)], not [(1, 105)]",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(TIMES_FAULTS))
+def test_times_run_fault_is_caught(capsys, monkeypatch, fault):
+    (old, new), message = TIMES_FAULTS[fault]
+    source = textwrap.dedent(inspect.getsource(cosets._times))
+    assert source.count(old) == 1
+    namespace = dict(vars(cosets))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(cosets, "_times", namespace["_times"])
+    _assert_counterexample_is(capsys, message, "verify", "--level", "coset", "--qmax", "60")
+
+
 def _trade_elements(cs):
     """The cosets with C_1 and C_2 trading their second elements."""
     (a, b), (c, d) = cs[1], cs[2]

@@ -1,5 +1,5 @@
 import random
-from itertools import compress, product
+from itertools import compress, count, product
 from math import gcd
 
 import pytest
@@ -15,7 +15,7 @@ from eaqmds.cosets import (
     neg_q_map,
     neg_q_misses,
 )
-from eaqmds import families
+from eaqmds import cosets, families
 from eaqmds.families import (
     entangled_window_set,
     family_defining_set,
@@ -95,6 +95,48 @@ def test_all_cosets_matches_the_scalar_orbit_walk():
 def test_neg_q_map_matches_the_elementwise_images():
     for ctx in SCALAR_CONTEXTS:
         assert neg_q_map(ctx) == [-ctx.q * x % ctx.n for x in range(ctx.n)], ctx
+
+
+def _times_by_path(monkeypatch, cases):
+    """Each (n, a) of cases with its table by cosets._times and the path
+    that built it: "map" where it counted through count(0, a), else
+    "slices"."""
+    counted = []
+    monkeypatch.setattr(cosets, "count", lambda *args: counted.append(args) or count(*args))
+    out = []
+    for n, a in cases:
+        before = len(counted)
+        out.append((n, a, cosets._times(n, a), "map" if len(counted) > before else "slices"))
+    return out
+
+
+def test_times_matches_the_elementwise_products_for_every_small_modulus(monkeypatch):
+    rng = random.Random(1414)
+    cases = [
+        (n, a)
+        for n in range(1, 301)
+        for a in {0, 1, -1, 2, -2, n, -n, n // 2, -(n // 2), n // 24, -(n // 24),
+                  *(rng.randrange(-3 * n, 3 * n + 1) for _ in range(6))}
+    ]
+    paths = set()
+    for n, a, table, path in _times_by_path(monkeypatch, cases):
+        assert table == [a * x % n for x in range(n)], (n, a)
+        paths.add(path)
+    assert paths == {"map", "slices"}
+
+
+def test_times_matches_the_elementwise_products_across_the_crossover(monkeypatch):
+    # a multiplier of about +-n/run makes runs of about run residues: runs
+    # of 2 and of 1000 take one path each, and the path changes at 24; then
+    # the q^2 and -q tables of three family moduli (q = 8, 23 and 293)
+    cases = [(n, s * (n // run + d)) for n in (18_001, 200_000) for run in (2, 24, 1000)
+             for d in (-1, 0, 1) for s in (1, -1)]
+    cases += [(n, a) for n, q in ((13, 8), (106, 23), (17_170, 293)) for a in (q * q, -q)]
+    seen = {}
+    for n, a, table, path in _times_by_path(monkeypatch, cases):
+        assert table == [a * x % n for x in range(n)], (n, a)
+        seen.setdefault(n, set()).add(path)
+    assert seen[18_001] == seen[200_000] == {"map", "slices"}
 
 
 def test_all_cosets_partition_counts(ctx7, ctx23, ctx32):
@@ -469,6 +511,55 @@ def test_one_orbit_reflection_check_matches_two_orbits():
         assert misses, q
         pairs += len(moved)
     assert pairs == 21_372
+
+
+def _misses_by_comprehension(ctx, src, dst):
+    """neg_q_misses as one comprehension over the zipped residues."""
+    n, q = ctx.n, ctx.q
+    return [k for k, a, b in zip(count(), src, dst) if (b - q * a) % n and (b + q * a) % n]
+
+
+# each argument of neg_q_misses as a range, where it is one, and as a list,
+# a tuple and a one-shot generator
+FORMS = {
+    "range": lambda xs: xs if isinstance(xs, range) else None,
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda xs: (x for x in xs),
+}
+
+
+def _windows(ctx, rng):
+    """(src, dst) windows of one family context: the forward identity
+    windows as ranges (src of step 1), swapped (src of step q, as in the
+    inverse identity), reversed to negative steps and moved off target;
+    residues that hit by both branches, or by either or neither; empty
+    windows; and random residues."""
+    n, q = ctx.n, ctx.q
+    out = []
+    for s, row in identity_windows(q):
+        for lo, hi in row:
+            src, dst = range(s * q + lo, s * q + hi + 1), range(lo * q - s, hi * q - s + 1, q)
+            out += [(src, dst), (dst, src), (src[::-1], dst[::-1]), (src, [b + 1 for b in dst])]
+    mixed = [rng.randrange(-n, 2 * n) for _ in range(40)]
+    out.append((mixed, [q * a * rng.choice((1, -1)) for a in mixed]))
+    moved = [q * a * rng.choice((1, -1)) + rng.choice((0, 0, 1)) for a in mixed]
+    out += [(mixed, moved), (range(5), range(0)), (range(0), range(0)), ([], [])]
+    out += [([rng.randrange(-2 * n, 2 * n) for _ in range(60)],
+             [rng.randrange(-2 * n, 2 * n) for _ in range(60)]) for _ in range(3)]
+    return out
+
+
+@pytest.mark.parametrize("q", [8, 23, 27, 32, 43])
+def test_neg_q_misses_matches_the_comprehension_and_two_orbits(q):
+    ctx, rng = CycContext.for_family(q), random.Random(q)
+    for src, dst in _windows(ctx, rng):
+        want = _misses_by_comprehension(ctx, src, dst)
+        assert want == [k for k, ab in enumerate(zip(src, dst)) if not neg_q_maps(ctx, *ab)]
+        for (fs, to_src), (fd, to_dst) in product(FORMS.items(), repeat=2):
+            a, b = to_src(src), to_dst(dst)
+            if a is not None and b is not None:
+                assert neg_q_misses(ctx, a, b) == want, (q, fs, fd, src, dst)
 
 
 @pytest.mark.parametrize("ctx", [CycContext.for_family(23)], ids=["q23"])

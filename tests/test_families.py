@@ -1,6 +1,7 @@
 import pytest
 
 from eaqmds.eaqecc import decompose
+from eaqmds.exceptions import UsageError
 from eaqmds.families import (
     FAMILY_IDS,
     classify,
@@ -189,6 +190,15 @@ def test_iter_family_sizes_is_one_ascending_pass():
     qs = [spec.q.q for spec in every]
     assert qs == sorted(qs) and len(set(qs)) == len(qs)
     assert {s.family_id for s in every} == set(FAMILY_IDS)
+    # it skips the q with 5 not dividing q^2 + 1 unclassified; classify,
+    # tried on every q, accepts the same ones
+    accepted = []
+    for q in range(2, 1001):
+        try:
+            accepted.append(classify(q))
+        except UsageError:
+            pass
+    assert iter_family_sizes(1000) == accepted
     # enumerate_family filters the one grid by family
     for fid in FAMILY_IDS:
         got = [(fc.spec, fc.m) for fc in enumerate_family(fid, 60)]

@@ -87,11 +87,24 @@ BAD_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("keywords", [False, True], ids=["positional", "keyword"])
+# a good record of each checked class, for _replace to put bad fields into
+GOOD = {CycContext: CycContext(106, 23), PrimePower: PP23, FamilySpec: classify(23)}
+
+# every way to build a record from its fields: the constructor by position
+# and by keyword, _make, and _replace on a good record
+BUILDS = {
+    "positional": lambda cls, fields: cls(*fields.values()),
+    "keyword": lambda cls, fields: cls(**fields),
+    "_make": lambda cls, fields: cls._make(fields.values()),
+    "_replace": lambda cls, fields: GOOD[cls]._replace(**fields),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS)
 @pytest.mark.parametrize("cls, fields, exc_type, message", BAD_FIELDS)
-def test_checked_records_refuse_bad_fields(cls, fields, exc_type, message, keywords):
+def test_checked_records_refuse_bad_fields(cls, fields, exc_type, message, build):
     with pytest.raises(ValueError) as exc:
-        cls(**fields) if keywords else cls(*fields.values())
+        BUILDS[build](cls, fields)
     assert (type(exc.value), str(exc.value)) == (exc_type, message)
 
 
@@ -99,3 +112,10 @@ def test_checked_records_accept_good_fields_by_keyword():
     assert CycContext(q=23, n=106) == CycContext(106, 23)
     assert PrimePower(q=27, e=3, p=3) == PrimePower.from_int(27)
     assert FamilySpec(m_max=2, n=106, q=PP23, family_id="q10k3") == classify(23)
+
+
+def test_checked_records_replace_one_field_and_make_from_fields():
+    assert CycContext(106, 23)._replace(q=3) == CycContext(106, 3)
+    assert PrimePower._make([3, 3, 27]) == PrimePower.from_int(27)
+    assert classify(23)._replace(m_max=1).m_max == 1
+    assert type(CycContext._make((106, 23))) is CycContext

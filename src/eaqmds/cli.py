@@ -37,22 +37,18 @@ ORACLE_Q_CAP = 32
 MAX_MODULUS = 200_000
 
 
-class CodeRecord(NamedTuple):
+class CodeRecord(
+    NamedTuple(
+        "CodeRecord",
+        [("family_id", str), ("q", int), ("p", int), ("e", int), ("n", int), ("m", int),
+         ("k", int), ("d", int), ("c", int), ("singleton_equality", bool),
+         ("distance_precondition_ok", bool), ("rank_oracle_checked", bool),
+         ("errata_flags", tuple[str, ...])],
+    )
+):
     """Flat, serialization-stable view of one verified code."""
 
-    family_id: str
-    q: int
-    p: int
-    e: int
-    n: int
-    m: int
-    k: int
-    d: int
-    c: int
-    singleton_equality: bool
-    distance_precondition_ok: bool
-    rank_oracle_checked: bool
-    errata_flags: tuple[str, ...]
+    __slots__ = ()
 
     @classmethod
     def from_family_code(

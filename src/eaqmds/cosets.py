@@ -10,7 +10,10 @@ pair {i, n-i} (a singleton for i = 0 and, when n is even, for i = n/2).
 families.verify_cosets checks that shape on the family moduli, and that
 the table t = neg_q_map of -q*x mod n squares to negation, which makes -q
 an involution on those cosets; neg_q_misses checks -q*C_src == C_dst as
--q*src = +-dst (mod n), by map chains over a whole window.
+-q*src = +-dst (mod n), by map chains over a whole window.  The stated
+windows of identity_windows serve both directions: -q*C_{s*q+i} = C_{i*q-s}
+read forward, and the inverse identity -q*C_{t*q-j} = C_{j*q+t} read
+backward over the same pairs.
 
 Defining sets exist only where q^2 = -1 (mod n), which _check_modulus
 tests as each set is built.  A set is one int bitmask, bit x set exactly when
@@ -237,13 +240,16 @@ def neg_q_misses(ctx: CycContext, src: Iterable[int], dst: Iterable[int]) -> lis
 
     Each branch is one C-level map chain over the window (q*src a range when
     src is one); where either is 0 mod n throughout, nothing misses, and
-    only otherwise are the positions listed."""
+    only otherwise are the positions listed.  ValueError where src and dst
+    differ in length, as a residue without a partner would go unchecked."""
     n, q = ctx.n, ctx.q
     if isinstance(src, range):
         qsrc = range(q * src.start, q * src.stop, q * src.step)
     else:
         qsrc = list(map(mul, src, repeat(q)))
     dst = dst if isinstance(dst, range) else list(dst)
+    if len(qsrc) != len(dst):
+        raise ValueError(f"src and dst differ in length: {len(qsrc)} != {len(dst)}")
     for branch in (add, sub):  # 0 mod n throughout: no miss, every residue read
         if not any(map(mod, map(branch, dst, qsrc), repeat(n))):
             return []
@@ -275,21 +281,3 @@ def identity_windows(q: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]
             yield s, windows
     else:
         raise ValueError(f"q={q} is not congruent to 2, 3, 7 or 8 mod 10")
-
-
-def inverse_identity_windows(
-    q: int, with_offset: bool
-) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
-    """The windows of the inverse identity -q*C_{t*q-j} == C_{j*q+t}: the
-    forward rows with j in s's role and t in i's, in the same order.
-
-    Two readings are in circulation for the q = 3 (mod 10) shape: one whose
-    middle window starts at (2q+4)/5, as the forward one does, and one that
-    starts 2 higher.  Both are generated (pick with ``with_offset``) so
-    callers can check each; the identity itself holds on both.
-    """
-    lo2 = (2 * q + 4) // 5
-    shift = 2 if with_offset and q % 10 in (3, 8) else 0
-    for j, windows in identity_windows(q):
-        # the offset reading drops lo2 and lo2 + 1, where the middle window starts
-        yield j, tuple((lo + shift if lo == lo2 else lo, hi) for lo, hi in windows)

@@ -53,7 +53,7 @@ def decompose(z: DefiningSet) -> DefiningSet:
     return overlap
 
 
-class EaqeccParams(NamedTuple):
+class EaqeccParams(NamedTuple("EaqeccParams", [("n", int), ("k", int), ("d", int), ("c", int)])):
     """[[n, k, d; c]] plus the certification flags derived from them.
 
     d is the designed distance of the underlying cyclic code (exact
@@ -62,10 +62,7 @@ class EaqeccParams(NamedTuple):
     the regime in which that equality certifies an MDS-optimal code.
     """
 
-    n: int
-    k: int
-    d: int
-    c: int
+    __slots__ = ()
 
     @property
     def singleton_equality(self) -> bool:

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .codes import bch_bound, dimension
+from .codes import dimension
 from .exceptions import UsageError, VerificationError
 from .families import (
     PRINTED_EXAMPLE_DIMENSIONS,
     FamilySpec,
     classify,
-    family_defining_set,
     family_grid,
     verify_family_code,
 )
@@ -44,11 +43,13 @@ _EXAMPLE_NOTES = {
 }
 
 
-class ErrataEntry(NamedTuple):
-    entry_id: str
-    title: str
-    lines: tuple[str, ...]
-    data: dict
+class ErrataEntry(
+    NamedTuple(
+        "ErrataEntry",
+        [("entry_id", str), ("title", str), ("lines", tuple[str, ...]), ("data", dict)],
+    )
+):
+    __slots__ = ()
 
 
 def _spec(q: int) -> FamilySpec:
@@ -157,10 +158,9 @@ def _example_entry(entry_id: str, q: int) -> ErrataEntry:
 def _entry_e7(q_max: int) -> ErrataEntry:
     hits = []
     for spec, m in family_grid(q_max):
-        n, q = spec.n, spec.q.q
-        d = bch_bound(family_defining_set(spec, m))
-        if 2 * d > n + 2:
-            hits.append({"q": q, "m": m, "n": n, "d": d, "threshold_2d_le": n + 2})
+        v = verify_family_code(spec, m).verified
+        if not v.distance_precondition_ok:
+            hits.append({"q": spec.q.q, "m": m, "n": v.n, "d": v.d, "threshold_2d_le": v.n + 2})
     # (n+2)/2 printed from integers: one decimal place, .0 or .5
     lines = tuple(
         f"q={h['q']} m={h['m']}: d={h['d']} exceeds (n+2)/2 = "

@@ -25,7 +25,8 @@ quantity from first principles and raises on any mismatch; for m >= 2 it
 takes the entangled windows that check_window_lemmas checked as the
 overlap Z & -qZ, whose size is the ebit count.  The suites
 verify_cosets, verify_lemmas and verify_theorem sweep the set route over
-q <= q_max; the first two check lists built per modulus and per window.
+q <= q_max; the first two check lists built per modulus and per window,
+verify_lemmas over three readings of the stated identity windows.
 No field code is loaded: q is parsed by primes, not gf.
 """
 
@@ -39,7 +40,6 @@ from .cosets import (
     DefiningSet,
     all_cosets,
     identity_windows,
-    inverse_identity_windows,
     neg_q_map,
     neg_q_misses,
 )
@@ -205,14 +205,16 @@ def predicted_code(spec: FamilySpec, m: int) -> EaqeccParams:
     return EaqeccParams(n=n, k=k, d=d, c=c)
 
 
-class FamilyCode(NamedTuple):
+class FamilyCode(
+    NamedTuple(
+        "FamilyCode",
+        [("spec", FamilySpec), ("m", int), ("defining_set", DefiningSet),
+         ("verified", EaqeccParams), ("errata_flags", tuple[str, ...])],
+    )
+):
     """One fully verified (q, m) grid point."""
 
-    spec: FamilySpec
-    m: int
-    defining_set: DefiningSet
-    verified: EaqeccParams
-    errata_flags: tuple[str, ...]
+    __slots__ = ()
 
 
 def verify_family_code(spec: FamilySpec, m: int, allow_degenerate: bool = False) -> FamilyCode:
@@ -342,8 +344,12 @@ def verify_cosets(q_max: int) -> dict[str, int]:
 
 def verify_lemmas(q_max: int) -> dict[str, int]:
     """The reflection identities over their windows, and the window lemmas
-    at every (q, m) with q <= q_max; one neg_q_misses call checks each
-    window of a row, and a failure names its first failing (s, i) or (t, j)."""
+    at every (q, m) with q <= q_max.  Each row of identity_windows is read
+    three times: forward, -q*C_{s*q+i} = C_{i*q-s}, then backward, the
+    inverse identity -q*C_{t*q-j} = C_{j*q+t} with (j, t) for (s, i), as
+    stated and with the q = 3, 8 (mod 10) middle window from (2q+4)/5 + 2.
+    One neg_q_misses call checks each window; a failure names its first
+    failing (s, i) or (t, j)."""
     sizes = iter_family_sizes(q_max)
     identities = windows = 0
     for spec in sizes:
@@ -351,25 +357,21 @@ def verify_lemmas(q_max: int) -> dict[str, int]:
         # the identities test -q*src = +-dst (mod n), which needs q^2 = -1 (mod n)
         if (ctx.q * ctx.q + 1) % ctx.n:
             raise VerificationError(f"q^2 != -1 (mod n) at q={ctx.q}, n={ctx.n}")
-        # forward: src = s*q + i, dst = i*q - s for i in lo..hi
-        for s, row in identity_windows(q):
-            for lo, hi in row:
-                src = range(s * q + lo, s * q + hi + 1)
-                if miss := neg_q_misses(ctx, src, range(lo * q - s, hi * q - s + 1, q)):
-                    i = lo + miss[0]
-                    raise VerificationError(f"reflection identity fails at q={q}, s={s}, i={i}")
-                identities += len(src)
-        # inverse: src = t*q - j, dst = j*q + t for t in lo..hi
-        for with_offset in (False, True):
-            for j, row in inverse_identity_windows(q, with_offset):
+        # forward, then inverse as stated and from the shifted middle window
+        lo2 = (2 * q + 4) // 5 if q % 10 in (3, 8) else None
+        for inverse, shift in ((False, 0), (True, 0), (True, 2)):
+            for s, row in identity_windows(q):
                 for lo, hi in row:
-                    src = range(lo * q - j, hi * q - j + 1, q)
-                    if miss := neg_q_misses(ctx, src, range(j * q + lo, j * q + hi + 1)):
+                    lo += shift if lo == lo2 else 0
+                    a, b = range(s * q + lo, s * q + hi + 1), range(lo * q - s, hi * q - s + 1, q)
+                    if miss := neg_q_misses(ctx, *((b, a) if inverse else (a, b))):
+                        i = lo + miss[0]
                         raise VerificationError(
-                            f"inverse identity fails at q={q}, t={lo + miss[0]}, j={j} "
-                            f"(offset={with_offset})"
+                            f"inverse identity fails at q={q}, t={i}, j={s} (offset={shift > 0})"
+                            if inverse
+                            else f"reflection identity fails at q={q}, s={s}, i={i}"
                         )
-                    identities += len(src)
+                    identities += len(a)
         for m in range(2, spec.m_max + 1):
             check_window_lemmas(spec, m, family_defining_set(spec, m))
             windows += 1

@@ -67,11 +67,6 @@ def coset_product_identity(ctx, s, i):
     return neg_q_maps(ctx, s * ctx.q + i, i * ctx.q - s)
 
 
-def coset_product_identity_inverse(ctx, t, j):
-    """-q * C_{t*q-j} == C_{j*q+t}, on whole orbits."""
-    return neg_q_maps(ctx, t * ctx.q - j, j * ctx.q + t)
-
-
 def _ranges(*bounds):
     for lo, hi in bounds:
         yield from range(lo, hi + 1)

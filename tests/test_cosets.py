@@ -11,7 +11,6 @@ from eaqmds.cosets import (
     DefiningSet,
     all_cosets,
     identity_windows,
-    inverse_identity_windows,
     neg_q_map,
     neg_q_misses,
 )
@@ -26,7 +25,6 @@ from cosetref import (
     block_by_runs,
     coset,
     coset_product_identity,
-    coset_product_identity_inverse,
     cosets_one_by_one,
     defining_set,
     expand,
@@ -439,33 +437,6 @@ def test_identity_holds_on_all_stated_windows(q):
     assert len(pairs) > 0
 
 
-@pytest.mark.parametrize("q", [23, 43, 37, 32, 128])
-@pytest.mark.parametrize("with_offset", [False, True])
-def test_inverse_identity_holds_on_both_window_readings(q, with_offset):
-    # the two circulating window readings differ by an offset of 2 in one
-    # bound; the identity holds on both, so neither is flagged as wrong
-    ctx = CycContext.for_family(q)
-    pairs = [(t, j) for j, t in expand(inverse_identity_windows(q, with_offset))]
-    assert all(coset_product_identity_inverse(ctx, t, j) for t, j in pairs)
-    assert neg_q_misses(ctx, [t * q - j for t, j in pairs], [j * q + t for t, j in pairs]) == []
-
-
-def test_window_rows_expand_to_the_scalar_window_pairs():
-    # each row (s, ((lo, hi), ...)) stands for its (s, i) pairs, in order;
-    # the offset reading starts the middle window 2 higher
-    count = 0
-    for spec in iter_family_sizes(400):
-        q = spec.q.q
-        forward = expand(identity_windows(q))
-        assert forward == list(identity_pairs(q)), q
-        count += len(forward) * (q <= 300)
-        for with_offset in (False, True):
-            inverse = [(t, j) for j, t in expand(inverse_identity_windows(q, with_offset))]
-            assert inverse == list(inverse_identity_pairs(q, with_offset)), (q, with_offset)
-            count += len(inverse) * (q <= 300)
-    assert count == 134_351  # the identity checks of verify --level lemma --qmax 300
-
-
 def _stated_inverse_windows(q, with_offset):
     """The (t, j) windows of the q = 3, 8 (mod 10) shape written out from
     their stated bounds, the middle window 2 higher in the offset reading."""
@@ -477,13 +448,40 @@ def _stated_inverse_windows(q, with_offset):
     return [(t, j) for j in range(jmax) for t in ts] + [(t, jmax) for t in range(1, hi1 + 1)]
 
 
-@pytest.mark.parametrize("q", [3, 8, 13, 23, 43, 128, 293, 983])
-@pytest.mark.parametrize("with_offset", [False, True])
-def test_inverse_windows_follow_the_stated_bounds(q, with_offset):
-    # inverse_identity_windows swaps the forward windows; both readings must
-    # still give the stated windows, in the same order
-    got = [(t, j) for j, t in expand(inverse_identity_windows(q, with_offset))]
-    assert got == _stated_inverse_windows(q, with_offset)
+def test_lemma_level_reads_the_stated_windows_forward_and_backward(monkeypatch):
+    # verify_lemmas walks identity_windows three times: the forward identity
+    # (src = s*q + i, dst = i*q - s), then the inverse identity (src =
+    # t*q - j, dst = j*q + t) as stated and with the middle window of the
+    # q = 3, 8 (mod 10) shape 2 higher; every pair it hands the real check
+    # is recorded, in order, per q
+    honest, passed = families.neg_q_misses, {}
+
+    def recording(ctx, src, dst):
+        passed.setdefault(ctx.q, []).extend(zip(src, dst))
+        return honest(ctx, src, dst)
+
+    monkeypatch.setattr(families, "neg_q_misses", recording)
+    counts = families.verify_lemmas(300)
+    total = 0
+    for spec in iter_family_sizes(300):
+        q = spec.q.q
+        forward = [(s * q + i, i * q - s) for s, i in identity_pairs(q)]
+        plain, offset = (
+            [(t * q - j, j * q + t) for t, j in inverse_identity_pairs(q, with_offset)]
+            for with_offset in (False, True)
+        )
+        got = passed.pop(q)
+        assert got == forward + plain + offset, q
+        if q % 10 in (3, 8):
+            for with_offset, pairs in ((False, plain), (True, offset)):
+                stated = _stated_inverse_windows(q, with_offset)
+                assert pairs == [(t * q - j, j * q + t) for t, j in stated], (q, with_offset)
+        if q in (23, 32, 37, 43, 128):  # each recorded pair on whole orbits
+            ctx = spec.context()
+            assert all(neg_q_maps(ctx, a, b) for a, b in got), q
+        total += len(got)
+    assert passed == {}
+    assert total == counts["identity checks"] == 134_351
 
 
 def test_identity_window_membership_q23():
@@ -503,7 +501,7 @@ def test_one_orbit_reflection_check_matches_two_orbits():
         q = spec.q.q
         ctx = CycContext.for_family(q)
         forward = [(s * q + i, i * q - s) for s, i in expand(identity_windows(q))]
-        inverse = [(t * q - j, j * q + t) for j, t in expand(inverse_identity_windows(q, False))]
+        inverse = [(dst, src) for src, dst in forward]
         moved = [(src, dst + d) for src, dst in forward + inverse for d in (-1, 0, 1)]
         src, dst = zip(*moved)
         misses = [k for k, (a, b) in enumerate(moved) if not neg_q_maps(ctx, a, b)]
@@ -544,7 +542,7 @@ def _windows(ctx, rng):
     mixed = [rng.randrange(-n, 2 * n) for _ in range(40)]
     out.append((mixed, [q * a * rng.choice((1, -1)) for a in mixed]))
     moved = [q * a * rng.choice((1, -1)) + rng.choice((0, 0, 1)) for a in mixed]
-    out += [(mixed, moved), (range(5), range(0)), (range(0), range(0)), ([], [])]
+    out += [(mixed, moved), (range(0), range(0)), ([], [])]
     out += [([rng.randrange(-2 * n, 2 * n) for _ in range(60)],
              [rng.randrange(-2 * n, 2 * n) for _ in range(60)]) for _ in range(3)]
     return out
@@ -560,6 +558,15 @@ def test_neg_q_misses_matches_the_comprehension_and_two_orbits(q):
             a, b = to_src(src), to_dst(dst)
             if a is not None and b is not None:
                 assert neg_q_misses(ctx, a, b) == want, (q, fs, fd, src, dst)
+
+
+@pytest.mark.parametrize(
+    ("src", "dst"), [(range(5), range(0)), ([1, 2, 3], [1]), (range(2), [46, 68, 70])]
+)
+def test_neg_q_misses_refuses_windows_of_different_lengths(ctx23, src, dst):
+    # read in step, the longer window would keep residues that nothing checks
+    with pytest.raises(ValueError, match=f"differ in length: {len(src)} != {len(dst)}"):
+        neg_q_misses(ctx23, src, dst)
 
 
 @pytest.mark.parametrize("ctx", [CycContext.for_family(23)], ids=["q23"])

@@ -448,12 +448,53 @@ def _stated_inverse_windows(q, with_offset):
     return [(t, j) for j in range(jmax) for t in ts] + [(t, jmax) for t in range(1, hi1 + 1)]
 
 
-def test_lemma_level_reads_the_stated_windows_forward_and_backward(monkeypatch):
+def _lemma_passes(monkeypatch, q):
+    """The (src, dst) pairs that verify_lemmas hands neg_q_misses at q alone
+    (none where q is in no family), split into its three passes over the
+    same rows: forward, inverse as stated, inverse with the offset."""
+    specs = [spec for spec in iter_family_sizes(q) if spec.q.q == q]
+    honest, calls = families.neg_q_misses, []
+
+    def recording(ctx, src, dst):
+        calls.append(list(zip(src, dst)))
+        return honest(ctx, src, dst)
+
+    monkeypatch.setattr(families, "iter_family_sizes", lambda q_max: specs)
+    monkeypatch.setattr(families, "neg_q_misses", recording)
+    families.verify_lemmas(q)
+    third = len(calls) // 3
+    assert len(calls) == 3 * third, q
+    return [[pair for call in calls[k * third:(k + 1) * third] for pair in call] for k in range(3)]
+
+
+@pytest.mark.parametrize("q", [23, 43, 37, 32, 128])
+@pytest.mark.parametrize("with_offset", [False, True])
+def test_inverse_identity_holds_on_both_window_readings(monkeypatch, q, with_offset):
+    # the two circulating window readings differ by an offset of 2 in one
+    # bound; the identity holds on both, so neither is flagged as wrong
+    ctx = CycContext.for_family(q)
+    pairs = _lemma_passes(monkeypatch, q)[1 + with_offset]
+    assert pairs == [(t * q - j, j * q + t) for t, j in inverse_identity_pairs(q, with_offset)]
+    assert all(neg_q_maps(ctx, src, dst) for src, dst in pairs)
+    assert neg_q_misses(ctx, *zip(*pairs)) == []
+
+
+@pytest.mark.parametrize("q", [3, 8, 23, 43, 128, 293, 983])
+@pytest.mark.parametrize("with_offset", [False, True])
+def test_inverse_windows_follow_the_stated_bounds(monkeypatch, q, with_offset):
+    # the inverse passes of verify_lemmas read the forward windows backward;
+    # both readings must still give the stated windows, in the same order
+    # (none at q = 3, which is in no family and whose stated windows are empty)
+    got = _lemma_passes(monkeypatch, q)[1 + with_offset]
+    assert got == [(t * q - j, j * q + t) for t, j in _stated_inverse_windows(q, with_offset)]
+
+
+def test_window_rows_expand_to_the_scalar_window_pairs(monkeypatch):
     # verify_lemmas walks identity_windows three times: the forward identity
     # (src = s*q + i, dst = i*q - s), then the inverse identity (src =
     # t*q - j, dst = j*q + t) as stated and with the middle window of the
     # q = 3, 8 (mod 10) shape 2 higher; every pair it hands the real check
-    # is recorded, in order, per q
+    # is recorded, in order, per q, and each row stands for its scalar pairs
     honest, passed = families.neg_q_misses, {}
 
     def recording(ctx, src, dst):
@@ -476,9 +517,6 @@ def test_lemma_level_reads_the_stated_windows_forward_and_backward(monkeypatch):
             for with_offset, pairs in ((False, plain), (True, offset)):
                 stated = _stated_inverse_windows(q, with_offset)
                 assert pairs == [(t * q - j, j * q + t) for t, j in stated], (q, with_offset)
-        if q in (23, 32, 37, 43, 128):  # each recorded pair on whole orbits
-            ctx = spec.context()
-            assert all(neg_q_maps(ctx, a, b) for a, b in got), q
         total += len(got)
     assert passed == {}
     assert total == counts["identity checks"] == 134_351

@@ -16,14 +16,18 @@ _poly_mod also serves the table-free product of an extension field, and
 F_{q^2} indices for the quadratic minimal polynomials of FieldTower.
 
 build_field makes extension fields (degree >= 2) only, each whole: its
-generator g and the exp/log tables of g are built with the table-free
-product first, so a product is one addition of logarithms, a power one
-multiplication and an inverse one negation; for odd p the Zech table,
-one period of zech[k] = log(1 + g^k), makes a sum one lookup as well:
-g^a + g^b = g^(a + zech[b - a]), and -g^a = g^(a + (order-1)/2) is one
-exp lookup.  For p = 2 a sum is an xor.  These tables take O(order)
-memory, so build_field refuses extension fields above
-MAX_EXTENSION_ORDER; the code alphabet F_{q^2} fits for every q <= 181.
+generator g is found with the table-free product, and the exp/log tables
+of g in one walk of "times g" (for odd p an F_p-linear map on digit
+vectors, by integer arithmetic; for p = 2 the shift-and-xor product),
+certified against the table-free product: exp[k] = g^k for k <= d, and
+every nonzero element has a log.  So a product is one addition of
+logarithms, a power one multiplication and an inverse one negation; for
+odd p the Zech table, one period of zech[k] = log(1 + g^k), makes a sum
+one lookup as well: g^a + g^b = g^(a + zech[b - a]), and
+-g^a = g^(a + (order-1)/2) is one exp lookup.  For p = 2 a sum is an
+xor.  These tables take O(order) memory, so build_field refuses
+extension fields above MAX_EXTENSION_ORDER; the code alphabet F_{q^2}
+fits for every q <= 181.
 The packed kernels of oracle (convolve and toeplitz_rank) work on digits
 and need none of these tables.
 
@@ -153,6 +157,33 @@ def _raw_product(f: Field) -> Callable[[int, int], int]:
     return mul
 
 
+def _walk(columns: list[tuple[int, ...]], p: int, steps: int) -> tuple[list[int], list[int | None]]:
+    """(exp, log) of the first steps powers 1, g, g^2, .. of g over F_p, p
+    odd, walked on digit vectors by the F_p-linear map "times g", whose
+    column k, columns[k], holds the digits of x^k * g: digit j of v * g is
+    sum_k v_k * columns[k][j] mod p.  exp[k] is the index of g^k, and
+    log[exp[k]] = k, None at every index the walk never meets.  Degree 2,
+    the F_{q^2} of every prime q, is unrolled to two products and two
+    reductions a step, where the general loop sums over lists."""
+    d = len(columns)
+    exp, log = [0] * steps, [None] * p**d
+    if d == 2:
+        (m00, m10), (m01, m11) = columns
+        a, b = 1, 0
+        for k in range(steps):
+            exp[k] = v = a + p * b
+            log[v] = k
+            a, b = (m00 * a + m01 * b) % p, (m10 * a + m11 * b) % p
+        return exp, log
+    rows, weights = list(zip(*columns)), [p**j for j in range(d)]
+    digits = [1] + [0] * (d - 1)
+    for k in range(steps):
+        exp[k] = v = sum(map(operator.mul, weights, digits))
+        log[v] = k
+        digits = [sum(map(operator.mul, row, digits)) % p for row in rows]
+    return exp, log
+
+
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
@@ -164,10 +195,17 @@ class Field:
 
     Construct via :func:`build_field`, never directly; build_field caches
     one instance per (p, degree) so field identity can be compared with
-    ``is``.  The constructor finds the generator g and builds the tables
-    with _raw_product, so that every operation is a lookup.  exp has
-    length 2*(order-1) so that exp[log[a] + log[b]] needs no reduction,
-    and log[0] = None; for odd p, zech[k] = log(1 + g^k) for
+    ``is``.  The constructor finds the generator g with _raw_product and
+    builds the tables in one pass, so that every operation is a lookup:
+    for odd p, _walk takes the digits of g^k to those of g^(k+1) by the
+    matrix of "times g", whose columns, the digits of x^k * g, are d raw
+    products, filling exp and log as it goes; for p = 2 each power is the
+    shift-and-xor product of the last and g.  Then d raw products certify
+    exp[k] = g^k for k <= d, which proves the F_p-linear step to be
+    "times g", and one count that log has no hole but log[0]; a failure
+    raises VerificationError naming p, d and the first bad k.
+    exp has length 2*(order-1) so that exp[log[a] + log[b]] needs no
+    reduction, and log[0] = None; for odd p, zech[k] = log(1 + g^k) for
     k = 0 .. order-2, None where 1 + g^k = 0.
     """
 
@@ -187,17 +225,22 @@ class Field:
         if p == 2:
             # shift-and-xor, F_2-linear already
             exp = list(itertools.accumulate([g] * (n1 - 1), mul, initial=1))
+            log = [None] * self.order
+            for k, v in enumerate(exp):
+                log[v] = k
         else:
-            # digit j of v * g is sum_k v_k * (digit j of x^k * g) mod p
-            rows = list(zip(*(self.decode(mul(p**k, g)) for k in range(degree))))
-            exp = []
-            digits = self.decode(1)
-            for _ in range(n1):
-                exp.append(self.encode(digits))
-                digits = [sum(map(operator.mul, row, digits)) % p for row in rows]
-        log = [None] * self.order
-        for i, v in enumerate(exp):
-            log[v] = i
+            exp, log = _walk([self.decode(mul(p**k, g)) for k in range(degree)], p, n1)
+        # the certificate: 1, g, .., g^(degree-1) is a basis, so exp[k] = g^k
+        # for k <= degree proves the linear step "times g"; with n1 entries
+        # and no hole in log but log[0], they are the nonzero elements, once
+        powers = list(itertools.accumulate([g] * degree, mul, initial=1))
+        bad = next((k for k, v in enumerate(exp[: degree + 1]) if v != powers[k]), None)
+        if bad is None and (len(exp) != n1 or log[0] is not None or log.count(None) != 1):
+            bad = next((k for k, v in enumerate(exp) if log[v] != k), len(exp))
+        if bad is not None:
+            raise VerificationError(
+                f"the tables of F_({p}^{degree}) are not the powers of g = {g}: first bad k = {bad}"
+            )
         exp += exp
         if p != 2:
             # 1 + g^k adds one to the constant digit of g^k's index

@@ -64,8 +64,9 @@ def _slot_width(inner: int, d: int, p: int) -> int:
     where one of them is wide enough.  Every width so chosen for a field of
     build_field, so of order at most gf.MAX_EXTENSION_ORDER, or of degree 1
     passes the checks of _Packer: it is at least 16 bits or about twice as
-    wide as p, which leaves the reducer room.  Past that cap it need not:
-    F_{7^6}, F_{17^4}, F_{19^4} and F_{2^18} fail at 16 bits."""
+    wide as p, which leaves the reducer room.  Where _Packer refuses one,
+    as over F_{7^6}, F_{17^4}, F_{19^4} and F_{2^18} at 16 bits, _packer
+    takes the next."""
     bits = (max(inner, 1) * d * (p - 1) ** 2).bit_length()
     return next((w for w in (16, 32, 64) if bits <= w), bits)
 
@@ -102,9 +103,10 @@ def _barrett(p: int, bound: int) -> tuple[int, int]:
 
 class _Packer(dict):
     """element -> its F_p digits packed one to a slot of width bits, built
-    on first use; vector packs elements 2d-1 slots apart, the first lowest.
-    A pure memo table of the field: _packer keeps one per (field, width)
-    across calls.
+    on first use straight from the index, one base-p digit a shift (no
+    digit tuple, no join); vector packs elements 2d-1 slots apart, the
+    first lowest.  A pure memo table of the field, filled only with the
+    elements read: _packer keeps one per (field, width) across calls.
 
     digits and reduce read back count such entries, whose slot k holds
     coefficient k of a polynomial of degree below 2d-1 over the integers,
@@ -162,8 +164,14 @@ class _Packer(dict):
         self._grow(1)
 
     def __missing__(self, v: int) -> int:
-        self[v] = _pack(self.f.decode(v), self.width)
-        return self[v]
+        # the base-p digits of v, lowest first, one to a slot
+        p, width, packed, shift, rest = self.f.p, self.width, 0, 0, v
+        while rest:
+            rest, digit = divmod(rest, p)
+            packed |= digit << shift
+            shift += width
+        self[v] = packed
+        return packed
 
     def vector(self, elements: Sequence[int]) -> int:
         return _pack([self[v] for v in elements], self.stride)
@@ -226,9 +234,19 @@ class _Packer(dict):
         return slots[first::span].tolist()
 
 
-# The one _Packer per (field, width): fields are per-(p, d) singletons of
-# build_field, so the digit packings, x^d mod f and the masks are built once.
-_packer = functools.lru_cache(maxsize=None)(_Packer)
+@functools.lru_cache(maxsize=None)
+def _packer(f: Field, width: int) -> _Packer:
+    """The one _Packer per (field, width): fields are per-(p, d) singletons
+    of build_field, so the digit packings, x^d mod f and the masks are built
+    once.  A slot of 16 or 32 bits whose reducer _Packer refuses widens to
+    the next of 32 and 64 bits: the refused width is tried once and then
+    maps to the packer of the wider one."""
+    try:
+        return _Packer(f, width)
+    except ValueError:
+        if width not in (16, 32):
+            raise
+        return _packer(f, 2 * width)
 
 
 def convolve(field: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:

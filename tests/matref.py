@@ -8,16 +8,19 @@ bits with small matrices, and the quartic field F_{q^4} that holds the
 n-th roots of unity, with the orbit products of their powers.  The
 package holds G and H by their row-0 vectors, H * H^dagger by its
 diagonals and the roots of unity by their traces, and needs none of
-these."""
+these.  It also holds the reference for the tables of build_field: the
+per-element walk that built them before gf walked the digits of g^k by
+integer arithmetic alone."""
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
-from eaqmds import oracle
+from eaqmds import gf, oracle
 from eaqmds.exceptions import VerificationError
 from eaqmds.gf import Field, build_field
-from eaqmds.primes import PrimePower, factorize
+from eaqmds.primes import PrimePower, factorize, is_prime
 from eaqmds.oracle import _pack, _packer
 
 BUDGET_EXCEEDED = "budget-exceeded"
@@ -71,6 +74,55 @@ class PrimeField(_TableFree):
 
     def mul(self, a, b):
         return a * b % self.p
+
+
+class RawExtension(_TableFree):
+    """F_p[x] / (modulus) of degree >= 2 with build_field's modulus,
+    computing by gf._raw_product alone."""
+
+    def __init__(self, p, degree):
+        self.p = p
+        self.degree = degree
+        self.modulus = gf._smallest_irreducible(p, degree)
+        self.order = p**degree
+        self.mul = gf._raw_product(self)
+
+
+# every field of build_field of order up to 2^12, and the alphabets of
+# q = 173, 27 and 128: the widest digits, the most digits of odd p and the
+# largest shift-and-xor tables
+TABLE_FIELDS = [
+    (p, d) for p in range(2, 64) if is_prime(p) for d in range(2, 13) if p**d <= 1 << 12
+] + [(173, 2), (3, 6), (2, 14)]
+
+
+def reference_tables(p, degree):
+    """(modulus, generator, exp, log, zech) of F_{p^degree} one element at
+    a time: the smallest generator g by square-and-multiply on the raw
+    product; for p = 2 each power the raw product of the last and g, and
+    for odd p each the digit vector of the last times the matrix of "times
+    g", row by row, then encoded; exp doubled, log[0] = None, and
+    zech[k] = log(1 + g^k) by adding one to the constant digit (None for
+    p = 2, which adds by xor)."""
+    f = RawExtension(p, degree)
+    n1 = f.order - 1
+    cofactors = [n1 // r for r in factorize(n1)]
+    g = next(a for a in range(p, f.order) if all(f.pow(a, k) != 1 for k in cofactors))
+    if p == 2:
+        exp = list(itertools.accumulate([g] * (n1 - 1), f.mul, initial=1))
+    else:
+        # digit j of v * g is sum_k v_k * (digit j of x^k * g) mod p
+        rows = list(zip(*(f.decode(f.mul(p**k, g)) for k in range(degree))))
+        exp = []
+        digits = f.decode(1)
+        for _ in range(n1):
+            exp.append(f.encode(digits))
+            digits = [sum(map(operator.mul, row, digits)) % p for row in rows]
+    log = [None] * f.order
+    for k, v in enumerate(exp):
+        log[v] = k
+    zech = None if p == 2 else [log[v - v % p + (v + 1) % p] for v in exp]
+    return f.modulus, g, exp + exp, log, zech
 
 
 class QuadraticExtension(_TableFree):

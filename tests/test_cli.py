@@ -2,6 +2,7 @@ import csv
 import hashlib
 import inspect
 import json
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -268,13 +269,28 @@ def test_byte_identical_reruns(capsys, argv):
     assert out1 == out2
 
 
-def _run_module(*args):
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        cwd=REPO,
-        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-    )
+def _child_env():
+    """The environment of a child interpreter: src on its path, and no
+    bytecode written where this process writes none."""
+    env = {"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"}
+    if sys.dont_write_bytecode:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env
+
+
+def _run_module(*args, cwd=REPO):
+    return subprocess.run([sys.executable, *args], capture_output=True, cwd=cwd, env=_child_env())
+
+
+def test_children_write_no_bytecode_where_this_process_writes_none(monkeypatch, tmp_path):
+    # a child run over a copy of src leaves no __pycache__ there while this
+    # process writes no bytecode, and leaves one once it does
+    shutil.copytree(REPO / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    argv = ("-m", "eaqmds", "code", "--q", "23", "--m", "2")
+    for dont_write in (True, False):
+        monkeypatch.setattr(sys, "dont_write_bytecode", dont_write)
+        assert _run_module(*argv, cwd=tmp_path).returncode == 0
+        assert bool(list((tmp_path / "src").rglob("__pycache__"))) != dont_write
 
 
 def test_reader_closing_the_pipe_early_ends_quietly():
@@ -287,7 +303,7 @@ def test_reader_closing_the_pipe_early_ends_quietly():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         cwd=REPO,
-        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        env=_child_env(),
     )
     assert proc.stdout.readline() == b"[\n"
     proc.stdout.close()

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -12,12 +13,14 @@ from eaqmds.gf import Field, FieldTower, build_field, field_tower
 from eaqmds.primes import PrimePower, factorize, is_prime
 from cosetref import coset
 from matref import (
+    TABLE_FIELDS,
     MatrixGF,
     QuadraticExtension,
     evaluate,
     matmul,
     orbit_product,
     quartic,
+    reference_tables,
     square_and_multiply,
     tower_root,
 )
@@ -278,6 +281,46 @@ def test_zech_check_detects_an_entry_off_by_one():
     f._zech[half] = 0
     hit = {(a, b) for op, a, b in _addition_mismatches(f, pairs) if op == "add"}
     assert hit == {(a, f.neg(a)) for a in range(1, f.order)}
+
+
+@pytest.mark.parametrize("p,deg", TABLE_FIELDS)
+def test_tables_match_the_per_element_reference(p, deg):
+    # the walk of "times g" by integer arithmetic gives the very tables of
+    # the per-element walk it replaced, with the same modulus and generator
+    f = build_field(p, deg)
+    modulus, g, exp, log, zech = reference_tables(p, deg)
+    assert (f.modulus, f.generator) == (modulus, g)
+    assert f._exp == exp and f._log == log
+    assert getattr(f, "_zech", None) == zech
+
+
+def _swapped_step(honest):
+    # digits 0 and 1 of g, the first column of the step matrix, traded
+    def walk(columns, p, steps):
+        (g0, g1, *rest), *others = columns
+        assert g0 != g1
+        return honest([(g1, g0, *rest), *others], p, steps)
+
+    return walk
+
+
+def _short_walk(honest):
+    return lambda columns, p, steps: honest(columns, p, steps - 1)
+
+
+# F_(23^2), the alphabet of q = 23, built anew under a faulty walk: a step
+# matrix with two entries swapped walks the powers of another element, and
+# exp[1] is not g; a walk one step short leaves g^527 without a log.  The
+# certificate of the constructor must stop the command at either
+@pytest.mark.parametrize("fault,bad", [(_swapped_step, 1), (_short_walk, 527)])
+def test_tables_that_are_not_the_powers_of_g_are_caught(capsys, monkeypatch, fault, bad):
+    monkeypatch.setattr(gf, "_walk", fault(gf._walk))
+    uncached = functools.lru_cache(maxsize=None)
+    monkeypatch.setattr(gf, "build_field", uncached(gf.build_field.__wrapped__))
+    monkeypatch.setattr(crosscheck, "field_tower", uncached(FieldTower))
+    assert main("code --q 23 --m 2 --oracle".split()) == 1
+    want = f": the tables of F_(23^2) are not the powers of g = 25: first bad k = {bad}\n"
+    assert capsys.readouterr().err.endswith(want)
 
 
 def _order(f, a):

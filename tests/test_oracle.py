@@ -32,6 +32,7 @@ from eaqmds.oracle import (
 from cosetref import coset, defining_set, from_cosets
 from matref import (
     BUDGET_EXCEEDED,
+    TABLE_FIELDS,
     MatrixGF,
     PrimeField,
     _min_weight_by_codewords,
@@ -942,6 +943,58 @@ def test_slot_widths_pass_the_packer_checks_on_every_tabled_field():
             oracle._Packer(f, oracle._slot_width(inner, d, p))
             built += 1
     assert built == 390
+
+
+# past the cap of build_field, the reducer of 16-bit slots is not exact
+# over F_{7^6} or F_{2^18}, and _packer widens those slots to 32 bits
+@functools.lru_cache(maxsize=None)
+def _uncapped_field(p, deg):
+    return gf.Field(p, deg, gf._smallest_irreducible(p, deg))
+
+
+@pytest.mark.parametrize("p,deg", [(7, 6), (2, 18)])
+def test_kernels_past_the_cap_widen_a_refused_slot(p, deg):
+    f = _uncapped_field(p, deg)
+    with pytest.raises(ValueError, match="slot reducer is not exact at 16 bits"):
+        oracle._Packer(f, 16)
+    assert oracle._slot_width(2, deg, p) == 16
+    raw = RawArithmetic(f)
+    rng = random.Random(1000 * p + deg)
+    for _ in range(10):
+        a = _random_matrix(f, rng, 1, rng.randrange(0, 8))[0]
+        b = _random_matrix(f, rng, 1, rng.randrange(0, 8))[0]
+        assert convolve(f, a, b) == raw.convolve(a, b)
+    for r in (1, 2, 3, 5):
+        n = 2 * r - 1
+        for t in (_random_matrix(f, rng, 1, n)[0], _recurrent(f, rng, max(r - 1, 1), n)):
+            assert toeplitz_rank(f, t) == raw.rank(toeplitz_matrix(f, t).data), t
+    # the refused width maps to the one packer of the width accepted
+    assert oracle._packer(f, 16) is oracle._packer(f, 32)
+    assert oracle._packer(f, 16).width == 32
+
+
+# an element packs by shifts of its base-p digits, as _pack packs them from
+# decode, over every field of TABLE_FIELDS and over prime fields whose
+# slots reach 16 to 128 bits
+@pytest.mark.parametrize("p,deg", TABLE_FIELDS)
+def test_shift_packing_matches_the_digit_packing(p, deg):
+    f = gf.build_field(p, deg)
+    for width in (16, 32, 64):
+        packed = oracle._Packer(f, width)
+        want = [oracle._pack(f.decode(v), width) for v in range(f.order)]
+        assert [packed[v] for v in range(f.order)] == want
+
+
+@pytest.mark.parametrize(
+    "p,width",
+    [(2, 16), (2039, 16), (2039, 32), (2039, 64), (2**31 - 1, 64), (2**61 - 1, 128)],
+)
+def test_shift_packing_on_prime_fields(p, width):
+    f = PrimeField(p)
+    packed = oracle._Packer(f, width)
+    rng = random.Random(p)
+    for v in {0, 1, p - 1, *(rng.randrange(p) for _ in range(300))}:
+        assert packed[v] == oracle._pack(f.decode(v), width) == v
 
 
 def test_slot_reducer_with_its_last_fold_dropped_is_caught(capsys, monkeypatch):

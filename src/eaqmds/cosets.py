@@ -22,8 +22,10 @@ DefiningSet.from_runs is the one constructor from residues: it makes each
 periodic family of runs and its reflection x -> n-x by one multiply, so
 every set it builds is closed.  -q reads each row s*q .. s*q+q-1 of its
 image as one stride-q slice of the indicator string (bit s*q + i of the
-image is bit i*q - s of the set).  The matrix route checks the closure of
-the residues it is given by the degree of g.
+image is bit i*q - s of the set), by one row reader: neg_q reads every
+row, and overlap, Z & -qZ, only the rows that hold members of Z, which for
+a family block around 0 is about 2m rows of n/q.  The matrix route checks
+the closure of the residues it is given by the degree of g.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ class CycContext(NamedTuple("CycContext", [("n", int), ("q", int)])):
         return super().__new__(cls, n, q)
 
     @classmethod
+    @lru_cache(maxsize=4)  # a sweep asks for one q many times in a row
     def for_family(cls, q: int) -> "CycContext":
         """The context with n = (q^2+1)/5; q^2+1 must be divisible by 5."""
         if (q * q + 1) % 5 != 0:
@@ -187,16 +190,12 @@ class DefiningSet:
         if self.ctx != other.ctx:
             raise ValueError("defining sets live in different contexts")
 
-    # -- set algebra: unions, intersections and differences of closed sets
-    # are closed again, so none is re-checked ---------------------------------
+    # -- set algebra: unions and differences of closed sets are closed
+    # again, so neither is re-checked -----------------------------------------
 
     def union(self, other: "DefiningSet") -> "DefiningSet":
         self._check(other)
         return DefiningSet._closed(self.ctx, self.mask | other.mask)
-
-    def intersect(self, other: "DefiningSet") -> "DefiningSet":
-        self._check(other)
-        return DefiningSet._closed(self.ctx, self.mask & other.mask)
 
     def difference(self, other: "DefiningSet") -> "DefiningSet":
         self._check(other)
@@ -206,25 +205,51 @@ class DefiningSet:
         self._check(other)
         return not self.mask & other.mask
 
-    def neg_q(self) -> "DefiningSet":
-        """The image {(n - q*x) mod n}, read by row slices; again
-        coset-closed, same size.
+    def _neg_q_rows(self, spans: Iterable[tuple[int, int]]) -> int:
+        """Rows lo..hi of the -q image, for each (lo, hi) in spans, as one
+        mask; row s is bits s*q .. s*q + q-1, and bits outside the spans are
+        clear.
 
         Bit y of the image is bit q*y mod n of the set, as (-q)(q) = 1.  The
         indicator string t has bit n-1-j as character j, repeated so that no
         slice wraps; its stride-q slice from character q + s holds bits
         (q-1-k)*q - s for k < q (q^2 = -1), which is row s of the image,
         bits s*q + q-1 down to s*q, MSB first.  The top row's characters
-        past bit n-1 are dropped.
+        past bit n-1 are dropped.  An empty span (lo > hi) reads no row.
+        """
+        n, q = self.ctx.n, self.ctx.q
+        t = format(self.mask, f"0{n}b") * (q * q // n + 2)
+        image = 0
+        for lo, hi in spans:
+            if lo <= hi:
+                rows = "".join([t[q + s : q * q + s + 1 : q] for s in range(hi, lo - 1, -1)])
+                image |= int(rows[max(0, (hi + 1) * q - n) :], 2) << lo * q
+        return image
+
+    def neg_q(self) -> "DefiningSet":
+        """The image {(n - q*x) mod n}, every row read by _neg_q_rows; again
+        coset-closed, same size.
 
         Closed because -q commutes with *q^2, so it is not re-checked.  On
         coset-closed sets this map is an involution: applying it twice
         multiplies by q^2, which fixes every coset.
         """
-        n, q = self.ctx.n, self.ctx.q
-        t = format(self.mask, f"0{n}b") * (q * q // n + 2)
-        rows = "".join([t[q + s : q * q + s + 1 : q] for s in range((n - 1) // q, -1, -1)])
-        return DefiningSet._closed(self.ctx, int(rows[len(rows) - n :], 2))
+        top = (self.ctx.n - 1) // self.ctx.q
+        return DefiningSet._closed(self.ctx, self._neg_q_rows([(0, top)]))
+
+    def overlap(self) -> "DefiningSet":
+        """Z & -qZ, the mask of Z ANDed with that of its -q image, reading
+        only the image rows that hold members: rows 0 .. t//q, for t the
+        largest member <= n//2, and u//q .. (n-1)//q, for u the least member
+        above it; every row where the two spans meet.  The spans come from
+        the mask itself, so the read is exact on any mask, closed or not."""
+        n, q, mask = self.ctx.n, self.ctx.q, self.mask
+        split, top = n // 2 + 1, (n - 1) // q  # members below split are low, the rest high
+        high = mask >> split
+        low_end = ((mask & ((1 << split) - 1)).bit_length() - 1) // q  # -1: no low member
+        high_start = ((high & -high).bit_length() - 1 + split) // q if high else top + 1
+        spans = [(0, top)] if high_start <= low_end + 1 else [(0, low_end), (high_start, top)]
+        return DefiningSet._closed(self.ctx, mask & self._neg_q_rows(spans))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ entanglement-assisted code parameters with Singleton certification.
 
 A defining set Z splits as Z minus -qZ, which is disjoint from its own -q
 image, and the overlap Z & -qZ, each element of which costs one
-pre-shared entangled pair.  The derived quantum parameters are
-[[n, 2k - n + c, d; c]] for the classical [n, k] cyclic code, where c is
-the size of the overlap.
+pre-shared entangled pair.  A split is checked, and the overlap built,
+from the -q image read only on Z (DefiningSet.overlap).  The derived
+quantum parameters are [[n, 2k - n + c, d; c]] for the classical [n, k]
+cyclic code, where c is the size of the overlap.
 """
 
 from __future__ import annotations
@@ -29,13 +30,16 @@ def check_split(whole: DefiningSet, free: DefiningSet, entangled: DefiningSet, s
     This is E = -qE with F & -qF empty: those give I = E | -qF, and
     conversely E = Z & I, whose image is I & q^2 Z = E.  So a split that
     passes is Z minus -qZ and Z & -qZ.  E outside I is not -q-invariant;
-    otherwise one more image, of E, tells which of the two failed."""
+    otherwise one more image, of E, tells which of the two failed.
+
+    I is read only on Z, as whole.overlap(): once the partition holds, E and
+    F lie in Z, so for any map E & ~I = E & ~(I & Z) and F & I = F & (I & Z)."""
     if free.union(entangled) != whole or not free.isdisjoint(entangled):
         raise VerificationError(
             f"{stage}: free part ({len(free)}) and entangled part ({len(entangled)}) do not "
             f"partition the {len(whole)}-element set"
         )
-    image = whole.neg_q().mask
+    image = whole.overlap().mask
     if entangled.mask & ~image or (free.mask & image and entangled.neg_q() != entangled):
         raise VerificationError(f"{stage}: entangled part is not -q-invariant")
     if free.mask & image:
@@ -46,8 +50,10 @@ def decompose(z: DefiningSet) -> DefiningSet:
     """The overlap Z & -qZ, whose size is the ebit count; Z minus it is the
     free part.  The set algebra trusts closure, so the one check that can
     fail, that the overlap is -q-invariant (as -q twice is *q^2), is what
-    catches a wrong -q map or a set that is not what it claims to be."""
-    overlap = z.intersect(z.neg_q())
+    catches a wrong -q map or a set that is not what it claims to be.  It
+    takes the whole image of the overlap: O & -qO = O would say the same
+    only of a map that is a bijection."""
+    overlap = z.overlap()
     if overlap.neg_q() != overlap:
         raise VerificationError(f"overlap Z & -qZ of {z!r}: entangled part is not -q-invariant")
     return overlap

@@ -32,6 +32,7 @@ No field code is loaded: q is parsed by primes, not gf.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, islice, repeat
 from typing import NamedTuple
 
@@ -116,6 +117,7 @@ def classify(q: int) -> FamilySpec:
     raise UsageError(f"q={q} is below the family minimum (23 for q=3 mod 10, 27 for q=7 mod 10)")
 
 
+@lru_cache(maxsize=4)  # both window sets of every m of one q take the same anchors
 def _anchors(spec: FamilySpec) -> tuple[int, int, int, int, int]:
     """The five window anchor points; all divisions are exact."""
     q = spec.q.q

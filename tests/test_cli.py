@@ -465,12 +465,12 @@ def test_gg_dagger_rank_off_by_one_is_caught(capsys, monkeypatch, invocation):
     )
 
 
-def _rewritten(function, old, new):
+def _rewritten(function, old, new, module=oracle):
     """function with the one occurrence of old in its source replaced by
-    new, compiled in a copy of the oracle namespace."""
+    new, compiled in a copy of the namespace of module."""
     source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1
-    namespace = dict(vars(oracle))
+    namespace = dict(vars(module))
     exec(source.replace(old, new), namespace)
     return namespace[function.__name__]
 
@@ -585,7 +585,8 @@ def test_window_anchor_off_by_one_is_caught(capsys, monkeypatch, index, delta, l
 
 # wrong maps in place of x -> -q*x, on defining sets at the theorem level
 # (closed again by cosetref.from_cosets, so only the checks on the split can
-# see the fault) and as the table of the coset level, whose first failing
+# see the fault; put in as the row reader, so that both neg_q and overlap
+# take it) and as the table of the coset level, whose first failing
 # coset is pinned (the map x -> q*x is no fault there: it too squares to
 # negation, and equals -q on every coset {i, n-i})
 WRONG_NEG_Q = {
@@ -609,18 +610,21 @@ def test_wrong_neg_q_map_is_caught(capsys, monkeypatch, wrong, level):
         )
         _assert_counterexample_is(capsys, WRONG_NEG_Q_AT_COSETS[wrong], *argv)
     else:
-        monkeypatch.setattr(DefiningSet, "neg_q", _mapped_by(image))
+        monkeypatch.setattr(DefiningSet, "_neg_q_rows", _mapped_by(image))
         _assert_counterexample(capsys, *argv)
 
 
 def _mapped_by(image):
-    """A neg_q that maps each member by image(x, n, q), closed by from_cosets."""
+    """A -q row reader that maps each member by image(x, n, q), closed by
+    from_cosets, and keeps the rows lo..hi of each span."""
 
-    def neg_q(self):
+    def _neg_q_rows(self, spans):
         n, q = self.ctx.n, self.ctx.q
-        return from_cosets(self.ctx, (image(x, n, q) for x in self.members))
+        mapped = from_cosets(self.ctx, (image(x, n, q) for x in self.members)).mask
+        keep = sum((1 << (hi + 1) * q) - (1 << lo * q) for lo, hi in spans if lo <= hi)
+        return mapped & keep
 
-    return neg_q
+    return _neg_q_rows
 
 
 # the same wrong maps on the random sets of the rank-oracle level: below
@@ -628,7 +632,7 @@ def _mapped_by(image):
 # invariance of the overlap that decompose builds
 @pytest.mark.parametrize("wrong", sorted(WRONG_NEG_Q))
 def test_wrong_neg_q_map_is_caught_by_decompose(capsys, monkeypatch, wrong):
-    monkeypatch.setattr(DefiningSet, "neg_q", _mapped_by(WRONG_NEG_Q[wrong]))
+    monkeypatch.setattr(DefiningSet, "_neg_q_rows", _mapped_by(WRONG_NEG_Q[wrong]))
     message = (
         "overlap Z & -qZ of DefiningSet(n=10, q=7, size=6): entangled part is not -q-invariant"
     )
@@ -636,12 +640,13 @@ def test_wrong_neg_q_map_is_caught_by_decompose(capsys, monkeypatch, wrong):
 
 
 # faults in the row slices of the -q map, each put in by rewriting one
-# expression of DefiningSet.neg_q: every row read one character late, or
-# rows 2k and 2k+1 trading places.  Every family block and its parts take
-# this map; the coset level checks its own table of -q*x mod n
-# (neg_q_map), so it cannot see either fault.  Rows 0 and 1 alone
-# swapped go unseen: the forward windows repeat from row to row, so no
-# family set tells those two rows of its image apart
+# expression of the row reader DefiningSet._neg_q_rows, which neg_q and
+# overlap share: every row read one character late, or rows 2k and 2k+1
+# trading places.  Every family block and its parts take this map; the
+# coset level checks its own table of -q*x mod n (neg_q_map), so it cannot
+# see either fault.  Rows 0 and 1 alone swapped go unseen: the forward
+# windows repeat from row to row, so no family set tells those two rows of
+# its image apart
 NEG_Q_FAULTS = {
     "row offset": ("t[q + s : q * q + s + 1 : q]", "t[q + s + 1 : q * q + s + 2 : q]"),
     "rows swapped": ("t[q + s : q * q + s + 1 : q]", "t[q + (s ^ 1) : q * q + (s ^ 1) + 1 : q]"),
@@ -651,13 +656,29 @@ NEG_Q_FAULTS = {
 @pytest.mark.parametrize("fault", sorted(NEG_Q_FAULTS))
 @pytest.mark.parametrize("level", ["theorem", "lemma"])
 def test_neg_q_row_fault_is_caught(capsys, monkeypatch, level, fault):
-    old, new = NEG_Q_FAULTS[fault]
-    source = textwrap.dedent(inspect.getsource(DefiningSet.neg_q))
-    assert source.count(old) == 1
-    namespace = dict(vars(cosets))
-    exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(DefiningSet, "neg_q", namespace["neg_q"])
+    reader = _rewritten(DefiningSet._neg_q_rows, *NEG_Q_FAULTS[fault], module=cosets)
+    monkeypatch.setattr(DefiningSet, "_neg_q_rows", reader)
     _assert_counterexample(capsys, "verify", "--level", level, "--qmax", "60")
+    assert run_cli(capsys, "verify", "--level", "coset", "--qmax", "60")[0] == 0
+
+
+# faults in the row spans that DefiningSet.overlap reads, each one row
+# short: the low span misses row 1 of the block at q = 23, m = 2 (residue
+# 23), and the high span its row 3 (residues 83..91), so the first split
+# check finds entangled members outside the image it read
+NEG_Q_SPAN_FAULTS = {
+    "low span one row short": ("(0, low_end)", "(0, low_end - 1)"),
+    "high span one row short": ("(high_start, top)", "(high_start + 1, top)"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(NEG_Q_SPAN_FAULTS))
+@pytest.mark.parametrize("level", ["theorem", "lemma"])
+def test_overlap_span_fault_is_caught(capsys, monkeypatch, level, fault):
+    overlap = _rewritten(DefiningSet.overlap, *NEG_Q_SPAN_FAULTS[fault], module=cosets)
+    monkeypatch.setattr(DefiningSet, "overlap", overlap)
+    message = "windows at q=23, m=2: entangled part is not -q-invariant"
+    _assert_counterexample_is(capsys, message, "verify", "--level", level, "--qmax", "60")
     assert run_cli(capsys, "verify", "--level", "coset", "--qmax", "60")[0] == 0
 
 

@@ -83,13 +83,40 @@ def test_longest_run_matches_the_string_reference():
     # random masks of densities 1/8, 1/2, 7/8 and 31/32, the empty and the
     # full mask, and the full mask less one bit, whose run wraps around
     rng = random.Random(7450)
-    for n in [*range(1, 71), 370, 7450]:
+    for n in [*range(1, 71), 106, 370, 7450, 7762]:
         full = (1 << n) - 1
         masks = [0, full, full ^ 1 << rng.randrange(n)]
         for _ in range(8):
             a, b, c = (rng.getrandbits(n) for _ in range(3))
             masks += [a & b & c, a, a | b | c, a | b | c | rng.getrandbits(n) | rng.getrandbits(n)]
         for mask in masks:
+            want = coderef.longest_circular_run(mask, n)
+            assert longest_circular_run(mask, n) == want, (n, mask)
+
+
+def test_single_runs_match_the_string_reference():
+    # one run is answered by its popcount: every run of 1 .. n-1 residues at
+    # every start for n <= 40, those through bit n-1 and bit 0 included, and
+    # random ones at the family lengths of q = 23, 43 and 197
+    rng = random.Random(7762)
+    cases = [(n, length, start) for n in range(2, 41) for length in range(1, n) for start in range(n)]
+    cases += [(n, rng.randrange(1, n), rng.randrange(n)) for n in (106, 370, 7762) for _ in range(40)]
+    for n, length, start in cases:
+        arc = ((1 << length) - 1) << start
+        mask = (arc | arc >> n) & ((1 << n) - 1)
+        want = coderef.longest_circular_run(mask, n)
+        assert longest_circular_run(mask, n) == length == want, (n, length, start)
+
+
+def test_longest_run_on_either_side_of_the_one_run_test():
+    # the empty and the full set, two runs of equal length (alone, and one
+    # of them through bit n-1 and bit 0), and a run through bit n-1 and
+    # bit 0 beside a shorter one
+    for n in (13, 106, 370, 7762):
+        k = n // 5
+        two = (1 << k) - 1 << 1 | (1 << k) - 1 << n // 2
+        wrap = (1 << k) - 1 << n - k // 2 & (1 << n) - 1 | (1 << k - k // 2) - 1
+        for mask in (0, (1 << n) - 1, two, wrap, wrap | 1 << n // 2, wrap | (1 << k) - 1 << n // 2):
             want = coderef.longest_circular_run(mask, n)
             assert longest_circular_run(mask, n) == want, (n, mask)
 

@@ -187,9 +187,9 @@ def test_set_algebra_preserves_closure(data):
     ctx = CycContext.for_family(23)
     a = data.draw(coset_closed_sets(ctx))
     b = data.draw(coset_closed_sets(ctx))
-    assert a.intersect(a) == a
+    assert a.overlap().neg_q() == a.overlap()
     assert len(a.difference(a)) == 0
-    for combined in (a.union(b), a.intersect(b), a.difference(b)):
+    for combined in (a.union(b), a.overlap(), a.difference(b)):
         defining_set(ctx, combined.members)  # would raise if closure broke
 
 
@@ -229,7 +229,7 @@ def test_set_kernels_match_naive_reference(name, data):
     cases = (
         (a, ra),
         (a.union(b), ra | rb),
-        (a.intersect(b), ra & rb),
+        (a.overlap(), ra & {(-q * x) % n for x in ra}),
         (a.difference(b), ra - rb),
         (full.difference(a), everything - ra),
         (a.neg_q(), {(-q * x) % n for x in ra}),
@@ -348,10 +348,55 @@ def test_neg_q_of_family_blocks_and_their_parts_matches_elementwise():
         ctx, q = spec.context(), spec.q.q
         for m in range(1, spec.m_max + 1):
             z = family_defining_set(spec, m)
-            overlap = z.intersect(z.neg_q())
+            overlap = z.overlap()
             for part in (z, overlap, z.difference(overlap)):
                 want = tuple(sorted(-q * x % ctx.n for x in part.members))
                 assert part.neg_q().members == want, (q, m, len(part))
+
+
+def test_overlap_reads_the_rows_of_every_family_set():
+    # overlap reads only the image rows that hold members; on the block at
+    # every m, m = 1 included, and both window sets at every m >= 2, it must
+    # give the mask of the whole image ANDed with the set
+    checked = 0
+    for spec in iter_family_sizes(400):
+        for m in range(1, spec.m_max + 1):
+            sets = [family_defining_set(spec, m)]
+            if m >= 2:
+                sets += [free_window_set(spec, m), entangled_window_set(spec, m)]
+            for z in sets:
+                assert z.overlap().mask == z.mask & z.neg_q().mask, (spec.q.q, m, len(z))
+                checked += 1
+    assert checked == 2395  # 827 blocks (43 at m = 1; q = 8 has no m) and 2 window sets at 784 points
+
+
+@pytest.mark.parametrize("q", [7, 8, 23, 32, 43])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_overlap_matches_the_whole_image_on_closed_sets(q, data):
+    z = data.draw(coset_closed_sets(CycContext.for_family(q)))
+    assert z.overlap().mask == z.mask & z.neg_q().mask
+
+
+def test_overlap_is_exact_on_unclosed_masks():
+    # masks wrapped by _closed without being closed: the spans come from
+    # the mask itself, so the read must be exact on these too.  The low
+    # span ends at row t//q for t the largest member <= n//2, put at
+    # k*q - 1 and k*q; the high span starts at row u//q for u the least
+    # member above n//2, put the same way; n/2 itself is low when n is even
+    for q in (7, 8, 23, 27, 32, 43, 197):
+        ctx = CycContext.for_family(q)
+        n, half = ctx.n, ctx.n // 2
+        full = (1 << n) - 1
+        above = full >> half + 1 << half + 1
+        masks = [0, 1, full, full ^ 1, above, 1 << half + 1, 1 << n - 1]
+        for x in {k * q + d for k in range(n // q + 1) for d in (-1, 0)} & set(range(n)):
+            masks += [1 << x, 1 << x | 1, 1 << x | 1 << n - 1, 1 << x | above, 1 << x | full >> n - x]
+        if n % 2 == 0:
+            masks += [1 << half, 1 << half | 1 << half + 1, 1 << half | above]
+        for mask in masks:
+            z = DefiningSet._closed(ctx, mask)
+            assert z.overlap().mask == mask & z.neg_q().mask, (q, mask)
 
 
 def test_neg_q_matches_elementwise_on_random_sets_of_every_modulus():
@@ -373,6 +418,7 @@ def test_neg_q_matches_elementwise_on_random_sets_of_every_modulus():
         for _ in range(sets):
             z = from_cosets(ctx, compress(range(n), rng.randbytes(n).translate(coin)))
             assert z.neg_q() == from_cosets(ctx, [-q * x for x in z.members]), ctx
+            assert z.overlap().mask == z.mask & z.neg_q().mask, ctx
             checked += 1
     assert checked == 686  # 3 at each of 201 moduli with q < 60, 1 at each of 83 family moduli
 
@@ -381,7 +427,7 @@ def test_set_algebra_examples(ctx7, ctx23):
     c2, c3 = from_cosets(ctx23, [2]), from_cosets(ctx23, [3])
     assert len(c2.union(c3)) == 4
     z = from_cosets(ctx7, [0, 1])  # {0, 1, 9}
-    assert z.intersect(z.neg_q()).members == (0,)  # -7*{0,1,9} = {0,3,7} mod 10
+    assert z.overlap().members == (0,)  # -7*{0,1,9} = {0,3,7} mod 10
 
 
 def test_mismatched_contexts_raise(ctx7, ctx23):

@@ -20,27 +20,18 @@ def longest_circular_run(mask: int, n: int) -> int:
 
     Works on any residue set (no closure needed); a full circle counts
     as n.  Rotated so that its lowest zero is bit 0, no run wraps.  A
-    single run is its own popcount: adding its lowest bit carries it clear.
-    Otherwise level j marks the starts of runs of 2^j ones, the one before
-    and its shift ANDed, and binary steps down the levels lengthen the
-    longest run.
+    single run, as every family block is, is its own popcount: adding its
+    lowest bit carries it clear.  Any other set is read off the rotated
+    mask's binary string, as its longest piece between zeros.
     """
     full = (1 << n) - 1
     if mask == full:
         return n
     zero = (~mask & (mask + 1)).bit_length() - 1  # the lowest zero
-    run, levels = mask >> zero | (mask << (n - zero) & full), []
+    run = mask >> zero | (mask << (n - zero) & full)
     if not run & (run + (run & -run)):  # one run, or none
         return run.bit_count()
-    while run:
-        levels.append(run)
-        run &= run >> (1 << len(levels) - 1)
-    starts, length = -1, 0  # -1 has every bit set
-    for j in range(len(levels) - 1, -1, -1):
-        longer = starts & levels[j] >> length
-        if longer:
-            starts, length = longer, length + (1 << j)
-    return length
+    return max(map(len, bin(run)[2:].split("0")))
 
 
 def bch_bound(z: DefiningSet) -> int:

@@ -1,5 +1,5 @@
-"""Cyclotomic cosets modulo n under multiplication by q^2, and the set
-algebra of coset-closed subsets, including the -q map.
+"""Cyclotomic cosets modulo n under multiplication by q^2, and the
+coset-closed subsets that are defining sets, with their -q map.
 
 Cosets are computed for any modulus n coprime to q, all at once, by
 walking each orbit through one table of x*q^2 mod n.  A table of b*x mod n
@@ -17,7 +17,8 @@ backward over the same pairs.
 
 Defining sets exist only where q^2 = -1 (mod n), which _check_modulus
 tests as each set is built.  A set is one int bitmask, bit x set exactly when
-x is a member, so its set algebra is one int operation each.
+x is a member; a caller that unites or compares sets, as eaqecc.check_split
+does, reads the masks.
 DefiningSet.from_runs is the one constructor from residues: it makes each
 periodic family of runs and its reflection x -> n-x by one multiply, so
 every set it builds is closed.  -q reads each row s*q .. s*q+q-1 of its
@@ -136,8 +137,9 @@ class DefiningSet:
     """A union of whole cosets: a subset of Z_n closed under *q^2 mod n,
     for a modulus with q^2 = -1 (mod n), so closed under x -> n-x.
 
-    ``from_runs`` builds a closed set by construction, and the set algebra
-    keeps it closed, so neither checks closure.
+    Closure holds because every set is built closed: ``from_runs`` by
+    construction, ``neg_q`` and ``overlap`` as images and intersections of
+    closed sets under a map that commutes with *q^2, so none checks it.
 
     ``mask`` is the set as an int, bit x set exactly when x is a member;
     ``members`` is the same set as an ascending tuple, expanded on demand.
@@ -185,25 +187,6 @@ class DefiningSet:
 
     def __repr__(self) -> str:
         return f"DefiningSet(n={self.ctx.n}, q={self.ctx.q}, size={len(self)})"
-
-    def _check(self, other: "DefiningSet") -> None:
-        if self.ctx != other.ctx:
-            raise ValueError("defining sets live in different contexts")
-
-    # -- set algebra: unions and differences of closed sets are closed
-    # again, so neither is re-checked -----------------------------------------
-
-    def union(self, other: "DefiningSet") -> "DefiningSet":
-        self._check(other)
-        return DefiningSet._closed(self.ctx, self.mask | other.mask)
-
-    def difference(self, other: "DefiningSet") -> "DefiningSet":
-        self._check(other)
-        return DefiningSet._closed(self.ctx, self.mask & ~other.mask)
-
-    def isdisjoint(self, other: "DefiningSet") -> bool:
-        self._check(other)
-        return not self.mask & other.mask
 
     def _neg_q_rows(self, spans: Iterable[tuple[int, int]]) -> int:
         """Rows lo..hi of the -q image, for each (lo, hi) in spans, as one

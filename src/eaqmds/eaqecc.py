@@ -3,8 +3,9 @@ entanglement-assisted code parameters with Singleton certification.
 
 A defining set Z splits as Z minus -qZ, which is disjoint from its own -q
 image, and the overlap Z & -qZ, each element of which costs one
-pre-shared entangled pair.  A split is checked, and the overlap built,
-from the -q image read only on Z (DefiningSet.overlap).  The derived
+pre-shared entangled pair.  A split is checked on the masks, its
+partition by one OR and one AND, and the overlap built from the -q image
+read only on Z (DefiningSet.overlap).  The derived
 quantum parameters are [[n, 2k - n + c, d; c]] for the classical [n, k]
 cyclic code, where c is the size of the overlap.
 """
@@ -32,23 +33,28 @@ def check_split(whole: DefiningSet, free: DefiningSet, entangled: DefiningSet, s
     passes is Z minus -qZ and Z & -qZ.  E outside I is not -q-invariant;
     otherwise one more image, of E, tells which of the two failed.
 
-    I is read only on Z, as whole.overlap(): once the partition holds, E and
-    F lie in Z, so for any map E & ~I = E & ~(I & Z) and F & I = F & (I & Z)."""
-    if free.union(entangled) != whole or not free.isdisjoint(entangled):
+    The partition is read on the masks, after one ValueError where the three
+    sets live in different contexts.  I is read only on Z, as
+    whole.overlap(): once the partition holds, E and F lie in Z, so for any
+    map E & ~I = E & ~(I & Z) and F & I = F & (I & Z)."""
+    if not whole.ctx == free.ctx == entangled.ctx:
+        raise ValueError("defining sets live in different contexts")
+    f, e = free.mask, entangled.mask
+    if f | e != whole.mask or f & e:
         raise VerificationError(
             f"{stage}: free part ({len(free)}) and entangled part ({len(entangled)}) do not "
             f"partition the {len(whole)}-element set"
         )
     image = whole.overlap().mask
-    if entangled.mask & ~image or (free.mask & image and entangled.neg_q() != entangled):
+    if e & ~image or (f & image and entangled.neg_q() != entangled):
         raise VerificationError(f"{stage}: entangled part is not -q-invariant")
-    if free.mask & image:
+    if f & image:
         raise VerificationError(f"{stage}: free part meets its own -q image")
 
 
 def decompose(z: DefiningSet) -> DefiningSet:
     """The overlap Z & -qZ, whose size is the ebit count; Z minus it is the
-    free part.  The set algebra trusts closure, so the one check that can
+    free part.  The sets trust closure, so the one check that can
     fail, that the overlap is -q-invariant (as -q twice is *q^2), is what
     catches a wrong -q map or a set that is not what it claims to be.  It
     takes the whole image of the overlap: O & -qO = O would say the same

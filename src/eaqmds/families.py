@@ -134,7 +134,7 @@ def _check_m(spec: FamilySpec, m: int, allow_degenerate: bool = False) -> None:
     lo = 1 if allow_degenerate else 2
     if not lo <= m <= spec.m_max:
         q = spec.q.q
-        valid = f"valid m: 2..{spec.m_max}" if spec.m_max >= 2 else f"q={q} has no valid m"
+        valid = f"valid m: {lo}..{spec.m_max}" if spec.m_max >= lo else f"q={q} has no valid m"
         raise UsageError(f"m={m} out of range for q={q}; {valid}")
 
 

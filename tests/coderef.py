@@ -1,8 +1,9 @@
 """String and two-image references for the checks the set route makes on a
 defining set: the longest circular run read off its binary string, and the
-split check that maps each part by -q on its own.  The package finds the
-run by shifts of the int and checks a split against one image of the
-whole set; these are what it is compared with."""
+split check that maps each part by -q on its own, its partition read on
+the masks.  The package rotates the int at its lowest zero, takes a single
+run's popcount, and checks a split against one image of the whole set;
+these are what it is compared with."""
 
 from eaqmds.exceptions import VerificationError
 
@@ -21,12 +22,12 @@ def longest_circular_run(mask, n):
 def check_split(whole, free, entangled, stage):
     """The parts partition the whole disjointly, the entangled part is its
     own -q image and the free part avoids its own -q image, in that order."""
-    if free.union(entangled) != whole or not free.isdisjoint(entangled):
+    if free.mask | entangled.mask != whole.mask or free.mask & entangled.mask:
         raise VerificationError(
             f"{stage}: free part ({len(free)}) and entangled part ({len(entangled)}) do not "
             f"partition the {len(whole)}-element set"
         )
     if entangled.neg_q() != entangled:
         raise VerificationError(f"{stage}: entangled part is not -q-invariant")
-    if not free.isdisjoint(free.neg_q()):
+    if free.mask & free.neg_q().mask:
         raise VerificationError(f"{stage}: free part meets its own -q image")

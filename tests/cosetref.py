@@ -6,7 +6,9 @@ of a modulus at once, checks the identity on whole windows and builds
 each window family by one multiply; these are what it is compared with.
 Sets of arbitrary residues are made here too: the package builds every
 set from runs, closed by construction, and these two constructors, one
-that checks closure and one that closes by reflection, are its reference."""
+that checks closure and one that closes by reflection, are its reference.
+A third, from_mask, wraps a mask that a test made by OR or AND NOT of
+closed sets, which the package never needs to do."""
 
 from itertools import chain
 
@@ -25,6 +27,12 @@ def defining_set(ctx, members):
         m = next(x for x in range(1, n) if marks[x] > marks[n - x])
         raise ValueError(f"set is not closed under multiplication by q^2: {m} in, {n - m} out")
     return DefiningSet._closed(ctx, int(marks[::-1], 2))
+
+
+def from_mask(ctx, mask):
+    """The set of ctx whose mask is mask, taken as closed: how a test makes
+    the union or difference of closed sets, as the package has neither."""
+    return DefiningSet._closed(ctx, mask)
 
 
 def from_cosets(ctx, *reps):

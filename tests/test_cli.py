@@ -18,7 +18,7 @@ from eaqmds.gf import build_field
 from eaqmds.primes import PrimePower
 
 import coderef
-from cosetref import from_cosets
+from cosetref import from_cosets, from_mask
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -89,6 +89,13 @@ def test_code_out_of_range(capsys):
     assert rc == 2
     assert "valid m: 2..2" in err
     rc, _, err = run_cli(capsys, "code", "--q", "8", "--m", "2")
+    assert rc == 2
+    assert "q=8 has no valid m" in err
+    # with --allow-degenerate m = 1 is accepted, so the range named starts there
+    rc, _, err = run_cli(capsys, "code", "--q", "23", "--m", "3", "--allow-degenerate")
+    assert rc == 2
+    assert "valid m: 1..2" in err
+    rc, _, err = run_cli(capsys, "code", "--q", "8", "--m", "1", "--allow-degenerate")
     assert rc == 2
     assert "q=8 has no valid m" in err
 
@@ -913,6 +920,12 @@ def test_published_example_in_no_family_is_a_violation(capsys, monkeypatch):
     _assert_violation_is(capsys, message, "errata")
 
 
+def _c1_pair(spec):
+    """The mask of C_1 and its -q image C_q."""
+    c1 = from_cosets(spec.context(), [1])
+    return c1.mask | c1.neg_q().mask
+
+
 # one -q pair of cosets, C_1 and its image C_23 at q = 23, moved from the
 # entangled windows into the free ones: the partition and the invariance of
 # the entangled part still hold, so on both levels only the free part's
@@ -920,14 +933,15 @@ def test_published_example_in_no_family_is_a_violation(capsys, monkeypatch):
 @pytest.mark.parametrize("level", ["lemma", "theorem"])
 def test_neg_q_pair_in_the_free_windows_is_caught(capsys, monkeypatch, level):
     free, entangled = families.free_window_set, families.entangled_window_set
-
-    def pair(spec):
-        c1 = from_cosets(spec.context(), [1])
-        return c1.union(c1.neg_q())
-
-    monkeypatch.setattr(families, "free_window_set", lambda s, m: free(s, m).union(pair(s)))
     monkeypatch.setattr(
-        families, "entangled_window_set", lambda s, m: entangled(s, m).difference(pair(s))
+        families,
+        "free_window_set",
+        lambda s, m: from_mask(s.context(), free(s, m).mask | _c1_pair(s)),
+    )
+    monkeypatch.setattr(
+        families,
+        "entangled_window_set",
+        lambda s, m: from_mask(s.context(), entangled(s, m).mask & ~_c1_pair(s)),
     )
     message = "windows at q=23, m=2: free part meets its own -q image"
     _assert_counterexample_is(capsys, message, "verify", "--level", level, "--qmax", "60")
@@ -940,7 +954,7 @@ def test_entangled_windows_missing_a_coset_are_caught(capsys, monkeypatch, level
     honest = families.entangled_window_set
 
     def short(spec, m):
-        return honest(spec, m).difference(from_cosets(spec.context(), [0]))
+        return from_mask(spec.context(), honest(spec, m).mask & ~1)  # C_0 = {0}, bit 0
 
     monkeypatch.setattr(families, "entangled_window_set", short)
     _assert_counterexample(capsys, "verify", "--level", level, "--qmax", "60")
@@ -950,24 +964,22 @@ def _shifted(anchors, index, delta):
     return tuple(a + delta * (k == index) for k, a in enumerate(anchors))
 
 
-def _c1_pair(spec):
-    c1 = from_cosets(spec.context(), [1])
-    return c1.union(c1.neg_q())
-
-
 # the window faults of the tests above, each as the functions of families
 # it wraps: the -q pair C_1, C_q moved into the free windows, C_0 dropped
 # from the entangled windows, and each anchor shifted by one
 WINDOW_FAULTS = {
     "pair moved": [
-        ("free_window_set", lambda f: lambda s, m: f(s, m).union(_c1_pair(s))),
-        ("entangled_window_set", lambda f: lambda s, m: f(s, m).difference(_c1_pair(s))),
-    ],
-    "coset dropped": [
+        (
+            "free_window_set",
+            lambda f: lambda s, m: from_mask(s.context(), f(s, m).mask | _c1_pair(s)),
+        ),
         (
             "entangled_window_set",
-            lambda f: lambda s, m: f(s, m).difference(from_cosets(s.context(), [0])),
-        )
+            lambda f: lambda s, m: from_mask(s.context(), f(s, m).mask & ~_c1_pair(s)),
+        ),
+    ],
+    "coset dropped": [
+        ("entangled_window_set", lambda f: lambda s, m: from_mask(s.context(), f(s, m).mask & ~1))
     ],
     **{
         f"anchor {i} {d:+d}": [("_anchors", lambda f, i=i, d=d: lambda s: _shifted(f(s), i, d))]

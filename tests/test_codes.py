@@ -111,8 +111,9 @@ def test_single_runs_match_the_string_reference():
 def test_longest_run_on_either_side_of_the_one_run_test():
     # the empty and the full set, two runs of equal length (alone, and one
     # of them through bit n-1 and bit 0), and a run through bit n-1 and
-    # bit 0 beside a shorter one
-    for n in (13, 106, 370, 7762):
+    # bit 0 beside a shorter one; up to n = 198,802, the largest family
+    # modulus (q = 997)
+    for n in (13, 106, 370, 7762, 198802):
         k = n // 5
         two = (1 << k) - 1 << 1 | (1 << k) - 1 << n // 2
         wrap = (1 << k) - 1 << n - k // 2 & (1 << n) - 1 | (1 << k - k // 2) - 1
@@ -129,7 +130,7 @@ def _mds_certificate(z):
 
 def _hermitian_dual_containing(z):
     """The code contains its Hermitian dual iff Z and -qZ are disjoint."""
-    return z.isdisjoint(z.neg_q())
+    return not z.mask & z.neg_q().mask
 
 
 def test_mds_certificates(ctx23, spec23, spec43):

@@ -29,6 +29,7 @@ from cosetref import (
     defining_set,
     expand,
     from_cosets,
+    from_mask,
     identity_pairs,
     inverse_identity_pairs,
     neg_q_maps,
@@ -186,11 +187,8 @@ def test_neg_q_is_a_cardinality_preserving_involution(data):
 def test_set_algebra_preserves_closure(data):
     ctx = CycContext.for_family(23)
     a = data.draw(coset_closed_sets(ctx))
-    b = data.draw(coset_closed_sets(ctx))
     assert a.overlap().neg_q() == a.overlap()
-    assert len(a.difference(a)) == 0
-    for combined in (a.union(b), a.overlap(), a.difference(b)):
-        defining_set(ctx, combined.members)  # would raise if closure broke
+    defining_set(ctx, a.overlap().members)  # would raise if closure broke
 
 
 # the family contexts at q = 7, 23, 32, 43: every coset is {i, n-i}, so
@@ -218,8 +216,7 @@ def test_set_kernels_match_naive_reference(name, data):
     n, q = ctx.n, ctx.q
     reps = st.lists(st.integers(-2 * n, 2 * n), max_size=n)
     reps_a, reps_b = data.draw(reps), data.draw(reps)
-    a, b = from_cosets(ctx, reps_a), from_cosets(ctx, reps_b)
-    ra, rb = naive_union_of_cosets(ctx, reps_a), naive_union_of_cosets(ctx, reps_b)
+    a, ra = from_cosets(ctx, reps_a), naive_union_of_cosets(ctx, reps_a)
     # a range of representatives, even one that leaves 0..n-1, is marked
     # element by element like any other iterable
     ends = st.integers(-n, 2 * n)
@@ -228,12 +225,9 @@ def test_set_kernels_match_naive_reference(name, data):
     full = defining_set(ctx, everything)
     cases = (
         (a, ra),
-        (a.union(b), ra | rb),
         (a.overlap(), ra & {(-q * x) % n for x in ra}),
-        (a.difference(b), ra - rb),
-        (full.difference(a), everything - ra),
         (a.neg_q(), {(-q * x) % n for x in ra}),
-        (full.difference(a).neg_q(), {(-q * x) % n for x in everything - ra}),
+        (from_mask(ctx, full.mask & ~a.mask).neg_q(), {(-q * x) % n for x in everything - ra}),
         (from_cosets(ctx, run, reps_b), naive_union_of_cosets(ctx, [*run, *reps_b])),
         (defining_set(ctx, ()), set()),
         (defining_set(ctx, range(n)), everything),
@@ -349,7 +343,7 @@ def test_neg_q_of_family_blocks_and_their_parts_matches_elementwise():
         for m in range(1, spec.m_max + 1):
             z = family_defining_set(spec, m)
             overlap = z.overlap()
-            for part in (z, overlap, z.difference(overlap)):
+            for part in (z, overlap, from_mask(ctx, z.mask & ~overlap.mask)):
                 want = tuple(sorted(-q * x % ctx.n for x in part.members))
                 assert part.neg_q().members == want, (q, m, len(part))
 
@@ -423,16 +417,9 @@ def test_neg_q_matches_elementwise_on_random_sets_of_every_modulus():
     assert checked == 686  # 3 at each of 201 moduli with q < 60, 1 at each of 83 family moduli
 
 
-def test_set_algebra_examples(ctx7, ctx23):
-    c2, c3 = from_cosets(ctx23, [2]), from_cosets(ctx23, [3])
-    assert len(c2.union(c3)) == 4
+def test_set_algebra_examples(ctx7):
     z = from_cosets(ctx7, [0, 1])  # {0, 1, 9}
     assert z.overlap().members == (0,)  # -7*{0,1,9} = {0,3,7} mod 10
-
-
-def test_mismatched_contexts_raise(ctx7, ctx23):
-    with pytest.raises(ValueError):
-        DefiningSet.from_runs(ctx7, ()).union(DefiningSet.from_runs(ctx23, ()))
 
 
 def test_closure_is_validated(ctx23):
@@ -454,10 +441,6 @@ def test_defining_sets_need_q_squared_minus_one():
 def test_from_cosets_unites_whole_cosets(ctx23):
     z = from_cosets(ctx23, [0, 1, 105, 2])
     assert z.members == (0, 1, 2, 104, 105)
-    full = defining_set(ctx23, range(ctx23.n))
-    rest = full.difference(z)
-    assert len(rest) == 106 - 5
-    assert z.union(rest) == full and z.isdisjoint(rest)
 
 
 # -- the reflection identity -q C_{sq+i} = C_{iq-s} ------------------------------

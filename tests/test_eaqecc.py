@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from eaqmds.cosets import CycContext, all_cosets
+from eaqmds.cosets import CycContext, DefiningSet, all_cosets
 from eaqmds.eaqecc import (
     EAQMDS,
     EQUALITY_WITHOUT_PRECONDITION,
@@ -22,7 +22,7 @@ from eaqmds.families import (
 )
 
 import coderef
-from cosetref import defining_set, from_cosets
+from cosetref import defining_set, from_cosets, from_mask
 
 
 def _params(z):
@@ -39,7 +39,7 @@ def test_decompose_toy(ctx7):
     z = from_cosets(ctx7, [0, 1])
     overlap = decompose(z)
     assert overlap.members == (0,)
-    assert z.difference(overlap).members == (1, 9)
+    assert from_mask(ctx7, z.mask & ~overlap.mask).members == (1, 9)
 
 
 def test_decompose_family_overlap_size(spec23):
@@ -63,7 +63,7 @@ def test_decompose_invariants_fuzzed(q):
     for z in _random_closed_sets(q, 500, seed=q * 1001):
         c = len(decompose(z))
         # no ebits exactly when Z avoids -qZ: the code contains its Hermitian dual
-        assert (c == 0) == z.isdisjoint(z.neg_q())
+        assert (c == 0) == (not z.mask & z.neg_q().mask)
         assert len(decompose(z.neg_q())) == c
         if 0 < len(z) < z.ctx.n:
             assert eaqecc_params(z, c).k >= 0
@@ -114,6 +114,14 @@ def test_single_coset_c0_gives_trivial_eaqmds(ctx7, ctx23):
         assert eaqmds_status(p) == EAQMDS
 
 
+def test_mismatched_contexts_raise(ctx7, ctx23):
+    # one set of the three in another context, in each place in turn
+    e7, e23 = DefiningSet.from_runs(ctx7, ()), DefiningSet.from_runs(ctx23, ())
+    for sets in ((e23, e7, e7), (e7, e23, e7), (e7, e7, e23)):
+        with pytest.raises(ValueError, match="different contexts"):
+            check_split(*sets, "split")
+
+
 def _split_verdict(check, whole, free, entangled):
     """None where check passes the split, else its message."""
     try:
@@ -132,19 +140,21 @@ def test_one_image_split_check_agrees_with_the_two_image_one():
     for spec in iter_family_sizes(200):
         ctx = spec.context()
         c0, c1 = from_cosets(ctx, [0]), from_cosets(ctx, [1])
-        pair = c1.union(c1.neg_q())
+        c0, pair, c1 = c0.mask, c1.mask | c1.neg_q().mask, c1.mask
         for m in range(2, spec.m_max + 1):
             z = family_defining_set(spec, m)
             free, ent = free_window_set(spec, m), entangled_window_set(spec, m)
-            least = from_cosets(ctx, free.members[:1])
+            least = from_cosets(ctx, free.members[:1]).mask
+            free, ent = free.mask, ent.mask
             splits = [
                 (free, ent),
-                (free.union(c1), ent.difference(c1)),
-                (free.union(pair), ent.difference(pair)),
-                (free.difference(least), ent.union(least)),
-                (free, ent.difference(c0)),
+                (free | c1, ent & ~c1),
+                (free | pair, ent & ~pair),
+                (free & ~least, ent | least),
+                (free, ent & ~c0),
             ]
             for f, e in splits:
+                f, e = from_mask(ctx, f), from_mask(ctx, e)
                 want = _split_verdict(coderef.check_split, z, f, e)
                 assert _split_verdict(check_split, z, f, e) == want, (spec.q.q, m)
                 verdicts.add(want and want.rsplit(" ", 1)[1])

@@ -29,7 +29,7 @@ from eaqmds.oracle import (
     hh_dagger,
     toeplitz_rank,
 )
-from cosetref import coset, defining_set, from_cosets
+from cosetref import coset, from_cosets, from_mask
 from matref import (
     BUDGET_EXCEEDED,
     TABLE_FIELDS,
@@ -67,7 +67,7 @@ def _code_matrices(f, g, h, n):
 
 def _complement(z):
     """The residues outside the defining set z, ascending."""
-    return defining_set(z.ctx, range(z.ctx.n)).difference(z).members
+    return from_mask(z.ctx, (1 << z.ctx.n) - 1 & ~z.mask).members
 
 
 def _generator_matrix(z, tower):

@@ -18,15 +18,14 @@ def longest_circular_run(mask: int, n: int) -> int:
     """Length of the longest run of consecutive residues mod n in a set,
     given as a bitmask (bit x set when x is in the set).
 
-    Works on any residue set (no closure needed); a full circle counts
-    as n.  Rotated so that its lowest zero is bit 0, no run wraps.  A
-    single run, as every family block is, is its own popcount: adding its
-    lowest bit carries it clear.  Any other set is read off the rotated
-    mask's binary string, as its longest piece between zeros.
+    Works on any residue set (no closure needed).  Rotated so that its
+    lowest zero is bit 0, no run wraps; the full circle's lowest zero is
+    bit n, so it stays whole, one run of n.  A single run, as every family
+    block is, is its own popcount: adding its lowest bit carries it clear.
+    Any other set is read off the rotated mask's binary string, as its
+    longest piece between zeros.
     """
     full = (1 << n) - 1
-    if mask == full:
-        return n
     zero = (~mask & (mask + 1)).bit_length() - 1  # the lowest zero
     run = mask >> zero | (mask << (n - zero) & full)
     if not run & (run + (run & -run)):  # one run, or none

@@ -224,14 +224,14 @@ class DefiningSet:
         """Z & -qZ, the mask of Z ANDed with that of its -q image, reading
         only the image rows that hold members: rows 0 .. t//q, for t the
         largest member <= n//2, and u//q .. (n-1)//q, for u the least member
-        above it; every row where the two spans meet.  The spans come from
-        the mask itself, so the read is exact on any mask, closed or not."""
+        above it; as t < u, the spans share at most one row, which both read.
+        The spans come from the mask, so the read is exact on any mask."""
         n, q, mask = self.ctx.n, self.ctx.q, self.mask
         split, top = n // 2 + 1, (n - 1) // q  # members below split are low, the rest high
         high = mask >> split
         low_end = ((mask & ((1 << split) - 1)).bit_length() - 1) // q  # -1: no low member
         high_start = ((high & -high).bit_length() - 1 + split) // q if high else top + 1
-        spans = [(0, top)] if high_start <= low_end + 1 else [(0, low_end), (high_start, top)]
+        spans = [(0, low_end), (high_start, top)]
         return DefiningSet._closed(self.ctx, mask & self._neg_q_rows(spans))
 
 

@@ -33,7 +33,6 @@ No field code is loaded: q is parsed by primes, not gf.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 from .cosets import (
@@ -309,32 +308,27 @@ def verify_cosets(q_max: int) -> dict[str, int]:
     """Every family modulus with q <= q_max: the cosets are the pairs
     {i, n-i}, which partition Z_n, and -q is an involution on them.
 
-    all_cosets must be exactly (i, n-i) for i <= n/2, or (i,) where i = 0 or
-    2i = n: shape and partition at once.  A list of tuples is fixed by its
-    concatenation and its tuple lengths, so those two flat lists are
-    compared; the pairs are built only to name the first coset that
-    differs.  Then the table t of -q*x mod n must square to negation,
-    t(t(x)) = -x for every residue x.  That makes t a bijection that
-    commutes with negation, t(-x) = t^3(x) = -t(x), so t maps each coset
-    {x, -x} onto the coset {t(x), -t(x)} of the same size, and that coset
-    back onto {-x, x}.  A failure names the first coset {i, -i} with a
-    residue x where t(t(x)) != -x.
+    all_cosets must be exactly (0,), (1, n-1), (2, n-2), ..., with (n/2,)
+    last when n is even: shape and partition at once, one list comparison.
+    A failure names the first index where the two lists differ, or where
+    the shorter one ends.  Then the table t of -q*x mod n must square to
+    negation, t(t(x)) = -x for every residue x.  That makes t a bijection
+    that commutes with negation, t(-x) = t^3(x) = -t(x), so t maps each
+    coset {x, -x} onto the coset {t(x), -t(x)} of the same size, and that
+    coset back onto {-x, x}.  A failure names the first coset {i, -i} with
+    a residue x where t(t(x)) != -x.
     """
     sizes = iter_family_sizes(q_max)
     for spec in sizes:
         ctx, q, n = spec.context(), spec.q.q, spec.n
-        flat = [0] * n  # 0, 1, n-1, 2, n-2, ..., and n/2 last when n is even
-        flat[1::2] = range(1, n // 2 + 1)
-        flat[2::2] = range(n - 1, n // 2, -1)
         cs = all_cosets(ctx)
-        lengths = [1, *repeat(2, (n - 1) // 2), *repeat(1, 1 - n % 2)]
-        if list(map(len, cs)) != lengths or list(chain.from_iterable(cs)) != flat:
-            parts = iter(flat)
-            pairs = [tuple(islice(parts, size)) for size in lengths]
-            k = next((k for k, pair in enumerate(pairs) if cs[k : k + 1] != [pair]), len(pairs))
+        pairs = [(0,), *zip(range(1, n), range(n - 1, n // 2, -1)), *[(n // 2,)][n % 2 :]]
+        if cs != pairs:
+            differ = (k for k, (a, b) in enumerate(zip(cs, pairs)) if a != b)
+            k = next(differ, min(len(cs), len(pairs)))
             got, want = cs[k : k + 1] or "missing", pairs[k : k + 1] or "none"
             raise VerificationError(f"coset {k} at q={q} is {got}, not {want}")
-        del cs, flat  # freed before the tables of n residues are built
+        del cs, pairs  # freed before the tables of n residues are built
         t = neg_q_map(ctx)
         if list(map(t.__getitem__, t)) != [0, *range(n - 1, 0, -1)]:
             i = min(min(x, n - x) for x in range(n) if t[t[x]] != -x % n)

@@ -125,7 +125,8 @@ class _Packer(dict):
         slot 0, times x^d mod f packed, of degree a, are added into the
         low d slots; repeated while the degree (2d-2 at first, lowered by
         d - a each time) reaches d, then mod p again.  That is digits:
-        the entries packed as vector packs their elements;
+        the entries packed as vector packs their elements.  With no fold
+        (d = 1), the second mod p leaves reduced slots as they are;
       - index: digits times the packing of (p^(d-1), ..., p, 1) holds in
         slot d-1 of each entry the element sum(digit_k * p^k): every slot
         of that product sums at most p^d - 1 < 2^width, so none carries.
@@ -214,8 +215,6 @@ class _Packer(dict):
         if count > self.capacity:
             self._grow(count)
         r = self._mod_p(packed)
-        if not self.folds:
-            return r
         low, high = self.masks[-2:]
         shift, xd = self.f.degree * self.width, self.xd
         for _ in range(self.folds):

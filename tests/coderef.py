@@ -1,22 +1,22 @@
 """String and two-image references for the checks the set route makes on a
-defining set: the longest circular run read off its binary string, and the
-split check that maps each part by -q on its own, its partition read on
-the masks.  The package rotates the int at its lowest zero, takes a single
-run's popcount, and checks a split against one image of the whole set;
-these are what it is compared with."""
+defining set: the longest circular run read off its bit string written
+twice, and the split check that maps each part by -q on its own, its
+partition read on the masks.  The package rotates the int at its lowest
+zero, takes a single run's popcount, and checks a split against one image
+of the whole set; these are what it is compared with."""
+
+from itertools import groupby
 
 from eaqmds.exceptions import VerificationError
 
 
 def longest_circular_run(mask, n):
-    """Read from one of its zeros, the n-digit binary string has no run
-    that wraps around, and its runs of ones are the words left once each
-    zero is a space; a full circle counts as n."""
-    bits = format(mask, f"0{n}b")
-    zero = bits.find("0")
-    if zero < 0:
-        return n
-    return max(map(len, (bits[zero:] + bits[:zero]).replace("0", " ").split()), default=0)
+    """The longest run of '1's in the LSB-first n-digit string written
+    twice, where a run through the wrap is whole, capped at n for the full
+    circle."""
+    bits = format(mask, f"0{n}b")[::-1]
+    runs = (sum(1 for _ in run) for digit, run in groupby(bits + bits) if digit == "1")
+    return min(n, max(runs, default=0))
 
 
 def check_split(whole, free, entangled, stage):

@@ -734,10 +734,11 @@ def _trade_elements(cs):
 
 # faults in all_cosets, seen at q = 8 (n = 13, cosets (0,), (1, 12) .. (6, 7))
 # by the one comparison with the pairs (i, n-i), which names the first coset
-# that differs
+# that differs, or the first past the end of the shorter list
 WRONG_COSETS = {
     "last-pair-dropped": (lambda cs: cs[:-1], "coset 6 at q=8 is missing, not [(6, 7)]"),
     "two-pairs-trade-an-element": (_trade_elements, "coset 1 at q=8 is [(1, 11)], not [(1, 12)]"),
+    "extra-coset-appended": (lambda cs: [*cs, (13,)], "coset 7 at q=8 is [(13,)], not none"),
 }
 
 

@@ -134,7 +134,7 @@ def cmd_cosets(args: argparse.Namespace) -> int:
     else:
         _check_budget("--q", q)
         ctx = CycContext.for_family(q)
-    cs = all_cosets(ctx)
+    cs = list(all_cosets(ctx))
     if args.format == "json":
         _print_json({
             "q": q,

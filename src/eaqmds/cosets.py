@@ -1,19 +1,20 @@
 """Cyclotomic cosets modulo n under multiplication by q^2, and the
 coset-closed subsets that are defining sets, with their -q map.
 
-Cosets are computed for any modulus n coprime to q, all at once, by
-walking each orbit through one table of x*q^2 mod n.  A table of b*x mod n
-is |b| arithmetic progressions, each filled by one slice assignment where
-they are long, else by one C-level map.  The lengths this package is
-about, n = (q^2+1)/5, satisfy q^2 = -1 (mod n); then every orbit is the
-pair {i, n-i} (a singleton for i = 0 and, when n is even, for i = n/2).
-families.verify_cosets checks that shape on the family moduli, and that
-the table t = neg_q_map of -q*x mod n squares to negation, which makes -q
-an involution on those cosets; neg_q_misses checks -q*C_src == C_dst as
--q*src = +-dst (mod n), by map chains over a whole window.  The stated
-windows of identity_windows serve both directions: -q*C_{s*q+i} = C_{i*q-s}
-read forward, and the inverse identity -q*C_{t*q-j} = C_{j*q+t} read
-backward over the same pairs.
+Cosets are computed for any modulus n coprime to q, one walk per modulus
+through one table of x*q^2 mod n, which yields each orbit as it reaches
+it and keeps none.  A table of b*x mod n is |b| arithmetic progressions,
+each filled by one slice assignment where they are long, else by one
+C-level map.  The lengths this package is about, n = (q^2+1)/5, satisfy
+q^2 = -1 (mod n); then every orbit is the pair {i, n-i} (a singleton for
+i = 0 and, when n is even, for i = n/2).  families.verify_cosets checks
+that shape on the family moduli, reading the walk in step with the
+expected pairs, and that the table t = neg_q_map of -q*x mod n squares to
+negation, which makes -q an involution on those cosets; neg_q_misses
+checks -q*C_src == C_dst as -q*src = +-dst (mod n), by map chains over a
+whole window.  The stated windows of identity_windows serve both
+directions: -q*C_{s*q+i} = C_{i*q-s} read forward, and the inverse
+identity -q*C_{t*q-j} = C_{j*q+t} read backward over the same pairs.
 
 Defining sets exist only where q^2 = -1 (mod n), which _check_modulus
 tests as each set is built.  A set is one int bitmask, bit x set exactly when
@@ -91,22 +92,23 @@ def neg_q_map(ctx: CycContext) -> list[int]:
     return _times(ctx.n, -ctx.q % ctx.n)
 
 
-def all_cosets(ctx: CycContext) -> list[tuple[int, ...]]:
-    """All cosets, by ascending representative; they partition 0..n-1.
-    Each is an orbit {i, i*q^2, ...} mod n, walked through one table of
-    x*q^2 mod n, as an ascending tuple led by its representative.  An orbit
-    of one or two members is closed by one lookup, image[image[i]] == i."""
+def all_cosets(ctx: CycContext) -> Iterator[tuple[int, ...]]:
+    """All cosets, by ascending representative, yielded as the walk reaches
+    them; they partition 0..n-1.  Each is an orbit {i, i*q^2, ...} mod n,
+    walked through one table of x*q^2 mod n, as an ascending tuple led by
+    its representative.  An orbit of one or two members is closed by one
+    lookup, image[image[i]] == i.  Nothing is kept: a caller that needs
+    the cosets again, or their count, lists them."""
     n = ctx.n
     image = _times(n, ctx.q * ctx.q % n)
     unseen = bytearray(b"\1") * n
-    out = []
     # compress reads unseen as it goes, and a walk from i clears only
     # members above i, so each i it yields is the least of a new orbit
     for i in compress(range(n), unseen):
         x = image[i]
         if image[x] == i:
             unseen[x] = 0
-            out.append((i, x) if x != i else (i,))
+            yield (i, x) if x != i else (i,)
             continue
         orbit = [i]
         while x != i:
@@ -114,8 +116,7 @@ def all_cosets(ctx: CycContext) -> list[tuple[int, ...]]:
             orbit.append(x)
             x = image[x]
         orbit.sort()
-        out.append(tuple(orbit))
-    return out
+        yield tuple(orbit)
 
 
 @lru_cache(maxsize=4)  # the (q, m-1) of the window sets of one (q, m), and the block

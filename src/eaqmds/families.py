@@ -25,15 +25,18 @@ quantity from first principles and raises on any mismatch; for m >= 2 it
 takes the entangled windows that check_window_lemmas checked as the
 overlap Z & -qZ, whose size is the ebit count.  The suites
 verify_cosets, verify_lemmas and verify_theorem sweep the set route over
-q <= q_max; the first two check lists built per modulus and per window,
-verify_lemmas over three readings of the stated identity windows.
+q <= q_max; verify_cosets compares the orbit walk with the expected
+pairs as it runs, and verify_lemmas checks lists built per window, over
+three readings of the stated identity windows.
 No field code is loaded: q is parsed by primes, not gf.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from itertools import chain, compress, count, islice, starmap, zip_longest
+from operator import ne
+from typing import Iterator, NamedTuple
 
 from .cosets import (
     CycContext,
@@ -304,31 +307,36 @@ def enumerate_family(family_id: str, q_max: int) -> list[FamilyCode]:
 # -- verification suites: each returns its named counts, in print order -----
 
 
+def _pairs(n: int) -> Iterator[tuple[int, ...]]:
+    """The cosets of a family modulus n, as all_cosets yields them: (0,),
+    (1, n-1), (2, n-2), ..., with (n/2,) last when n is even."""
+    return chain([(0,)], zip(range(1, n), range(n - 1, n // 2, -1)), [(n // 2,)][n % 2 :])
+
+
 def verify_cosets(q_max: int) -> dict[str, int]:
     """Every family modulus with q <= q_max: the cosets are the pairs
     {i, n-i}, which partition Z_n, and -q is an involution on them.
 
-    all_cosets must be exactly (0,), (1, n-1), (2, n-2), ..., with (n/2,)
-    last when n is even: shape and partition at once, one list comparison.
-    A failure names the first index where the two lists differ, or where
-    the shorter one ends.  Then the table t of -q*x mod n must square to
-    negation, t(t(x)) = -x for every residue x.  That makes t a bijection
-    that commutes with negation, t(-x) = t^3(x) = -t(x), so t maps each
-    coset {x, -x} onto the coset {t(x), -t(x)} of the same size, and that
-    coset back onto {-x, x}.  A failure names the first coset {i, -i} with
-    a residue x where t(t(x)) != -x.
+    all_cosets must yield exactly the stream of _pairs: shape and
+    partition at once.  The two streams are compared in step as the walk
+    runs, with nothing listed, and the comparison stops at the first index
+    where they differ, or where the shorter one ends; the failure walks
+    again to that index to name both cosets there.  Then the table t of
+    -q*x mod n must square to negation, t(t(x)) = -x for every residue x.
+    That makes t a bijection that commutes with negation, t(-x) = t^3(x) =
+    -t(x), so t maps each coset {x, -x} onto the coset {t(x), -t(x)} of the
+    same size, and that coset back onto {-x, x}.  A failure names the first
+    coset {i, -i} with a residue x where t(t(x)) != -x.
     """
     sizes = iter_family_sizes(q_max)
     for spec in sizes:
         ctx, q, n = spec.context(), spec.q.q, spec.n
-        cs = all_cosets(ctx)
-        pairs = [(0,), *zip(range(1, n), range(n - 1, n // 2, -1)), *[(n // 2,)][n % 2 :]]
-        if cs != pairs:
-            differ = (k for k, (a, b) in enumerate(zip(cs, pairs)) if a != b)
-            k = next(differ, min(len(cs), len(pairs)))
-            got, want = cs[k : k + 1] or "missing", pairs[k : k + 1] or "none"
+        differ = compress(count(), starmap(ne, zip_longest(all_cosets(ctx), _pairs(n))))
+        k = next(differ, None)
+        if k is not None:
+            got = list(islice(all_cosets(ctx), k, k + 1)) or "missing"
+            want = list(islice(_pairs(n), k, k + 1)) or "none"
             raise VerificationError(f"coset {k} at q={q} is {got}, not {want}")
-        del cs, pairs  # freed before the tables of n residues are built
         t = neg_q_map(ctx)
         if list(map(t.__getitem__, t)) != [0, *range(n - 1, 0, -1)]:
             i = min(min(x, n - x) for x in range(n) if t[t[x]] != -x % n)

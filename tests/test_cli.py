@@ -733,8 +733,8 @@ def _trade_elements(cs):
 
 
 # faults in all_cosets, seen at q = 8 (n = 13, cosets (0,), (1, 12) .. (6, 7))
-# by the one comparison with the pairs (i, n-i), which names the first coset
-# that differs, or the first past the end of the shorter list
+# by the in-step comparison with the pairs (i, n-i), which names the first
+# coset that differs, or the first past the end of the shorter stream
 WRONG_COSETS = {
     "last-pair-dropped": (lambda cs: cs[:-1], "coset 6 at q=8 is missing, not [(6, 7)]"),
     "two-pairs-trade-an-element": (_trade_elements, "coset 1 at q=8 is [(1, 11)], not [(1, 12)]"),
@@ -746,7 +746,25 @@ WRONG_COSETS = {
 def test_wrong_cosets_are_caught(capsys, monkeypatch, wrong):
     fault, message = WRONG_COSETS[wrong]
     honest = families.all_cosets
-    monkeypatch.setattr(families, "all_cosets", lambda ctx: fault(honest(ctx)))
+    monkeypatch.setattr(families, "all_cosets", lambda ctx: fault(list(honest(ctx))))
+    _assert_counterexample_is(capsys, message, "verify", "--level", "coset", "--qmax", "60")
+
+
+def test_the_coset_walk_is_read_in_step_and_left_at_its_first_mismatch(capsys, monkeypatch):
+    # at q = 8 the walk yields a wrong coset 0 and fails if it is advanced
+    # again: the check reads it in step with the pairs and stops there, and
+    # the walk it takes again to name coset 0 reads that one coset
+    honest = families.all_cosets
+
+    def walk(ctx):
+        if ctx.q != 8:
+            yield from honest(ctx)
+            return
+        yield (1, 12)
+        raise AssertionError("the coset walk was advanced past its first mismatch")
+
+    monkeypatch.setattr(families, "all_cosets", walk)
+    message = "coset 0 at q=8 is [(1, 12)], not [(0,)]"
     _assert_counterexample_is(capsys, message, "verify", "--level", "coset", "--qmax", "60")
 
 

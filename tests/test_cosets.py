@@ -48,7 +48,7 @@ def test_context_validation():
 
 
 def test_cosets_q23(ctx23):
-    cs = all_cosets(ctx23)
+    cs = list(all_cosets(ctx23))
     assert cs[0] == (0,)
     assert cs[1] == (1, 105)
     assert cs[53] == (53,)  # the midpoint (q^2+1)/10
@@ -85,7 +85,7 @@ def test_all_cosets_matches_the_scalar_orbit_walk():
     # reference walks one orbit per residue by arithmetic
     longer = 0
     for ctx in SCALAR_CONTEXTS:
-        got = all_cosets(ctx)
+        got = list(all_cosets(ctx))
         assert got == cosets_one_by_one(ctx), ctx
         longer += max(map(len, got)) > 2
     assert longer >= 20
@@ -139,16 +139,16 @@ def test_times_matches_the_elementwise_products_across_the_crossover(monkeypatch
 
 
 def test_all_cosets_partition_counts(ctx7, ctx23, ctx32):
-    cs23 = all_cosets(ctx23)
+    cs23 = list(all_cosets(ctx23))
     assert len(cs23) == 54
     assert sorted(len(c) for c in cs23).count(1) == 2  # {0} and {53}
     assert sum(len(c) for c in cs23) == 106
 
-    cs7 = all_cosets(ctx7)
+    cs7 = list(all_cosets(ctx7))
     assert len(cs7) == 6
     assert {c for c in cs7 if len(c) == 1} == {(0,), (5,)}
 
-    cs32 = all_cosets(ctx32)  # n = 205 odd: no midpoint singleton
+    cs32 = list(all_cosets(ctx32))  # n = 205 odd: no midpoint singleton
     assert len(cs32) == 103
     assert sum(1 for c in cs32 if len(c) == 1) == 1
 
@@ -450,7 +450,7 @@ def test_identity_examples(ctx23):
     # (s, i) = (0, 2): -q C_2 = C_46; (1, 3): -q C_26 = C_68 = {38, 68}
     assert neg_q_misses(ctx23, [2, 26], [46, 68]) == []
     assert coset_product_identity(ctx23, 0, 2) and coset_product_identity(ctx23, 1, 3)
-    assert all_cosets(ctx23)[38] == (38, 68)
+    assert list(all_cosets(ctx23))[38] == (38, 68)
     ctx37 = CycContext.for_family(37)
     assert neg_q_misses(ctx37, [1], [37]) == [] and coset_product_identity(ctx37, 0, 1)
     # a target moved by one is a miss, named by its position
